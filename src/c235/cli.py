@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -36,14 +37,25 @@ DEFAULT_POINTS = 10
 DEFAULT_SEED = 0
 
 
-def _default_tol() -> float:
-    env = os.environ.get("C235_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(env)
-    except ValueError:
-        raise SystemExit(2)
+def _tolerance(flag, default: float, env: str | None = None) -> float:
+    """The tolerance from --tol, else from `env`, else `default`.
+
+    Raises ValueError, with a one-line reason, unless it is a positive
+    finite number.
+    """
+    if flag is not None:
+        tol, source = flag, "--tol"
+    elif env is not None and env in os.environ:
+        raw = os.environ[env]
+        try:
+            tol = float(raw)
+        except ValueError:
+            raise ValueError(f"{env}={raw!r} is not a number") from None
+        source = env
+    else:
+        return default
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{source} must be a positive finite number, got {tol!r}")
     return tol
 
 
@@ -98,54 +110,61 @@ def cmd_list(args) -> int:
 # --- verify --------------------------------------------------------------
 
 
+def _check(name: str, i: int, tol: float, residual, jet) -> dict:
+    """One check entry: residual(jet) against tol, or the error that stopped it.
+
+    `jet` is the F_jet of the point, or the C235Error building it raised.
+    """
+    try:
+        if isinstance(jet, C235Error):
+            raise jet
+        value = float(residual(jet))
+    except C235Error as exc:
+        return {"name": name, "point": i, "value": None, "tol": tol,
+                "pass": False, "error": f"{type(exc).__name__}: {exc}"}
+    return {"name": name, "point": i, "value": value, "tol": tol, "pass": bool(value < tol)}
+
+
+def _jet_or_error(spec, param: float):
+    try:
+        return F_jet(spec, param)
+    except C235Error as exc:
+        return exc
+
+
 def _verify_case(spec, points: int, tol: float, seed: int) -> dict:
-    checks = []
     pts = geometry.sample_points(spec, points, seed)
-    residual_fn = residual_6th if spec.picture == "F_of_q" else residual_ds6
-    res_name = "ode_residual_F" if spec.picture == "F_of_q" else "ode_residual_H"
-    for i, pt in enumerate(pts):
-        try:
-            jet = F_jet(spec, pt[4])
-            value = residual_fn(jet)
-            checks.append(
-                {"name": res_name, "point": i, "value": float(value), "tol": tol,
-                 "pass": bool(value < tol)}
-            )
-        except C235Error as exc:
-            checks.append(
-                {"name": res_name, "point": i, "value": None, "tol": tol,
-                 "pass": False, "error": f"{type(exc).__name__}: {exc}"}
-            )
-    flat = geometry.flatness_suite(spec, pts, tol)
+    # each point's solution jet is built once and shared by every check
+    jets = [_jet_or_error(spec, pt[4]) for pt in pts]
+    F_picture = spec.picture == "F_of_q"
+    res_name, residual = (("ode_residual_F", residual_6th) if F_picture
+                          else ("ode_residual_H", residual_ds6))
+    checks = [_check(res_name, i, tol, residual, jet) for i, jet in enumerate(jets)]
+    flat = geometry.flatness_suite(
+        spec, pts, tol, [j if isinstance(j, Jet1) else None for j in jets])
     for i, r in enumerate(flat["results"]):
         checks.append(
             {"name": "weyl_flatness", "point": i, "value": r["weylRatio"],
              "tol": tol, "pass": r["pass"]}
         )
-    if spec.picture == "F_of_q":
-        for i, pt in enumerate(pts):
-            try:
-                F = F_jet(spec, pt[4])
-                _, H = legendre_transform(F)
-                value = residual_ds6(H)
-                checks.append(
-                    {"name": "duality_residual", "point": i, "value": float(value),
-                     "tol": tol, "pass": bool(value < tol)}
-                )
-            except C235Error as exc:
-                checks.append(
-                    {"name": "duality_residual", "point": i, "value": None,
-                     "tol": tol, "pass": False,
-                     "error": f"{type(exc).__name__}: {exc}"}
-                )
+    if F_picture:
+        checks += [
+            _check("duality_residual", i, tol,
+                   lambda F: residual_ds6(legendre_transform(F)[1]), F)
+            for i, F in enumerate(jets)
+        ]
     ok = all(c["pass"] for c in checks)
     return {"id": spec.id, "expectFail": spec.expect_fail, "checks": checks, "pass": ok}
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol if args.tol is not None else _default_tol()
-    if args.points < 1 or tol <= 0:
-        print("need --points >= 1 and --tol > 0", file=sys.stderr)
+    try:
+        tol = _tolerance(args.tol, DEFAULT_TOL, "C235_TOL")
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if args.points < 1:
+        print("need --points >= 1", file=sys.stderr)
         return 2
     if args.case == "all":
         specs = sorted(catalog(), key=lambda s: s.id)
@@ -186,9 +205,13 @@ IDENTITY_KINDS = TRANSFORM_KINDS + ("wronskian",)
 
 
 def cmd_identities(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-10
-    if args.samples < 1 or tol <= 0:
-        print("need --samples >= 1 and --tol > 0", file=sys.stderr)
+    try:
+        tol = _tolerance(args.tol, 1e-10)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    if args.samples < 1:
+        print("need --samples >= 1", file=sys.stderr)
         return 2
     kinds = list(IDENTITY_KINDS) if args.kind == "all" else [args.kind]
     for kind in kinds:

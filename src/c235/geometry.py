@@ -2,9 +2,9 @@
 
 The five coordinates are (x, y, z, p, lam) where lam is the jet variable
 of the supplied data: q itself in the F-picture, t in the dual picture, r
-or s for the parametrised families. All metric components are exact
-order-2 multivariate jets, so the curvature arrays need no finite
-differences.
+or s for the parametrised families. Coframe rows and metric components
+are exact order-2 jets held as dense arrays (value, first and second
+partials), so the curvature arrays need no finite differences.
 
 Conventions: Gamma^a_bc = (1/2) g^{ad}(d_b g_dc + d_c g_bd - d_d g_bc);
 R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma Gamma terms;
@@ -34,14 +34,25 @@ ETA[2, 2] = 4.0 / 3.0
 
 @dataclass(frozen=True)
 class Coframe:
-    """Rows i give theta^i = theta[i][a] dx^a over coords."""
+    """Rows i give theta^i = value[i, a] dx^a over coords.
 
-    theta: tuple  # 5-tuple of 5-tuples of MJet2
-    eta: np.ndarray
+    grad[i, a, k] and hess[i, a, k, l] are the first and second partials
+    of value[i, a] along coordinates k and l.
+    """
+
+    value: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
     coords: Tuple[str, ...]
 
-    def value_matrix(self) -> np.ndarray:
-        return np.array([[c.value for c in row] for row in self.theta])
+
+@dataclass(frozen=True)
+class MetricJet:
+    """Metric components g_ab with partials grad[k, a, b] and hess[k, l, a, b]."""
+
+    value: np.ndarray
+    grad: np.ndarray
+    hess: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,14 +67,6 @@ class CurvatureReport:
     metricScale: float
 
 
-def _const(v: float) -> MJet2:
-    return MJet2.constant(v, DIM)
-
-
-def _coord(v: float, axis: int) -> MJet2:
-    return MJet2.coordinate(v, axis, DIM)
-
-
 def _of_lam(jet: Jet1) -> MJet2:
     return MJet2.from_jet1(jet, 4, DIM)
 
@@ -73,50 +76,73 @@ def _chain(f: Jet1, q_of: Jet1) -> Jet1:
     return f.derivative() / q_of.derivative()
 
 
-class _FrameData:
-    """The lam-dependent scalars entering the coframe, plus point data."""
-
-    def __init__(self, q_of: Jet1, F_of: Jet1, point4: Sequence[float]):
-        if q_of.deriv(1) == 0:
-            raise DegenerateError("dq/dlam = 0")
-        self.q_of = q_of
-        self.F_of = F_of
-        self.Fp = _chain(F_of, q_of)
-        self.Fpp = _chain(self.Fp, q_of)
-        if self.Fpp.value() == 0:
-            raise DegenerateError("F'' = 0 at the basepoint")
-        self.F3 = _chain(self.Fpp, q_of)
-        self.F4 = _chain(self.F3, q_of)
-        self.I = 2.0 * self.F3 / self.Fpp
-        self.Iprime = _chain(self.I, q_of)
-        x0, y0, z0, p0 = (float(v) for v in point4)
-        self.point4 = (x0, y0, z0, p0)
-        self.lam0 = float(q_of.basepoint)
-
-    def omegas(self):
-        """The base 1-forms omega_1 .. omega_5 as coefficient rows."""
-        x0, y0, z0, p0 = self.point4
-        zero = _const(0.0)
-        one = _const(1.0)
-        p = _coord(p0, 3)
-        qf = _of_lam(self.q_of)
-        Ff = _of_lam(self.F_of)
-        qdot = _of_lam(self.q_of.derivative())
-        w1 = (-p, one, zero, zero, zero)
-        w2 = (-qf, zero, zero, one, zero)
-        w3 = (-Ff, zero, one, zero, zero)
-        w4 = (zero, zero, zero, zero, qdot)
-        w5 = (one, zero, zero, zero, zero)
-        return w1, w2, w3, w4, w5
+def _derivs_in_q(q_of: Jet1, F_of: Jet1):
+    """F', F'', F''', F'''' (derivatives in q) as jets in lam."""
+    if q_of.deriv(1) == 0:
+        raise DegenerateError("dq/dlam = 0")
+    Fp = _chain(F_of, q_of)
+    Fpp = _chain(Fp, q_of)
+    if Fpp.value() == 0:
+        raise DegenerateError("F'' = 0 at the basepoint")
+    F3 = _chain(Fpp, q_of)
+    return Fp, Fpp, F3, _chain(F3, q_of)
 
 
-def _lincomb(*terms):
-    """Sum of (coeff: MJet2, row) products, as a new coefficient row."""
-    out = [_const(0.0)] * DIM
-    for coeff, row in terms:
-        for a in range(DIM):
-            out[a] = out[a] + coeff * row[a]
-    return tuple(out)
+def _omegas(q_of: Jet1, F_of: Jet1, point4, coords) -> Coframe:
+    """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx."""
+    value = np.zeros((DIM, DIM))
+    grad = np.zeros((DIM, DIM, DIM))
+    hess = np.zeros((DIM, DIM, DIM, DIM))
+    value[0, :2] = (-float(point4[3]), 1.0)
+    grad[0, 0, 3] = -1.0
+    value[1, 3] = value[2, 2] = value[4, 0] = 1.0
+    for i, a, jet in ((1, 0, -q_of), (2, 0, -F_of), (3, 4, q_of.derivative())):
+        c = jet.coeffs
+        value[i, a], grad[i, a, 4], hess[i, a, 4, 4] = c[0], c[1], 2.0 * c[2]
+    return Coframe(value, grad, hess, tuple(coords))
+
+
+def _combine(C, om: Coframe) -> Coframe:
+    """The rows theta^i = C_ij omega^j, by the product rule.
+
+    C is five rows of five entries, each an MJet2 or a plain number.
+    """
+    Cv = np.zeros((DIM, DIM))
+    Cg = np.zeros((DIM, DIM, DIM))
+    Ch = np.zeros((DIM, DIM, DIM, DIM))
+    for i, row in enumerate(C):
+        for j, c in enumerate(row):
+            if isinstance(c, MJet2):
+                Cv[i, j], Cg[i, j], Ch[i, j] = c.value, c.gradient, c.hessian
+            else:
+                Cv[i, j] = c
+    cross = np.einsum("ijk,jal->iakl", Cg, om.grad)
+    return Coframe(
+        Cv @ om.value,
+        np.einsum("ijk,ja->iak", Cg, om.value) + np.einsum("ij,jak->iak", Cv, om.grad),
+        np.einsum("ijkl,ja->iakl", Ch, om.value) + cross + cross.transpose(0, 1, 3, 2)
+        + np.einsum("ij,jakl->iakl", Cv, om.hess),
+        om.coords,
+    )
+
+
+def _theta(om: Coframe, s: MJet2, u: MJet2, B: MJet2, coef4: MJet2) -> Coframe:
+    """theta^1..5 from the omegas, shared by both pictures.
+
+    With comb = u w2 - w3: th1 = w1 - s comb, th2 = s comb,
+    th3 = (1 - u B) w2 + B w3, th4 = coef4 comb + w4 - w5, th5 = -w4.
+    """
+    su, cu = s * u, coef4 * u
+    return _combine(
+        (
+            (1.0, -su, s, 0.0, 0.0),
+            (0.0, su, -s, 0.0, 0.0),
+            (0.0, 1.0 - u * B, B, 0.0, 0.0),
+            (0.0, cu, -coef4, 1.0, -1.0),
+            (0.0, 0.0, 0.0, -1.0, 0.0),
+        ),
+        om,
+    )
 
 
 def build_coframe(q_of: Jet1, F_of: Jet1, point4, coords=("x", "y", "z", "p", "q")) -> Coframe:
@@ -127,25 +153,11 @@ def build_coframe(q_of: Jet1, F_of: Jet1, point4, coords=("x", "y", "z", "p", "q
     q_of = H', F_of = t H' - H, which reproduces the displayed dual
     coframe exactly.
     """
-    fd = _FrameData(q_of, F_of, point4)
-    w1, w2, w3, w4, w5 = fd.omegas()
-    one = _const(1.0)
-    Fp = _of_lam(fd.Fp)
-    Fpp = _of_lam(fd.Fpp)
-    F3 = _of_lam(fd.F3)
-    F4 = _of_lam(fd.F4)
-    inv_Fpp = Fpp.reciprocal()
-    comb = _lincomb((Fp, w2), (-one, w3))  # F' w2 - w3
-    th1 = _lincomb((one, w1), (-inv_Fpp, comb))
-    th2 = _lincomb((inv_Fpp, comb))
-    th3 = _lincomb(
-        (one - Fp * F3 / (Fpp * Fpp * 4.0), w2),
-        (F3 / (Fpp * Fpp * 4.0), w3),
-    )
-    coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) / (Fpp * Fpp * Fpp * 40.0)
-    th4 = _lincomb((coef4, comb), (one, w4), (-one, w5))
-    th5 = _lincomb((-one, w4))
-    return Coframe((th1, th2, th3, th4, th5), ETA, tuple(coords))
+    Fp, Fpp, F3, F4 = (_of_lam(j) for j in _derivs_in_q(q_of, F_of))
+    s = Fpp.reciprocal()
+    B = F3 * s * s * 0.25
+    coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s * s * s * 0.025
+    return _theta(_omegas(q_of, F_of, point4, coords), s, Fp, B, coef4)
 
 
 def coframe_H(H: Jet1, point4, coords=("x", "y", "z", "p", "t")) -> Coframe:
@@ -156,87 +168,76 @@ def coframe_H(H: Jet1, point4, coords=("x", "y", "z", "p", "t")) -> Coframe:
     if Hpp.value() == 0:
         raise DegenerateError("H'' = 0")
     H3 = Hpp.derivative()
-    H4 = H3.derivative()
-    fd = _FrameData(Hp, jet_var(t0, H.order) * Hp - H, point4)
-    w1, w2, w3, w4, w5 = fd.omegas()
-    one = _const(1.0)
-    t = _coord(t0, 4)
-    Hppf = _of_lam(Hpp)
-    H3f = _of_lam(H3)
-    H4f = _of_lam(H4)
-    comb = _lincomb((t, w2), (-one, w3))  # t w2 - w3
-    th1 = _lincomb((one, w1), (-Hppf, comb))
-    th2 = _lincomb((Hppf, comb))
-    th3 = _lincomb((one + t * H3f / (Hppf * 4.0), w2), (-H3f / (Hppf * 4.0), w3))
-    coef4 = (Hppf * H4f * 4.0 - H3f * H3f * 5.0) / (Hppf * Hppf * Hppf * 40.0)
-    th4 = _lincomb((coef4, comb), (one, w4), (-one, w5))
-    th5 = _lincomb((-one, w4))
-    return Coframe((th1, th2, th3, th4, th5), ETA, tuple(coords))
+    om = _omegas(Hp, jet_var(t0, H.order) * Hp - H, point4, coords)
+    Hpp, H3, H4 = _of_lam(Hpp), _of_lam(H3), _of_lam(H3.derivative())
+    r = Hpp.reciprocal()
+    B = H3 * r * -0.25
+    coef4 = (Hpp * H4 * 4.0 - H3 * H3 * 5.0) * r * r * r * 0.025
+    return _theta(om, Hpp, MJet2.coordinate(t0, 4, DIM), B, coef4)
 
 
-def reduced_omegas(q_of: Jet1, F_of: Jet1, point4):
-    """(omega-tilde rows, I, I') for the reduced-form assembly."""
-    fd = _FrameData(q_of, F_of, point4)
-    w1, w2, w3, w4, w5 = fd.omegas()
-    inv_Fpp = _of_lam(fd.Fpp).reciprocal()
-    Fp = _of_lam(fd.Fp)
-    one = _const(1.0)
-    wt2 = _lincomb((inv_Fpp * Fp, w2), (-inv_Fpp, w3))
-    return (w1, wt2, w2, w4, w5), fd
+def _reduced(q_of: Jet1, F_of: Jet1, point4):
+    """The reduced form 2 wt2 wt5 - 2 wt1 wt4 + (4/3) wt3^2 - (I/3) wt2 wt3
+    + ((I' - I^2/6)/10) wt2^2, with wt = (w1, th2, w2, w4, w5).
+
+    Returns (C, omegas, W, I, I'). Completing the square in wt3 makes g
+    eta-diagonal in the rows (wt2, wt1, wt3 - (I/8) wt2, wt4, wt5 + e wt2),
+    e = I'/20 - (3/160) I^2, whose coefficients against the omegas are the
+    rows of C. W holds the values of wt1..wt5; I = 2F'''/F'' and I' are
+    jets in lam.
+    """
+    Fp, Fpp, F3, _ = _derivs_in_q(q_of, F_of)
+    I = 2.0 * F3 / Fpp
+    Ip = _chain(I, q_of)
+    s = _of_lam(Fpp).reciprocal()
+    su = s * _of_lam(Fp)
+    h = _of_lam(I) * 0.125
+    e = _of_lam(Ip) * 0.05 - _of_lam(I) * _of_lam(I) * (3.0 / 160.0)
+    om = _omegas(q_of, F_of, point4, ("x", "y", "z", "p", "q"))
+    C = (
+        (0.0, su, -s, 0.0, 0.0),
+        (1.0, 0.0, 0.0, 0.0, 0.0),
+        (0.0, 1.0 - h * su, h * s, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 1.0, 0.0),
+        (0.0, e * su, -e * s, 0.0, 1.0),
+    )
+    wt = np.array([
+        [1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, su.value, -s.value, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+    ])
+    return C, om, wt @ om.value, I, Ip
 
 
-def reduced_metric(q_of: Jet1, F_of: Jet1, point4):
+def reduced_metric(q_of: Jet1, F_of: Jet1, point4) -> MetricJet:
     """g from the reduced form: 2 wt2 wt5 - 2 wt1 wt4 + (4/3) wt3^2 + I-terms."""
-    (wt1, wt2, wt3, wt4, wt5), fd = reduced_omegas(q_of, F_of, point4)
-    I = _of_lam(fd.I)
-    Ip = _of_lam(fd.Iprime)
-    g = np.empty((DIM, DIM), dtype=object)
-    for a in range(DIM):
-        for b in range(DIM):
-            g[a, b] = (
-                wt2[a] * wt5[b] + wt5[a] * wt2[b]
-                - wt1[a] * wt4[b] - wt4[a] * wt1[b]
-                + wt3[a] * wt3[b] * (4.0 / 3.0)
-                - (I / 6.0) * (wt2[a] * wt3[b] + wt3[a] * wt2[b])
-                + (Ip - I * I / 6.0) * wt2[a] * wt2[b] * 0.1
-            )
-    return g
+    C, om, _, _, _ = _reduced(q_of, F_of, point4)
+    return metric_at(_combine(C, om))
 
 
-def metric_at(cf: Coframe) -> np.ndarray:
-    """g_ab = eta_ij theta^i_a theta^j_b as a matrix of order-2 jets."""
-    W = cf.value_matrix()
+def metric_at(cf: Coframe) -> MetricJet:
+    """g_ab = eta_ij theta^i_a theta^j_b and its first two partials."""
+    W = cf.value
     if np.max(np.abs(W)) == 0.0 or np.linalg.cond(W) > 1e13:
         raise SingularCoframeError("coframe is singular at this point")
-    g = np.empty((DIM, DIM), dtype=object)
-    for a in range(DIM):
-        for b in range(DIM):
-            acc = _const(0.0)
-            for i in range(DIM):
-                for j in range(DIM):
-                    if cf.eta[i, j] != 0.0:
-                        acc = acc + cf.theta[i][a] * cf.theta[j][b] * cf.eta[i, j]
-            g[a, b] = acc
-    return g
+    EW = ETA @ W
+    grad = np.einsum("iak,ib->kab", cf.grad, EW)
+    rows = np.einsum("iakl,ib->klab", cf.hess, EW)
+    cross = np.einsum("iak,ibl->klab", cf.grad, np.einsum("ij,jbl->ibl", ETA, cf.grad))
+    return MetricJet(
+        W.T @ EW,
+        grad + grad.transpose(0, 2, 1),
+        rows + rows.transpose(0, 1, 3, 2) + cross + cross.transpose(1, 0, 2, 3),
+    )
 
 
-def _metric_arrays(g) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    dim = g.shape[0]
-    G = np.array([[g[a, b].value for b in range(dim)] for a in range(dim)])
-    dG = np.empty((dim, dim, dim))
-    d2G = np.empty((dim, dim, dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            dG[:, a, b] = g[a, b].gradient
-            d2G[:, :, a, b] = g[a, b].hessian
-    return G, dG, d2G
-
-
-def curvature(g: np.ndarray) -> CurvatureReport:
-    """Full curvature data of a metric given as a matrix of order-2 jets."""
-    dim = g.shape[0]
-    G, dG, d2G = _metric_arrays(g)
-    G = 0.5 * (G + G.T)
+def curvature(g: MetricJet) -> CurvatureReport:
+    """Full curvature data of a metric given as an order-2 jet."""
+    dG, d2G = g.grad, g.hess
+    dim = g.value.shape[0]
+    G = 0.5 * (g.value + g.value.T)
     if np.max(np.abs(G)) == 0.0 or np.linalg.cond(G) > 1e13:
         raise SingularMetricError("metric is singular at this point")
     ginv = np.linalg.inv(G)
@@ -296,11 +297,9 @@ def riemann_symmetry_error(rep: CurvatureReport) -> float:
     return float(max(e1, e2, e3, e4) / scale)
 
 
-def weyl_trace_error(rep: CurvatureReport, g: np.ndarray) -> float:
+def weyl_trace_error(rep: CurvatureReport, g: MetricJet) -> float:
     """Max contraction of the Weyl tensor with the inverse metric, relative."""
-    dim = g.shape[0]
-    G = np.array([[g[a, b].value for b in range(dim)] for a in range(dim)])
-    ginv = np.linalg.inv(0.5 * (G + G.T))
+    ginv = np.linalg.inv(0.5 * (g.value + g.value.T))
     scale = max(rep.maxAbsWeyl, rep.metricScale * 1e-30, 1e-30)
     t1 = np.einsum("ac,abcd->bd", ginv, rep.weyl)
     t2 = np.einsum("bd,abcd->ac", ginv, rep.weyl)
@@ -309,10 +308,8 @@ def weyl_trace_error(rep: CurvatureReport, g: np.ndarray) -> float:
     return float(err / max(scale, 1e-30))
 
 
-def metric_signature(g: np.ndarray) -> Tuple[int, int]:
-    dim = g.shape[0]
-    G = np.array([[g[a, b].value for b in range(dim)] for a in range(dim)])
-    ev = np.linalg.eigvalsh(0.5 * (G + G.T))
+def metric_signature(g: MetricJet) -> Tuple[int, int]:
+    ev = np.linalg.eigvalsh(0.5 * (g.value + g.value.T))
     neg = int(np.sum(ev < 0))
     pos = int(np.sum(ev > 0))
     return tuple(sorted((neg, pos)))
@@ -321,18 +318,16 @@ def metric_signature(g: np.ndarray) -> Tuple[int, int]:
 # --- catalog plumbing ---------------------------------------------------
 
 
-def frame_jets_for_spec(spec: SolutionSpec, param_point: float, order: int = 8):
+def frame_jets_for_spec(spec: SolutionSpec, param_point: float, order: int = 8, jet: Jet1 | None = None):
     """(q_of, F_of) jets in the fifth coordinate for a catalog entry.
 
     F-picture entries use lam = q directly except elementary_r, which
     keeps lam = r so the displayed Ricci statement can be checked in the
     r coordinate. H-picture entries use lam = t with the Legendre data
-    q = H'(t), F = t H'(t) - H(t).
+    q = H'(t), F = t H'(t) - H(t). `jet` is F_jet(spec, param_point,
+    order) when the caller already holds it; elementary_r builds its
+    frame from the closed-form pair in r and does not use it.
     """
-    if spec.picture == "H_of_t":
-        H = F_jet(spec, param_point, order)
-        t = jet_var(float(H.basepoint), order)
-        return H.derivative(), t * H.derivative() - H
     if spec.family == "elementary_r":
         cid = ClosedFormId("elementary_r", tuple(spec.params["constants"]))
         z1, z2 = closed_form_solution(cid, float(param_point), order)
@@ -341,14 +336,20 @@ def frame_jets_for_spec(spec: SolutionSpec, param_point: float, order: int = 8):
         Fp_of_r = (Fpp_of_r * q_of.derivative()).antiderivative(0.0)
         F_of_r = (Fp_of_r * q_of.derivative()).antiderivative(0.0)
         return q_of, F_of_r
-    Fq = F_jet(spec, param_point, order)
-    q_of = jet_var(float(Fq.basepoint), order)
-    return q_of, Fq
+    if jet is None:
+        jet = F_jet(spec, param_point, order)
+    lam = jet_var(float(jet.basepoint), jet.order)
+    if spec.picture == "H_of_t":
+        return jet.derivative(), lam * jet.derivative() - jet
+    return lam, jet
 
 
-def coframe_for_spec(spec: SolutionSpec, point5, order: int = 8) -> Coframe:
-    """Full coframe for a catalog entry at (x, y, z, p, param)."""
-    q_of, F_of = frame_jets_for_spec(spec, float(point5[4]), order)
+def coframe_for_spec(spec: SolutionSpec, point5, order: int = 8, jet: Jet1 | None = None) -> Coframe:
+    """Full coframe for a catalog entry at (x, y, z, p, param).
+
+    `jet` is passed on to frame_jets_for_spec.
+    """
+    q_of, F_of = frame_jets_for_spec(spec, float(point5[4]), order, jet)
     lam_name = {"H_of_t": "t"}.get(spec.picture, "q")
     if spec.family == "elementary_r":
         lam_name = "r"
@@ -370,13 +371,17 @@ def sample_points(spec: SolutionSpec, n: int, seed: int):
     return pts
 
 
-def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7):
-    """Per-point Weyl-flatness ratios for a catalog entry."""
+def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jets=None):
+    """Per-point Weyl-flatness ratios for a catalog entry.
+
+    `jets`, when given, holds F_jet of the entry at each point's
+    parameter (None where the caller has none), so each is built once.
+    """
     if isinstance(spec, str):
         spec = get_spec(spec)
     results = []
-    for pt in points:
-        cf = coframe_for_spec(spec, pt)
+    for pt, jet in zip(points, jets or [None] * len(points)):
+        cf = coframe_for_spec(spec, pt, jet=jet)
         rep = curvature(metric_at(cf))
         ratio = rep.maxAbsWeyl / rep.metricScale
         results.append(
@@ -401,19 +406,12 @@ def _frame_components_rank4(T: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("ai,bj,ck,dl,abcd->ijkl", Winv, Winv, Winv, Winv, T)
 
 
-def _reduced_frame_matrix(q_of, F_of, point4) -> np.ndarray:
-    rows, _ = reduced_omegas(q_of, F_of, point4)
-    return np.array([[c.value for c in row] for row in rows])
-
-
 def ricci_identity_check(q_of: Jet1, F_of: Jet1, point4) -> float:
     """Relative error of Ricci against (9/120)(6I' - I^2) on wt4 x wt4."""
-    g = reduced_metric(q_of, F_of, point4)
-    rep = curvature(g)
-    (rows, fd) = reduced_omegas(q_of, F_of, point4)
-    W = np.array([[c.value for c in row] for row in rows])
+    C, om, W, I, Ip = _reduced(q_of, F_of, point4)
+    rep = curvature(metric_at(_combine(C, om)))
     Rf = _frame_components_rank2(rep.ricci, W)
-    I0, Ip0 = fd.I.value(), fd.Iprime.value()
+    I0, Ip0 = I.value(), Ip.value()
     expected = (9.0 / 120.0) * (6.0 * Ip0 - I0 * I0)
     scale = max(abs(expected), rep.metricScale * 1e-8, 1e-12)
     off = Rf.copy()
@@ -431,7 +429,7 @@ def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4, nu_in_lamb
     second q-derivative. Returns a dict with the computed frame Ricci
     component, the displayed prediction, and their relative mismatch.
     """
-    (rows, fd) = reduced_omegas(q_of, F_of, point4)
+    C, om, W, I, Ip = _reduced(q_of, F_of, point4)
     from .jets import jet_compose
 
     if nu_in_lambda:
@@ -442,19 +440,14 @@ def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4, nu_in_lamb
         nu_lam = jet_compose(nu, q_of)
     if nu_lam.value() <= 0:
         raise DegenerateError("nu must be positive")
-    g = reduced_metric(q_of, F_of, point4)
-    nu_m = _of_lam(nu_lam)
-    scale2 = nu_m.reciprocal() * nu_m.reciprocal()
-    ghat = np.empty_like(g)
-    for a in range(DIM):
-        for b in range(DIM):
-            ghat[a, b] = g[a, b] * scale2
+    # nu^{-2} g is eta-diagonal in the reduced rows divided by nu
+    inv_nu = _of_lam(nu_lam).reciprocal()
+    ghat = metric_at(_combine([[inv_nu * c for c in row] for row in C], om))
     rep = curvature(ghat)
-    W = np.array([[c.value for c in row] for row in rows])
     Rf = _frame_components_rank2(rep.ricci, W)
     nupp = _chain(_chain(nu_lam, q_of), q_of).value()
     nu0 = nu_lam.value()
-    I0, Ip0 = fd.I.value(), fd.Iprime.value()
+    I0, Ip0 = I.value(), Ip.value()
     ode = 40.0 * nupp + (6.0 * Ip0 - I0 * I0) * nu0
     predicted = 3.0 / (40.0 * nu0) * ode
     # the rescaled-frame component: wt4 is unscaled, so compare directly
@@ -484,8 +477,7 @@ def weyl_equals_residual_check(H_jets: Sequence[Jet1], point4=(0.1, -0.2, 0.3, 0
     for H in H_jets:
         cf = coframe_H(H, point4)
         rep = curvature(metric_at(cf))
-        W = cf.value_matrix()
-        Cf = _frame_components_rank4(rep.weyl, W)
+        Cf = _frame_components_rank4(rep.weyl, cf.value)
         comp = Cf[1, 4, 1, 4]  # the single independent slot (theta^2, theta^5)
         d = [H.deriv(i) for i in range(7)]
         lhs = (

@@ -317,23 +317,6 @@ def jet_invert(f: Jet1) -> Jet1:
     return Jet1(f.coeffs[0], g)
 
 
-def jet_arith(op: str, a: Jet1, b=None) -> Jet1:
-    """Dispatch wrapper over the basic jet operations."""
-    ops: dict[str, Callable] = {
-        "add": lambda: a + b,
-        "sub": lambda: a - b,
-        "mul": lambda: a * b,
-        "div": lambda: a / b,
-        "pow_rational": lambda: jet_pow(a, b),
-        "exp": lambda: jet_exp(a),
-        "log": lambda: jet_log(a),
-        "sqrt": lambda: jet_sqrt(a),
-    }
-    if op not in ops:
-        raise ValueError(f"unknown jet op {op!r}")
-    return ops[op]()
-
-
 # --- finite-difference oracle (tests only) --------------------------
 
 
@@ -494,15 +477,3 @@ class MJet2:
     def __rtruediv__(self, other) -> "MJet2":
         return self._coerce(other) * self.reciprocal()
 
-
-def mjet_arith(op: str, a: MJet2, b: MJet2 | None = None) -> MJet2:
-    ops: dict[str, Callable] = {
-        "add": lambda: a + b,
-        "sub": lambda: a - b,
-        "mul": lambda: a * b,
-        "div": lambda: a / b,
-        "reciprocal": lambda: a.reciprocal(),
-    }
-    if op not in ops:
-        raise ValueError(f"unknown multivariate jet op {op!r}")
-    return ops[op]()

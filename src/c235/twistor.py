@@ -65,20 +65,16 @@ class PlebanskiData:
         return PlebanskiData.from_H(F_jet(spec, param_point), point4, xi)
 
 
-def plebanski_metric(d: PlebanskiData) -> np.ndarray:
-    """g = dw dx + dz dy + H(x) dz^2 as order-2 jets in (w, x, y, z)."""
+def plebanski_metric(d: PlebanskiData) -> geometry.MetricJet:
+    """g = dw dx + dz dy + H(x) dz^2 as an order-2 jet in (w, x, y, z)."""
     dim = 4
-    half = MJet2.constant(0.5, dim)
-    zero = MJet2.constant(0.0, dim)
+    value = np.zeros((dim, dim))
+    grad = np.zeros((dim, dim, dim))
+    hess = np.zeros((dim, dim, dim, dim))
+    value[0, 1] = value[1, 0] = value[2, 3] = value[3, 2] = 0.5
     Hm = MJet2.from_jet1(d.H, 1, dim)
-    g = np.empty((dim, dim), dtype=object)
-    for a in range(dim):
-        for b in range(dim):
-            g[a, b] = zero
-    g[0, 1] = g[1, 0] = half
-    g[2, 3] = g[3, 2] = half
-    g[3, 3] = Hm
-    return g
+    value[3, 3], grad[:, 3, 3], hess[:, :, 3, 3] = Hm.value, Hm.gradient, Hm.hessian
+    return geometry.MetricJet(value, grad, hess)
 
 
 def connection_forms(d: PlebanskiData) -> dict:
@@ -149,17 +145,11 @@ def frame_connection_check(d: PlebanskiData) -> float:
     return err
 
 
-def metric_compatibility_error(g: np.ndarray) -> float:
+def metric_compatibility_error(g: geometry.MetricJet) -> float:
     """Max |nabla g| for the Levi-Civita connection computed from g."""
-    dim = g.shape[0]
-    rep = geometry.curvature(g)
-    Gam = rep.christoffel
-    G = np.array([[g[a, b].value for b in range(dim)] for a in range(dim)])
-    dG = np.empty((dim, dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            dG[:, a, b] = g[a, b].gradient
-    nabla = dG - np.einsum("dca,db->cab", Gam, G) - np.einsum("dcb,ad->cab", Gam, G)
+    Gam = geometry.curvature(g).christoffel
+    G = g.value
+    nabla = g.grad - np.einsum("dca,db->cab", Gam, G) - np.einsum("dcb,ad->cab", Gam, G)
     return float(np.max(np.abs(nabla)))
 
 

@@ -300,10 +300,13 @@ def test_criterion_6_dual_weyl_correspondence():
     for H_maker in (
         lambda t0: jet_var(t0, 8) ** 3,
         lambda t0: jet_var(t0, 8) ** 5 - jet_var(t0, 8) ** 3,
+        lambda t0: jet_var(t0, 8) ** 4 + jet_var(t0, 8),
     ):
         out = weyl_equals_residual_check([H_maker(t0) for t0 in (0.8, 1.3, 2.1)])
-        if not out["ratioSpread"] < 0.05:
+        if not out["ratioSpread"] < 1e-12:
             failures.append(("spread", out["ratioSpread"]))
+        if not abs(out["ratioMean"] - 0.01) < 1e-12 * 0.01:
+            failures.append(("constant", out["ratioMean"]))
     spec = get_spec("H-triple-(-1/4,5/12,1/2)")
     H = F_jet(spec, 0.35)
     rep = curvature(metric_at(coframe_H(H, POINT4)))

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from c235 import cli, dist, geometry
 from c235.cli import main
 
 
@@ -101,6 +102,46 @@ def test_verify_tol_env(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "verify", "--case", "F-power-2", "--points", "2", "--json")
     assert payload["config"]["tol"] == 1e-20
     assert code == 1  # nothing is flat to 1e-20
+
+
+@pytest.mark.parametrize("command", ["verify", "identities"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-7"])
+def test_tol_must_be_positive_and_finite(capsys, command, tol):
+    code, out, err = run(capsys, command, f"--tol={tol}", "--json")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "--tol" in err
+
+
+def test_verify_tol_env_not_a_number(capsys, monkeypatch):
+    monkeypatch.setenv("C235_TOL", "abc")
+    code, out, err = run(capsys, "verify", "--case", "F-power-2", "--points", "2", "--json")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "C235_TOL" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_tol_env_not_finite(capsys, monkeypatch, value):
+    monkeypatch.setenv("C235_TOL", value)
+    code, _, err = run(capsys, "verify", "--case", "F-power-2", "--points", "2", "--json")
+    assert code == 2
+    assert "C235_TOL" in err
+
+
+def test_verify_builds_each_jet_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dist.F_jet(*args, **kwargs)
+
+    for mod in (cli, geometry):
+        monkeypatch.setattr(mod, "F_jet", counted)
+    code, payload, _ = run_json(capsys, "verify", "--case", "F-power-1/3", "--points", "10", "--json")
+    assert code == 0
+    assert len(payload["cases"][0]["checks"]) == 30
+    assert len(calls) == 10
 
 
 # --- identities -------------------------------------------------------------

@@ -31,16 +31,17 @@ def quadratic_data(x0: float = 0.7, xi: float = 0.3) -> PlebanskiData:
 def test_metric_components_are_exact():
     d = quadratic_data()
     g = plebanski_metric(d)
-    assert g[0, 1].value == 0.5 and g[1, 0].value == 0.5
-    assert g[2, 3].value == 0.5 and g[3, 2].value == 0.5
-    assert g[3, 3].value == pytest.approx(d.H.value(), rel=0, abs=0)
+    G = g.value
+    assert G[0, 1] == 0.5 and G[1, 0] == 0.5
+    assert G[2, 3] == 0.5 and G[3, 2] == 0.5
+    assert G[3, 3] == pytest.approx(d.H.value(), rel=0, abs=0)
     # g_zz depends on x only
-    grad = g[3, 3].gradient
+    grad = g.grad[:, 3, 3]
     assert grad[1] == pytest.approx(d.H.deriv(1))
     assert grad[0] == grad[2] == grad[3] == 0.0
     zero_slots = [(0, 0), (1, 1), (2, 2), (0, 2), (0, 3), (1, 2), (1, 3)]
     for a, b in zero_slots:
-        assert g[a, b].value == 0.0
+        assert G[a, b] == 0.0
 
 
 def test_zero_H_metric_is_flat():
