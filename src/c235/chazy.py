@@ -99,32 +99,25 @@ def residual_6th(F: Jet1) -> float:
     )
 
 
+def ds6_monomials(d) -> list:
+    """The monomials of the dual 6th-order LHS, from d[i] = H^(i) at a point."""
+    return [
+        10.0 * d[2] ** 3 * d[6],
+        -70.0 * d[2] ** 2 * d[3] * d[5],
+        -49.0 * d[2] ** 2 * d[4] ** 2,
+        280.0 * d[2] * d[3] ** 2 * d[4],
+        -175.0 * d[3] ** 4,
+    ]
+
+
 def residual_ds6(H: Jet1) -> float:
     """Relative residual of the dual 6th-order equation satisfied by H(t)."""
-    d = [H.deriv(i) for i in range(7)]
-    return _rel(
-        [
-            10.0 * d[2] ** 3 * d[6],
-            -70.0 * d[2] ** 2 * d[3] * d[5],
-            -49.0 * d[2] ** 2 * d[4] ** 2,
-            280.0 * d[2] * d[3] ** 2 * d[4],
-            -175.0 * d[3] ** 4,
-        ]
-    )
+    return _rel(ds6_monomials([H.deriv(i) for i in range(7)]))
 
 
 def residual_7th(y: Jet1) -> float:
-    """Relative residual of the 7th-order equation (derivative of the dual)."""
-    d = [y.deriv(i) for i in range(8)]
-    return _rel(
-        [
-            10.0 * d[3] ** 3 * d[7],
-            -70.0 * d[3] ** 2 * d[4] * d[6],
-            -49.0 * d[3] ** 2 * d[5] ** 2,
-            280.0 * d[3] * d[4] ** 2 * d[5],
-            -175.0 * d[4] ** 4,
-        ]
-    )
+    """Relative residual of the 7th-order equation: the dual one for y'."""
+    return residual_ds6(y.derivative())
 
 
 def _schwarzian_derivative(s: Jet1) -> Tuple[complex, complex]:

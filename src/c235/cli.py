@@ -20,7 +20,6 @@ from . import __version__
 from .chazy import residual_6th, residual_ds6
 from .dist import F_jet, catalog, get_spec, legendre_transform
 from .errors import C235Error, UnknownCaseId
-from .jets import Jet1
 from .specialfn import (
     CLOSED_FORM_HYPER,
     HyperTriple,
@@ -140,13 +139,13 @@ def _verify_case(spec, points: int, tol: float, seed: int) -> dict:
     res_name, residual = (("ode_residual_F", residual_6th) if F_picture
                           else ("ode_residual_H", residual_ds6))
     checks = [_check(res_name, i, tol, residual, jet) for i, jet in enumerate(jets)]
-    flat = geometry.flatness_suite(
-        spec, pts, tol, [j if isinstance(j, Jet1) else None for j in jets])
+    flat = geometry.flatness_suite(spec, pts, tol, jets)
     for i, r in enumerate(flat["results"]):
-        checks.append(
-            {"name": "weyl_flatness", "point": i, "value": r["weylRatio"],
-             "tol": tol, "pass": r["pass"]}
-        )
+        entry = {"name": "weyl_flatness", "point": i, "value": r["weylRatio"],
+                 "tol": tol, "pass": r["pass"]}
+        if "error" in r:
+            entry["error"] = r["error"]
+        checks.append(entry)
     if F_picture:
         checks += [
             _check("duality_residual", i, tol,

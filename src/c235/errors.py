@@ -62,11 +62,11 @@ class DegenerateError(C235Error):
 
 
 class SingularCoframeError(C235Error):
-    pass
+    rows = None  # on a stack of points, the mask of the singular ones
 
 
 class SingularMetricError(C235Error):
-    pass
+    rows = None  # on a stack of points, the mask of the singular ones
 
 
 class UnknownCaseId(C235Error):

@@ -4,7 +4,8 @@ The five coordinates are (x, y, z, p, lam) where lam is the jet variable
 of the supplied data: q itself in the F-picture, t in the dual picture, r
 or s for the parametrised families. Coframe rows and metric components
 are exact order-2 jets held as dense arrays (value, first and second
-partials), so the curvature arrays need no finite differences.
+partials), so the curvature arrays need no finite differences. The same
+functions serve one point or, along a leading axis of every array, many.
 
 Conventions: Gamma^a_bc = (1/2) g^{ad}(d_b g_dc + d_c g_bd - d_d g_bc);
 R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma Gamma terms;
@@ -13,12 +14,13 @@ Ricci_bd = R^a_bad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateError, SingularCoframeError, SingularMetricError
+from .errors import C235Error, DegenerateError, SingularCoframeError, SingularMetricError
+from .chazy import ds6_monomials
 from .jets import Jet1, MJet2, jet_var
 from .dist import SolutionSpec, F_jet, get_spec
 from .specialfn import ClosedFormId, closed_form_solution
@@ -60,15 +62,20 @@ class CurvatureReport:
     christoffel: np.ndarray
     riemann: np.ndarray  # fully lowered R_abcd
     ricci: np.ndarray
-    scalar: float
+    scalar: float | np.ndarray
     weyl: np.ndarray  # fully lowered C_abcd
-    maxAbsWeyl: float
-    maxAbsRicci: float
-    metricScale: float
+    maxAbsWeyl: float | np.ndarray
+    maxAbsRicci: float | np.ndarray
+    metricScale: float | np.ndarray
 
 
-def _of_lam(jet: Jet1) -> MJet2:
+def _of_lam(jet) -> MJet2:
     return MJet2.from_jet1(jet, 4, DIM)
+
+
+def _taylor(*jets: Jet1) -> np.ndarray:
+    """The first three Taylor coefficients of each jet, one row per jet."""
+    return np.array([j.coeffs[:3] for j in jets])
 
 
 def _chain(f: Jet1, q_of: Jet1) -> Jet1:
@@ -88,17 +95,24 @@ def _derivs_in_q(q_of: Jet1, F_of: Jet1):
     return Fp, Fpp, F3, _chain(F3, q_of)
 
 
-def _omegas(q_of: Jet1, F_of: Jet1, point4, coords) -> Coframe:
-    """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx."""
-    value = np.zeros((DIM, DIM))
-    grad = np.zeros((DIM, DIM, DIM))
-    hess = np.zeros((DIM, DIM, DIM, DIM))
-    value[0, :2] = (-float(point4[3]), 1.0)
-    grad[0, 0, 3] = -1.0
-    value[1, 3] = value[2, 2] = value[4, 0] = 1.0
-    for i, a, jet in ((1, 0, -q_of), (2, 0, -F_of), (3, 4, q_of.derivative())):
-        c = jet.coeffs
-        value[i, a], grad[i, a, 4], hess[i, a, 4, 4] = c[0], c[1], 2.0 * c[2]
+def _frame_coeffs(q_of: Jet1, F_of: Jet1) -> np.ndarray:
+    """_taylor of q, F, q' and of F' to F'''' (derivatives in q), all in lam."""
+    return _taylor(q_of, F_of, q_of.derivative(), *_derivs_in_q(q_of, F_of))
+
+
+def _omegas(c, point4, coords) -> Coframe:
+    """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx; c is the _taylor of q, F, q'."""
+    p = np.asarray(point4, dtype=float)[..., 3]
+    value = np.zeros(p.shape + (DIM, DIM))
+    grad = np.zeros(p.shape + (DIM, DIM, DIM))
+    hess = np.zeros(p.shape + (DIM, DIM, DIM, DIM))
+    value[..., 0, 0] = -p
+    value[..., 0, 1] = value[..., 1, 3] = value[..., 2, 2] = value[..., 4, 0] = 1.0
+    grad[..., 0, 0, 3] = -1.0
+    for i, a, k, sign in ((1, 0, 0, -1.0), (2, 0, 1, -1.0), (3, 4, 2, 1.0)):
+        value[..., i, a] = sign * c[..., k, 0]
+        grad[..., i, a, 4] = sign * c[..., k, 1]
+        hess[..., i, a, 4, 4] = 2.0 * sign * c[..., k, 2]
     return Coframe(value, grad, hess, tuple(coords))
 
 
@@ -107,21 +121,23 @@ def _combine(C, om: Coframe) -> Coframe:
 
     C is five rows of five entries, each an MJet2 or a plain number.
     """
-    Cv = np.zeros((DIM, DIM))
-    Cg = np.zeros((DIM, DIM, DIM))
-    Ch = np.zeros((DIM, DIM, DIM, DIM))
+    batch = om.value.shape[:-2]
+    Cv = np.zeros(batch + (DIM, DIM))
+    Cg = np.zeros(batch + (DIM, DIM, DIM))
+    Ch = np.zeros(batch + (DIM, DIM, DIM, DIM))
     for i, row in enumerate(C):
         for j, c in enumerate(row):
             if isinstance(c, MJet2):
-                Cv[i, j], Cg[i, j], Ch[i, j] = c.value, c.gradient, c.hessian
+                Cv[..., i, j], Cg[..., i, j, :], Ch[..., i, j, :, :] = c.value, c.gradient, c.hessian
             else:
-                Cv[i, j] = c
-    cross = np.einsum("ijk,jal->iakl", Cg, om.grad)
+                Cv[..., i, j] = c
+    cross = np.einsum("...ijk,...jal->...iakl", Cg, om.grad)
     return Coframe(
         Cv @ om.value,
-        np.einsum("ijk,ja->iak", Cg, om.value) + np.einsum("ij,jak->iak", Cv, om.grad),
-        np.einsum("ijkl,ja->iakl", Ch, om.value) + cross + cross.transpose(0, 1, 3, 2)
-        + np.einsum("ij,jakl->iakl", Cv, om.hess),
+        np.einsum("...ijk,...ja->...iak", Cg, om.value)
+        + np.einsum("...ij,...jak->...iak", Cv, om.grad),
+        np.einsum("...ijkl,...ja->...iakl", Ch, om.value) + cross + cross.swapaxes(-1, -2)
+        + np.einsum("...ij,...jakl->...iakl", Cv, om.hess),
         om.coords,
     )
 
@@ -145,6 +161,15 @@ def _theta(om: Coframe, s: MJet2, u: MJet2, B: MJet2, coef4: MJet2) -> Coframe:
     )
 
 
+def _coframe(c, point4, coords) -> Coframe:
+    """The theta rows from the _frame_coeffs c."""
+    Fp, Fpp, F3, F4 = (_of_lam(c[..., k, :]) for k in range(3, 7))
+    s = Fpp.reciprocal()
+    B = F3 * s * s * 0.25
+    coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s * s * s * 0.025
+    return _theta(_omegas(c, point4, coords), s, Fp, B, coef4)
+
+
 def build_coframe(q_of: Jet1, F_of: Jet1, point4, coords=("x", "y", "z", "p", "q")) -> Coframe:
     """The five theta rows of the full coframe from F-in-q data.
 
@@ -153,11 +178,7 @@ def build_coframe(q_of: Jet1, F_of: Jet1, point4, coords=("x", "y", "z", "p", "q
     q_of = H', F_of = t H' - H, which reproduces the displayed dual
     coframe exactly.
     """
-    Fp, Fpp, F3, F4 = (_of_lam(j) for j in _derivs_in_q(q_of, F_of))
-    s = Fpp.reciprocal()
-    B = F3 * s * s * 0.25
-    coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s * s * s * 0.025
-    return _theta(_omegas(q_of, F_of, point4, coords), s, Fp, B, coef4)
+    return _coframe(_frame_coeffs(q_of, F_of), point4, coords)
 
 
 def coframe_H(H: Jet1, point4, coords=("x", "y", "z", "p", "t")) -> Coframe:
@@ -168,7 +189,7 @@ def coframe_H(H: Jet1, point4, coords=("x", "y", "z", "p", "t")) -> Coframe:
     if Hpp.value() == 0:
         raise DegenerateError("H'' = 0")
     H3 = Hpp.derivative()
-    om = _omegas(Hp, jet_var(t0, H.order) * Hp - H, point4, coords)
+    om = _omegas(_taylor(Hp, jet_var(t0, H.order) * Hp - H, Hpp), point4, coords)
     Hpp, H3, H4 = _of_lam(Hpp), _of_lam(H3), _of_lam(H3.derivative())
     r = Hpp.reciprocal()
     B = H3 * r * -0.25
@@ -193,7 +214,7 @@ def _reduced(q_of: Jet1, F_of: Jet1, point4):
     su = s * _of_lam(Fp)
     h = _of_lam(I) * 0.125
     e = _of_lam(Ip) * 0.05 - _of_lam(I) * _of_lam(I) * (3.0 / 160.0)
-    om = _omegas(q_of, F_of, point4, ("x", "y", "z", "p", "q"))
+    om = _omegas(_taylor(q_of, F_of, q_of.derivative()), point4, ("x", "y", "z", "p", "q"))
     C = (
         (0.0, su, -s, 0.0, 0.0),
         (1.0, 0.0, 0.0, 0.0, 0.0),
@@ -217,71 +238,77 @@ def reduced_metric(q_of: Jet1, F_of: Jet1, point4) -> MetricJet:
     return metric_at(_combine(C, om))
 
 
+def _require_regular(M, error: type, what: str) -> None:
+    """Raise error, its `rows` masking the matrices of the stack M with cond (inf at 0) > 1e13."""
+    bad = np.linalg.cond(M) > 1e13
+    if bad.any():
+        exc = error(f"{what} is singular at this point")
+        exc.rows = bad
+        raise exc
+
+
 def metric_at(cf: Coframe) -> MetricJet:
     """g_ab = eta_ij theta^i_a theta^j_b and its first two partials."""
     W = cf.value
-    if np.max(np.abs(W)) == 0.0 or np.linalg.cond(W) > 1e13:
-        raise SingularCoframeError("coframe is singular at this point")
+    _require_regular(W, SingularCoframeError, "coframe")
     EW = ETA @ W
-    grad = np.einsum("iak,ib->kab", cf.grad, EW)
-    rows = np.einsum("iakl,ib->klab", cf.hess, EW)
-    cross = np.einsum("iak,ibl->klab", cf.grad, np.einsum("ij,jbl->ibl", ETA, cf.grad))
+    gT = cf.grad.swapaxes(-3, -1)  # [k, a, i]
+    grad = gT @ EW[..., None, :, :]
+    rows = np.moveaxis(cf.hess, (-4, -3), (-1, -2)) @ EW[..., None, None, :, :]
+    Eg = np.moveaxis(np.einsum("ij,...jbl->...ibl", ETA, cf.grad), -1, -3)  # [l, i, b]
+    cross = gT[..., :, None, :, :] @ Eg[..., None, :, :, :]
     return MetricJet(
-        W.T @ EW,
-        grad + grad.transpose(0, 2, 1),
-        rows + rows.transpose(0, 1, 3, 2) + cross + cross.transpose(1, 0, 2, 3),
+        W.swapaxes(-1, -2) @ EW,
+        grad + grad.swapaxes(-1, -2),
+        rows + rows.swapaxes(-1, -2) + cross + cross.swapaxes(-4, -3),
     )
 
 
 def curvature(g: MetricJet) -> CurvatureReport:
     """Full curvature data of a metric given as an order-2 jet."""
     dG, d2G = g.grad, g.hess
-    dim = g.value.shape[0]
-    G = 0.5 * (g.value + g.value.T)
-    if np.max(np.abs(G)) == 0.0 or np.linalg.cond(G) > 1e13:
-        raise SingularMetricError("metric is singular at this point")
+    n = g.value.shape[-1]
+    G = 0.5 * (g.value + g.value.swapaxes(-1, -2))
+    _require_regular(G, SingularMetricError, "metric")
     ginv = np.linalg.inv(G)
     # Gamma_dbc lowered, then raised
     Glow = 0.5 * (
-        np.einsum("bdc->dbc", dG) + np.einsum("cbd->dbc", dG) - dG
+        np.einsum("...bdc->...dbc", dG) + np.einsum("...cbd->...dbc", dG) - dG
     )
-    Gam = np.einsum("ad,dbc->abc", ginv, Glow)
-    dginv = -np.einsum("af,efh,hd->ead", ginv, dG, ginv)
+    Gam = np.einsum("...ad,...dbc->...abc", ginv, Glow)
+    dginv = -(ginv[..., None, :, :] @ dG @ ginv[..., None, :, :])  # [e, a, d]
     dGlow = 0.5 * (
-        np.einsum("ebdc->edbc", d2G) + np.einsum("ecbd->edbc", d2G) - d2G
+        np.einsum("...ebdc->...edbc", d2G) + np.einsum("...ecbd->...edbc", d2G) - d2G
     )
-    dGam = np.einsum("ead,dbc->eabc", dginv, Glow) + np.einsum(
-        "ad,edbc->eabc", ginv, dGlow
+    dGam = np.einsum("...ead,...dbc->...eabc", dginv, Glow) + np.einsum(
+        "...ad,...edbc->...eabc", ginv, dGlow
     )
-    Rup = (
-        np.einsum("cadb->abcd", dGam)
-        - np.einsum("dacb->abcd", dGam)
-        + np.einsum("ace,edb->abcd", Gam, Gam)
-        - np.einsum("ade,ecb->abcd", Gam, Gam)
-    )
-    Rlow = np.einsum("ae,ebcd->abcd", G, Rup)
-    ricci = np.einsum("abad->bd", Rup)
-    ricci = 0.5 * (ricci + ricci.T)
-    scalar = float(np.einsum("bd,bd->", ginv, ricci))
-    n = dim
-    gR = np.einsum("ac,db->abcd", G, ricci)
+    # R^a_bcd is X^a_bcd - X^a_bdc
+    X = np.einsum("...cadb->...abcd", dGam) + np.einsum("...ace,...edb->...abcd", Gam, Gam)
+    Rup = X - X.swapaxes(-1, -2)
+    Rlow = np.einsum("...ae,...ebcd->...abcd", G, Rup)
+    ricci = np.einsum("...abad->...bd", Rup)
+    ricci = 0.5 * (ricci + ricci.swapaxes(-1, -2))
+    scalar = np.einsum("...bd,...bd->...", ginv, ricci)
+    gR = np.einsum("...ac,...db->...abcd", G, ricci)
     term1 = 0.5 * (
-        gR - np.einsum("ad,cb->abcd", G, ricci)
-        - np.einsum("bc,da->abcd", G, ricci) + np.einsum("bd,ca->abcd", G, ricci)
+        gR - np.einsum("...ad,...cb->...abcd", G, ricci)
+        - np.einsum("...bc,...da->...abcd", G, ricci) + np.einsum("...bd,...ca->...abcd", G, ricci)
     )
     gg = 0.5 * (
-        np.einsum("ac,db->abcd", G, G) - np.einsum("ad,cb->abcd", G, G)
+        np.einsum("...ac,...db->...abcd", G, G) - np.einsum("...ad,...cb->...abcd", G, G)
     )
-    weyl = Rlow - (2.0 / (n - 2)) * term1 + (2.0 / ((n - 1) * (n - 2))) * scalar * gg
+    weyl = (Rlow - (2.0 / (n - 2)) * term1
+            + (2.0 / ((n - 1) * (n - 2))) * np.asarray(scalar)[..., None, None, None, None] * gg)
     return CurvatureReport(
         christoffel=Gam,
         riemann=Rlow,
         ricci=ricci,
         scalar=scalar,
         weyl=weyl,
-        maxAbsWeyl=float(np.max(np.abs(weyl))),
-        maxAbsRicci=float(np.max(np.abs(ricci))),
-        metricScale=float(np.max(np.abs(G))),
+        maxAbsWeyl=np.max(np.abs(weyl), axis=(-4, -3, -2, -1)),
+        maxAbsRicci=np.max(np.abs(ricci), axis=(-2, -1)),
+        metricScale=np.max(np.abs(G), axis=(-2, -1)),
     )
 
 
@@ -344,19 +371,23 @@ def frame_jets_for_spec(spec: SolutionSpec, param_point: float, order: int = 8, 
     return lam, jet
 
 
+def _coords(spec: SolutionSpec) -> Tuple[str, ...]:
+    """The coordinate names of a catalog entry's coframe."""
+    lam_name = {"H_of_t": "t"}.get(spec.picture, "q")
+    if spec.family == "elementary_r":
+        lam_name = "r"
+    if spec.family == "two_pole" and spec.picture == "H_of_t":
+        lam_name = "x"
+    return ("x", "y", "z", "p", lam_name)
+
+
 def coframe_for_spec(spec: SolutionSpec, point5, order: int = 8, jet: Jet1 | None = None) -> Coframe:
     """Full coframe for a catalog entry at (x, y, z, p, param).
 
     `jet` is passed on to frame_jets_for_spec.
     """
     q_of, F_of = frame_jets_for_spec(spec, float(point5[4]), order, jet)
-    lam_name = {"H_of_t": "t"}.get(spec.picture, "q")
-    if spec.family == "elementary_r":
-        lam_name = "r"
-    if spec.family == "two_pole" and spec.picture == "H_of_t":
-        lam_name = "x"
-    coords = ("x", "y", "z", "p", lam_name)
-    return build_coframe(q_of, F_of, point5[:4], coords)
+    return build_coframe(q_of, F_of, point5[:4], _coords(spec))
 
 
 def sample_points(spec: SolutionSpec, n: int, seed: int):
@@ -371,22 +402,48 @@ def sample_points(spec: SolutionSpec, n: int, seed: int):
     return pts
 
 
+def _on_regular_rows(fn, x, live, found):
+    """(fn(x), live) less the rows where fn finds a singular matrix; found notes their error."""
+    try:
+        return fn(x), live
+    except (SingularCoframeError, SingularMetricError) as exc:
+        for i in live[exc.rows]:
+            found[i] = exc
+        keep = ~exc.rows
+        return fn(replace(x, value=x.value[keep], grad=x.grad[keep], hess=x.hess[keep])), live[keep]
+
+
 def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jets=None):
     """Per-point Weyl-flatness ratios for a catalog entry.
 
     `jets`, when given, holds F_jet of the entry at each point's
-    parameter (None where the caller has none), so each is built once.
+    parameter (None where the caller has none, or the C235Error building
+    it raised), so each is built once. A point that fails gets its error.
     """
     if isinstance(spec, str):
         spec = get_spec(spec)
+    found = [None] * len(points)  # each point's ratio, or the C235Error that stopped it
+    coeffs = {}
+    for i, (pt, jet) in enumerate(zip(points, jets or [None] * len(points))):
+        try:
+            if isinstance(jet, C235Error):
+                raise jet
+            coeffs[i] = _frame_coeffs(*frame_jets_for_spec(spec, float(pt[4]), jet=jet))
+        except C235Error as exc:
+            found[i] = exc
+    live = np.array(list(coeffs), dtype=int)
+    point4 = np.reshape(points, (-1, 5))[live, :4]
+    cf = _coframe(np.reshape(list(coeffs.values()), (-1, 7, 3)), point4, _coords(spec))
+    g, live = _on_regular_rows(metric_at, cf, live, found)
+    rep, live = _on_regular_rows(curvature, g, live, found)
+    for i, ratio in zip(live, (rep.maxAbsWeyl / rep.metricScale).tolist()):
+        found[i] = ratio
     results = []
-    for pt, jet in zip(points, jets or [None] * len(points)):
-        cf = coframe_for_spec(spec, pt, jet=jet)
-        rep = curvature(metric_at(cf))
-        ratio = rep.maxAbsWeyl / rep.metricScale
-        results.append(
-            {"point": tuple(float(v) for v in pt), "weylRatio": float(ratio), "pass": bool(ratio < tol)}
-        )
+    for pt, r in zip(points, found):
+        ok = not isinstance(r, C235Error)
+        entry = {"point": tuple(float(v) for v in pt), "weylRatio": r if ok else None,
+                 "pass": ok and r < tol}
+        results.append(entry if ok else dict(entry, error=f"{type(r).__name__}: {r}"))
     return {
         "id": spec.id,
         "tol": tol,
@@ -480,13 +537,7 @@ def weyl_equals_residual_check(H_jets: Sequence[Jet1], point4=(0.1, -0.2, 0.3, 0
         Cf = _frame_components_rank4(rep.weyl, cf.value)
         comp = Cf[1, 4, 1, 4]  # the single independent slot (theta^2, theta^5)
         d = [H.deriv(i) for i in range(7)]
-        lhs = (
-            10.0 * d[2] ** 3 * d[6]
-            - 70.0 * d[2] ** 2 * d[3] * d[5]
-            - 49.0 * d[2] ** 2 * d[4] ** 2
-            + 280.0 * d[2] * d[3] ** 2 * d[4]
-            - 175.0 * d[3] ** 4
-        )
+        lhs = sum(ds6_monomials(d))
         ratio = comp * d[2] ** 8 / lhs if lhs != 0.0 else None
         rows.append(
             {"t0": float(H.basepoint), "weyl": float(comp), "ode": float(lhs),

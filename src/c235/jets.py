@@ -192,6 +192,7 @@ def jet_exp(f: Jet1) -> Jet1:
 
 
 def jet_log(f: Jet1) -> Jet1:
+    """log f; the principal branch for complex jets."""
     c0 = f.coeffs[0]
     if c0 == 0:
         raise DivisionByZeroJet("log of a jet with zero value")
@@ -220,9 +221,7 @@ def jet_pow(f: Jet1, e) -> Jet1:
     c0 = f.coeffs[0]
     if isinstance(e, Fraction) and e.denominator == 1:
         return jet_pow_int(f, int(e))
-    if f.is_complex:
-        return jet_exp(jet_log_principal(f) * float(e))
-    if c0 > 0:
+    if f.is_complex or c0 > 0:
         return jet_exp(jet_log(f) * float(e))
     if c0 == 0:
         raise DivisionByZeroJet("fractional power of a jet with zero value")
@@ -231,23 +230,6 @@ def jet_pow(f: Jet1, e) -> Jet1:
         sign = -1.0 if e.numerator % 2 else 1.0
         return sign * jet_exp(jet_log(-f) * float(e))
     raise BranchError(f"negative base with exponent {e} has no real branch")
-
-
-def jet_log_principal(f: Jet1) -> Jet1:
-    """Principal-branch log for complex jets."""
-    c0 = f.coeffs[0]
-    if c0 == 0:
-        raise DivisionByZeroJet("log of a jet with zero value")
-    n = f.order
-    g = np.zeros(n + 1, dtype=complex)
-    g[0] = np.log(complex(c0))
-    for k in range(1, n + 1):
-        acc = f.coeffs[k]
-        if k >= 2:
-            j = np.arange(1, k)
-            acc = acc - np.dot(j * g[1:k], f.coeffs[k - 1 : 0 : -1]) / k
-        g[k] = acc / c0
-    return Jet1(f.basepoint, g)
 
 
 def jet_abs_pow(f: Jet1, e) -> Jet1:
@@ -391,9 +373,10 @@ def derivative_oracle(
 
 @dataclass(frozen=True)
 class MJet2:
-    """Order-2 multivariate jet: value, gradient, symmetric hessian."""
+    """Order-2 multivariate jet: value, gradient, symmetric hessian. Jets at N points
+    stack on a leading axis: value (N,), gradient (N, dim), hessian (N, dim, dim)."""
 
-    value: float
+    value: float | np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
 
@@ -403,7 +386,7 @@ class MJet2:
 
     @property
     def dim(self) -> int:
-        return len(self.gradient)
+        return self.gradient.shape[-1]
 
     @staticmethod
     def constant(value: float, dim: int) -> "MJet2":
@@ -416,17 +399,18 @@ class MJet2:
         return MJet2(float(value), g, np.zeros((dim, dim)))
 
     @staticmethod
-    def from_jet1(jet: Jet1, axis: int, dim: int) -> "MJet2":
-        """Embed a univariate jet (order >= 2) along one coordinate axis."""
-        if jet.order < 2:
+    def from_jet1(jet, axis: int, dim: int) -> "MJet2":
+        """Embed a univariate jet (order >= 2), or its coefficients (..., order + 1), on an axis."""
+        c = jet.coeffs if isinstance(jet, Jet1) else np.asarray(jet)
+        if c.shape[-1] < 3:
             raise ValueError("need a univariate jet of order >= 2")
-        if jet.is_complex:
+        if c.dtype.kind == "c":
             raise ValueError("metric coefficients must be real jets")
-        g = np.zeros(dim)
-        g[axis] = jet.coeffs[1]
-        h = np.zeros((dim, dim))
-        h[axis, axis] = 2.0 * jet.coeffs[2]
-        return MJet2(float(jet.coeffs[0]), g, h)
+        g = np.zeros(c.shape[:-1] + (dim,))
+        g[..., axis] = c[..., 1]
+        h = np.zeros(c.shape[:-1] + (dim, dim))
+        h[..., axis, axis] = 2.0 * c[..., 2]
+        return MJet2(c[..., 0], g, h)
 
     def _coerce(self, other) -> "MJet2":
         if isinstance(other, MJet2):
@@ -452,22 +436,25 @@ class MJet2:
         if not isinstance(other, MJet2):
             return MJet2(self.value * other, self.gradient * other, self.hessian * other)
         a, b = self, other
-        outer = np.outer(a.gradient, b.gradient)
+        av, bv = np.asarray(a.value)[..., None], np.asarray(b.value)[..., None]
+        outer = a.gradient[..., :, None] * b.gradient[..., None, :]
         return MJet2(
             a.value * b.value,
-            a.value * b.gradient + b.value * a.gradient,
-            a.value * b.hessian + b.value * a.hessian + outer + outer.T,
+            av * b.gradient + bv * a.gradient,
+            av[..., None] * b.hessian + bv[..., None] * a.hessian
+            + outer + outer.swapaxes(-1, -2),
         )
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "MJet2":
-        if self.value == 0:
+        if (np.asarray(self.value) == 0).any():
             raise DivisionByZeroJet("reciprocal of a zero-valued multivariate jet")
         v = 1.0 / self.value
-        g = -self.gradient * v * v
-        outer = np.outer(self.gradient, self.gradient)
-        h = -self.hessian * v * v + 2.0 * v**3 * outer
+        v1, v3 = np.asarray(v)[..., None], np.asarray(v**3)[..., None, None]
+        g = -self.gradient * v1 * v1
+        outer = self.gradient[..., :, None] * self.gradient[..., None, :]
+        h = -self.hessian * v1[..., None] * v1[..., None] + 2.0 * v3 * outer
         return MJet2(v, g, h)
 
     def __truediv__(self, other) -> "MJet2":

@@ -144,6 +144,47 @@ def test_verify_builds_each_jet_once(capsys, monkeypatch):
     assert len(calls) == 10
 
 
+def test_verify_reports_a_singular_coframe(capsys):
+    # one of these points lies where z1 vanishes and the coframe degenerates
+    code, payload, _ = run_json(capsys, "verify", "--case", "H-triple-(-1/2,5/6,2/3)",
+                                "--points", "40", "--seed", "0", "--json")
+    assert code == 1
+    assert payload["summary"] == {"passed": 0, "failed": 1}
+    errors = [c for c in payload["cases"][0]["checks"] if "error" in c]
+    assert errors
+    for c in errors:
+        assert c["name"] == "weyl_flatness"
+        assert c["value"] is None and c["pass"] is False and c["tol"] == cli.DEFAULT_TOL
+        assert c["error"] == "SingularCoframeError: coframe is singular at this point"
+    # an H-picture case has an ODE residual and a flatness check per point
+    assert sum(c["pass"] for c in payload["cases"][0]["checks"]) == 2 * 40 - len(errors)
+
+
+@pytest.mark.parametrize("failing", [{3}, set(range(10))], ids=["one-point", "every-point"])
+def test_verify_reports_a_failing_jet(capsys, monkeypatch, failing):
+    pts = geometry.sample_points(dist.get_spec("F-power-1/3"), 10, 0)
+    bad = {pts[i][4] for i in failing}
+
+    def flaky(spec, param, *args, **kwargs):
+        if param in bad:
+            raise dist.DomainError(f"no jet at {param}")
+        return dist.F_jet(spec, param, *args, **kwargs)
+
+    for mod in (cli, geometry):
+        monkeypatch.setattr(mod, "F_jet", flaky)
+    code, payload, _ = run_json(capsys, "verify", "--case", "F-power-1/3", "--points", "10", "--json")
+    assert code == 1
+    checks = payload["cases"][0]["checks"]
+    errors = [c for c in checks if "error" in c]
+    assert sorted((c["name"], c["point"]) for c in errors) == sorted(
+        (name, i) for i in failing
+        for name in ("ode_residual_F", "weyl_flatness", "duality_residual"))
+    for c in errors:
+        assert c["value"] is None and c["pass"] is False
+        assert c["error"].startswith("DomainError: no jet at ")
+    assert all(c["pass"] for c in checks if "error" not in c)
+
+
 # --- identities -------------------------------------------------------------
 
 

@@ -9,6 +9,10 @@ from c235.errors import DegenerateError, SingularCoframeError, SingularMetricErr
 from c235.geometry import (
     DIM,
     ETA,
+    MetricJet,
+    _coframe,
+    _coords,
+    _frame_coeffs,
     build_coframe,
     coframe_H,
     coframe_for_spec,
@@ -154,6 +158,52 @@ def test_dense_metric_matches_mjet2_reference(spec):
         want = reference_metric(reference_coframe(q_of, F_of, pt[:4]))
         for got, ref in zip((g.value, g.grad, g.hess), want):
             assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref)), (spec.id, pt)
+
+
+@pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
+def test_batched_geometry_matches_single_point(spec):
+    # row i of the coframe and metric built along a point axis against the
+    # build at point i alone, within the bound of the MJet2 reference above
+    pts = sample_points(spec, 6, seed=7)
+    coeffs = np.stack([_frame_coeffs(*frame_jets_for_spec(spec, pt[4])) for pt in pts])
+    cf = _coframe(coeffs, np.array(pts)[:, :4], _coords(spec))
+    g = metric_at(cf)
+    rep = curvature(g)
+    suite = flatness_suite(spec, pts)["results"]
+    for i, pt in enumerate(pts):
+        cf1 = coframe_for_spec(spec, pt)
+        g1 = metric_at(cf1)
+        assert cf.coords == cf1.coords
+        bound = 1e-13 * max(np.linalg.cond(cf1.value), 10.0)
+        for got, want in ((cf.value, cf1.value), (cf.grad, cf1.grad), (cf.hess, cf1.hess),
+                          (g.value, g1.value), (g.grad, g1.grad), (g.hess, g1.hess)):
+            assert np.max(np.abs(got[i] - want)) <= bound * np.max(np.abs(want)), (spec.id, i)
+        rep1 = curvature(g1)
+        ratio1 = rep1.maxAbsWeyl / rep1.metricScale
+        assert abs(rep.maxAbsWeyl[i] / rep.metricScale[i] - ratio1) <= 1e-9, (spec.id, i)
+        assert abs(suite[i]["weylRatio"] - ratio1) <= 1e-9, (spec.id, i)
+
+
+def test_flatness_suite_reports_singular_rows():
+    # a vanishing F'' at one point makes that coframe singular; the others still count
+    spec = get_spec("F-power-2")
+    pts = sample_points(spec, 3, seed=0)
+    jets = [F_jet(spec, pt[4]) for pt in pts]
+    jets[1] = jets[1] * 1e-20
+    out = flatness_suite(spec, pts, jets=jets)
+    bad = out["results"][1]
+    assert bad["weylRatio"] is None and bad["pass"] is False
+    assert bad["error"] == "SingularCoframeError: coframe is singular at this point"
+    assert all(r["pass"] and "error" not in r for i, r in enumerate(out["results"]) if i != 1)
+    with pytest.raises(SingularCoframeError):
+        metric_at(coframe_for_spec(spec, pts[1], jet=jets[1]))
+    # a stack raises with the mask of its singular rows
+    coeffs = np.stack([_frame_coeffs(*frame_jets_for_spec(spec, pt[4])) for pt in pts])
+    g = metric_at(_coframe(coeffs, np.array(pts)[:, :4], _coords(spec)))
+    g = MetricJet(g.value * [[[1.0]], [[0.0]], [[1.0]]], g.grad, g.hess)
+    with pytest.raises(SingularMetricError) as exc:
+        curvature(g)
+    assert exc.value.rows.tolist() == [False, True, False]
 
 
 def test_dual_picture_coframe_matches_legendre_build():

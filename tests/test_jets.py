@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -154,3 +155,37 @@ def test_jet_const_and_call():
     assert c.value() == 2.5
     f = jet_var(1.0, 6) ** 2
     assert f(1.3) == pytest.approx(1.3 ** 2)
+
+
+def test_complex_jet_pow_takes_the_principal_branch():
+    # Taylor coefficients of z**e at z0 are binom(e, k) z0**(e - k), principal branch
+    for z0 in (-2.0 + 0.5j, -1.5 - 0.25j, 0.3 + 2.0j, -0.7 + 0.0j):
+        for e in (0.5, -1.0 / 3.0, 2.5):
+            f = jet_pow(jet_var(z0, 6), e)
+            for k in range(7):
+                binom = math.prod(e - j for j in range(k)) / math.factorial(k)
+                want = binom * cmath.exp((e - k) * cmath.log(z0))
+                assert abs(f.coeffs[k] - want) <= 1e-12 * max(abs(want), 1.0), (z0, e, k)
+
+
+def test_mjet2_stacked_rows_match_single_jets():
+    rng = np.random.default_rng(1)
+    n, dim = 4, 5
+    va, vb = rng.normal(size=(2, n))
+    ga, gb = rng.normal(size=(2, n, dim))
+    ha, hb = rng.normal(size=(2, n, dim, dim))
+    a, b = MJet2(va, ga, ha + np.swapaxes(ha, -1, -2)), MJet2(vb, gb, hb + np.swapaxes(hb, -1, -2))
+    assert a.dim == dim
+    for stacked, single in ((a * b, lambda x, y: x * y), (a.reciprocal(), lambda x, y: x.reciprocal()),
+                            (1.0 - a * 2.5, lambda x, y: 1.0 - x * 2.5)):
+        for i in range(n):
+            row = single(*(MJet2(float(m.value[i]), m.gradient[i], m.hessian[i]) for m in (a, b)))
+            assert stacked.value[i] == row.value
+            assert np.array_equal(stacked.gradient[i], row.gradient)
+            assert np.array_equal(stacked.hessian[i], row.hessian)
+    j = jet_exp(jet_var(0.3, 4))
+    m = MJet2.from_jet1(np.stack([j.coeffs, 2.0 * j.coeffs]), 2, dim)
+    assert np.array_equal(m.value, [j.value(), 2.0 * j.value()])
+    assert np.array_equal(m.gradient[1], MJet2.from_jet1(2.0 * j, 2, dim).gradient)
+    with pytest.raises(DivisionByZeroJet):
+        MJet2(np.array([1.0, 0.0]), np.zeros((2, dim)), np.zeros((2, dim, dim))).reciprocal()
