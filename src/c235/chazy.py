@@ -65,10 +65,11 @@ class SchwarzTriple:
         return float(self.alpha), float(self.beta), float(self.gamma)
 
 
-def _rel(monomials) -> float:
+def _rel(monomials):
+    """|sum| / max(max |monomial|, 1), at one point or (an array) at each of a stack."""
     m = np.asarray(monomials, dtype=complex)
-    scale = max(np.max(np.abs(m)), 1.0)
-    return float(abs(np.sum(m)) / scale)
+    rel = np.abs(np.sum(m, axis=0)) / np.maximum(np.max(np.abs(m), axis=0), 1.0)
+    return rel if rel.ndim else float(rel)
 
 
 def residual_chazy(y: Jet1) -> float:
@@ -187,33 +188,30 @@ def parametrized_y(s: Jet1, weights: str) -> Jet1:
 
 def schwarz_solution(
     tr: SchwarzTriple,
-    s0: float,
+    s0,
     order: int = 8,
     ics: Tuple[float, float, float, float] = (1.0, 0.0, 0.3, 1.0),
 ) -> Jet1:
     """An s(q) jet solving the Schwarzian equation for the triple tr.
 
     Solves u'' + V(s) u / 4 = 0 twice by the jet recurrence in s with the
-    initial data ics = (u1, u1', u2, u2') at s0, forms q(s) = u2/u1 and
-    inverts. Works uniformly in the triple, including (0, 0, 0).
+    initial data ics = (u1, u1', u2, u2') at s0 (one point, or a stack),
+    forms q(s) = u2/u1 and inverts. Works uniformly in the triple,
+    including (0, 0, 0).
     """
-    if s0 in (0.0, 1.0):
-        raise DegenerateError("s0 in {0,1}")
-    n = order + 2
-    V = schwarz_potential(*tr.as_floats(), jet_var(float(s0), n))
-    def solve(u0, u1):
-        u = np.zeros(n + 1)
-        u[0], u[1] = u0, u1
-        for k in range(n - 1):
-            conv = sum(V.coeffs[j] * u[k - j] for j in range(k + 1))
-            u[k + 2] = -0.25 * conv / ((k + 2) * (k + 1))
-        return Jet1(float(s0), u)
-    ua = solve(ics[0], ics[1])
-    ub = solve(ics[2], ics[3])
+    DegenerateError.raise_where((s0 == 0) | (s0 == 1), "s0 in {0,1}")
     if abs(ics[0] * ics[3] - ics[1] * ics[2]) < 1e-14:
         raise ZeroWronskianError("initial data give a dependent pair")
-    q_of_s = ub / ua
-    return jet_invert(q_of_s.truncate(order))
+    n = order + 2
+    V = schwarz_potential(*tr.as_floats(), jet_var(s0, n)).coeffs[..., None, :]
+    # both solutions at once, along an axis before the coefficients
+    u = np.zeros(np.shape(s0) + (2, n + 1))
+    u[..., :2] = np.reshape(ics, (2, 2))
+    for k in range(n - 1):
+        conv = np.sum(V[..., : k + 1] * u[..., k::-1], axis=-1)
+        u[..., k + 2] = -0.25 * conv / ((k + 2) * (k + 1))
+    ua, ub = Jet1(s0, u[..., 0, :]), Jet1(s0, u[..., 1, :])
+    return jet_invert((ub / ua).truncate(order))
 
 
 def chazy_log_solution(z1: Jet1, z2: Jet1, order: int = 6) -> Tuple[float, Jet1]:
@@ -240,15 +238,12 @@ def chazy_log_solution(z1: Jet1, z2: Jet1, order: int = 6) -> Tuple[float, Jet1]
     return y.basepoint, y.truncate(order)
 
 
-def two_pole_solution(
-    k: Fraction | float, B: float, C: float, x0: float, order: int = 6
-) -> Jet1:
-    """Jet of (k-6)/(2(x+C)) - (k+6)/(2(x+B)) at x0."""
+def two_pole_solution(k: Fraction | float, B: float, C: float, x0, order: int = 6) -> Jet1:
+    """Jet of (k-6)/(2(x+C)) - (k+6)/(2(x+B)) at x0 (one point, or a stack)."""
     kf = float(k)
-    if x0 == -B or x0 == -C:
-        raise PoleError("basepoint sits on a pole")
-    x = jet_var(float(x0), order)
-    one = jet_const(1.0, float(x0), order)
+    PoleError.raise_where((x0 == -B) | (x0 == -C), "basepoint sits on a pole")
+    x = jet_var(x0, order)
+    one = jet_const(1.0, x0, order)
     return 0.5 * (kf - 6.0) * one / (x + C) - 0.5 * (kf + 6.0) * one / (x + B)
 
 

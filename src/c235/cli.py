@@ -8,6 +8,7 @@ a check failed, 2 means a usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -109,49 +110,48 @@ def cmd_list(args) -> int:
 # --- verify --------------------------------------------------------------
 
 
-def _check(name: str, i: int, tol: float, residual, jet) -> dict:
-    """One check entry: residual(jet) against tol, or the error that stopped it.
-
-    `jet` is the F_jet of the point, or the C235Error building it raised.
-    """
-    try:
-        if isinstance(jet, C235Error):
-            raise jet
-        value = float(residual(jet))
-    except C235Error as exc:
+def _check(name: str, i: int, tol: float, outcome) -> dict:
+    """One check entry: a value against tol, or the C235Error that stopped it."""
+    if isinstance(outcome, C235Error):
         return {"name": name, "point": i, "value": None, "tol": tol,
-                "pass": False, "error": f"{type(exc).__name__}: {exc}"}
-    return {"name": name, "point": i, "value": value, "tol": tol, "pass": bool(value < tol)}
+                "pass": False, "error": f"{type(outcome).__name__}: {outcome}"}
+    return {"name": name, "point": i, "value": outcome, "tol": tol, "pass": outcome < tol}
 
 
-def _jet_or_error(spec, param: float):
-    try:
-        return F_jet(spec, param)
-    except C235Error as exc:
-        return exc
+def _checks(name: str, tol: float, fn, jet, live, failed) -> list:
+    """The entries of one check at every point: fn(jet) at the points `live`, which
+    the rows of jet belong to, or the C235Error that stopped a point."""
+    found = list(failed)
+    values, live = geometry.on_regular_rows(fn, jet, live, found)
+    if live.size:
+        for i, value in zip(live, values.tolist()):
+            found[i] = value
+    return [_check(name, i, tol, r) for i, r in enumerate(found)]
 
 
 def _verify_case(spec, points: int, tol: float, seed: int) -> dict:
-    pts = geometry.sample_points(spec, points, seed)
-    # each point's solution jet is built once and shared by every check
-    jets = [_jet_or_error(spec, pt[4]) for pt in pts]
+    pts = np.array(geometry.sample_points(spec, points, seed))
+    # one F_jet call builds every point's solution jet, shared by every check
+    failed = [None] * len(pts)  # the C235Error that stopped a point's jet
+    jet, live = geometry.on_regular_rows(lambda p: F_jet(spec, p), pts[:, 4],
+                                         np.arange(len(pts)), failed)
     F_picture = spec.picture == "F_of_q"
     res_name, residual = (("ode_residual_F", residual_6th) if F_picture
                           else ("ode_residual_H", residual_ds6))
-    checks = [_check(res_name, i, tol, residual, jet) for i, jet in enumerate(jets)]
-    flat = geometry.flatness_suite(spec, pts, tol, jets)
-    for i, r in enumerate(flat["results"]):
+    checks = _checks(res_name, tol, residual, jet, live, failed)
+    flat = iter(geometry.flatness_suite(spec, pts[live], tol, jet)["results"] if live.size else ())
+    for i, err in enumerate(failed):
+        if err is not None:
+            checks.append(_check("weyl_flatness", i, tol, err))
+            continue
+        r = next(flat)
         entry = {"name": "weyl_flatness", "point": i, "value": r["weylRatio"],
                  "tol": tol, "pass": r["pass"]}
-        if "error" in r:
-            entry["error"] = r["error"]
-        checks.append(entry)
+        checks.append(dict(entry, error=r["error"]) if "error" in r else entry)
     if F_picture:
-        checks += [
-            _check("duality_residual", i, tol,
-                   lambda F: residual_ds6(legendre_transform(F)[1]), F)
-            for i, F in enumerate(jets)
-        ]
+        checks += _checks("duality_residual", tol,
+                          lambda F: residual_ds6(legendre_transform(F)[1]),
+                          jet, live, failed)
     ok = all(c["pass"] for c in checks)
     return {"id": spec.id, "expectFail": spec.expect_fail, "checks": checks, "pass": ok}
 
@@ -310,7 +310,9 @@ def cmd_curvature(args) -> int:
 # --- entry point ---------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="c235",
         description="verification suite for the flat (2,3,5)-distribution catalog",

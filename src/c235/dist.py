@@ -101,6 +101,11 @@ F_POWERS = (Frac(-1), Frac(1, 3), Frac(2, 3), Frac(2))
 H_POWERS = (Frac(-2), Frac(-1, 2), Frac(1, 2), Frac(2))
 
 _S_DOMAIN = (0.05, 0.95)
+# hyper triples whose z1 has a zero in _S_DOMAIN: there q = z2/z1 passes
+# through infinity and F'' = z1^3 vanishes, so the domain stops short of it
+_Z1_ROOT_FREE_DOMAINS = {
+    (Frac(-4, 3), Frac(5, 3), Frac(2, 3)): (0.40, 0.95),  # z1(1/3) = 0
+}
 
 
 def _build_catalog() -> Tuple[SolutionSpec, ...]:
@@ -161,7 +166,7 @@ def _build_catalog() -> Tuple[SolutionSpec, ...]:
                 family="hyper_triple",
                 params={"abc": abc, "constants": (1.0, 0.0, 0.0, 1.0)},
                 param_name="s",
-                domain=_S_DOMAIN,
+                domain=_Z1_ROOT_FREE_DOMAINS.get(abc, _S_DOMAIN),
                 note="F'' = z1^3 over a flat hypergeometric pair",
             )
         )
@@ -273,54 +278,53 @@ def _double_antiderivative(f: Jet1) -> Jet1:
     return f.antiderivative(0.0).antiderivative(0.0)
 
 
-def _second_derivative_chain(pair, point: float, order: int, power: int) -> Jet1:
+def _second_derivative_chain(pair, power: int) -> Jet1:
     """F'' (or H'') = z1^power reparametrised from s (or r) to q = z2/z1."""
     z1, z2 = pair
-    if z1.value() == 0:
-        raise DegenerateError("z1 vanishes at the basepoint")
+    DegenerateError.raise_where(z1.value() == 0, "z1 vanishes at the basepoint")
     q_of_s = z2 / z1
-    if q_of_s.deriv(1) == 0:
-        raise DegenerateError("dq/ds = 0: the pair is degenerate here")
+    DegenerateError.raise_where(q_of_s.deriv(1) == 0, "dq/ds = 0: the pair is degenerate here")
     s_of_q = jet_invert(q_of_s)
     return jet_compose(z1 ** power, s_of_q)
 
 
-def F_jet(spec: SolutionSpec, point: float, order: int = 8) -> Jet1:
+def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
     """Jet of F(q) (F-picture) or H(t) (H-picture) for a catalog entry.
 
-    `point` is a basepoint for spec.param_name; for the s- and
+    `point` is a basepoint for spec.param_name, or an array of them; the
+    jets of an array stack on a leading point axis. For the s- and
     r-parametrised families the returned jet sits at the induced q0 (t0).
+    A test that fails at some points of an array raises with `rows` set
+    to the mask of those points.
     """
+    point = np.asarray(point, dtype=float)
+    if point.ndim == 0:
+        point = float(point)
     lo, hi = spec.domain
-    if not (lo <= point <= hi):
-        raise DomainError(
-            f"{spec.id}: basepoint {point} outside admissible [{lo}, {hi}]"
-        )
+    inside = (lo <= point) & (point <= hi)
+    DomainError.raise_where(np.logical_not(inside), f"{spec.id}: basepoint outside admissible [{lo}, {hi}]")
     fam = spec.family
     if fam == "power_m":
         m = spec.params["m"]
-        return jet_pow(jet_var(float(point), order), Fraction(m))
+        return jet_pow(jet_var(point, order), Fraction(m))
     if fam == "hyper_triple":
         abc = spec.params["abc"]
         c1, c2, c3, c4 = spec.params["constants"]
-        e1, e2 = hypergeom_pair(HyperTriple(*abc), float(point), order)
+        e1, e2 = hypergeom_pair(HyperTriple(*abc), point, order)
         pair = (c1 * e1 + c2 * e2, c3 * e1 + c4 * e2)
         power = 3 if spec.picture == "F_of_q" else 4
-        dd = _second_derivative_chain(pair, point, order, power)
-        return _double_antiderivative(dd)
+        return _double_antiderivative(_second_derivative_chain(pair, power))
     if fam == "elementary_r":
         cid = ClosedFormId("elementary_r", tuple(spec.params["constants"]))
-        pair = closed_form_solution(cid, float(point), order)
-        dd = _second_derivative_chain(pair, point, order, 3)
-        return _double_antiderivative(dd)
+        pair = closed_form_solution(cid, point, order)
+        return _double_antiderivative(_second_derivative_chain(pair, 3))
     if fam == "schwarz_triple_param":
         tr = SchwarzTriple(*spec.params["triple"])
         e1, e2 = spec.params["exponents"]
         pw = spec.params["power"]
-        s = schwarz_solution(tr, float(point), order)
+        s = schwarz_solution(tr, point, order)
         sdot = s.derivative()
-        if sdot.value() <= 0:
-            raise BranchError("sdot <= 0: outside the restricted real branch")
+        BranchError.raise_where(sdot.value() <= 0, "sdot <= 0: outside the restricted real branch")
         num = jet_pow(sdot, Fraction(pw)) if Fraction(pw).denominator == 1 else jet_abs_pow(sdot, float(pw))
         # s in (0,1) makes s-1 negative; |.| powers rescale by a constant,
         # which the degree-4 homogeneous sixth-order equations ignore
@@ -329,31 +333,29 @@ def F_jet(spec: SolutionSpec, point: float, order: int = 8) -> Jet1:
     if fam == "two_pole":
         if spec.picture == "F_of_q":
             B, C, k = spec.params["B"], spec.params["C"], spec.params["k"]
-            I = two_pole_solution(k, B, C, float(point), order)
+            I = two_pole_solution(k, B, C, point, order)
             return build_F_from_I(I, constants=(0.0, 0.0, 0.0))
         B, C = spec.params["B"], spec.params["C"]
-        if point <= max(-B, -C):
-            raise DomainError("x must exceed both poles for the real branch")
-        x = jet_var(float(point), order)
+        DomainError.raise_where(point <= max(-B, -C), "x must exceed both poles for the real branch")
+        x = jet_var(point, order)
         num = jet_sqrt(x + C) * (4.0 * x + 3.0 * B + C)
         return (-1.0 / (192.0 * (B - C) ** 3)) * num / jet_sqrt(x + B)
     if fam == "ds_curve":
         a, b = spec.params["a"], spec.params["b"]
-        y = ds_curve_solution(a, b, spec.params["f"], float(point), order)
+        y = ds_curve_solution(a, b, spec.params["f"], point, order)
         return y.derivative()
     raise UnknownCaseId(f"unhandled family {fam!r}")
 
 
 def ds_curve_solution(
-    a: float, b: float, f: Tuple[float, float, float], t0: float, order: int = 8
+    a: float, b: float, f: Tuple[float, float, float], t0, order: int = 8
 ) -> Jet1:
-    """Jet of the curve branch y = +sqrt((t-a)(t-b)^3) - f(t) at t0."""
+    """Jet of the curve branch y = +sqrt((t-a)(t-b)^3) - f(t) at t0 (one point, or a stack)."""
     if a == b:
         raise DegenerateError("a = b collapses the curve")
-    t = jet_var(float(t0), order)
+    t = jet_var(t0, order)
     radicand = (t - a) * (t - b) ** 3
-    if radicand.value() <= 0:
-        raise BranchError("(t0-a)(t0-b)^3 <= 0: no real branch here")
+    BranchError.raise_where(radicand.value() <= 0, "(t0-a)(t0-b)^3 <= 0: no real branch here")
     f0, f1, f2 = f
     return jet_sqrt(radicand) - (f0 + f1 * t + f2 * t * t)
 
@@ -366,10 +368,12 @@ def ds_curve_u(a: float, b: float, t0: float, order: int = 6) -> Jet1:
 
 
 def legendre_transform(F: Jet1) -> Tuple[float, Jet1]:
-    """(t0, H) with H the Legendre transform of F: t = F', H(t) = q t - F."""
+    """(t0, H) with H the Legendre transform of F: t = F', H(t) = q t - F.
+
+    F may stack jets on a leading point axis; so do t0 and H then.
+    """
     Fp = F.derivative()
-    if Fp.deriv(1) == 0:
-        raise DegenerateError("F'' = 0: the Legendre transform degenerates")
+    DegenerateError.raise_where(Fp.deriv(1) == 0, "F'' = 0: the Legendre transform degenerates")
     q0 = F.basepoint
     t0 = Fp.value()
     q_of_t = jet_invert(Fp)  # H' = q as a function of t
@@ -386,8 +390,7 @@ def legendre_pair_map(z1: Jet1, z2: Jet1, direction: str) -> Tuple[Jet1, Jet1]:
     """
     if direction not in ("F_to_H", "H_to_F"):
         raise ValueError(f"unknown direction {direction!r}")
-    if np.real(z1.value()) <= 0:
-        raise BranchError("leading solution must be positive at the basepoint")
+    BranchError.raise_where(np.real(z1.value()) <= 0, "leading solution must be positive at the basepoint")
     wronsk = z2.derivative() * z1 - z1.derivative() * z2
     if direction == "F_to_H":
         w1 = jet_pow(z1, Fraction(-3, 4))

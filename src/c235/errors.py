@@ -4,6 +4,24 @@
 class C235Error(Exception):
     """Base class for all library errors."""
 
+    rows = None  # on a stack of points, the mask of the points the error holds at
+
+    @classmethod
+    def raise_where(cls, bad, message: str) -> None:
+        """Raise cls(message) where `bad` holds.
+
+        `bad` is a condition at one point, or a boolean mask over a stack of
+        points (an array with a leading point axis); a mask raises only if
+        some entry holds, and the error's `rows` is that mask.
+        """
+        if getattr(bad, "ndim", 0):
+            if bad.any():
+                exc = cls(message)
+                exc.rows = bad
+                raise exc
+        elif bad:
+            raise cls(message)
+
 
 class DivisionByZeroJet(C235Error):
     pass
@@ -62,11 +80,11 @@ class DegenerateError(C235Error):
 
 
 class SingularCoframeError(C235Error):
-    rows = None  # on a stack of points, the mask of the singular ones
+    pass
 
 
 class SingularMetricError(C235Error):
-    rows = None  # on a stack of points, the mask of the singular ones
+    pass
 
 
 class UnknownCaseId(C235Error):

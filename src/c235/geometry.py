@@ -14,7 +14,7 @@ Ricci_bd = R^a_bad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -74,30 +74,29 @@ def _of_lam(jet) -> MJet2:
 
 
 def _taylor(*jets: Jet1) -> np.ndarray:
-    """The first three Taylor coefficients of each jet, one row per jet."""
-    return np.array([j.coeffs[:3] for j in jets])
+    """The first three Taylor coefficients of each jet, one row per jet: (..., len(jets), 3)."""
+    return np.stack([j.coeffs[..., :3] for j in jets], axis=-2)
 
 
-def _chain(f: Jet1, q_of: Jet1) -> Jet1:
-    """d f / d q given both as jets in lam, via df/dq = f'(lam)/q'(lam)."""
-    return f.derivative() / q_of.derivative()
+def _chain(f: Jet1, dq: Jet1) -> Jet1:
+    """d f / d q for f a jet in lam and dq = dq/dlam, via df/dq = f'(lam)/q'(lam)."""
+    return f.derivative() / dq
 
 
-def _derivs_in_q(q_of: Jet1, F_of: Jet1):
-    """F', F'', F''', F'''' (derivatives in q) as jets in lam."""
-    if q_of.deriv(1) == 0:
-        raise DegenerateError("dq/dlam = 0")
-    Fp = _chain(F_of, q_of)
-    Fpp = _chain(Fp, q_of)
-    if Fpp.value() == 0:
-        raise DegenerateError("F'' = 0 at the basepoint")
-    F3 = _chain(Fpp, q_of)
-    return Fp, Fpp, F3, _chain(F3, q_of)
+def _derivs_in_q(dq: Jet1, F_of: Jet1):
+    """F', F'', F''', F'''' (derivatives in q) as jets in lam, from dq = dq/dlam."""
+    DegenerateError.raise_where(dq.value() == 0, "dq/dlam = 0")
+    Fp = _chain(F_of, dq)
+    Fpp = _chain(Fp, dq)
+    DegenerateError.raise_where(Fpp.value() == 0, "F'' = 0 at the basepoint")
+    F3 = _chain(Fpp, dq)
+    return Fp, Fpp, F3, _chain(F3, dq)
 
 
 def _frame_coeffs(q_of: Jet1, F_of: Jet1) -> np.ndarray:
     """_taylor of q, F, q' and of F' to F'''' (derivatives in q), all in lam."""
-    return _taylor(q_of, F_of, q_of.derivative(), *_derivs_in_q(q_of, F_of))
+    dq = q_of.derivative()
+    return _taylor(q_of, F_of, dq, *_derivs_in_q(dq, F_of))
 
 
 def _omegas(c, point4, coords) -> Coframe:
@@ -207,14 +206,15 @@ def _reduced(q_of: Jet1, F_of: Jet1, point4):
     rows of C. W holds the values of wt1..wt5; I = 2F'''/F'' and I' are
     jets in lam.
     """
-    Fp, Fpp, F3, _ = _derivs_in_q(q_of, F_of)
+    dq = q_of.derivative()
+    Fp, Fpp, F3, _ = _derivs_in_q(dq, F_of)
     I = 2.0 * F3 / Fpp
-    Ip = _chain(I, q_of)
+    Ip = _chain(I, dq)
     s = _of_lam(Fpp).reciprocal()
     su = s * _of_lam(Fp)
     h = _of_lam(I) * 0.125
     e = _of_lam(Ip) * 0.05 - _of_lam(I) * _of_lam(I) * (3.0 / 160.0)
-    om = _omegas(_taylor(q_of, F_of, q_of.derivative()), point4, ("x", "y", "z", "p", "q"))
+    om = _omegas(_taylor(q_of, F_of, dq), point4, ("x", "y", "z", "p", "q"))
     C = (
         (0.0, su, -s, 0.0, 0.0),
         (1.0, 0.0, 0.0, 0.0, 0.0),
@@ -239,12 +239,8 @@ def reduced_metric(q_of: Jet1, F_of: Jet1, point4) -> MetricJet:
 
 
 def _require_regular(M, error: type, what: str) -> None:
-    """Raise error, its `rows` masking the matrices of the stack M with cond (inf at 0) > 1e13."""
-    bad = np.linalg.cond(M) > 1e13
-    if bad.any():
-        exc = error(f"{what} is singular at this point")
-        exc.rows = bad
-        raise exc
+    """Raise error where a matrix of M (one, or a stack) has cond (inf at 0) > 1e13."""
+    error.raise_where(np.linalg.cond(M) > 1e13, f"{what} is singular at this point")
 
 
 def metric_at(cf: Coframe) -> MetricJet:
@@ -345,19 +341,20 @@ def metric_signature(g: MetricJet) -> Tuple[int, int]:
 # --- catalog plumbing ---------------------------------------------------
 
 
-def frame_jets_for_spec(spec: SolutionSpec, param_point: float, order: int = 8, jet: Jet1 | None = None):
+def frame_jets_for_spec(spec: SolutionSpec, param_point, order: int = 8, jet: Jet1 | None = None):
     """(q_of, F_of) jets in the fifth coordinate for a catalog entry.
 
     F-picture entries use lam = q directly except elementary_r, which
     keeps lam = r so the displayed Ricci statement can be checked in the
     r coordinate. H-picture entries use lam = t with the Legendre data
-    q = H'(t), F = t H'(t) - H(t). `jet` is F_jet(spec, param_point,
-    order) when the caller already holds it; elementary_r builds its
-    frame from the closed-form pair in r and does not use it.
+    q = H'(t), F = t H'(t) - H(t). `param_point` is one parameter or an
+    array of them. `jet` is F_jet(spec, param_point, order) when the
+    caller already holds it; elementary_r builds its frame from the
+    closed-form pair in r and does not use it.
     """
     if spec.family == "elementary_r":
         cid = ClosedFormId("elementary_r", tuple(spec.params["constants"]))
-        z1, z2 = closed_form_solution(cid, float(param_point), order)
+        z1, z2 = closed_form_solution(cid, param_point, order)
         q_of = z2 / z1
         Fpp_of_r = z1 ** 3
         Fp_of_r = (Fpp_of_r * q_of.derivative()).antiderivative(0.0)
@@ -365,7 +362,7 @@ def frame_jets_for_spec(spec: SolutionSpec, param_point: float, order: int = 8, 
         return q_of, F_of_r
     if jet is None:
         jet = F_jet(spec, param_point, order)
-    lam = jet_var(float(jet.basepoint), jet.order)
+    lam = jet_var(jet.basepoint, jet.order)
     if spec.picture == "H_of_t":
         return jet.derivative(), lam * jet.derivative() - jet
     return lam, jet
@@ -382,12 +379,13 @@ def _coords(spec: SolutionSpec) -> Tuple[str, ...]:
 
 
 def coframe_for_spec(spec: SolutionSpec, point5, order: int = 8, jet: Jet1 | None = None) -> Coframe:
-    """Full coframe for a catalog entry at (x, y, z, p, param).
+    """Full coframe for a catalog entry at (x, y, z, p, param), or at each row of a stack.
 
     `jet` is passed on to frame_jets_for_spec.
     """
-    q_of, F_of = frame_jets_for_spec(spec, float(point5[4]), order, jet)
-    return build_coframe(q_of, F_of, point5[:4], _coords(spec))
+    point5 = np.asarray(point5, dtype=float)
+    q_of, F_of = frame_jets_for_spec(spec, point5[..., 4], order, jet)
+    return build_coframe(q_of, F_of, point5[..., :4], _coords(spec))
 
 
 def sample_points(spec: SolutionSpec, n: int, seed: int):
@@ -402,47 +400,60 @@ def sample_points(spec: SolutionSpec, n: int, seed: int):
     return pts
 
 
-def _on_regular_rows(fn, x, live, found):
-    """(fn(x), live) less the rows where fn finds a singular matrix; found notes their error."""
-    try:
-        return fn(x), live
-    except (SingularCoframeError, SingularMetricError) as exc:
-        for i in live[exc.rows]:
-            found[i] = exc
-        keep = ~exc.rows
-        return fn(replace(x, value=x.value[keep], grad=x.grad[keep], hess=x.hess[keep])), live[keep]
+def _rows(x, keep):
+    """The rows `keep` of a stack: an array, or a dataclass of arrays such as a Jet1 or Coframe."""
+    if isinstance(x, np.ndarray):
+        return x[keep]
+    arrays = {f.name: getattr(x, f.name) for f in fields(x)}
+    return replace(x, **{k: v[keep] for k, v in arrays.items() if isinstance(v, np.ndarray)})
 
 
-def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jets=None):
+def on_regular_rows(fn, x, live, found):
+    """(fn(x), live) for a stack x whose rows belong to the points `live`.
+
+    Where fn raises a C235Error, each point its `rows` mask (every point
+    when it has none) gets the error in found[point], and fn runs again on
+    the other rows; (None, an empty live) once no point is left.
+    """
+    while live.size:
+        try:
+            return fn(x), live
+        except C235Error as exc:
+            bad = np.ones(live.size, dtype=bool) if exc.rows is None else exc.rows
+            for i in live[bad]:
+                found[i] = exc
+            x, live = _rows(x, ~bad), live[~bad]
+    return None, live
+
+
+def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jet: Jet1 | None = None):
     """Per-point Weyl-flatness ratios for a catalog entry.
 
-    `jets`, when given, holds F_jet of the entry at each point's
-    parameter (None where the caller has none, or the C235Error building
-    it raised), so each is built once. A point that fails gets its error.
+    One coframe, metric and curvature report covers all the points. `jet`,
+    when given, is F_jet of the entry at the points' parameters, so it is
+    not built again. A point whose jet, coframe or metric fails gets its
+    error, and the other points are still evaluated.
     """
     if isinstance(spec, str):
         spec = get_spec(spec)
-    found = [None] * len(points)  # each point's ratio, or the C235Error that stopped it
-    coeffs = {}
-    for i, (pt, jet) in enumerate(zip(points, jets or [None] * len(points))):
-        try:
-            if isinstance(jet, C235Error):
-                raise jet
-            coeffs[i] = _frame_coeffs(*frame_jets_for_spec(spec, float(pt[4]), jet=jet))
-        except C235Error as exc:
-            found[i] = exc
-    live = np.array(list(coeffs), dtype=int)
-    point4 = np.reshape(points, (-1, 5))[live, :4]
-    cf = _coframe(np.reshape(list(coeffs.values()), (-1, 7, 3)), point4, _coords(spec))
-    g, live = _on_regular_rows(metric_at, cf, live, found)
-    rep, live = _on_regular_rows(curvature, g, live, found)
-    for i, ratio in zip(live, (rep.maxAbsWeyl / rep.metricScale).tolist()):
-        found[i] = ratio
+    pts = np.reshape(np.asarray(points, dtype=float), (-1, 5))
+    found = [None] * len(pts)  # each point's ratio, or the C235Error that stopped it
+
+    def coframes(rows):
+        q_of, F_of = frame_jets_for_spec(spec, pts[rows, 4], jet=None if jet is None else _rows(jet, rows))
+        return build_coframe(q_of, F_of, pts[rows, :4], _coords(spec))
+
+    live = np.arange(len(pts))
+    cf, live = on_regular_rows(coframes, live, live, found)
+    g, live = on_regular_rows(metric_at, cf, live, found)
+    rep, live = on_regular_rows(curvature, g, live, found)
+    if live.size:
+        for i, ratio in zip(live, (rep.maxAbsWeyl / rep.metricScale).tolist()):
+            found[i] = ratio
     results = []
-    for pt, r in zip(points, found):
+    for pt, r in zip(pts.tolist(), found):
         ok = not isinstance(r, C235Error)
-        entry = {"point": tuple(float(v) for v in pt), "weylRatio": r if ok else None,
-                 "pass": ok and r < tol}
+        entry = {"point": tuple(pt), "weylRatio": r if ok else None, "pass": ok and r < tol}
         results.append(entry if ok else dict(entry, error=f"{type(r).__name__}: {r}"))
     return {
         "id": spec.id,
@@ -502,7 +513,8 @@ def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4, nu_in_lamb
     ghat = metric_at(_combine([[inv_nu * c for c in row] for row in C], om))
     rep = curvature(ghat)
     Rf = _frame_components_rank2(rep.ricci, W)
-    nupp = _chain(_chain(nu_lam, q_of), q_of).value()
+    dq = q_of.derivative()
+    nupp = _chain(_chain(nu_lam, dq), dq).value()
     nu0 = nu_lam.value()
     I0, Ip0 = I.value(), Ip.value()
     ode = 40.0 * nupp + (6.0 * Ip0 - I0 * I0) * nu0

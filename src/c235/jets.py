@@ -3,7 +3,14 @@
 Jet1 is a univariate truncated Taylor expansion at a basepoint, stored in
 *Taylor coefficient* normalisation: ``coeffs[k] = f^(k)(x0) / k!``.  All
 arithmetic propagates derivatives exactly to the truncation order; results
-of binary operations are truncated to the shorter operand.
+of binary operations are truncated to the shorter operand. Jets at N
+basepoints stack on a leading point axis (basepoint (N,), coeffs
+(N, order + 1)), and every kernel acts on either shape row by row: a
+product is a lower-triangular Toeplitz matmul; a quotient, exp, power or
+series inverse a triangular solve of its recurrence (Taylor-mode
+propagation vectorised over base points). A test that depends on values
+raises its error where it holds, with the mask of those rows as the
+error's `rows`.
 
 MJet2 is a multivariate order-2 jet (value, gradient, symmetric hessian)
 used for the metric/curvature pipeline.
@@ -11,6 +18,7 @@ used for the metric/curvature pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,16 +41,76 @@ Scalar = Union[int, float, complex]
 
 def _as_coeffs(values: Sequence[Scalar]) -> np.ndarray:
     arr = np.asarray(values)
-    if np.iscomplexobj(arr):
-        return arr.astype(complex)
-    return arr.astype(float)
+    return arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
+
+
+def _per_row(x):
+    """A plain number as is; an array of one number per row against coefficient rows."""
+    return x[..., None] if isinstance(x, np.ndarray) else x
+
+
+@functools.cache
+def _toeplitz_index(n: int):
+    """(index, mask) with c[..., index] * mask the lower-triangular Toeplitz matrix of c."""
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    return np.maximum(d, 0), (d >= 0).astype(float)
+
+
+@functools.cache
+def _unit(n: int) -> np.ndarray:
+    e = np.zeros(n)
+    e[0] = 1.0
+    return e
+
+
+def _toeplitz(c: np.ndarray) -> np.ndarray:
+    """Lower-triangular Toeplitz matrices T of c (..., n): T @ x is c x truncated to n terms."""
+    index, mask = _toeplitz_index(c.shape[-1])
+    return np.take(c, index, axis=-1) * mask
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return (M @ x[..., None])[..., 0]
+
+
+def solve_lower(L: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """x with L x = r, for lower-triangular L (..., n, n) and r (..., n).
+
+    LAPACK's solve pivots, and on a lower-triangular matrix whose entries
+    below the diagonal outgrow it that costs digits. With rows and columns
+    reversed the matrix is upper triangular, where no row swap can happen:
+    the solve is then exactly substitution, as in the series recurrences.
+    """
+    return np.linalg.solve(L[..., ::-1, ::-1], r[..., ::-1, None])[..., ::-1, 0]
+
+
+def _powers(u: np.ndarray) -> np.ndarray:
+    """(..., n, n) matrices whose column j holds the coefficients of u**j, for u (..., n).
+
+    Columns m..2m-1 are T(u)**m times columns 0..m-1, with T(u)**m by squaring.
+    """
+    n = u.shape[-1]
+    T = _toeplitz(u)
+    P = np.zeros(u.shape + (n,), u.dtype)
+    P[..., 0, 0] = 1.0
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        P[..., m : m + k] = T @ P[..., :k]
+        m *= 2
+        if m < n:
+            T = T @ T
+    return P
 
 
 @dataclass(frozen=True)
 class Jet1:
-    """Truncated Taylor expansion of a scalar function at ``basepoint``."""
+    """Truncated Taylor expansion of a scalar function at ``basepoint``.
 
-    basepoint: Scalar
+    With a leading point axis, basepoint is (N,) and coeffs (N, order + 1).
+    """
+
+    basepoint: Scalar | np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
@@ -52,62 +120,64 @@ class Jet1:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[-1] - 1
 
     @property
     def is_complex(self) -> bool:
-        return np.iscomplexobj(self.coeffs)
+        return self.coeffs.dtype.kind == "c"
 
-    def value(self) -> Scalar:
-        return self.coeffs[0]
+    def value(self) -> Scalar | np.ndarray:
+        return self.coeffs.T[0]
 
-    def deriv(self, k: int = 1) -> Scalar:
+    def deriv(self, k: int = 1) -> Scalar | np.ndarray:
         """k-th derivative at the basepoint (coefficient times k!)."""
         if k > self.order:
             raise IndexError(f"jet of order {self.order} has no derivative {k}")
-        return self.coeffs[k] * math.factorial(k)
+        return self.coeffs.T[k] * math.factorial(k)
 
     def truncate(self, order: int) -> "Jet1":
         if order >= self.order:
             return self
-        return Jet1(self.basepoint, self.coeffs[: order + 1])
+        return Jet1(self.basepoint, self.coeffs[..., : order + 1])
 
     def derivative(self) -> "Jet1":
         """Formal derivative; drops one order."""
         if self.order == 0:
-            return Jet1(self.basepoint, [0.0 * self.coeffs[0]])
-        k = np.arange(1, self.order + 1)
-        return Jet1(self.basepoint, self.coeffs[1:] * k)
+            return Jet1(self.basepoint, 0.0 * self.coeffs)
+        return Jet1(self.basepoint, self.coeffs[..., 1:] * np.arange(1, self.order + 1))
 
-    def antiderivative(self, constant: Scalar = 0.0) -> "Jet1":
+    def antiderivative(self, constant: Scalar | np.ndarray = 0.0) -> "Jet1":
         """Termwise antiderivative with value ``constant`` at the basepoint.
 
         Result order grows by one, capped at MAX_ORDER.
         """
-        k = np.arange(1, self.order + 2)
-        out = np.concatenate(([constant], self.coeffs / k))
-        return Jet1(self.basepoint, out[: MAX_ORDER + 1])
+        n = min(self.order + 1, MAX_ORDER)
+        out = np.empty(self.coeffs.shape[:-1] + (n + 1,), np.result_type(self.coeffs, constant))
+        out[..., 0] = constant
+        out[..., 1:] = self.coeffs[..., :n] / np.arange(1, n + 1)
+        return Jet1(self.basepoint, out)
 
     def __call__(self, x: Scalar) -> Scalar:
         """Evaluate the truncated polynomial at ``x``."""
-        dx = x - self.basepoint
-        return np.polyval(self.coeffs[::-1], dx)
+        return np.polynomial.polynomial.polyval(x - self.basepoint, self.coeffs.T, tensor=False)
 
     # --- arithmetic -------------------------------------------------
 
     def _coerce(self, other) -> "Jet1":
         if isinstance(other, Jet1):
-            if other.basepoint != self.basepoint:
-                raise BasepointMismatch(
-                    f"basepoints differ: {self.basepoint} vs {other.basepoint}"
-                )
+            if other.basepoint is not self.basepoint:
+                BasepointMismatch.raise_where(other.basepoint != self.basepoint, "basepoints differ")
             return other
         return jet_const(other, self.basepoint, self.order)
 
     def __add__(self, other) -> "Jet1":
+        if not isinstance(other, Jet1):
+            out = self.coeffs.astype(np.result_type(self.coeffs, other))
+            out[..., 0] += other
+            return Jet1(self.basepoint, out)
         o = self._coerce(other)
         n = min(self.order, o.order)
-        return Jet1(self.basepoint, self.coeffs[: n + 1] + o.coeffs[: n + 1])
+        return Jet1(self.basepoint, self.coeffs[..., : n + 1] + o.coeffs[..., : n + 1])
 
     __radd__ = __add__
 
@@ -115,36 +185,28 @@ class Jet1:
         return Jet1(self.basepoint, -self.coeffs)
 
     def __sub__(self, other) -> "Jet1":
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "Jet1":
         return (-self) + other
 
     def __mul__(self, other) -> "Jet1":
         if not isinstance(other, Jet1):
-            return Jet1(self.basepoint, self.coeffs * other)
+            return Jet1(self.basepoint, self.coeffs * _per_row(other))
         o = self._coerce(other)
         n = min(self.order, o.order)
-        a, b = self.coeffs[: n + 1], o.coeffs[: n + 1]
-        out = np.convolve(a, b)[: n + 1]
-        return Jet1(self.basepoint, out)
+        return Jet1(self.basepoint, _matvec(_toeplitz(o.coeffs[..., : n + 1]), self.coeffs[..., : n + 1]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet1":
         if not isinstance(other, Jet1):
-            return Jet1(self.basepoint, self.coeffs / other)
+            return Jet1(self.basepoint, self.coeffs / _per_row(other))
         o = self._coerce(other)
-        if o.coeffs[0] == 0:
-            raise DivisionByZeroJet("division by a jet with zero value")
+        DivisionByZeroJet.raise_where(o.coeffs[..., 0] == 0, "division by a jet with zero value")
         n = min(self.order, o.order)
-        a, b = self.coeffs, o.coeffs
-        h = np.zeros(n + 1, dtype=np.result_type(a, b))
-        for k in range(n + 1):
-            acc = a[k] if k <= self.order else 0.0
-            acc = acc - np.dot(h[:k], b[k:0:-1])
-            h[k] = acc / b[0]
-        return Jet1(self.basepoint, h)
+        T = _toeplitz(o.coeffs[..., : n + 1])
+        return Jet1(self.basepoint, solve_lower(T, self.coeffs[..., : n + 1]))
 
     def __rtruediv__(self, other) -> "Jet1":
         return self._coerce(other) / self
@@ -155,18 +217,18 @@ class Jet1:
         return jet_pow(self, e)
 
 
-def jet_const(value: Scalar, basepoint: Scalar, order: int) -> Jet1:
-    c = np.zeros(order + 1, dtype=complex if isinstance(value, complex) else float)
-    c[0] = value
+def jet_const(value: Scalar | np.ndarray, basepoint: Scalar | np.ndarray, order: int) -> Jet1:
+    c = np.zeros(np.shape(basepoint) + (order + 1,), complex if np.iscomplexobj(value) else float)
+    c[..., 0] = value
     return Jet1(basepoint, c)
 
 
-def jet_var(basepoint: Scalar, order: int = MAX_ORDER) -> Jet1:
-    """Jet of the identity function x at ``basepoint``."""
-    c = np.zeros(order + 1, dtype=complex if isinstance(basepoint, complex) else float)
-    c[0] = basepoint
+def jet_var(basepoint: Scalar | np.ndarray, order: int = MAX_ORDER) -> Jet1:
+    """Jet of the identity function x at ``basepoint`` (one or a stack of points)."""
+    c = np.zeros(np.shape(basepoint) + (order + 1,), complex if np.iscomplexobj(basepoint) else float)
+    c[..., 0] = basepoint
     if order >= 1:
-        c[1] = 1.0
+        c[..., 1] = 1.0
     return Jet1(basepoint, c)
 
 
@@ -182,32 +244,44 @@ def jet_pow_int(f: Jet1, e: int) -> Jet1:
 
 
 def jet_exp(f: Jet1) -> Jet1:
-    n = f.order
-    g = np.zeros(n + 1, dtype=complex if f.is_complex else float)
-    g[0] = np.exp(f.coeffs[0])
-    for k in range(1, n + 1):
-        j = np.arange(1, k + 1)
-        g[k] = np.dot(j * f.coeffs[1 : k + 1], g[k - 1 :: -1][: k]) / k
-    return Jet1(f.basepoint, g)
+    k = np.arange(f.order + 1)
+    # g = exp(f - f_0) solves g' = f' g: k g_k = sum_{m<k} (k - m) f_{k-m} g_m, g_0 = 1
+    A = np.diag(np.maximum(k, 1)) - _toeplitz(f.coeffs * k)
+    g = solve_lower(A, _unit(f.order + 1))
+    return Jet1(f.basepoint, np.exp(f.coeffs[..., :1]) * g)
 
 
 def jet_log(f: Jet1) -> Jet1:
     """log f; the principal branch for complex jets."""
-    c0 = f.coeffs[0]
-    if c0 == 0:
-        raise DivisionByZeroJet("log of a jet with zero value")
-    if not f.is_complex and c0 < 0:
-        raise BranchError("log of a negative real jet")
+    c0 = f.coeffs[..., 0]
+    DivisionByZeroJet.raise_where(c0 == 0, "log of a jet with zero value")
+    if not f.is_complex:
+        BranchError.raise_where(c0 < 0, "log of a negative real jet")
     n = f.order
-    g = np.zeros(n + 1, dtype=complex if f.is_complex else float)
-    g[0] = np.log(c0)
-    for k in range(1, n + 1):
-        acc = f.coeffs[k]
-        if k >= 2:
-            j = np.arange(1, k)
-            acc = acc - np.dot(j * g[1:k], f.coeffs[k - 1 : 0 : -1]) / k
-        g[k] = acc / c0
+    g = np.empty_like(f.coeffs)
+    g[..., 0] = np.log(c0)
+    g[..., 1:] = (f.derivative() / f).coeffs[..., :n] / np.arange(1, n + 1)
     return Jet1(f.basepoint, g)
+
+
+@functools.cache
+def _power_weights(e: float, n: int) -> np.ndarray:
+    """W[k, m] = m - e (k - m), with W[0, 0] = 1."""
+    k = np.arange(n)
+    W = np.subtract.outer(-e * k, -(1.0 + e) * k)
+    W[0, 0] = 1.0
+    return W
+
+
+def _power_series(f: Jet1, e: float, g0) -> Jet1:
+    """The jet g with g(x0) = g0 and f g' = e f' g: f**e, on the branch g0 picks.
+
+    Row k >= 1 of the triangular system is sum_m f_{k-m} (m - e (k - m)) g_m = 0.
+    """
+    n = f.order + 1
+    L = _toeplitz(f.coeffs) * _power_weights(e, n)
+    L[..., 0, 0] = 1.0
+    return Jet1(f.basepoint, _per_row(g0) * solve_lower(L, _unit(n)))
 
 
 def jet_pow(f: Jet1, e) -> Jet1:
@@ -218,18 +292,17 @@ def jet_pow(f: Jet1, e) -> Jet1:
     negative-base cases raise BranchError.  Complex jets use the
     principal branch.
     """
-    c0 = f.coeffs[0]
     if isinstance(e, Fraction) and e.denominator == 1:
         return jet_pow_int(f, int(e))
-    if f.is_complex or c0 > 0:
-        return jet_exp(jet_log(f) * float(e))
-    if c0 == 0:
-        raise DivisionByZeroJet("fractional power of a jet with zero value")
-    # negative base
-    if isinstance(e, Fraction) and e.denominator % 2 == 1:
-        sign = -1.0 if e.numerator % 2 else 1.0
-        return sign * jet_exp(jet_log(-f) * float(e))
-    raise BranchError(f"negative base with exponent {e} has no real branch")
+    c0 = f.coeffs[..., 0]
+    DivisionByZeroJet.raise_where(c0 == 0, "fractional power of a jet with zero value")
+    if f.is_complex:
+        return _power_series(f, float(e), c0 ** float(e))
+    odd_root = isinstance(e, Fraction) and e.denominator % 2 == 1
+    if not odd_root:
+        BranchError.raise_where(c0 < 0, f"negative base with exponent {e} has no real branch")
+    g0 = np.abs(c0) ** float(e)
+    return _power_series(f, float(e), g0 * np.sign(c0) if odd_root and e.numerator % 2 else g0)
 
 
 def jet_abs_pow(f: Jet1, e) -> Jet1:
@@ -240,18 +313,17 @@ def jet_abs_pow(f: Jet1, e) -> Jet1:
     """
     if f.is_complex:
         raise BranchError("abs-power is a real-jet operation")
-    if f.coeffs[0] == 0:
-        raise DivisionByZeroJet("fractional power of a jet with zero value")
-    g = f if f.coeffs[0] > 0 else -f
-    return jet_exp(jet_log(g) * float(e))
+    c0 = f.coeffs[..., 0]
+    DivisionByZeroJet.raise_where(c0 == 0, "fractional power of a jet with zero value")
+    return _power_series(f, float(e), np.abs(c0) ** float(e))
 
 
 def jet_sqrt(f: Jet1) -> Jet1:
     if f.is_complex:
         return jet_pow(f, 0.5)
-    if f.coeffs[0] <= 0:
-        raise BranchError("sqrt of a non-positive real jet")
-    return jet_exp(jet_log(f) * 0.5)
+    c0 = f.coeffs[..., 0]
+    BranchError.raise_where(c0 <= 0, "sqrt of a non-positive real jet")
+    return _power_series(f, 0.5, np.sqrt(c0))
 
 
 def jet_compose(outer: Jet1, inner: Jet1, tol: float = 1e-9) -> Jet1:
@@ -259,44 +331,30 @@ def jet_compose(outer: Jet1, inner: Jet1, tol: float = 1e-9) -> Jet1:
 
     Requires inner.value() == outer.basepoint.
     """
-    if abs(inner.coeffs[0] - outer.basepoint) > tol * max(1.0, abs(outer.basepoint)):
-        raise BasepointMismatch(
-            f"inner value {inner.coeffs[0]} != outer basepoint {outer.basepoint}"
-        )
+    x0 = outer.basepoint
+    BasepointMismatch.raise_where(
+        abs(inner.coeffs[..., 0] - x0) > tol * np.maximum(1.0, abs(x0)),
+        "inner value differs from the outer basepoint",
+    )
     n = min(outer.order, inner.order)
-    u = inner.coeffs[: n + 1].copy()
-    u[0] = 0.0  # inner - u0
-    dtype = np.result_type(outer.coeffs, u)
-    # Horner on the truncated polynomial of outer coefficients
-    acc = np.zeros(n + 1, dtype=dtype)
-    for k in range(n, -1, -1):
-        acc = np.convolve(acc, u)[: n + 1]
-        acc[0] += outer.coeffs[k]
-    return Jet1(inner.basepoint, acc)
+    u = inner.coeffs[..., : n + 1].copy()
+    u[..., 0] = 0.0  # inner - u0
+    return Jet1(inner.basepoint, _matvec(_powers(u), outer.coeffs[..., : n + 1]))
 
 
 def jet_invert(f: Jet1) -> Jet1:
     """Functional inverse series: g with g(f(x)) = x to truncation order."""
-    if f.order < 1 or f.coeffs[1] == 0:
+    if f.order < 1:
         raise NonInvertibleJet("jet has vanishing first derivative")
+    NonInvertibleJet.raise_where(f.coeffs[..., 1] == 0, "jet has vanishing first derivative")
     n = f.order
-    dtype = f.coeffs.dtype
     F = f.coeffs.copy()
-    F[0] = 0.0
-    # powers of F
-    powers = [np.zeros(n + 1, dtype=dtype)]
-    powers[0][0] = 1.0
-    for j in range(1, n + 1):
-        powers.append(np.convolve(powers[-1], F)[: n + 1])
-    g = np.zeros(n + 1, dtype=dtype)
-    g[0] = f.basepoint
-    g[1] = 1.0 / F[1]
-    for k in range(2, n + 1):
-        acc = 0.0
-        for j in range(1, k):
-            acc = acc + g[j] * powers[j][k]
-        g[k] = -acc / (F[1] ** k)
-    return Jet1(f.coeffs[0], g)
+    F[..., 0] = 0.0
+    # sum_j g_j [F^j]_k = [k == 1] for k >= 1, triangular since F^j starts at x^j
+    g = np.empty_like(F)
+    g[..., 0] = f.basepoint
+    g[..., 1:] = solve_lower(_powers(F)[..., 1:, 1:], _unit(n))
+    return Jet1(f.value(), g)
 
 
 # --- finite-difference oracle (tests only) --------------------------

@@ -8,6 +8,7 @@ between solution families.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Tuple
@@ -23,6 +24,7 @@ from .errors import (
 )
 from .jets import (
     Jet1,
+    solve_lower,
     jet_abs_pow,
     jet_compose,
     jet_const,
@@ -85,28 +87,57 @@ def _poly_coeffs(p: HyperTriple, nterms: int) -> np.ndarray:
     return coeffs
 
 
-def _series_value_pair(p: HyperTriple, s0: float | complex) -> Tuple[complex, complex]:
-    """(2F1(s0), d/ds 2F1(s0)) by direct summation; needs |s0| < 1."""
-    if abs(s0) >= 1:
-        raise SeriesDomainError(f"series for {p.label()} diverges at |s|={abs(s0):.3f}")
+@functools.lru_cache(maxsize=None)
+def _series_coeffs(p: HyperTriple, nterms: int) -> np.ndarray:
+    """c_0..c_{nterms-1} of 2F1(s) = sum c_n s^n: c_{n+1} = c_n (a+n)(b+n) / ((c+n)(n+1))."""
     a, b, c = float(p.a), float(p.b), float(p.c)
-    val, dval = 1.0 + 0.0 * s0, 0.0 * s0
-    term = 1.0 + 0.0 * s0
-    for n in range(100000):
-        denom = (c + n) * (n + 1)
-        coeff_next = term * (a + n) * (b + n) / denom
-        term_next = coeff_next * s0 ** (n + 1)
-        # accumulate once the next term is formed: val holds sum_{m<=n} t_m s^m
-        dval = dval + coeff_next * (n + 1) * s0**n
-        val = val + term_next
-        term = coeff_next
-        if abs(term_next) < 1e-16 * max(1.0, abs(val)) and n > 4:
-            return val, dval
-    raise SeriesDomainError("2F1 series failed to converge")
+    n = np.arange(nterms - 1)
+    coeffs = np.concatenate(([1.0], np.cumprod((a + n) * (b + n) / ((c + n) * (n + 1)))))
+    coeffs.flags.writeable = False
+    return coeffs
 
 
-def hyp2f1_jet(p: HyperTriple, s0: float | complex, order: int = 8) -> Jet1:
-    """Jet of 2F1(a, b; c; s) at s0.
+SERIES_MAX_TERMS = 100001
+
+
+def _series_value_pair(p: HyperTriple, s0):
+    """(2F1(s0), d/ds 2F1(s0)) by direct summation; needs |s0| < 1.
+
+    At each point (s0 may be an array of them) the sum stops after the
+    first term n > 5 below 1e-16 of the partial sum. The terms of all the
+    points are summed at once over the precomputed coefficients, 256 of
+    them; the points that have not stopped by then are summed again over
+    four times as many, and so on.
+    """
+    SeriesDomainError.raise_where(abs(s0) >= 1, f"series for {p.label()} diverges at |s| >= 1")
+    s = np.reshape(s0, (-1, 1))
+    value, deriv = np.zeros((2, len(s)), dtype=np.result_type(s, float))
+    todo = np.arange(len(s))
+    nterms = 256
+    while True:
+        c = _series_coeffs(p, nterms)
+        n = np.arange(nterms)
+        powers = s[todo] ** n
+        terms = c * powers
+        partial = np.cumsum(terms, axis=1)
+        # each point stops at the first n >= 6 with |term| < 1e-16 max(1, |partial sum|)
+        below = np.abs(terms[:, 6:]) < 1e-16 * np.maximum(1.0, np.abs(partial[:, 6:]))
+        rows, last = np.arange(len(todo)), 6 + np.argmax(below, axis=1)
+        value[todo] = partial[rows, last]
+        # sum_{1 <= m <= n} m c_m s^(m-1), at the same n
+        deriv[todo] = np.cumsum(n[1:] * c[1:] * powers[:, :-1], axis=1)[rows, last - 1]
+        todo = todo[~below.any(axis=1)]
+        if not todo.size or nterms == SERIES_MAX_TERMS:
+            break
+        nterms = min(4 * nterms, SERIES_MAX_TERMS)
+    unfinished = np.zeros(len(s), dtype=bool)
+    unfinished[todo] = True
+    SeriesDomainError.raise_where(unfinished.reshape(np.shape(s0)), "2F1 series failed to converge")
+    return value.reshape(np.shape(s0)), deriv.reshape(np.shape(s0))
+
+
+def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
+    """Jet of 2F1(a, b; c; s) at s0 (one point, or a stack of points).
 
     Terminating series (a or b a non-positive integer) are summed exactly
     and recentred; otherwise the value and first derivative are summed to
@@ -116,39 +147,44 @@ def hyp2f1_jet(p: HyperTriple, s0: float | complex, order: int = 8) -> Jet1:
     nterms = _terminating_length(p)
     if nterms is not None:
         poly = _poly_coeffs(p, nterms)
-        s = jet_var(s0, order) if not isinstance(s0, complex) else jet_var(complex(s0), order)
+        s = jet_var(s0, order)
         acc = jet_const(0.0 * s0, s0, order)
         for cn in poly[::-1]:
             acc = acc * s + float(cn)
         return acc
     if _nonpositive_int(p.c):
         raise PoleError(f"c = {p.c} is a non-positive integer and the series does not terminate")
-    if s0 == 1:
-        raise SingularPointError("s = 1 is a singular point of the hypergeometric equation")
-    a, b, c = float(p.a), float(p.b), float(p.c)
-    if s0 == 0:
-        z = np.zeros(order + 1)
-        term = 1.0
-        for n in range(order + 1):
-            z[n] = term
-            term = term * (a + n) * (b + n) / ((c + n) * (n + 1))
-        return Jet1(0.0, z)
+    SingularPointError.raise_where(s0 == 1, "s = 1 is a singular point of the hypergeometric equation")
     z0, z1 = _series_value_pair(p, s0)
-    # recurrence from s(1-s) z'' + (c - (a+b+1)s) z' - ab z = 0 at s = s0 + t
-    p0, p1, p2 = s0 * (1 - s0), 1 - 2 * s0, -1.0
-    q0, q1 = c - (a + b + 1) * s0, -(a + b + 1)
-    z = np.zeros(order + 1, dtype=complex if isinstance(s0, complex) else float)
-    z[0], z[1] = z0, z1
-    for k in range(order - 1):
-        rhs = -(
-            p1 * (k + 1) * k * z[k + 1]
-            + p2 * k * (k - 1) * z[k]
-            + q0 * (k + 1) * z[k + 1]
-            + q1 * k * z[k]
-            - a * b * z[k]
-        )
-        z[k + 2] = rhs / (p0 * (k + 2) * (k + 1))
-    return Jet1(s0, z)
+    # at s0 = 0 the series coefficients themselves; L is then singular, so built at 1/2
+    at0 = np.asarray(s0 == 0)
+    x = np.where(at0, 0.5, s0)[..., None, None]
+    M0, M1, M2 = _recurrence_matrices(p, order)
+    r = np.zeros(np.shape(s0) + (order + 1,), dtype=np.result_type(z0, float))
+    r[..., 0], r[..., 1] = z0, z1
+    z = solve_lower(M0 + x * (M1 + x * M2), r)
+    return Jet1(s0, np.where(at0[..., None], _series_coeffs(p, order + 1), z))
+
+
+@functools.lru_cache(maxsize=None)
+def _recurrence_matrices(p: HyperTriple, order: int):
+    """(M0, M1, M2) with L = M0 + s0 M1 + s0^2 M2 lower triangular, L z = (z_0, z_1, 0, ...).
+
+    Row k + 2 is the coefficient of t^k in s(1-s) z'' + (c - (a+b+1)s) z' - ab z = 0
+    at s = s0 + t: (k+2)(k+1) s0(1-s0) z_{k+2} + (k+1)(k(1-2 s0) + c - (a+b+1) s0) z_{k+1}
+    - (k(k-1) + (a+b+1) k + ab) z_k.
+    """
+    a, b, c = float(p.a), float(p.b), float(p.c)
+    k = np.arange(order - 1)
+    M = np.zeros((3, order + 1, order + 1))
+    M[0, [0, 1], [0, 1]] = 1.0
+    M[1, k + 2, k + 2] = (k + 2) * (k + 1)
+    M[2, k + 2, k + 2] = -(k + 2) * (k + 1)
+    M[0, k + 2, k + 1] = (k + 1) * (k + c)
+    M[1, k + 2, k + 1] = -(k + 1) * (2 * k + a + b + 1)
+    M[0, k + 2, k] = -(k * (k - 1) + (a + b + 1) * k + a * b)
+    M.flags.writeable = False
+    return M
 
 
 def hypergeom_residual(z: Jet1, p: HyperTriple, s0: float | complex | None = None) -> float:
@@ -164,15 +200,16 @@ def hypergeom_residual(z: Jet1, p: HyperTriple, s0: float | complex | None = Non
     return float(abs(np.sum(terms)) / scale)
 
 
-def hypergeom_pair(p: HyperTriple, s0: float, order: int = 8) -> Tuple[Jet1, Jet1]:
+def hypergeom_pair(p: HyperTriple, s0, order: int = 8) -> Tuple[Jet1, Jet1]:
     """The standard fundamental pair (2F1, s^(1-c) 2F1(a-c+1, b-c+1; 2-c)).
 
-    For s0 in (0, 1); the s^(1-c) factor uses the positive real branch.
+    For s0 in (0, 1), one point or a stack; the s^(1-c) factor uses the
+    positive real branch.
     """
     z1 = hyp2f1_jet(p, s0, order)
     p2 = HyperTriple(p.a - p.c + 1, p.b - p.c + 1, 2 - p.c)
     f2 = hyp2f1_jet(p2, s0, order)
-    s = jet_var(float(s0), order)
+    s = jet_var(s0, order)
     z2 = jet_abs_pow(s, float(1 - p.c)) * f2
     return z1, z2
 
@@ -182,13 +219,14 @@ def hypergeom_pair(p: HyperTriple, s0: float, order: int = 8) -> Tuple[Jet1, Jet
 
 def schwarz_potential(alpha: float, beta: float, gamma: float, s: Jet1) -> Jet1:
     """V(s) = (1-b^2)/s^2 + (1-g^2)/(s-1)^2 + (b^2+g^2-a^2-1)/(s(s-1)) as a jet."""
-    one = jet_const(1.0, s.basepoint, s.order)
     sm1 = s - 1.0
-    return (
-        (1 - beta**2) * one / (s * s)
-        + (1 - gamma**2) * one / (sm1 * sm1)
-        + (beta**2 + gamma**2 - alpha**2 - 1) * one / (s * sm1)
+    ssm1 = s * sm1
+    num = (
+        (1 - beta**2) * sm1 * sm1
+        + (1 - gamma**2) * s * s
+        + (beta**2 + gamma**2 - alpha**2 - 1) * ssm1
     )
+    return num / (ssm1 * ssm1)
 
 
 def u_ode_residual(u: Jet1, tr: Tuple[float, float, float], s0: float | None = None) -> float:
@@ -279,12 +317,11 @@ def _rp(jet: Jet1, e: Fraction) -> Jet1:
     return jet_abs_pow(jet, float(e))
 
 
-def _closed_form_basis(family: str, s0: float, order: int) -> Tuple[Jet1, Jet1]:
-    s = jet_var(float(s0), order)
+def _closed_form_basis(family: str, s0, order: int) -> Tuple[Jet1, Jet1]:
+    s = jet_var(s0, order)
     sm1 = s - 1.0
     if family == "table1_row1":
-        if s0 in (0.0, 1.0):
-            raise SingularPointError("s in {0,1}")
+        SingularPointError.raise_where((s0 == 0) | (s0 == 1), "s in {0,1}")
         return (2.0 * s - 1.0) / (s * sm1), s * s * (s - 2.0) / sm1
     if family == "table1_row2":
         e1 = (3.0 * s - 2.0) * _rp(s, Frac(2, 3)) * _rp(sm1, Frac(1, 3))
@@ -331,9 +368,10 @@ def _closed_form_basis(family: str, s0: float, order: int) -> Tuple[Jet1, Jet1]:
         e2 = _rp(s, Frac(5, 12)) * _rp(1.0 - s, Frac(5, 12))
         return e1, e2
     if family == "elementary_r":
-        r = jet_var(float(s0), order)
-        if s0 in (1.0, -1.0) or abs(s0 + 1.0 / 3.0) < 1e-12:
-            raise SingularPointError("r in {1, -1, -1/3}")
+        r = jet_var(s0, order)
+        SingularPointError.raise_where(
+            (s0 == 1) | (s0 == -1) | (abs(s0 + 1.0 / 3.0) < 1e-12), "r in {1, -1, -1/3}"
+        )
         e1 = jet_pow(r - 1.0, Frac(1, 3)) * (3.0 * r + 1.0)
         e2 = jet_pow(r + 1.0, Frac(1, 3)) * (3.0 * r - 1.0)
         return e1, e2
@@ -342,13 +380,13 @@ def _closed_form_basis(family: str, s0: float, order: int) -> Tuple[Jet1, Jet1]:
     raise ValueError(family)
 
 
-def closed_form_solution(cid: ClosedFormId, s0: float, order: int = 8) -> Tuple[Jet1, Jet1]:
-    """Jets of the two catalogued independent solutions at s0."""
+def closed_form_solution(cid: ClosedFormId, s0, order: int = 8) -> Tuple[Jet1, Jet1]:
+    """Jets of the two catalogued independent solutions at s0 (one point, or a stack)."""
     c1, c2, c3, c4 = cid.constants
     if abs(c1 * c4 - c2 * c3) < 1e-14:
         raise LinearDependenceError("constants give a dependent pair")
-    if cid.family not in ("elementary_r",) and s0 in (0.0, 1.0):
-        raise SingularPointError("s in {0,1}")
+    if cid.family != "elementary_r":
+        SingularPointError.raise_where((s0 == 0) | (s0 == 1), "s in {0,1}")
     e1, e2 = _closed_form_basis(cid.family, s0, order)
     return c1 * e1 + c2 * e2, c3 * e1 + c4 * e2
 

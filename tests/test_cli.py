@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from c235 import cli, dist, geometry
@@ -141,7 +142,9 @@ def test_verify_builds_each_jet_once(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "verify", "--case", "F-power-1/3", "--points", "10", "--json")
     assert code == 0
     assert len(payload["cases"][0]["checks"]) == 30
-    assert len(calls) == 10
+    # one call covers the 10 points
+    assert len(calls) == 1
+    assert np.shape(calls[0][1]) == (10,)
 
 
 def test_verify_reports_a_singular_coframe(capsys):
@@ -166,8 +169,7 @@ def test_verify_reports_a_failing_jet(capsys, monkeypatch, failing):
     bad = {pts[i][4] for i in failing}
 
     def flaky(spec, param, *args, **kwargs):
-        if param in bad:
-            raise dist.DomainError(f"no jet at {param}")
+        dist.DomainError.raise_where(np.isin(param, list(bad)), "no jet at these points")
         return dist.F_jet(spec, param, *args, **kwargs)
 
     for mod in (cli, geometry):
@@ -183,6 +185,22 @@ def test_verify_reports_a_failing_jet(capsys, monkeypatch, failing):
         assert c["value"] is None and c["pass"] is False
         assert c["error"].startswith("DomainError: no jet at ")
     assert all(c["pass"] for c in checks if "error" not in c)
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    argv = ("verify", "--case", "F-power-2", "--points", "2", "--json")
+    _, out1, _ = run(capsys, *argv)
+    _, out2, _ = run(capsys, *argv)
+    assert out1 == out2
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    # importing the cli builds nothing
+    proc = subprocess.run(
+        [sys.executable, "-c", "import c235.cli as c; print(c.build_parser.cache_info().currsize)"],
+        capture_output=True, text=True,
+    )
+    assert proc.stdout.strip() == "0", proc.stderr
 
 
 # --- identities -------------------------------------------------------------

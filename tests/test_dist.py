@@ -13,7 +13,7 @@ from c235.dist import (
 )
 from c235.errors import BranchError, DegenerateError, DomainError, UnknownCaseId
 from c235.jets import jet_abs_pow, jet_invert, jet_var
-from c235.specialfn import ClosedFormId, closed_form_solution
+from c235.specialfn import ClosedFormId, HyperTriple, closed_form_solution, hypergeom_pair
 
 
 # --- catalog integrity -----------------------------------------------------
@@ -62,6 +62,32 @@ def test_catalog_entry_residual(spec):
             assert value > 1e-3
         else:
             assert value < 1e-8, (spec.id, pt, value)
+
+
+# --- interior zeros of z1 -----------------------------------------------------
+
+# hyper triples whose declared domain still holds a zero of z1 (ROADMAP item 1)
+OPEN_Z1_ROOTS = {"F-triple-(-2/3,5/6,1/2)", "F-triple-(-2/3,5/6,2/3)", "H-triple-(-1/2,5/6,2/3)"}
+Z1_DELTA = 0.04
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [pytest.param(s, marks=pytest.mark.xfail(s.id in OPEN_Z1_ROOTS, strict=True,
+                                             reason="z1 vanishes inside the declared domain"))
+     for s in catalog() if s.family == "hyper_triple"],
+    ids=lambda s: s.id,
+)
+def test_hyper_triple_domain_keeps_away_from_z1_roots(spec):
+    # bracket the sign changes of z1 on a grid of step < 5e-4 over the domain
+    # widened by Z1_DELTA on each side (and kept inside (0, 1))
+    lo, hi = spec.domain
+    s = np.linspace(max(lo - Z1_DELTA, 0.005), min(hi + Z1_DELTA, 0.995), 2001)
+    c1, c2, _, _ = spec.params["constants"]
+    e1, e2 = hypergeom_pair(HyperTriple(*spec.params["abc"]), s, 1)
+    z1 = c1 * e1.value() + c2 * e2.value()
+    roots = np.nonzero(np.sign(z1[:-1]) * np.sign(z1[1:]) <= 0)[0]
+    assert roots.size == 0, [(s[i], s[i + 1]) for i in roots]
 
 
 # --- Legendre duality --------------------------------------------------------

@@ -5,7 +5,14 @@ import pytest
 
 from c235.chazy import residual_ds6
 from c235.dist import F_jet, catalog, get_spec, legendre_transform
-from c235.errors import DegenerateError, SingularCoframeError, SingularMetricError
+from c235.chazy import residual_6th
+from c235.errors import (
+    BranchError,
+    DegenerateError,
+    DomainError,
+    SingularCoframeError,
+    SingularMetricError,
+)
 from c235.geometry import (
     DIM,
     ETA,
@@ -22,6 +29,7 @@ from c235.geometry import (
     frame_jets_for_spec,
     metric_at,
     metric_signature,
+    on_regular_rows,
     reduced_metric,
     ricci_identity_check,
     riemann_symmetry_error,
@@ -188,15 +196,15 @@ def test_flatness_suite_reports_singular_rows():
     # a vanishing F'' at one point makes that coframe singular; the others still count
     spec = get_spec("F-power-2")
     pts = sample_points(spec, 3, seed=0)
-    jets = [F_jet(spec, pt[4]) for pt in pts]
-    jets[1] = jets[1] * 1e-20
-    out = flatness_suite(spec, pts, jets=jets)
+    jet = F_jet(spec, np.array(pts)[:, 4])
+    jet = Jet1(jet.basepoint, jet.coeffs * [[1.0], [1e-20], [1.0]])
+    out = flatness_suite(spec, pts, jet=jet)
     bad = out["results"][1]
     assert bad["weylRatio"] is None and bad["pass"] is False
     assert bad["error"] == "SingularCoframeError: coframe is singular at this point"
     assert all(r["pass"] and "error" not in r for i, r in enumerate(out["results"]) if i != 1)
     with pytest.raises(SingularCoframeError):
-        metric_at(coframe_for_spec(spec, pts[1], jet=jets[1]))
+        metric_at(coframe_for_spec(spec, pts[1], jet=Jet1(jet.basepoint[1], jet.coeffs[1])))
     # a stack raises with the mask of its singular rows
     coeffs = np.stack([_frame_coeffs(*frame_jets_for_spec(spec, pt[4])) for pt in pts])
     g = metric_at(_coframe(coeffs, np.array(pts)[:, :4], _coords(spec)))
@@ -380,3 +388,80 @@ def test_sample_points_respect_domain_and_seed():
         assert len(p) == 5
         assert all(-1.0 <= v <= 1.0 for v in p[:4])
         assert lo <= p[4] <= hi
+
+
+# --- the Jet1 work along the point axis --------------------------------------
+
+
+@pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
+def test_batched_jets_match_single_point(spec):
+    # row i of each stacked result against the call at point i alone, within
+    # 1e-14 of the largest coefficient (the residuals are already relative)
+    pts = np.array(sample_points(spec, 6, seed=7))
+    jet = F_jet(spec, pts[:, 4])
+    coeffs = _frame_coeffs(*frame_jets_for_spec(spec, pts[:, 4], jet=jet))
+    residual = residual_6th if spec.picture == "F_of_q" else residual_ds6
+    res = residual(jet)
+    legendre = legendre_transform(jet) if spec.picture == "F_of_q" else None
+    for i, lam in enumerate(pts[:, 4]):
+        jet1 = F_jet(spec, float(lam))
+        assert np.max(np.abs(jet.coeffs[i] - jet1.coeffs)) <= 1e-14 * np.max(np.abs(jet1.coeffs))
+        c1 = _frame_coeffs(*frame_jets_for_spec(spec, float(lam)))
+        assert np.max(np.abs(coeffs[i] - c1)) <= 1e-14 * np.max(np.abs(c1)), (spec.id, i)
+        assert abs(res[i] - residual(jet1)) <= 1e-14, (spec.id, i)
+        if legendre is not None:
+            t0, H = legendre_transform(jet1)
+            got = np.append(legendre[1].coeffs[i], legendre[0][i])
+            want = np.append(H.coeffs, t0)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (spec.id, i)
+
+
+def test_a_bad_row_gets_its_error_and_the_others_their_values(monkeypatch):
+    spec = get_spec("F-schwarz-(3,3,3)")
+    pts = np.array(sample_points(spec, 6, seed=3))
+    alone = [flatness_suite(spec, pts[i:i + 1])["results"][0]["weylRatio"] for i in range(6)]
+    outside = pts.copy()
+    outside[2, 4] = 0.99  # out of the declared domain
+    with pytest.raises(DomainError) as exc:
+        F_jet(spec, outside[:, 4])
+    assert exc.value.rows.tolist() == [i == 2 for i in range(6)]
+    results = flatness_suite(spec, outside)["results"]
+    assert results[2]["error"].startswith("DomainError: ") and results[2]["weylRatio"] is None
+    for i in (0, 1, 3, 4, 5):
+        assert results[i]["weylRatio"] == pytest.approx(alone[i], rel=1e-9, abs=1e-20)
+    # a per-row BranchError deep inside F_jet, at points 0 and 4: the first
+    # |s|**e1 of the Schwarz family sees the s of each point as its value
+    from c235 import dist
+
+    abs_pow = dist.jet_abs_pow
+
+    def flaky(f, e):
+        BranchError.raise_where(np.isin(f.value(), pts[[0, 4], 4]), "made to fail here")
+        return abs_pow(f, e)
+
+    monkeypatch.setattr(dist, "jet_abs_pow", flaky)
+    found = [None] * 6
+    _, live = on_regular_rows(lambda p: F_jet(spec, p), pts[:, 4], np.arange(6), found)
+    assert live.tolist() == [1, 2, 3, 5]
+    assert [type(e).__name__ for e in found] == [
+        "BranchError", "NoneType", "NoneType", "NoneType", "BranchError", "NoneType"]
+    results = flatness_suite(spec, pts)["results"]
+    for i, r in enumerate(results):
+        if i in (0, 4):
+            assert r["error"] == "BranchError: made to fail here" and not r["pass"]
+        else:
+            assert r["weylRatio"] == pytest.approx(alone[i], rel=1e-9, abs=1e-20)
+
+
+def test_frame_coeffs_builds_dq_once(monkeypatch):
+    calls = []
+    derivative = Jet1.derivative
+
+    def counted(self):
+        calls.append(self)
+        return derivative(self)
+
+    monkeypatch.setattr(Jet1, "derivative", counted)
+    _frame_coeffs(identity_q(1.3), power_F(1.3, 2.5))
+    # dq/dlam once, and one derivative of each of F, F', F'', F'''
+    assert len(calls) == 5

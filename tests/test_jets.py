@@ -1,12 +1,14 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c235.errors import DivisionByZeroJet
+from c235.errors import BranchError, DivisionByZeroJet, NonInvertibleJet
 from c235.jets import (
+    MAX_ORDER,
     MJet2,
     Jet1,
     derivative_oracle,
@@ -189,3 +191,91 @@ def test_mjet2_stacked_rows_match_single_jets():
     assert np.array_equal(m.gradient[1], MJet2.from_jet1(2.0 * j, 2, dim).gradient)
     with pytest.raises(DivisionByZeroJet):
         MJet2(np.array([1.0, 0.0]), np.zeros((2, dim)), np.zeros((2, dim, dim))).reciprocal()
+
+
+# --- a leading point axis -------------------------------------------------
+
+
+def _stack(draw, n, order, complex_ok, c0):
+    """n rows of order + 1 coefficients, constant terms from c0; complex half the time if allowed."""
+    def rows():
+        return np.array([draw(st.lists(finite, min_size=order + 1, max_size=order + 1)) for _ in range(n)])
+
+    c = rows()
+    c[:, 0] = [draw(c0) for _ in range(n)]
+    return c + 1j * rows() if complex_ok and draw(st.booleans()) else c
+
+
+def _rows(jet, n):
+    return [Jet1(jet.basepoint[i], jet.coeffs[i]) for i in range(n)]
+
+
+nonzero = st.floats(min_value=0.5, max_value=3.0).flatmap(
+    lambda x: st.sampled_from((x, -x)))
+positive = st.floats(min_value=0.5, max_value=3.0)
+
+# kernel, constant-term strategy, whether complex jets are allowed, least order
+STACK_KERNELS = {
+    "add": (lambda a, b: a + b, nonzero, True, 0),
+    "sub": (lambda a, b: 2.5 - a - b, nonzero, True, 0),
+    "mul": (lambda a, b: a * b * 1.5, nonzero, True, 0),
+    "div": (lambda a, b: a / b, nonzero, True, 0),
+    "rdiv": (lambda a, b: 2.0 / a, nonzero, True, 0),
+    "pow_int": (lambda a, b: a ** 3 + b ** -2, nonzero, True, 0),
+    "derivative": (lambda a, b: a.derivative(), nonzero, True, 0),
+    "antiderivative": (lambda a, b: a.antiderivative(0.5), nonzero, True, 0),
+    "exp": (lambda a, b: jet_exp(a * 0.3), nonzero, True, 0),
+    "log": (lambda a, b: jet_log(a), positive, True, 0),
+    "pow": (lambda a, b: jet_pow(a, 2.5), positive, True, 0),
+    "pow_odd_root": (lambda a, b: jet_pow(a, Fraction(-2, 3)), nonzero, False, 0),
+    "abs_pow": (lambda a, b: jet_abs_pow(a, 0.75), nonzero, False, 0),
+    "sqrt": (lambda a, b: jet_sqrt(a), positive, True, 0),
+    "compose": (lambda a, b: jet_compose(b, a - a.value() + b.basepoint), nonzero, True, 0),
+    "invert": (lambda a, b: jet_invert(a), nonzero, True, 1),
+}
+
+
+@pytest.mark.parametrize("kernel", STACK_KERNELS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_stacked_kernels_match_row_by_row(kernel, data):
+    fn, c0, complex_ok, least = STACK_KERNELS[kernel]
+    n = data.draw(st.integers(1, 12))
+    order = data.draw(st.integers(least, MAX_ORDER))
+    bp = np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+    a = Jet1(bp, _stack(data.draw, n, order, complex_ok, c0))
+    b = Jet1(bp, _stack(data.draw, n, order, complex_ok, c0))
+    if kernel == "invert":  # needs a first derivative away from 0
+        a = Jet1(bp, a.coeffs + np.where(a.coeffs[:, 1:2].real >= 0, 1.0, -1.0) * (np.arange(order + 1) == 1))
+    stacked = fn(a, b)
+    assert stacked.coeffs.shape[0] == n and isinstance(stacked.order, int)
+    for i, (ai, bi) in enumerate(zip(_rows(a, n), _rows(b, n))):
+        row = fn(ai, bi)
+        assert row.coeffs.shape == stacked.coeffs[i].shape
+        scale = max(np.max(np.abs(row.coeffs)), 1.0)
+        assert np.max(np.abs(stacked.coeffs[i] - row.coeffs)) <= 1e-13 * scale, (kernel, i)
+        assert abs(stacked.basepoint[i] - row.basepoint) <= 1e-13 * max(abs(row.basepoint), 1.0)
+        assert stacked.value()[i] == stacked.coeffs[i, 0]
+
+
+def test_stacked_kernels_raise_with_the_bad_rows():
+    bp = np.array([0.1, 0.2, 0.3])
+    f = Jet1(bp, [[1.0, 0.5, 0.1], [-2.0, 0.3, 0.0], [0.0, 1.0, 0.2]])
+    for call, error, rows in (
+        (lambda: jet_log(f), DivisionByZeroJet, [False, False, True]),
+        (lambda: jet_sqrt(f + 1.0), BranchError, [False, True, False]),
+        (lambda: jet_pow(f + 1.0, 0.5), BranchError, [False, True, False]),
+        (lambda: 1.0 / f, DivisionByZeroJet, [False, False, True]),
+        (lambda: jet_invert(Jet1(bp, [[0.0, 1.0, 0.5], [0.0, 0.0, 1.0], [1.0, 2.0, 0.0]])),
+         NonInvertibleJet, [False, True, False]),
+    ):
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.value.rows.tolist() == rows
+    # at a single point the same test raises with no rows
+    with pytest.raises(DivisionByZeroJet) as exc:
+        jet_log(Jet1(0.3, f.coeffs[2]))
+    assert exc.value.rows is None
+    # the real odd root of a negative row keeps its sign
+    cube = jet_pow(f + 1.0, Fraction(1, 3))
+    assert cube.value()[1] == pytest.approx(-1.0)
