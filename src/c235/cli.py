@@ -1,8 +1,9 @@
 """Batch verification driver.
 
 Subcommands: list, verify, identities, curvature. All reports are
-versioned JSON; exit code 0 means every requested check passed, 1 means
-a check failed, 2 means a usage or configuration error.
+versioned JSON, written as one line with sorted keys; exit code 0 means
+every requested check passed, 1 means a check failed, 2 means a usage or
+configuration error.
 """
 
 from __future__ import annotations
@@ -60,7 +61,13 @@ def _tolerance(flag, default: float, env: str | None = None) -> float:
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write a report as one line of JSON with sorted keys.
+
+    Without `indent`, json.dumps uses CPython's C encoder; pretty-printing
+    goes through the pure-Python one, which costs more than a curvature
+    report takes to compute. Pipe through `python -m json.tool` to read it.
+    """
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:

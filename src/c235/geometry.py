@@ -390,14 +390,13 @@ def coframe_for_spec(spec: SolutionSpec, point5, order: int = 8, jet: Jet1 | Non
 
 def sample_points(spec: SolutionSpec, n: int, seed: int):
     """n points (x,y,z,p in [-1,1], param in the admissible domain)."""
-    rng = np.random.default_rng(seed)
+    u = np.random.default_rng(seed).random((n, 5))
     lo, hi = spec.domain
-    pts = []
-    for _ in range(n):
-        xyzp = rng.uniform(-1.0, 1.0, size=4)
-        lam = rng.uniform(lo, hi)
-        pts.append((*xyzp, lam))
-    return pts
+    # the same doubles, in the same order, as rng.uniform(-1, 1, 4) then
+    # rng.uniform(lo, hi) point by point: uniform is low + (high - low) * u
+    u[:, :4] = -1.0 + 2.0 * u[:, :4]
+    u[:, 4] = lo + (hi - lo) * u[:, 4]
+    return list(map(tuple, u.tolist()))
 
 
 def _rows(x, keep):

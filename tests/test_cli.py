@@ -203,6 +203,15 @@ def test_main_builds_the_parser_once(capsys):
     assert proc.stdout.strip() == "0", proc.stderr
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the coframe's cond > 1e13 test depends on units: at t = 0.051, by the "
+    "domain's lower end, H = t^-2 gives cond 1.04e13 though the metric is flat"))
+def test_verify_flat_case_near_its_domain_end(capsys):
+    code, _, _ = run(capsys, "verify", "--case", "H-power--2", "--points", "1000",
+                     "--seed", "1", "--json")
+    assert code == 0
+
+
 # --- identities -------------------------------------------------------------
 
 
@@ -252,6 +261,21 @@ def test_curvature_unknown_case_exits_2(capsys):
 
 
 # --- output file and console script -------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("list",),
+    ("verify", "--case", "F-power-1/3"),
+    ("identities", "--kind", "euler", "--samples", "2"),
+    ("curvature", "--case", "F-elementary-r", "--point", "x=0.1,y=0.2,z=0.3,p=0.4,r=2.0"),
+], ids=lambda argv: argv[0])
+def test_reports_are_one_sorted_json_line(tmp_path, capsys, argv):
+    target = tmp_path / "report.json"
+    code, out, _ = run(capsys, *argv, "--json", "--out", str(target))
+    assert code == 0
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    assert target.read_bytes() == out.encode()
 
 
 def test_out_file_written(tmp_path, capsys):

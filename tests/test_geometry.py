@@ -390,6 +390,27 @@ def test_sample_points_respect_domain_and_seed():
         assert lo <= p[4] <= hi
 
 
+def _sample_points_per_point(spec, n, seed):
+    """The former sample_points: two rng.uniform draws per point."""
+    rng = np.random.default_rng(seed)
+    lo, hi = spec.domain
+    pts = []
+    for _ in range(n):
+        xyzp = rng.uniform(-1.0, 1.0, size=4)
+        lam = rng.uniform(lo, hi)
+        pts.append((*xyzp, lam))
+    return pts
+
+
+def test_sample_points_match_the_per_point_draws():
+    specs = {s.domain: s for s in catalog()}.values()
+    for spec in specs:
+        for seed in range(21):
+            for n in (1, 7, 10, 200):
+                assert sample_points(spec, n, seed) == _sample_points_per_point(spec, n, seed), \
+                    (spec.id, seed, n)
+
+
 # --- the Jet1 work along the point axis --------------------------------------
 
 
