@@ -1,7 +1,7 @@
 """Third- through seventh-order ODE residuals and solution builders.
 
 Every residual is relative: |LHS| divided by the largest absolute monomial
-appearing in the LHS (or 1 if every monomial vanishes), so a tolerance
+appearing in the LHS, and 0 where every monomial vanishes, so a tolerance
 check is scale-free.
 """
 
@@ -66,9 +66,10 @@ class SchwarzTriple:
 
 
 def _rel(monomials):
-    """|sum| / max(max |monomial|, 1), at one point or (an array) at each of a stack."""
+    """|sum| / max |monomial| (0 where every monomial is 0), at one point or at each of a stack."""
     m = np.asarray(monomials, dtype=complex)
-    rel = np.abs(np.sum(m, axis=0)) / np.maximum(np.max(np.abs(m), axis=0), 1.0)
+    scale = np.max(np.abs(m), axis=0)
+    rel = np.divide(np.abs(np.sum(m, axis=0)), scale, out=np.zeros_like(scale), where=scale > 0)
     return rel if rel.ndim else float(rel)
 
 

@@ -70,7 +70,8 @@ class CurvatureReport:
 
 
 def _of_lam(jet) -> MJet2:
-    return MJet2.from_jet1(jet, 4, DIM)
+    """A jet in lam, or its coefficients, as an MJet2 of dimension 1: d/dlam and d2/dlam2."""
+    return MJet2.from_jet1(jet, 0, 1)
 
 
 def _taylor(*jets: Jet1) -> np.ndarray:
@@ -118,55 +119,53 @@ def _omegas(c, point4, coords) -> Coframe:
 def _combine(C, om: Coframe) -> Coframe:
     """The rows theta^i = C_ij omega^j, by the product rule.
 
-    C is five rows of five entries, each an MJet2 or a plain number.
+    C is five rows of five entries, each an MJet2 in lam (_of_lam) or a
+    plain number, so only the lam slot of each partial gets the terms of
+    C's derivatives.
     """
     batch = om.value.shape[:-2]
-    Cv = np.zeros(batch + (DIM, DIM))
-    Cg = np.zeros(batch + (DIM, DIM, DIM))
-    Ch = np.zeros(batch + (DIM, DIM, DIM, DIM))
+    Cs = np.zeros(batch + (3, DIM, DIM))  # value, d/dlam, d2/dlam2
     for i, row in enumerate(C):
         for j, c in enumerate(row):
             if isinstance(c, MJet2):
-                Cv[..., i, j], Cg[..., i, j, :], Ch[..., i, j, :, :] = c.value, c.gradient, c.hessian
+                Cs[..., 0, i, j], Cs[..., 1, i, j], Cs[..., 2, i, j] = (
+                    c.value, c.gradient[..., 0], c.hessian[..., 0, 0])
             else:
-                Cv[..., i, j] = c
-    cross = np.einsum("...ijk,...jal->...iakl", Cg, om.grad)
-    return Coframe(
-        Cv @ om.value,
-        np.einsum("...ijk,...ja->...iak", Cg, om.value)
-        + np.einsum("...ij,...jak->...iak", Cv, om.grad),
-        np.einsum("...ijkl,...ja->...iakl", Ch, om.value) + cross + cross.swapaxes(-1, -2)
-        + np.einsum("...ij,...jakl->...iakl", Cv, om.hess),
-        om.coords,
-    )
+                Cs[..., 0, i, j] = c
+    Cv, C1 = Cs[..., 0, :, :], Cs[..., 1, :, :]
+    CW = Cs @ om.value[..., None, :, :]  # [m, i, a]: C^(m) omega
+    grad = (Cv @ om.grad.reshape(batch + (DIM, DIM**2))).reshape(batch + (DIM,) * 3)
+    grad[..., 4] += CW[..., 1, :, :]
+    hess = (Cv @ om.hess.reshape(batch + (DIM, DIM**3))).reshape(batch + (DIM,) * 4)
+    cross = (C1 @ om.grad.reshape(batch + (DIM, DIM**2))).reshape(batch + (DIM,) * 3)  # [i, a, l]
+    hess[..., 4, :] += cross
+    hess[..., :, 4] += cross
+    hess[..., 4, 4] += CW[..., 2, :, :]
+    return Coframe(CW[..., 0, :, :], grad, hess, om.coords)
 
 
-def _theta(om: Coframe, s: MJet2, u: MJet2, B: MJet2, coef4: MJet2) -> Coframe:
-    """theta^1..5 from the omegas, shared by both pictures.
+def _coframe(c, point4, coords) -> Coframe:
+    """The theta rows from the _frame_coeffs c.
 
-    With comb = u w2 - w3: th1 = w1 - s comb, th2 = s comb,
-    th3 = (1 - u B) w2 + B w3, th4 = coef4 comb + w4 - w5, th5 = -w4.
+    With u = F', s = 1/F'' and comb = u w2 - w3: th1 = w1 - s comb,
+    th2 = s comb, th3 = (1 - u B) w2 + B w3, th4 = coef4 comb + w4 - w5,
+    th5 = -w4.
     """
-    su, cu = s * u, coef4 * u
+    u, Fpp, F3, F4 = (_of_lam(c[..., k, :]) for k in range(3, 7))
+    s = Fpp.reciprocal()
+    B = F3 * s * s * 0.25
+    coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s * s * s * 0.025
+    su = s * u
     return _combine(
         (
             (1.0, -su, s, 0.0, 0.0),
             (0.0, su, -s, 0.0, 0.0),
             (0.0, 1.0 - u * B, B, 0.0, 0.0),
-            (0.0, cu, -coef4, 1.0, -1.0),
+            (0.0, coef4 * u, -coef4, 1.0, -1.0),
             (0.0, 0.0, 0.0, -1.0, 0.0),
         ),
-        om,
+        _omegas(c, point4, coords),
     )
-
-
-def _coframe(c, point4, coords) -> Coframe:
-    """The theta rows from the _frame_coeffs c."""
-    Fp, Fpp, F3, F4 = (_of_lam(c[..., k, :]) for k in range(3, 7))
-    s = Fpp.reciprocal()
-    B = F3 * s * s * 0.25
-    coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s * s * s * 0.025
-    return _theta(_omegas(c, point4, coords), s, Fp, B, coef4)
 
 
 def build_coframe(q_of: Jet1, F_of: Jet1, point4, coords=("x", "y", "z", "p", "q")) -> Coframe:
@@ -181,19 +180,11 @@ def build_coframe(q_of: Jet1, F_of: Jet1, point4, coords=("x", "y", "z", "p", "q
 
 
 def coframe_H(H: Jet1, point4, coords=("x", "y", "z", "p", "t")) -> Coframe:
-    """The dual-picture coframe assembled directly from the H displays."""
-    t0 = float(H.basepoint)
-    Hp = H.derivative()
-    Hpp = Hp.derivative()
-    if Hpp.value() == 0:
+    """The dual-picture coframe: build_coframe of the Legendre data q = H', F = t H' - H."""
+    if H.deriv(2) == 0:
         raise DegenerateError("H'' = 0")
-    H3 = Hpp.derivative()
-    om = _omegas(_taylor(Hp, jet_var(t0, H.order) * Hp - H, Hpp), point4, coords)
-    Hpp, H3, H4 = _of_lam(Hpp), _of_lam(H3), _of_lam(H3.derivative())
-    r = Hpp.reciprocal()
-    B = H3 * r * -0.25
-    coef4 = (Hpp * H4 * 4.0 - H3 * H3 * 5.0) * r * r * r * 0.025
-    return _theta(om, Hpp, MJet2.coordinate(t0, 4, DIM), B, coef4)
+    Hp = H.derivative()
+    return build_coframe(Hp, jet_var(H.basepoint, H.order) * Hp - H, point4, coords)
 
 
 def _reduced(q_of: Jet1, F_of: Jet1, point4):
@@ -251,7 +242,8 @@ def metric_at(cf: Coframe) -> MetricJet:
     gT = cf.grad.swapaxes(-3, -1)  # [k, a, i]
     grad = gT @ EW[..., None, :, :]
     rows = np.moveaxis(cf.hess, (-4, -3), (-1, -2)) @ EW[..., None, None, :, :]
-    Eg = np.moveaxis(np.einsum("ij,...jbl->...ibl", ETA, cf.grad), -1, -3)  # [l, i, b]
+    Eg = np.moveaxis((ETA @ cf.grad.reshape(W.shape[:-1] + (DIM**2,))).reshape(cf.grad.shape),
+                     -1, -3)  # [l, i, b]
     cross = gT[..., :, None, :, :] @ Eg[..., None, :, :, :]
     return MetricJet(
         W.swapaxes(-1, -2) @ EW,
@@ -260,44 +252,43 @@ def metric_at(cf: Coframe) -> MetricJet:
     )
 
 
+def _lower_christoffel(dG):
+    """Gamma_dbc = (d_b g_dc + d_c g_bd - d_d g_bc) / 2 from dG[..., k, a, b] = d_k g_ab."""
+    return 0.5 * (dG.swapaxes(-3, -2) + dG.swapaxes(-3, -1) - dG)
+
+
 def curvature(g: MetricJet) -> CurvatureReport:
-    """Full curvature data of a metric given as an order-2 jet."""
+    """Full curvature data of a metric given as an order-2 jet.
+
+    Every index contraction is a matmul over reshaped stacks, so one point
+    and a stack of points take the same path.
+    """
     dG, d2G = g.grad, g.hess
     n = g.value.shape[-1]
+    batch = g.value.shape[:-2]
     G = 0.5 * (g.value + g.value.swapaxes(-1, -2))
     _require_regular(G, SingularMetricError, "metric")
     ginv = np.linalg.inv(G)
-    # Gamma_dbc lowered, then raised
-    Glow = 0.5 * (
-        np.einsum("...bdc->...dbc", dG) + np.einsum("...cbd->...dbc", dG) - dG
-    )
-    Gam = np.einsum("...ad,...dbc->...abc", ginv, Glow)
-    dginv = -(ginv[..., None, :, :] @ dG @ ginv[..., None, :, :])  # [e, a, d]
-    dGlow = 0.5 * (
-        np.einsum("...ebdc->...edbc", d2G) + np.einsum("...ecbd->...edbc", d2G) - d2G
-    )
-    dGam = np.einsum("...ead,...dbc->...eabc", dginv, Glow) + np.einsum(
-        "...ad,...edbc->...eabc", ginv, dGlow
-    )
-    # R^a_bcd is X^a_bcd - X^a_bdc
-    X = np.einsum("...cadb->...abcd", dGam) + np.einsum("...ace,...edb->...abcd", Gam, Gam)
-    Rup = X - X.swapaxes(-1, -2)
-    Rlow = np.einsum("...ae,...ebcd->...abcd", G, Rup)
-    ricci = np.einsum("...abad->...bd", Rup)
+    Glow = _lower_christoffel(dG).reshape(batch + (n, n * n))
+    Gam = ginv @ Glow  # Gamma^a_(bc)
+    # d_e Gamma^a_bc = g^ad (d_e Gamma_dbc - d_e g_df Gamma^f_bc)
+    dGam = ginv[..., None, :, :] @ (
+        _lower_christoffel(d2G).reshape(batch + (n, n, n * n)) - dG @ Gam[..., None, :, :])
+    # X[a, c, d, b] = d_c Gamma^a_db + Gamma^a_ce Gamma^e_db, and R^a_bcd = X_acdb - X_adcb
+    X = dGam.reshape(batch + (n,) * 4).swapaxes(-4, -3) + (
+        Gam.reshape(batch + (n * n, n)) @ Gam).reshape(batch + (n,) * 4)
+    Racdb = X - X.swapaxes(-3, -2)
+    ricci = np.trace(Racdb, axis1=-4, axis2=-3)
     ricci = 0.5 * (ricci + ricci.swapaxes(-1, -2))
-    scalar = np.einsum("...bd,...bd->...", ginv, ricci)
-    gR = np.einsum("...ac,...db->...abcd", G, ricci)
-    term1 = 0.5 * (
-        gR - np.einsum("...ad,...cb->...abcd", G, ricci)
-        - np.einsum("...bc,...da->...abcd", G, ricci) + np.einsum("...bd,...ca->...abcd", G, ricci)
-    )
-    gg = 0.5 * (
-        np.einsum("...ac,...db->...abcd", G, G) - np.einsum("...ad,...cb->...abcd", G, G)
-    )
-    weyl = (Rlow - (2.0 / (n - 2)) * term1
-            + (2.0 / ((n - 1) * (n - 2))) * np.asarray(scalar)[..., None, None, None, None] * gg)
+    scalar = np.sum(ginv * ricci, axis=(-2, -1))
+    Rlow = np.moveaxis((G @ Racdb.reshape(batch + (n, n**3))).reshape(batch + (n,) * 4), -1, -3)
+    # Weyl = R - G (Kulkarni-Nomizu) A, with A the Schouten tensor
+    A = ricci / (n - 2) - (np.asarray(scalar) / (2 * (n - 1) * (n - 2)))[..., None, None] * G
+    T = G[..., :, None, :, None] * A[..., None, :, None, :]  # G_ac A_bd
+    T = T + T.swapaxes(-4, -3).swapaxes(-2, -1)
+    weyl = Rlow - (T - T.swapaxes(-2, -1))
     return CurvatureReport(
-        christoffel=Gam,
+        christoffel=Gam.reshape(batch + (n,) * 3),
         riemann=Rlow,
         ricci=ricci,
         scalar=scalar,

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from c235.chazy import (
     ChazyParam,
@@ -61,6 +62,22 @@ def test_sixth_order_raw_value_for_cubic():
     )
     assert raw == -224 * 6**4 == -290304
     assert residual_6th(F) == pytest.approx(1.0)
+
+
+# c log-uniform over 1e-6..1e6: the sixth-order LHS is degree-4 homogeneous in F
+SCALES = st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0**e)
+
+
+@given(SCALES, st.floats(min_value=0.1, max_value=3.0))
+def test_sixth_order_cubic_control_fails_at_every_scale(c, q0):
+    # only the (F''')^4 monomial survives, so the relative residual is exactly 1
+    assert residual_6th(c * jet_var(q0, 8) ** 3) == 1.0
+
+
+@given(SCALES, st.sampled_from([-1.0, 1.0 / 3.0, 2.0 / 3.0, 2.0]))
+def test_sixth_order_flat_powers_pass_at_every_scale(c, m):
+    # m = 2 has every monomial exactly 0, which counts as a residual of 0
+    assert residual_6th(c * jet_abs_pow(jet_var(0.8, 8), m)) < 1e-12
 
 
 @pytest.mark.parametrize("m", [-1.0, 1.0 / 3.0, 2.0 / 3.0, 2.0])

@@ -39,6 +39,7 @@ from c235.geometry import (
 )
 from c235.jets import Jet1, MJet2, jet_abs_pow, jet_const, jet_var
 from c235.specialfn import ClosedFormId, closed_form_solution
+from c235.twistor import PlebanskiData, plebanski_metric
 
 POINT4 = (0.3, -0.2, 0.5, 0.7)
 
@@ -103,19 +104,21 @@ def _lam(jet: Jet1) -> MJet2:
     return MJet2.from_jet1(jet, 4, DIM)
 
 
+def lincomb(*terms):
+    """The sum of coeff * row over (coeff, row) terms, for rows of five MJet2 scalars."""
+    out = [MJet2.constant(0.0, DIM)] * DIM
+    for coeff, row in terms:
+        for a in range(DIM):
+            out[a] = out[a] + coeff * row[a]
+    return tuple(out)
+
+
 def reference_coframe(q_of: Jet1, F_of: Jet1, point4):
     """The theta rows as 5x5 MJet2 scalars, combined one product at a time."""
     zero, one = MJet2.constant(0.0, DIM), MJet2.constant(1.0, DIM)
 
     def chain(f):
         return f.derivative() / q_of.derivative()
-
-    def lincomb(*terms):
-        out = [zero] * DIM
-        for coeff, row in terms:
-            for a in range(DIM):
-                out[a] = out[a] + coeff * row[a]
-        return tuple(out)
 
     Fp = chain(F_of)
     Fpp = chain(Fp)
@@ -214,17 +217,50 @@ def test_flatness_suite_reports_singular_rows():
     assert exc.value.rows.tolist() == [False, True, False]
 
 
+def reference_coframe_H(H: Jet1, point4):
+    """The dual-picture theta rows from the H displays, as 5x5 MJet2 scalars.
+
+    With w2 = dp - H' dx, w3 = dz - (t H' - H) dx, w4 = H'' dt, w5 = dx and
+    comb = t w2 - w3: th1 = w1 - H'' comb, th2 = H'' comb,
+    th3 = (1 - t B) w2 + B w3, th4 = coef4 comb + w4 - w5, th5 = -w4,
+    where B = -H3 / (4 H'') and coef4 = (4 H'' H4 - 5 H3^2) / (40 H''^3).
+    """
+    zero, one = MJet2.constant(0.0, DIM), MJet2.constant(1.0, DIM)
+    t0 = float(H.basepoint)
+    Hp = H.derivative()
+    Hpp = Hp.derivative()
+    t = MJet2.coordinate(t0, 4, DIM)
+    w1 = (-MJet2.coordinate(point4[3], 3, DIM), one, zero, zero, zero)
+    w2 = (-_lam(Hp), zero, zero, one, zero)
+    w3 = (-_lam(jet_var(t0, H.order) * Hp - H), zero, one, zero, zero)
+    w4 = (zero, zero, zero, zero, _lam(Hpp))
+    w5 = (one, zero, zero, zero, zero)
+    s, H3, H4 = _lam(Hpp), _lam(Hpp.derivative()), _lam(Hpp.derivative().derivative())
+    B = H3 / (s * -4.0)
+    coef4 = (s * H4 * 4.0 - H3 * H3 * 5.0) / (s * s * s * 40.0)
+    comb = lincomb((t, w2), (-one, w3))
+    return (
+        lincomb((one, w1), (-s, comb)),
+        lincomb((s, comb)),
+        lincomb((one - t * B, w2), (B, w3)),
+        lincomb((coef4, comb), (one, w4), (-one, w5)),
+        lincomb((-one, w4)),
+    )
+
+
 def test_dual_picture_coframe_matches_legendre_build():
-    spec = get_spec("H-power-3")
-    t0 = 1.2
-    H = F_jet(spec, t0)
-    cf_direct = coframe_H(H, POINT4)
-    q_of = H.derivative()
-    F_of = jet_var(t0, H.order) * H.derivative() - H
-    cf_built = build_coframe(q_of, F_of, POINT4)
-    Wd = cf_direct.value
-    Wb = cf_built.value
-    assert np.max(np.abs(Wd - Wb)) < 1e-12 * max(1.0, np.max(np.abs(Wd)))
+    # coframe_H is build_coframe of the Legendre data, whose chain rule in q
+    # divides by H'' four times; the H displays are the oracle. The partials
+    # get the cond-scaled bound of the MJet2 reference above.
+    for spec_id, t0 in (("H-power-3", 1.2), ("H-power--2", 0.4), ("H-two-pole", 0.3)):
+        H = F_jet(get_spec(spec_id), t0)
+        cf = coframe_H(H, POINT4)
+        ref = reference_coframe_H(H, POINT4)
+        bound = 1e-13 * max(np.linalg.cond(cf.value), 10.0)
+        for part, got, tol in (("value", cf.value, 1e-12), ("gradient", cf.grad, bound),
+                               ("hessian", cf.hess, bound)):
+            want = np.array([[getattr(ref[i][a], part) for a in range(DIM)] for i in range(DIM)])
+            assert np.max(np.abs(got - want)) < tol * max(1.0, np.max(np.abs(want))), (spec_id, part)
 
 
 def test_coframe_H_rejects_degenerate_H():
@@ -239,6 +275,81 @@ def test_singular_coframe_raises():
     F_of = q_of * q_of * 1e-20
     with pytest.raises(SingularCoframeError):
         metric_at(build_coframe(q_of, F_of, POINT4))
+
+
+# --- curvature against the einsum reference --------------------------------
+
+
+def reference_curvature(g: MetricJet) -> dict:
+    """Christoffel, Riemann, Ricci, scalar and Weyl by one einsum per index contraction."""
+    dG, d2G = g.grad, g.hess
+    n = g.value.shape[-1]
+    G = 0.5 * (g.value + g.value.swapaxes(-1, -2))
+    ginv = np.linalg.inv(G)
+    Glow = 0.5 * (
+        np.einsum("...bdc->...dbc", dG) + np.einsum("...cbd->...dbc", dG) - dG
+    )
+    Gam = np.einsum("...ad,...dbc->...abc", ginv, Glow)
+    dginv = -(ginv[..., None, :, :] @ dG @ ginv[..., None, :, :])  # [e, a, d]
+    dGlow = 0.5 * (
+        np.einsum("...ebdc->...edbc", d2G) + np.einsum("...ecbd->...edbc", d2G) - d2G
+    )
+    dGam = np.einsum("...ead,...dbc->...eabc", dginv, Glow) + np.einsum(
+        "...ad,...edbc->...eabc", ginv, dGlow
+    )
+    X = np.einsum("...cadb->...abcd", dGam) + np.einsum("...ace,...edb->...abcd", Gam, Gam)
+    Rup = X - X.swapaxes(-1, -2)
+    Rlow = np.einsum("...ae,...ebcd->...abcd", G, Rup)
+    ricci = np.einsum("...abad->...bd", Rup)
+    ricci = 0.5 * (ricci + ricci.swapaxes(-1, -2))
+    scalar = np.einsum("...bd,...bd->...", ginv, ricci)
+    gR = np.einsum("...ac,...db->...abcd", G, ricci)
+    term1 = 0.5 * (
+        gR - np.einsum("...ad,...cb->...abcd", G, ricci)
+        - np.einsum("...bc,...da->...abcd", G, ricci) + np.einsum("...bd,...ca->...abcd", G, ricci)
+    )
+    gg = 0.5 * (
+        np.einsum("...ac,...db->...abcd", G, G) - np.einsum("...ad,...cb->...abcd", G, G)
+    )
+    weyl = (Rlow - (2.0 / (n - 2)) * term1
+            + (2.0 / ((n - 1) * (n - 2))) * np.asarray(scalar)[..., None, None, None, None] * gg)
+    return {"christoffel": Gam, "riemann": Rlow, "ricci": ricci, "scalar": scalar, "weyl": weyl}
+
+
+def assert_curvature_matches_reference(g: MetricJet):
+    """Each tensor within 1e-13 |G| |G^-1| times its own scale, point by point.
+
+    |.| is the max-abs of an array at one point. R_abcd and C_abcd scale as
+    L = |d2g| + |G^-1| |dg|^2, so they are bounded by 1e-13 |G| |G^-1| L; each
+    raised index adds a factor |G^-1|. A tensor's own largest entry is no
+    scale: on a flat metric it is round-off.
+    """
+    rep, ref = curvature(g), reference_curvature(g)
+
+    def size(x, rank):
+        return np.max(np.abs(x), axis=tuple(range(-rank, 0))) if rank else np.abs(x)
+
+    G, ginv = size(g.value, 2), size(np.linalg.inv(g.value), 2)
+    L = size(g.hess, 4) + ginv * size(g.grad, 3) ** 2
+    scales = {"christoffel": (3, ginv * size(g.grad, 3)), "riemann": (4, L),
+              "ricci": (2, ginv * L), "scalar": (0, ginv * ginv * L), "weyl": (4, L)}
+    for name, (rank, scale) in scales.items():
+        err = size(np.asarray(getattr(rep, name)) - ref[name], rank)
+        assert np.all(err <= 1e-13 * G * ginv * scale), name
+
+
+@pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
+def test_curvature_matches_einsum_reference(spec):
+    pts = sample_points(spec, 10, seed=5)
+    assert_curvature_matches_reference(metric_at(coframe_for_spec(spec, pts[0])))
+    assert_curvature_matches_reference(metric_at(coframe_for_spec(spec, pts)))
+
+
+@pytest.mark.parametrize("spec_id, x0", [("H-power-3", 1.2), ("H-two-pole", 0.3)])
+def test_curvature_matches_einsum_reference_in_four_dimensions(spec_id, x0):
+    g = plebanski_metric(PlebanskiData.from_spec(spec_id, x0, point4=(0.2, x0, -0.4, 0.6)))
+    assert g.value.shape == (4, 4)
+    assert_curvature_matches_reference(g)
 
 
 # --- curvature identities -------------------------------------------------
