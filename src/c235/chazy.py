@@ -22,14 +22,16 @@ from .errors import (
 )
 from .jets import (
     Jet1,
+    _toeplitz,
     jet_compose,
     jet_const,
     jet_exp,
     jet_invert,
     jet_log,
     jet_var,
+    solve_lower,
 )
-from .specialfn import schwarz_potential
+from .specialfn import relative_residual, schwarz_potential
 
 
 @dataclass(frozen=True)
@@ -65,18 +67,10 @@ class SchwarzTriple:
         return float(self.alpha), float(self.beta), float(self.gamma)
 
 
-def _rel(monomials):
-    """|sum| / max |monomial| (0 where every monomial is 0), at one point or at each of a stack."""
-    m = np.asarray(monomials, dtype=complex)
-    scale = np.max(np.abs(m), axis=0)
-    rel = np.divide(np.abs(np.sum(m, axis=0)), scale, out=np.zeros_like(scale), where=scale > 0)
-    return rel if rel.ndim else float(rel)
-
-
 def residual_chazy(y: Jet1) -> float:
     """Relative residual of y''' - 2 y y'' + 3 (y')^2."""
     y0, y1, y2, y3 = (y.deriv(i) for i in range(4))
-    return _rel([y3, -2.0 * y0 * y2, 3.0 * y1 * y1])
+    return relative_residual([y3, -2.0 * y0 * y2, 3.0 * y1 * y1])
 
 
 def residual_gen_chazy(y: Jet1, k: ChazyParam | Fraction | float) -> float:
@@ -84,13 +78,15 @@ def residual_gen_chazy(y: Jet1, k: ChazyParam | Fraction | float) -> float:
     if not isinstance(k, ChazyParam):
         k = ChazyParam(Fraction(k).limit_denominator(10**6))
     y0, y1, y2, y3 = (y.deriv(i) for i in range(4))
-    return _rel([y3, -2.0 * y2 * y0, 3.0 * y1 * y1, -k.coeff * (6.0 * y1 - y0 * y0) ** 2])
+    return relative_residual(
+        [y3, -2.0 * y2 * y0, 3.0 * y1 * y1, -k.coeff * (6.0 * y1 - y0 * y0) ** 2]
+    )
 
 
 def residual_6th(F: Jet1) -> float:
     """Relative residual of the 6th-order equation satisfied by F(q)."""
     d = [F.deriv(i) for i in range(7)]
-    return _rel(
+    return relative_residual(
         [
             10.0 * d[6] * d[2] ** 3,
             -80.0 * d[2] ** 2 * d[3] * d[5],
@@ -114,7 +110,7 @@ def ds6_monomials(d) -> list:
 
 def residual_ds6(H: Jet1) -> float:
     """Relative residual of the dual 6th-order equation satisfied by H(t)."""
-    return _rel(ds6_monomials([H.deriv(i) for i in range(7)]))
+    return relative_residual(ds6_monomials([H.deriv(i) for i in range(7)]))
 
 
 def residual_7th(y: Jet1) -> float:
@@ -133,9 +129,8 @@ def _schwarzian_derivative(s: Jet1) -> Tuple[complex, complex]:
 def residual_schwarzian(s: Jet1, tr: SchwarzTriple) -> float:
     """Relative residual of {s, q} + (s_dot^2 / 2) V(s)."""
     sch, s1 = _schwarzian_derivative(s)
-    sv = jet_var(s.value(), 2)
-    V = schwarz_potential(*tr.as_floats(), sv).value()
-    return _rel([sch, 0.5 * s1 * s1 * V])
+    V = schwarz_potential(*tr.as_floats(), s.value(), 0).value()
+    return relative_residual([sch, 0.5 * s1 * s1 * V])
 
 
 def omegas_from_s(s: Jet1) -> Tuple[Jet1, Jet1, Jet1]:
@@ -166,7 +161,7 @@ def omega_residuals(s: Jet1, tr: SchwarzTriple) -> Tuple[Jet1, Jet1, Jet1, float
     res = []
     for oa, ob, oc in ((o1, o2, o3), (o2, o3, o1), (o3, o1, o2)):
         va, vb, vc = oa.value(), ob.value(), oc.value()
-        res.append(_rel([oa.deriv(1), -(vb * vc), va * (vb + vc), -tau2]))
+        res.append(relative_residual([oa.deriv(1), -(vb * vc), va * (vb + vc), -tau2]))
     return o1, o2, o3, float(max(res))
 
 
@@ -195,22 +190,26 @@ def schwarz_solution(
 ) -> Jet1:
     """An s(q) jet solving the Schwarzian equation for the triple tr.
 
-    Solves u'' + V(s) u / 4 = 0 twice by the jet recurrence in s with the
-    initial data ics = (u1, u1', u2, u2') at s0 (one point, or a stack),
-    forms q(s) = u2/u1 and inverts. Works uniformly in the triple,
-    including (0, 0, 0).
+    Solves u'' + V(s) u / 4 = 0 twice, as jets in s with the initial data
+    ics = (u1, u1', u2, u2') at s0 (one point, or a stack), forms
+    q(s) = u2/u1 and inverts. Works uniformly in the triple, including
+    (0, 0, 0).
     """
     DegenerateError.raise_where((s0 == 0) | (s0 == 1), "s0 in {0,1}")
     if abs(ics[0] * ics[3] - ics[1] * ics[2]) < 1e-14:
         raise ZeroWronskianError("initial data give a dependent pair")
     n = order + 2
-    V = schwarz_potential(*tr.as_floats(), jet_var(s0, n)).coeffs[..., None, :]
-    # both solutions at once, along an axis before the coefficients
-    u = np.zeros(np.shape(s0) + (2, n + 1))
-    u[..., :2] = np.reshape(ics, (2, 2))
-    for k in range(n - 1):
-        conv = np.sum(V[..., : k + 1] * u[..., k::-1], axis=-1)
-        u[..., k + 2] = -0.25 * conv / ((k + 2) * (k + 1))
+    V = schwarz_potential(*tr.as_floats(), s0, n).coeffs
+    # L u = (u_0, u_1, 0, ...), row k + 2 the coefficient of s^k in u'' + V u / 4:
+    # (k+2)(k+1) u_{k+2} + sum_{m <= k} V_m u_{k-m} / 4 = 0
+    k = np.arange(n + 1)
+    L = np.zeros(np.shape(s0) + (n + 1, n + 1))
+    L[..., 2:, :-2] = 0.25 * _toeplitz(V[..., :-2])
+    L[..., k, k] = np.maximum(k * (k - 1), 1)
+    # both solutions in one solve, along an axis before the coefficients
+    r = np.zeros((2, n + 1))
+    r[:, :2] = np.reshape(ics, (2, 2))
+    u = solve_lower(L[..., None, :, :], r)
     ua, ub = Jet1(s0, u[..., 0, :]), Jet1(s0, u[..., 1, :])
     return jet_invert((ub / ua).truncate(order))
 
@@ -225,8 +224,9 @@ def chazy_log_solution(z1: Jet1, z2: Jet1, order: int = 6) -> Tuple[float, Jet1]
         raise ZeroDenominatorError("z1 vanishes at the basepoint")
     q_of_s = z2 / z1
     W0 = z1.value() * z2.deriv(1) - z2.value() * z1.deriv(1)
-    scale = max(abs(z1.value() * z2.deriv(1)), abs(z2.value() * z1.deriv(1)), 1.0)
-    if abs(W0) < 1e-12 * scale:
+    # <=, not <: a pair whose two products are both 0 is dependent too
+    scale = max(abs(z1.value() * z2.deriv(1)), abs(z2.value() * z1.deriv(1)))
+    if abs(W0) <= 1e-12 * scale:
         raise ZeroWronskianError("z1, z2 are linearly dependent")
     if np.allclose(z1.coeffs[1:], 0.0):
         q0 = q_of_s.value()

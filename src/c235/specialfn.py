@@ -9,6 +9,7 @@ between solution families.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Tuple
@@ -16,6 +17,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import (
+    DivisionByZeroJet,
     LinearDependenceError,
     PoleError,
     SeriesDomainError,
@@ -34,6 +36,18 @@ from .jets import (
 )
 
 Frac = Fraction
+
+
+def relative_residual(monomials):
+    """|sum| / max |monomial| (0 where every monomial is 0), at one point or at each of a stack.
+
+    The monomials stack on axis 0. Dividing by the largest of them, with
+    no floor, makes the residual invariant under rescaling the solution.
+    """
+    m = np.asarray(monomials, dtype=complex)
+    scale = np.max(np.abs(m), axis=0)
+    rel = np.divide(np.abs(np.sum(m, axis=0)), scale, out=np.zeros_like(scale), where=scale > 0)
+    return rel if rel.ndim else float(rel)
 
 
 @dataclass(frozen=True)
@@ -105,17 +119,21 @@ def _series_value_pair(p: HyperTriple, s0):
 
     At each point (s0 may be an array of them) the sum stops after the
     first term n > 5 below 1e-16 of the partial sum. The terms of all the
-    points are summed at once over the precomputed coefficients, 256 of
-    them; the points that have not stopped by then are summed again over
-    four times as many, and so on.
+    points are summed at once over the precomputed coefficients; the
+    first pass takes enough of them for s^n to fall below 1e-17 at the
+    largest |s0|, plus 32 and at least 64. The points that have not
+    stopped by then are summed again over four times as many, and so on.
+    A longer pass only appends terms, so every value is the same prefix sum.
     """
     SeriesDomainError.raise_where(abs(s0) >= 1, f"series for {p.label()} diverges at |s| >= 1")
     s = np.reshape(s0, (-1, 1))
     value, deriv = np.zeros((2, len(s)), dtype=np.result_type(s, float))
     todo = np.arange(len(s))
-    nterms = 256
+    r = float(np.abs(s).max(initial=0.0))
+    nterms = 64 if r == 0 else min(max(64, int(math.log(1e-17) / math.log(r)) + 32), SERIES_MAX_TERMS)
     while True:
-        c = _series_coeffs(p, nterms)
+        # a prefix of a cached power-of-two run, so the cache keeps few lengths per triple
+        c = _series_coeffs(p, min(1 << (nterms - 1).bit_length(), SERIES_MAX_TERMS))[:nterms]
         n = np.arange(nterms)
         powers = s[todo] ** n
         terms = c * powers
@@ -187,17 +205,13 @@ def _recurrence_matrices(p: HyperTriple, order: int):
     return M
 
 
-def hypergeom_residual(z: Jet1, p: HyperTriple, s0: float | complex | None = None) -> float:
-    """Relative residual of the hypergeometric equation on the jet z."""
-    if s0 is None:
-        s0 = z.basepoint
+def hypergeom_residual(z: Jet1, p: HyperTriple):
+    """Relative residual of the hypergeometric equation on the jet z, at each of its basepoints."""
+    s0 = z.basepoint
     a, b, c = float(p.a), float(p.b), float(p.c)
-    zp, zpp = z.deriv(1), z.deriv(2)
-    terms = np.array(
-        [s0 * (1 - s0) * zpp, (c - (a + b + 1) * s0) * zp, -a * b * z.value()]
+    return relative_residual(
+        [s0 * (1 - s0) * z.deriv(2), (c - (a + b + 1) * s0) * z.deriv(1), -a * b * z.value()]
     )
-    scale = max(np.max(np.abs(terms)), 1.0)
-    return float(abs(np.sum(terms)) / scale)
 
 
 def hypergeom_pair(p: HyperTriple, s0, order: int = 8) -> Tuple[Jet1, Jet1]:
@@ -217,27 +231,27 @@ def hypergeom_pair(p: HyperTriple, s0, order: int = 8) -> Tuple[Jet1, Jet1]:
 # --- the Schwarzian potential ----------------------------------------
 
 
-def schwarz_potential(alpha: float, beta: float, gamma: float, s: Jet1) -> Jet1:
-    """V(s) = (1-b^2)/s^2 + (1-g^2)/(s-1)^2 + (b^2+g^2-a^2-1)/(s(s-1)) as a jet."""
-    sm1 = s - 1.0
-    ssm1 = s * sm1
-    num = (
-        (1 - beta**2) * sm1 * sm1
-        + (1 - gamma**2) * s * s
-        + (beta**2 + gamma**2 - alpha**2 - 1) * ssm1
-    )
-    return num / (ssm1 * ssm1)
+def schwarz_potential(alpha: float, beta: float, gamma: float, s0, order: int) -> Jet1:
+    """V(s) = (1-b^2)/s^2 + (1-g^2)/(s-1)^2 + (b^2+g^2-a^2-1)/(s(s-1)) as a jet at s0.
+
+    s0 is one point or a stack. With x = 1/s0, the Taylor coefficients of
+    1/s are x (-x)^k and those of 1/s^2 are (k+1) x^2 (-x)^k; likewise
+    for s - 1, and 1/(s(s-1)) = 1/(s-1) - 1/s.
+    """
+    DivisionByZeroJet.raise_where((s0 == 0) | (s0 == 1), "V has double poles at s = 0 and s = 1")
+    k = np.arange(order + 1)
+    s = np.asarray(s0)[..., None]
+    x, y = 1.0 / s, 1.0 / (s - 1.0)
+    inv_s, inv_sm1 = x * (-x) ** k, y * (-y) ** k
+    a2, b2, g2 = alpha**2, beta**2, gamma**2
+    double_poles = (k + 1) * ((1 - b2) * x * inv_s + (1 - g2) * y * inv_sm1)
+    return Jet1(s0, double_poles + (b2 + g2 - a2 - 1) * (inv_sm1 - inv_s))
 
 
-def u_ode_residual(u: Jet1, tr: Tuple[float, float, float], s0: float | None = None) -> float:
-    """Relative residual of u'' + V(s) u / 4 = 0."""
-    if s0 is None:
-        s0 = u.basepoint
-    s = jet_var(float(s0), max(u.order, 2))
-    V = schwarz_potential(*tr, s).value()
-    terms = np.array([u.deriv(2), 0.25 * V * u.value()])
-    scale = max(np.max(np.abs(terms)), 1.0)
-    return float(abs(np.sum(terms)) / scale)
+def u_ode_residual(u: Jet1, tr: Tuple[float, float, float]):
+    """Relative residual of u'' + V(s) u / 4 = 0, at each of u's basepoints."""
+    V = schwarz_potential(*tr, u.basepoint, 0).value()
+    return relative_residual([u.deriv(2), 0.25 * V * u.value()])
 
 
 # --- closed-form catalogue --------------------------------------------
@@ -399,19 +413,13 @@ def closed_form_ode_residual(cid: ClosedFormId, s0: float, order: int = 6) -> fl
         tr = tuple(float(x) for x in CLOSED_FORM_TRIPLES[fam])
         return max(u_ode_residual(z1, tr), u_ode_residual(z2, tr))
     if fam == "elementary_r":
-        res = []
-        for z in (z1, z2):
-            r = s0
-            terms = np.array(
-                [
-                    0.25 * (1 - r * r) * z.deriv(2),
-                    -(r / 3.0) * z.deriv(1),
-                    (5.0 / 9.0) * z.value(),
-                ]
+        r = s0
+        return max(
+            relative_residual(
+                [0.25 * (1 - r * r) * z.deriv(2), -(r / 3.0) * z.deriv(1), (5.0 / 9.0) * z.value()]
             )
-            scale = max(np.max(np.abs(terms)), 1.0)
-            res.append(abs(np.sum(terms)) / scale)
-        return float(max(res))
+            for z in (z1, z2)
+        )
     p = CLOSED_FORM_HYPER[fam]
     return max(hypergeom_residual(z1, p), hypergeom_residual(z2, p))
 
@@ -427,12 +435,14 @@ def wronskian_check(
     pair: Callable[[float], Tuple[Jet1, Jet1]],
     p: HyperTriple,
     s_ref: float,
-    s0: float,
-) -> float:
+    s0,
+):
     """Relative error of W(z1,z2) = w0 (s-1)^(c-a-b-1) s^(-c).
 
     w0 is calibrated at s_ref; both points must lie on the same side of
-    s = 1 so the implicit branch constants cancel in the ratio.
+    s = 1 so the implicit branch constants cancel in the ratio. s0 is one
+    point, giving a float, or a stack that `pair` takes at once, giving
+    one value per point.
     """
     a, b, c = float(p.a), float(p.b), float(p.c)
     z1r, z2r = pair(s_ref)
@@ -445,7 +455,8 @@ def wronskian_check(
     w0 = Wr / law(s_ref)
     z1, z2 = pair(s0)
     predicted = w0 * law(s0)
-    return float(abs(_wronskian(z1, z2) - predicted) / abs(predicted))
+    err = np.abs(_wronskian(z1, z2) - predicted) / np.abs(predicted)
+    return err if np.ndim(err) else float(err)
 
 
 # --- transformation identities -----------------------------------------
@@ -461,52 +472,53 @@ TRANSFORM_KINDS = (
 )
 
 
-def _mapped_solution_residual(
-    z: Jet1, t_of_s: Jet1, prefactor: Jet1, target: HyperTriple
-) -> float:
+def _mapped_solution_residual(z: Jet1, t_of_s: Jet1, prefactor: Jet1, target: HyperTriple):
     """Residual of the target hypergeometric ODE on prefactor(s) z(s) in t."""
     zt = jet_compose(prefactor * z, jet_invert(t_of_s))
     return hypergeom_residual(zt, target)
 
 
-def transform_identity_check(kind: str, s0: float, order: int = 6) -> float:
+def transform_identity_check(kind: str, s0, order: int = 6):
     """Relative mismatch of the named transformation identity at s0.
 
-    Function identities (euler, quadratic) compare both displayed sides;
-    the algebraic-map identities verify that the mapped solution satisfies
-    the target hypergeometric equation.
+    s0 is one point, giving a float, or a stack of points, giving one
+    value per point. Function identities (euler, quadratic) compare both
+    displayed sides; the algebraic-map identities verify that the mapped
+    solution satisfies the target hypergeometric equation.
     """
+    s0 = np.asarray(s0, dtype=float) if np.ndim(s0) else float(s0)
     if kind == "euler":
         lhs = hyp2f1_jet(HyperTriple(Frac(-7, 6), Frac(-8, 3), Frac(2, 3)), s0, 2).value()
         rhs = (1 - s0) ** 4.5 * hyp2f1_jet(
             HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)), s0, 2
         ).value()
-        return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        return relative_residual([lhs, -rhs])
     if kind == "quadratic":
         lhs = hyp2f1_jet(HyperTriple(Frac(1, 6), Frac(1, 6), Frac(2, 3)), s0, 2).value()
         rhs = hyp2f1_jet(
             HyperTriple(Frac(1, 12), Frac(1, 12), Frac(2, 3)), 4 * s0 * (1 - s0), 2
         ).value()
-        return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+        return relative_residual([lhs, -rhs])
     if kind == "cubic":
         w = complex(-0.5, 0.5 * np.sqrt(3.0))  # cube root of unity
-        s = jet_var(complex(s0), order)
-        z = hyp2f1_jet(HyperTriple(-4, -1, -2), complex(s0), order)
+        sc = s0 + 0j
+        s = jet_var(sc, order)
+        z = hyp2f1_jet(HyperTriple(-4, -1, -2), sc, order)
         t = 3.0 * (2.0 * w + 1.0) * s * (s - 1.0) / ((s + w) * (s + w) * (s + w))
         # the prefactor carries the conjugate root: (1 + conj(w) s) is
         # proportional to (s + w), and constants drop out of the linear ODE
         pref = jet_pow(s + w, -4)
         return _mapped_solution_residual(z, t, pref, HyperTriple(Frac(-4, 3), -1, -2))
     if kind == "degree4":
-        s = jet_var(float(s0), order)
+        s = jet_var(s0, order)
         z = hyp2f1_jet(HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)), s0, order)
         t = -s * (s + 8.0) ** 3 / (64.0 * (1.0 - s) ** 3)
-        pref = jet_pow(1.0 - s, Frac(5, 2)) if s0 < 1 else jet_abs_pow(1.0 - s, 2.5)
+        pref = jet_abs_pow(1.0 - s, 2.5)
         return _mapped_solution_residual(
             z, t, pref, HyperTriple(Frac(5, 6), Frac(-2, 3), Frac(2, 3))
         )
     if kind == "degree6":
-        s = jet_var(float(s0), order)
+        s = jet_var(s0, order)
         z = hyp2f1_jet(HyperTriple(-4, -1, -2), s0, order)
         t = 27.0 * (s * (s - 1.0)) ** 2 / (4.0 * (s * s - s + 1.0) ** 3)
         pref = jet_pow(1.0 - s + s * s, -2)
@@ -518,7 +530,7 @@ def transform_identity_check(kind: str, s0: float, order: int = 6) -> float:
         flipped = Jet1(s0, z.coeffs * (-1.0) ** np.arange(z.order + 1))
         return hypergeom_residual(flipped, HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(2, 3)))
     if kind == "frac_linear_s_over_sm1":
-        t = jet_var(float(s0), order)
+        t = jet_var(s0, order)
         s = t / (t - 1.0)
         z_in_s = hyp2f1_jet(HyperTriple(Frac(-4, 3), -1, Frac(2, 3)), s.value(), order)
         z = jet_compose(z_in_s, s)

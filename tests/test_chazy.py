@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from c235.chazy import (
     ChazyParam,
@@ -22,8 +22,8 @@ from c235.chazy import (
     schwarz_solution,
     two_pole_solution,
 )
-from c235.errors import DegenerateError, InvalidParam, PoleError
-from c235.jets import Jet1, jet_abs_pow, jet_exp, jet_var
+from c235.errors import DegenerateError, InvalidParam, PoleError, ZeroWronskianError
+from c235.jets import Jet1, jet_abs_pow, jet_const, jet_exp, jet_var
 from c235.specialfn import HyperTriple, hypergeom_pair
 
 K23 = Fraction(2, 3)
@@ -191,6 +191,36 @@ def test_log_derivative_solutions(abc, k):
     z1, z2 = hypergeom_pair(HyperTriple(*abc), 0.3)
     _, y = chazy_log_solution(z1, z2)
     assert residual_gen_chazy(y, k) < 1e-8
+
+
+# c log-uniform over 1e-15..1e6: the Wronskian test compares W with the products it is made of
+PAIR_SCALES = st.floats(min_value=-15.0, max_value=6.0).map(lambda e: 10.0**e)
+
+
+@given(PAIR_SCALES)
+@example(1e-15)
+def test_log_solution_accepts_a_rescaled_pair(c):
+    # W = 1.16 c here, which a floor of 1 on the scale rejected below c = 8.6e-13
+    (abc, k) = LOG_CASES[0]
+    z1, z2 = hypergeom_pair(HyperTriple(*abc), 0.3)
+    _, y = chazy_log_solution(c * z1, z2)
+    assert residual_gen_chazy(y, k) < 1e-8
+
+
+@given(PAIR_SCALES)
+@example(1e-15)
+@example(1e6)
+def test_log_solution_rejects_a_dependent_pair_at_every_scale(c):
+    z1, _ = hypergeom_pair(HyperTriple(*LOG_CASES[0][0]), 0.3)
+    with pytest.raises(ZeroWronskianError):
+        chazy_log_solution(c * z1, 3.0 * c * z1)
+
+
+def test_log_solution_rejects_a_pair_of_zero_products():
+    # W = 0 and both products 0: rejected by <=, where < would let it through
+    one = jet_const(1.0, 0.3, 6)
+    with pytest.raises(ZeroWronskianError):
+        chazy_log_solution(one, 2.0 * one)
 
 
 @pytest.mark.parametrize("k", [K23, K32])

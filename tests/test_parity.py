@@ -1,0 +1,263 @@
+"""Stacked and closed-form kernels against the per-point code they replaced.
+
+The former implementations live here as oracles: the rational-jet
+Schwarzian potential, the per-order Schwarz recurrence, and the 2F1
+series summed over 256 terms first.
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from c235 import cli
+from c235.chazy import SchwarzTriple, schwarz_solution
+from c235.dist import catalog
+from c235.errors import DivisionByZeroJet, SeriesDomainError
+from c235.jets import Jet1, jet_invert, jet_var
+from c235.specialfn import (
+    CLOSED_FORM_HYPER,
+    CLOSED_FORM_TRIPLES,
+    SERIES_MAX_TERMS,
+    TRANSFORM_KINDS,
+    HyperTriple,
+    _series_coeffs,
+    _series_value_pair,
+    hypergeom_pair,
+    schwarz_potential,
+    transform_identity_check,
+    wronskian_check,
+)
+
+# --- the former code -------------------------------------------------------
+
+
+def former_schwarz_potential(alpha, beta, gamma, s: Jet1) -> Jet1:
+    """V(s) = (1-b^2)/s^2 + (1-g^2)/(s-1)^2 + (b^2+g^2-a^2-1)/(s(s-1)) by jet division."""
+    sm1 = s - 1.0
+    ssm1 = s * sm1
+    num = (
+        (1 - beta**2) * sm1 * sm1
+        + (1 - gamma**2) * s * s
+        + (beta**2 + gamma**2 - alpha**2 - 1) * ssm1
+    )
+    return num / (ssm1 * ssm1)
+
+
+def former_schwarz_solution(tr, s0, order=8, ics=(1.0, 0.0, 0.3, 1.0)) -> Jet1:
+    """The Schwarz solution by one convolution per order of u'' + V u / 4 = 0."""
+    n = order + 2
+    V = former_schwarz_potential(*tr.as_floats(), jet_var(s0, n)).coeffs[..., None, :]
+    u = np.zeros(np.shape(s0) + (2, n + 1))
+    u[..., :2] = np.reshape(ics, (2, 2))
+    for k in range(n - 1):
+        conv = np.sum(V[..., : k + 1] * u[..., k::-1], axis=-1)
+        u[..., k + 2] = -0.25 * conv / ((k + 2) * (k + 1))
+    ua, ub = Jet1(s0, u[..., 0, :]), Jet1(s0, u[..., 1, :])
+    return jet_invert((ub / ua).truncate(order))
+
+
+def former_series_value_pair(p, s0):
+    """(2F1(s0), d/ds 2F1(s0)) with a first pass of 256 terms, then 4x as many."""
+    s = np.reshape(s0, (-1, 1))
+    value, deriv = np.zeros((2, len(s)), dtype=np.result_type(s, float))
+    todo = np.arange(len(s))
+    nterms = 256
+    while True:
+        c = _series_coeffs(p, nterms)
+        n = np.arange(nterms)
+        powers = s[todo] ** n
+        terms = c * powers
+        partial = np.cumsum(terms, axis=1)
+        below = np.abs(terms[:, 6:]) < 1e-16 * np.maximum(1.0, np.abs(partial[:, 6:]))
+        rows, last = np.arange(len(todo)), 6 + np.argmax(below, axis=1)
+        value[todo] = partial[rows, last]
+        deriv[todo] = np.cumsum(n[1:] * c[1:] * powers[:, :-1], axis=1)[rows, last - 1]
+        todo = todo[~below.any(axis=1)]
+        if not todo.size or nterms == SERIES_MAX_TERMS:
+            break
+        nterms = min(4 * nterms, SERIES_MAX_TERMS)
+    assert not todo.size
+    return value.reshape(np.shape(s0)), deriv.reshape(np.shape(s0))
+
+
+# --- the Schwarzian potential and solution --------------------------------
+
+SCHWARZ_TRIPLES = sorted(
+    {tuple(Fraction(x) for x in tr) for tr in CLOSED_FORM_TRIPLES.values()}
+    | {tuple(Fraction(x) for x in s.params["triple"])
+       for s in catalog() if s.family == "schwarz_triple_param"}
+)
+S_GRID = np.linspace(0.05, 0.95, 19)
+
+
+def _close_per_row(new: np.ndarray, old: np.ndarray, rel: float = 1e-13):
+    scale = np.max(np.abs(old), axis=-1, keepdims=True)
+    assert np.all(np.abs(new - old) <= rel * scale)
+
+
+@pytest.mark.parametrize("trip", SCHWARZ_TRIPLES, ids=str)
+def test_closed_form_potential_matches_jet_division(trip):
+    tr = tuple(float(x) for x in trip)
+    stacked = schwarz_potential(*tr, S_GRID, 10).coeffs
+    _close_per_row(stacked, former_schwarz_potential(*tr, jet_var(S_GRID, 10)).coeffs)
+    for i, s0 in enumerate(S_GRID):
+        single = schwarz_potential(*tr, float(s0), 10).coeffs
+        _close_per_row(single, former_schwarz_potential(*tr, jet_var(float(s0), 10)).coeffs)
+        np.testing.assert_array_equal(single, stacked[i])
+
+
+def test_potential_keeps_its_error_at_the_poles():
+    for s0 in (0.0, 1.0):
+        with pytest.raises(DivisionByZeroJet):
+            schwarz_potential(3.0, 3.0, 3.0, s0, 4)
+    with pytest.raises(DivisionByZeroJet) as info:
+        schwarz_potential(3.0, 3.0, 3.0, np.array([0.5, 1.0, 0.2]), 4)
+    assert info.value.rows.tolist() == [False, True, False]
+
+
+# The pair u1, u2 agrees with the former recurrence to a few ulps, but q = u2/u1
+# and its series inverse magnify that: at the worst rows below, both codes sit
+# about 3e-13 of the row's largest coefficient from a 60-digit reference, on
+# opposite sides, so they differ by up to 6.2e-13.
+SOLUTION_REL = 1e-12
+
+
+@pytest.mark.parametrize("trip", SCHWARZ_TRIPLES, ids=str)
+def test_schwarz_solution_matches_the_per_order_recurrence(trip):
+    tr = SchwarzTriple(*trip)
+    stacked = schwarz_solution(tr, S_GRID).coeffs
+    _close_per_row(stacked, former_schwarz_solution(tr, S_GRID).coeffs, SOLUTION_REL)
+    for i, s0 in enumerate(S_GRID):
+        single = schwarz_solution(tr, float(s0)).coeffs
+        _close_per_row(single, former_schwarz_solution(tr, float(s0)).coeffs, SOLUTION_REL)
+        _close_per_row(single, stacked[i])
+
+
+def _reference_schwarz_solution(trip, s0, order=8, ics=(1.0, 0.0, 0.3, 1.0)):
+    """The Schwarz solution jet at 60 digits: exact V coefficients, the same doubles as ics."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        a, b, g = (mp.mpf(Fraction(x).numerator) / Fraction(x).denominator for x in trip)
+        x, y, n = 1 / mp.mpf(s0), 1 / (mp.mpf(s0) - 1), order + 2
+        V = [(k + 1) * ((1 - b**2) * x**2 * (-x) ** k + (1 - g**2) * y**2 * (-y) ** k)
+             + (b**2 + g**2 - a**2 - 1) * (y * (-y) ** k - x * (-x) ** k) for k in range(n + 1)]
+        pair = []
+        for u0, u1 in (ics[:2], ics[2:]):
+            u = [mp.mpf(u0), mp.mpf(u1)]
+            for k in range(n - 1):
+                u.append(-sum(V[m] * u[k - m] for m in range(k + 1)) / (4 * (k + 2) * (k + 1)))
+            pair.append(u[: order + 1])
+        ua, ub = pair
+        q = []
+        for k in range(order + 1):
+            q.append((ub[k] - sum(q[j] * ua[k - j] for j in range(k))) / ua[0])
+        # g(q(x)) = x: sum_j g_j [(q - q0)^j]_k = [k == 1] for k = 1..order
+        power, M = [mp.mpf(1)] + [mp.mpf(0)] * order, mp.matrix(order, order)
+        for j in range(1, order + 1):
+            power = [sum(power[i] * q[k - i] for i in range(k)) for k in range(order + 1)]
+            for k in range(1, order + 1):
+                M[k - 1, j - 1] = power[k]
+        rhs = mp.matrix([1] + [0] * (order - 1))
+        g = mp.lu_solve(M, rhs)
+        return np.array([float(s0)] + [float(g[i]) for i in range(order)])
+
+
+@pytest.mark.parametrize("trip,s0", [
+    ((Fraction(2, 3), Fraction(1, 2), Fraction(1, 3)), 0.1),
+    ((Fraction(3, 2), Fraction(1, 3), Fraction(1, 2)), 0.95),
+    ((Fraction(2, 3), 2, Fraction(1, 3)), 0.95),
+], ids=str)
+def test_schwarz_solution_as_accurate_as_the_former_at_its_worst_rows(trip, s0):
+    ref = _reference_schwarz_solution(trip, s0)
+    scale = np.max(np.abs(ref))
+    tr = SchwarzTriple(*trip)
+    new = np.max(np.abs(schwarz_solution(tr, s0).coeffs - ref)) / scale
+    old = np.max(np.abs(former_schwarz_solution(tr, s0).coeffs - ref)) / scale
+    assert new < 5e-13 and old < 5e-13
+
+
+# --- the 2F1 series ---------------------------------------------------------
+
+SERIES_TRIPLES = sorted(
+    {p for p in CLOSED_FORM_HYPER.values() if p.a.denominator != 1 and p.b.denominator != 1}
+    | {HyperTriple(*s.params["abc"]) for s in catalog() if s.family == "hyper_triple"},
+    key=HyperTriple.label,
+)
+SERIES_GRID = np.concatenate([np.linspace(-0.99, 0.99, 199), [0.87, 0.9, 0.95, 0.985]])
+
+
+@pytest.mark.parametrize("p", SERIES_TRIPLES, ids=HyperTriple.label)
+def test_series_sizing_keeps_every_sum_bit_identical(p):
+    old_value, old_deriv = former_series_value_pair(p, SERIES_GRID)
+    value, deriv = _series_value_pair(p, SERIES_GRID)
+    np.testing.assert_array_equal(value, old_value)
+    np.testing.assert_array_equal(deriv, old_deriv)
+    for s0 in SERIES_GRID[::7]:
+        assert _series_value_pair(p, float(s0)) == former_series_value_pair(p, float(s0))
+
+
+def test_series_grid_includes_points_the_256_term_pass_left():
+    # the former code summed these twice; the grid must exercise that path
+    p = SERIES_TRIPLES[0]
+    c, n = _series_coeffs(p, 256), np.arange(256)
+    terms = c * SERIES_GRID[:, None] ** n
+    partial = np.cumsum(terms, axis=1)
+    below = np.abs(terms[:, 6:]) < 1e-16 * np.maximum(1.0, np.abs(partial[:, 6:]))
+    assert (~below.any(axis=1)).sum() >= 10
+
+
+def test_series_still_rejects_the_unit_circle():
+    with pytest.raises(SeriesDomainError):
+        _series_value_pair(SERIES_TRIPLES[0], np.array([0.5, -1.0]))
+
+
+# --- stacked identity checks -----------------------------------------------
+
+
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stacked_identity_matches_a_per_sample_loop(kind, n):
+    hi = 0.45 if kind == "quadratic" else 0.92
+    s0 = np.random.default_rng(n).uniform(0.08, hi, n)
+    stacked = transform_identity_check(kind, s0)
+    assert stacked.shape == (n,)
+    loop = [transform_identity_check(kind, float(s)) for s in s0]
+    assert all(isinstance(v, float) for v in loop)
+    np.testing.assert_allclose(stacked, loop, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stacked_wronskian_matches_a_per_sample_loop(n):
+    p = CLOSED_FORM_HYPER["table1_row1"]
+    pair = lambda s: hypergeom_pair(p, s)
+    s0 = np.random.default_rng(n).uniform(0.08, 0.92, n)
+    stacked = wronskian_check(pair, p, 0.5, s0)
+    assert stacked.shape == (n,)
+    loop = [wronskian_check(pair, p, 0.5, float(s)) for s in s0]
+    assert all(isinstance(v, float) for v in loop)
+    np.testing.assert_allclose(stacked, loop, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("samples", [1, 3, 7, 300])
+def test_identity_draws_match_one_draw_per_sample(samples, capsys, monkeypatch):
+    # the values are covered above; here only the draws and the chunks matter
+    chunks = []
+
+    def record(kind, s0):
+        chunks.append(len(s0))
+        return np.zeros(len(s0))
+
+    monkeypatch.setattr(cli, "_identity_values", record)
+    for seed in range(21):
+        chunks.clear()
+        assert cli.main(["identities", "--kind", "all", "--samples", str(samples),
+                         "--seed", str(seed), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rng = np.random.default_rng(seed)
+        former = [float(rng.uniform(0.08, 0.45 if kind == "quadratic" else 0.92))
+                  for kind in cli.IDENTITY_KINDS for _ in range(samples)]
+        assert [r["s0"] for r in payload["results"]] == former
+        assert max(chunks) <= cli.IDENTITY_CHUNK
+        assert sum(chunks) == samples * len(cli.IDENTITY_KINDS)

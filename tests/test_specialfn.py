@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from c235.jets import Jet1, jet_abs_pow, jet_var
 from c235.specialfn import (
@@ -66,6 +67,25 @@ def test_hyp2f1_jet_satisfies_its_ode(s0):
         assert hypergeom_residual(z_shift, triple) < 1e-12
 
 
+# c log-uniform over 1e-6..1e6: both ODEs are linear, so a residual must not see c
+SCALES = st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0**e)
+SCALE_TRIPLE = HyperTriple(Fraction(-2, 3), Fraction(5, 6), Fraction(1, 2))
+
+
+@given(SCALES, st.sampled_from(S_POINTS))
+def test_hypergeom_residual_passes_a_true_solution_at_every_scale(c, s0):
+    assert hypergeom_residual(c * hyp2f1_jet(SCALE_TRIPLE, s0, 6), SCALE_TRIPLE) < 1e-12
+
+
+@given(SCALES)
+def test_hypergeom_residual_control_fails_at_every_scale(c):
+    # z = s^2 at s0 = 0.3: monomials 0.42, 0.09, 0.05, so the residual is 0.56 / 0.42
+    base = hypergeom_residual(jet_var(0.3, 6) ** 2, SCALE_TRIPLE)
+    assert base == pytest.approx(4.0 / 3.0, rel=1e-14)
+    scaled = hypergeom_residual(c * jet_var(0.3, 6) ** 2, SCALE_TRIPLE)
+    assert scaled == pytest.approx(base, rel=1e-14)
+
+
 def test_hyp2f1_against_scipy():
     from scipy.special import hyp2f1 as scipy_hyp2f1
 
@@ -112,6 +132,22 @@ def test_second_order_potential_form(family):
         assert u_ode_residual(u, tr) < 1e-10
 
 
+@given(SCALES, st.sampled_from(sorted(CLOSED_FORM_TRIPLES)))
+def test_u_ode_residual_passes_a_true_solution_at_every_scale(c, family):
+    tr = tuple(float(x) for x in CLOSED_FORM_TRIPLES[family])
+    z1, z2 = closed_form_solution(ClosedFormId(family), 0.3, 8)
+    assert max(u_ode_residual(c * z1, tr), u_ode_residual(c * z2, tr)) < 1e-12
+
+
+@given(SCALES)
+def test_u_ode_residual_control_fails_at_every_scale(c):
+    # u = s^2 is no solution for (3, 3, 3): at 0.3, u'' = 2 and V u / 4 = -3.2245
+    base = u_ode_residual(jet_var(0.3, 6) ** 2, (3.0, 3.0, 3.0))
+    assert base == pytest.approx(0.379746835443038, rel=1e-12)
+    scaled = u_ode_residual(c * jet_var(0.3, 6) ** 2, (3.0, 3.0, 3.0))
+    assert scaled == pytest.approx(base, rel=1e-14)
+
+
 def test_basis_mixing_constants():
     cid = ClosedFormId("table1_row1", (2.0, -1.0, 0.5, 3.0))
     z1, z2 = closed_form_solution(cid, 0.4, 6)
@@ -129,8 +165,7 @@ def test_unknown_family_rejected():
 
 def test_schwarz_potential_pole_structure():
     # V has double poles at s = 0 and s = 1; residue data fixes the triple
-    s = jet_var(0.5, 6)
-    V = schwarz_potential(3.0, 3.0, 3.0, s)
+    V = schwarz_potential(3.0, 3.0, 3.0, 0.5, 6)
     assert np.all(np.isfinite(V.coeffs))
     perturbed = u_ode_residual(jet_var(0.5, 6) ** 2, (3.0, 3.0, 3.0))
     assert perturbed > 1e-3
