@@ -24,6 +24,7 @@ from .dist import F_jet, catalog, get_spec, legendre_transform
 from .errors import C235Error, UnknownCaseId
 from .specialfn import (
     CLOSED_FORM_HYPER,
+    DEGREE6_EXCLUDED,
     HyperTriple,
     TRANSFORM_KINDS,
     hypergeom_pair,
@@ -66,8 +67,9 @@ def _emit(payload: dict, args) -> None:
     Without `indent`, json.dumps uses CPython's C encoder; pretty-printing
     goes through the pure-Python one, which costs more than a curvature
     report takes to compute. Pipe through `python -m json.tool` to read it.
+    Every payload is a fresh tree, so the circular-reference check is skipped.
     """
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -212,6 +214,19 @@ IDENTITY_KINDS = TRANSFORM_KINDS + ("wronskian",)
 IDENTITY_CHUNK = 256
 
 
+def _identity_samples(kind: str, rng, n: int) -> np.ndarray:
+    """n sample points for an identity kind, one uniform draw each."""
+    if kind == "quadratic":
+        # the identity only holds on the s < 1/2 branch of the symmetric argument 4s(1-s)
+        return rng.uniform(0.08, 0.45, n)
+    if kind == "degree6":
+        # (0.08, 0.92) less DEGREE6_EXCLUDED: draws at or above 0.49 move up by its width
+        s0 = rng.uniform(0.08, 0.90, n)
+        s0[s0 >= DEGREE6_EXCLUDED[0]] += 0.02
+        return s0
+    return rng.uniform(0.08, 0.92, n)
+
+
 def _identity_values(kind: str, s0: np.ndarray) -> np.ndarray:
     """The named identity's relative error at each point of s0, in one stacked call."""
     if kind == "wronskian":
@@ -238,10 +253,7 @@ def cmd_identities(args) -> int:
     rng = np.random.default_rng(args.seed)
     results = []
     for kind in kinds:
-        # the quadratic identity only holds on the s < 1/2 branch of the
-        # symmetric argument 4s(1-s)
-        hi = 0.45 if kind == "quadratic" else 0.92
-        s0 = rng.uniform(0.08, hi, args.samples)
+        s0 = _identity_samples(kind, rng, args.samples)
         values = np.concatenate([_identity_values(kind, s0[i:i + IDENTITY_CHUNK])
                                  for i in range(0, args.samples, IDENTITY_CHUNK)])
         results.extend(

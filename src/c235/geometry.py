@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import C235Error, DegenerateError, SingularCoframeError, SingularMetricError
 from .chazy import ds6_monomials
-from .jets import Jet1, MJet2, jet_var
+from .jets import Jet1, MJet2, _unit, jet_var
 from .dist import SolutionSpec, F_jet, get_spec
 from .specialfn import ClosedFormId, closed_form_solution
 
@@ -39,7 +39,9 @@ class Coframe:
     """Rows i give theta^i = value[i, a] dx^a over coords.
 
     grad[i, a, k] and hess[i, a, k, l] are the first and second partials
-    of value[i, a] along coordinates k and l.
+    of value[i, a] along the last A coordinates, A = grad.shape[-1]; the
+    partials along the others are zero. Catalog coframes have A = 2, for
+    (p, lam): the distribution is invariant under translations in x, y, z.
     """
 
     value: np.ndarray
@@ -50,7 +52,11 @@ class Coframe:
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric components g_ab with partials grad[k, a, b] and hess[k, l, a, b]."""
+    """Metric components g_ab with partials grad[k, a, b] and hess[k, l, a, b].
+
+    As in Coframe, k and l run over the last A = grad.shape[-3] coordinates
+    only, and every partial along the others is zero.
+    """
 
     value: np.ndarray
     grad: np.ndarray
@@ -79,19 +85,27 @@ def _taylor(*jets: Jet1) -> np.ndarray:
     return np.stack([j.coeffs[..., :3] for j in jets], axis=-2)
 
 
-def _chain(f: Jet1, dq: Jet1) -> Jet1:
-    """d f / d q for f a jet in lam and dq = dq/dlam, via df/dq = f'(lam)/q'(lam)."""
-    return f.derivative() / dq
+def _d_dq(dq: Jet1):
+    """The map f -> df/dq = f'(lam)/q'(lam) on jets f in lam, for dq = dq/dlam.
+
+    Where dq is exactly the unit jet at every row, lam is q (the F-picture)
+    and the map is the plain derivative: dividing by the unit jet would
+    return its operand unchanged.
+    """
+    if (dq.coeffs == _unit(dq.order + 1)).all():
+        return Jet1.derivative
+    DegenerateError.raise_where(dq.value() == 0, "dq/dlam = 0")
+    return lambda f: f.derivative() / dq
 
 
 def _derivs_in_q(dq: Jet1, F_of: Jet1):
     """F', F'', F''', F'''' (derivatives in q) as jets in lam, from dq = dq/dlam."""
-    DegenerateError.raise_where(dq.value() == 0, "dq/dlam = 0")
-    Fp = _chain(F_of, dq)
-    Fpp = _chain(Fp, dq)
+    step = _d_dq(dq)
+    Fp = step(F_of)
+    Fpp = step(Fp)
     DegenerateError.raise_where(Fpp.value() == 0, "F'' = 0 at the basepoint")
-    F3 = _chain(Fpp, dq)
-    return Fp, Fpp, F3, _chain(F3, dq)
+    F3 = step(Fpp)
+    return Fp, Fpp, F3, step(F3)
 
 
 def _frame_coeffs(q_of: Jet1, F_of: Jet1) -> np.ndarray:
@@ -101,18 +115,21 @@ def _frame_coeffs(q_of: Jet1, F_of: Jet1) -> np.ndarray:
 
 
 def _omegas(c, point4, coords) -> Coframe:
-    """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx; c is the _taylor of q, F, q'."""
+    """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx; c is the _taylor of q, F, q'.
+
+    Their partials are along (p, lam) alone, the last two coordinates.
+    """
     p = np.asarray(point4, dtype=float)[..., 3]
     value = np.zeros(p.shape + (DIM, DIM))
-    grad = np.zeros(p.shape + (DIM, DIM, DIM))
-    hess = np.zeros(p.shape + (DIM, DIM, DIM, DIM))
+    grad = np.zeros(p.shape + (DIM, DIM, 2))
+    hess = np.zeros(p.shape + (DIM, DIM, 2, 2))
     value[..., 0, 0] = -p
     value[..., 0, 1] = value[..., 1, 3] = value[..., 2, 2] = value[..., 4, 0] = 1.0
-    grad[..., 0, 0, 3] = -1.0
+    grad[..., 0, 0, 0] = -1.0
     for i, a, k, sign in ((1, 0, 0, -1.0), (2, 0, 1, -1.0), (3, 4, 2, 1.0)):
         value[..., i, a] = sign * c[..., k, 0]
-        grad[..., i, a, 4] = sign * c[..., k, 1]
-        hess[..., i, a, 4, 4] = 2.0 * sign * c[..., k, 2]
+        grad[..., i, a, 1] = sign * c[..., k, 1]
+        hess[..., i, a, 1, 1] = 2.0 * sign * c[..., k, 2]
     return Coframe(value, grad, hess, tuple(coords))
 
 
@@ -120,10 +137,11 @@ def _combine(C, om: Coframe) -> Coframe:
     """The rows theta^i = C_ij omega^j, by the product rule.
 
     C is five rows of five entries, each an MJet2 in lam (_of_lam) or a
-    plain number, so only the lam slot of each partial gets the terms of
-    C's derivatives.
+    plain number, so only the lam slot of each partial, the last, gets the
+    terms of C's derivatives.
     """
     batch = om.value.shape[:-2]
+    A = om.grad.shape[-1]
     Cs = np.zeros(batch + (3, DIM, DIM))  # value, d/dlam, d2/dlam2
     for i, row in enumerate(C):
         for j, c in enumerate(row):
@@ -134,18 +152,18 @@ def _combine(C, om: Coframe) -> Coframe:
                 Cs[..., 0, i, j] = c
     Cv, C1 = Cs[..., 0, :, :], Cs[..., 1, :, :]
     CW = Cs @ om.value[..., None, :, :]  # [m, i, a]: C^(m) omega
-    grad = (Cv @ om.grad.reshape(batch + (DIM, DIM**2))).reshape(batch + (DIM,) * 3)
-    grad[..., 4] += CW[..., 1, :, :]
-    hess = (Cv @ om.hess.reshape(batch + (DIM, DIM**3))).reshape(batch + (DIM,) * 4)
-    cross = (C1 @ om.grad.reshape(batch + (DIM, DIM**2))).reshape(batch + (DIM,) * 3)  # [i, a, l]
-    hess[..., 4, :] += cross
-    hess[..., :, 4] += cross
-    hess[..., 4, 4] += CW[..., 2, :, :]
+    grad = (Cv @ om.grad.reshape(batch + (DIM, DIM * A))).reshape(om.grad.shape)
+    grad[..., -1] += CW[..., 1, :, :]
+    hess = (Cv @ om.hess.reshape(batch + (DIM, DIM * A * A))).reshape(om.hess.shape)
+    cross = (C1 @ om.grad.reshape(batch + (DIM, DIM * A))).reshape(om.grad.shape)  # [i, a, l]
+    hess[..., -1, :] += cross
+    hess[..., :, -1] += cross
+    hess[..., -1, -1] += CW[..., 2, :, :]
     return Coframe(CW[..., 0, :, :], grad, hess, om.coords)
 
 
-def _coframe(c, point4, coords) -> Coframe:
-    """The theta rows from the _frame_coeffs c.
+def _frame_rows(c):
+    """The coefficients C of the theta rows against the omegas, from the _frame_coeffs c.
 
     With u = F', s = 1/F'' and comb = u w2 - w3: th1 = w1 - s comb,
     th2 = s comb, th3 = (1 - u B) w2 + B w3, th4 = coef4 comb + w4 - w5,
@@ -156,16 +174,18 @@ def _coframe(c, point4, coords) -> Coframe:
     B = F3 * s * s * 0.25
     coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s * s * s * 0.025
     su = s * u
-    return _combine(
-        (
-            (1.0, -su, s, 0.0, 0.0),
-            (0.0, su, -s, 0.0, 0.0),
-            (0.0, 1.0 - u * B, B, 0.0, 0.0),
-            (0.0, coef4 * u, -coef4, 1.0, -1.0),
-            (0.0, 0.0, 0.0, -1.0, 0.0),
-        ),
-        _omegas(c, point4, coords),
+    return (
+        (1.0, -su, s, 0.0, 0.0),
+        (0.0, su, -s, 0.0, 0.0),
+        (0.0, 1.0 - u * B, B, 0.0, 0.0),
+        (0.0, coef4 * u, -coef4, 1.0, -1.0),
+        (0.0, 0.0, 0.0, -1.0, 0.0),
     )
+
+
+def _coframe(c, point4, coords) -> Coframe:
+    """The theta rows from the _frame_coeffs c."""
+    return _combine(_frame_rows(c), _omegas(c, point4, coords))
 
 
 def build_coframe(q_of: Jet1, F_of: Jet1, point4, coords=("x", "y", "z", "p", "q")) -> Coframe:
@@ -200,7 +220,7 @@ def _reduced(q_of: Jet1, F_of: Jet1, point4):
     dq = q_of.derivative()
     Fp, Fpp, F3, _ = _derivs_in_q(dq, F_of)
     I = 2.0 * F3 / Fpp
-    Ip = _chain(I, dq)
+    Ip = _d_dq(dq)(I)
     s = _of_lam(Fpp).reciprocal()
     su = s * _of_lam(Fp)
     h = _of_lam(I) * 0.125
@@ -235,16 +255,21 @@ def _require_regular(M, error: type, what: str) -> None:
 
 
 def metric_at(cf: Coframe) -> MetricJet:
-    """g_ab = eta_ij theta^i_a theta^j_b and its first two partials."""
+    """g_ab = eta_ij theta^i_a theta^j_b and its first two partials.
+
+    Each contraction over the frame index is one matmul, with the
+    coframe's (a, partial) slots flattened into the rows of one operand.
+    """
     W = cf.value
     _require_regular(W, SingularCoframeError, "coframe")
+    batch, n, A = W.shape[:-2], W.shape[-1], cf.grad.shape[-1]
     EW = ETA @ W
-    gT = cf.grad.swapaxes(-3, -1)  # [k, a, i]
-    grad = gT @ EW[..., None, :, :]
-    rows = np.moveaxis(cf.hess, (-4, -3), (-1, -2)) @ EW[..., None, None, :, :]
-    Eg = np.moveaxis((ETA @ cf.grad.reshape(W.shape[:-1] + (DIM**2,))).reshape(cf.grad.shape),
-                     -1, -3)  # [l, i, b]
-    cross = gT[..., :, None, :, :] @ Eg[..., None, :, :, :]
+    gT = cf.grad.reshape(batch + (n, n * A)).swapaxes(-1, -2)  # [(a, k), i]
+    grad = np.moveaxis((gT @ EW).reshape(batch + (n, A, n)), -2, -3)  # [k, a, b]
+    hT = cf.hess.reshape(batch + (n, n * A * A)).swapaxes(-1, -2)  # [(a, k, l), i]
+    rows = np.moveaxis((hT @ EW).reshape(batch + (n, A, A, n)), -4, -2)  # [k, l, a, b]
+    Eg = ETA @ cf.grad.reshape(batch + (n, n * A))  # [i, (b, l)]
+    cross = np.moveaxis((gT @ Eg).reshape(batch + (n, A, n, A)), (-4, -2), (-2, -1))  # [k, l, a, b]
     return MetricJet(
         W.swapaxes(-1, -2) @ EW,
         grad + grad.swapaxes(-1, -2),
@@ -257,26 +282,36 @@ def _lower_christoffel(dG):
     return 0.5 * (dG.swapaxes(-3, -2) + dG.swapaxes(-3, -1) - dG)
 
 
+def padded_grad(g: MetricJet) -> np.ndarray:
+    """d_k g_ab along every coordinate k: g.grad in the last slots, zero in the others."""
+    n = g.value.shape[-1]
+    dG = np.zeros(g.value.shape[:-2] + (n, n, n))
+    dG[..., n - g.grad.shape[-3]:, :, :] = g.grad
+    return dG
+
+
 def curvature(g: MetricJet) -> CurvatureReport:
     """Full curvature data of a metric given as an order-2 jet.
 
     Every index contraction is a matmul over reshaped stacks, so one point
-    and a stack of points take the same path.
+    and a stack of points take the same path. The Christoffel symbols are
+    differentiated only along the coordinates that g has partials in.
     """
-    dG, d2G = g.grad, g.hess
-    n = g.value.shape[-1]
+    n, A = g.value.shape[-1], g.grad.shape[-3]
     batch = g.value.shape[:-2]
     G = 0.5 * (g.value + g.value.swapaxes(-1, -2))
     _require_regular(G, SingularMetricError, "metric")
     ginv = np.linalg.inv(G)
-    Glow = _lower_christoffel(dG).reshape(batch + (n, n * n))
+    Glow = _lower_christoffel(padded_grad(g)).reshape(batch + (n, n * n))
     Gam = ginv @ Glow  # Gamma^a_(bc)
-    # d_e Gamma^a_bc = g^ad (d_e Gamma_dbc - d_e g_df Gamma^f_bc)
+    # d_e Gamma^a_bc = g^ad (d_e Gamma_dbc - d_e g_df Gamma^f_bc), for the last A coordinates e
+    d2G = np.zeros(batch + (A, n, n, n))  # [e, l, a, b]: d_e d_l g_ab
+    d2G[..., n - A:, :, :] = g.hess
     dGam = ginv[..., None, :, :] @ (
-        _lower_christoffel(d2G).reshape(batch + (n, n, n * n)) - dG @ Gam[..., None, :, :])
+        _lower_christoffel(d2G).reshape(batch + (A, n, n * n)) - g.grad @ Gam[..., None, :, :])
     # X[a, c, d, b] = d_c Gamma^a_db + Gamma^a_ce Gamma^e_db, and R^a_bcd = X_acdb - X_adcb
-    X = dGam.reshape(batch + (n,) * 4).swapaxes(-4, -3) + (
-        Gam.reshape(batch + (n * n, n)) @ Gam).reshape(batch + (n,) * 4)
+    X = (Gam.reshape(batch + (n * n, n)) @ Gam).reshape(batch + (n,) * 4)
+    X[..., n - A:, :, :] += dGam.reshape(batch + (A,) + (n,) * 3).swapaxes(-4, -3)
     Racdb = X - X.swapaxes(-3, -2)
     ricci = np.trace(Racdb, axis1=-4, axis2=-3)
     ricci = 0.5 * (ricci + ricci.swapaxes(-1, -2))
@@ -299,34 +334,50 @@ def curvature(g: MetricJet) -> CurvatureReport:
     )
 
 
-def riemann_symmetry_error(rep: CurvatureReport) -> float:
-    """Max relative violation of the algebraic Riemann identities."""
+def _per_point(x: np.ndarray):
+    """A float at one point, else the array of one value per point."""
+    return x if x.ndim else float(x)
+
+
+def _max_abs(*tensors: np.ndarray, rank: int) -> np.ndarray:
+    """The largest |entry| over the last `rank` axes of all the tensors, per point."""
+    return np.max([np.max(np.abs(t), axis=tuple(range(-rank, 0))) for t in tensors], axis=0)
+
+
+def riemann_symmetry_error(rep: CurvatureReport):
+    """Max relative violation of the algebraic Riemann identities, per point.
+
+    Relative to max(max |R|, 1) at the point.
+    """
     R = rep.riemann
-    scale = max(float(np.max(np.abs(R))), 1.0)
-    e1 = np.max(np.abs(R + np.einsum("bacd->abcd", R)))
-    e2 = np.max(np.abs(R + np.einsum("abdc->abcd", R)))
-    e3 = np.max(np.abs(R - np.einsum("cdab->abcd", R)))
-    bianchi = R + np.einsum("acdb->abcd", R) + np.einsum("adbc->abcd", R)
-    e4 = np.max(np.abs(bianchi))
-    return float(max(e1, e2, e3, e4) / scale)
+    e = _max_abs(
+        R + np.einsum("...bacd->...abcd", R),
+        R + np.einsum("...abdc->...abcd", R),
+        R - np.einsum("...cdab->...abcd", R),
+        R + np.einsum("...acdb->...abcd", R) + np.einsum("...adbc->...abcd", R),  # Bianchi
+        rank=4)
+    return _per_point(e / np.maximum(_max_abs(R, rank=4), 1.0))
 
 
-def weyl_trace_error(rep: CurvatureReport, g: MetricJet) -> float:
-    """Max contraction of the Weyl tensor with the inverse metric, relative."""
-    ginv = np.linalg.inv(0.5 * (g.value + g.value.T))
-    scale = max(rep.maxAbsWeyl, rep.metricScale * 1e-30, 1e-30)
-    t1 = np.einsum("ac,abcd->bd", ginv, rep.weyl)
-    t2 = np.einsum("bd,abcd->ac", ginv, rep.weyl)
-    t3 = np.einsum("ad,abcd->bc", ginv, rep.weyl)
-    err = max(np.max(np.abs(t1)), np.max(np.abs(t2)), np.max(np.abs(t3)))
-    return float(err / max(scale, 1e-30))
+def weyl_trace_error(rep: CurvatureReport, g: MetricJet):
+    """Max contraction of the Weyl tensor with the inverse metric, relative, per point."""
+    ginv = np.linalg.inv(0.5 * (g.value + g.value.swapaxes(-1, -2)))
+    scale = np.maximum(np.maximum(rep.maxAbsWeyl, rep.metricScale * 1e-30), 1e-30)
+    err = _max_abs(
+        np.einsum("...ac,...abcd->...bd", ginv, rep.weyl),
+        np.einsum("...bd,...abcd->...ac", ginv, rep.weyl),
+        np.einsum("...ad,...abcd->...bc", ginv, rep.weyl),
+        rank=2)
+    return _per_point(err / scale)
 
 
-def metric_signature(g: MetricJet) -> Tuple[int, int]:
-    ev = np.linalg.eigvalsh(0.5 * (g.value + g.value.T))
-    neg = int(np.sum(ev < 0))
-    pos = int(np.sum(ev > 0))
-    return tuple(sorted((neg, pos)))
+def metric_signature(g: MetricJet):
+    """The sorted (negative, positive) eigenvalue counts: a tuple at one point, else (..., 2)."""
+    ev = np.linalg.eigvalsh(0.5 * (g.value + g.value.swapaxes(-1, -2)))
+    neg, pos = np.sum(ev < 0, axis=-1), np.sum(ev > 0, axis=-1)
+    if neg.ndim == 0:
+        return tuple(sorted((int(neg), int(pos))))
+    return np.stack([np.minimum(neg, pos), np.maximum(neg, pos)], axis=-1)
 
 
 # --- catalog plumbing ---------------------------------------------------
@@ -504,7 +555,8 @@ def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4, nu_in_lamb
     rep = curvature(ghat)
     Rf = _frame_components_rank2(rep.ricci, W)
     dq = q_of.derivative()
-    nupp = _chain(_chain(nu_lam, dq), dq).value()
+    d_dq = _d_dq(dq)
+    nupp = d_dq(d_dq(nu_lam)).value()
     nu0 = nu_lam.value()
     I0, Ip0 = I.value(), Ip.value()
     ode = 40.0 * nupp + (6.0 * Ip0 - I0 * I0) * nu0

@@ -149,7 +149,8 @@ def metric_compatibility_error(g: geometry.MetricJet) -> float:
     """Max |nabla g| for the Levi-Civita connection computed from g."""
     Gam = geometry.curvature(g).christoffel
     G = g.value
-    nabla = g.grad - np.einsum("dca,db->cab", Gam, G) - np.einsum("dcb,ad->cab", Gam, G)
+    nabla = (geometry.padded_grad(g) - np.einsum("dca,db->cab", Gam, G)
+             - np.einsum("dcb,ad->cab", Gam, G))
     return float(np.max(np.abs(nabla)))
 
 

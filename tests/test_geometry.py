@@ -1,5 +1,7 @@
 """Tests for the 5D coframe, metric, and curvature machinery."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,17 @@ from c235.errors import (
 from c235.geometry import (
     DIM,
     ETA,
+    Coframe,
     MetricJet,
     _coframe,
+    _combine,
     _coords,
+    _derivs_in_q,
     _frame_coeffs,
+    _frame_rows,
+    _of_lam,
+    _omegas,
+    _reduced,
     build_coframe,
     coframe_H,
     coframe_for_spec,
@@ -39,7 +48,7 @@ from c235.geometry import (
 )
 from c235.jets import Jet1, MJet2, jet_abs_pow, jet_const, jet_var
 from c235.specialfn import ClosedFormId, closed_form_solution
-from c235.twistor import PlebanskiData, plebanski_metric
+from c235.twistor import PlebanskiData, metric_compatibility_error, plebanski_metric
 
 POINT4 = (0.3, -0.2, 0.5, 0.7)
 
@@ -166,8 +175,11 @@ def test_dense_metric_matches_mjet2_reference(spec):
         cf = build_coframe(q_of, F_of, pt[:4])
         g = metric_at(cf)
         bound = 1e-13 * max(np.linalg.cond(cf.value), 10.0)
-        want = reference_metric(reference_coframe(q_of, F_of, pt[:4]))
-        for got, ref in zip((g.value, g.grad, g.hess), want):
+        G, dG, d2G = reference_metric(reference_coframe(q_of, F_of, pt[:4]))
+        # the MJet2 build has partials along all five coordinates; those along
+        # x, y and z are exactly zero, and metric_at keeps the (p, lam) ones
+        assert not dG[:3].any() and not d2G[:3].any() and not d2G[:, :3].any(), spec.id
+        for got, ref in zip((g.value, g.grad, g.hess), (G, dG[3:], d2G[3:, 3:])):
             assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref)), (spec.id, pt)
 
 
@@ -260,6 +272,10 @@ def test_dual_picture_coframe_matches_legendre_build():
         for part, got, tol in (("value", cf.value, 1e-12), ("gradient", cf.grad, bound),
                                ("hessian", cf.hess, bound)):
             want = np.array([[getattr(ref[i][a], part) for a in range(DIM)] for i in range(DIM)])
+            # zero along x, y and z; the coframe holds the (p, t) partials
+            for axis in range(2, want.ndim):
+                assert not np.take(want, range(3), axis=axis).any(), (spec_id, part)
+                want = np.take(want, range(3, DIM), axis=axis)
             assert np.max(np.abs(got - want)) < tol * max(1.0, np.max(np.abs(want))), (spec_id, part)
 
 
@@ -280,9 +296,38 @@ def test_singular_coframe_raises():
 # --- curvature against the einsum reference --------------------------------
 
 
+def full_partials(g: MetricJet):
+    """(dG[k, a, b], d2G[k, l, a, b]) along every coordinate, zero where g has no partial."""
+    n, A = g.value.shape[-1], g.grad.shape[-3]
+    dG = np.zeros(g.value.shape[:-2] + (n, n, n))
+    d2G = np.zeros(g.value.shape[:-2] + (n, n, n, n))
+    dG[..., n - A:, :, :] = g.grad
+    d2G[..., n - A:, n - A:, :, :] = g.hess
+    return dG, d2G
+
+
+def full_metric_at(cf: Coframe) -> MetricJet:
+    """The five-partial metric_at: g_ab = eta_ij theta^i_a theta^j_b for a coframe
+    whose grad is (..., 5, 5, 5) and hess (..., 5, 5, 5, 5), one matmul stack per
+    partial slot."""
+    W = cf.value
+    EW = ETA @ W
+    gT = cf.grad.swapaxes(-3, -1)  # [k, a, i]
+    grad = gT @ EW[..., None, :, :]
+    rows = np.moveaxis(cf.hess, (-4, -3), (-1, -2)) @ EW[..., None, None, :, :]
+    Eg = np.moveaxis((ETA @ cf.grad.reshape(W.shape[:-1] + (DIM**2,))).reshape(cf.grad.shape),
+                     -1, -3)  # [l, i, b]
+    cross = gT[..., :, None, :, :] @ Eg[..., None, :, :, :]
+    return MetricJet(
+        W.swapaxes(-1, -2) @ EW,
+        grad + grad.swapaxes(-1, -2),
+        rows + rows.swapaxes(-1, -2) + cross + cross.swapaxes(-4, -3),
+    )
+
+
 def reference_curvature(g: MetricJet) -> dict:
     """Christoffel, Riemann, Ricci, scalar and Weyl by one einsum per index contraction."""
-    dG, d2G = g.grad, g.hess
+    dG, d2G = full_partials(g)
     n = g.value.shape[-1]
     G = 0.5 * (g.value + g.value.swapaxes(-1, -2))
     ginv = np.linalg.inv(G)
@@ -316,15 +361,18 @@ def reference_curvature(g: MetricJet) -> dict:
     return {"christoffel": Gam, "riemann": Rlow, "ricci": ricci, "scalar": scalar, "weyl": weyl}
 
 
-def assert_curvature_matches_reference(g: MetricJet):
+def assert_curvature_matches_reference(g: MetricJet, ref: dict | None = None):
     """Each tensor within 1e-13 |G| |G^-1| times its own scale, point by point.
+
+    ref defaults to reference_curvature(g).
 
     |.| is the max-abs of an array at one point. R_abcd and C_abcd scale as
     L = |d2g| + |G^-1| |dg|^2, so they are bounded by 1e-13 |G| |G^-1| L; each
     raised index adds a factor |G^-1|. A tensor's own largest entry is no
     scale: on a flat metric it is round-off.
     """
-    rep, ref = curvature(g), reference_curvature(g)
+    rep = curvature(g)
+    ref = reference_curvature(g) if ref is None else ref
 
     def size(x, rank):
         return np.max(np.abs(x), axis=tuple(range(-rank, 0))) if rank else np.abs(x)
@@ -352,6 +400,119 @@ def test_curvature_matches_einsum_reference_in_four_dimensions(spec_id, x0):
     assert_curvature_matches_reference(g)
 
 
+# --- partials along (p, lam) only, against the five-partial build ----------
+
+
+def full_coframe(cf: Coframe) -> Coframe:
+    """cf with partials along all five coordinates, zero along the leading ones."""
+    n, A = DIM, cf.grad.shape[-1]
+    grad = np.zeros(cf.value.shape + (n,))
+    hess = np.zeros(cf.value.shape + (n, n))
+    grad[..., n - A:] = cf.grad
+    hess[..., n - A:, n - A:] = cf.hess
+    return Coframe(cf.value, grad, hess, cf.coords)
+
+
+def full_combine(C, om: Coframe) -> Coframe:
+    """The rows C_ij omega^j by the product rule, carrying all five partials;
+    C's entries are MJet2 in lam, whose partials land in the lam slot."""
+    Cv, C1, C2 = (np.zeros(om.value.shape) for _ in range(3))
+    for i, row in enumerate(C):
+        for j, c in enumerate(row):
+            if isinstance(c, MJet2):
+                Cv[..., i, j], C1[..., i, j], C2[..., i, j] = (
+                    c.value, c.gradient[..., 0], c.hessian[..., 0, 0])
+            else:
+                Cv[..., i, j] = c
+    grad = np.einsum("...ij,...jak->...iak", Cv, om.grad)
+    grad[..., 4] += C1 @ om.value
+    hess = np.einsum("...ij,...jakl->...iakl", Cv, om.hess)
+    cross = np.einsum("...ij,...jak->...iak", C1, om.grad)
+    hess[..., 4, :] += cross
+    hess[..., :, 4] += cross
+    hess[..., 4, 4] += C2 @ om.value
+    return Coframe(Cv @ om.value, grad, hess, om.coords)
+
+
+def assert_zero_along_xyz(*partials):
+    """Each (array, axes) pair is exactly zero wherever one of its partial axes is x, y or z."""
+    for x, slots in partials:
+        for axis in slots:
+            assert not np.take(x, range(3), axis=axis).any()
+
+
+def assert_metric_close(got: MetricJet, want: MetricJet, W):
+    """Within 1e-13 cond(W) of each part's largest entry; want has five partials."""
+    bound = 1e-13 * max(np.max(np.linalg.cond(W)), 10.0)
+    for a, b in ((got.value, want.value), (got.grad, want.grad[..., 3:, :, :]),
+                 (got.hess, want.hess[..., 3:, 3:, :, :])):
+        assert np.max(np.abs(a - b)) <= bound * np.max(np.abs(b))
+
+
+def assert_curvature_close(got: MetricJet, want: MetricJet):
+    """curvature(got) against curvature(want), where want carries every partial: equal,
+    or within 1e-13 |G| |G^-1| times each tensor's scale, as against the einsum reference."""
+    ref = curvature(want)
+    assert_curvature_matches_reference(
+        got, {f: np.asarray(getattr(ref, f)) for f in ("christoffel", "riemann", "ricci",
+                                                       "scalar", "weyl")})
+
+
+@pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
+def test_partials_along_xyz_vanish_and_the_rest_match_the_full_build(spec):
+    stack = np.array(sample_points(spec, 10, seed=5))
+    for pts in (stack[0], stack):
+        c = _frame_coeffs(*frame_jets_for_spec(spec, pts[..., 4]))
+        cf = _coframe(c, pts[..., :4], _coords(spec))
+        assert cf.grad.shape[-1] == 2 and cf.hess.shape[-2:] == (2, 2)
+        full = full_combine(_frame_rows(c), full_coframe(_omegas(c, pts[..., :4], _coords(spec))))
+        assert_zero_along_xyz((full.grad, (-1,)), (full.hess, (-2, -1)))
+        bound = 1e-13 * max(np.max(np.linalg.cond(cf.value)), 10.0)
+        for got, want in ((cf.grad, full.grad[..., 3:]), (cf.hess, full.hess[..., 3:, 3:])):
+            assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), spec.id
+        g_full = full_metric_at(full)
+        assert_zero_along_xyz((g_full.grad, (-3,)), (g_full.hess, (-4, -3)))
+        g = metric_at(cf)
+        assert g.grad.shape[-3] == 2 and g.hess.shape[-4:-2] == (2, 2)
+        assert_metric_close(g, g_full, cf.value)
+        assert_curvature_close(g, g_full)
+
+
+@pytest.mark.parametrize("picture", ["F", "dual"])
+def test_reduced_and_conformal_paths_match_the_full_build(picture):
+    if picture == "F":
+        q_of, F_of = identity_q(1.25), power_F(1.25, 2.5)
+    else:
+        H = F_jet(get_spec("H-power-3"), 1.1)
+        q_of, F_of = H.derivative(), jet_var(1.1, 8) * H.derivative() - H
+    C, om, _, _, _ = _reduced(q_of, F_of, POINT4)
+    inv_nu = _of_lam(jet_abs_pow(q_of, 0.5)).reciprocal()  # the conformal factor's rows
+    for rows in (C, [[inv_nu * c for c in row] for row in C]):
+        full = full_combine(rows, full_coframe(om))
+        g_full = full_metric_at(full)
+        assert_zero_along_xyz((full.grad, (-1,)), (full.hess, (-2, -1)),
+                              (g_full.grad, (-3,)), (g_full.hess, (-4, -3)))
+        cf = _combine(rows, om)
+        g = metric_at(cf)
+        assert_metric_close(g, g_full, cf.value)
+        assert_curvature_close(g, g_full)
+    g, g_red = metric_at(_combine(C, om)), reduced_metric(q_of, F_of, POINT4)
+    for part in ("value", "grad", "hess"):
+        assert np.array_equal(getattr(g, part), getattr(g_red, part))
+
+
+def test_plebanski_metric_keeps_every_partial_and_a_trailing_slice_agrees():
+    # H depends on x, the second of (w, x, y, z): plebanski_metric keeps all
+    # four partials, and the slice along (x, y, z) gives the same curvature
+    g = plebanski_metric(PlebanskiData.from_spec("H-two-pole", 0.3, point4=(0.2, 0.3, -0.4, 0.6)))
+    assert g.grad.shape == (4, 4, 4) and g.hess.shape == (4, 4, 4, 4)
+    assert not g.grad[0].any() and not g.hess[0].any() and not g.hess[:, 0].any()
+    g3 = MetricJet(g.value, g.grad[1:], g.hess[1:, 1:])
+    assert_curvature_close(g3, g)
+    assert_curvature_matches_reference(g3)
+    assert metric_compatibility_error(g3) == metric_compatibility_error(g)
+
+
 # --- curvature identities -------------------------------------------------
 
 
@@ -361,6 +522,36 @@ def test_riemann_symmetries_and_weyl_trace():
     rep = curvature(g)
     assert riemann_symmetry_error(rep) < 1e-9
     assert weyl_trace_error(rep, g) < 1e-9
+
+
+@pytest.mark.parametrize("spec_id", ["F-power-2", "F-power-3", "H-two-pole"])
+def test_diagnostics_on_a_stack_match_a_per_point_loop(spec_id):
+    spec = get_spec(spec_id)
+    pts = sample_points(spec, 3, seed=0)
+    g = metric_at(coframe_for_spec(spec, pts))
+    rep = curvature(g)
+    sig, sym, trace = metric_signature(g), riemann_symmetry_error(rep), weyl_trace_error(rep, g)
+    assert sig.shape == (3, 2) and sym.shape == trace.shape == (3,)
+    for i, pt in enumerate(pts):
+        g1 = metric_at(coframe_for_spec(spec, pt))
+        rep1 = curvature(g1)
+        assert tuple(sig[i]) == metric_signature(g1) == (2, 3)
+        assert sym[i] == riemann_symmetry_error(rep1) and sym[i] < 1e-9
+        # on a flat metric the Weyl tensor is round-off, and so is this ratio's scale
+        assert trace[i] == weyl_trace_error(rep1, g1)
+
+
+def test_riemann_symmetry_error_floors_its_scale_at_one_per_point():
+    # a stack of one zero and one large Riemann tensor: the zero row divides
+    # by 1, the large row by its own largest entry
+    rep = curvature(metric_at(build_coframe(identity_q(1.3), power_F(1.3, 3.0), POINT4)))
+    R = rep.riemann
+    bad = R + 1e-3 * np.einsum("bacd->abcd", R)  # breaks antisymmetry in (a, b)
+    stack = replace(rep, riemann=np.stack([1e-12 * bad, 1e6 * bad]))
+    small, large = riemann_symmetry_error(stack)
+    assert small == riemann_symmetry_error(replace(rep, riemann=1e-12 * bad))
+    assert small < 1e-12
+    assert large == pytest.approx(riemann_symmetry_error(replace(rep, riemann=bad)), rel=1e-12)
 
 
 def test_ricci_identity_for_power_solutions():
@@ -597,3 +788,25 @@ def test_frame_coeffs_builds_dq_once(monkeypatch):
     _frame_coeffs(identity_q(1.3), power_F(1.3, 2.5))
     # dq/dlam once, and one derivative of each of F, F', F'', F'''
     assert len(calls) == 5
+
+
+def _divided_derivs(dq: Jet1, F_of: Jet1):
+    """F' to F'''' in q, each step a derivative divided by dq."""
+    out, f = [], F_of
+    for _ in range(4):
+        f = f.derivative() / dq
+        out.append(f)
+    return out
+
+
+def test_derivs_in_q_divide_unless_dq_is_the_unit_jet():
+    F = jet_abs_pow(jet_var(np.array([1.3, 0.7]), 8), 2.5)
+    unit = jet_var(np.array([1.3, 0.7]), 8).derivative()
+    # in the F-picture the plain derivatives are the quotients, bit for bit
+    for got, want in zip(_derivs_in_q(unit, F), _divided_derivs(unit, F)):
+        assert np.array_equal(got.coeffs, want.coeffs)
+    # value 1 and a slope, in one row of a stack: every row divides
+    dq = Jet1(unit.basepoint, unit.coeffs + [[0.0] * 8, [0.0, 0.5] + [0.0] * 6])
+    for got, want in zip(_derivs_in_q(dq, F), _divided_derivs(dq, F)):
+        assert np.array_equal(got.coeffs, want.coeffs)
+    assert not np.array_equal(_derivs_in_q(dq, F)[0].coeffs[1], F.derivative().coeffs[1])

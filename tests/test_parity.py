@@ -14,11 +14,12 @@ import pytest
 from c235 import cli
 from c235.chazy import SchwarzTriple, schwarz_solution
 from c235.dist import catalog
-from c235.errors import DivisionByZeroJet, SeriesDomainError
+from c235.errors import DivisionByZeroJet, SeriesDomainError, SingularPointError
 from c235.jets import Jet1, jet_invert, jet_var
 from c235.specialfn import (
     CLOSED_FORM_HYPER,
     CLOSED_FORM_TRIPLES,
+    DEGREE6_EXCLUDED,
     SERIES_MAX_TERMS,
     TRANSFORM_KINDS,
     HyperTriple,
@@ -219,8 +220,7 @@ def test_series_still_rejects_the_unit_circle():
 @pytest.mark.parametrize("kind", TRANSFORM_KINDS)
 @pytest.mark.parametrize("n", range(1, 8))
 def test_stacked_identity_matches_a_per_sample_loop(kind, n):
-    hi = 0.45 if kind == "quadratic" else 0.92
-    s0 = np.random.default_rng(n).uniform(0.08, hi, n)
+    s0 = cli._identity_samples(kind, np.random.default_rng(n), n)
     stacked = transform_identity_check(kind, s0)
     assert stacked.shape == (n,)
     loop = [transform_identity_check(kind, float(s)) for s in s0]
@@ -256,8 +256,46 @@ def test_identity_draws_match_one_draw_per_sample(samples, capsys, monkeypatch):
                          "--seed", str(seed), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         rng = np.random.default_rng(seed)
-        former = [float(rng.uniform(0.08, 0.45 if kind == "quadratic" else 0.92))
-                  for kind in cli.IDENTITY_KINDS for _ in range(samples)]
+        former = []
+        for kind in cli.IDENTITY_KINDS:
+            if kind == "degree6":
+                # as many doubles, from (0.08, 0.90), stepped over DEGREE6_EXCLUDED
+                former += [s + 0.02 if s >= 0.49 else s
+                           for s in rng.uniform(0.08, 0.90, samples).tolist()]
+            else:
+                # every other kind: the doubles of one draw per sample
+                former += [float(rng.uniform(0.08, 0.45 if kind == "quadratic" else 0.92))
+                           for _ in range(samples)]
         assert [r["s0"] for r in payload["results"]] == former
+        assert not any(0.49 < r["s0"] < 0.51 for r in payload["results"] if r["kind"] == "degree6")
         assert max(chunks) <= cli.IDENTITY_CHUNK
         assert sum(chunks) == samples * len(cli.IDENTITY_KINDS)
+
+
+# --- the degree6 identity around s = 1/2 -------------------------------------
+
+
+def test_degree6_rejects_its_excluded_interval():
+    lo, hi = DEGREE6_EXCLUDED
+    s0 = np.array([0.3, 0.4995, 0.5, 0.5099, 0.7])
+    with pytest.raises(SingularPointError) as exc:
+        transform_identity_check("degree6", s0)
+    assert exc.value.rows.tolist() == [False, True, True, True, False]
+    with pytest.raises(SingularPointError):
+        transform_identity_check("degree6", 0.5)
+    # the ends of the open interval are still checked
+    assert transform_identity_check("degree6", np.array([lo, hi])).max() < 1e-10
+
+
+def test_degree6_holds_on_a_grid_outside_the_excluded_interval():
+    s0 = np.linspace(0.08, 0.92, 4001)
+    s0 = s0[(s0 <= DEGREE6_EXCLUDED[0]) | (s0 >= DEGREE6_EXCLUDED[1])]
+    assert transform_identity_check("degree6", s0).max() < 1e-10
+
+
+def test_degree6_seed_that_drew_near_one_half_passes(capsys):
+    # with one draw from (0.08, 0.92) this seed's third sample was 0.49990
+    assert cli.main(["identities", "--kind", "degree6", "--samples", "3",
+                     "--seed", "891869625", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["summary"] == {"passed": 3, "failed": 0}
