@@ -26,10 +26,8 @@ from .errors import (
 )
 from .jets import (
     Jet1,
-    solve_lower,
     jet_abs_pow,
     jet_compose,
-    jet_const,
     jet_invert,
     jet_pow,
     jet_var,
@@ -112,97 +110,94 @@ def _series_coeffs(p: HyperTriple, nterms: int) -> np.ndarray:
 
 
 SERIES_MAX_TERMS = 100001
+# each point sums its series until the terms fall this many digits below their peak
+SERIES_DIGITS = 17
 
 
-def _series_value_pair(p: HyperTriple, s0):
-    """(2F1(s0), d/ds 2F1(s0)) by direct summation; needs |s0| < 1.
+@functools.lru_cache(maxsize=None)
+def _binomials(nterms: int, order: int) -> np.ndarray:
+    """C(m+k, k) = prod_{j<=k} (m+j)/j for m < nterms and k <= order."""
+    m, k = np.arange(nterms)[:, None], np.arange(order + 1)
+    ratio = (m + k) / np.maximum(k, 1.0)
+    ratio[:, 0] = 1.0
+    binom = np.cumprod(ratio, axis=1)
+    binom.flags.writeable = False
+    return binom
 
-    At each point (s0 may be an array of them) the sum stops after the
-    first term n > 5 below 1e-16 of the partial sum. The terms of all the
-    points are summed at once over the precomputed coefficients; the
-    first pass takes enough of them for s^n to fall below 1e-17 at the
-    largest |s0|, plus 32 and at least 64. The points that have not
-    stopped by then are summed again over four times as many, and so on.
-    A longer pass only appends terms, so every value is the same prefix sum.
+
+def _weights_and_powers(s: np.ndarray, c: np.ndarray, counts: np.ndarray, order: int):
+    """(W, powers) with W[m, k] = c_{m+k} C(m+k, k) and each point's s^m for m < its count, else 0.
+
+    Coefficient k of the jet at each point is then sum_m powers[m] W[m, k].
+    The powers are formed as s^(32 j) s^i, at most two roundings from pow,
+    where a running product would add one rounding per power.
     """
-    SeriesDomainError.raise_where(abs(s0) >= 1, f"series for {p.label()} diverges at |s| >= 1")
-    s = np.reshape(s0, (-1, 1))
-    value, deriv = np.zeros((2, len(s)), dtype=np.result_type(s, float))
-    todo = np.arange(len(s))
-    r = float(np.abs(s).max(initial=0.0))
-    nterms = 64 if r == 0 else min(max(64, int(math.log(1e-17) / math.log(r)) + 32), SERIES_MAX_TERMS)
-    while True:
-        # a prefix of a cached power-of-two run, so the cache keeps few lengths per triple
-        c = _series_coeffs(p, min(1 << (nterms - 1).bit_length(), SERIES_MAX_TERMS))[:nterms]
-        n = np.arange(nterms)
-        powers = s[todo] ** n
-        terms = c * powers
-        partial = np.cumsum(terms, axis=1)
-        # each point stops at the first n >= 6 with |term| < 1e-16 max(1, |partial sum|)
-        below = np.abs(terms[:, 6:]) < 1e-16 * np.maximum(1.0, np.abs(partial[:, 6:]))
-        rows, last = np.arange(len(todo)), 6 + np.argmax(below, axis=1)
-        value[todo] = partial[rows, last]
-        # sum_{1 <= m <= n} m c_m s^(m-1), at the same n
-        deriv[todo] = np.cumsum(n[1:] * c[1:] * powers[:, :-1], axis=1)[rows, last - 1]
-        todo = todo[~below.any(axis=1)]
-        if not todo.size or nterms == SERIES_MAX_TERMS:
-            break
-        nterms = min(4 * nterms, SERIES_MAX_TERMS)
-    unfinished = np.zeros(len(s), dtype=bool)
-    unfinished[todo] = True
-    SeriesDomainError.raise_where(unfinished.reshape(np.shape(s0)), "2F1 series failed to converge")
-    return value.reshape(np.shape(s0)), deriv.reshape(np.shape(s0))
+    nterms = int(counts.max())
+    m = np.arange(nterms)
+    binom = _binomials(1 << (nterms - 1).bit_length(), order)[:nterms]
+    j = 32 * np.arange(-(-nterms // 32))[:, None]
+    powers = (s[:, None, None] ** j * s[:, None, None] ** m[:32]).reshape(len(s), -1)[:, :nterms]
+    powers[m >= counts[:, None]] = 0.0
+    return c[m[:, None] + np.arange(order + 1)] * binom, powers
 
 
 def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
     """Jet of 2F1(a, b; c; s) at s0 (one point, or a stack of points).
 
-    Terminating series (a or b a non-positive integer) are summed exactly
-    and recentred; otherwise the value and first derivative are summed to
-    machine precision and the higher coefficients follow from the
-    hypergeometric ODE recurrence.
+    Every Taylor coefficient is a sum of the series, terminating or not:
+    coefficient k at s0 is sum_m c_{m+k} C(m+k, k) s0^m, so each point's
+    jet is its powers of s0 times one table of those weights. A terminating
+    series (a or b a non-positive integer) is a finite sum, valid at any
+    s0, real or complex. Otherwise each point sums its own number of
+    terms, enough for them to fall SERIES_DIGITS digits below their peak;
+    SeriesDomainError marks the points with |s0| >= 1 and those where that
+    takes more than SERIES_MAX_TERMS terms.
     """
-    nterms = _terminating_length(p)
-    if nterms is not None:
-        poly = _poly_coeffs(p, nterms)
-        s = jet_var(s0, order)
-        acc = jet_const(0.0 * s0, s0, order)
-        for cn in poly[::-1]:
-            acc = acc * s + float(cn)
-        return acc
-    if _nonpositive_int(p.c):
-        raise PoleError(f"c = {p.c} is a non-positive integer and the series does not terminate")
-    SingularPointError.raise_where(s0 == 1, "s = 1 is a singular point of the hypergeometric equation")
-    z0, z1 = _series_value_pair(p, s0)
-    # at s0 = 0 the series coefficients themselves; L is then singular, so built at 1/2
-    at0 = np.asarray(s0 == 0)
-    x = np.where(at0, 0.5, s0)[..., None, None]
-    M0, M1, M2 = _recurrence_matrices(p, order)
-    r = np.zeros(np.shape(s0) + (order + 1,), dtype=np.result_type(z0, float))
-    r[..., 0], r[..., 1] = z0, z1
-    z = solve_lower(M0 + x * (M1 + x * M2), r)
-    return Jet1(s0, np.where(at0[..., None], _series_coeffs(p, order + 1), z))
-
-
-@functools.lru_cache(maxsize=None)
-def _recurrence_matrices(p: HyperTriple, order: int):
-    """(M0, M1, M2) with L = M0 + s0 M1 + s0^2 M2 lower triangular, L z = (z_0, z_1, 0, ...).
-
-    Row k + 2 is the coefficient of t^k in s(1-s) z'' + (c - (a+b+1)s) z' - ab z = 0
-    at s = s0 + t: (k+2)(k+1) s0(1-s0) z_{k+2} + (k+1)(k(1-2 s0) + c - (a+b+1) s0) z_{k+1}
-    - (k(k-1) + (a+b+1) k + ab) z_k.
-    """
-    a, b, c = float(p.a), float(p.b), float(p.c)
-    k = np.arange(order - 1)
-    M = np.zeros((3, order + 1, order + 1))
-    M[0, [0, 1], [0, 1]] = 1.0
-    M[1, k + 2, k + 2] = (k + 2) * (k + 1)
-    M[2, k + 2, k + 2] = -(k + 2) * (k + 1)
-    M[0, k + 2, k + 1] = (k + 1) * (k + c)
-    M[1, k + 2, k + 1] = -(k + 1) * (2 * k + a + b + 1)
-    M[0, k + 2, k] = -(k * (k - 1) + (a + b + 1) * k + a * b)
-    M.flags.writeable = False
-    return M
+    s = np.reshape(s0, -1)
+    length = _terminating_length(p)
+    if length is not None:
+        c = np.append(_poly_coeffs(p, length), np.zeros(order))
+        W, powers = _weights_and_powers(s, c, np.full(len(s), length), order)
+    else:
+        if _nonpositive_int(p.c):
+            raise PoleError(f"c = {p.c} is a non-positive integer and the series does not terminate")
+        SingularPointError.raise_where(
+            s0 == 1, "s = 1 is a singular point of the hypergeometric equation")
+        name = p.label()
+        SeriesDomainError.raise_where(abs(s0) >= 1, f"series for {name} diverges at |s| >= 1")
+        # The terms c_{m+k} C(m+k, k) s0^m of coefficient k grow like m^e |s0|^m,
+        # e = k - 1 + a + b - c, so coefficient `order` converges last. With
+        # L = -log |s0| they peak near m* = e / L and have fallen by exp(-D),
+        # D = SERIES_DIGITS log 10, at x m*, where x - 1 - log x = D / e.
+        e = max(order - 1 + float(p.a + p.b - p.c), 1e-9)  # as e -> 0, x e -> D
+        u = SERIES_DIGITS * math.log(10.0) / e
+        x = 1.0 + u
+        for _ in range(8):  # converges: log x moves less than x does
+            x = 1.0 + u + math.log(x)
+        L = -np.log(np.maximum(np.abs(s), 1e-300))
+        # `order` + 32 terms past x m*, rounded up to a multiple of 32 (just those at s0 = 0)
+        counts = 32 * np.ceil((x * e / L + order + 32) / 32).astype(int)
+        while True:
+            SeriesDomainError.raise_where(
+                np.reshape(counts > SERIES_MAX_TERMS, np.shape(s0)),
+                f"series for {name} does not fall {SERIES_DIGITS} digits in {SERIES_MAX_TERMS} terms")
+            # a prefix of a cached power-of-two run, so the cache keeps few lengths per triple
+            c = _series_coeffs(p, 1 << int(counts.max() + order).bit_length())
+            W, powers = _weights_and_powers(s, c, counts, order)
+            # Far from the asymptotic regime (large a, b or c) the estimate can
+            # fall short. Where the last term of coefficient `order` is not
+            # SERIES_DIGITS digits below the one at m*, or the next term is
+            # larger, the point sums twice as many terms.
+            rows, last = np.arange(len(s)), counts - 1
+            peak = np.rint(np.minimum(e / L, last)).astype(int)
+            term = lambda i: np.abs(W[i, order] * powers[rows, i])
+            ratio = np.abs(s * c[last + order + 1] / c[last + order]) * (last + order + 1) / (last + 1)
+            short = (term(last) > 10.0**-SERIES_DIGITS * term(peak)) | (ratio > 1)
+            if not short.any():
+                break
+            counts = np.where(short, 2 * counts, counts)
+    coeffs = (powers[:, None, :] @ W)[:, 0, :]
+    return Jet1(s0, coeffs.reshape(np.shape(s0) + (order + 1,)))
 
 
 def hypergeom_residual(z: Jet1, p: HyperTriple):

@@ -1,5 +1,6 @@
 """Tests for the c235 command-line interface."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -147,8 +148,11 @@ def test_verify_builds_each_jet_once(capsys, monkeypatch):
     assert np.shape(calls[0][1]) == (10,)
 
 
-def test_verify_reports_a_singular_coframe(capsys):
-    # one of these points lies where z1 vanishes and the coframe degenerates
+def test_verify_reports_a_singular_coframe(capsys, monkeypatch):
+    # the case's former domain holds the zero of z1 at s = 0.9329, where the
+    # coframe degenerates; one of these points lies next to it
+    spec = dataclasses.replace(dist.get_spec("H-triple-(-1/2,5/6,2/3)"), domain=(0.05, 0.95))
+    monkeypatch.setattr(cli, "get_spec", lambda case_id: spec)
     code, payload, _ = run_json(capsys, "verify", "--case", "H-triple-(-1/2,5/6,2/3)",
                                 "--points", "40", "--seed", "0", "--json")
     assert code == 1

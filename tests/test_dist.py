@@ -67,7 +67,7 @@ def test_catalog_entry_residual(spec):
 # --- interior zeros of z1 -----------------------------------------------------
 
 # hyper triples whose declared domain still holds a zero of z1 (ROADMAP item 1)
-OPEN_Z1_ROOTS = {"F-triple-(-2/3,5/6,1/2)", "F-triple-(-2/3,5/6,2/3)", "H-triple-(-1/2,5/6,2/3)"}
+OPEN_Z1_ROOTS: set[str] = set()
 Z1_DELTA = 0.04
 
 

@@ -1,8 +1,7 @@
 """Stacked and closed-form kernels against the per-point code they replaced.
 
 The former implementations live here as oracles: the rational-jet
-Schwarzian potential, the per-order Schwarz recurrence, and the 2F1
-series summed over 256 terms first.
+Schwarzian potential and the per-order Schwarz recurrence.
 """
 
 import json
@@ -20,11 +19,9 @@ from c235.specialfn import (
     CLOSED_FORM_HYPER,
     CLOSED_FORM_TRIPLES,
     DEGREE6_EXCLUDED,
-    SERIES_MAX_TERMS,
     TRANSFORM_KINDS,
     HyperTriple,
-    _series_coeffs,
-    _series_value_pair,
+    hyp2f1_jet,
     hypergeom_pair,
     schwarz_potential,
     transform_identity_check,
@@ -57,30 +54,6 @@ def former_schwarz_solution(tr, s0, order=8, ics=(1.0, 0.0, 0.3, 1.0)) -> Jet1:
         u[..., k + 2] = -0.25 * conv / ((k + 2) * (k + 1))
     ua, ub = Jet1(s0, u[..., 0, :]), Jet1(s0, u[..., 1, :])
     return jet_invert((ub / ua).truncate(order))
-
-
-def former_series_value_pair(p, s0):
-    """(2F1(s0), d/ds 2F1(s0)) with a first pass of 256 terms, then 4x as many."""
-    s = np.reshape(s0, (-1, 1))
-    value, deriv = np.zeros((2, len(s)), dtype=np.result_type(s, float))
-    todo = np.arange(len(s))
-    nterms = 256
-    while True:
-        c = _series_coeffs(p, nterms)
-        n = np.arange(nterms)
-        powers = s[todo] ** n
-        terms = c * powers
-        partial = np.cumsum(terms, axis=1)
-        below = np.abs(terms[:, 6:]) < 1e-16 * np.maximum(1.0, np.abs(partial[:, 6:]))
-        rows, last = np.arange(len(todo)), 6 + np.argmax(below, axis=1)
-        value[todo] = partial[rows, last]
-        deriv[todo] = np.cumsum(n[1:] * c[1:] * powers[:, :-1], axis=1)[rows, last - 1]
-        todo = todo[~below.any(axis=1)]
-        if not todo.size or nterms == SERIES_MAX_TERMS:
-            break
-        nterms = min(4 * nterms, SERIES_MAX_TERMS)
-    assert not todo.size
-    return value.reshape(np.shape(s0)), deriv.reshape(np.shape(s0))
 
 
 # --- the Schwarzian potential and solution --------------------------------
@@ -181,37 +154,12 @@ def test_schwarz_solution_as_accurate_as_the_former_at_its_worst_rows(trip, s0):
 
 # --- the 2F1 series ---------------------------------------------------------
 
-SERIES_TRIPLES = sorted(
-    {p for p in CLOSED_FORM_HYPER.values() if p.a.denominator != 1 and p.b.denominator != 1}
-    | {HyperTriple(*s.params["abc"]) for s in catalog() if s.family == "hyper_triple"},
-    key=HyperTriple.label,
-)
-SERIES_GRID = np.concatenate([np.linspace(-0.99, 0.99, 199), [0.87, 0.9, 0.95, 0.985]])
-
-
-@pytest.mark.parametrize("p", SERIES_TRIPLES, ids=HyperTriple.label)
-def test_series_sizing_keeps_every_sum_bit_identical(p):
-    old_value, old_deriv = former_series_value_pair(p, SERIES_GRID)
-    value, deriv = _series_value_pair(p, SERIES_GRID)
-    np.testing.assert_array_equal(value, old_value)
-    np.testing.assert_array_equal(deriv, old_deriv)
-    for s0 in SERIES_GRID[::7]:
-        assert _series_value_pair(p, float(s0)) == former_series_value_pair(p, float(s0))
-
-
-def test_series_grid_includes_points_the_256_term_pass_left():
-    # the former code summed these twice; the grid must exercise that path
-    p = SERIES_TRIPLES[0]
-    c, n = _series_coeffs(p, 256), np.arange(256)
-    terms = c * SERIES_GRID[:, None] ** n
-    partial = np.cumsum(terms, axis=1)
-    below = np.abs(terms[:, 6:]) < 1e-16 * np.maximum(1.0, np.abs(partial[:, 6:]))
-    assert (~below.any(axis=1)).sum() >= 10
-
 
 def test_series_still_rejects_the_unit_circle():
-    with pytest.raises(SeriesDomainError):
-        _series_value_pair(SERIES_TRIPLES[0], np.array([0.5, -1.0]))
+    p = HyperTriple(Fraction(-1, 4), Fraction(5, 12), Fraction(1, 2))
+    with pytest.raises(SeriesDomainError) as exc:
+        hyp2f1_jet(p, np.array([0.5, -1.0, 0.3, 1.5]))
+    assert exc.value.rows.tolist() == [False, True, False, True]
 
 
 # --- stacked identity checks -----------------------------------------------

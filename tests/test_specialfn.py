@@ -1,9 +1,12 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from c235.dist import catalog
+from c235.errors import SeriesDomainError
 from c235.jets import Jet1, jet_abs_pow, jet_var
 from c235.specialfn import (
     CLOSED_FORM_FAMILIES,
@@ -12,6 +15,7 @@ from c235.specialfn import (
     ClosedFormId,
     HyperTriple,
     TRANSFORM_KINDS,
+    _terminating_length,
     closed_form_ode_residual,
     closed_form_solution,
     hyp2f1_jet,
@@ -65,6 +69,104 @@ def test_hyp2f1_jet_satisfies_its_ode(s0):
         # the full jet, not just the value: residual at the shifted point
         z_shift = Jet1(s0, z.coeffs[:5])
         assert hypergeom_residual(z_shift, triple) < 1e-12
+
+
+def _second_solution(p: HyperTriple) -> HyperTriple:
+    return HyperTriple(p.a - p.c + 1, p.b - p.c + 1, 2 - p.c)
+
+
+_CATALOG_TRIPLES = {HyperTriple(*s.params["abc"]) for s in catalog() if s.family == "hyper_triple"}
+# the triples summed by the identity kinds and by the closed forms' bases
+_IDENTITY_TRIPLES = {
+    HyperTriple(Fraction(-7, 6), Fraction(-8, 3), Fraction(2, 3)),
+    HyperTriple(Fraction(11, 6), Fraction(10, 3), Fraction(2, 3)),
+    HyperTriple(Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)),
+    HyperTriple(Fraction(1, 12), Fraction(1, 12), Fraction(2, 3)),
+    HyperTriple(Fraction(-2, 3), Fraction(5, 6), Fraction(1, 2)),
+    HyperTriple(Fraction(7, 6), Fraction(-1, 3), Fraction(4, 3)),
+    HyperTriple(Fraction(13, 6), Fraction(11, 3), Fraction(4, 3)),
+    HyperTriple(Fraction(5, 3), Fraction(7, 3), Fraction(5, 2)),
+    HyperTriple(Fraction(1, 6), Fraction(5, 6), Fraction(-1, 2)),
+    HyperTriple(Fraction(1, 3), 1, Fraction(7, 6)),
+}
+SERIES_TRIPLES = sorted(
+    (p for p in _CATALOG_TRIPLES | {_second_solution(p) for p in _CATALOG_TRIPLES}
+     | set(CLOSED_FORM_HYPER.values()) | _IDENTITY_TRIPLES if _terminating_length(p) is None),
+    key=HyperTriple.label,
+)
+JET_POINTS = [0.0, 0.01, 0.024, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98]
+
+
+def _reference_jet(p: HyperTriple, s0: float, order: int) -> np.ndarray:
+    """Taylor coefficients (a)_k (b)_k / ((c)_k k!) 2F1(a+k, b+k; c+k; s0) at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a, b, c = (mp.mpf(x.numerator) / x.denominator for x in p)
+        return np.array([
+            float(mp.rf(a, k) * mp.rf(b, k) / (mp.rf(c, k) * mp.factorial(k))
+                  * mp.hyp2f1(a + k, b + k, c + k, s0))
+            for k in range(order + 1)
+        ])
+
+
+@pytest.mark.parametrize("p", SERIES_TRIPLES, ids=HyperTriple.label)
+def test_every_jet_coefficient_matches_mpmath(p):
+    # the former ODE recurrence divided by s0 (1 - s0): it was 1.6e-7 off at 0.05
+    for s0 in JET_POINTS:
+        ref = _reference_jet(p, s0, 8)
+        got = hyp2f1_jet(p, s0, 8).coeffs
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), s0
+
+
+@pytest.mark.parametrize("p", [
+    HyperTriple(Fraction(21, 2), Fraction(21, 2), Fraction(41, 2)),
+    HyperTriple(Fraction(-21, 2), Fraction(-7, 3), Fraction(-41, 2)),
+], ids=HyperTriple.label)
+def test_a_series_far_from_its_asymptotics_sums_more_terms(p):
+    # with parameters this large the terms still grow where m^e |s0|^m has
+    # peaked, so the first term count falls short and is doubled
+    for order in (0, 8):
+        for s0 in (0.5, 0.7, 0.9, 0.99):
+            ref = _reference_jet(p, s0, order)
+            got = hyp2f1_jet(p, s0, order).coeffs
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (order, s0)
+
+
+@pytest.mark.parametrize("order", [2, 6, 8])
+@pytest.mark.parametrize("p", SERIES_TRIPLES, ids=HyperTriple.label)
+def test_stacked_jets_equal_single_point_jets(p, order):
+    s0 = np.concatenate([np.linspace(-0.99, 0.99, 23), JET_POINTS])
+    stacked = hyp2f1_jet(p, s0, order).coeffs
+    for row, s in zip(stacked, s0):
+        np.testing.assert_array_equal(row, hyp2f1_jet(p, float(s), order).coeffs)
+
+
+@pytest.mark.parametrize("s0", [0.3 + 0.4j, -11.5, 2.5, complex(-0.5, 0.5 * np.sqrt(3.0)), 1.0])
+def test_terminating_series_accept_any_point(s0):
+    # the cubic identity sums (-4, -1; -2) at complex s, and frac_linear_s_over_sm1
+    # sums (-4/3, -1; 2/3) at s / (s - 1) < 0
+    for triple, poly in [
+        (HyperTriple(-4, -1, -2), [1.0, -2.0]),
+        (HyperTriple(Fraction(-4, 3), -1, Fraction(2, 3)), [1.0, 2.0]),
+        (HyperTriple(-4, 2, Fraction(-1, 2)), [1.0, 16.0, -144.0, 256.0, -128.0]),
+    ]:
+        got = hyp2f1_jet(triple, s0, 6).coeffs
+        # the Taylor coefficients of the polynomial at s0
+        want = np.polynomial.Polynomial(poly)
+        expected = []
+        for k in range(7):
+            expected.append(want(s0) / math.factorial(k))
+            want = want.deriv()
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-12 * np.max(np.abs(expected)))
+
+
+def test_series_refuses_a_point_it_cannot_sum():
+    p = HyperTriple(Fraction(-1, 4), Fraction(5, 12), Fraction(1, 2))
+    with pytest.raises(SeriesDomainError):
+        hyp2f1_jet(p, 1 - 1e-12, 8)
+    with pytest.raises(SeriesDomainError) as exc:
+        hyp2f1_jet(p, np.array([0.5, 1 - 1e-12, 0.98]), 8)
+    assert exc.value.rows.tolist() == [False, True, False]
 
 
 # c log-uniform over 1e-6..1e6: both ODEs are linear, so a residual must not see c
