@@ -44,7 +44,7 @@ def main():
         nu = 1.0 / omega_factor(r0)
         if nu.value() < 0:
             nu = -nu
-        out = conformal_rescale_check(q_of, F_of, nu, POINT4, nu_in_lambda=True)
+        out = conformal_rescale_check(q_of, F_of, nu, POINT4)
         print(f"         rescaled |Ricci| = {out['ricciMax']:.3e}")
     print()
     for case in ("F-power-1/3", "F-power-3"):

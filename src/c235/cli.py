@@ -314,7 +314,7 @@ def cmd_curvature(args) -> int:
         "case": spec.id,
         "point": {"x": pt[0], "y": pt[1], "z": pt[2], "p": pt[3],
                   spec.param_name: pt[4]},
-        "coords": list(cf.coords),
+        "coords": list(geometry.coframe_coords(spec)),
         "report": {
             "christoffel": rep.christoffel.tolist(),
             "riemann": rep.riemann.tolist(),

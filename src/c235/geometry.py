@@ -36,7 +36,7 @@ ETA[2, 2] = 4.0 / 3.0
 
 @dataclass(frozen=True)
 class Coframe:
-    """Rows i give theta^i = value[i, a] dx^a over coords.
+    """Rows i give theta^i = value[i, a] dx^a over (x, y, z, p, lam).
 
     grad[i, a, k] and hess[i, a, k, l] are the first and second partials
     of value[i, a] along the last A coordinates, A = grad.shape[-1]; the
@@ -47,7 +47,6 @@ class Coframe:
     value: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
-    coords: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def _frame_coeffs(q_of: Jet1, F_of: Jet1) -> np.ndarray:
     return _taylor(q_of, F_of, dq, *_derivs_in_q(dq, F_of))
 
 
-def _omegas(c, point4, coords) -> Coframe:
+def _omegas(c, point4) -> Coframe:
     """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx; c is the _taylor of q, F, q'.
 
     Their partials are along (p, lam) alone, the last two coordinates.
@@ -130,7 +129,7 @@ def _omegas(c, point4, coords) -> Coframe:
         value[..., i, a] = sign * c[..., k, 0]
         grad[..., i, a, 1] = sign * c[..., k, 1]
         hess[..., i, a, 1, 1] = 2.0 * sign * c[..., k, 2]
-    return Coframe(value, grad, hess, tuple(coords))
+    return Coframe(value, grad, hess)
 
 
 def _combine(C, om: Coframe) -> Coframe:
@@ -159,7 +158,7 @@ def _combine(C, om: Coframe) -> Coframe:
     hess[..., -1, :] += cross
     hess[..., :, -1] += cross
     hess[..., -1, -1] += CW[..., 2, :, :]
-    return Coframe(CW[..., 0, :, :], grad, hess, om.coords)
+    return Coframe(CW[..., 0, :, :], grad, hess)
 
 
 def _frame_rows(c):
@@ -183,12 +182,12 @@ def _frame_rows(c):
     )
 
 
-def _coframe(c, point4, coords) -> Coframe:
+def _coframe(c, point4) -> Coframe:
     """The theta rows from the _frame_coeffs c."""
-    return _combine(_frame_rows(c), _omegas(c, point4, coords))
+    return _combine(_frame_rows(c), _omegas(c, point4))
 
 
-def build_coframe(q_of: Jet1, F_of: Jet1, point4, coords=("x", "y", "z", "p", "q")) -> Coframe:
+def build_coframe(q_of: Jet1, F_of: Jet1, point4) -> Coframe:
     """The five theta rows of the full coframe from F-in-q data.
 
     q_of and F_of are jets in the fifth coordinate lam; in the plain
@@ -196,15 +195,20 @@ def build_coframe(q_of: Jet1, F_of: Jet1, point4, coords=("x", "y", "z", "p", "q
     q_of = H', F_of = t H' - H, which reproduces the displayed dual
     coframe exactly.
     """
-    return _coframe(_frame_coeffs(q_of, F_of), point4, coords)
+    return _coframe(_frame_coeffs(q_of, F_of), point4)
 
 
-def coframe_H(H: Jet1, point4, coords=("x", "y", "z", "p", "t")) -> Coframe:
-    """The dual-picture coframe: build_coframe of the Legendre data q = H', F = t H' - H."""
+def _legendre_data(H: Jet1):
+    """The F-in-q data of a dual-picture H(t), as jets in t: q = H', F = t H' - H."""
+    Hp = H.derivative()
+    return Hp, jet_var(H.basepoint, H.order) * Hp - H
+
+
+def coframe_H(H: Jet1, point4) -> Coframe:
+    """The dual-picture coframe: build_coframe of the Legendre data of H."""
     if H.deriv(2) == 0:
         raise DegenerateError("H'' = 0")
-    Hp = H.derivative()
-    return build_coframe(Hp, jet_var(H.basepoint, H.order) * Hp - H, point4, coords)
+    return build_coframe(*_legendre_data(H), point4)
 
 
 def _reduced(q_of: Jet1, F_of: Jet1, point4):
@@ -213,34 +217,22 @@ def _reduced(q_of: Jet1, F_of: Jet1, point4):
 
     Returns (C, omegas, W, I, I'). Completing the square in wt3 makes g
     eta-diagonal in the rows (wt2, wt1, wt3 - (I/8) wt2, wt4, wt5 + e wt2),
-    e = I'/20 - (3/160) I^2, whose coefficients against the omegas are the
-    rows of C. W holds the values of wt1..wt5; I = 2F'''/F'' and I' are
-    jets in lam.
+    e = I'/20 - (3/160) I^2. As (I/8)/F'' = F'''/(4 F''^2) = B, these are
+    the catalog rows (th2, w1, th3, w4, w5 + e th2), whose coefficients
+    against the omegas are the rows of C. W holds the values of wt1..wt5;
+    I = 2F'''/F'' and its q-derivative I' are values at the point.
     """
-    dq = q_of.derivative()
-    Fp, Fpp, F3, _ = _derivs_in_q(dq, F_of)
-    I = 2.0 * F3 / Fpp
-    Ip = _d_dq(dq)(I)
-    s = _of_lam(Fpp).reciprocal()
-    su = s * _of_lam(Fp)
-    h = _of_lam(I) * 0.125
-    e = _of_lam(Ip) * 0.05 - _of_lam(I) * _of_lam(I) * (3.0 / 160.0)
-    om = _omegas(_taylor(q_of, F_of, dq), point4, ("x", "y", "z", "p", "q"))
-    C = (
-        (0.0, su, -s, 0.0, 0.0),
-        (1.0, 0.0, 0.0, 0.0, 0.0),
-        (0.0, 1.0 - h * su, h * s, 0.0, 0.0),
-        (0.0, 0.0, 0.0, 1.0, 0.0),
-        (0.0, e * su, -e * s, 0.0, 1.0),
-    )
-    wt = np.array([
-        [1.0, 0.0, 0.0, 0.0, 0.0],
-        [0.0, su.value, -s.value, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 1.0],
-    ])
-    return C, om, wt @ om.value, I, Ip
+    c = _frame_coeffs(q_of, F_of)
+    th, om = _frame_rows(c), _omegas(c, point4)
+    Fpp, F3, F4 = (_of_lam(c[..., k, :]) for k in (4, 5, 6))
+    s = Fpp.reciprocal()
+    I = F3 * s * 2.0
+    Ip = (F4 - F3 * F3 * s) * s * 2.0
+    e = Ip * 0.05 - I * I * (3.0 / 160.0)
+    w = np.eye(DIM)  # the rows of the omegas themselves
+    C = (th[1], w[0], th[2], w[3], (0.0, e * th[1][1], e * th[1][2], 0.0, 1.0))
+    W = _combine((w[0], th[1], w[1], w[3], w[4]), om).value
+    return C, om, W, I.value, Ip.value
 
 
 def reduced_metric(q_of: Jet1, F_of: Jet1, point4) -> MetricJet:
@@ -360,15 +352,22 @@ def riemann_symmetry_error(rep: CurvatureReport):
 
 
 def weyl_trace_error(rep: CurvatureReport, g: MetricJet):
-    """Max contraction of the Weyl tensor with the inverse metric, relative, per point."""
+    """Max contraction of the Weyl tensor with the inverse metric, relative, per point.
+
+    Relative to |G^-1| (|d2g| + |G^-1| |dg|^2), with |.| the max-abs at
+    the point: the size of the terms that R^a_bcd is built from, so the
+    ratio does not change under g -> c g (0 where g has no partials). The
+    Weyl tensor itself is no scale: on a flat metric it is round-off.
+    """
     ginv = np.linalg.inv(0.5 * (g.value + g.value.swapaxes(-1, -2)))
-    scale = np.maximum(np.maximum(rep.maxAbsWeyl, rep.metricScale * 1e-30), 1e-30)
+    ginv_size = _max_abs(ginv, rank=2)
+    scale = ginv_size * (_max_abs(g.hess, rank=4) + ginv_size * _max_abs(g.grad, rank=3) ** 2)
     err = _max_abs(
         np.einsum("...ac,...abcd->...bd", ginv, rep.weyl),
         np.einsum("...bd,...abcd->...ac", ginv, rep.weyl),
         np.einsum("...ad,...abcd->...bc", ginv, rep.weyl),
         rank=2)
-    return _per_point(err / scale)
+    return _per_point(np.divide(err, scale, out=np.zeros_like(err), where=scale > 0))
 
 
 def metric_signature(g: MetricJet):
@@ -404,14 +403,13 @@ def frame_jets_for_spec(spec: SolutionSpec, param_point, order: int = 8, jet: Je
         return q_of, F_of_r
     if jet is None:
         jet = F_jet(spec, param_point, order)
-    lam = jet_var(jet.basepoint, jet.order)
     if spec.picture == "H_of_t":
-        return jet.derivative(), lam * jet.derivative() - jet
-    return lam, jet
+        return _legendre_data(jet)
+    return jet_var(jet.basepoint, jet.order), jet
 
 
-def _coords(spec: SolutionSpec) -> Tuple[str, ...]:
-    """The coordinate names of a catalog entry's coframe."""
+def coframe_coords(spec: SolutionSpec) -> Tuple[str, ...]:
+    """The names of the coordinates (x, y, z, p, lam) of a catalog entry's coframe."""
     lam_name = {"H_of_t": "t"}.get(spec.picture, "q")
     if spec.family == "elementary_r":
         lam_name = "r"
@@ -427,7 +425,7 @@ def coframe_for_spec(spec: SolutionSpec, point5, order: int = 8, jet: Jet1 | Non
     """
     point5 = np.asarray(point5, dtype=float)
     q_of, F_of = frame_jets_for_spec(spec, point5[..., 4], order, jet)
-    return build_coframe(q_of, F_of, point5[..., :4], _coords(spec))
+    return build_coframe(q_of, F_of, point5[..., :4])
 
 
 def sample_points(spec: SolutionSpec, n: int, seed: int):
@@ -481,8 +479,7 @@ def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jet: Jet1 | No
     found = [None] * len(pts)  # each point's ratio, or the C235Error that stopped it
 
     def coframes(rows):
-        q_of, F_of = frame_jets_for_spec(spec, pts[rows, 4], jet=None if jet is None else _rows(jet, rows))
-        return build_coframe(q_of, F_of, pts[rows, :4], _coords(spec))
+        return coframe_for_spec(spec, pts[rows], jet=None if jet is None else _rows(jet, rows))
 
     live = np.arange(len(pts))
     cf, live = on_regular_rows(coframes, live, live, found)
@@ -515,63 +512,57 @@ def _frame_components_rank4(T: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.einsum("ai,bj,ck,dl,abcd->ijkl", Winv, Winv, Winv, Winv, T)
 
 
+def _frame_ricci(C, om: Coframe, W):
+    """The Ricci tensor of the metric of the rows C against the omegas, in the frame of W.
+
+    Returns its wt4 x wt4 component, its largest other component and the
+    curvature report.
+    """
+    rep = curvature(metric_at(_combine(C, om)))
+    Rf = _frame_components_rank2(rep.ricci, W)
+    off = Rf.copy()
+    off[3, 3] = 0.0
+    return Rf[3, 3], np.max(np.abs(off)), rep
+
+
 def ricci_identity_check(q_of: Jet1, F_of: Jet1, point4) -> float:
     """Relative error of Ricci against (9/120)(6I' - I^2) on wt4 x wt4."""
     C, om, W, I, Ip = _reduced(q_of, F_of, point4)
-    rep = curvature(metric_at(_combine(C, om)))
-    Rf = _frame_components_rank2(rep.ricci, W)
-    I0, Ip0 = I.value(), Ip.value()
-    expected = (9.0 / 120.0) * (6.0 * Ip0 - I0 * I0)
+    R44, off, rep = _frame_ricci(C, om, W)
+    expected = (9.0 / 120.0) * (6.0 * Ip - I * I)
     scale = max(abs(expected), rep.metricScale * 1e-8, 1e-12)
-    off = Rf.copy()
-    off[3, 3] = 0.0
-    err_off = np.max(np.abs(off)) / max(abs(expected), 1.0)
-    err_44 = abs(Rf[3, 3] - expected) / scale
+    err_off = off / max(abs(expected), 1.0)
+    err_44 = abs(R44 - expected) / scale
     return float(max(err_44, err_off))
 
 
-def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4, nu_in_lambda: bool = False):
+def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4):
     """Ricci of nu^{-2} g against (3/(40 nu))(40 nu'' + (6I'-I^2) nu).
 
-    nu is a jet in q unless nu_in_lambda is set, in which case it is a
-    jet in the fifth coordinate. nu'' in the prediction always means the
-    second q-derivative. Returns a dict with the computed frame Ricci
-    component, the displayed prediction, and their relative mismatch.
+    nu is a jet in the fifth coordinate, as q_of and F_of are (in the
+    F-picture that is q itself); nu'' in the prediction means the second
+    q-derivative. Returns a dict with the computed frame Ricci component,
+    the displayed prediction, and their relative mismatch.
     """
     C, om, W, I, Ip = _reduced(q_of, F_of, point4)
-    from .jets import jet_compose
-
-    if nu_in_lambda:
-        nu_lam = nu
-    elif q_of.coeffs[1] == 1.0 and not any(q_of.coeffs[2:]):
-        nu_lam = nu
-    else:
-        nu_lam = jet_compose(nu, q_of)
-    if nu_lam.value() <= 0:
+    if nu.value() <= 0:
         raise DegenerateError("nu must be positive")
-    # nu^{-2} g is eta-diagonal in the reduced rows divided by nu
-    inv_nu = _of_lam(nu_lam).reciprocal()
-    ghat = metric_at(_combine([[inv_nu * c for c in row] for row in C], om))
-    rep = curvature(ghat)
-    Rf = _frame_components_rank2(rep.ricci, W)
-    dq = q_of.derivative()
-    d_dq = _d_dq(dq)
-    nupp = d_dq(d_dq(nu_lam)).value()
-    nu0 = nu_lam.value()
-    I0, Ip0 = I.value(), Ip.value()
-    ode = 40.0 * nupp + (6.0 * Ip0 - I0 * I0) * nu0
+    # nu^{-2} g is eta-diagonal in the reduced rows divided by nu; wt4 is
+    # unscaled in W, so its component compares with the prediction directly
+    inv_nu = _of_lam(nu).reciprocal()
+    computed, off, rep = _frame_ricci([[inv_nu * c for c in row] for row in C], om, W)
+    d_dq = _d_dq(q_of.derivative())
+    nupp = d_dq(d_dq(nu)).value()
+    nu0 = nu.value()
+    ode = 40.0 * nupp + (6.0 * Ip - I * I) * nu0
     predicted = 3.0 / (40.0 * nu0) * ode
-    # the rescaled-frame component: wt4 is unscaled, so compare directly
-    computed = Rf[3, 3]
-    off = Rf.copy()
-    off[3, 3] = 0.0
     denom = max(abs(predicted), rep.metricScale * 1e-6, 1e-10)
     return {
         "computed": float(computed),
         "predicted": float(predicted),
         "odeValue": float(ode),
         "mismatch": float(abs(computed - predicted) / denom),
-        "offComponentMax": float(np.max(np.abs(off))),
+        "offComponentMax": float(off),
         "ricciMax": float(rep.maxAbsRicci),
     }
 

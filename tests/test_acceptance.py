@@ -272,7 +272,7 @@ def test_criterion_5_curvature():
         nu = 1.0 / omega_factor(r0)
         if nu.value() < 0:
             nu = -nu
-        out = conformal_rescale_check(q_of, F_of, nu, POINT4, nu_in_lambda=True)
+        out = conformal_rescale_check(q_of, F_of, nu, POINT4)
         if not out["ricciMax"] < 1e-7:
             failures.append(("rescale", r0, out["ricciMax"]))
     # reduced-metric Ricci identity

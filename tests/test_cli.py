@@ -253,6 +253,20 @@ def test_curvature_elementary_ricci(capsys):
     assert payload["report"]["signature"] == [2, 3]
 
 
+@pytest.mark.parametrize("spec", dist.catalog(), ids=lambda s: s.id)
+def test_curvature_names_the_coordinates(capsys, spec):
+    # lam is q in the F picture and t in the H picture, except for the two
+    # entries below. H-two-pole names lam "x", as its --point syntax does,
+    # so the report names x twice.
+    lam = {"F-elementary-r": "r", "H-two-pole": "x"}.get(
+        spec.id, "q" if spec.picture == "F_of_q" else "t")
+    pt = geometry.sample_points(spec, 1, 400)[0]
+    point = ",".join(f"{k}={v!r}" for k, v in zip(("x", "y", "z", "p", spec.param_name), pt))
+    code, payload, _ = run_json(capsys, "curvature", "--case", spec.id, "--point", point, "--json")
+    assert code == 0
+    assert payload["coords"] == ["x", "y", "z", "p", lam]
+
+
 def test_curvature_malformed_point_exits_2(capsys):
     code, _, err = run(capsys, "curvature", "--case", "F-power-2", "--point", "x=1,y=2")
     assert code == 2

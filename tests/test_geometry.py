@@ -22,10 +22,10 @@ from c235.geometry import (
     MetricJet,
     _coframe,
     _combine,
-    _coords,
     _derivs_in_q,
     _frame_coeffs,
     _frame_rows,
+    _legendre_data,
     _of_lam,
     _omegas,
     _reduced,
@@ -94,10 +94,30 @@ def test_cubic_F_control_is_not_flat():
     assert rep.maxAbsWeyl / rep.metricScale > 1e-3
 
 
-def test_reduced_metric_equals_full_metric():
-    q0 = 1.25
-    q_of = identity_q(q0)
-    F_of = power_F(q0, 2.5)
+def elementary_frame(r0: float, constants=(1, 0, 0, 1)):
+    cid = ClosedFormId("elementary_r", constants)
+    z1, z2 = closed_form_solution(cid, r0, 8)
+    q_of = z2 / z1
+    Fpp = z1 ** 3
+    Fp = (Fpp * q_of.derivative()).antiderivative(0.0)
+    F_of = (Fp * q_of.derivative()).antiderivative(0.0)
+    return q_of, F_of
+
+
+# (q_of, F_of) in the F picture, where lam is q, and in three pictures where
+# dq/dlam is not 1: the dual Legendre data of two H entries, and the r frame
+REDUCED_FRAMES = {
+    "F": lambda: (identity_q(1.25), power_F(1.25, 2.5)),
+    "H-power-3": lambda: _legendre_data(F_jet(get_spec("H-power-3"), 1.1)),
+    "H-triple-(-1/4,5/12,1/2)": lambda: _legendre_data(
+        F_jet(get_spec("H-triple-(-1/4,5/12,1/2)"), 0.35)),
+    "elementary-r": lambda: elementary_frame(2.0, (1, 1, 1, -1)),
+}
+
+
+@pytest.mark.parametrize("frame", REDUCED_FRAMES.values(), ids=REDUCED_FRAMES.keys())
+def test_reduced_metric_equals_full_metric(frame):
+    q_of, F_of = frame()
     g_full = metric_at(build_coframe(q_of, F_of, POINT4))
     g_red = reduced_metric(q_of, F_of, POINT4)
     scale = np.max(np.abs(g_full.value))
@@ -189,14 +209,13 @@ def test_batched_geometry_matches_single_point(spec):
     # build at point i alone, within the bound of the MJet2 reference above
     pts = sample_points(spec, 6, seed=7)
     coeffs = np.stack([_frame_coeffs(*frame_jets_for_spec(spec, pt[4])) for pt in pts])
-    cf = _coframe(coeffs, np.array(pts)[:, :4], _coords(spec))
+    cf = _coframe(coeffs, np.array(pts)[:, :4])
     g = metric_at(cf)
     rep = curvature(g)
     suite = flatness_suite(spec, pts)["results"]
     for i, pt in enumerate(pts):
         cf1 = coframe_for_spec(spec, pt)
         g1 = metric_at(cf1)
-        assert cf.coords == cf1.coords
         bound = 1e-13 * max(np.linalg.cond(cf1.value), 10.0)
         for got, want in ((cf.value, cf1.value), (cf.grad, cf1.grad), (cf.hess, cf1.hess),
                           (g.value, g1.value), (g.grad, g1.grad), (g.hess, g1.hess)):
@@ -222,7 +241,7 @@ def test_flatness_suite_reports_singular_rows():
         metric_at(coframe_for_spec(spec, pts[1], jet=Jet1(jet.basepoint[1], jet.coeffs[1])))
     # a stack raises with the mask of its singular rows
     coeffs = np.stack([_frame_coeffs(*frame_jets_for_spec(spec, pt[4])) for pt in pts])
-    g = metric_at(_coframe(coeffs, np.array(pts)[:, :4], _coords(spec)))
+    g = metric_at(_coframe(coeffs, np.array(pts)[:, :4]))
     g = MetricJet(g.value * [[[1.0]], [[0.0]], [[1.0]]], g.grad, g.hess)
     with pytest.raises(SingularMetricError) as exc:
         curvature(g)
@@ -410,7 +429,7 @@ def full_coframe(cf: Coframe) -> Coframe:
     hess = np.zeros(cf.value.shape + (n, n))
     grad[..., n - A:] = cf.grad
     hess[..., n - A:, n - A:] = cf.hess
-    return Coframe(cf.value, grad, hess, cf.coords)
+    return Coframe(cf.value, grad, hess)
 
 
 def full_combine(C, om: Coframe) -> Coframe:
@@ -431,7 +450,7 @@ def full_combine(C, om: Coframe) -> Coframe:
     hess[..., 4, :] += cross
     hess[..., :, 4] += cross
     hess[..., 4, 4] += C2 @ om.value
-    return Coframe(Cv @ om.value, grad, hess, om.coords)
+    return Coframe(Cv @ om.value, grad, hess)
 
 
 def assert_zero_along_xyz(*partials):
@@ -463,9 +482,9 @@ def test_partials_along_xyz_vanish_and_the_rest_match_the_full_build(spec):
     stack = np.array(sample_points(spec, 10, seed=5))
     for pts in (stack[0], stack):
         c = _frame_coeffs(*frame_jets_for_spec(spec, pts[..., 4]))
-        cf = _coframe(c, pts[..., :4], _coords(spec))
+        cf = _coframe(c, pts[..., :4])
         assert cf.grad.shape[-1] == 2 and cf.hess.shape[-2:] == (2, 2)
-        full = full_combine(_frame_rows(c), full_coframe(_omegas(c, pts[..., :4], _coords(spec))))
+        full = full_combine(_frame_rows(c), full_coframe(_omegas(c, pts[..., :4])))
         assert_zero_along_xyz((full.grad, (-1,)), (full.hess, (-2, -1)))
         bound = 1e-13 * max(np.max(np.linalg.cond(cf.value)), 10.0)
         for got, want in ((cf.grad, full.grad[..., 3:]), (cf.hess, full.hess[..., 3:, 3:])):
@@ -537,8 +556,23 @@ def test_diagnostics_on_a_stack_match_a_per_point_loop(spec_id):
         rep1 = curvature(g1)
         assert tuple(sig[i]) == metric_signature(g1) == (2, 3)
         assert sym[i] == riemann_symmetry_error(rep1) and sym[i] < 1e-9
-        # on a flat metric the Weyl tensor is round-off, and so is this ratio's scale
+        # the stack and the loop round alike, so the ratios agree bit for bit
         assert trace[i] == weyl_trace_error(rep1, g1)
+
+
+@pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
+def test_weyl_trace_error_is_round_off_on_every_case(spec):
+    # the Weyl tensor is trace-free whether or not the metric is flat
+    g = metric_at(coframe_for_spec(spec, sample_points(spec, 3, 0)))
+    assert np.all(weyl_trace_error(curvature(g), g) < 1e-12), spec.id
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_weyl_trace_error_is_scale_free(c):
+    spec = get_spec("F-power-3")
+    g = metric_at(coframe_for_spec(spec, sample_points(spec, 3, 0)))
+    g = MetricJet(c * g.value, c * g.grad, c * g.hess)
+    assert np.all(weyl_trace_error(curvature(g), g) < 1e-12)
 
 
 def test_riemann_symmetry_error_floors_its_scale_at_one_per_point():
@@ -571,16 +605,6 @@ def test_ricci_identity_for_dual_picture_data():
 # --- the elementary closed-form family ------------------------------------
 
 
-def elementary_frame(r0: float, constants=(1, 0, 0, 1)):
-    cid = ClosedFormId("elementary_r", constants)
-    z1, z2 = closed_form_solution(cid, r0, 8)
-    q_of = z2 / z1
-    Fpp = z1 ** 3
-    Fp = (Fpp * q_of.derivative()).antiderivative(0.0)
-    F_of = (Fp * q_of.derivative()).antiderivative(0.0)
-    return q_of, F_of
-
-
 @pytest.mark.parametrize("constants", [(1, 0, 0, 1), (1, 1, 1, -1)])
 def test_elementary_coordinate_ricci(constants):
     # Ricci of the reduced metric in the r coordinate is 6/(r^2-1) on the
@@ -611,7 +635,7 @@ def test_elementary_rescale_flattens_ricci():
         nu = 1.0 / omega_factor(r0)
         if nu.value() < 0:
             nu = -nu
-        out = conformal_rescale_check(q_of, F_of, nu, POINT4, nu_in_lambda=True)
+        out = conformal_rescale_check(q_of, F_of, nu, POINT4)
         assert abs(out["odeValue"]) < 1e-10
         assert out["ricciMax"] < 1e-7
 
