@@ -241,9 +241,35 @@ def reduced_metric(q_of: Jet1, F_of: Jet1, point4) -> MetricJet:
     return metric_at(_combine(C, om))
 
 
-def _require_regular(M, error: type, what: str) -> None:
-    """Raise error where a matrix of M (one, or a stack) has cond (inf at 0) > 1e13."""
-    error.raise_where(np.linalg.cond(M) > 1e13, f"{what} is singular at this point")
+def _require_finite(x, error: type, what: str) -> None:
+    """Raise error at the points where x, a Coframe or MetricJet, has a non-finite value or partial.
+
+    No conditioning test is made: det theta = q'/F'' exactly, and
+    _derivs_in_q already raises where q' or F'' vanishes, while a cond
+    bound would depend on the units of the coordinates.
+    """
+    batch = x.value.shape[:-2]
+    parts = np.concatenate([a.reshape(batch + (-1,)) for a in (x.value, x.grad, x.hess)], axis=-1)
+    error.raise_where(~np.isfinite(parts).all(axis=-1), f"{what} is not finite at this point")
+
+
+def _inverse(G: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of G, one matrix or a stack.
+
+    Where it fails, SingularMetricError marks the exactly singular
+    matrices, where LinAlgError would stop the whole stack.
+    """
+    try:
+        return np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        singular = np.zeros(G.shape[:-2], dtype=bool)
+        for i in np.ndindex(singular.shape):
+            try:
+                np.linalg.inv(G[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        SingularMetricError.raise_where(singular, "metric is singular at this point")
+        raise
 
 
 def metric_at(cf: Coframe) -> MetricJet:
@@ -252,8 +278,8 @@ def metric_at(cf: Coframe) -> MetricJet:
     Each contraction over the frame index is one matmul, with the
     coframe's (a, partial) slots flattened into the rows of one operand.
     """
+    _require_finite(cf, SingularCoframeError, "coframe")
     W = cf.value
-    _require_regular(W, SingularCoframeError, "coframe")
     batch, n, A = W.shape[:-2], W.shape[-1], cf.grad.shape[-1]
     EW = ETA @ W
     gT = cf.grad.reshape(batch + (n, n * A)).swapaxes(-1, -2)  # [(a, k), i]
@@ -292,8 +318,8 @@ def curvature(g: MetricJet) -> CurvatureReport:
     n, A = g.value.shape[-1], g.grad.shape[-3]
     batch = g.value.shape[:-2]
     G = 0.5 * (g.value + g.value.swapaxes(-1, -2))
-    _require_regular(G, SingularMetricError, "metric")
-    ginv = np.linalg.inv(G)
+    _require_finite(g, SingularMetricError, "metric")
+    ginv = _inverse(G)
     Glow = _lower_christoffel(padded_grad(g)).reshape(batch + (n, n * n))
     Gam = ginv @ Glow  # Gamma^a_(bc)
     # d_e Gamma^a_bc = g^ad (d_e Gamma_dbc - d_e g_df Gamma^f_bc), for the last A coordinates e
@@ -465,13 +491,24 @@ def on_regular_rows(fn, x, live, found):
     return None, live
 
 
+def weyl_ratio(g: MetricJet) -> np.ndarray:
+    """maxAbsWeyl / metricScale of g at each point: the flatness certificate.
+
+    SingularMetricError marks the points where it is not finite.
+    """
+    rep = curvature(g)
+    ratio = rep.maxAbsWeyl / rep.metricScale
+    SingularMetricError.raise_where(~np.isfinite(ratio), "Weyl ratio is not finite at this point")
+    return ratio
+
+
 def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jet: Jet1 | None = None):
     """Per-point Weyl-flatness ratios for a catalog entry.
 
     One coframe, metric and curvature report covers all the points. `jet`,
     when given, is F_jet of the entry at the points' parameters, so it is
-    not built again. A point whose jet, coframe or metric fails gets its
-    error, and the other points are still evaluated.
+    not built again. A point whose jet, coframe, metric or ratio fails gets
+    its error, and the other points are still evaluated.
     """
     if isinstance(spec, str):
         spec = get_spec(spec)
@@ -484,9 +521,9 @@ def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jet: Jet1 | No
     live = np.arange(len(pts))
     cf, live = on_regular_rows(coframes, live, live, found)
     g, live = on_regular_rows(metric_at, cf, live, found)
-    rep, live = on_regular_rows(curvature, g, live, found)
+    ratios, live = on_regular_rows(weyl_ratio, g, live, found)
     if live.size:
-        for i, ratio in zip(live, (rep.maxAbsWeyl / rep.metricScale).tolist()):
+        for i, ratio in zip(live, ratios.tolist()):
             found[i] = ratio
     results = []
     for pt, r in zip(pts.tolist(), found):

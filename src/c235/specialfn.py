@@ -112,6 +112,10 @@ def _series_coeffs(p: HyperTriple, nterms: int) -> np.ndarray:
 SERIES_MAX_TERMS = 100001
 # each point sums its series until the terms fall this many digits below their peak
 SERIES_DIGITS = 17
+# hyp2f1_jet sums a stack in one product while its table of powers, padded to the
+# largest term count, holds at most this many (8 MB); a larger one is summed per
+# count. On a small stack one product costs less than a product per count.
+SERIES_TABLE_ENTRIES = 1 << 20
 
 
 @functools.lru_cache(maxsize=None)
@@ -141,6 +145,23 @@ def _weights_and_powers(s: np.ndarray, c: np.ndarray, counts: np.ndarray, order:
     return c[m[:, None] + np.arange(order + 1)] * binom, powers
 
 
+def _series_sums(s, L, counts, c, e: float, order: int):
+    """(coeffs, short) of hyp2f1_jet's points s, L = -log |s|, each summing its count of terms.
+
+    Far from the asymptotic regime (large a, b or c) the estimate of the
+    count can fall short. A point is short where the last term of
+    coefficient `order` is not SERIES_DIGITS digits below the one at m*,
+    or the next term is larger.
+    """
+    W, powers = _weights_and_powers(s, c, counts, order)
+    rows, last = np.arange(len(s)), counts - 1
+    peak = np.rint(np.minimum(e / L, last)).astype(int)
+    term = lambda i: np.abs(W[i, order] * powers[rows, i])
+    ratio = np.abs(s * c[last + order + 1] / c[last + order]) * (last + order + 1) / (last + 1)
+    short = (term(last) > 10.0**-SERIES_DIGITS * term(peak)) | (ratio > 1)
+    return (powers[:, None, :] @ W)[:, 0, :], short
+
+
 def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
     """Jet of 2F1(a, b; c; s) at s0 (one point, or a stack of points).
 
@@ -158,6 +179,7 @@ def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
     if length is not None:
         c = np.append(_poly_coeffs(p, length), np.zeros(order))
         W, powers = _weights_and_powers(s, c, np.full(len(s), length), order)
+        coeffs = (powers[:, None, :] @ W)[:, 0, :]
     else:
         if _nonpositive_int(p.c):
             raise PoleError(f"c = {p.c} is a non-positive integer and the series does not terminate")
@@ -181,22 +203,23 @@ def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
             SeriesDomainError.raise_where(
                 np.reshape(counts > SERIES_MAX_TERMS, np.shape(s0)),
                 f"series for {name} does not fall {SERIES_DIGITS} digits in {SERIES_MAX_TERMS} terms")
+            top = int(counts.max())
             # a prefix of a cached power-of-two run, so the cache keeps few lengths per triple
-            c = _series_coeffs(p, 1 << int(counts.max() + order).bit_length())
-            W, powers = _weights_and_powers(s, c, counts, order)
-            # Far from the asymptotic regime (large a, b or c) the estimate can
-            # fall short. Where the last term of coefficient `order` is not
-            # SERIES_DIGITS digits below the one at m*, or the next term is
-            # larger, the point sums twice as many terms.
-            rows, last = np.arange(len(s)), counts - 1
-            peak = np.rint(np.minimum(e / L, last)).astype(int)
-            term = lambda i: np.abs(W[i, order] * powers[rows, i])
-            ratio = np.abs(s * c[last + order + 1] / c[last + order]) * (last + order + 1) / (last + 1)
-            short = (term(last) > 10.0**-SERIES_DIGITS * term(peak)) | (ratio > 1)
+            c = _series_coeffs(p, 1 << (top + order).bit_length())
+            if len(s) * top <= SERIES_TABLE_ENTRIES:
+                coeffs, short = _series_sums(s, L, counts, c, e, order)
+            else:
+                # the points of each count apart, so a point near |s0| = 1
+                # does not size the table of the others
+                coeffs = np.empty((len(s), order + 1), dtype=np.result_type(s, float))
+                short = np.empty(len(s), dtype=bool)
+                for k in np.unique(counts):
+                    rows = counts == k
+                    coeffs[rows], short[rows] = _series_sums(
+                        s[rows], L[rows], counts[rows], c, e, order)
             if not short.any():
                 break
             counts = np.where(short, 2 * counts, counts)
-    coeffs = (powers[:, None, :] @ W)[:, 0, :]
     return Jet1(s0, coeffs.reshape(np.shape(s0) + (order + 1,)))
 
 

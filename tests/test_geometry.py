@@ -44,6 +44,7 @@ from c235.geometry import (
     riemann_symmetry_error,
     sample_points,
     weyl_equals_residual_check,
+    weyl_ratio,
     weyl_trace_error,
 )
 from c235.jets import Jet1, MJet2, jet_abs_pow, jet_const, jet_var
@@ -227,15 +228,15 @@ def test_batched_geometry_matches_single_point(spec):
 
 
 def test_flatness_suite_reports_singular_rows():
-    # a vanishing F'' at one point makes that coframe singular; the others still count
+    # a non-finite jet at one point makes that coframe fail; the others still count
     spec = get_spec("F-power-2")
     pts = sample_points(spec, 3, seed=0)
     jet = F_jet(spec, np.array(pts)[:, 4])
-    jet = Jet1(jet.basepoint, jet.coeffs * [[1.0], [1e-20], [1.0]])
+    jet = Jet1(jet.basepoint, jet.coeffs * [[1.0], [np.nan], [1.0]])
     out = flatness_suite(spec, pts, jet=jet)
     bad = out["results"][1]
     assert bad["weylRatio"] is None and bad["pass"] is False
-    assert bad["error"] == "SingularCoframeError: coframe is singular at this point"
+    assert bad["error"] == "SingularCoframeError: coframe is not finite at this point"
     assert all(r["pass"] and "error" not in r for i, r in enumerate(out["results"]) if i != 1)
     with pytest.raises(SingularCoframeError):
         metric_at(coframe_for_spec(spec, pts[1], jet=Jet1(jet.basepoint[1], jet.coeffs[1])))
@@ -245,6 +246,18 @@ def test_flatness_suite_reports_singular_rows():
     g = MetricJet(g.value * [[[1.0]], [[0.0]], [[1.0]]], g.grad, g.hess)
     with pytest.raises(SingularMetricError) as exc:
         curvature(g)
+    assert exc.value.rows.tolist() == [False, True, False]
+
+
+def test_weyl_ratio_marks_points_where_it_is_not_finite():
+    # finite metric arrays whose curvature overflows at the middle point
+    spec = get_spec("F-power-2")
+    g = metric_at(coframe_for_spec(spec, sample_points(spec, 3, seed=0)))
+    g = MetricJet(g.value * [[[1.0]], [[1e-20]], [[1.0]]], g.grad,
+                  g.hess * np.array([1.0, 1e300, 1.0])[:, None, None, None, None])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularMetricError) as exc:
+        weyl_ratio(g)
+    assert str(exc.value) == "Weyl ratio is not finite at this point"
     assert exc.value.rows.tolist() == [False, True, False]
 
 
@@ -305,11 +318,18 @@ def test_coframe_H_rejects_degenerate_H():
 
 
 def test_singular_coframe_raises():
-    # a vanishingly small F'' makes the coframe numerically singular
+    # the certificate does not depend on units: F = 1e-20 q^2 is as flat as
+    # q^2, though its coframe's cond is about 8e35
     q_of = identity_q(1.0)
     F_of = q_of * q_of * 1e-20
-    with pytest.raises(SingularCoframeError):
-        metric_at(build_coframe(q_of, F_of, POINT4))
+    assert weyl_ratio(metric_at(build_coframe(q_of, F_of, POINT4))) < 1e-7 / 3
+    # a coframe holding an inf raises
+    coeffs = F_of.coeffs.copy()
+    coeffs[3] = np.inf
+    with np.errstate(invalid="ignore"):  # inf * 0 in the jet products
+        cf = build_coframe(q_of, Jet1(1.0, coeffs), POINT4)
+    with pytest.raises(SingularCoframeError, match="coframe is not finite at this point"):
+        metric_at(cf)
 
 
 # --- curvature against the einsum reference --------------------------------
@@ -702,6 +722,31 @@ def test_flatness_suite_over_catalog():
             assert all(r["weylRatio"] > 1e-3 for r in out["results"]), spec.id
         else:
             assert out["pass"], (spec.id, out)
+
+
+def sweep_points(spec):
+    """POINT4 with each lam of a dense grid over the domain: the 1998 interior points
+    of a 2000-point linspace, and 100 points from 1e-6 to 1e-2 of its width from each end."""
+    lo, hi = spec.domain
+    ends = np.geomspace(1e-6, 1e-2, 100) * (hi - lo)
+    lam = np.concatenate([np.linspace(lo, hi, 2000)[1:-1], lo + ends, hi - ends])
+    return np.column_stack([np.broadcast_to(POINT4, (lam.size, 4)), lam])
+
+
+@pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
+def test_dense_sweep_certifies_every_case(spec):
+    # no conditioning test guards the certificate, so this is the evidence that
+    # none is needed: no point of the grid fails, every flat case reads well
+    # below the tolerance, and each negative control far above it
+    pts = sweep_points(spec)
+    out = flatness_suite(spec, pts)
+    errors = [r for r in out["results"] if "error" in r]
+    assert not errors, errors[0]
+    ratios = np.array([r["weylRatio"] for r in out["results"]])
+    if spec.expect_fail:
+        assert ratios.min() > 1e-3, pts[np.argmin(ratios), 4]
+    else:
+        assert ratios.max() < out["tol"] / 3, pts[np.argmax(ratios), 4]
 
 
 def test_sample_points_respect_domain_and_seed():
