@@ -127,17 +127,6 @@ def _check(name: str, i: int, tol: float, outcome) -> dict:
     return {"name": name, "point": i, "value": outcome, "tol": tol, "pass": outcome < tol}
 
 
-def _checks(name: str, tol: float, fn, jet, live, failed) -> list:
-    """The entries of one check at every point: fn(jet) at the points `live`, which
-    the rows of jet belong to, or the C235Error that stopped a point."""
-    found = list(failed)
-    values, live = geometry.on_regular_rows(fn, jet, live, found)
-    if live.size:
-        for i, value in zip(live, values.tolist()):
-            found[i] = value
-    return [_check(name, i, tol, r) for i, r in enumerate(found)]
-
-
 def _verify_case(spec, points: int, tol: float, seed: int) -> dict:
     pts = np.array(geometry.sample_points(spec, points, seed))
     # one F_jet call builds every point's solution jet, shared by every check
@@ -145,24 +134,20 @@ def _verify_case(spec, points: int, tol: float, seed: int) -> dict:
     jet, live = geometry.on_regular_rows(lambda p: F_jet(spec, p), pts[:, 4],
                                          np.arange(len(pts)), failed)
     F_picture = spec.picture == "F_of_q"
-    res_name, residual = (("ode_residual_F", residual_6th) if F_picture
-                          else ("ode_residual_H", residual_ds6))
-    checks = _checks(res_name, tol, residual, jet, live, failed)
-    flat = iter(geometry.flatness_suite(spec, pts[live], tol, jet)["results"] if live.size else ())
-    for i, err in enumerate(failed):
-        if err is not None:
-            checks.append(_check("weyl_flatness", i, tol, err))
-            continue
-        r = next(flat)
-        entry = {"name": "weyl_flatness", "point": i, "value": r["weylRatio"],
-                 "tol": tol, "pass": r["pass"]}
-        checks.append(dict(entry, error=r["error"]) if "error" in r else entry)
+    # (name, the stack its first stage takes, stages): the flatness stages
+    # take positions in the stack of jets
+    checks = [
+        ("ode_residual_F", jet, (residual_6th,)) if F_picture
+        else ("ode_residual_H", jet, (residual_ds6,)),
+        ("weyl_flatness", np.arange(live.size), geometry.flatness_stages(spec, pts[live], jet)),
+    ]
     if F_picture:
-        checks += _checks("duality_residual", tol,
-                          lambda F: residual_ds6(legendre_transform(F)[1]),
-                          jet, live, failed)
-    ok = all(c["pass"] for c in checks)
-    return {"id": spec.id, "expectFail": spec.expect_fail, "checks": checks, "pass": ok}
+        checks.append(("duality_residual", jet,
+                       (lambda F: residual_ds6(legendre_transform(F)[1]),)))
+    entries = [_check(name, i, tol, outcome) for name, x, stages in checks
+               for i, outcome in enumerate(geometry.per_point(stages, x, live, failed))]
+    return {"id": spec.id, "expectFail": spec.expect_fail, "checks": entries,
+            "pass": all(c["pass"] for c in entries)}
 
 
 def cmd_verify(args) -> int:

@@ -37,8 +37,8 @@ Frac = Fraction
 class SolutionSpec:
     """One catalog entry.
 
-    param_name is the variable the builder takes a basepoint in (q, t, x,
-    s or r); domain is the open interval of admissible basepoints, already
+    param_name is the variable the builder takes a basepoint in (q, t, s
+    or r); domain is the open interval of admissible basepoints, already
     shrunk away from singular endpoints.
     """
 
@@ -111,104 +111,42 @@ _Z1_ROOT_FREE_DOMAINS = {
 }
 
 
+def _picture_entries(picture: str, powers, triples, classes, pair: str, sdot_power: Fraction):
+    """The power laws, the power-3 control, the hyper triples and the Schwarz classes of a picture.
+
+    `pair` names F'' (H'') over a hypergeometric pair, and `sdot_power` is
+    the power of sdot in F'' (H'') over a Schwarzian solution.
+    """
+    f, v = picture[0], picture[-1]  # "F_of_q" is F(q), "H_of_t" is H(t)
+    dual = "" if f == "F" else "dual "
+    sdot = f"sdot^({_fmt(sdot_power)})" if sdot_power.denominator > 1 else f"sdot^{_fmt(sdot_power)}"
+
+    def power(m, note, **kw):
+        return SolutionSpec(id=f"{f}-power-{_fmt(m)}", picture=picture, family="power_m",
+                            params={"m": m}, param_name=v, domain=(0.05, 10.0), note=note, **kw)
+
+    return (
+        [power(m, f"{f}({v}) = {v}^{_fmt(m)}, one of the four {dual}flat power laws") for m in powers]
+        + [power(Frac(3), f"negative control: {v}^3 is not flat", expect_fail=True)]
+        + [SolutionSpec(id=_triple_id(f"{f}-triple", abc), picture=picture, family="hyper_triple",
+                        params={"abc": abc, "constants": (1.0, 0.0, 0.0, 1.0)}, param_name="s",
+                        domain=_Z1_ROOT_FREE_DOMAINS.get(abc, _S_DOMAIN),
+                        note=f"{f}'' = {pair} over a {dual}flat hypergeometric pair")
+           for abc in triples]
+        + [SolutionSpec(id=_triple_id(f"{f}-schwarz", tr), picture=picture,
+                        family="schwarz_triple_param",
+                        params={"triple": tr, "exponents": exps, "power": sdot_power},
+                        param_name="s", domain=_S_DOMAIN,
+                        note=f"{f}'' = {sdot}/(s^e1 (s-1)^e2) over a Schwarzian solution")
+           for tr, exps in classes.items()]
+    )
+
+
 def _build_catalog() -> Tuple[SolutionSpec, ...]:
-    entries = []
-    for m in F_POWERS:
-        entries.append(
-            SolutionSpec(
-                id=f"F-power-{_fmt(m)}",
-                picture="F_of_q",
-                family="power_m",
-                params={"m": m},
-                param_name="q",
-                domain=(0.05, 10.0),
-                note=f"F(q) = q^{_fmt(m)}, one of the four flat power laws",
-            )
-        )
-    for m in H_POWERS:
-        entries.append(
-            SolutionSpec(
-                id=f"H-power-{_fmt(m)}",
-                picture="H_of_t",
-                family="power_m",
-                params={"m": m},
-                param_name="t",
-                domain=(0.05, 10.0),
-                note=f"H(t) = t^{_fmt(m)}, one of the four dual flat power laws",
-            )
-        )
-    entries.append(
-        SolutionSpec(
-            id="F-power-3",
-            picture="F_of_q",
-            family="power_m",
-            params={"m": Frac(3)},
-            param_name="q",
-            domain=(0.05, 10.0),
-            note="negative control: q^3 is not flat",
-            expect_fail=True,
-        )
-    )
-    entries.append(
-        SolutionSpec(
-            id="H-power-3",
-            picture="H_of_t",
-            family="power_m",
-            params={"m": Frac(3)},
-            param_name="t",
-            domain=(0.05, 10.0),
-            note="negative control: t^3 is not flat",
-            expect_fail=True,
-        )
-    )
-    for abc in F_HYPER_TRIPLES:
-        entries.append(
-            SolutionSpec(
-                id=_triple_id("F-triple", abc),
-                picture="F_of_q",
-                family="hyper_triple",
-                params={"abc": abc, "constants": (1.0, 0.0, 0.0, 1.0)},
-                param_name="s",
-                domain=_Z1_ROOT_FREE_DOMAINS.get(abc, _S_DOMAIN),
-                note="F'' = z1^3 over a flat hypergeometric pair",
-            )
-        )
-    for abc in H_HYPER_TRIPLES:
-        entries.append(
-            SolutionSpec(
-                id=_triple_id("H-triple", abc),
-                picture="H_of_t",
-                family="hyper_triple",
-                params={"abc": abc, "constants": (1.0, 0.0, 0.0, 1.0)},
-                param_name="s",
-                domain=_Z1_ROOT_FREE_DOMAINS.get(abc, _S_DOMAIN),
-                note="H'' = w1^4 over a dual flat hypergeometric pair",
-            )
-        )
-    for tr, exps in F_SCHWARZ_CLASSES.items():
-        entries.append(
-            SolutionSpec(
-                id=_triple_id("F-schwarz", tr),
-                picture="F_of_q",
-                family="schwarz_triple_param",
-                params={"triple": tr, "exponents": exps, "power": Frac(3, 2)},
-                param_name="s",
-                domain=_S_DOMAIN,
-                note="F'' = sdot^(3/2)/(s^e1 (s-1)^e2) over a Schwarzian solution",
-            )
-        )
-    for tr, exps in H_SCHWARZ_CLASSES.items():
-        entries.append(
-            SolutionSpec(
-                id=_triple_id("H-schwarz", tr),
-                picture="H_of_t",
-                family="schwarz_triple_param",
-                params={"triple": tr, "exponents": exps, "power": Frac(2)},
-                param_name="s",
-                domain=_S_DOMAIN,
-                note="H'' = sdot^2/(s^e1 (s-1)^e2) over a Schwarzian solution",
-            )
-        )
+    entries = _picture_entries("F_of_q", F_POWERS, F_HYPER_TRIPLES, F_SCHWARZ_CLASSES,
+                               "z1^3", Frac(3, 2))
+    entries += _picture_entries("H_of_t", H_POWERS, H_HYPER_TRIPLES, H_SCHWARZ_CLASSES,
+                                "w1^4", Frac(2))
     entries.append(
         SolutionSpec(
             id="F-two-pole",
@@ -226,9 +164,9 @@ def _build_catalog() -> Tuple[SolutionSpec, ...]:
             picture="H_of_t",
             family="two_pole",
             params={"B": 0.0, "C": 1.0},
-            param_name="x",
+            param_name="t",
             domain=(0.05, 10.0),
-            note="closed form H(x) = -(1/192) sqrt(x+C)(4x+3B+C)/(sqrt(x+B)(B-C)^3)",
+            note="closed form H(t) = -(1/192) sqrt(t+C)(4t+3B+C)/(sqrt(t+B)(B-C)^3)",
             aliases=("twistor-case-5",),
         )
     )
@@ -339,10 +277,10 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
             I = two_pole_solution(k, B, C, point, order)
             return build_F_from_I(I, constants=(0.0, 0.0, 0.0))
         B, C = spec.params["B"], spec.params["C"]
-        DomainError.raise_where(point <= max(-B, -C), "x must exceed both poles for the real branch")
-        x = jet_var(point, order)
-        num = jet_sqrt(x + C) * (4.0 * x + 3.0 * B + C)
-        return (-1.0 / (192.0 * (B - C) ** 3)) * num / jet_sqrt(x + B)
+        DomainError.raise_where(point <= max(-B, -C), "t must exceed both poles for the real branch")
+        t = jet_var(point, order)
+        num = jet_sqrt(t + C) * (4.0 * t + 3.0 * B + C)
+        return (-1.0 / (192.0 * (B - C) ** 3)) * num / jet_sqrt(t + B)
     if fam == "ds_curve":
         a, b = spec.params["a"], spec.params["b"]
         y = ds_curve_solution(a, b, spec.params["f"], point, order)

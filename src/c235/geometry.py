@@ -439,8 +439,6 @@ def coframe_coords(spec: SolutionSpec) -> Tuple[str, ...]:
     lam_name = {"H_of_t": "t"}.get(spec.picture, "q")
     if spec.family == "elementary_r":
         lam_name = "r"
-    if spec.family == "two_pole" and spec.picture == "H_of_t":
-        lam_name = "x"
     return ("x", "y", "z", "p", lam_name)
 
 
@@ -491,6 +489,22 @@ def on_regular_rows(fn, x, live, found):
     return None, live
 
 
+def per_point(stages, x, live, found) -> list:
+    """Each point's outcome after the stages: its value, or the C235Error that stopped it.
+
+    The stages run in turn through on_regular_rows, the first on the stack
+    x, whose rows belong to the points `live`, and each later one on what
+    the one before returned. found holds every point's outcome so far,
+    None at the points `live`; it is copied, not changed.
+    """
+    found = list(found)
+    for stage in stages:
+        x, live = on_regular_rows(stage, x, live, found)
+    for i, value in zip(live, x.tolist() if live.size else ()):
+        found[i] = value
+    return found
+
+
 def weyl_ratio(g: MetricJet) -> np.ndarray:
     """maxAbsWeyl / metricScale of g at each point: the flatness certificate.
 
@@ -500,6 +514,18 @@ def weyl_ratio(g: MetricJet) -> np.ndarray:
     ratio = rep.maxAbsWeyl / rep.metricScale
     SingularMetricError.raise_where(~np.isfinite(ratio), "Weyl ratio is not finite at this point")
     return ratio
+
+
+def flatness_stages(spec: SolutionSpec, pts: np.ndarray, jet: Jet1 | None):
+    """The per_point stages from positions in the stack pts of points to their Weyl ratios.
+
+    `jet` is None, or F_jet of the entry at the parameters of pts, row for
+    row, so that it is not built again.
+    """
+    def coframes(at):
+        return coframe_for_spec(spec, pts[at], jet=None if jet is None else _rows(jet, at))
+
+    return coframes, metric_at, weyl_ratio
 
 
 def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jet: Jet1 | None = None):
@@ -513,18 +539,8 @@ def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jet: Jet1 | No
     if isinstance(spec, str):
         spec = get_spec(spec)
     pts = np.reshape(np.asarray(points, dtype=float), (-1, 5))
-    found = [None] * len(pts)  # each point's ratio, or the C235Error that stopped it
-
-    def coframes(rows):
-        return coframe_for_spec(spec, pts[rows], jet=None if jet is None else _rows(jet, rows))
-
-    live = np.arange(len(pts))
-    cf, live = on_regular_rows(coframes, live, live, found)
-    g, live = on_regular_rows(metric_at, cf, live, found)
-    ratios, live = on_regular_rows(weyl_ratio, g, live, found)
-    if live.size:
-        for i, ratio in zip(live, ratios.tolist()):
-            found[i] = ratio
+    at = np.arange(len(pts))
+    found = per_point(flatness_stages(spec, pts, jet), at, at, [None] * len(pts))
     results = []
     for pt, r in zip(pts.tolist(), found):
         ok = not isinstance(r, C235Error)

@@ -17,6 +17,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import (
+    DegenerateError,
     DivisionByZeroJet,
     LinearDependenceError,
     PoleError,
@@ -41,9 +42,11 @@ def relative_residual(monomials):
 
     The monomials stack on axis 0. Dividing by the largest of them, with
     no floor, makes the residual invariant under rescaling the solution.
+    DegenerateError marks the points where a monomial is not finite.
     """
     m = np.asarray(monomials, dtype=complex)
-    scale = np.max(np.abs(m), axis=0)
+    scale = np.max(np.abs(m), axis=0)  # NaN or inf wherever a monomial is
+    DegenerateError.raise_where(~np.isfinite(scale), "residual is not finite at this point")
     rel = np.divide(np.abs(np.sum(m, axis=0)), scale, out=np.zeros_like(scale), where=scale > 0)
     return rel if rel.ndim else float(rel)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .chazy import residual_ds6
 from .dist import SolutionSpec, F_jet, get_spec, legendre_transform
 from .errors import InvalidParam
-from .jets import Jet1, MJet2
+from .jets import Jet1
 from . import geometry
 
 M4_COORDS = ("w", "x", "y", "z")
@@ -72,8 +72,8 @@ def plebanski_metric(d: PlebanskiData) -> geometry.MetricJet:
     grad = np.zeros((dim, dim, dim))
     hess = np.zeros((dim, dim, dim, dim))
     value[0, 1] = value[1, 0] = value[2, 3] = value[3, 2] = 0.5
-    Hm = MJet2.from_jet1(d.H, 1, dim)
-    value[3, 3], grad[:, 3, 3], hess[:, :, 3, 3] = Hm.value, Hm.gradient, Hm.hessian
+    c = d.H.coeffs  # H depends on x alone, the coordinate of index 1
+    value[3, 3], grad[1, 3, 3], hess[1, 1, 3, 3] = c[0], c[1], 2.0 * c[2]
     return geometry.MetricJet(value, grad, hess)
 
 

@@ -148,24 +148,45 @@ def test_verify_builds_each_jet_once(capsys, monkeypatch):
     assert np.shape(calls[0][1]) == (10,)
 
 
-def test_verify_reports_a_singular_coframe(capsys, monkeypatch):
-    # a jet that is not finite at one point stops that point's flatness check
-    # alone, as an error entry: the report is still written
-    def one_nan_row(spec, param, *args, **kwargs):
-        jet = dist.F_jet(spec, param, *args, **kwargs)
-        coeffs = jet.coeffs.copy()
-        coeffs[3, 2] = np.nan
-        return dataclasses.replace(jet, coeffs=coeffs)
+def _one_nan_row(spec, param, *args, **kwargs):
+    # F_jet with a NaN in coefficient 2 of the jet at point 3
+    jet = dist.F_jet(spec, param, *args, **kwargs)
+    coeffs = jet.coeffs.copy()
+    coeffs[3, 2] = np.nan
+    return dataclasses.replace(jet, coeffs=coeffs)
 
+
+def test_verify_reports_a_singular_coframe(capsys, monkeypatch):
+    # a jet that is not finite at one point stops each of that point's checks
+    # alone, as an error entry: the report is still written
     for mod in (cli, geometry):
-        monkeypatch.setattr(mod, "F_jet", one_nan_row)
+        monkeypatch.setattr(mod, "F_jet", _one_nan_row)
     code, payload, _ = run_json(capsys, "verify", "--case", "F-power-1/3", "--points", "10", "--json")
     assert code == 1
     assert payload["summary"] == {"passed": 0, "failed": 1}
     errors = [c for c in payload["cases"][0]["checks"] if "error" in c]
-    assert errors == [{"name": "weyl_flatness", "point": 3, "value": None, "tol": cli.DEFAULT_TOL,
-                       "pass": False,
-                       "error": "SingularCoframeError: coframe is not finite at this point"}]
+    residual = "DegenerateError: residual is not finite at this point"
+    assert errors == [
+        {"name": name, "point": 3, "value": None, "tol": cli.DEFAULT_TOL, "pass": False,
+         "error": error}
+        for name, error in (("ode_residual_F", residual),
+                            ("weyl_flatness", "SingularCoframeError: coframe is not finite at this point"),
+                            ("duality_residual", residual))]
+
+
+def test_verify_and_flatness_suite_share_the_runner(capsys, monkeypatch):
+    # verify's weyl_flatness entries are flatness_suite's results, point by point
+    for mod in (cli, geometry):
+        monkeypatch.setattr(mod, "F_jet", _one_nan_row)
+    spec = dist.get_spec("F-power-1/3")
+    code, payload, _ = run_json(capsys, "verify", "--case", spec.id, "--points", "10", "--json")
+    assert code == 1
+    flat = [c for c in payload["cases"][0]["checks"] if c["name"] == "weyl_flatness"]
+    suite = geometry.flatness_suite(spec, geometry.sample_points(spec, 10, 0))["results"]
+    assert [c["point"] for c in flat] == list(range(10))
+    assert "error" in suite[3]
+    for c, r in zip(flat, suite):
+        assert (c["value"], c["pass"], c.get("error")) == (r["weylRatio"], r["pass"], r.get("error"))
 
 
 def test_verify_passes_by_a_zero_of_z1(capsys, monkeypatch):
@@ -282,16 +303,21 @@ def test_curvature_elementary_ricci(capsys):
 
 @pytest.mark.parametrize("spec", dist.catalog(), ids=lambda s: s.id)
 def test_curvature_names_the_coordinates(capsys, spec):
-    # lam is q in the F picture and t in the H picture, except for the two
-    # entries below. H-two-pole names lam "x", as its --point syntax does,
-    # so the report names x twice.
-    lam = {"F-elementary-r": "r", "H-two-pole": "x"}.get(
-        spec.id, "q" if spec.picture == "F_of_q" else "t")
+    # lam is q in the F picture and t in the H picture, except for F-elementary-r
+    lam = {"F-elementary-r": "r"}.get(spec.id, "q" if spec.picture == "F_of_q" else "t")
     pt = geometry.sample_points(spec, 1, 400)[0]
     point = ",".join(f"{k}={v!r}" for k, v in zip(("x", "y", "z", "p", spec.param_name), pt))
     code, payload, _ = run_json(capsys, "curvature", "--case", spec.id, "--point", point, "--json")
     assert code == 0
     assert payload["coords"] == ["x", "y", "z", "p", lam]
+
+
+def test_curvature_of_h_two_pole_keeps_x_apart_from_t(capsys):
+    code, payload, _ = run_json(capsys, "curvature", "--case", "H-two-pole",
+                                "--point", "x=0.2,y=-0.1,z=0.4,p=0.5,t=0.3", "--json")
+    assert code == 0
+    assert payload["point"]["x"] == 0.2 and payload["point"]["t"] == 0.3
+    assert len(set(payload["coords"])) == 5
 
 
 def test_curvature_malformed_point_exits_2(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from c235 import specialfn
 from c235.dist import catalog
-from c235.errors import SeriesDomainError
+from c235.errors import DegenerateError, SeriesDomainError
 from c235.jets import Jet1, jet_abs_pow, jet_var
 from c235.specialfn import (
     CLOSED_FORM_FAMILIES,
@@ -22,6 +22,7 @@ from c235.specialfn import (
     hyp2f1_jet,
     hypergeom_pair,
     hypergeom_residual,
+    relative_residual,
     schwarz_potential,
     transform_identity_check,
     u_ode_residual,
@@ -32,6 +33,16 @@ S_POINTS = [0.11, 0.23, 0.37, 0.52, 0.68, 0.81]
 
 
 # --- series engine -------------------------------------------------------
+
+
+def test_relative_residual_refuses_a_point_that_is_not_finite():
+    # monomials on axis 0, three points on axis 1: a NaN at point 1, an inf at point 2
+    with pytest.raises(DegenerateError, match="residual is not finite at this point") as exc:
+        relative_residual([[1.0, np.nan, 1.0], [-1.0, 1.0, np.inf]])
+    assert exc.value.rows.tolist() == [False, True, True]
+    with pytest.raises(DegenerateError):
+        relative_residual([np.nan, 1.0])
+    assert relative_residual([2.0, -1.0]) == 0.5
 
 
 @pytest.mark.parametrize("s0", S_POINTS)
