@@ -182,22 +182,15 @@ def parametrized_y(s: Jet1, weights: str) -> Jet1:
     return (-a) * o1 + (-b) * o2 + (-c) * o3
 
 
-def schwarz_solution(
-    tr: SchwarzTriple,
-    s0,
-    order: int = 8,
-    ics: Tuple[float, float, float, float] = (1.0, 0.0, 0.3, 1.0),
-) -> Jet1:
+def schwarz_solution(tr: SchwarzTriple, s0, order: int = 8) -> Jet1:
     """An s(q) jet solving the Schwarzian equation for the triple tr.
 
     Solves u'' + V(s) u / 4 = 0 twice, as jets in s with the initial data
-    ics = (u1, u1', u2, u2') at s0 (one point, or a stack), forms
-    q(s) = u2/u1 and inverts. Works uniformly in the triple, including
-    (0, 0, 0).
+    (u1, u1', u2, u2') = (1, 0, 0.3, 1) at s0 (one point, or a stack), a
+    pair of Wronskian 1, forms q(s) = u2/u1 and inverts. Works uniformly
+    in the triple, including (0, 0, 0).
     """
     DegenerateError.raise_where((s0 == 0) | (s0 == 1), "s0 in {0,1}")
-    if abs(ics[0] * ics[3] - ics[1] * ics[2]) < 1e-14:
-        raise ZeroWronskianError("initial data give a dependent pair")
     n = order + 2
     V = schwarz_potential(*tr.as_floats(), s0, n).coeffs
     # L u = (u_0, u_1, 0, ...), row k + 2 the coefficient of s^k in u'' + V u / 4:
@@ -208,7 +201,7 @@ def schwarz_solution(
     L[..., k, k] = np.maximum(k * (k - 1), 1)
     # both solutions in one solve, along an axis before the coefficients
     r = np.zeros((2, n + 1))
-    r[:, :2] = np.reshape(ics, (2, 2))
+    r[:, :2] = ((1.0, 0.0), (0.3, 1.0))
     u = solve_lower(L[..., None, :, :], r)
     ua, ub = Jet1(s0, u[..., 0, :]), Jet1(s0, u[..., 1, :])
     return jet_invert((ub / ua).truncate(order))
@@ -259,17 +252,14 @@ def reduce_F_to_I(F: Jet1) -> Jet1:
 
 def build_F_from_I(
     I: Jet1,
-    q0: float | None = None,
     constants: Tuple[float, float, float] = (0.0, 0.0, 0.0),
     negative: bool = False,
 ) -> Jet1:
-    """Rebuild F from I: F'' = (+-) exp(logE0 + int I/2), integrated twice.
+    """Rebuild F from I at I's basepoint: F'' = (+-) exp(logE0 + int I/2), integrated twice.
 
     constants = (F0, F1, logE0); negative selects the E < 0 branch.
     """
     F0, F1, logE0 = constants
-    if q0 is None:
-        q0 = I.basepoint
     half = 0.5 * I
     G = half.antiderivative(constant=logE0)
     E = jet_exp(G)

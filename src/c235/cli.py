@@ -3,7 +3,9 @@
 Subcommands: list, verify, identities, curvature. All reports are
 versioned JSON, written as one line with sorted keys; exit code 0 means
 every requested check passed, 1 means a check failed, 2 means a usage or
-configuration error.
+configuration error. `main` alone turns an error into exit 2: a subcommand
+raises a C235Error, which `main` prints as one `<Class>: message` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import __version__
 from .chazy import residual_6th, residual_ds6
 from .dist import F_jet, catalog, get_spec, legendre_transform
-from .errors import C235Error, UnknownCaseId
+from .errors import C235Error, InvalidParam
 from .specialfn import (
     CLOSED_FORM_HYPER,
     DEGREE6_EXCLUDED,
@@ -42,7 +44,7 @@ DEFAULT_SEED = 0
 def _tolerance(flag, default: float, env: str | None = None) -> float:
     """The tolerance from --tol, else from `env`, else `default`.
 
-    Raises ValueError, with a one-line reason, unless it is a positive
+    Raises InvalidParam, with a one-line reason, unless it is a positive
     finite number.
     """
     if flag is not None:
@@ -52,12 +54,12 @@ def _tolerance(flag, default: float, env: str | None = None) -> float:
         try:
             tol = float(raw)
         except ValueError:
-            raise ValueError(f"{env}={raw!r} is not a number") from None
+            raise InvalidParam(f"{env}={raw!r} is not a number") from None
         source = env
     else:
         return default
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{source} must be a positive finite number, got {tol!r}")
+        raise InvalidParam(f"{source} must be a positive finite number, got {tol!r}")
     return tol
 
 
@@ -70,11 +72,10 @@ def _emit(payload: dict, args) -> None:
     Every payload is a fresh tree, so the circular-reference check is skipped.
     """
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if getattr(args, "json", False) or not out:
+    if args.json or not args.out:
         sys.stdout.write(text)
 
 
@@ -87,11 +88,9 @@ def cmd_list(args) -> int:
         try:
             key, value = args.filter.split("=", 1)
         except ValueError:
-            print(f"bad --filter {args.filter!r}, expected key=value", file=sys.stderr)
-            return 2
-        if key not in ("id", "picture", "family", "param_name"):
-            print(f"unknown filter key {key!r}", file=sys.stderr)
-            return 2
+            raise InvalidParam(f"bad --filter {args.filter!r}, expected key=value") from None
+        InvalidParam.raise_where(key not in ("id", "picture", "family", "param_name"),
+                                 f"unknown filter key {key!r}")
         entries = [s for s in entries if getattr(s, key) == value]
     rows = [
         {
@@ -151,29 +150,14 @@ def _verify_case(spec, points: int, tol: float, seed: int) -> dict:
 
 
 def cmd_verify(args) -> int:
-    try:
-        tol = _tolerance(args.tol, DEFAULT_TOL, "C235_TOL")
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.points < 1:
-        print("need --points >= 1", file=sys.stderr)
-        return 2
-    if args.case == "all":
-        specs = sorted(catalog(), key=lambda s: s.id)
-        honor_expect_fail = True
-    else:
-        try:
-            specs = [get_spec(args.case)]
-        except UnknownCaseId as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        honor_expect_fail = False
+    tol = _tolerance(args.tol, DEFAULT_TOL, "C235_TOL")
+    InvalidParam.raise_where(args.points < 1, "need --points >= 1")
+    InvalidParam.raise_where(args.seed < 0, "need --seed >= 0")
+    specs = sorted(catalog(), key=lambda s: s.id) if args.case == "all" else [get_spec(args.case)]
     cases = [_verify_case(s, args.points, tol, args.seed) for s in specs]
-    if honor_expect_fail:
-        effective = [c["pass"] != c["expectFail"] for c in cases]
-    else:
-        effective = [c["pass"] for c in cases]
+    # the whole catalog expects its negative controls to fail; one case asked
+    # for by id reports its raw result
+    effective = [c["pass"] != (args.case == "all" and c["expectFail"]) for c in cases]
     report = {
         "version": REPORT_VERSION,
         "config": {
@@ -221,20 +205,13 @@ def _identity_values(kind: str, s0: np.ndarray) -> np.ndarray:
 
 
 def cmd_identities(args) -> int:
-    try:
-        tol = _tolerance(args.tol, 1e-10)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.samples < 1:
-        print("need --samples >= 1", file=sys.stderr)
-        return 2
+    tol = _tolerance(args.tol, 1e-10)
+    InvalidParam.raise_where(args.samples < 1, "need --samples >= 1")
+    InvalidParam.raise_where(args.seed < 0, "need --seed >= 0")
+    InvalidParam.raise_where(args.kind not in IDENTITY_KINDS + ("all",),
+                             f"unknown identity kind {args.kind!r}; choose from "
+                             f"{', '.join(IDENTITY_KINDS)} or all")
     kinds = list(IDENTITY_KINDS) if args.kind == "all" else [args.kind]
-    for kind in kinds:
-        if kind not in IDENTITY_KINDS:
-            print(f"unknown identity kind {kind!r}; choose from "
-                  f"{', '.join(IDENTITY_KINDS)} or all", file=sys.stderr)
-            return 2
     rng = np.random.default_rng(args.seed)
     results = []
     for kind in kinds:
@@ -262,55 +239,33 @@ def cmd_identities(args) -> int:
 # --- curvature -----------------------------------------------------------
 
 
-def _parse_point(text: str, spec) -> tuple:
+def _parse_point(text: str, spec) -> dict:
+    """The point's five coordinates by name, in the order x, y, z, p, spec.param_name."""
     vals = {}
     try:
         for part in text.split(","):
             key, raw = part.split("=", 1)
             vals[key.strip()] = float(raw)
     except ValueError:
-        raise ValueError(f"malformed point {text!r}")
-    missing = [k for k in ("x", "y", "z", "p", spec.param_name) if k not in vals]
-    if missing:
-        raise ValueError(f"point is missing coordinates: {', '.join(missing)}")
-    return (vals["x"], vals["y"], vals["z"], vals["p"], vals[spec.param_name])
+        raise InvalidParam(f"malformed point {text!r}") from None
+    names = ("x", "y", "z", "p", spec.param_name)
+    missing = [k for k in names if k not in vals]
+    InvalidParam.raise_where(bool(missing), f"point is missing coordinates: {', '.join(missing)}")
+    return {k: vals[k] for k in names}
 
 
 def cmd_curvature(args) -> int:
-    try:
-        spec = get_spec(args.case)
-    except UnknownCaseId as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        pt = _parse_point(args.point, spec)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        cf = geometry.coframe_for_spec(spec, pt)
-        g = geometry.metric_at(cf)
-        rep = geometry.curvature(g)
-    except C235Error as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    spec = get_spec(args.case)
+    point = _parse_point(args.point, spec)
+    g = geometry.metric_at(geometry.coframe_for_spec(spec, tuple(point.values())))
+    rep = geometry.curvature(g)
     payload = {
         "version": REPORT_VERSION,
         "case": spec.id,
-        "point": {"x": pt[0], "y": pt[1], "z": pt[2], "p": pt[3],
-                  spec.param_name: pt[4]},
+        "point": point,
         "coords": list(geometry.coframe_coords(spec)),
-        "report": {
-            "christoffel": rep.christoffel.tolist(),
-            "riemann": rep.riemann.tolist(),
-            "ricci": rep.ricci.tolist(),
-            "scalar": rep.scalar,
-            "weyl": rep.weyl.tolist(),
-            "maxAbsWeyl": rep.maxAbsWeyl,
-            "maxAbsRicci": rep.maxAbsRicci,
-            "metricScale": rep.metricScale,
-            "signature": list(geometry.metric_signature(g)),
-        },
+        "report": {**{k: np.asarray(v).tolist() for k, v in vars(rep).items()},
+                   "signature": list(geometry.metric_signature(g))},
     }
     _emit(payload, args)
     return 0
@@ -328,37 +283,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"c235 {__version__}")
     sub = parser.add_subparsers(dest="command")
+    # flags shared by subcommands: how a report is written, and how a run samples
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true")
+    output.add_argument("--out")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--tol", type=float, default=None)
+    sampling.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p_list = sub.add_parser("list", help="list catalog cases")
-    p_list.add_argument("--json", action="store_true")
-    p_list.add_argument("--out")
+    p_list = sub.add_parser("list", parents=[output], help="list catalog cases")
     p_list.add_argument("--filter", help="key=value, e.g. picture=H_of_t")
     p_list.set_defaults(func=cmd_list)
 
-    p_verify = sub.add_parser("verify", help="run residual and flatness checks")
+    p_verify = sub.add_parser("verify", parents=[output, sampling],
+                              help="run residual and flatness checks")
     p_verify.add_argument("--case", default="all")
     p_verify.add_argument("--points", type=int, default=DEFAULT_POINTS)
-    p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--out")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_ident = sub.add_parser("identities", help="run transformation identity checks")
+    p_ident = sub.add_parser("identities", parents=[output, sampling],
+                             help="run transformation identity checks")
     p_ident.add_argument("--kind", default="all")
     p_ident.add_argument("--samples", type=int, default=10)
-    p_ident.add_argument("--tol", type=float, default=None)
-    p_ident.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_ident.add_argument("--json", action="store_true")
-    p_ident.add_argument("--out")
     p_ident.set_defaults(func=cmd_identities)
 
-    p_curv = sub.add_parser("curvature", help="full curvature report at one point")
+    p_curv = sub.add_parser("curvature", parents=[output],
+                            help="full curvature report at one point")
     p_curv.add_argument("--case", required=True)
     p_curv.add_argument("--point", required=True,
                         help="x=..,y=..,z=..,p=..,<param>=..")
-    p_curv.add_argument("--json", action="store_true")
-    p_curv.add_argument("--out")
     p_curv.set_defaults(func=cmd_curvature)
     return parser
 
@@ -369,7 +322,11 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except C235Error as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

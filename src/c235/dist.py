@@ -275,7 +275,7 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         if spec.picture == "F_of_q":
             B, C, k = spec.params["B"], spec.params["C"], spec.params["k"]
             I = two_pole_solution(k, B, C, point, order)
-            return build_F_from_I(I, constants=(0.0, 0.0, 0.0))
+            return build_F_from_I(I)
         B, C = spec.params["B"], spec.params["C"]
         DomainError.raise_where(point <= max(-B, -C), "t must exceed both poles for the real branch")
         t = jet_var(point, order)

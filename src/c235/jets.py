@@ -326,14 +326,14 @@ def jet_sqrt(f: Jet1) -> Jet1:
     return _power_series(f, 0.5, np.sqrt(c0))
 
 
-def jet_compose(outer: Jet1, inner: Jet1, tol: float = 1e-9) -> Jet1:
+def jet_compose(outer: Jet1, inner: Jet1) -> Jet1:
     """Jet of outer(inner(x)) at inner's basepoint.
 
-    Requires inner.value() == outer.basepoint.
+    Requires inner.value() == outer.basepoint, to a relative 1e-9.
     """
     x0 = outer.basepoint
     BasepointMismatch.raise_where(
-        abs(inner.coeffs[..., 0] - x0) > tol * np.maximum(1.0, abs(x0)),
+        abs(inner.coeffs[..., 0] - x0) > 1e-9 * np.maximum(1.0, abs(x0)),
         "inner value differs from the outer basepoint",
     )
     n = min(outer.order, inner.order)

@@ -241,7 +241,7 @@ def test_reduce_then_build_roundtrip_positive():
     F = jet_abs_pow(jet_var(0.7, 8), 2.0) + jet_var(0.7, 8)
     I = reduce_F_to_I(F)
     logE0 = float(np.log(F.deriv(2)))
-    rebuilt = build_F_from_I(I, 0.7, constants=(F.value(), F.deriv(1), logE0))
+    rebuilt = build_F_from_I(I, constants=(F.value(), F.deriv(1), logE0))
     assert np.allclose(rebuilt.coeffs[: I.order - 1], F.coeffs[: I.order - 1], atol=1e-12)
 
 
@@ -251,7 +251,7 @@ def test_reduce_then_build_roundtrip_negative_branch():
     I = reduce_F_to_I(F)
     logE0 = float(np.log(-F.deriv(2)))
     rebuilt = build_F_from_I(
-        I, 0.7, constants=(F.value(), F.deriv(1), logE0), negative=True
+        I, constants=(F.value(), F.deriv(1), logE0), negative=True
     )
     assert np.allclose(rebuilt.coeffs[: I.order - 1], F.coeffs[: I.order - 1], atol=1e-12)
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from c235 import cli, dist, geometry
+from c235 import cli, dist, errors, geometry
 from c235.cli import main
 
 
@@ -52,12 +52,6 @@ def test_list_filter(capsys):
     assert len(payload["cases"]) > 0
 
 
-def test_list_bad_filter_exits_2(capsys):
-    code, _, err = run(capsys, "list", "--filter", "planet=mars")
-    assert code == 2
-    assert err
-
-
 # --- verify ---------------------------------------------------------------
 
 
@@ -86,12 +80,6 @@ def test_verify_all_honours_expect_fail(capsys):
     assert by_id["F-power-3"]["pass"] is False
 
 
-def test_verify_unknown_case_exits_2(capsys):
-    code, _, err = run(capsys, "verify", "--case", "no-such-case")
-    assert code == 2
-    assert "no-such-case" in err
-
-
 def test_verify_deterministic(capsys):
     argv = ("verify", "--case", "H-power-2", "--points", "4", "--seed", "7", "--json")
     _, out1, _ = run(capsys, *argv)
@@ -104,31 +92,6 @@ def test_verify_tol_env(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "verify", "--case", "F-power-2", "--points", "2", "--json")
     assert payload["config"]["tol"] == 1e-20
     assert code == 1  # nothing is flat to 1e-20
-
-
-@pytest.mark.parametrize("command", ["verify", "identities"])
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-7"])
-def test_tol_must_be_positive_and_finite(capsys, command, tol):
-    code, out, err = run(capsys, command, f"--tol={tol}", "--json")
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and "--tol" in err
-
-
-def test_verify_tol_env_not_a_number(capsys, monkeypatch):
-    monkeypatch.setenv("C235_TOL", "abc")
-    code, out, err = run(capsys, "verify", "--case", "F-power-2", "--points", "2", "--json")
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and "C235_TOL" in err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_verify_tol_env_not_finite(capsys, monkeypatch, value):
-    monkeypatch.setenv("C235_TOL", value)
-    code, _, err = run(capsys, "verify", "--case", "F-power-2", "--points", "2", "--json")
-    assert code == 2
-    assert "C235_TOL" in err
 
 
 def test_verify_builds_each_jet_once(capsys, monkeypatch):
@@ -281,12 +244,6 @@ def test_identities_single_kind(capsys):
     assert all(row["kind"] == "quadratic" for row in payload["results"])
 
 
-def test_identities_unknown_kind_exits_2(capsys):
-    code, _, err = run(capsys, "identities", "--kind", "nonsense")
-    assert code == 2
-    assert err
-
-
 # --- curvature ----------------------------------------------------------------
 
 
@@ -320,15 +277,53 @@ def test_curvature_of_h_two_pole_keeps_x_apart_from_t(capsys):
     assert len(set(payload["coords"])) == 5
 
 
-def test_curvature_malformed_point_exits_2(capsys):
-    code, _, err = run(capsys, "curvature", "--case", "F-power-2", "--point", "x=1,y=2")
-    assert code == 2
-    assert "missing" in err or "malformed" in err
+# --- refused input -------------------------------------------------------------
+
+VERIFY_ONE = ("verify", "--case", "F-power-2", "--points", "2", "--json")
+REFUSED = [
+    pytest.param(("verify", "--case", "no-such-case"), None,
+                 "UnknownCaseId", "no-such-case", id="verify-unknown-case"),
+    pytest.param(("curvature", "--case", "nope", "--point", "x=0,y=0,z=0,p=0,q=1"), None,
+                 "UnknownCaseId", "nope", id="curvature-unknown-case"),
+    *(pytest.param((command, f"--tol={tol}", "--json"), None, "InvalidParam", "--tol",
+                   id=f"{command}-tol={tol}")
+      for command in ("verify", "identities") for tol in ("nan", "inf", "-inf", "0", "-1e-7")),
+    *(pytest.param(VERIFY_ONE, value, "InvalidParam", "C235_TOL", id=f"C235_TOL={value}")
+      for value in ("abc", "nan", "inf")),
+    pytest.param(("verify", "--points", "0"), None, "InvalidParam", "--points", id="points-0"),
+    pytest.param(("identities", "--samples", "0"), None, "InvalidParam", "--samples",
+                 id="samples-0"),
+    pytest.param(("identities", "--kind", "nonsense"), None, "InvalidParam", "nonsense",
+                 id="unknown-kind"),
+    pytest.param(("list", "--filter", "planet=mars"), None, "InvalidParam", "planet",
+                 id="unknown-filter-key"),
+    pytest.param(("list", "--filter", "planet"), None, "InvalidParam", "--filter",
+                 id="filter-without-value"),
+    pytest.param(("curvature", "--case", "F-power-2", "--point", "x=1,y"), None,
+                 "InvalidParam", "malformed", id="malformed-point"),
+    pytest.param(("curvature", "--case", "F-power-2", "--point", "x=1,y=2"), None,
+                 "InvalidParam", "missing coordinates: z, p, q", id="point-missing-coordinates"),
+    pytest.param(("curvature", "--case", "F-power-2", "--point", "x=0,y=0,z=0,p=0,q=-5"), None,
+                 "DomainError", "outside admissible", id="point-outside-domain"),
+    *(pytest.param((command, "--seed", "-1", "--json"), None, "InvalidParam", "--seed",
+                   id=f"{command}-seed--1")
+      for command in ("verify", "identities")),
+]
 
 
-def test_curvature_unknown_case_exits_2(capsys):
-    code, _, _ = run(capsys, "curvature", "--case", "nope", "--point", "x=0,y=0,z=0,p=0,q=1")
+@pytest.mark.parametrize("argv, env_tol, error, needle", REFUSED)
+def test_refused_input_exits_2(capsys, monkeypatch, argv, env_tol, error, needle):
+    # main alone maps a refused input to exit 2: one "<Class>: message" line
+    # on stderr, and nothing on stdout
+    if env_tol is not None:
+        monkeypatch.setenv("C235_TOL", env_tol)
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    name, message = err.split(": ", 1)
+    assert name == error and issubclass(getattr(errors, name), errors.C235Error)
+    assert needle in message
 
 
 # --- output file and console script -------------------------------------------
