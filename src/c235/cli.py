@@ -24,6 +24,7 @@ from . import __version__
 from .chazy import residual_6th, residual_ds6
 from .dist import F_jet, catalog, get_spec, legendre_transform
 from .errors import C235Error, InvalidParam
+from .geometry import DEFAULT_TOL
 from .specialfn import (
     CLOSED_FORM_HYPER,
     DEGREE6_EXCLUDED,
@@ -36,7 +37,6 @@ from .specialfn import (
 from . import geometry, twistor
 
 REPORT_VERSION = 1
-DEFAULT_TOL = 1e-7
 DEFAULT_POINTS = 10
 DEFAULT_SEED = 0
 
@@ -73,8 +73,11 @@ def _emit(payload: dict, args) -> None:
     """
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParam(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     if args.json or not args.out:
         sys.stdout.write(text)
 
@@ -323,6 +326,12 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
+        # an --out that cannot be a file is refused before any work
+        out_dir = os.path.dirname(args.out or "")
+        InvalidParam.raise_where(bool(args.out) and os.path.isdir(args.out),
+                                 f"--out {args.out!r} is a directory")
+        InvalidParam.raise_where(bool(out_dir) and not os.path.isdir(out_dir),
+                                 f"--out {args.out!r}: no directory {out_dir!r}")
         return args.func(args)
     except C235Error as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

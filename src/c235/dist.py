@@ -53,12 +53,8 @@ class SolutionSpec:
     aliases: Tuple[str, ...] = ()
 
 
-def _fmt(x: Fraction) -> str:
-    return str(x)
-
-
 def _triple_id(prefix: str, abc) -> str:
-    return f"{prefix}-({','.join(_fmt(Fraction(v)) for v in abc)})"
+    return f"{prefix}-({','.join(str(Fraction(v)) for v in abc)})"
 
 
 F_SCHWARZ_CLASSES = {
@@ -119,14 +115,14 @@ def _picture_entries(picture: str, powers, triples, classes, pair: str, sdot_pow
     """
     f, v = picture[0], picture[-1]  # "F_of_q" is F(q), "H_of_t" is H(t)
     dual = "" if f == "F" else "dual "
-    sdot = f"sdot^({_fmt(sdot_power)})" if sdot_power.denominator > 1 else f"sdot^{_fmt(sdot_power)}"
+    sdot = f"sdot^({sdot_power})" if sdot_power.denominator > 1 else f"sdot^{sdot_power}"
 
     def power(m, note, **kw):
-        return SolutionSpec(id=f"{f}-power-{_fmt(m)}", picture=picture, family="power_m",
+        return SolutionSpec(id=f"{f}-power-{m}", picture=picture, family="power_m",
                             params={"m": m}, param_name=v, domain=(0.05, 10.0), note=note, **kw)
 
     return (
-        [power(m, f"{f}({v}) = {v}^{_fmt(m)}, one of the four {dual}flat power laws") for m in powers]
+        [power(m, f"{f}({v}) = {v}^{m}, one of the four {dual}flat power laws") for m in powers]
         + [power(Frac(3), f"negative control: {v}^3 is not flat", expect_fail=True)]
         + [SolutionSpec(id=_triple_id(f"{f}-triple", abc), picture=picture, family="hyper_triple",
                         params={"abc": abc, "constants": (1.0, 0.0, 0.0, 1.0)}, param_name="s",

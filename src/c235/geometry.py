@@ -22,10 +22,12 @@ import numpy as np
 from .errors import C235Error, DegenerateError, SingularCoframeError, SingularMetricError
 from .chazy import ds6_monomials
 from .jets import Jet1, MJet2, _unit, jet_var
-from .dist import SolutionSpec, F_jet, get_spec
+from .dist import SolutionSpec, F_jet
 from .specialfn import ClosedFormId, closed_form_solution
 
 DIM = 5
+# the certificate tolerance: a Weyl ratio, or a residual in c235 verify, passes below it
+DEFAULT_TOL = 1e-7
 
 # eta for g = 2 th1 th5 - 2 th2 th4 + (4/3) th3 th3
 ETA = np.zeros((5, 5))
@@ -79,11 +81,6 @@ def _of_lam(jet) -> MJet2:
     return MJet2.from_jet1(jet, 0, 1)
 
 
-def _taylor(*jets: Jet1) -> np.ndarray:
-    """The first three Taylor coefficients of each jet, one row per jet: (..., len(jets), 3)."""
-    return np.stack([j.coeffs[..., :3] for j in jets], axis=-2)
-
-
 def _d_dq(dq: Jet1):
     """The map f -> df/dq = f'(lam)/q'(lam) on jets f in lam, for dq = dq/dlam.
 
@@ -108,13 +105,17 @@ def _derivs_in_q(dq: Jet1, F_of: Jet1):
 
 
 def _frame_coeffs(q_of: Jet1, F_of: Jet1) -> np.ndarray:
-    """_taylor of q, F, q' and of F' to F'''' (derivatives in q), all in lam."""
+    """The first three Taylor coefficients in lam of q, F, q' and of F' to F'''' (in q).
+
+    One row per jet: (..., 7, 3).
+    """
     dq = q_of.derivative()
-    return _taylor(q_of, F_of, dq, *_derivs_in_q(dq, F_of))
+    jets = (q_of, F_of, dq, *_derivs_in_q(dq, F_of))
+    return np.stack([j.coeffs[..., :3] for j in jets], axis=-2)
 
 
 def _omegas(c, point4) -> Coframe:
-    """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx; c is the _taylor of q, F, q'.
+    """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx; c is the _frame_coeffs.
 
     Their partials are along (p, lam) alone, the last two coordinates.
     """
@@ -182,33 +183,23 @@ def _frame_rows(c):
     )
 
 
-def _coframe(c, point4) -> Coframe:
-    """The theta rows from the _frame_coeffs c."""
-    return _combine(_frame_rows(c), _omegas(c, point4))
-
-
 def build_coframe(q_of: Jet1, F_of: Jet1, point4) -> Coframe:
     """The five theta rows of the full coframe from F-in-q data.
 
     q_of and F_of are jets in the fifth coordinate lam; in the plain
-    F-picture q_of is the identity jet. The dual picture uses
-    q_of = H', F_of = t H' - H, which reproduces the displayed dual
-    coframe exactly.
+    F-picture q_of is the identity jet. The dual picture of H(t) is
+    build_coframe(*_legendre_data(H), point4), which reproduces the
+    displayed dual coframe exactly; where H'' = 0 it raises the
+    DegenerateError of dq/dlam = 0.
     """
-    return _coframe(_frame_coeffs(q_of, F_of), point4)
+    c = _frame_coeffs(q_of, F_of)
+    return _combine(_frame_rows(c), _omegas(c, point4))
 
 
 def _legendre_data(H: Jet1):
     """The F-in-q data of a dual-picture H(t), as jets in t: q = H', F = t H' - H."""
     Hp = H.derivative()
     return Hp, jet_var(H.basepoint, H.order) * Hp - H
-
-
-def coframe_H(H: Jet1, point4) -> Coframe:
-    """The dual-picture coframe: build_coframe of the Legendre data of H."""
-    if H.deriv(2) == 0:
-        raise DegenerateError("H'' = 0")
-    return build_coframe(*_legendre_data(H), point4)
 
 
 def _reduced(q_of: Jet1, F_of: Jet1, point4):
@@ -528,7 +519,7 @@ def flatness_stages(spec: SolutionSpec, pts: np.ndarray, jet: Jet1 | None):
     return coframes, metric_at, weyl_ratio
 
 
-def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jet: Jet1 | None = None):
+def flatness_suite(spec: SolutionSpec, points, tol: float = DEFAULT_TOL, jet: Jet1 | None = None):
     """Per-point Weyl-flatness ratios for a catalog entry.
 
     One coframe, metric and curvature report covers all the points. `jet`,
@@ -536,8 +527,6 @@ def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jet: Jet1 | No
     not built again. A point whose jet, coframe, metric or ratio fails gets
     its error, and the other points are still evaluated.
     """
-    if isinstance(spec, str):
-        spec = get_spec(spec)
     pts = np.reshape(np.asarray(points, dtype=float), (-1, 5))
     at = np.arange(len(pts))
     found = per_point(flatness_stages(spec, pts, jet), at, at, [None] * len(pts))
@@ -554,17 +543,6 @@ def flatness_suite(spec: SolutionSpec, points, tol: float = 1e-7, jet: Jet1 | No
     }
 
 
-def _frame_components_rank2(T: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Components of a (0,2) tensor against the frame rows of W."""
-    Winv = np.linalg.inv(W)
-    return Winv.T @ T @ Winv
-
-
-def _frame_components_rank4(T: np.ndarray, W: np.ndarray) -> np.ndarray:
-    Winv = np.linalg.inv(W)
-    return np.einsum("ai,bj,ck,dl,abcd->ijkl", Winv, Winv, Winv, Winv, T)
-
-
 def _frame_ricci(C, om: Coframe, W):
     """The Ricci tensor of the metric of the rows C against the omegas, in the frame of W.
 
@@ -572,7 +550,8 @@ def _frame_ricci(C, om: Coframe, W):
     curvature report.
     """
     rep = curvature(metric_at(_combine(C, om)))
-    Rf = _frame_components_rank2(rep.ricci, W)
+    Winv = np.linalg.inv(W)
+    Rf = Winv.T @ rep.ricci @ Winv
     off = Rf.copy()
     off[3, 3] = 0.0
     return Rf[3, 3], np.max(np.abs(off)), rep
@@ -630,9 +609,10 @@ def weyl_equals_residual_check(H_jets: Sequence[Jet1], point4=(0.1, -0.2, 0.3, 0
     """
     rows = []
     for H in H_jets:
-        cf = coframe_H(H, point4)
+        cf = build_coframe(*_legendre_data(H), point4)
         rep = curvature(metric_at(cf))
-        Cf = _frame_components_rank4(rep.weyl, cf.value)
+        Winv = np.linalg.inv(cf.value)  # the Weyl tensor's components against the frame
+        Cf = np.einsum("ai,bj,ck,dl,abcd->ijkl", Winv, Winv, Winv, Winv, rep.weyl)
         comp = Cf[1, 4, 1, 4]  # the single independent slot (theta^2, theta^5)
         d = [H.deriv(i) for i in range(7)]
         lhs = sum(ds6_monomials(d))

@@ -277,23 +277,6 @@ def u_ode_residual(u: Jet1, tr: Tuple[float, float, float]):
 
 # --- closed-form catalogue --------------------------------------------
 
-CLOSED_FORM_FAMILIES = (
-    "table1_row1",
-    "table1_row2",
-    "table1_row3",
-    "table1_row4",
-    "table2_row1",
-    "table2_row2",
-    "table2_row3",
-    "table3_row1",
-    "table3_row2",
-    "table3_row3",
-    "elementary_r",
-    "dual_k32_row1",
-    "dual_k32_row2",
-    "dual_k32_row3",
-)
-
 # (alpha, beta, gamma) for the u''+Vu/4 rows; None for hypergeometric-ODE entries
 CLOSED_FORM_TRIPLES: dict[str, tuple] = {
     "table1_row1": (3, 3, 3),
@@ -323,6 +306,8 @@ CLOSED_FORM_HYPER: dict[str, HyperTriple] = {
     "dual_k32_row2": HyperTriple(Frac(-1, 4), Frac(5, 12), Frac(2, 3)),
     "dual_k32_row3": HyperTriple(Frac(-1, 2), Frac(5, 6), Frac(2, 3)),
 }
+# the hypergeometric entries and the elementary pair in r
+CLOSED_FORM_FAMILIES = tuple(CLOSED_FORM_HYPER) + ("elementary_r",)
 
 
 @dataclass(frozen=True)

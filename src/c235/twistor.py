@@ -57,9 +57,7 @@ class PlebanskiData:
         return PlebanskiData(theta, tuple(float(v) for v in point4), float(xi))
 
     @staticmethod
-    def from_spec(spec: SolutionSpec | str, param_point: float, point4=None, xi: float = 0.0) -> "PlebanskiData":
-        if isinstance(spec, str):
-            spec = get_spec(spec)
+    def from_spec(spec: SolutionSpec, param_point: float, point4=None, xi: float = 0.0) -> "PlebanskiData":
         if spec.picture != "H_of_t":
             raise InvalidParam("the 4-metric potential needs a dual-picture entry")
         return PlebanskiData.from_H(F_jet(spec, param_point), point4, xi)

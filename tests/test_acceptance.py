@@ -32,8 +32,9 @@ from c235.dist import (
     legendre_transform,
 )
 from c235.geometry import (
+    _legendre_data,
+    build_coframe,
     conformal_rescale_check,
-    coframe_H,
     curvature,
     flatness_suite,
     metric_at,
@@ -309,7 +310,7 @@ def test_criterion_6_dual_weyl_correspondence():
             failures.append(("constant", out["ratioMean"]))
     spec = get_spec("H-triple-(-1/4,5/12,1/2)")
     H = F_jet(spec, 0.35)
-    rep = curvature(metric_at(coframe_H(H, POINT4)))
+    rep = curvature(metric_at(build_coframe(*_legendre_data(H), POINT4)))
     if not (residual_ds6(H) < 1e-9 and rep.maxAbsWeyl / rep.metricScale < 1e-9):
         failures.append(("flat", residual_ds6(H), rep.maxAbsWeyl / rep.metricScale))
     report(6, "single Weyl component tracks the ODE residual", failures)
@@ -396,7 +397,7 @@ def test_criterion_8_infrastructure(capsys):
                 failures.append(("oracle", x0, k, got, want))
     # curvature report internal identities
     q_of = jet_var(1.3, 8)
-    g = metric_at(coframe_H(jet_var(1.3, 8) ** 3, POINT4))
+    g = metric_at(build_coframe(*_legendre_data(jet_var(1.3, 8) ** 3), POINT4))
     rep = curvature(g)
     if not riemann_symmetry_error(rep) < 1e-9:
         failures.append(("riemann-symmetry", riemann_symmetry_error(rep)))

@@ -1,5 +1,6 @@
 """Tests for the c235 command-line interface."""
 
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -308,13 +309,20 @@ REFUSED = [
     *(pytest.param((command, "--seed", "-1", "--json"), None, "InvalidParam", "--seed",
                    id=f"{command}-seed--1")
       for command in ("verify", "identities")),
+    # an --out that cannot be written is refused before the subcommand runs
+    *(pytest.param((*argv, "--out", "missing-dir/x.json"), None, "InvalidParam",
+                   "no directory 'missing-dir'", id=f"{argv[0]}-out-missing-dir")
+      for argv in (("list",), VERIFY_ONE)),
+    pytest.param(("list", "--out", "."), None, "InvalidParam", "is a directory",
+                 id="list-out-directory"),
 ]
 
 
 @pytest.mark.parametrize("argv, env_tol, error, needle", REFUSED)
-def test_refused_input_exits_2(capsys, monkeypatch, argv, env_tol, error, needle):
+def test_refused_input_exits_2(capsys, monkeypatch, tmp_path, argv, env_tol, error, needle):
     # main alone maps a refused input to exit 2: one "<Class>: message" line
     # on stderr, and nothing on stdout
+    monkeypatch.chdir(tmp_path)  # where the --out paths above are relative to
     if env_tol is not None:
         monkeypatch.setenv("C235_TOL", env_tol)
     code, out, err = run(capsys, *argv)
@@ -324,6 +332,23 @@ def test_refused_input_exits_2(capsys, monkeypatch, argv, env_tol, error, needle
     name, message = err.split(": ", 1)
     assert name == error and issubclass(getattr(errors, name), errors.C235Error)
     assert needle in message
+
+
+def test_unwritable_out_is_refused_before_any_case_runs(capsys, monkeypatch, tmp_path):
+    def no_case(*_):
+        raise AssertionError("verify ran a case")
+
+    monkeypatch.setattr(cli, "_verify_case", no_case)
+    code, out, err = run(capsys, "verify", "--out", str(tmp_path / "missing-dir" / "x.json"))
+    assert (code, out) == (2, "") and err.startswith("InvalidParam: ")
+
+
+def test_a_failed_write_is_invalid_param(tmp_path):
+    # an OSError while writing --out (here its directory is a file) becomes InvalidParam
+    (tmp_path / "file").write_text("")
+    args = argparse.Namespace(out=str(tmp_path / "file" / "x.json"), json=False)
+    with pytest.raises(errors.InvalidParam, match="cannot write --out"):
+        cli._emit({"version": 1}, args)
 
 
 # --- output file and console script -------------------------------------------

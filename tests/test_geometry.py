@@ -20,7 +20,6 @@ from c235.geometry import (
     ETA,
     Coframe,
     MetricJet,
-    _coframe,
     _combine,
     _derivs_in_q,
     _frame_coeffs,
@@ -30,7 +29,6 @@ from c235.geometry import (
     _omegas,
     _reduced,
     build_coframe,
-    coframe_H,
     coframe_for_spec,
     conformal_rescale_check,
     curvature,
@@ -210,7 +208,7 @@ def test_batched_geometry_matches_single_point(spec):
     # build at point i alone, within the bound of the MJet2 reference above
     pts = sample_points(spec, 6, seed=7)
     coeffs = np.stack([_frame_coeffs(*frame_jets_for_spec(spec, pt[4])) for pt in pts])
-    cf = _coframe(coeffs, np.array(pts)[:, :4])
+    cf = _combine(_frame_rows(coeffs), _omegas(coeffs, np.array(pts)[:, :4]))
     g = metric_at(cf)
     rep = curvature(g)
     suite = flatness_suite(spec, pts)["results"]
@@ -242,7 +240,7 @@ def test_flatness_suite_reports_singular_rows():
         metric_at(coframe_for_spec(spec, pts[1], jet=Jet1(jet.basepoint[1], jet.coeffs[1])))
     # a stack raises with the mask of its singular rows
     coeffs = np.stack([_frame_coeffs(*frame_jets_for_spec(spec, pt[4])) for pt in pts])
-    g = metric_at(_coframe(coeffs, np.array(pts)[:, :4]))
+    g = metric_at(_combine(_frame_rows(coeffs), _omegas(coeffs, np.array(pts)[:, :4])))
     g = MetricJet(g.value * [[[1.0]], [[0.0]], [[1.0]]], g.grad, g.hess)
     with pytest.raises(SingularMetricError) as exc:
         curvature(g)
@@ -293,12 +291,12 @@ def reference_coframe_H(H: Jet1, point4):
 
 
 def test_dual_picture_coframe_matches_legendre_build():
-    # coframe_H is build_coframe of the Legendre data, whose chain rule in q
+    # the dual coframe is build_coframe of the Legendre data, whose chain rule in q
     # divides by H'' four times; the H displays are the oracle. The partials
     # get the cond-scaled bound of the MJet2 reference above.
     for spec_id, t0 in (("H-power-3", 1.2), ("H-power--2", 0.4), ("H-two-pole", 0.3)):
         H = F_jet(get_spec(spec_id), t0)
-        cf = coframe_H(H, POINT4)
+        cf = build_coframe(*_legendre_data(H), POINT4)
         ref = reference_coframe_H(H, POINT4)
         bound = 1e-13 * max(np.linalg.cond(cf.value), 10.0)
         for part, got, tol in (("value", cf.value, 1e-12), ("gradient", cf.grad, bound),
@@ -314,7 +312,7 @@ def test_dual_picture_coframe_matches_legendre_build():
 def test_coframe_H_rejects_degenerate_H():
     H = jet_var(0.5, 8)  # H'' = 0
     with pytest.raises(DegenerateError):
-        coframe_H(H, POINT4)
+        build_coframe(*_legendre_data(H), POINT4)
 
 
 def test_singular_coframe_raises():
@@ -434,7 +432,8 @@ def test_curvature_matches_einsum_reference(spec):
 
 @pytest.mark.parametrize("spec_id, x0", [("H-power-3", 1.2), ("H-two-pole", 0.3)])
 def test_curvature_matches_einsum_reference_in_four_dimensions(spec_id, x0):
-    g = plebanski_metric(PlebanskiData.from_spec(spec_id, x0, point4=(0.2, x0, -0.4, 0.6)))
+    d = PlebanskiData.from_spec(get_spec(spec_id), x0, point4=(0.2, x0, -0.4, 0.6))
+    g = plebanski_metric(d)
     assert g.value.shape == (4, 4)
     assert_curvature_matches_reference(g)
 
@@ -502,9 +501,10 @@ def test_partials_along_xyz_vanish_and_the_rest_match_the_full_build(spec):
     stack = np.array(sample_points(spec, 10, seed=5))
     for pts in (stack[0], stack):
         c = _frame_coeffs(*frame_jets_for_spec(spec, pts[..., 4]))
-        cf = _coframe(c, pts[..., :4])
+        om = _omegas(c, pts[..., :4])
+        cf = _combine(_frame_rows(c), om)
         assert cf.grad.shape[-1] == 2 and cf.hess.shape[-2:] == (2, 2)
-        full = full_combine(_frame_rows(c), full_coframe(_omegas(c, pts[..., :4])))
+        full = full_combine(_frame_rows(c), full_coframe(om))
         assert_zero_along_xyz((full.grad, (-1,)), (full.hess, (-2, -1)))
         bound = 1e-13 * max(np.max(np.linalg.cond(cf.value)), 10.0)
         for got, want in ((cf.grad, full.grad[..., 3:]), (cf.hess, full.hess[..., 3:, 3:])):
@@ -543,7 +543,8 @@ def test_reduced_and_conformal_paths_match_the_full_build(picture):
 def test_plebanski_metric_keeps_every_partial_and_a_trailing_slice_agrees():
     # H depends on x, the second of (w, x, y, z): plebanski_metric keeps all
     # four partials, and the slice along (x, y, z) gives the same curvature
-    g = plebanski_metric(PlebanskiData.from_spec("H-two-pole", 0.3, point4=(0.2, 0.3, -0.4, 0.6)))
+    d = PlebanskiData.from_spec(get_spec("H-two-pole"), 0.3, point4=(0.2, 0.3, -0.4, 0.6))
+    g = plebanski_metric(d)
     assert g.grad.shape == (4, 4, 4) and g.hess.shape == (4, 4, 4, 4)
     assert not g.grad[0].any() and not g.hess[0].any() and not g.hess[:, 0].any()
     g3 = MetricJet(g.value, g.grad[1:], g.hess[1:, 1:])
@@ -705,7 +706,7 @@ def test_weyl_residual_both_vanish_for_flat_H():
     spec = get_spec("H-triple-(-1/4,5/12,1/2)")
     H = F_jet(spec, 0.35)
     assert residual_ds6(H) < 1e-9
-    cf = coframe_H(H, POINT4)
+    cf = build_coframe(*_legendre_data(H), POINT4)
     rep = curvature(metric_at(cf))
     assert rep.maxAbsWeyl / rep.metricScale < 1e-9
 

@@ -159,6 +159,21 @@ def test_jet_const_and_call():
     assert f(1.3) == pytest.approx(1.3 ** 2)
 
 
+def test_operators_match_the_kernels_they_stand_for():
+    # f / x is f * (1/x) row by row, f ** Fraction is jet_pow, f ** 0 is the constant 1
+    f = Jet1(np.array([0.4, 1.3]), [[1.5, -0.5, 0.25, 2.0], [-2.0, 0.3, 1.0, -0.7]])
+    for x in (2.5, np.array([2.5, -4.0])):
+        got = f / x
+        for i, xi in enumerate(np.broadcast_to(x, 2)):
+            want = Jet1(f.basepoint[i], f.coeffs[i]) * (1.0 / xi)
+            np.testing.assert_array_max_ulp(got.coeffs[i], want.coeffs, maxulp=1)
+    e = Fraction(1, 3)
+    assert np.array_equal((f ** e).coeffs, jet_pow(f, e).coeffs)
+    one = jet_const(1.0, f.basepoint, f.order)
+    assert np.array_equal((f ** 0).coeffs, one.coeffs)
+    assert np.array_equal((f ** 0).basepoint, one.basepoint)
+
+
 def test_complex_jet_pow_takes_the_principal_branch():
     # Taylor coefficients of z**e at z0 are binom(e, k) z0**(e - k), principal branch
     for z0 in (-2.0 + 0.5j, -1.5 - 0.25j, 0.3 + 2.0j, -0.7 + 0.0j):

@@ -142,7 +142,7 @@ def test_g2_certificates_over_catalog():
 
 def test_from_spec_rejects_non_dual_entries():
     with pytest.raises(InvalidParam):
-        PlebanskiData.from_spec("F-power-2", 1.0)
+        PlebanskiData.from_spec(get_spec("F-power-2"), 1.0)
 
 
 def test_basepoint_mismatch_rejected():
