@@ -28,7 +28,7 @@ from .jets import (
     jet_var,
 )
 from .chazy import SchwarzTriple, build_F_from_I, schwarz_solution, two_pole_solution
-from .specialfn import ClosedFormId, HyperTriple, closed_form_solution, hypergeom_pair
+from .specialfn import ClosedFormId, HyperTriple, _rp, closed_form_solution, hypergeom_pair
 
 Frac = Fraction
 
@@ -262,7 +262,7 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         s = schwarz_solution(tr, point, order)
         sdot = s.derivative()
         BranchError.raise_where(sdot.value() <= 0, "sdot <= 0: outside the restricted real branch")
-        num = jet_pow(sdot, Fraction(pw)) if Fraction(pw).denominator == 1 else jet_abs_pow(sdot, float(pw))
+        num = _rp(sdot, pw)
         # s in (0,1) makes s-1 negative; |.| powers rescale by a constant,
         # which the degree-4 homogeneous sixth-order equations ignore
         den = jet_abs_pow(s, float(e1)) * jet_abs_pow(s - 1.0, float(e2))

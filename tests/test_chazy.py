@@ -22,7 +22,13 @@ from c235.chazy import (
     schwarz_solution,
     two_pole_solution,
 )
-from c235.errors import DegenerateError, InvalidParam, PoleError, ZeroWronskianError
+from c235.errors import (
+    DegenerateError,
+    InvalidParam,
+    PoleError,
+    ZeroDenominatorError,
+    ZeroWronskianError,
+)
 from c235.jets import Jet1, jet_abs_pow, jet_const, jet_exp, jet_var
 from c235.specialfn import HyperTriple, hypergeom_pair
 
@@ -221,6 +227,12 @@ def test_log_solution_rejects_a_pair_of_zero_products():
     one = jet_const(1.0, 0.3, 6)
     with pytest.raises(ZeroWronskianError):
         chazy_log_solution(one, 2.0 * one)
+
+
+def test_log_solution_rejects_a_z1_that_vanishes_at_the_basepoint():
+    s = jet_var(0.0, 6)
+    with pytest.raises(ZeroDenominatorError):
+        chazy_log_solution(s, s + 1.0)
 
 
 @pytest.mark.parametrize("k", [K23, K32])

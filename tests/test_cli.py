@@ -334,6 +334,12 @@ def test_refused_input_exits_2(capsys, monkeypatch, tmp_path, argv, env_tol, err
     assert needle in message
 
 
+def test_no_subcommand_prints_the_usage_and_exits_2(capsys):
+    code, out, err = run(capsys)
+    assert code == 2
+    assert out.startswith("usage: c235") and err == ""
+
+
 def test_unwritable_out_is_refused_before_any_case_runs(capsys, monkeypatch, tmp_path):
     def no_case(*_):
         raise AssertionError("verify ran a case")

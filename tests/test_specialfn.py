@@ -7,7 +7,13 @@ from hypothesis import given, strategies as st
 
 from c235 import specialfn
 from c235.dist import catalog
-from c235.errors import DegenerateError, SeriesDomainError
+from c235.errors import (
+    DegenerateError,
+    LinearDependenceError,
+    PoleError,
+    SeriesDomainError,
+    ZeroWronskianError,
+)
 from c235.jets import Jet1, jet_abs_pow, jet_var
 from c235.specialfn import (
     CLOSED_FORM_FAMILIES,
@@ -184,6 +190,15 @@ def test_series_refuses_a_point_it_cannot_sum():
     assert exc.value.rows.tolist() == [False, True, False]
 
 
+def test_series_refuses_a_pole():
+    # (c)_n vanishes at n = 2, before the series of a = -4 ends at n = 4
+    with pytest.raises(PoleError, match="before the series"):
+        hyp2f1_jet(HyperTriple(-4, 1, -2), 0.3)
+    # c = -2 and neither a nor b a non-positive integer: no series to sum
+    with pytest.raises(PoleError, match="does not terminate"):
+        hyp2f1_jet(HyperTriple(Fraction(1, 2), Fraction(1, 3), -2), 0.3)
+
+
 # c log-uniform over 1e-6..1e6: both ODEs are linear, so a residual must not see c
 SCALES = st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0**e)
 SCALE_TRIPLE = HyperTriple(Fraction(-2, 3), Fraction(5, 6), Fraction(1, 2))
@@ -275,6 +290,11 @@ def test_basis_mixing_constants():
     assert np.allclose(z2.coeffs, mixed2.coeffs)
 
 
+def test_dependent_constants_rejected():
+    with pytest.raises(LinearDependenceError):
+        closed_form_solution(ClosedFormId("table1_row1", (1, 1, 1, 1)), 0.3)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         ClosedFormId("table9_row9")
@@ -297,6 +317,12 @@ def test_wronskian_law(family):
     pair = lambda s: hypergeom_pair(p, s)
     for s0 in (0.2, 0.35, 0.65, 0.8):
         assert wronskian_check(pair, p, 0.5, s0) < 1e-9
+
+
+def test_wronskian_law_rejects_a_dependent_pair():
+    pair = lambda s: (jet_var(s, 6), 2.0 * jet_var(s, 6))
+    with pytest.raises(ZeroWronskianError):
+        wronskian_check(pair, CLOSED_FORM_HYPER["table1_row1"], 0.5, 0.3)
 
 
 # --- transformation identities -------------------------------------------

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from c235 import geometry
+from c235 import geometry, twistor
 from c235.dist import catalog, get_spec
 from c235.errors import InvalidParam
 from c235.jets import jet_const, jet_var
 from c235.twistor import (
     PlebanskiData,
-    annihilator_polynomials,
     connection_forms,
     frame_connection_check,
     g2_certificate,
@@ -22,7 +21,7 @@ from c235.twistor import (
 
 def quadratic_data(x0: float = 0.7, xi: float = 0.3) -> PlebanskiData:
     H = jet_var(x0, 8) ** 2
-    return PlebanskiData.from_H(H, point4=(0.2, x0, -0.4, 0.6), xi=xi)
+    return PlebanskiData(H, point4=(0.2, x0, -0.4, 0.6), xi=xi)
 
 
 # --- metric and connection --------------------------------------------------
@@ -44,8 +43,19 @@ def test_metric_components_are_exact():
         assert G[a, b] == 0.0
 
 
+def test_metric_reads_the_coefficients_of_H():
+    # the data holds H itself: an order-8 H keeps its order, and the metric
+    # jet carries its Taylor coefficients bit for bit
+    d = PlebanskiData.from_spec(get_spec("H-two-pole"), 0.3)
+    assert d.H.order == 8
+    g = plebanski_metric(d)
+    c = d.H.coeffs
+    assert (g.value[3, 3], g.grad[1, 3, 3], g.hess[1, 1, 3, 3]) == (c[0], c[1], 2.0 * c[2])
+
+
 def test_zero_H_metric_is_flat():
-    d = PlebanskiData.from_H(jet_const(0.0, 0.5, 8))
+    d = PlebanskiData(jet_const(0.0, 0.5, 8))
+    assert d.point4 == (0.0, 0.5, 0.0, 0.0)
     rep = geometry.curvature(plebanski_metric(d))
     assert rep.maxAbsRicci == 0.0
     assert rep.maxAbsWeyl == 0.0
@@ -71,39 +81,54 @@ def test_connection_forms_display():
         assert all(c.value() == 0.0 for c in forms[name])
     row = forms["Gamma^3_1"]
     assert all(c.value() == 0.0 for c in row[:3])
-    assert row[3].value() == pytest.approx(-d.theta_x.deriv(3))
+    assert row[3].value() == pytest.approx(d.H.deriv(1))
 
 
 def test_frame_connection_oracle():
-    for d in (quadratic_data(), PlebanskiData.from_H(jet_var(1.1, 8) ** 3)):
+    for d in (quadratic_data(), PlebanskiData(jet_var(1.1, 8) ** 3)):
         assert frame_connection_check(d) < 1e-12
+
+
+def test_frame_connection_oracle_sees_a_wrong_display(monkeypatch):
+    # the oracle compares against connection_forms itself, so a display whose
+    # Gamma^3_1 is off by 1e-3 must show
+    def shifted(d):
+        forms = connection_forms(d)
+        *row, dz = forms["Gamma^3_1"]
+        return {**forms, "Gamma^3_1": (*row, dz + 1e-3)}
+
+    monkeypatch.setattr(twistor, "connection_forms", shifted)
+    assert frame_connection_check(quadratic_data()) >= 5e-4
 
 
 # --- annihilators and the coordinate change ---------------------------------
 
 
-def test_annihilator_polynomials_constant_terms():
-    d = quadratic_data()
-    A, B = annihilator_polynomials(d)
-    assert A[0] == pytest.approx(d.theta_x.deriv(3))
-    assert A[1:] == (0.0, 0.0, 0.0)
-    assert B[0] == pytest.approx(d.theta_x.deriv(2))
-    assert B[1:] == (0.0, 0.0)
-
-
 def test_twistor_annihilator_rows():
+    # an x-only potential leaves the constant terms of A and B in xi alone:
+    # A = Theta_xxx = -H' and B = Theta_xx = -H, here with H = x^2 at 0.7
     d = quadratic_data(xi=0.25)
     w3, w4, w5 = twistor_annihilators(d)
-    A, B = annihilator_polynomials(d)
-    assert w3 == (0.0, 0.0, 0.0, -A[0], 1.0)
+    A, B = -d.H.deriv(1), -d.H.value()
+    assert (A, B) == pytest.approx((-1.4, -0.49))
+    assert w3 == (0.0, 0.0, 0.0, -A, 1.0)
     assert w4 == (1.0, 0.0, 0.0, 0.25, 0.0)
-    assert w5 == (0.0, -0.25, 1.0, -B[0], 0.0)
+    assert w5 == (0.0, -0.25, 1.0, -B, 0.0)
 
 
 def test_coordinate_check_quadratic():
     for xi in (-0.5, 0.0, 0.8):
         d = quadratic_data(xi=xi)
         assert twistor_coordinate_check(d) < 1e-12
+
+
+def test_coordinate_check_sees_a_wrong_annihilator(monkeypatch):
+    def shifted(d):
+        w3, w4, w5 = twistor_annihilators(d)
+        return (*w3[:3], w3[3] - 1e-3, w3[4]), w4, w5  # A shifted by 1e-3
+
+    monkeypatch.setattr(twistor, "twistor_annihilators", shifted)
+    assert twistor_coordinate_check(quadratic_data()) >= 5e-4
 
 
 def test_coordinate_check_catalog_H():
@@ -146,6 +171,5 @@ def test_from_spec_rejects_non_dual_entries():
 
 
 def test_basepoint_mismatch_rejected():
-    theta = jet_var(0.5, 8)
     with pytest.raises(InvalidParam):
-        PlebanskiData(theta, (0.0, 0.9, 0.0, 0.0), 0.0)
+        PlebanskiData(jet_var(0.5, 8), (0.0, 0.9, 0.0, 0.0), 0.0)
