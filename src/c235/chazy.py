@@ -1,4 +1,4 @@
-"""Third- through seventh-order ODE residuals and solution builders.
+"""Third- through sixth-order ODE residuals and solution builders.
 
 Every residual is relative: |LHS| divided by the largest absolute monomial
 appearing in the LHS, and 0 where every monomial vanishes, so a tolerance
@@ -111,11 +111,6 @@ def ds6_monomials(d) -> list:
 def residual_ds6(H: Jet1) -> float:
     """Relative residual of the dual 6th-order equation satisfied by H(t)."""
     return relative_residual(ds6_monomials([H.deriv(i) for i in range(7)]))
-
-
-def residual_7th(y: Jet1) -> float:
-    """Relative residual of the 7th-order equation: the dual one for y'."""
-    return residual_ds6(y.derivative())
 
 
 def _schwarzian_derivative(s: Jet1) -> Tuple[complex, complex]:

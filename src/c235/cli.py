@@ -21,10 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .chazy import residual_6th, residual_ds6
-from .dist import F_jet, catalog, get_spec, legendre_transform
+from .chazy import residual_6th
+from .dist import F_jet, catalog, dual_residual, get_spec
 from .errors import C235Error, InvalidParam
-from .geometry import DEFAULT_TOL
 from .specialfn import (
     CLOSED_FORM_HYPER,
     DEGREE6_EXCLUDED,
@@ -34,9 +33,11 @@ from .specialfn import (
     transform_identity_check,
     wronskian_check,
 )
-from . import geometry, twistor
+from . import geometry
 
 REPORT_VERSION = 1
+# the certificate tolerance: a Weyl ratio or a residual in c235 verify passes below it
+DEFAULT_TOL = 1e-7
 DEFAULT_POINTS = 10
 DEFAULT_SEED = 0
 
@@ -135,19 +136,17 @@ def _verify_case(spec, points: int, tol: float, seed: int) -> dict:
     failed = [None] * len(pts)  # the C235Error that stopped a point's jet
     jet, live = geometry.on_regular_rows(lambda p: F_jet(spec, p), pts[:, 4],
                                          np.arange(len(pts)), failed)
-    F_picture = spec.picture == "F_of_q"
-    # (name, the stack its first stage takes, stages): the flatness stages
-    # take positions in the stack of jets
-    checks = [
-        ("ode_residual_F", jet, (residual_6th,)) if F_picture
-        else ("ode_residual_H", jet, (residual_ds6,)),
-        ("weyl_flatness", np.arange(live.size), geometry.flatness_stages(spec, pts[live], jet)),
-    ]
-    if F_picture:
-        checks.append(("duality_residual", jet,
-                       (lambda F: residual_ds6(legendre_transform(F)[1]),)))
-    entries = [_check(name, i, tol, outcome) for name, x, stages in checks
-               for i, outcome in enumerate(geometry.per_point(stages, x, live, failed))]
+    weyl = list(failed)  # flatness_suite runs on the points whose jet was built
+    for i, outcome in zip(live, geometry.flatness_suite(spec, pts[live], jet)):
+        weyl[i] = outcome
+    dual = geometry.per_point((functools.partial(dual_residual, spec),), jet, live, failed)
+    if spec.picture == "F_of_q":
+        checks = [("ode_residual_F", geometry.per_point((residual_6th,), jet, live, failed)),
+                  ("weyl_flatness", weyl), ("duality_residual", dual)]
+    else:
+        checks = [("ode_residual_H", dual), ("weyl_flatness", weyl)]
+    entries = [_check(name, i, tol, outcome) for name, outcomes in checks
+               for i, outcome in enumerate(outcomes)]
     return {"id": spec.id, "expectFail": spec.expect_fail, "checks": entries,
             "pass": all(c["pass"] for c in entries)}
 
@@ -243,15 +242,20 @@ def cmd_identities(args) -> int:
 
 
 def _parse_point(text: str, spec) -> dict:
-    """The point's five coordinates by name, in the order x, y, z, p, spec.param_name."""
-    vals = {}
-    try:
-        for part in text.split(","):
-            key, raw = part.split("=", 1)
-            vals[key.strip()] = float(raw)
-    except ValueError:
-        raise InvalidParam(f"malformed point {text!r}") from None
+    """The coordinates x, y, z, p, spec.param_name by name, in that order: each once, finite."""
     names = ("x", "y", "z", "p", spec.param_name)
+    vals = {}
+    for part in text.split(","):
+        try:
+            key, raw = part.split("=", 1)
+            key, value = key.strip(), float(raw)
+        except ValueError:
+            raise InvalidParam(f"malformed point {text!r}") from None
+        InvalidParam.raise_where(key not in names,
+                                 f"unknown coordinate {key!r}; expected {', '.join(names)}")
+        InvalidParam.raise_where(key in vals, f"coordinate {key!r} is given twice")
+        InvalidParam.raise_where(not math.isfinite(value), f"{key}={value} is not finite")
+        vals[key] = value
     missing = [k for k in names if k not in vals]
     InvalidParam.raise_where(bool(missing), f"point is missing coordinates: {', '.join(missing)}")
     return {k: vals[k] for k in names}

@@ -27,7 +27,7 @@ from .jets import (
     jet_sqrt,
     jet_var,
 )
-from .chazy import SchwarzTriple, build_F_from_I, schwarz_solution, two_pole_solution
+from .chazy import SchwarzTriple, build_F_from_I, residual_ds6, schwarz_solution, two_pole_solution
 from .specialfn import ClosedFormId, HyperTriple, _rp, closed_form_solution, hypergeom_pair
 
 Frac = Fraction
@@ -316,6 +316,11 @@ def legendre_transform(F: Jet1) -> Tuple[float, Jet1]:
     q_of_t = jet_invert(Fp)  # H' = q as a function of t
     H0 = q0 * t0 - F.value()
     return t0, q_of_t.antiderivative(H0)
+
+
+def dual_residual(spec: SolutionSpec, jet: Jet1) -> float:
+    """The dual sixth-order residual of jet = F_jet(spec, ...): of H itself, or of F's Legendre transform."""
+    return residual_ds6(jet if spec.picture == "H_of_t" else legendre_transform(jet)[1])
 
 
 def legendre_pair_map(z1: Jet1, z2: Jet1, direction: str) -> Tuple[Jet1, Jet1]:

@@ -26,8 +26,6 @@ from .dist import SolutionSpec, F_jet
 from .specialfn import ClosedFormId, closed_form_solution
 
 DIM = 5
-# the certificate tolerance: a Weyl ratio, or a residual in c235 verify, passes below it
-DEFAULT_TOL = 1e-7
 
 # eta for g = 2 th1 th5 - 2 th2 th4 + (4/3) th3 th3
 ETA = np.zeros((5, 5))
@@ -507,40 +505,20 @@ def weyl_ratio(g: MetricJet) -> np.ndarray:
     return ratio
 
 
-def flatness_stages(spec: SolutionSpec, pts: np.ndarray, jet: Jet1 | None):
-    """The per_point stages from positions in the stack pts of points to their Weyl ratios.
-
-    `jet` is None, or F_jet of the entry at the parameters of pts, row for
-    row, so that it is not built again.
-    """
-    def coframes(at):
-        return coframe_for_spec(spec, pts[at], jet=None if jet is None else _rows(jet, at))
-
-    return coframes, metric_at, weyl_ratio
-
-
-def flatness_suite(spec: SolutionSpec, points, tol: float = DEFAULT_TOL, jet: Jet1 | None = None):
-    """Per-point Weyl-flatness ratios for a catalog entry.
+def flatness_suite(spec: SolutionSpec, points, jet: Jet1 | None = None) -> list:
+    """Each point's Weyl ratio for a catalog entry, or the C235Error that stopped it.
 
     One coframe, metric and curvature report covers all the points. `jet`,
-    when given, is F_jet of the entry at the points' parameters, so it is
-    not built again. A point whose jet, coframe, metric or ratio fails gets
-    its error, and the other points are still evaluated.
+    when given, is F_jet of the entry at the points' parameters, row for
+    row, so that it is not built again.
     """
     pts = np.reshape(np.asarray(points, dtype=float), (-1, 5))
     at = np.arange(len(pts))
-    found = per_point(flatness_stages(spec, pts, jet), at, at, [None] * len(pts))
-    results = []
-    for pt, r in zip(pts.tolist(), found):
-        ok = not isinstance(r, C235Error)
-        entry = {"point": tuple(pt), "weylRatio": r if ok else None, "pass": ok and r < tol}
-        results.append(entry if ok else dict(entry, error=f"{type(r).__name__}: {r}"))
-    return {
-        "id": spec.id,
-        "tol": tol,
-        "results": results,
-        "pass": all(r["pass"] for r in results),
-    }
+
+    def coframes(at):
+        return coframe_for_spec(spec, pts[at], jet=None if jet is None else _rows(jet, at))
+
+    return per_point((coframes, metric_at, weyl_ratio), at, at, [None] * len(pts))
 
 
 def _frame_ricci(C, om: Coframe, W):

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chazy import residual_ds6
-from .dist import SolutionSpec, F_jet, get_spec, legendre_transform
+from .dist import SolutionSpec, F_jet, dual_residual, get_spec
 from .errors import InvalidParam
 from .jets import Jet1
 from . import geometry
@@ -172,23 +171,14 @@ def twistor_coordinate_check(d: PlebanskiData) -> float:
 def g2_certificate(case_id: str, param_point: float) -> dict:
     """The sixth-order ODE residual of the dual-picture H for a catalog entry.
 
-    Dual-picture entries evaluate H directly; F-picture entries pass
-    through the Legendre transform first. A small residual certifies the
-    flatness of the associated 5D metric and hence, by the
+    It is dist.dual_residual, as in c235 verify. A small residual certifies
+    the flatness of the associated 5D metric and hence, by the
     correspondence, the maximal symmetry of the lifted distribution.
     """
     spec = get_spec(case_id)
-    if spec.picture == "H_of_t":
-        H = F_jet(spec, param_point)
-        route = "direct"
-    else:
-        F = F_jet(spec, param_point)
-        _, H = legendre_transform(F)
-        route = "legendre"
-    res = residual_ds6(H)
     return {
         "id": spec.id,
-        "route": route,
-        "residual": float(res),
+        "route": "direct" if spec.picture == "H_of_t" else "legendre",
+        "residual": float(dual_residual(spec, F_jet(spec, param_point))),
         "expectFail": spec.expect_fail,
     }

@@ -14,7 +14,6 @@ from c235.chazy import (
     parametrized_y,
     reduce_F_to_I,
     residual_6th,
-    residual_7th,
     residual_chazy,
     residual_ds6,
     residual_gen_chazy,
@@ -100,12 +99,6 @@ def test_dual_sixth_order_on_powers(m):
 
 def test_dual_control_cubic():
     assert residual_ds6(jet_var(0.7, 8) ** 3) == pytest.approx(1.0)
-
-
-def test_seventh_order_is_dual_of_derivative():
-    # the 7th-order equation in y is the dual equation in H = y'
-    y = jet_exp(jet_var(0.3, 8)) + jet_var(0.3, 8) ** 2
-    assert residual_7th(y) == pytest.approx(residual_ds6(y.derivative()))
 
 
 def test_schwarzian_residual_nonzero_off_solution():

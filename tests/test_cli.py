@@ -139,18 +139,28 @@ def test_verify_reports_a_singular_coframe(capsys, monkeypatch):
 
 
 def test_verify_and_flatness_suite_share_the_runner(capsys, monkeypatch):
-    # verify's weyl_flatness entries are flatness_suite's results, point by point
+    # verify's weyl_flatness entries are flatness_suite's results, point by
+    # point, from one call of it per case
     for mod in (cli, geometry):
         monkeypatch.setattr(mod, "F_jet", _one_nan_row)
+    calls = []
+    suite_of = geometry.flatness_suite
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].id)
+        return suite_of(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "flatness_suite", counted)
     spec = dist.get_spec("F-power-1/3")
     code, payload, _ = run_json(capsys, "verify", "--case", spec.id, "--points", "10", "--json")
     assert code == 1
+    assert calls == [spec.id]
     flat = [c for c in payload["cases"][0]["checks"] if c["name"] == "weyl_flatness"]
-    suite = geometry.flatness_suite(spec, geometry.sample_points(spec, 10, 0))["results"]
+    suite = suite_of(spec, geometry.sample_points(spec, 10, 0))
     assert [c["point"] for c in flat] == list(range(10))
-    assert "error" in suite[3]
-    for c, r in zip(flat, suite):
-        assert (c["value"], c["pass"], c.get("error")) == (r["weylRatio"], r["pass"], r.get("error"))
+    assert isinstance(suite[3], errors.SingularCoframeError)
+    for i, (c, r) in enumerate(zip(flat, suite)):
+        assert c == cli._check("weyl_flatness", i, cli.DEFAULT_TOL, r)
 
 
 def test_verify_passes_by_a_zero_of_z1(capsys, monkeypatch):
@@ -306,6 +316,15 @@ REFUSED = [
                  "InvalidParam", "missing coordinates: z, p, q", id="point-missing-coordinates"),
     pytest.param(("curvature", "--case", "F-power-2", "--point", "x=0,y=0,z=0,p=0,q=-5"), None,
                  "DomainError", "outside admissible", id="point-outside-domain"),
+    # a coordinate that is not finite, not one of the five names, or given twice
+    pytest.param(("curvature", "--case", "F-power-2", "--point", "x=nan,y=0,z=0,p=0.1,q=1"),
+                 None, "InvalidParam", "x=nan is not finite", id="point-nan"),
+    pytest.param(("curvature", "--case", "F-power-2", "--point", "x=0,y=0,z=0,p=inf,q=1"),
+                 None, "InvalidParam", "p=inf is not finite", id="point-inf"),
+    pytest.param(("curvature", "--case", "F-power-2", "--point", "x=0,y=0,z=0,p=0.1,q=1,w=7"),
+                 None, "InvalidParam", "unknown coordinate 'w'", id="point-unknown-name"),
+    pytest.param(("curvature", "--case", "F-power-2", "--point", "x=0,y=0,z=0,p=0.1,q=1,q=2"),
+                 None, "InvalidParam", "'q' is given twice", id="point-repeated-name"),
     *(pytest.param((command, "--seed", "-1", "--json"), None, "InvalidParam", "--seed",
                    id=f"{command}-seed--1")
       for command in ("verify", "identities")),

@@ -8,8 +8,10 @@ import pytest
 from c235.chazy import residual_ds6
 from c235.dist import F_jet, catalog, get_spec, legendre_transform
 from c235.chazy import residual_6th
+from c235.cli import DEFAULT_TOL
 from c235.errors import (
     BranchError,
+    C235Error,
     DegenerateError,
     DomainError,
     SingularCoframeError,
@@ -211,7 +213,7 @@ def test_batched_geometry_matches_single_point(spec):
     cf = _combine(_frame_rows(coeffs), _omegas(coeffs, np.array(pts)[:, :4]))
     g = metric_at(cf)
     rep = curvature(g)
-    suite = flatness_suite(spec, pts)["results"]
+    suite = flatness_suite(spec, pts)
     for i, pt in enumerate(pts):
         cf1 = coframe_for_spec(spec, pt)
         g1 = metric_at(cf1)
@@ -222,7 +224,7 @@ def test_batched_geometry_matches_single_point(spec):
         rep1 = curvature(g1)
         ratio1 = rep1.maxAbsWeyl / rep1.metricScale
         assert abs(rep.maxAbsWeyl[i] / rep.metricScale[i] - ratio1) <= 1e-9, (spec.id, i)
-        assert abs(suite[i]["weylRatio"] - ratio1) <= 1e-9, (spec.id, i)
+        assert abs(suite[i] - ratio1) <= 1e-9, (spec.id, i)
 
 
 def test_flatness_suite_reports_singular_rows():
@@ -232,10 +234,9 @@ def test_flatness_suite_reports_singular_rows():
     jet = F_jet(spec, np.array(pts)[:, 4])
     jet = Jet1(jet.basepoint, jet.coeffs * [[1.0], [np.nan], [1.0]])
     out = flatness_suite(spec, pts, jet=jet)
-    bad = out["results"][1]
-    assert bad["weylRatio"] is None and bad["pass"] is False
-    assert bad["error"] == "SingularCoframeError: coframe is not finite at this point"
-    assert all(r["pass"] and "error" not in r for i, r in enumerate(out["results"]) if i != 1)
+    assert isinstance(out[1], SingularCoframeError)
+    assert str(out[1]) == "coframe is not finite at this point"
+    assert all(r < DEFAULT_TOL for i, r in enumerate(out) if i != 1)
     with pytest.raises(SingularCoframeError):
         metric_at(coframe_for_spec(spec, pts[1], jet=Jet1(jet.basepoint[1], jet.coeffs[1])))
     # a stack raises with the mask of its singular rows
@@ -717,12 +718,12 @@ def test_weyl_residual_both_vanish_for_flat_H():
 def test_flatness_suite_over_catalog():
     for spec in catalog():
         pts = sample_points(spec, 3, seed=11)
-        out = flatness_suite(spec, pts, tol=1e-7)
+        out = flatness_suite(spec, pts)
+        assert not any(isinstance(r, C235Error) for r in out), (spec.id, out)
         if spec.expect_fail:
-            assert not out["pass"], spec.id
-            assert all(r["weylRatio"] > 1e-3 for r in out["results"]), spec.id
+            assert all(r > 1e-3 for r in out), spec.id
         else:
-            assert out["pass"], (spec.id, out)
+            assert all(r < 1e-7 for r in out), (spec.id, out)
 
 
 def sweep_points(spec):
@@ -741,13 +742,13 @@ def test_dense_sweep_certifies_every_case(spec):
     # below the tolerance, and each negative control far above it
     pts = sweep_points(spec)
     out = flatness_suite(spec, pts)
-    errors = [r for r in out["results"] if "error" in r]
+    errors = [r for r in out if isinstance(r, C235Error)]
     assert not errors, errors[0]
-    ratios = np.array([r["weylRatio"] for r in out["results"]])
+    ratios = np.array(out)
     if spec.expect_fail:
         assert ratios.min() > 1e-3, pts[np.argmin(ratios), 4]
     else:
-        assert ratios.max() < out["tol"] / 3, pts[np.argmax(ratios), 4]
+        assert ratios.max() < DEFAULT_TOL / 3, pts[np.argmax(ratios), 4]
 
 
 def test_sample_points_respect_domain_and_seed():
@@ -812,16 +813,16 @@ def test_batched_jets_match_single_point(spec):
 def test_a_bad_row_gets_its_error_and_the_others_their_values(monkeypatch):
     spec = get_spec("F-schwarz-(3,3,3)")
     pts = np.array(sample_points(spec, 6, seed=3))
-    alone = [flatness_suite(spec, pts[i:i + 1])["results"][0]["weylRatio"] for i in range(6)]
+    alone = [flatness_suite(spec, pts[i:i + 1])[0] for i in range(6)]
     outside = pts.copy()
     outside[2, 4] = 0.99  # out of the declared domain
     with pytest.raises(DomainError) as exc:
         F_jet(spec, outside[:, 4])
     assert exc.value.rows.tolist() == [i == 2 for i in range(6)]
-    results = flatness_suite(spec, outside)["results"]
-    assert results[2]["error"].startswith("DomainError: ") and results[2]["weylRatio"] is None
+    results = flatness_suite(spec, outside)
+    assert isinstance(results[2], DomainError)
     for i in (0, 1, 3, 4, 5):
-        assert results[i]["weylRatio"] == pytest.approx(alone[i], rel=1e-9, abs=1e-20)
+        assert results[i] == pytest.approx(alone[i], rel=1e-9, abs=1e-20)
     # a per-row BranchError deep inside F_jet, at points 0 and 4: the first
     # |s|**e1 of the Schwarz family sees the s of each point as its value
     from c235 import dist
@@ -838,12 +839,12 @@ def test_a_bad_row_gets_its_error_and_the_others_their_values(monkeypatch):
     assert live.tolist() == [1, 2, 3, 5]
     assert [type(e).__name__ for e in found] == [
         "BranchError", "NoneType", "NoneType", "NoneType", "BranchError", "NoneType"]
-    results = flatness_suite(spec, pts)["results"]
+    results = flatness_suite(spec, pts)
     for i, r in enumerate(results):
         if i in (0, 4):
-            assert r["error"] == "BranchError: made to fail here" and not r["pass"]
+            assert isinstance(r, BranchError) and str(r) == "made to fail here"
         else:
-            assert r["weylRatio"] == pytest.approx(alone[i], rel=1e-9, abs=1e-20)
+            assert r == pytest.approx(alone[i], rel=1e-9, abs=1e-20)
 
 
 def test_frame_coeffs_builds_dq_once(monkeypatch):

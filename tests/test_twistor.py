@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from c235 import geometry, twistor
+from c235 import cli, geometry, twistor
 from c235.dist import catalog, get_spec
 from c235.errors import InvalidParam
 from c235.jets import jet_const, jet_var
@@ -160,6 +160,22 @@ def test_g2_certificates_over_catalog():
             assert out["residual"] > 1e-3, spec.id
         else:
             assert out["residual"] < 1e-8, (spec.id, out["residual"])
+
+
+@pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
+def test_g2_certificate_is_verify_dual_residual(spec):
+    # one route for the dual residual: the certificate at each point's lambda
+    # reads what verify reports there, up to the round-off that separates a
+    # stacked jet from a single-point one
+    name = "ode_residual_H" if spec.picture == "H_of_t" else "duality_residual"
+    case = cli._verify_case(spec, 20, cli.DEFAULT_TOL, 5)
+    entries = [c for c in case["checks"] if c["name"] == name]
+    pts = geometry.sample_points(spec, 20, 5)
+    assert [c["point"] for c in entries] == list(range(20))
+    for c in entries:
+        out = g2_certificate(spec.id, pts[c["point"]][4])
+        assert out["route"] == ("direct" if spec.picture == "H_of_t" else "legendre")
+        assert abs(out["residual"] - c["value"]) <= 1e-14, (spec.id, c["point"])
 
 
 # --- guards -------------------------------------------------------------------
