@@ -75,8 +75,15 @@ class CurvatureReport:
 
 
 def _of_lam(jet) -> MJet2:
-    """A jet in lam, or its coefficients, as an MJet2 of dimension 1: d/dlam and d2/dlam2."""
+    """A jet in lam, or its coefficients, as an MJet2 of dimension 1, whose packed
+    slots are the value, d/dlam and d2/dlam2."""
     return MJet2.from_jet1(jet, 0, 1)
+
+
+def _lam_times(f: MJet2, C: np.ndarray) -> np.ndarray:
+    """Each entry of a dense C (..., 3, m, 5) times the jet f in lam, by the product rule."""
+    entries = MJet2.from_packed(np.moveaxis(C, -3, -1))
+    return np.moveaxis((MJet2.from_packed(f.packed[..., None, None, :]) * entries).packed, -1, -3)
 
 
 def _d_dq(dq: Jet1):
@@ -131,25 +138,16 @@ def _omegas(c, point4) -> Coframe:
     return Coframe(value, grad, hess)
 
 
-def _combine(C, om: Coframe) -> Coframe:
+def _combine(C: np.ndarray, om: Coframe) -> Coframe:
     """The rows theta^i = C_ij omega^j, by the product rule.
 
-    C is five rows of five entries, each an MJet2 in lam (_of_lam) or a
-    plain number, so only the lam slot of each partial, the last, gets the
-    terms of C's derivatives.
+    C is one dense array (..., 3, 5, 5) of C, dC/dlam and d2C/dlam2, so only
+    the lam slot of each partial, the last, gets the terms of C's derivatives.
     """
     batch = om.value.shape[:-2]
     A = om.grad.shape[-1]
-    Cs = np.zeros(batch + (3, DIM, DIM))  # value, d/dlam, d2/dlam2
-    for i, row in enumerate(C):
-        for j, c in enumerate(row):
-            if isinstance(c, MJet2):
-                Cs[..., 0, i, j], Cs[..., 1, i, j], Cs[..., 2, i, j] = (
-                    c.value, c.gradient[..., 0], c.hessian[..., 0, 0])
-            else:
-                Cs[..., 0, i, j] = c
-    Cv, C1 = Cs[..., 0, :, :], Cs[..., 1, :, :]
-    CW = Cs @ om.value[..., None, :, :]  # [m, i, a]: C^(m) omega
+    Cv, C1 = C[..., 0, :, :], C[..., 1, :, :]
+    CW = C @ om.value[..., None, :, :]  # [m, i, a]: C^(m) omega
     grad = (Cv @ om.grad.reshape(batch + (DIM, DIM * A))).reshape(om.grad.shape)
     grad[..., -1] += CW[..., 1, :, :]
     hess = (Cv @ om.hess.reshape(batch + (DIM, DIM * A * A))).reshape(om.hess.shape)
@@ -160,25 +158,43 @@ def _combine(C, om: Coframe) -> Coframe:
     return Coframe(CW[..., 0, :, :], grad, hess)
 
 
-def _frame_rows(c):
+def _signed_slots(*placements) -> np.ndarray:
+    """The 5x5 table with `sign` at (i, j) for each (i, j, sign) placement, zero elsewhere."""
+    table = np.zeros((DIM, DIM))
+    for i, j, sign in placements:
+        table[i, j] = sign
+    return table
+
+
+# C of _frame_rows is _C_ONES plus each lam-term times its row of _C_SLOTS
+_C_ONES = _signed_slots((0, 0, 1), (2, 1, 1), (3, 3, 1), (3, 4, -1), (4, 3, -1))
+_C_SLOTS = np.stack([
+    _signed_slots((0, 1, -1), (1, 1, 1)),  # s u
+    _signed_slots((0, 2, 1), (1, 2, -1)),  # s
+    _signed_slots((2, 1, -1)),  # u B
+    _signed_slots((2, 2, 1)),  # B
+    _signed_slots((3, 1, 1)),  # coef4 u
+    _signed_slots((3, 2, -1)),  # coef4
+]).reshape(6, DIM * DIM)
+
+
+def _frame_rows(c) -> np.ndarray:
     """The coefficients C of the theta rows against the omegas, from the _frame_coeffs c.
 
     With u = F', s = 1/F'' and comb = u w2 - w3: th1 = w1 - s comb,
     th2 = s comb, th3 = (1 - u B) w2 + B w3, th4 = coef4 comb + w4 - w5,
-    th5 = -w4.
+    th5 = -w4. C is one dense array (..., 3, 5, 5) of C, dC/dlam and
+    d2C/dlam2, the packed slots of the lam-jets in its entries.
     """
     u, Fpp, F3, F4 = (_of_lam(c[..., k, :]) for k in range(3, 7))
     s = Fpp.reciprocal()
-    B = F3 * s * s * 0.25
-    coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s * s * s * 0.025
-    su = s * u
-    return (
-        (1.0, -su, s, 0.0, 0.0),
-        (0.0, su, -s, 0.0, 0.0),
-        (0.0, 1.0 - u * B, B, 0.0, 0.0),
-        (0.0, coef4 * u, -coef4, 1.0, -1.0),
-        (0.0, 0.0, 0.0, -1.0, 0.0),
-    )
+    s2 = s * s
+    B = F3 * s2 * 0.25
+    coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s2 * s * 0.025
+    terms = np.stack([t.packed for t in (s * u, s, u * B, B, coef4 * u, coef4)], axis=-1)
+    C = (terms @ _C_SLOTS).reshape(terms.shape[:-1] + (DIM, DIM))
+    C[..., 0, :, :] += _C_ONES
+    return C
 
 
 def build_coframe(q_of: Jet1, F_of: Jet1, point4) -> Coframe:
@@ -208,7 +224,7 @@ def _reduced(q_of: Jet1, F_of: Jet1, point4):
     eta-diagonal in the rows (wt2, wt1, wt3 - (I/8) wt2, wt4, wt5 + e wt2),
     e = I'/20 - (3/160) I^2. As (I/8)/F'' = F'''/(4 F''^2) = B, these are
     the catalog rows (th2, w1, th3, w4, w5 + e th2), whose coefficients
-    against the omegas are the rows of C. W holds the values of wt1..wt5;
+    against the omegas are the rows of C, dense as in _frame_rows. W holds the values of wt1..wt5;
     I = 2F'''/F'' and its q-derivative I' are values at the point.
     """
     c = _frame_coeffs(q_of, F_of)
@@ -218,10 +234,15 @@ def _reduced(q_of: Jet1, F_of: Jet1, point4):
     I = F3 * s * 2.0
     Ip = (F4 - F3 * F3 * s) * s * 2.0
     e = Ip * 0.05 - I * I * (3.0 / 160.0)
-    w = np.eye(DIM)  # the rows of the omegas themselves
-    C = (th[1], w[0], th[2], w[3], (0.0, e * th[1][1], e * th[1][2], 0.0, 1.0))
-    W = _combine((w[0], th[1], w[1], w[3], w[4]), om).value
-    return C, om, W, I.value, Ip.value
+    C = np.zeros_like(th)
+    C[..., 0, :] = th[..., 1, :]
+    C[..., 2, :] = th[..., 2, :]
+    C[..., 4:, :] = _lam_times(e, th[..., 1:2, :])
+    C[..., 0, (1, 3, 4), (0, 3, 4)] += 1.0  # w1, w4 and w5
+    wt = np.zeros(th.shape[:-3] + (DIM, DIM))  # the values of (w1, th2, w2, w4, w5)
+    wt[..., 1, :] = th[..., 0, 1, :]
+    wt[..., (0, 2, 3, 4), (0, 1, 3, 4)] = 1.0
+    return C, om, wt @ om.value, I.value, Ip.value
 
 
 def reduced_metric(q_of: Jet1, F_of: Jet1, point4) -> MetricJet:
@@ -559,8 +580,7 @@ def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4):
         raise DegenerateError("nu must be positive")
     # nu^{-2} g is eta-diagonal in the reduced rows divided by nu; wt4 is
     # unscaled in W, so its component compares with the prediction directly
-    inv_nu = _of_lam(nu).reciprocal()
-    computed, off, rep = _frame_ricci([[inv_nu * c for c in row] for row in C], om, W)
+    computed, off, rep = _frame_ricci(_lam_times(_of_lam(nu).reciprocal(), C), om, W)
     d_dq = _d_dq(q_of.derivative())
     nupp = d_dq(d_dq(nu)).value()
     nu0 = nu.value()

@@ -13,7 +13,11 @@ raises its error where it holds, with the mask of those rows as the
 error's `rows`.
 
 MJet2 is a multivariate order-2 jet (value, gradient, symmetric hessian)
-used for the metric/curvature pipeline.
+used for the metric/curvature pipeline, packed in one array (..., 1 + d +
+d**2) whose value, gradient and hessian are views. A product is one outer
+product of the packed operands times a constant table, _product_table(d),
+with one 1 per term of the product rule; the reciprocal is a power series
+on that product.
 """
 
 from __future__ import annotations
@@ -429,32 +433,85 @@ def derivative_oracle(
 # --- multivariate order-2 jets ---------------------------------------
 
 
-@dataclass(frozen=True)
+@functools.cache
+def _product_table(d: int) -> np.ndarray:
+    """T (n * n, n), n = 1 + d + d**2: the packed a b is the flattened outer(a, b) times T.
+
+    One 1 per term of the product rule c = a b, c_i = a b_i + a_i b,
+    c_ij = a b_ij + a_ij b + a_i b_j + a_j b_i.
+    """
+    n = 1 + d + d * d
+    grad = 1 + np.arange(d)
+    hess = 1 + d + np.arange(d * d).reshape(d, d)
+    T = np.zeros((n, n, n))
+    T[0, np.arange(n), np.arange(n)] = T[np.arange(n), 0, np.arange(n)] = 1.0
+    T[grad[:, None], grad, hess] += 1.0
+    T[grad[:, None], grad, hess.T] += 1.0
+    T = T.reshape(n * n, n)
+    T.flags.writeable = False
+    return T
+
+
+def _packed_product(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    outer = a[..., None] * b[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (-1,)).dot(_product_table(d))
+
+
 class MJet2:
-    """Order-2 multivariate jet: value, gradient, symmetric hessian. Jets at N points
-    stack on a leading axis: value (N,), gradient (N, dim), hessian (N, dim, dim)."""
+    """Order-2 multivariate jet, packed: `packed[..., :]` is the value, the
+    gradient and the row-major hessian, 1 + dim + dim**2 numbers. `value`,
+    `gradient` and `hessian` are views of it. Jets at N points stack on a
+    leading axis: value (N,), gradient (N, dim), hessian (N, dim, dim).
+    """
 
-    value: float | np.ndarray
-    gradient: np.ndarray
-    hessian: np.ndarray
+    __slots__ = ("packed",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "gradient", np.asarray(self.gradient, dtype=float))
-        object.__setattr__(self, "hessian", np.asarray(self.hessian, dtype=float))
+    def __init__(self, value, gradient, hessian):
+        g = np.asarray(gradient, dtype=float)
+        d = g.shape[-1]
+        packed = np.empty(g.shape[:-1] + (1 + d + d * d,))
+        packed[..., 0] = value
+        packed[..., 1 : 1 + d] = g
+        packed[..., 1 + d :] = np.reshape(hessian, np.shape(hessian)[:-2] + (d * d,))
+        self.packed = packed
+
+    @staticmethod
+    def from_packed(packed: np.ndarray) -> "MJet2":
+        jet = MJet2.__new__(MJet2)
+        jet.packed = packed
+        return jet
+
+    def __repr__(self) -> str:
+        return f"MJet2(value={self.value!r}, gradient={self.gradient!r}, hessian={self.hessian!r})"
 
     @property
     def dim(self) -> int:
-        return self.gradient.shape[-1]
+        return (math.isqrt(4 * self.packed.shape[-1] - 3) - 1) // 2
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.packed[..., 0]
+
+    @property
+    def gradient(self) -> np.ndarray:
+        return self.packed[..., 1 : 1 + self.dim]
+
+    @property
+    def hessian(self) -> np.ndarray:
+        d = self.dim
+        return self.packed[..., 1 + d :].reshape(self.packed.shape[:-1] + (d, d))
 
     @staticmethod
     def constant(value: float, dim: int) -> "MJet2":
-        return MJet2(float(value), np.zeros(dim), np.zeros((dim, dim)))
+        packed = np.zeros(1 + dim + dim * dim)
+        packed[0] = value
+        return MJet2.from_packed(packed)
 
     @staticmethod
     def coordinate(value: float, axis: int, dim: int) -> "MJet2":
-        g = np.zeros(dim)
-        g[axis] = 1.0
-        return MJet2(float(value), g, np.zeros((dim, dim)))
+        packed = MJet2.constant(value, dim).packed
+        packed[1 + axis] = 1.0
+        return MJet2.from_packed(packed)
 
     @staticmethod
     def from_jet1(jet, axis: int, dim: int) -> "MJet2":
@@ -464,61 +521,55 @@ class MJet2:
             raise ValueError("need a univariate jet of order >= 2")
         if c.dtype.kind == "c":
             raise ValueError("metric coefficients must be real jets")
-        g = np.zeros(c.shape[:-1] + (dim,))
-        g[..., axis] = c[..., 1]
-        h = np.zeros(c.shape[:-1] + (dim, dim))
-        h[..., axis, axis] = 2.0 * c[..., 2]
-        return MJet2(c[..., 0], g, h)
-
-    def _coerce(self, other) -> "MJet2":
-        if isinstance(other, MJet2):
-            return other
-        return MJet2.constant(float(other), self.dim)
+        if dim == 1:
+            return MJet2.from_packed(c[..., :3] * (1.0, 1.0, 2.0))
+        packed = np.zeros(c.shape[:-1] + (1 + dim + dim * dim,))
+        packed[..., 0] = c[..., 0]
+        packed[..., 1 + axis] = c[..., 1]
+        packed[..., 1 + dim + axis * (dim + 1)] = 2.0 * c[..., 2]
+        return MJet2.from_packed(packed)
 
     def __add__(self, other) -> "MJet2":
-        o = self._coerce(other)
-        return MJet2(self.value + o.value, self.gradient + o.gradient, self.hessian + o.hessian)
+        if isinstance(other, MJet2):
+            return MJet2.from_packed(self.packed + other.packed)
+        packed = self.packed.copy()
+        packed[..., 0] += other
+        return MJet2.from_packed(packed)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MJet2":
-        return MJet2(-self.value, -self.gradient, -self.hessian)
+        return MJet2.from_packed(-self.packed)
 
     def __sub__(self, other) -> "MJet2":
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other) -> "MJet2":
         return (-self) + other
 
     def __mul__(self, other) -> "MJet2":
         if not isinstance(other, MJet2):
-            return MJet2(self.value * other, self.gradient * other, self.hessian * other)
-        a, b = self, other
-        av, bv = np.asarray(a.value)[..., None], np.asarray(b.value)[..., None]
-        outer = a.gradient[..., :, None] * b.gradient[..., None, :]
-        return MJet2(
-            a.value * b.value,
-            av * b.gradient + bv * a.gradient,
-            av[..., None] * b.hessian + bv[..., None] * a.hessian
-            + outer + outer.swapaxes(-1, -2),
-        )
+            return MJet2.from_packed(self.packed * _per_row(other))
+        return MJet2.from_packed(_packed_product(self.packed, other.packed, self.dim))
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "MJet2":
-        if (np.asarray(self.value) == 0).any():
+        """r (1 - e + e**2), with r = 1 / f(x0) and e = f r - 1: e has value 0, so
+        e**3 has no terms of order <= 2, and the 1 only sets the value r."""
+        if not self.packed[..., 0].all():
             raise DivisionByZeroJet("reciprocal of a zero-valued multivariate jet")
-        v = 1.0 / self.value
-        v1, v3 = np.asarray(v)[..., None], np.asarray(v**3)[..., None, None]
-        g = -self.gradient * v1 * v1
-        outer = self.gradient[..., :, None] * self.gradient[..., None, :]
-        h = -self.hessian * v1[..., None] * v1[..., None] + 2.0 * v3 * outer
-        return MJet2(v, g, h)
+        r = 1.0 / self.packed[..., :1]
+        e = self.packed * r
+        e[..., 0] = 0.0
+        out = (_packed_product(e, e, self.dim) - e) * r
+        out[..., 0] = r[..., 0]
+        return MJet2.from_packed(out)
 
     def __truediv__(self, other) -> "MJet2":
-        o = self._coerce(other)
-        return self * o.reciprocal()
+        if not isinstance(other, MJet2):
+            return MJet2.from_packed(self.packed / _per_row(other))
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other) -> "MJet2":
-        return self._coerce(other) * self.reciprocal()
-
+        return self.reciprocal() * other

@@ -26,6 +26,7 @@ from c235.geometry import (
     _derivs_in_q,
     _frame_coeffs,
     _frame_rows,
+    _lam_times,
     _legendre_data,
     _of_lam,
     _omegas,
@@ -202,6 +203,50 @@ def test_dense_metric_matches_mjet2_reference(spec):
         assert not dG[:3].any() and not d2G[:3].any() and not d2G[:, :3].any(), spec.id
         for got, ref in zip((g.value, g.grad, g.hess), (G, dG[3:], d2G[3:, 3:])):
             assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref)), (spec.id, pt)
+
+
+def reference_frame_rows(c):
+    """C of _frame_rows as five rows of five entries, each an MJet2 in lam or a
+    plain number: the tuple form C had before it became one dense array."""
+    u, Fpp, F3, F4 = (_of_lam(c[..., k, :]) for k in range(3, 7))
+    s = Fpp.reciprocal()
+    B = F3 * s * s * 0.25
+    coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s * s * s * 0.025
+    su = s * u
+    return (
+        (1.0, -su, s, 0.0, 0.0),
+        (0.0, su, -s, 0.0, 0.0),
+        (0.0, 1.0 - u * B, B, 0.0, 0.0),
+        (0.0, coef4 * u, -coef4, 1.0, -1.0),
+        (0.0, 0.0, 0.0, -1.0, 0.0),
+    )
+
+
+def dense_rows(C, batch) -> np.ndarray:
+    """Rows of MJet2 entries in lam, or numbers, as the (..., 3, 5, 5) of C, dC/dlam, d2C/dlam2."""
+    out = np.zeros(batch + (3, DIM, DIM))
+    for i, row in enumerate(C):
+        for j, c in enumerate(row):
+            if isinstance(c, MJet2):
+                out[..., :, i, j] = np.stack([c.value, c.gradient[..., 0], c.hessian[..., 0, 0]], -1)
+            else:
+                out[..., 0, i, j] = c
+    return out
+
+
+@pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
+def test_dense_frame_rows_match_the_tuple_reference(spec):
+    stack = np.array(sample_points(spec, 10, seed=11))
+    for pts in (stack[0], stack):
+        c = _frame_coeffs(*frame_jets_for_spec(spec, pts[..., 4]))
+        C = _frame_rows(c)
+        want = dense_rows(reference_frame_rows(c), pts.shape[:-1])
+        assert C.shape == want.shape
+        # C, dC/dlam and d2C/dlam2, each against its largest entry: the two round
+        # the powers of s apart, and (coef4 u)'' cancels at some H-two-pole points (1.5e-13)
+        for m in range(3):
+            err = np.max(np.abs(C[..., m, :, :] - want[..., m, :, :]))
+            assert err <= 1e-12 * np.max(np.abs(want[..., m, :, :])), (spec.id, pts.ndim, m)
 
 
 @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
@@ -454,15 +499,9 @@ def full_coframe(cf: Coframe) -> Coframe:
 
 def full_combine(C, om: Coframe) -> Coframe:
     """The rows C_ij omega^j by the product rule, carrying all five partials;
-    C's entries are MJet2 in lam, whose partials land in the lam slot."""
-    Cv, C1, C2 = (np.zeros(om.value.shape) for _ in range(3))
-    for i, row in enumerate(C):
-        for j, c in enumerate(row):
-            if isinstance(c, MJet2):
-                Cv[..., i, j], C1[..., i, j], C2[..., i, j] = (
-                    c.value, c.gradient[..., 0], c.hessian[..., 0, 0])
-            else:
-                Cv[..., i, j] = c
+    C is the dense (..., 3, 5, 5) of C, dC/dlam and d2C/dlam2, whose partials
+    land in the lam slot."""
+    Cv, C1, C2 = C[..., 0, :, :], C[..., 1, :, :], C[..., 2, :, :]
     grad = np.einsum("...ij,...jak->...iak", Cv, om.grad)
     grad[..., 4] += C1 @ om.value
     hess = np.einsum("...ij,...jakl->...iakl", Cv, om.hess)
@@ -527,7 +566,7 @@ def test_reduced_and_conformal_paths_match_the_full_build(picture):
         q_of, F_of = H.derivative(), jet_var(1.1, 8) * H.derivative() - H
     C, om, _, _, _ = _reduced(q_of, F_of, POINT4)
     inv_nu = _of_lam(jet_abs_pow(q_of, 0.5)).reciprocal()  # the conformal factor's rows
-    for rows in (C, [[inv_nu * c for c in row] for row in C]):
+    for rows in (C, _lam_times(inv_nu, C)):
         full = full_combine(rows, full_coframe(om))
         g_full = full_metric_at(full)
         assert_zero_along_xyz((full.grad, (-1,)), (full.hess, (-2, -1)),

@@ -114,25 +114,66 @@ def test_antiderivative_inverts_derivative():
     assert np.allclose(g.coeffs, f.coeffs)
 
 
+def _random_mjet2_parts(rng, batch, dim):
+    """(value, gradient, symmetric hessian) with |value| in [0.5, 2]."""
+    v = rng.uniform(0.5, 2.0, batch) * rng.choice([-1.0, 1.0], batch)
+    h = rng.normal(size=batch + (dim, dim))
+    return v, rng.normal(size=batch + (dim,)), h + np.swapaxes(h, -1, -2)
+
+
+def _product_rule(a, b):
+    """The parts of a b from the (value, gradient, hessian) parts of a and b."""
+    (va, ga, ha), (vb, gb, hb) = a, b
+    va, vb = np.asarray(va), np.asarray(vb)
+    outer = ga[..., :, None] * gb[..., None, :]
+    return (va * vb, va[..., None] * gb + vb[..., None] * ga,
+            va[..., None, None] * hb + vb[..., None, None] * ha + outer + np.swapaxes(outer, -1, -2))
+
+
+def _reciprocal_rule(a):
+    """The parts of 1 / a: 1/v, -g/v**2, -h/v**2 + 2 g g^T/v**3."""
+    v, g, h = a
+    v = np.asarray(v)
+    return (1.0 / v, -g / v[..., None] ** 2,
+            -h / v[..., None, None] ** 2 + 2.0 * g[..., :, None] * g[..., None, :] / v[..., None, None] ** 3)
+
+
 def test_mjet2_product_rule():
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        va, vb = rng.normal(size=2)
-        ga, gb = rng.normal(size=(2, 3))
-        ha, hb = rng.normal(size=(2, 3, 3))
-        ha, hb = ha + ha.T, hb + hb.T
-        a, b = MJet2(va, ga, ha), MJet2(vb, gb, hb)
-        p = a * b
-        assert np.allclose(p.gradient, va * gb + vb * ga)
-        assert np.allclose(
-            p.hessian, va * hb + vb * ha + np.outer(ga, gb) + np.outer(gb, ga)
-        )
-        r = a.reciprocal() if abs(va) > 1e-6 else None
-        if r is not None:
-            ident = a * r
-            assert abs(ident.value - 1.0) < 1e-9
-            assert np.allclose(ident.gradient, 0.0, atol=1e-8)
-            assert np.allclose(ident.hessian, 0.0, atol=1e-7)
+    for dim in (1, 2, 5):
+        for batch in ((), (7,)):
+            A, B = _random_mjet2_parts(rng, batch, dim), _random_mjet2_parts(rng, batch, dim)
+            a, b = MJet2(*A), MJet2(*B)
+            assert a.dim == dim
+            assert a.packed.shape == batch + (1 + dim + dim * dim,)
+            assert a.value.shape == batch
+            assert a.gradient.shape == batch + (dim,) and a.hessian.shape == batch + (dim, dim)
+            assert all(np.shares_memory(view, a.packed) for view in (a.value, a.gradient, a.hessian))
+            x = rng.uniform(0.5, 2.0, batch)  # one number per row, or one number
+            cases = (
+                (a * b, _product_rule(A, B)),
+                (a.reciprocal(), _reciprocal_rule(A)),
+                (a / b, _product_rule(A, _reciprocal_rule(B))),
+                (2.5 / a, [2.5 * p for p in _reciprocal_rule(A)]),
+                (a + b, [p + q for p, q in zip(A, B)]),
+                (a - b, [p - q for p, q in zip(A, B)]),
+                (-a, [-p for p in A]),
+                (a + 1.5, (A[0] + 1.5, A[1], A[2])),
+                (1.5 - a, (1.5 - A[0], -A[1], -A[2])),
+                (a + x, (A[0] + x, A[1], A[2])),
+                (a * 2.5, [2.5 * p for p in A]),
+                (a * x, (A[0] * x, A[1] * x[..., None], A[2] * x[..., None, None])),
+                (a / x, (A[0] / x, A[1] / x[..., None], A[2] / x[..., None, None])),
+            )
+            for k, (got, want) in enumerate(cases):
+                for part, w in zip((got.value, got.gradient, got.hessian), want):
+                    np.testing.assert_allclose(part, w, rtol=1e-13, atol=1e-13, err_msg=f"{dim} {batch} {k}")
+                h = got.hessian
+                assert np.max(np.abs(h - np.swapaxes(h, -1, -2))) <= 1e-15 * max(np.max(np.abs(h)), 1.0)
+            ident = a * a.reciprocal()
+            assert np.allclose(ident.value, 1.0, atol=1e-12)
+            assert np.allclose(ident.gradient, 0.0, atol=1e-12)
+            assert np.allclose(ident.hessian, 0.0, atol=1e-11)
 
 
 def test_mjet2_from_jet1_embedding():
@@ -187,16 +228,20 @@ def test_complex_jet_pow_takes_the_principal_branch():
 
 def test_mjet2_stacked_rows_match_single_jets():
     rng = np.random.default_rng(1)
-    n, dim = 4, 5
+    n, dim = 7, 5
     va, vb = rng.normal(size=(2, n))
     ga, gb = rng.normal(size=(2, n, dim))
     ha, hb = rng.normal(size=(2, n, dim, dim))
     a, b = MJet2(va, ga, ha + np.swapaxes(ha, -1, -2)), MJet2(vb, gb, hb + np.swapaxes(hb, -1, -2))
     assert a.dim == dim
-    for stacked, single in ((a * b, lambda x, y: x * y), (a.reciprocal(), lambda x, y: x.reciprocal()),
-                            (1.0 - a * 2.5, lambda x, y: 1.0 - x * 2.5)):
+    w = rng.uniform(0.5, 2.0, n)  # one number per row
+    for stacked, single in ((a * b, lambda x, y, wi: x * y),
+                            (a.reciprocal(), lambda x, y, wi: x.reciprocal()),
+                            (1.0 - a * 2.5, lambda x, y, wi: 1.0 - x * 2.5),
+                            (a * w + w, lambda x, y, wi: x * wi + wi),
+                            (b / w - w, lambda x, y, wi: y / wi - wi)):
         for i in range(n):
-            row = single(*(MJet2(float(m.value[i]), m.gradient[i], m.hessian[i]) for m in (a, b)))
+            row = single(*(MJet2(float(m.value[i]), m.gradient[i], m.hessian[i]) for m in (a, b)), w[i])
             assert stacked.value[i] == row.value
             assert np.array_equal(stacked.gradient[i], row.gradient)
             assert np.array_equal(stacked.hessian[i], row.hessian)
