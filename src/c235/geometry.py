@@ -75,15 +75,16 @@ class CurvatureReport:
 
 
 def _of_lam(jet) -> MJet2:
-    """A jet in lam, or its coefficients, as an MJet2 of dimension 1, whose packed
-    slots are the value, d/dlam and d2/dlam2."""
+    """A jet in lam, or its coefficients, as an MJet2 of dimension 1."""
     return MJet2.from_jet1(jet, 0, 1)
 
 
 def _lam_times(f: MJet2, C: np.ndarray) -> np.ndarray:
-    """Each entry of a dense C (..., 3, m, 5) times the jet f in lam, by the product rule."""
-    entries = MJet2.from_packed(np.moveaxis(C, -3, -1))
-    return np.moveaxis((MJet2.from_packed(f.packed[..., None, None, :]) * entries).packed, -1, -3)
+    """Each entry of a dense C (..., 3, m, 5) times the jet f in lam, by the product
+    rule: (f C, f' C + f C', f'' C + 2 f' C' + f C'')."""
+    f0, f1, f2 = np.moveaxis(f.derivatives()[..., None, None], -3, 0)
+    C0, C1, C2 = np.moveaxis(C, -3, 0)
+    return np.stack([f0 * C0, f1 * C0 + f0 * C1, f2 * C0 + 2.0 * f1 * C1 + f0 * C2], axis=-3)
 
 
 def _d_dq(dq: Jet1):
@@ -184,14 +185,14 @@ def _frame_rows(c) -> np.ndarray:
     With u = F', s = 1/F'' and comb = u w2 - w3: th1 = w1 - s comb,
     th2 = s comb, th3 = (1 - u B) w2 + B w3, th4 = coef4 comb + w4 - w5,
     th5 = -w4. C is one dense array (..., 3, 5, 5) of C, dC/dlam and
-    d2C/dlam2, the packed slots of the lam-jets in its entries.
+    d2C/dlam2, the derivatives of the lam-jets in its entries.
     """
     u, Fpp, F3, F4 = (_of_lam(c[..., k, :]) for k in range(3, 7))
     s = Fpp.reciprocal()
     s2 = s * s
     B = F3 * s2 * 0.25
     coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s2 * s * 0.025
-    terms = np.stack([t.packed for t in (s * u, s, u * B, B, coef4 * u, coef4)], axis=-1)
+    terms = np.stack([t.derivatives() for t in (s * u, s, u * B, B, coef4 * u, coef4)], axis=-1)
     C = (terms @ _C_SLOTS).reshape(terms.shape[:-1] + (DIM, DIM))
     C[..., 0, :, :] += _C_ONES
     return C

@@ -452,6 +452,17 @@ def _product_table(d: int) -> np.ndarray:
     return T
 
 
+@functools.cache
+def _embedding(axis: int, d: int) -> np.ndarray:
+    """E (3, 1 + d + d**2): the first three Taylor coefficients of a univariate jet
+    times E are the packed jet on the axis, value, d/dx_axis and d2/dx_axis2."""
+    axis = range(d)[axis]
+    E = np.zeros((3, 1 + d + d * d))
+    E[(0, 1, 2), (0, 1 + axis, 1 + d + axis * (d + 1))] = 1.0, 1.0, 2.0
+    E.flags.writeable = False
+    return E
+
+
 def _packed_product(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
     outer = a[..., None] * b[..., None, :]
     return outer.reshape(outer.shape[:-2] + (-1,)).dot(_product_table(d))
@@ -521,13 +532,13 @@ class MJet2:
             raise ValueError("need a univariate jet of order >= 2")
         if c.dtype.kind == "c":
             raise ValueError("metric coefficients must be real jets")
-        if dim == 1:
-            return MJet2.from_packed(c[..., :3] * (1.0, 1.0, 2.0))
-        packed = np.zeros(c.shape[:-1] + (1 + dim + dim * dim,))
-        packed[..., 0] = c[..., 0]
-        packed[..., 1 + axis] = c[..., 1]
-        packed[..., 1 + dim + axis * (dim + 1)] = 2.0 * c[..., 2]
-        return MJet2.from_packed(packed)
+        return MJet2.from_packed(c[..., :3] @ _embedding(axis, dim))
+
+    def derivatives(self) -> np.ndarray:
+        """(..., 3): the value, first and second derivative of a jet of dimension 1."""
+        if self.packed.shape[-1] != 3:
+            raise ValueError("derivatives() needs a jet of dimension 1")
+        return self.packed
 
     def __add__(self, other) -> "MJet2":
         if isinstance(other, MJet2):
@@ -557,8 +568,7 @@ class MJet2:
     def reciprocal(self) -> "MJet2":
         """r (1 - e + e**2), with r = 1 / f(x0) and e = f r - 1: e has value 0, so
         e**3 has no terms of order <= 2, and the 1 only sets the value r."""
-        if not self.packed[..., 0].all():
-            raise DivisionByZeroJet("reciprocal of a zero-valued multivariate jet")
+        DivisionByZeroJet.raise_where(self.packed[..., 0] == 0, "reciprocal of a zero-valued multivariate jet")
         r = 1.0 / self.packed[..., :1]
         e = self.packed * r
         e[..., 0] = 0.0
@@ -568,6 +578,7 @@ class MJet2:
 
     def __truediv__(self, other) -> "MJet2":
         if not isinstance(other, MJet2):
+            DivisionByZeroJet.raise_where(np.equal(other, 0), "division of a multivariate jet by zero")
             return MJet2.from_packed(self.packed / _per_row(other))
         return self * other.reciprocal()
 

@@ -174,6 +174,14 @@ def test_mjet2_product_rule():
             assert np.allclose(ident.value, 1.0, atol=1e-12)
             assert np.allclose(ident.gradient, 0.0, atol=1e-12)
             assert np.allclose(ident.hessian, 0.0, atol=1e-11)
+            with pytest.raises(DivisionByZeroJet) as err:
+                a / 0
+            assert err.value.rows is None
+            if batch:  # a per-row number zero at row 3 only
+                zero_at_3 = np.where(np.arange(7) == 3, 0.0, x)
+                with pytest.raises(DivisionByZeroJet) as err:
+                    a / zero_at_3
+                assert err.value.rows.tolist() == (zero_at_3 == 0).tolist()
 
 
 def test_mjet2_from_jet1_embedding():
@@ -183,6 +191,14 @@ def test_mjet2_from_jet1_embedding():
     assert m.gradient[2] == j.deriv(1)
     assert m.hessian[2, 2] == pytest.approx(j.deriv(2))
     assert np.count_nonzero(m.gradient) == 1
+    line = MJet2.from_jet1(j, 0, 1)
+    assert np.array_equal(line.derivatives(), [j.deriv(0), j.deriv(1), j.deriv(2)])
+    assert np.array_equal(line.derivatives(), np.concatenate([line.value[None], line.gradient, line.hessian[0]]))
+    with pytest.raises(ValueError):
+        m.derivatives()
+    for axis, dim in ((1, 1), (5, 5)):
+        with pytest.raises(IndexError):
+            MJet2.from_jet1(j, axis, dim)
 
 
 def test_jet_pow_negative_base_odd_denominator():
@@ -249,8 +265,9 @@ def test_mjet2_stacked_rows_match_single_jets():
     m = MJet2.from_jet1(np.stack([j.coeffs, 2.0 * j.coeffs]), 2, dim)
     assert np.array_equal(m.value, [j.value(), 2.0 * j.value()])
     assert np.array_equal(m.gradient[1], MJet2.from_jet1(2.0 * j, 2, dim).gradient)
-    with pytest.raises(DivisionByZeroJet):
-        MJet2(np.array([1.0, 0.0]), np.zeros((2, dim)), np.zeros((2, dim, dim))).reciprocal()
+    with pytest.raises(DivisionByZeroJet) as err:
+        MJet2(np.array([1.0, 0.0, 2.0]), np.zeros((3, dim)), np.zeros((3, dim, dim))).reciprocal()
+    assert err.value.rows.tolist() == [False, True, False]
 
 
 # --- a leading point axis -------------------------------------------------
