@@ -2,10 +2,10 @@
 
 The five coordinates are (x, y, z, p, lam) where lam is the jet variable
 of the supplied data: q itself in the F-picture, t in the dual picture, r
-or s for the parametrised families. Coframe rows and metric components
-are exact order-2 jets held as dense arrays (value, first and second
-partials), so the curvature arrays need no finite differences. The same
-functions serve one point or, along a leading axis of every array, many.
+or s for the parametrised families. Coframe rows, their coefficients and
+metric components are exact order-2 jets in one layout, MatrixJet, with
+one product rule, so the curvature arrays need no finite differences. The
+same functions serve one point or, along a leading axis of every array, many.
 
 Conventions: Gamma^a_bc = (1/2) g^{ad}(d_b g_dc + d_c g_bd - d_d g_bc);
 R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma Gamma terms;
@@ -35,26 +35,13 @@ ETA[2, 2] = 4.0 / 3.0
 
 
 @dataclass(frozen=True)
-class Coframe:
-    """Rows i give theta^i = value[i, a] dx^a over (x, y, z, p, lam).
+class MatrixJet:
+    """An (m, n) matrix of order-2 jets: value[..., i, a], grad[..., k, i, a], hess[..., k, l, i, a].
 
-    grad[i, a, k] and hess[i, a, k, l] are the first and second partials
-    of value[i, a] along the last A coordinates, A = grad.shape[-1]; the
-    partials along the others are zero. Catalog coframes have A = 2, for
-    (p, lam): the distribution is invariant under translations in x, y, z.
-    """
-
-    value: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-
-
-@dataclass(frozen=True)
-class MetricJet:
-    """Metric components g_ab with partials grad[k, a, b] and hess[k, l, a, b].
-
-    As in Coframe, k and l run over the last A = grad.shape[-3] coordinates
-    only, and every partial along the others is zero.
+    k and l run over the last A = grad.shape[-3] coordinates only, and every
+    partial along the others is zero. Catalog coframes (theta^i = value[i, a]
+    dx^a) and metrics have A = 2, for (p, lam): the distribution is
+    invariant under translations in x, y, z.
     """
 
     value: np.ndarray
@@ -79,12 +66,25 @@ def _of_lam(jet) -> MJet2:
     return MJet2.from_jet1(jet, 0, 1)
 
 
-def _lam_times(f: MJet2, C: np.ndarray) -> np.ndarray:
-    """Each entry of a dense C (..., 3, m, 5) times the jet f in lam, by the product
-    rule: (f C, f' C + f C', f'' C + 2 f' C' + f C'')."""
-    f0, f1, f2 = np.moveaxis(f.derivatives()[..., None, None], -3, 0)
-    C0, C1, C2 = np.moveaxis(C, -3, 0)
-    return np.stack([f0 * C0, f1 * C0 + f0 * C1, f2 * C0 + 2.0 * f1 * C1 + f0 * C2], axis=-3)
+def _in_lam(D: np.ndarray) -> MatrixJet:
+    """The (..., 3, m, n) stack of D, dD/dlam and d2D/dlam2 as a MatrixJet over (p, lam)."""
+    batch, mn = D.shape[:-3], D.shape[-2:]
+    grad = np.zeros(batch + (2,) + mn)
+    hess = np.zeros(batch + (2, 2) + mn)
+    grad[..., 1, :, :] = D[..., 1, :, :]
+    hess[..., 1, 1, :, :] = D[..., 2, :, :]
+    return MatrixJet(D[..., 0, :, :], grad, hess)
+
+
+def _product(a: MatrixJet, b: MatrixJet) -> MatrixJet:
+    """The matrix product a b by the product rule, partial by partial."""
+    av, bv = a.value[..., None, :, :], b.value[..., None, :, :]
+    cross = a.grad[..., :, None, :, :] @ b.grad[..., None, :, :, :]  # [k, l]: da/dk db/dl
+    return MatrixJet(
+        a.value @ b.value,
+        a.grad @ bv + av @ b.grad,
+        a.hess @ bv[..., None, :, :] + av[..., None, :, :] @ b.hess + cross + cross.swapaxes(-4, -3),
+    )
 
 
 def _d_dq(dq: Jet1):
@@ -120,43 +120,20 @@ def _frame_coeffs(q_of: Jet1, F_of: Jet1) -> np.ndarray:
     return np.stack([j.coeffs[..., :3] for j in jets], axis=-2)
 
 
-def _omegas(c, point4) -> Coframe:
+def _omegas(c, point4) -> MatrixJet:
     """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx; c is the _frame_coeffs.
 
     Their partials are along (p, lam) alone, the last two coordinates.
     """
     p = np.asarray(point4, dtype=float)[..., 3]
-    value = np.zeros(p.shape + (DIM, DIM))
-    grad = np.zeros(p.shape + (DIM, DIM, 2))
-    hess = np.zeros(p.shape + (DIM, DIM, 2, 2))
-    value[..., 0, 0] = -p
-    value[..., 0, 1] = value[..., 1, 3] = value[..., 2, 2] = value[..., 4, 0] = 1.0
-    grad[..., 0, 0, 0] = -1.0
+    D = np.zeros(p.shape + (3, DIM, DIM))
+    D[..., 0, 0, 0] = -p
+    D[..., 0, 0, 1] = D[..., 0, 1, 3] = D[..., 0, 2, 2] = D[..., 0, 4, 0] = 1.0
     for i, a, k, sign in ((1, 0, 0, -1.0), (2, 0, 1, -1.0), (3, 4, 2, 1.0)):
-        value[..., i, a] = sign * c[..., k, 0]
-        grad[..., i, a, 1] = sign * c[..., k, 1]
-        hess[..., i, a, 1, 1] = 2.0 * sign * c[..., k, 2]
-    return Coframe(value, grad, hess)
-
-
-def _combine(C: np.ndarray, om: Coframe) -> Coframe:
-    """The rows theta^i = C_ij omega^j, by the product rule.
-
-    C is one dense array (..., 3, 5, 5) of C, dC/dlam and d2C/dlam2, so only
-    the lam slot of each partial, the last, gets the terms of C's derivatives.
-    """
-    batch = om.value.shape[:-2]
-    A = om.grad.shape[-1]
-    Cv, C1 = C[..., 0, :, :], C[..., 1, :, :]
-    CW = C @ om.value[..., None, :, :]  # [m, i, a]: C^(m) omega
-    grad = (Cv @ om.grad.reshape(batch + (DIM, DIM * A))).reshape(om.grad.shape)
-    grad[..., -1] += CW[..., 1, :, :]
-    hess = (Cv @ om.hess.reshape(batch + (DIM, DIM * A * A))).reshape(om.hess.shape)
-    cross = (C1 @ om.grad.reshape(batch + (DIM, DIM * A))).reshape(om.grad.shape)  # [i, a, l]
-    hess[..., -1, :] += cross
-    hess[..., :, -1] += cross
-    hess[..., -1, -1] += CW[..., 2, :, :]
-    return Coframe(CW[..., 0, :, :], grad, hess)
+        D[..., :, i, a] = sign * c[..., k, :] * (1.0, 1.0, 2.0)  # Taylor coefficients to derivatives
+    om = _in_lam(D)
+    om.grad[..., 0, 0, 0] = -1.0  # d(-p)/dp
+    return om
 
 
 def _signed_slots(*placements) -> np.ndarray:
@@ -179,13 +156,12 @@ _C_SLOTS = np.stack([
 ]).reshape(6, DIM * DIM)
 
 
-def _frame_rows(c) -> np.ndarray:
+def _frame_rows(c) -> MatrixJet:
     """The coefficients C of the theta rows against the omegas, from the _frame_coeffs c.
 
     With u = F', s = 1/F'' and comb = u w2 - w3: th1 = w1 - s comb,
     th2 = s comb, th3 = (1 - u B) w2 + B w3, th4 = coef4 comb + w4 - w5,
-    th5 = -w4. C is one dense array (..., 3, 5, 5) of C, dC/dlam and
-    d2C/dlam2, the derivatives of the lam-jets in its entries.
+    th5 = -w4. The entries are jets in lam alone: C's partials along p are zero.
     """
     u, Fpp, F3, F4 = (_of_lam(c[..., k, :]) for k in range(3, 7))
     s = Fpp.reciprocal()
@@ -195,10 +171,10 @@ def _frame_rows(c) -> np.ndarray:
     terms = np.stack([t.derivatives() for t in (s * u, s, u * B, B, coef4 * u, coef4)], axis=-1)
     C = (terms @ _C_SLOTS).reshape(terms.shape[:-1] + (DIM, DIM))
     C[..., 0, :, :] += _C_ONES
-    return C
+    return _in_lam(C)
 
 
-def build_coframe(q_of: Jet1, F_of: Jet1, point4) -> Coframe:
+def build_coframe(q_of: Jet1, F_of: Jet1, point4) -> MatrixJet:
     """The five theta rows of the full coframe from F-in-q data.
 
     q_of and F_of are jets in the fifth coordinate lam; in the plain
@@ -208,7 +184,7 @@ def build_coframe(q_of: Jet1, F_of: Jet1, point4) -> Coframe:
     DegenerateError of dq/dlam = 0.
     """
     c = _frame_coeffs(q_of, F_of)
-    return _combine(_frame_rows(c), _omegas(c, point4))
+    return _product(_frame_rows(c), _omegas(c, point4))
 
 
 def _legendre_data(H: Jet1):
@@ -225,7 +201,7 @@ def _reduced(q_of: Jet1, F_of: Jet1, point4):
     eta-diagonal in the rows (wt2, wt1, wt3 - (I/8) wt2, wt4, wt5 + e wt2),
     e = I'/20 - (3/160) I^2. As (I/8)/F'' = F'''/(4 F''^2) = B, these are
     the catalog rows (th2, w1, th3, w4, w5 + e th2), whose coefficients
-    against the omegas are the rows of C, dense as in _frame_rows. W holds the values of wt1..wt5;
+    against the omegas are the rows of the MatrixJet C. W holds the values of wt1..wt5;
     I = 2F'''/F'' and its q-derivative I' are values at the point.
     """
     c = _frame_coeffs(q_of, F_of)
@@ -235,25 +211,25 @@ def _reduced(q_of: Jet1, F_of: Jet1, point4):
     I = F3 * s * 2.0
     Ip = (F4 - F3 * F3 * s) * s * 2.0
     e = Ip * 0.05 - I * I * (3.0 / 160.0)
-    C = np.zeros_like(th)
-    C[..., 0, :] = th[..., 1, :]
-    C[..., 2, :] = th[..., 2, :]
-    C[..., 4:, :] = _lam_times(e, th[..., 1:2, :])
-    C[..., 0, (1, 3, 4), (0, 3, 4)] += 1.0  # w1, w4 and w5
-    wt = np.zeros(th.shape[:-3] + (DIM, DIM))  # the values of (w1, th2, w2, w4, w5)
-    wt[..., 1, :] = th[..., 0, 1, :]
+    M = np.zeros(c.shape[:-2] + (3, DIM, DIM))  # picks th2, th3 and e th2 out of th
+    M[..., 0, 0, 1] = M[..., 0, 2, 2] = 1.0
+    M[..., :, 4, 1] = e.derivatives()
+    C = _product(_in_lam(M), th)
+    C.value[..., (1, 3, 4), (0, 3, 4)] += 1.0  # w1, w4 and w5
+    wt = np.zeros(c.shape[:-2] + (DIM, DIM))  # the values of (w1, th2, w2, w4, w5)
+    wt[..., 1, :] = th.value[..., 1, :]
     wt[..., (0, 2, 3, 4), (0, 1, 3, 4)] = 1.0
     return C, om, wt @ om.value, I.value, Ip.value
 
 
-def reduced_metric(q_of: Jet1, F_of: Jet1, point4) -> MetricJet:
+def reduced_metric(q_of: Jet1, F_of: Jet1, point4) -> MatrixJet:
     """g from the reduced form: 2 wt2 wt5 - 2 wt1 wt4 + (4/3) wt3^2 + I-terms."""
     C, om, _, _, _ = _reduced(q_of, F_of, point4)
-    return metric_at(_combine(C, om))
+    return metric_at(_product(C, om))
 
 
 def _require_finite(x, error: type, what: str) -> None:
-    """Raise error at the points where x, a Coframe or MetricJet, has a non-finite value or partial.
+    """Raise error at the points where the MatrixJet x has a non-finite value or partial.
 
     No conditioning test is made: det theta = q'/F'' exactly, and
     _derivs_in_q already raises where q' or F'' vanishes, while a cond
@@ -283,26 +259,22 @@ def _inverse(G: np.ndarray) -> np.ndarray:
         raise
 
 
-def metric_at(cf: Coframe) -> MetricJet:
+def metric_at(cf: MatrixJet) -> MatrixJet:
     """g_ab = eta_ij theta^i_a theta^j_b and its first two partials.
 
-    Each contraction over the frame index is one matmul, with the
-    coframe's (a, partial) slots flattened into the rows of one operand.
+    Not the generic _product of theta^T and eta theta: each partial is
+    written as a term plus its transpose, so dg is exactly symmetric.
     """
     _require_finite(cf, SingularCoframeError, "coframe")
-    W = cf.value
-    batch, n, A = W.shape[:-2], W.shape[-1], cf.grad.shape[-1]
-    EW = ETA @ W
-    gT = cf.grad.reshape(batch + (n, n * A)).swapaxes(-1, -2)  # [(a, k), i]
-    grad = np.moveaxis((gT @ EW).reshape(batch + (n, A, n)), -2, -3)  # [k, a, b]
-    hT = cf.hess.reshape(batch + (n, n * A * A)).swapaxes(-1, -2)  # [(a, k, l), i]
-    rows = np.moveaxis((hT @ EW).reshape(batch + (n, A, A, n)), -4, -2)  # [k, l, a, b]
-    Eg = ETA @ cf.grad.reshape(batch + (n, n * A))  # [i, (b, l)]
-    cross = np.moveaxis((gT @ Eg).reshape(batch + (n, A, n, A)), (-4, -2), (-2, -1))  # [k, l, a, b]
-    return MetricJet(
-        W.swapaxes(-1, -2) @ EW,
-        grad + grad.swapaxes(-1, -2),
-        rows + rows.swapaxes(-1, -2) + cross + cross.swapaxes(-4, -3),
+    EW = ETA @ cf.value
+    gT = cf.grad.swapaxes(-1, -2)  # [k, a, i]
+    Y = gT @ EW[..., None, :, :]  # [k, a, b]
+    Z = cf.hess.swapaxes(-1, -2) @ EW[..., None, None, :, :]  # [k, l, a, b]
+    X = gT[..., :, None, :, :] @ (ETA @ cf.grad)[..., None, :, :, :]  # [k, l, a, b]
+    return MatrixJet(
+        cf.value.swapaxes(-1, -2) @ EW,
+        Y + Y.swapaxes(-1, -2),
+        Z + Z.swapaxes(-1, -2) + X + X.swapaxes(-4, -3),
     )
 
 
@@ -311,7 +283,7 @@ def _lower_christoffel(dG):
     return 0.5 * (dG.swapaxes(-3, -2) + dG.swapaxes(-3, -1) - dG)
 
 
-def padded_grad(g: MetricJet) -> np.ndarray:
+def padded_grad(g: MatrixJet) -> np.ndarray:
     """d_k g_ab along every coordinate k: g.grad in the last slots, zero in the others."""
     n = g.value.shape[-1]
     dG = np.zeros(g.value.shape[:-2] + (n, n, n))
@@ -319,7 +291,7 @@ def padded_grad(g: MetricJet) -> np.ndarray:
     return dG
 
 
-def curvature(g: MetricJet) -> CurvatureReport:
+def curvature(g: MatrixJet) -> CurvatureReport:
     """Full curvature data of a metric given as an order-2 jet.
 
     Every index contraction is a matmul over reshaped stacks, so one point
@@ -388,7 +360,7 @@ def riemann_symmetry_error(rep: CurvatureReport):
     return _per_point(e / np.maximum(_max_abs(R, rank=4), 1.0))
 
 
-def weyl_trace_error(rep: CurvatureReport, g: MetricJet):
+def weyl_trace_error(rep: CurvatureReport, g: MatrixJet):
     """Max contraction of the Weyl tensor with the inverse metric, relative, per point.
 
     Relative to |G^-1| (|d2g| + |G^-1| |dg|^2), with |.| the max-abs at
@@ -407,7 +379,7 @@ def weyl_trace_error(rep: CurvatureReport, g: MetricJet):
     return _per_point(np.divide(err, scale, out=np.zeros_like(err), where=scale > 0))
 
 
-def metric_signature(g: MetricJet):
+def metric_signature(g: MatrixJet):
     """The sorted (negative, positive) eigenvalue counts: a tuple at one point, else (..., 2)."""
     ev = np.linalg.eigvalsh(0.5 * (g.value + g.value.swapaxes(-1, -2)))
     neg, pos = np.sum(ev < 0, axis=-1), np.sum(ev > 0, axis=-1)
@@ -453,7 +425,7 @@ def coframe_coords(spec: SolutionSpec) -> Tuple[str, ...]:
     return ("x", "y", "z", "p", lam_name)
 
 
-def coframe_for_spec(spec: SolutionSpec, point5, order: int = 8, jet: Jet1 | None = None) -> Coframe:
+def coframe_for_spec(spec: SolutionSpec, point5, order: int = 8, jet: Jet1 | None = None) -> MatrixJet:
     """Full coframe for a catalog entry at (x, y, z, p, param), or at each row of a stack.
 
     `jet` is passed on to frame_jets_for_spec.
@@ -475,7 +447,7 @@ def sample_points(spec: SolutionSpec, n: int, seed: int):
 
 
 def _rows(x, keep):
-    """The rows `keep` of a stack: an array, or a dataclass of arrays such as a Jet1 or Coframe."""
+    """The rows `keep` of a stack: an array, or a dataclass of arrays such as a Jet1 or MatrixJet."""
     if isinstance(x, np.ndarray):
         return x[keep]
     arrays = {f.name: getattr(x, f.name) for f in fields(x)}
@@ -516,7 +488,7 @@ def per_point(stages, x, live, found) -> list:
     return found
 
 
-def weyl_ratio(g: MetricJet) -> np.ndarray:
+def weyl_ratio(g: MatrixJet) -> np.ndarray:
     """maxAbsWeyl / metricScale of g at each point: the flatness certificate.
 
     SingularMetricError marks the points where it is not finite.
@@ -543,13 +515,13 @@ def flatness_suite(spec: SolutionSpec, points, jet: Jet1 | None = None) -> list:
     return per_point((coframes, metric_at, weyl_ratio), at, at, [None] * len(pts))
 
 
-def _frame_ricci(C, om: Coframe, W):
+def _frame_ricci(C: MatrixJet, om: MatrixJet, W):
     """The Ricci tensor of the metric of the rows C against the omegas, in the frame of W.
 
     Returns its wt4 x wt4 component, its largest other component and the
     curvature report.
     """
-    rep = curvature(metric_at(_combine(C, om)))
+    rep = curvature(metric_at(_product(C, om)))
     Winv = np.linalg.inv(W)
     Rf = Winv.T @ rep.ricci @ Winv
     off = Rf.copy()
@@ -581,7 +553,8 @@ def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4):
         raise DegenerateError("nu must be positive")
     # nu^{-2} g is eta-diagonal in the reduced rows divided by nu; wt4 is
     # unscaled in W, so its component compares with the prediction directly
-    computed, off, rep = _frame_ricci(_lam_times(_of_lam(nu).reciprocal(), C), om, W)
+    inv_nu = _in_lam(_of_lam(nu).reciprocal().derivatives()[..., None, None] * np.eye(DIM))
+    computed, off, rep = _frame_ricci(_product(inv_nu, C), om, W)
     d_dq = _d_dq(q_of.derivative())
     nupp = d_dq(d_dq(nu)).value()
     nu0 = nu.value()

@@ -49,7 +49,7 @@ class PlebanskiData:
         return PlebanskiData(F_jet(spec, param_point), point4, xi)
 
 
-def plebanski_metric(d: PlebanskiData) -> geometry.MetricJet:
+def plebanski_metric(d: PlebanskiData) -> geometry.MatrixJet:
     """g = dw dx + dz dy + H(x) dz^2 as an order-2 jet in (w, x, y, z)."""
     dim = 4
     value = np.zeros((dim, dim))
@@ -58,7 +58,7 @@ def plebanski_metric(d: PlebanskiData) -> geometry.MetricJet:
     value[0, 1] = value[1, 0] = value[2, 3] = value[3, 2] = 0.5
     c = d.H.coeffs  # H depends on x alone, the coordinate of index 1
     value[3, 3], grad[1, 3, 3], hess[1, 1, 3, 3] = c[0], c[1], 2.0 * c[2]
-    return geometry.MetricJet(value, grad, hess)
+    return geometry.MatrixJet(value, grad, hess)
 
 
 def connection_forms(d: PlebanskiData) -> dict:
@@ -122,7 +122,7 @@ def frame_connection_check(d: PlebanskiData) -> float:
     )
 
 
-def metric_compatibility_error(g: geometry.MetricJet) -> float:
+def metric_compatibility_error(g: geometry.MatrixJet) -> float:
     """Max |nabla g| for the Levi-Civita connection computed from g."""
     Gam = geometry.curvature(g).christoffel
     G = g.value

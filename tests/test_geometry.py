@@ -20,16 +20,15 @@ from c235.errors import (
 from c235.geometry import (
     DIM,
     ETA,
-    Coframe,
-    MetricJet,
-    _combine,
+    MatrixJet,
     _derivs_in_q,
     _frame_coeffs,
     _frame_rows,
-    _lam_times,
+    _in_lam,
     _legendre_data,
     _of_lam,
     _omegas,
+    _product,
     _reduced,
     build_coframe,
     coframe_for_spec,
@@ -239,7 +238,11 @@ def test_dense_frame_rows_match_the_tuple_reference(spec):
     stack = np.array(sample_points(spec, 10, seed=11))
     for pts in (stack[0], stack):
         c = _frame_coeffs(*frame_jets_for_spec(spec, pts[..., 4]))
-        C = _frame_rows(c)
+        th = _frame_rows(c)
+        # the entries are jets in lam alone: every partial along p is exactly zero
+        assert not th.grad[..., 0, :, :].any(), spec.id
+        assert not th.hess[..., 0, :, :, :].any() and not th.hess[..., :, 0, :, :].any(), spec.id
+        C = np.stack([th.value, th.grad[..., 1, :, :], th.hess[..., 1, 1, :, :]], axis=-3)
         want = dense_rows(reference_frame_rows(c), pts.shape[:-1])
         assert C.shape == want.shape
         # C, dC/dlam and d2C/dlam2, each against its largest entry: the two round
@@ -255,13 +258,17 @@ def test_batched_geometry_matches_single_point(spec):
     # build at point i alone, within the bound of the MJet2 reference above
     pts = sample_points(spec, 6, seed=7)
     coeffs = np.stack([_frame_coeffs(*frame_jets_for_spec(spec, pt[4])) for pt in pts])
-    cf = _combine(_frame_rows(coeffs), _omegas(coeffs, np.array(pts)[:, :4]))
+    cf = _product(_frame_rows(coeffs), _omegas(coeffs, np.array(pts)[:, :4]))
     g = metric_at(cf)
+    # dg is exactly symmetric in (a, b), at one point and on the stack; near
+    # the domain end of H-power--2 the flat certificate depends on it
+    assert np.array_equal(g.grad, g.grad.swapaxes(-1, -2)), spec.id
     rep = curvature(g)
     suite = flatness_suite(spec, pts)
     for i, pt in enumerate(pts):
         cf1 = coframe_for_spec(spec, pt)
         g1 = metric_at(cf1)
+        assert np.array_equal(g1.grad, g1.grad.swapaxes(-1, -2)), (spec.id, i)
         bound = 1e-13 * max(np.linalg.cond(cf1.value), 10.0)
         for got, want in ((cf.value, cf1.value), (cf.grad, cf1.grad), (cf.hess, cf1.hess),
                           (g.value, g1.value), (g.grad, g1.grad), (g.hess, g1.hess)):
@@ -286,8 +293,8 @@ def test_flatness_suite_reports_singular_rows():
         metric_at(coframe_for_spec(spec, pts[1], jet=Jet1(jet.basepoint[1], jet.coeffs[1])))
     # a stack raises with the mask of its singular rows
     coeffs = np.stack([_frame_coeffs(*frame_jets_for_spec(spec, pt[4])) for pt in pts])
-    g = metric_at(_combine(_frame_rows(coeffs), _omegas(coeffs, np.array(pts)[:, :4])))
-    g = MetricJet(g.value * [[[1.0]], [[0.0]], [[1.0]]], g.grad, g.hess)
+    g = metric_at(_product(_frame_rows(coeffs), _omegas(coeffs, np.array(pts)[:, :4])))
+    g = MatrixJet(g.value * [[[1.0]], [[0.0]], [[1.0]]], g.grad, g.hess)
     with pytest.raises(SingularMetricError) as exc:
         curvature(g)
     assert exc.value.rows.tolist() == [False, True, False]
@@ -297,7 +304,7 @@ def test_weyl_ratio_marks_points_where_it_is_not_finite():
     # finite metric arrays whose curvature overflows at the middle point
     spec = get_spec("F-power-2")
     g = metric_at(coframe_for_spec(spec, sample_points(spec, 3, seed=0)))
-    g = MetricJet(g.value * [[[1.0]], [[1e-20]], [[1.0]]], g.grad,
+    g = MatrixJet(g.value * [[[1.0]], [[1e-20]], [[1.0]]], g.grad,
                   g.hess * np.array([1.0, 1e300, 1.0])[:, None, None, None, None])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularMetricError) as exc:
         weyl_ratio(g)
@@ -345,8 +352,10 @@ def test_dual_picture_coframe_matches_legendre_build():
         cf = build_coframe(*_legendre_data(H), POINT4)
         ref = reference_coframe_H(H, POINT4)
         bound = 1e-13 * max(np.linalg.cond(cf.value), 10.0)
-        for part, got, tol in (("value", cf.value, 1e-12), ("gradient", cf.grad, bound),
-                               ("hessian", cf.hess, bound)):
+        # the partial axes last, as the MJet2 reference holds them
+        for part, got, tol in (("value", cf.value, 1e-12),
+                               ("gradient", np.moveaxis(cf.grad, 0, -1), bound),
+                               ("hessian", np.moveaxis(cf.hess, (0, 1), (-2, -1)), bound)):
             want = np.array([[getattr(ref[i][a], part) for a in range(DIM)] for i in range(DIM)])
             # zero along x, y and z; the coframe holds the (p, t) partials
             for axis in range(2, want.ndim):
@@ -379,7 +388,7 @@ def test_singular_coframe_raises():
 # --- curvature against the einsum reference --------------------------------
 
 
-def full_partials(g: MetricJet):
+def full_partials(g: MatrixJet):
     """(dG[k, a, b], d2G[k, l, a, b]) along every coordinate, zero where g has no partial."""
     n, A = g.value.shape[-1], g.grad.shape[-3]
     dG = np.zeros(g.value.shape[:-2] + (n, n, n))
@@ -389,26 +398,25 @@ def full_partials(g: MetricJet):
     return dG, d2G
 
 
-def full_metric_at(cf: Coframe) -> MetricJet:
+def full_metric_at(cf: MatrixJet) -> MatrixJet:
     """The five-partial metric_at: g_ab = eta_ij theta^i_a theta^j_b for a coframe
     whose grad is (..., 5, 5, 5) and hess (..., 5, 5, 5, 5), one matmul stack per
     partial slot."""
     W = cf.value
     EW = ETA @ W
-    gT = cf.grad.swapaxes(-3, -1)  # [k, a, i]
+    gT = cf.grad.swapaxes(-1, -2)  # [k, a, i]
     grad = gT @ EW[..., None, :, :]
-    rows = np.moveaxis(cf.hess, (-4, -3), (-1, -2)) @ EW[..., None, None, :, :]
-    Eg = np.moveaxis((ETA @ cf.grad.reshape(W.shape[:-1] + (DIM**2,))).reshape(cf.grad.shape),
-                     -1, -3)  # [l, i, b]
+    rows = cf.hess.swapaxes(-1, -2) @ EW[..., None, None, :, :]
+    Eg = ETA @ cf.grad  # [l, i, b]
     cross = gT[..., :, None, :, :] @ Eg[..., None, :, :, :]
-    return MetricJet(
+    return MatrixJet(
         W.swapaxes(-1, -2) @ EW,
         grad + grad.swapaxes(-1, -2),
         rows + rows.swapaxes(-1, -2) + cross + cross.swapaxes(-4, -3),
     )
 
 
-def reference_curvature(g: MetricJet) -> dict:
+def reference_curvature(g: MatrixJet) -> dict:
     """Christoffel, Riemann, Ricci, scalar and Weyl by one einsum per index contraction."""
     dG, d2G = full_partials(g)
     n = g.value.shape[-1]
@@ -444,7 +452,7 @@ def reference_curvature(g: MetricJet) -> dict:
     return {"christoffel": Gam, "riemann": Rlow, "ricci": ricci, "scalar": scalar, "weyl": weyl}
 
 
-def assert_curvature_matches_reference(g: MetricJet, ref: dict | None = None):
+def assert_curvature_matches_reference(g: MatrixJet, ref: dict | None = None):
     """Each tensor within 1e-13 |G| |G^-1| times its own scale, point by point.
 
     ref defaults to reference_curvature(g).
@@ -487,29 +495,28 @@ def test_curvature_matches_einsum_reference_in_four_dimensions(spec_id, x0):
 # --- partials along (p, lam) only, against the five-partial build ----------
 
 
-def full_coframe(cf: Coframe) -> Coframe:
+def full_coframe(cf: MatrixJet) -> MatrixJet:
     """cf with partials along all five coordinates, zero along the leading ones."""
-    n, A = DIM, cf.grad.shape[-1]
-    grad = np.zeros(cf.value.shape + (n,))
-    hess = np.zeros(cf.value.shape + (n, n))
-    grad[..., n - A:] = cf.grad
-    hess[..., n - A:, n - A:] = cf.hess
-    return Coframe(cf.value, grad, hess)
+    n, A = DIM, cf.grad.shape[-3]
+    grad = np.zeros(cf.value.shape[:-2] + (n,) + cf.value.shape[-2:])
+    hess = np.zeros(cf.value.shape[:-2] + (n, n) + cf.value.shape[-2:])
+    grad[..., n - A:, :, :] = cf.grad
+    hess[..., n - A:, n - A:, :, :] = cf.hess
+    return MatrixJet(cf.value, grad, hess)
 
 
-def full_combine(C, om: Coframe) -> Coframe:
+def full_combine(C: MatrixJet, om: MatrixJet) -> MatrixJet:
     """The rows C_ij omega^j by the product rule, carrying all five partials;
-    C is the dense (..., 3, 5, 5) of C, dC/dlam and d2C/dlam2, whose partials
-    land in the lam slot."""
-    Cv, C1, C2 = C[..., 0, :, :], C[..., 1, :, :], C[..., 2, :, :]
-    grad = np.einsum("...ij,...jak->...iak", Cv, om.grad)
-    grad[..., 4] += C1 @ om.value
-    hess = np.einsum("...ij,...jakl->...iakl", Cv, om.hess)
-    cross = np.einsum("...ij,...jak->...iak", C1, om.grad)
-    hess[..., 4, :] += cross
-    hess[..., :, 4] += cross
-    hess[..., 4, 4] += C2 @ om.value
-    return Coframe(Cv @ om.value, grad, hess)
+    C is a matrix of jets in lam alone, whose partials land in the lam slot."""
+    Cv, C1, C2 = C.value, C.grad[..., -1, :, :], C.hess[..., -1, -1, :, :]
+    grad = np.einsum("...ij,...kja->...kia", Cv, om.grad)
+    grad[..., 4, :, :] += C1 @ om.value
+    hess = np.einsum("...ij,...klja->...klia", Cv, om.hess)
+    cross = np.einsum("...ij,...kja->...kia", C1, om.grad)
+    hess[..., 4, :, :, :] += cross
+    hess[..., :, 4, :, :] += cross
+    hess[..., 4, 4, :, :] += C2 @ om.value
+    return MatrixJet(Cv @ om.value, grad, hess)
 
 
 def assert_zero_along_xyz(*partials):
@@ -519,7 +526,7 @@ def assert_zero_along_xyz(*partials):
             assert not np.take(x, range(3), axis=axis).any()
 
 
-def assert_metric_close(got: MetricJet, want: MetricJet, W):
+def assert_metric_close(got: MatrixJet, want: MatrixJet, W):
     """Within 1e-13 cond(W) of each part's largest entry; want has five partials."""
     bound = 1e-13 * max(np.max(np.linalg.cond(W)), 10.0)
     for a, b in ((got.value, want.value), (got.grad, want.grad[..., 3:, :, :]),
@@ -527,7 +534,7 @@ def assert_metric_close(got: MetricJet, want: MetricJet, W):
         assert np.max(np.abs(a - b)) <= bound * np.max(np.abs(b))
 
 
-def assert_curvature_close(got: MetricJet, want: MetricJet):
+def assert_curvature_close(got: MatrixJet, want: MatrixJet):
     """curvature(got) against curvature(want), where want carries every partial: equal,
     or within 1e-13 |G| |G^-1| times each tensor's scale, as against the einsum reference."""
     ref = curvature(want)
@@ -542,12 +549,13 @@ def test_partials_along_xyz_vanish_and_the_rest_match_the_full_build(spec):
     for pts in (stack[0], stack):
         c = _frame_coeffs(*frame_jets_for_spec(spec, pts[..., 4]))
         om = _omegas(c, pts[..., :4])
-        cf = _combine(_frame_rows(c), om)
-        assert cf.grad.shape[-1] == 2 and cf.hess.shape[-2:] == (2, 2)
+        cf = _product(_frame_rows(c), om)
+        assert cf.grad.shape[-3] == 2 and cf.hess.shape[-4:-2] == (2, 2)
         full = full_combine(_frame_rows(c), full_coframe(om))
-        assert_zero_along_xyz((full.grad, (-1,)), (full.hess, (-2, -1)))
+        assert_zero_along_xyz((full.grad, (-3,)), (full.hess, (-4, -3)))
         bound = 1e-13 * max(np.max(np.linalg.cond(cf.value)), 10.0)
-        for got, want in ((cf.grad, full.grad[..., 3:]), (cf.hess, full.hess[..., 3:, 3:])):
+        for got, want in ((cf.grad, full.grad[..., 3:, :, :]),
+                          (cf.hess, full.hess[..., 3:, 3:, :, :])):
             assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), spec.id
         g_full = full_metric_at(full)
         assert_zero_along_xyz((g_full.grad, (-3,)), (g_full.hess, (-4, -3)))
@@ -566,16 +574,16 @@ def test_reduced_and_conformal_paths_match_the_full_build(picture):
         q_of, F_of = H.derivative(), jet_var(1.1, 8) * H.derivative() - H
     C, om, _, _, _ = _reduced(q_of, F_of, POINT4)
     inv_nu = _of_lam(jet_abs_pow(q_of, 0.5)).reciprocal()  # the conformal factor's rows
-    for rows in (C, _lam_times(inv_nu, C)):
+    for rows in (C, _product(_in_lam(inv_nu.derivatives()[..., None, None] * np.eye(DIM)), C)):
         full = full_combine(rows, full_coframe(om))
         g_full = full_metric_at(full)
-        assert_zero_along_xyz((full.grad, (-1,)), (full.hess, (-2, -1)),
+        assert_zero_along_xyz((full.grad, (-3,)), (full.hess, (-4, -3)),
                               (g_full.grad, (-3,)), (g_full.hess, (-4, -3)))
-        cf = _combine(rows, om)
+        cf = _product(rows, om)
         g = metric_at(cf)
         assert_metric_close(g, g_full, cf.value)
         assert_curvature_close(g, g_full)
-    g, g_red = metric_at(_combine(C, om)), reduced_metric(q_of, F_of, POINT4)
+    g, g_red = metric_at(_product(C, om)), reduced_metric(q_of, F_of, POINT4)
     for part in ("value", "grad", "hess"):
         assert np.array_equal(getattr(g, part), getattr(g_red, part))
 
@@ -587,7 +595,7 @@ def test_plebanski_metric_keeps_every_partial_and_a_trailing_slice_agrees():
     g = plebanski_metric(d)
     assert g.grad.shape == (4, 4, 4) and g.hess.shape == (4, 4, 4, 4)
     assert not g.grad[0].any() and not g.hess[0].any() and not g.hess[:, 0].any()
-    g3 = MetricJet(g.value, g.grad[1:], g.hess[1:, 1:])
+    g3 = MatrixJet(g.value, g.grad[1:], g.hess[1:, 1:])
     assert_curvature_close(g3, g)
     assert_curvature_matches_reference(g3)
     assert metric_compatibility_error(g3) == metric_compatibility_error(g)
@@ -632,7 +640,7 @@ def test_weyl_trace_error_is_round_off_on_every_case(spec):
 def test_weyl_trace_error_is_scale_free(c):
     spec = get_spec("F-power-3")
     g = metric_at(coframe_for_spec(spec, sample_points(spec, 3, 0)))
-    g = MetricJet(c * g.value, c * g.grad, c * g.hess)
+    g = MatrixJet(c * g.value, c * g.grad, c * g.hess)
     assert np.all(weyl_trace_error(curvature(g), g) < 1e-12)
 
 
