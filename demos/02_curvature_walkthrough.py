@@ -12,11 +12,12 @@ from dataclasses import replace
 from c235.cli import DEFAULT_TOL
 from c235.dist import get_spec
 from c235.geometry import (
+    build_coframe,
     conformal_rescale_check,
     curvature,
     flatness_suite,
     frame_jets_for_spec,
-    reduced_metric,
+    metric_at,
     sample_points,
 )
 from c235.jets import jet_abs_pow, jet_var
@@ -35,7 +36,7 @@ def omega_factor(r0):
 def main():
     for r0 in (1.5, 2.0, 3.0):
         # the Ricci law holds for any basis mixing, the catalog's among them
-        rep = curvature(reduced_metric(*frame_jets_for_spec(ELEMENTARY, r0), POINT4))
+        rep = curvature(metric_at(build_coframe(*frame_jets_for_spec(ELEMENTARY, r0), POINT4)))
         print(f"r = {r0}: Ricci_rr = {rep.ricci[4, 4]:.12f}   "
               f"6/(r^2-1) = {6.0 / (r0 * r0 - 1.0):.12f}")
         nu = 1.0 / omega_factor(r0)

@@ -202,8 +202,8 @@ def schwarz_solution(tr: SchwarzTriple, s0, order: int = 8) -> Jet1:
     return jet_invert((ub / ua).truncate(order))
 
 
-def chazy_log_solution(z1: Jet1, z2: Jet1, order: int = 6) -> Tuple[float, Jet1]:
-    """(q0, y) with q = z2/z1 and y = 6 d/dq log z1, both as data in q.
+def chazy_log_solution(z1: Jet1, z2: Jet1) -> Tuple[float, Jet1]:
+    """(q0, y) with q = z2/z1 and y = 6 d/dq log z1, both as data in q; y to order 6.
 
     z1, z2 are jets in s at a common basepoint; y comes back as a jet in q
     at q0 via ds/dq = z1^2 / W(z1, z2) and composition.
@@ -218,13 +218,13 @@ def chazy_log_solution(z1: Jet1, z2: Jet1, order: int = 6) -> Tuple[float, Jet1]
         raise ZeroWronskianError("z1, z2 are linearly dependent")
     if np.allclose(z1.coeffs[1:], 0.0):
         q0 = q_of_s.value()
-        return float(np.real(q0)), jet_const(0.0, float(np.real(q0)), order)
+        return float(np.real(q0)), jet_const(0.0, float(np.real(q0)), 6)
     # y = 6 d/dq log z1 = 6 z1 (dz1/ds) / W via ds/dq = z1^2 / W
     W = z1 * z2.derivative() - z2 * z1.derivative()
     y_of_s = 6.0 * z1.derivative() * z1 / W
     s_of_q = jet_invert(q_of_s)
     y = jet_compose(y_of_s, s_of_q)
-    return y.basepoint, y.truncate(order)
+    return y.basepoint, y.truncate(6)
 
 
 def two_pole_solution(k: Fraction | float, B: float, C: float, x0, order: int = 6) -> Jet1:

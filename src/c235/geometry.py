@@ -193,39 +193,21 @@ def _legendre_data(H: Jet1):
     return Hp, jet_var(H.basepoint, H.order) * Hp - H
 
 
-def _reduced(q_of: Jet1, F_of: Jet1, point4):
-    """The reduced form 2 wt2 wt5 - 2 wt1 wt4 + (4/3) wt3^2 - (I/3) wt2 wt3
-    + ((I' - I^2/6)/10) wt2^2, with wt = (w1, th2, w2, w4, w5).
+def _reduced_frame(q_of: Jet1, F_of: Jet1, point4):
+    """(theta, W, I, I'): the catalog coframe, and the rows wt = (w1, th2, w2, w4, w5) in which
+    its g is 2 wt2 wt5 - 2 wt1 wt4 + (4/3) wt3^2 - (I/3) wt2 wt3 + ((I' - I^2/6)/10) wt2^2.
 
-    Returns (C, omegas, W, I, I'). Completing the square in wt3 makes g
-    eta-diagonal in the rows (wt2, wt1, wt3 - (I/8) wt2, wt4, wt5 + e wt2),
-    e = I'/20 - (3/160) I^2. As (I/8)/F'' = F'''/(4 F''^2) = B, these are
-    the catalog rows (th2, w1, th3, w4, w5 + e th2), whose coefficients
-    against the omegas are the rows of the MatrixJet C. W holds the values of wt1..wt5;
-    I = 2F'''/F'' and its q-derivative I' are values at the point.
+    As th3 = wt3 - (I/8) wt2, completing the square in wt3 turns that form into
+    eta in the rows (th2, w1, th3, w4, w5 + e th2), e = I'/20 - (3/160) I^2.
+    W holds the values of wt1..wt5; I = 2F'''/F'' and I' = dI/dq are values.
     """
     c = _frame_coeffs(q_of, F_of)
-    th, om = _frame_rows(c), _omegas(c, point4)
-    Fpp, F3, F4 = (_of_lam(c[..., k, :]) for k in (4, 5, 6))
-    s = Fpp.reciprocal()
-    I = F3 * s * 2.0
-    Ip = (F4 - F3 * F3 * s) * s * 2.0
-    e = Ip * 0.05 - I * I * (3.0 / 160.0)
-    M = np.zeros(c.shape[:-2] + (3, DIM, DIM))  # picks th2, th3 and e th2 out of th
-    M[..., 0, 0, 1] = M[..., 0, 2, 2] = 1.0
-    M[..., :, 4, 1] = e.derivatives()
-    C = _product(_in_lam(M), th)
-    C.value[..., (1, 3, 4), (0, 3, 4)] += 1.0  # w1, w4 and w5
-    wt = np.zeros(c.shape[:-2] + (DIM, DIM))  # the values of (w1, th2, w2, w4, w5)
-    wt[..., 1, :] = th.value[..., 1, :]
-    wt[..., (0, 2, 3, 4), (0, 1, 3, 4)] = 1.0
-    return C, om, wt @ om.value, I.value, Ip.value
-
-
-def reduced_metric(q_of: Jet1, F_of: Jet1, point4) -> MatrixJet:
-    """g from the reduced form: 2 wt2 wt5 - 2 wt1 wt4 + (4/3) wt3^2 + I-terms."""
-    C, om, _, _, _ = _reduced(q_of, F_of, point4)
-    return metric_at(_product(C, om))
+    om = _omegas(c, point4)
+    th = _product(_frame_rows(c), om)
+    W = om.value[..., (0, 1, 1, 3, 4), :]
+    W[..., 1, :] = th.value[..., 1, :]
+    Fpp, F3, F4 = (c[..., k, 0] for k in (4, 5, 6))
+    return th, W, 2.0 * F3 / Fpp, 2.0 * (F4 - F3 * F3 / Fpp) / Fpp
 
 
 def _require_finite(x, error: type, what: str) -> None:
@@ -380,8 +362,16 @@ def weyl_trace_error(rep: CurvatureReport, g: MatrixJet):
 
 
 def metric_signature(g: MatrixJet):
-    """The sorted (negative, positive) eigenvalue counts: a tuple at one point, else (..., 2)."""
-    ev = np.linalg.eigvalsh(0.5 * (g.value + g.value.swapaxes(-1, -2)))
+    """The sorted (negative, positive) eigenvalue counts: a tuple at one point, else (..., 2).
+
+    Read from D G D, D = diag(max_j |G_ij|)^(-1/2) (1 on a zero row): it has the
+    inertia of G (Sylvester) and entries of at most 1, where eigvalsh of a badly
+    scaled G can round a small eigenvalue to 0.
+    """
+    G = 0.5 * (g.value + g.value.swapaxes(-1, -2))
+    row_max = np.max(np.abs(G), axis=-1)
+    d = 1.0 / np.sqrt(np.where(row_max > 0, row_max, 1.0))
+    ev = np.linalg.eigvalsh(d[..., :, None] * G * d[..., None, :])
     neg, pos = np.sum(ev < 0, axis=-1), np.sum(ev > 0, axis=-1)
     if neg.ndim == 0:
         return tuple(sorted((int(neg), int(pos))))
@@ -391,27 +381,27 @@ def metric_signature(g: MatrixJet):
 # --- catalog plumbing ---------------------------------------------------
 
 
-def frame_jets_for_spec(spec: SolutionSpec, param_point, order: int = 8, jet: Jet1 | None = None):
+def frame_jets_for_spec(spec: SolutionSpec, param_point, jet: Jet1 | None = None):
     """(q_of, F_of) jets in the fifth coordinate for a catalog entry.
 
     F-picture entries use lam = q directly except elementary_r, which
     keeps lam = r so the displayed Ricci statement can be checked in the
     r coordinate. H-picture entries use lam = t with the Legendre data
     q = H'(t), F = t H'(t) - H(t). `param_point` is one parameter or an
-    array of them. `jet` is F_jet(spec, param_point, order) when the
+    array of them. `jet` is F_jet(spec, param_point) when the
     caller already holds it; elementary_r builds its frame from the
     closed-form pair in r and does not use it.
     """
     if spec.family == "elementary_r":
         cid = ClosedFormId("elementary_r", tuple(spec.params["constants"]))
-        z1, z2 = closed_form_solution(cid, param_point, order)
+        z1, z2 = closed_form_solution(cid, param_point)
         q_of = z2 / z1
         Fpp_of_r = z1 ** 3
         Fp_of_r = (Fpp_of_r * q_of.derivative()).antiderivative(0.0)
         F_of_r = (Fp_of_r * q_of.derivative()).antiderivative(0.0)
         return q_of, F_of_r
     if jet is None:
-        jet = F_jet(spec, param_point, order)
+        jet = F_jet(spec, param_point)
     if spec.picture == "H_of_t":
         return _legendre_data(jet)
     return jet_var(jet.basepoint, jet.order), jet
@@ -425,13 +415,13 @@ def coframe_coords(spec: SolutionSpec) -> Tuple[str, ...]:
     return ("x", "y", "z", "p", lam_name)
 
 
-def coframe_for_spec(spec: SolutionSpec, point5, order: int = 8, jet: Jet1 | None = None) -> MatrixJet:
+def coframe_for_spec(spec: SolutionSpec, point5, jet: Jet1 | None = None) -> MatrixJet:
     """Full coframe for a catalog entry at (x, y, z, p, param), or at each row of a stack.
 
     `jet` is passed on to frame_jets_for_spec.
     """
     point5 = np.asarray(point5, dtype=float)
-    q_of, F_of = frame_jets_for_spec(spec, point5[..., 4], order, jet)
+    q_of, F_of = frame_jets_for_spec(spec, point5[..., 4], jet)
     return build_coframe(q_of, F_of, point5[..., :4])
 
 
@@ -515,13 +505,13 @@ def flatness_suite(spec: SolutionSpec, points, jet: Jet1 | None = None) -> list:
     return per_point((coframes, metric_at, weyl_ratio), at, at, [None] * len(pts))
 
 
-def _frame_ricci(C: MatrixJet, om: MatrixJet, W):
-    """The Ricci tensor of the metric of the rows C against the omegas, in the frame of W.
+def _frame_ricci(cf: MatrixJet, W):
+    """The Ricci tensor of the metric of the coframe cf, in the frame of W.
 
     Returns its wt4 x wt4 component, its largest other component and the
     curvature report.
     """
-    rep = curvature(metric_at(_product(C, om)))
+    rep = curvature(metric_at(cf))
     Winv = np.linalg.inv(W)
     Rf = Winv.T @ rep.ricci @ Winv
     off = Rf.copy()
@@ -531,8 +521,8 @@ def _frame_ricci(C: MatrixJet, om: MatrixJet, W):
 
 def ricci_identity_check(q_of: Jet1, F_of: Jet1, point4) -> float:
     """Relative error of Ricci against (9/120)(6I' - I^2) on wt4 x wt4."""
-    C, om, W, I, Ip = _reduced(q_of, F_of, point4)
-    R44, off, rep = _frame_ricci(C, om, W)
+    th, W, I, Ip = _reduced_frame(q_of, F_of, point4)
+    R44, off, rep = _frame_ricci(th, W)
     expected = (9.0 / 120.0) * (6.0 * Ip - I * I)
     scale = max(abs(expected), rep.metricScale * 1e-8, 1e-12)
     err_off = off / max(abs(expected), 1.0)
@@ -548,13 +538,13 @@ def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4):
     q-derivative. Returns a dict with the computed frame Ricci component,
     the displayed prediction, and their relative mismatch.
     """
-    C, om, W, I, Ip = _reduced(q_of, F_of, point4)
+    th, W, I, Ip = _reduced_frame(q_of, F_of, point4)
     if nu.value() <= 0:
         raise DegenerateError("nu must be positive")
-    # nu^{-2} g is eta-diagonal in the reduced rows divided by nu; wt4 is
-    # unscaled in W, so its component compares with the prediction directly
+    # nu^{-2} g is the metric of the rows theta / nu; wt4 is unscaled in W,
+    # so its component compares with the prediction directly
     inv_nu = _in_lam(_of_lam(nu).reciprocal().derivatives()[..., None, None] * np.eye(DIM))
-    computed, off, rep = _frame_ricci(_product(inv_nu, C), om, W)
+    computed, off, rep = _frame_ricci(_product(inv_nu, th), W)
     d_dq = _d_dq(q_of.derivative())
     nupp = d_dq(d_dq(nu)).value()
     nu0 = nu.value()
@@ -571,7 +561,7 @@ def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4):
     }
 
 
-def weyl_equals_residual_check(H_jets: Sequence[Jet1], point4=(0.1, -0.2, 0.3, 0.4)):
+def weyl_equals_residual_check(H_jets: Sequence[Jet1]):
     """The single frame Weyl component against the sixth-order ODE LHS.
 
     The Weyl tensor of the dual-picture metric has one independent frame
@@ -581,7 +571,7 @@ def weyl_equals_residual_check(H_jets: Sequence[Jet1], point4=(0.1, -0.2, 0.3, 0
     """
     rows = []
     for H in H_jets:
-        cf = build_coframe(*_legendre_data(H), point4)
+        cf = build_coframe(*_legendre_data(H), (0.1, -0.2, 0.3, 0.4))
         rep = curvature(metric_at(cf))
         Winv = np.linalg.inv(cf.value)  # the Weyl tensor's components against the frame
         Cf = np.einsum("ai,bj,ck,dl,abcd->ijkl", Winv, Winv, Winv, Winv, rep.weyl)

@@ -398,23 +398,18 @@ def _fd_apply(f, x0: float, order: int, m: int, h: float) -> float:
     return float(np.dot(w, vals)) / h**order
 
 
-def derivative_oracle(
-    f: Callable[[float], float], x0: float, order: int, h: float | None = None
-) -> float:
+def derivative_oracle(f: Callable[[float], float], x0: float, order: int) -> float:
     """Central finite-difference estimate of f^(order)(x0).
 
     Independent of the jet arithmetic; used as the brute-force oracle.
-    With the default step the stencil spans at most 0.75 * max(|x0|, 1)
-    on each side and three step sizes are combined by Richardson
-    extrapolation. Passing an explicit h uses a single stencil.
+    The stencil spans at most 0.75 * max(|x0|, 1) on each side, and three
+    step sizes are combined by Richardson extrapolation.
     """
     if order == 0:
         return f(x0)
     if order > 6:
         raise ValueError("oracle supports derivative orders <= 6")
     m = order // 2 + 2  # stencil half-width; extra points raise the FD order
-    if h is not None:
-        return _fd_apply(f, x0, order, m, h)
     h0 = 0.01 * 1.3 ** (order - 1) * max(abs(x0), 1.0)
     estimates = [_fd_apply(f, x0, order, m, h0 * 2**i) for i in range(3)]
     # symmetric stencils have an even error series starting at h^p

@@ -411,9 +411,9 @@ def closed_form_solution(cid: ClosedFormId, s0, order: int = 8) -> Tuple[Jet1, J
     return c1 * e1 + c2 * e2, c3 * e1 + c4 * e2
 
 
-def closed_form_ode_residual(cid: ClosedFormId, s0: float, order: int = 6) -> float:
-    """Residual of the entry's own defining ODE on both returned jets."""
-    z1, z2 = closed_form_solution(cid, s0, max(order, 3))
+def closed_form_ode_residual(cid: ClosedFormId, s0: float) -> float:
+    """Residual of the entry's own defining ODE on both returned jets, of order 6."""
+    z1, z2 = closed_form_solution(cid, s0, 6)
     fam = cid.family
     if fam in CLOSED_FORM_TRIPLES:
         tr = tuple(float(x) for x in CLOSED_FORM_TRIPLES[fam])
@@ -488,15 +488,15 @@ def _mapped_solution_residual(z: Jet1, t_of_s: Jet1, prefactor: Jet1, target: Hy
     return hypergeom_residual(zt, target)
 
 
-def transform_identity_check(kind: str, s0, order: int = 6):
+def transform_identity_check(kind: str, s0):
     """Relative mismatch of the named transformation identity at s0.
 
-    s0 is one point, giving a float, or a stack of points, giving one
-    value per point. Function identities (euler, quadratic) compare both
-    displayed sides; the algebraic-map identities verify that the mapped
-    solution satisfies the target hypergeometric equation.
+    s0 is one point, giving a float, or a stack, giving one value per point. Function
+    identities (euler, quadratic) compare both displayed sides; the algebraic-map identities
+    check that the mapped solution, a jet of order 6, satisfies the target hypergeometric ODE.
     """
     s0 = np.asarray(s0, dtype=float) if np.ndim(s0) else float(s0)
+    order = 6
     if kind == "euler":
         lhs = hyp2f1_jet(HyperTriple(Frac(-7, 6), Frac(-8, 3), Frac(2, 3)), s0, 2).value()
         rhs = (1 - s0) ** 4.5 * hyp2f1_jet(

@@ -29,7 +29,7 @@ from c235.geometry import (
     _of_lam,
     _omegas,
     _product,
-    _reduced,
+    _reduced_frame,
     build_coframe,
     coframe_for_spec,
     conformal_rescale_check,
@@ -39,7 +39,6 @@ from c235.geometry import (
     metric_at,
     metric_signature,
     on_regular_rows,
-    reduced_metric,
     ricci_identity_check,
     riemann_symmetry_error,
     sample_points,
@@ -82,6 +81,17 @@ def test_metric_signature_is_2_3():
     assert metric_signature(g) == (2, 3)
 
 
+def test_metric_signature_at_large_p():
+    # g_x,lam = p and det g = 1/3, so g has an eigenvalue of size 1/p^2, which
+    # eigvalsh of the raw g rounds to 0 at p = 1e50; the equilibrated g keeps its sign
+    spec = get_spec("F-power-2")
+    big = (1e50, 1e200, 1e300)
+    pts = np.array([(0.1, 0.2, 0.3, p, 1.5) for p in big])
+    for pt in pts:
+        assert metric_signature(metric_at(coframe_for_spec(spec, pt))) == (2, 3), pt[3]
+    assert metric_signature(metric_at(coframe_for_spec(spec, pts))).tolist() == [[2, 3]] * 3
+
+
 def test_quadratic_F_is_weyl_flat():
     for q0 in (0.7, 1.4, -2.1):
         cf = build_coframe(identity_q(q0), power_F(q0, 2.0), POINT4)
@@ -116,15 +126,36 @@ REDUCED_FRAMES = {
 }
 
 
+def reduced_form(W, I, Ip):
+    """W^T Q W, for Q the displayed form 2 wt2 wt5 - 2 wt1 wt4 + (4/3) wt3^2
+    - (I/3) wt2 wt3 + ((I' - I^2/6)/10) wt2^2, one matrix per point."""
+    Q = np.zeros(np.shape(I) + (DIM, DIM))
+    Q[..., 1, 4] = Q[..., 4, 1] = 1.0
+    Q[..., 0, 3] = Q[..., 3, 0] = -1.0
+    Q[..., 2, 2] = 4.0 / 3.0
+    Q[..., 1, 2] = Q[..., 2, 1] = -I / 6.0
+    Q[..., 1, 1] = (Ip - I * I / 6.0) / 10.0
+    return W.swapaxes(-1, -2) @ Q @ W
+
+
 @pytest.mark.parametrize("frame", REDUCED_FRAMES.values(), ids=REDUCED_FRAMES.keys())
-def test_reduced_metric_equals_full_metric(frame):
+def test_reduced_form_is_the_metric_in_the_reduced_frame(frame):
     q_of, F_of = frame()
-    g_full = metric_at(build_coframe(q_of, F_of, POINT4))
-    g_red = reduced_metric(q_of, F_of, POINT4)
-    scale = np.max(np.abs(g_full.value))
-    assert np.max(np.abs(g_full.value - g_red.value)) < 1e-12 * scale
-    assert np.max(np.abs(g_full.grad - g_red.grad)) < 1e-11 * scale
-    assert np.max(np.abs(g_full.hess - g_red.hess)) < 1e-10 * scale
+    cf = build_coframe(q_of, F_of, POINT4)
+    th, W, I, Ip = _reduced_frame(q_of, F_of, POINT4)
+    for part in ("value", "grad", "hess"):
+        assert np.array_equal(getattr(th, part), getattr(cf, part)), part
+    g = metric_at(cf).value
+    assert np.max(np.abs(reduced_form(W, I, Ip) - g)) < 1e-12 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
+def test_reduced_form_holds_on_every_case(spec):
+    pts = np.array(sample_points(spec, 50, seed=3))
+    th, W, I, Ip = _reduced_frame(*frame_jets_for_spec(spec, pts[:, 4]), pts[:, :4])
+    g = metric_at(th).value
+    err = np.max(np.abs(reduced_form(W, I, Ip) - g), axis=(-2, -1))
+    assert np.all(err < 1e-11 * np.max(np.abs(g), axis=(-2, -1))), (spec.id, err.max())
 
 
 # --- the dense metric against the MJet2 scalar pipeline --------------------
@@ -572,7 +603,11 @@ def test_reduced_and_conformal_paths_match_the_full_build(picture):
     else:
         H = F_jet(get_spec("H-power-3"), 1.1)
         q_of, F_of = H.derivative(), jet_var(1.1, 8) * H.derivative() - H
-    C, om, _, _, _ = _reduced(q_of, F_of, POINT4)
+    c = _frame_coeffs(q_of, F_of)
+    C, om = _frame_rows(c), _omegas(c, POINT4)
+    th = _reduced_frame(q_of, F_of, POINT4)[0]
+    for part in ("value", "grad", "hess"):
+        assert np.array_equal(getattr(th, part), getattr(_product(C, om), part)), part
     inv_nu = _of_lam(jet_abs_pow(q_of, 0.5)).reciprocal()  # the conformal factor's rows
     for rows in (C, _product(_in_lam(inv_nu.derivatives()[..., None, None] * np.eye(DIM)), C)):
         full = full_combine(rows, full_coframe(om))
@@ -583,9 +618,6 @@ def test_reduced_and_conformal_paths_match_the_full_build(picture):
         g = metric_at(cf)
         assert_metric_close(g, g_full, cf.value)
         assert_curvature_close(g, g_full)
-    g, g_red = metric_at(_product(C, om)), reduced_metric(q_of, F_of, POINT4)
-    for part in ("value", "grad", "hess"):
-        assert np.array_equal(getattr(g, part), getattr(g_red, part))
 
 
 def test_plebanski_metric_keeps_every_partial_and_a_trailing_slice_agrees():
@@ -676,11 +708,11 @@ def test_ricci_identity_for_dual_picture_data():
 
 @pytest.mark.parametrize("constants", [(1, 0, 0, 1), (1, 1, 1, -1)])
 def test_elementary_coordinate_ricci(constants):
-    # Ricci of the reduced metric in the r coordinate is 6/(r^2-1) on the
+    # Ricci of the metric in the r coordinate is 6/(r^2-1) on the
     # r-r slot and zero elsewhere, for any basis mixing.
     for r0 in (1.5, 2.0, 3.2):
         q_of, F_of = elementary_frame(r0, constants)
-        g = reduced_metric(q_of, F_of, POINT4)
+        g = metric_at(build_coframe(q_of, F_of, POINT4))
         rep = curvature(g)
         expected = 6.0 / (r0 * r0 - 1.0)
         assert rep.ricci[4, 4] == pytest.approx(expected, rel=1e-8)
