@@ -62,9 +62,14 @@ class SchwarzTriple:
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
+        # once per triple: schwarz_solution reads them on every call
+        object.__setattr__(self, "_floats", (float(self.alpha), float(self.beta), float(self.gamma)))
+
+    def __iter__(self):
+        return iter((self.alpha, self.beta, self.gamma))
 
     def as_floats(self) -> Tuple[float, float, float]:
-        return float(self.alpha), float(self.beta), float(self.gamma)
+        return self._floats
 
 
 def residual_chazy(y: Jet1) -> float:

@@ -252,12 +252,13 @@ def _parse_point(text: str, spec) -> dict:
         except ValueError:
             raise InvalidParam(f"malformed point {text!r}") from None
         InvalidParam.raise_where(key not in names,
-                                 f"unknown coordinate {key!r}; expected {', '.join(names)}")
-        InvalidParam.raise_where(key in vals, f"coordinate {key!r} is given twice")
-        InvalidParam.raise_where(not math.isfinite(value), f"{key}={value} is not finite")
+                                 lambda: f"unknown coordinate {key!r}; expected {', '.join(names)}")
+        InvalidParam.raise_where(key in vals, lambda: f"coordinate {key!r} is given twice")
+        InvalidParam.raise_where(not math.isfinite(value), lambda: f"{key}={value} is not finite")
         vals[key] = value
     missing = [k for k in names if k not in vals]
-    InvalidParam.raise_where(bool(missing), f"point is missing coordinates: {', '.join(missing)}")
+    InvalidParam.raise_where(bool(missing),
+                             lambda: f"point is missing coordinates: {', '.join(missing)}")
     return {k: vals[k] for k in names}
 
 

@@ -125,13 +125,14 @@ def _picture_entries(picture: str, powers, triples, classes, pair: str, sdot_pow
         [power(m, f"{f}({v}) = {v}^{m}, one of the four {dual}flat power laws") for m in powers]
         + [power(Frac(3), f"negative control: {v}^3 is not flat", expect_fail=True)]
         + [SolutionSpec(id=_triple_id(f"{f}-triple", abc), picture=picture, family="hyper_triple",
-                        params={"abc": abc, "constants": (1.0, 0.0, 0.0, 1.0)}, param_name="s",
+                        params={"abc": HyperTriple(*abc), "constants": (1.0, 0.0, 0.0, 1.0)},
+                        param_name="s",
                         domain=_Z1_ROOT_FREE_DOMAINS.get(abc, _S_DOMAIN),
                         note=f"{f}'' = {pair} over a {dual}flat hypergeometric pair")
            for abc in triples]
         + [SolutionSpec(id=_triple_id(f"{f}-schwarz", tr), picture=picture,
                         family="schwarz_triple_param",
-                        params={"triple": tr, "exponents": exps, "power": sdot_power},
+                        params={"triple": SchwarzTriple(*tr), "exponents": exps, "power": sdot_power},
                         param_name="s", domain=_S_DOMAIN,
                         note=f"{f}'' = {sdot}/(s^e1 (s-1)^e2) over a Schwarzian solution")
            for tr, exps in classes.items()]
@@ -239,15 +240,15 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         point = float(point)
     lo, hi = spec.domain
     inside = (lo <= point) & (point <= hi)
-    DomainError.raise_where(np.logical_not(inside), f"{spec.id}: basepoint outside admissible [{lo}, {hi}]")
+    DomainError.raise_where(np.logical_not(inside),
+                            lambda: f"{spec.id}: basepoint outside admissible [{lo}, {hi}]")
     fam = spec.family
     if fam == "power_m":
         m = spec.params["m"]
         return jet_pow(jet_var(point, order), Fraction(m))
     if fam == "hyper_triple":
-        abc = spec.params["abc"]
         c1, c2, c3, c4 = spec.params["constants"]
-        e1, e2 = hypergeom_pair(HyperTriple(*abc), point, order)
+        e1, e2 = hypergeom_pair(spec.params["abc"], point, order)
         pair = (c1 * e1 + c2 * e2, c3 * e1 + c4 * e2)
         power = 3 if spec.picture == "F_of_q" else 4
         return _double_antiderivative(_second_derivative_chain(pair, power))
@@ -256,10 +257,9 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         pair = closed_form_solution(cid, point, order)
         return _double_antiderivative(_second_derivative_chain(pair, 3))
     if fam == "schwarz_triple_param":
-        tr = SchwarzTriple(*spec.params["triple"])
         e1, e2 = spec.params["exponents"]
         pw = spec.params["power"]
-        s = schwarz_solution(tr, point, order)
+        s = schwarz_solution(spec.params["triple"], point, order)
         sdot = s.derivative()
         BranchError.raise_where(sdot.value() <= 0, "sdot <= 0: outside the restricted real branch")
         num = _rp(sdot, pw)

@@ -10,7 +10,15 @@ product is a lower-triangular Toeplitz matmul; a quotient, exp, power or
 series inverse a triangular solve of its recurrence (Taylor-mode
 propagation vectorised over base points). A test that depends on values
 raises its error where it holds, with the mask of those rows as the
-error's `rows`.
+error's `rows`, and formats its message only then.
+
+What a caller supplies is coerced and checked: the coefficients given to
+Jet1(...), jet_const and jet_var, the order given to truncate, and a
+scalar or per-row operand of +, -, * and /, on either side, which
+`_operand` turns into float64 or complex128. A kernel's result is an array
+the kernel has just computed from such values, so `_jet` makes it a Jet1
+without coercing and checking it again. The constant tables the kernels
+read (Toeplitz indices, 1..n, power weights) are built once per order.
 
 MJet2 is a multivariate order-2 jet (value, gradient, symmetric hessian)
 used for the metric/curvature pipeline, packed in one array (..., 1 + d +
@@ -48,6 +56,21 @@ def _as_coeffs(values: Sequence[Scalar]) -> np.ndarray:
     return arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
 
 
+def _operand(x):
+    """A scalar or per-row operand of +, -, * or / as a Python number, or as float64 or complex128.
+
+    A Fraction, a numpy scalar of another type or an array (one number per
+    row) is converted; int, float and complex, numpy's float64 and
+    complex128 among them, already act as float64 or complex128 against
+    coefficients.
+    """
+    if isinstance(x, (int, float, complex)):
+        return x
+    x = np.asarray(x)
+    x = x.astype(complex if x.dtype.kind == "c" else float, copy=False)
+    return x if x.ndim else x[()]
+
+
 def _per_row(x):
     """A plain number as is; an array of one number per row against coefficient rows."""
     return x[..., None] if isinstance(x, np.ndarray) else x
@@ -61,6 +84,14 @@ def _toeplitz_index(n: int):
 
 
 @functools.cache
+def _naturals(n: int) -> np.ndarray:
+    """The read-only vector 1, 2, ..., n."""
+    k = np.arange(1.0, n + 1)
+    k.flags.writeable = False
+    return k
+
+
+@functools.cache
 def _unit(n: int) -> np.ndarray:
     e = np.zeros(n)
     e[0] = 1.0
@@ -70,7 +101,7 @@ def _unit(n: int) -> np.ndarray:
 def _toeplitz(c: np.ndarray) -> np.ndarray:
     """Lower-triangular Toeplitz matrices T of c (..., n): T @ x is c x truncated to n terms."""
     index, mask = _toeplitz_index(c.shape[-1])
-    return np.take(c, index, axis=-1) * mask
+    return c.take(index, axis=-1) * mask
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -116,6 +147,9 @@ class Jet1:
 
     basepoint: Scalar | np.ndarray
     coeffs: np.ndarray
+    # an array operand on the left leaves the operator to Jet1's reflected method,
+    # as a number does, instead of numpy applying it element by element
+    __array_ufunc__ = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _as_coeffs(self.coeffs))
@@ -147,8 +181,8 @@ class Jet1:
     def derivative(self) -> "Jet1":
         """Formal derivative; drops one order."""
         if self.order == 0:
-            return Jet1(self.basepoint, 0.0 * self.coeffs)
-        return Jet1(self.basepoint, self.coeffs[..., 1:] * np.arange(1, self.order + 1))
+            return _jet(self.basepoint, 0.0 * self.coeffs)
+        return _jet(self.basepoint, self.coeffs[..., 1:] * _naturals(self.order))
 
     def antiderivative(self, constant: Scalar | np.ndarray = 0.0) -> "Jet1":
         """Termwise antiderivative with value ``constant`` at the basepoint.
@@ -156,10 +190,11 @@ class Jet1:
         Result order grows by one, capped at MAX_ORDER.
         """
         n = min(self.order + 1, MAX_ORDER)
+        constant = _operand(constant)
         out = np.empty(self.coeffs.shape[:-1] + (n + 1,), np.result_type(self.coeffs, constant))
         out[..., 0] = constant
-        out[..., 1:] = self.coeffs[..., :n] / np.arange(1, n + 1)
-        return Jet1(self.basepoint, out)
+        out[..., 1:] = self.coeffs[..., :n] / _naturals(n)
+        return _jet(self.basepoint, out)
 
     def __call__(self, x: Scalar) -> Scalar:
         """Evaluate the truncated polynomial at ``x``."""
@@ -172,45 +207,46 @@ class Jet1:
             if other.basepoint is not self.basepoint:
                 BasepointMismatch.raise_where(other.basepoint != self.basepoint, "basepoints differ")
             return other
-        return jet_const(other, self.basepoint, self.order)
+        return jet_const(_operand(other), self.basepoint, self.order)
 
     def __add__(self, other) -> "Jet1":
         if not isinstance(other, Jet1):
+            other = _operand(other)
             out = self.coeffs.astype(np.result_type(self.coeffs, other))
             out[..., 0] += other
-            return Jet1(self.basepoint, out)
+            return _jet(self.basepoint, out)
         o = self._coerce(other)
         n = min(self.order, o.order)
-        return Jet1(self.basepoint, self.coeffs[..., : n + 1] + o.coeffs[..., : n + 1])
+        return _jet(self.basepoint, self.coeffs[..., : n + 1] + o.coeffs[..., : n + 1])
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet1":
-        return Jet1(self.basepoint, -self.coeffs)
+        return _jet(self.basepoint, -self.coeffs)
 
     def __sub__(self, other) -> "Jet1":
-        return self + (-other)
+        return self + -(other if isinstance(other, Jet1) else _operand(other))
 
     def __rsub__(self, other) -> "Jet1":
         return (-self) + other
 
     def __mul__(self, other) -> "Jet1":
         if not isinstance(other, Jet1):
-            return Jet1(self.basepoint, self.coeffs * _per_row(other))
+            return _jet(self.basepoint, self.coeffs * _per_row(_operand(other)))
         o = self._coerce(other)
         n = min(self.order, o.order)
-        return Jet1(self.basepoint, _matvec(_toeplitz(o.coeffs[..., : n + 1]), self.coeffs[..., : n + 1]))
+        return _jet(self.basepoint, _matvec(_toeplitz(o.coeffs[..., : n + 1]), self.coeffs[..., : n + 1]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Jet1":
         if not isinstance(other, Jet1):
-            return Jet1(self.basepoint, self.coeffs / _per_row(other))
+            return _jet(self.basepoint, self.coeffs / _per_row(_operand(other)))
         o = self._coerce(other)
         DivisionByZeroJet.raise_where(o.coeffs[..., 0] == 0, "division by a jet with zero value")
         n = min(self.order, o.order)
         T = _toeplitz(o.coeffs[..., : n + 1])
-        return Jet1(self.basepoint, solve_lower(T, self.coeffs[..., : n + 1]))
+        return _jet(self.basepoint, solve_lower(T, self.coeffs[..., : n + 1]))
 
     def __rtruediv__(self, other) -> "Jet1":
         return self._coerce(other) / self
@@ -219,6 +255,16 @@ class Jet1:
         if isinstance(e, int):
             return jet_pow_int(self, e)
         return jet_pow(self, e)
+
+
+def _jet(basepoint, coeffs: np.ndarray) -> Jet1:
+    """A kernel's result, from the float64 or complex128 coefficients it has just
+    computed: a Jet1 built without __init__'s coercion and checks."""
+    jet = object.__new__(Jet1)
+    fields = jet.__dict__
+    fields["basepoint"] = basepoint
+    fields["coeffs"] = coeffs
+    return jet
 
 
 def jet_const(value: Scalar | np.ndarray, basepoint: Scalar | np.ndarray, order: int) -> Jet1:
@@ -247,12 +293,20 @@ def jet_pow_int(f: Jet1, e: int) -> Jet1:
     return out
 
 
+@functools.cache
+def _exp_tables(n: int):
+    """(k, D), read-only: k = 0, 1, ..., n - 1 and D = diag(max(k, 1))."""
+    k = np.arange(float(n))
+    D = np.diag(np.maximum(k, 1.0))
+    k.flags.writeable = D.flags.writeable = False
+    return k, D
+
+
 def jet_exp(f: Jet1) -> Jet1:
-    k = np.arange(f.order + 1)
+    k, D = _exp_tables(f.order + 1)
     # g = exp(f - f_0) solves g' = f' g: k g_k = sum_{m<k} (k - m) f_{k-m} g_m, g_0 = 1
-    A = np.diag(np.maximum(k, 1)) - _toeplitz(f.coeffs * k)
-    g = solve_lower(A, _unit(f.order + 1))
-    return Jet1(f.basepoint, np.exp(f.coeffs[..., :1]) * g)
+    g = solve_lower(D - _toeplitz(f.coeffs * k), _unit(f.order + 1))
+    return _jet(f.basepoint, np.exp(f.coeffs[..., :1]) * g)
 
 
 def jet_log(f: Jet1) -> Jet1:
@@ -264,8 +318,8 @@ def jet_log(f: Jet1) -> Jet1:
     n = f.order
     g = np.empty_like(f.coeffs)
     g[..., 0] = np.log(c0)
-    g[..., 1:] = (f.derivative() / f).coeffs[..., :n] / np.arange(1, n + 1)
-    return Jet1(f.basepoint, g)
+    g[..., 1:] = (f.derivative() / f).coeffs[..., :n] / _naturals(n)
+    return _jet(f.basepoint, g)
 
 
 @functools.cache
@@ -285,7 +339,7 @@ def _power_series(f: Jet1, e: float, g0) -> Jet1:
     n = f.order + 1
     L = _toeplitz(f.coeffs) * _power_weights(e, n)
     L[..., 0, 0] = 1.0
-    return Jet1(f.basepoint, _per_row(g0) * solve_lower(L, _unit(n)))
+    return _jet(f.basepoint, _per_row(g0) * solve_lower(L, _unit(n)))
 
 
 def jet_pow(f: Jet1, e) -> Jet1:
@@ -304,7 +358,7 @@ def jet_pow(f: Jet1, e) -> Jet1:
         return _power_series(f, float(e), c0 ** float(e))
     odd_root = isinstance(e, Fraction) and e.denominator % 2 == 1
     if not odd_root:
-        BranchError.raise_where(c0 < 0, f"negative base with exponent {e} has no real branch")
+        BranchError.raise_where(c0 < 0, lambda: f"negative base with exponent {e} has no real branch")
     g0 = np.abs(c0) ** float(e)
     return _power_series(f, float(e), g0 * np.sign(c0) if odd_root and e.numerator % 2 else g0)
 
@@ -343,7 +397,7 @@ def jet_compose(outer: Jet1, inner: Jet1) -> Jet1:
     n = min(outer.order, inner.order)
     u = inner.coeffs[..., : n + 1].copy()
     u[..., 0] = 0.0  # inner - u0
-    return Jet1(inner.basepoint, _matvec(_powers(u), outer.coeffs[..., : n + 1]))
+    return _jet(inner.basepoint, _matvec(_powers(u), outer.coeffs[..., : n + 1]))
 
 
 def jet_invert(f: Jet1) -> Jet1:
@@ -358,7 +412,7 @@ def jet_invert(f: Jet1) -> Jet1:
     g = np.empty_like(F)
     g[..., 0] = f.basepoint
     g[..., 1:] = solve_lower(_powers(F)[..., 1:, 1:], _unit(n))
-    return Jet1(f.value(), g)
+    return _jet(f.value(), g)
 
 
 # --- finite-difference oracle (tests only) --------------------------

@@ -4,6 +4,11 @@ Gauss 2F1 evaluated as a jet, the catalogued closed-form solution pairs
 of the second-order equations u'' + V(s) u / 4 = 0 and the hypergeometric
 equation, the Wronskian law, and the algebraic transformation identities
 between solution families.
+
+Each HyperTriple is built once, as a module constant or with its catalog
+case, and what depends on a triple and an order alone (series
+coefficients, the term-count rule, the pair's second triple) is cached
+on it: a call spends its time on the points.
 """
 
 from __future__ import annotations
@@ -67,6 +72,14 @@ class HyperTriple:
     def __iter__(self):
         return iter((self.a, self.b, self.c))
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # the triples key the series caches, and hashing three Fractions takes microseconds
+        return hash((self.a, self.b, self.c))
+
     def label(self) -> str:
         return f"({self.a},{self.b},{self.c})"
 
@@ -75,6 +88,7 @@ def _nonpositive_int(x: Fraction) -> bool:
     return x.denominator == 1 and x <= 0
 
 
+@functools.cache
 def _terminating_length(p: HyperTriple) -> int | None:
     """Number of series terms if the series terminates, else None."""
     n = None
@@ -86,9 +100,10 @@ def _terminating_length(p: HyperTriple) -> int | None:
     return n
 
 
-def _poly_coeffs(p: HyperTriple, nterms: int) -> np.ndarray:
-    """Exact series coefficients of a terminating 2F1."""
-    coeffs = np.zeros(nterms)
+@functools.cache
+def _poly_coeffs(p: HyperTriple, nterms: int, order: int) -> np.ndarray:
+    """Exact series coefficients of a terminating 2F1, then `order` zeros (read-only)."""
+    coeffs = np.zeros(nterms + order)
     term = Fraction(1)
     a, b, c = p.a, p.b, p.c
     for n in range(nterms):
@@ -99,6 +114,7 @@ def _poly_coeffs(p: HyperTriple, nterms: int) -> np.ndarray:
                 raise PoleError(f"(c)_n vanishes before the series {p.label()} terminates")
             break
         term = term * (a + n) * (b + n) / denom
+    coeffs.flags.writeable = False
     return coeffs
 
 
@@ -130,6 +146,23 @@ def _binomials(nterms: int, order: int) -> np.ndarray:
     binom = np.cumprod(ratio, axis=1)
     binom.flags.writeable = False
     return binom
+
+
+@functools.cache
+def _term_count_rule(p: HyperTriple, order: int) -> Tuple[float, float]:
+    """(e, x) of the number of terms hyp2f1_jet sums for a series that does not terminate.
+
+    The terms c_{m+k} C(m+k, k) s0^m of coefficient k grow like m^e |s0|^m,
+    e = k - 1 + a + b - c, so coefficient `order` converges last. With
+    L = -log |s0| they peak near m* = e / L and have fallen by exp(-D),
+    D = SERIES_DIGITS log 10, at x m*, where x - 1 - log x = D / e.
+    """
+    e = max(order - 1 + float(p.a + p.b - p.c), 1e-9)  # as e -> 0, x e -> D
+    u = SERIES_DIGITS * math.log(10.0) / e
+    x = 1.0 + u
+    for _ in range(8):  # converges: log x moves less than x does
+        x = 1.0 + u + math.log(x)
+    return e, x
 
 
 def _weights_and_powers(s: np.ndarray, c: np.ndarray, counts: np.ndarray, order: int):
@@ -180,7 +213,7 @@ def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
     s = np.reshape(s0, -1)
     length = _terminating_length(p)
     if length is not None:
-        c = np.append(_poly_coeffs(p, length), np.zeros(order))
+        c = _poly_coeffs(p, length, order)
         W, powers = _weights_and_powers(s, c, np.full(len(s), length), order)
         coeffs = (powers[:, None, :] @ W)[:, 0, :]
     else:
@@ -188,24 +221,17 @@ def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
             raise PoleError(f"c = {p.c} is a non-positive integer and the series does not terminate")
         SingularPointError.raise_where(
             s0 == 1, "s = 1 is a singular point of the hypergeometric equation")
-        name = p.label()
-        SeriesDomainError.raise_where(abs(s0) >= 1, f"series for {name} diverges at |s| >= 1")
-        # The terms c_{m+k} C(m+k, k) s0^m of coefficient k grow like m^e |s0|^m,
-        # e = k - 1 + a + b - c, so coefficient `order` converges last. With
-        # L = -log |s0| they peak near m* = e / L and have fallen by exp(-D),
-        # D = SERIES_DIGITS log 10, at x m*, where x - 1 - log x = D / e.
-        e = max(order - 1 + float(p.a + p.b - p.c), 1e-9)  # as e -> 0, x e -> D
-        u = SERIES_DIGITS * math.log(10.0) / e
-        x = 1.0 + u
-        for _ in range(8):  # converges: log x moves less than x does
-            x = 1.0 + u + math.log(x)
+        SeriesDomainError.raise_where(
+            abs(s0) >= 1, lambda: f"series for {p.label()} diverges at |s| >= 1")
+        e, x = _term_count_rule(p, order)
         L = -np.log(np.maximum(np.abs(s), 1e-300))
         # `order` + 32 terms past x m*, rounded up to a multiple of 32 (just those at s0 = 0)
         counts = 32 * np.ceil((x * e / L + order + 32) / 32).astype(int)
         while True:
             SeriesDomainError.raise_where(
                 np.reshape(counts > SERIES_MAX_TERMS, np.shape(s0)),
-                f"series for {name} does not fall {SERIES_DIGITS} digits in {SERIES_MAX_TERMS} terms")
+                lambda: f"series for {p.label()} does not fall {SERIES_DIGITS} digits "
+                        f"in {SERIES_MAX_TERMS} terms")
             top = int(counts.max())
             # a prefix of a cached power-of-two run, so the cache keeps few lengths per triple
             c = _series_coeffs(p, 1 << (top + order).bit_length())
@@ -242,11 +268,17 @@ def hypergeom_pair(p: HyperTriple, s0, order: int = 8) -> Tuple[Jet1, Jet1]:
     positive real branch.
     """
     z1 = hyp2f1_jet(p, s0, order)
-    p2 = HyperTriple(p.a - p.c + 1, p.b - p.c + 1, 2 - p.c)
+    p2, power = _second_factor(p)
     f2 = hyp2f1_jet(p2, s0, order)
     s = jet_var(s0, order)
-    z2 = jet_abs_pow(s, float(1 - p.c)) * f2
+    z2 = jet_abs_pow(s, power) * f2
     return z1, z2
+
+
+@functools.cache
+def _second_factor(p: HyperTriple) -> Tuple[HyperTriple, float]:
+    """(triple, power) with the pair's second solution s^power 2F1(triple)."""
+    return HyperTriple(p.a - p.c + 1, p.b - p.c + 1, 2 - p.c), float(1 - p.c)
 
 
 # --- the Schwarzian potential ----------------------------------------
@@ -308,6 +340,15 @@ CLOSED_FORM_HYPER: dict[str, HyperTriple] = {
 }
 # the hypergeometric entries and the elementary pair in r
 CLOSED_FORM_FAMILIES = tuple(CLOSED_FORM_HYPER) + ("elementary_r",)
+# the triples of the 2F1 factors of the displayed bases that have them
+_BASIS_FACTORS = {
+    "table2_row1": (CLOSED_FORM_HYPER["table2_row1"], HyperTriple(Frac(7, 6), Frac(-1, 3), Frac(4, 3))),
+    "table2_row3": (HyperTriple(Frac(13, 6), Frac(11, 3), Frac(4, 3)),
+                    HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3))),
+    "table3_row2": (HyperTriple(Frac(5, 3), Frac(7, 3), Frac(5, 2)),
+                    HyperTriple(Frac(1, 6), Frac(5, 6), Frac(-1, 2))),
+    "table3_row3": (HyperTriple(Frac(1, 3), 1, Frac(7, 6)),),
+}
 
 
 @dataclass(frozen=True)
@@ -357,8 +398,7 @@ def _closed_form_basis(family: str, s0, order: int) -> Tuple[Jet1, Jet1]:
         return e1, e2
     if family == "table2_row1":
         # 2F1 form of the displayed associated-Legendre pair
-        f1 = hyp2f1_jet(CLOSED_FORM_HYPER[family], s0, order)
-        f2 = hyp2f1_jet(HyperTriple(Frac(7, 6), Frac(-1, 3), Frac(4, 3)), s0, order)
+        f1, f2 = (hyp2f1_jet(p, s0, order) for p in _BASIS_FACTORS[family])
         w = _rp(sm1, Frac(1, 4))
         return _rp(s, Frac(1, 3)) * w * f1, _rp(s, Frac(2, 3)) * w * f2
     if family == "table2_row2":
@@ -367,8 +407,7 @@ def _closed_form_basis(family: str, s0, order: int) -> Tuple[Jet1, Jet1]:
         return e1, e2
     if family == "table2_row3":
         w = _rp(sm1, Frac(11, 4))
-        f1 = hyp2f1_jet(HyperTriple(Frac(13, 6), Frac(11, 3), Frac(4, 3)), s0, order)
-        f2 = hyp2f1_jet(HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)), s0, order)
+        f1, f2 = (hyp2f1_jet(p, s0, order) for p in _BASIS_FACTORS[family])
         return _rp(s, Frac(2, 3)) * w * f1, _rp(s, Frac(1, 3)) * w * f2
     if family == "table3_row1":
         w = s * sm1
@@ -377,13 +416,12 @@ def _closed_form_basis(family: str, s0, order: int) -> Tuple[Jet1, Jet1]:
         e2 = poly / _rp(w, Frac(1, 4))
         return e1, e2
     if family == "table3_row2":
-        f1 = hyp2f1_jet(HyperTriple(Frac(5, 3), Frac(7, 3), Frac(5, 2)), s0, order)
-        f2 = hyp2f1_jet(HyperTriple(Frac(1, 6), Frac(5, 6), Frac(-1, 2)), s0, order)
+        f1, f2 = (hyp2f1_jet(p, s0, order) for p in _BASIS_FACTORS[family])
         e1 = _rp(s * sm1, Frac(5, 4)) * f1
         e2 = _rp(sm1, Frac(5, 4)) / _rp(s, Frac(1, 4)) * f2
         return e1, e2
     if family == "table3_row3":
-        f1 = hyp2f1_jet(HyperTriple(Frac(1, 3), 1, Frac(7, 6)), s0, order)
+        f1 = hyp2f1_jet(_BASIS_FACTORS[family][0], s0, order)
         e1 = _rp(s * sm1, Frac(7, 12)) * f1
         e2 = _rp(s, Frac(5, 12)) * _rp(1.0 - s, Frac(5, 12))
         return e1, e2
@@ -480,6 +518,22 @@ TRANSFORM_KINDS = (
 # target equation, with dt/ds = 0, so inverting t(s) loses every digit
 # there. The check rejects the open interval around it.
 DEGREE6_EXCLUDED = (0.49, 0.51)
+# each kind's two triples: the two sides of a function identity, or the
+# summed 2F1 and the target equation of an algebraic map
+_IDENTITY_TRIPLES = {
+    "euler": (HyperTriple(Frac(-7, 6), Frac(-8, 3), Frac(2, 3)),
+              HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3))),
+    "quadratic": (HyperTriple(Frac(1, 6), Frac(1, 6), Frac(2, 3)),
+                  HyperTriple(Frac(1, 12), Frac(1, 12), Frac(2, 3))),
+    "cubic": (HyperTriple(-4, -1, -2), HyperTriple(Frac(-4, 3), -1, -2)),
+    "degree4": (HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)),
+                HyperTriple(Frac(5, 6), Frac(-2, 3), Frac(2, 3))),
+    "degree6": (HyperTriple(-4, -1, -2), HyperTriple(Frac(-1, 3), Frac(-2, 3), Frac(-1, 2))),
+    "frac_linear_1ms": (HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(1, 2)),
+                        HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(2, 3))),
+    "frac_linear_s_over_sm1": (HyperTriple(Frac(-4, 3), -1, Frac(2, 3)),
+                               HyperTriple(Frac(-4, 3), Frac(5, 3), Frac(2, 3))),
+}
 
 
 def _mapped_solution_residual(z: Jet1, t_of_s: Jet1, prefactor: Jet1, target: HyperTriple):
@@ -495,59 +549,53 @@ def transform_identity_check(kind: str, s0):
     identities (euler, quadratic) compare both displayed sides; the algebraic-map identities
     check that the mapped solution, a jet of order 6, satisfies the target hypergeometric ODE.
     """
+    if kind not in _IDENTITY_TRIPLES:
+        raise ValueError(f"unknown transformation kind {kind!r}")
+    p, target = _IDENTITY_TRIPLES[kind]
     s0 = np.asarray(s0, dtype=float) if np.ndim(s0) else float(s0)
     order = 6
     if kind == "euler":
-        lhs = hyp2f1_jet(HyperTriple(Frac(-7, 6), Frac(-8, 3), Frac(2, 3)), s0, 2).value()
-        rhs = (1 - s0) ** 4.5 * hyp2f1_jet(
-            HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)), s0, 2
-        ).value()
+        lhs = hyp2f1_jet(p, s0, 2).value()
+        rhs = (1 - s0) ** 4.5 * hyp2f1_jet(target, s0, 2).value()
         return relative_residual([lhs, -rhs])
     if kind == "quadratic":
-        lhs = hyp2f1_jet(HyperTriple(Frac(1, 6), Frac(1, 6), Frac(2, 3)), s0, 2).value()
-        rhs = hyp2f1_jet(
-            HyperTriple(Frac(1, 12), Frac(1, 12), Frac(2, 3)), 4 * s0 * (1 - s0), 2
-        ).value()
+        lhs = hyp2f1_jet(p, s0, 2).value()
+        rhs = hyp2f1_jet(target, 4 * s0 * (1 - s0), 2).value()
         return relative_residual([lhs, -rhs])
     if kind == "cubic":
         w = complex(-0.5, 0.5 * np.sqrt(3.0))  # cube root of unity
         sc = s0 + 0j
         s = jet_var(sc, order)
-        z = hyp2f1_jet(HyperTriple(-4, -1, -2), sc, order)
+        z = hyp2f1_jet(p, sc, order)
         t = 3.0 * (2.0 * w + 1.0) * s * (s - 1.0) / ((s + w) * (s + w) * (s + w))
         # the prefactor carries the conjugate root: (1 + conj(w) s) is
         # proportional to (s + w), and constants drop out of the linear ODE
         pref = jet_pow(s + w, -4)
-        return _mapped_solution_residual(z, t, pref, HyperTriple(Frac(-4, 3), -1, -2))
+        return _mapped_solution_residual(z, t, pref, target)
     if kind == "degree4":
         s = jet_var(s0, order)
-        z = hyp2f1_jet(HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)), s0, order)
+        z = hyp2f1_jet(p, s0, order)
         t = -s * (s + 8.0) ** 3 / (64.0 * (1.0 - s) ** 3)
         pref = jet_abs_pow(1.0 - s, 2.5)
-        return _mapped_solution_residual(
-            z, t, pref, HyperTriple(Frac(5, 6), Frac(-2, 3), Frac(2, 3))
-        )
+        return _mapped_solution_residual(z, t, pref, target)
     if kind == "degree6":
         lo, hi = DEGREE6_EXCLUDED
         SingularPointError.raise_where(
-            (s0 > lo) & (s0 < hi), f"degree6 is not checked on ({lo}, {hi}), around t(1/2) = 1")
+            (s0 > lo) & (s0 < hi), lambda: f"degree6 is not checked on ({lo}, {hi}), around t(1/2) = 1")
         s = jet_var(s0, order)
-        z = hyp2f1_jet(HyperTriple(-4, -1, -2), s0, order)
+        z = hyp2f1_jet(p, s0, order)
         t = 27.0 * (s * (s - 1.0)) ** 2 / (4.0 * (s * s - s + 1.0) ** 3)
         pref = jet_pow(1.0 - s + s * s, -2)
-        return _mapped_solution_residual(
-            z, t, pref, HyperTriple(Frac(-1, 3), Frac(-2, 3), Frac(-1, 2))
-        )
+        return _mapped_solution_residual(z, t, pref, target)
     if kind == "frac_linear_1ms":
-        z = hyp2f1_jet(HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(1, 2)), 1.0 - s0, order)
+        z = hyp2f1_jet(p, 1.0 - s0, order)
         flipped = Jet1(s0, z.coeffs * (-1.0) ** np.arange(z.order + 1))
-        return hypergeom_residual(flipped, HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(2, 3)))
-    if kind == "frac_linear_s_over_sm1":
-        t = jet_var(s0, order)
-        s = t / (t - 1.0)
-        z_in_s = hyp2f1_jet(HyperTriple(Frac(-4, 3), -1, Frac(2, 3)), s.value(), order)
-        z = jet_compose(z_in_s, s)
-        pref = jet_pow(1.0 - s, Frac(-4, 3))
-        zt = pref * z
-        return hypergeom_residual(zt, HyperTriple(Frac(-4, 3), Frac(5, 3), Frac(2, 3)))
-    raise ValueError(f"unknown transformation kind {kind!r}")
+        return hypergeom_residual(flipped, target)
+    # frac_linear_s_over_sm1
+    t = jet_var(s0, order)
+    s = t / (t - 1.0)
+    z_in_s = hyp2f1_jet(p, s.value(), order)
+    z = jet_compose(z_in_s, s)
+    pref = jet_pow(1.0 - s, Frac(-4, 3))
+    zt = pref * z
+    return hypergeom_residual(zt, target)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ from c235.dist import (
     legendre_pair_map,
     legendre_transform,
 )
-from c235.errors import BranchError, DegenerateError, DomainError, UnknownCaseId
-from c235.jets import jet_abs_pow, jet_invert, jet_var
-from c235.specialfn import ClosedFormId, HyperTriple, closed_form_solution, hypergeom_pair
+from c235.errors import BranchError, DegenerateError, DomainError, SeriesDomainError, UnknownCaseId
+from c235.jets import jet_abs_pow, jet_invert, jet_pow, jet_var
+from c235.specialfn import ClosedFormId, HyperTriple, closed_form_solution, hyp2f1_jet, hypergeom_pair
 
 
 # --- catalog integrity -----------------------------------------------------
@@ -187,3 +189,25 @@ def test_fifth_coordinate_jets_match_power_solution():
     assert np.allclose(
         F.derivative().derivative().coeffs, direct.derivative().derivative().coeffs
     )
+
+
+def test_errors_formatted_on_raise_keep_their_text():
+    # the messages are formatted only when the check fails; at one point and on a stack
+    p = HyperTriple(Fraction(-1, 4), Fraction(5, 12), Fraction(1, 2))
+    spec = get_spec("H-triple-(-1/4,5/12,1/2)")
+    for call, error, text in (
+        (lambda s: hyp2f1_jet(p, s), SeriesDomainError,
+         "series for (-1/4,5/12,1/2) diverges at |s| >= 1"),
+        (lambda s: F_jet(spec, s), DomainError,
+         "H-triple-(-1/4,5/12,1/2): basepoint outside admissible [0.05, 0.95]"),
+        (lambda s: jet_pow(jet_var(1.0 - s, 4), Fraction(1, 2)), BranchError,
+         "negative base with exponent 1/2 has no real branch"),
+        (lambda s: jet_pow(jet_var(1.0 - s, 4), 1.5), BranchError,
+         "negative base with exponent 1.5 has no real branch"),
+    ):
+        with pytest.raises(error) as exc:
+            call(1.5)
+        assert str(exc.value) == text and exc.value.rows is None
+        with pytest.raises(error) as exc:
+            call(np.array([0.5, 1.5]))
+        assert str(exc.value) == text and exc.value.rows.tolist() == [False, True]

@@ -356,3 +356,104 @@ def test_stacked_kernels_raise_with_the_bad_rows():
     # the real odd root of a negative row keeps its sign
     cube = jet_pow(f + 1.0, Fraction(1, 3))
     assert cube.value()[1] == pytest.approx(-1.0)
+
+
+# --- operands and results ---------------------------------------------------
+
+SCALAR_OPERANDS = {
+    "int": (3, 3.0),
+    "float": (0.7, 0.7),
+    "fraction": (Fraction(1, 3), 1.0 / 3.0),
+    "numpy_float32": (np.float32(0.1), float(np.float32(0.1))),
+    "numpy_int": (np.int64(-2), -2.0),
+    "complex": (0.5 - 2.0j, 0.5 - 2.0j),
+}
+BINARY_OPERATORS = {
+    "add": lambda f, x: f + x,
+    "radd": lambda f, x: x + f,
+    "sub": lambda f, x: f - x,
+    "rsub": lambda f, x: x - f,
+    "mul": lambda f, x: f * x,
+    "rmul": lambda f, x: x * f,
+    "div": lambda f, x: f / x,
+    "rdiv": lambda f, x: x / f,
+}
+
+
+def _assert_same_jet(got, want):
+    assert isinstance(got, Jet1)
+    assert got.coeffs.dtype in (np.float64, np.complex128)
+    assert got.coeffs.dtype == want.coeffs.dtype
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("op", BINARY_OPERATORS)
+@pytest.mark.parametrize("operand", SCALAR_OPERANDS)
+def test_scalar_operands_act_as_their_float(op, operand):
+    # every operand type, Fraction among them, gives the float (or complex) operand's jet
+    fn = BINARY_OPERATORS[op]
+    x, as_float = SCALAR_OPERANDS[operand]
+    for f in (Jet1(0.4, [1.5, -0.5, 0.25, 2.0]), Jet1(0.4, [1.5 + 0.5j, -0.5, 0.25j, 2.0])):
+        _assert_same_jet(fn(f, x), fn(f, as_float))
+    # and one number per row of a stack, as an int, float, Fraction or complex array
+    f = Jet1(np.array([0.1, 0.2, 0.3]), [[1.5, -0.5, 0.25], [-2.0, 0.3, 1.0], [0.7, 0.0, -1.0]])
+    rows = np.array([x, 2 * x, -x])
+    _assert_same_jet(fn(f, rows), fn(f, rows.astype(type(as_float))))
+
+
+def _kernel_operands(n):
+    """(x0, f, g) at one point (n None) or on n rows: f, g positive, with f' != 0."""
+    rng = np.random.default_rng(20)
+    shape = () if n is None else (n,)
+    x0 = rng.uniform(0.1, 0.9, shape)
+    f = Jet1(x0, np.concatenate([rng.uniform(1.0, 2.0, shape + (1,)),
+                                 rng.uniform(0.5, 1.0, shape + (1,)),
+                                 rng.normal(size=shape + (MAX_ORDER - 1,))], axis=-1))
+    g = Jet1(x0, np.concatenate([rng.uniform(1.0, 2.0, shape + (1,)),
+                                 rng.normal(size=shape + (MAX_ORDER,))], axis=-1))
+    return x0, f, g
+
+
+# kernel -> the order of its result, from the operands' order MAX_ORDER
+RESULT_KERNELS = {
+    "add": (lambda f, g: f + g, MAX_ORDER),
+    "neg": (lambda f, g: -f, MAX_ORDER),
+    "mul": (lambda f, g: f * g, MAX_ORDER),
+    "div": (lambda f, g: f / g, MAX_ORDER),
+    "derivative": (lambda f, g: f.derivative(), MAX_ORDER - 1),
+    "antiderivative": (lambda f, g: f.truncate(4).antiderivative(0.5), 5),
+    "exp": (lambda f, g: jet_exp(g), MAX_ORDER),
+    "log": (lambda f, g: jet_log(f), MAX_ORDER),
+    "pow_frac": (lambda f, g: jet_pow(f, Fraction(1, 3)), MAX_ORDER),
+    "pow_float": (lambda f, g: jet_pow(f, 2.5), MAX_ORDER),
+    "abs_pow": (lambda f, g: jet_abs_pow(f, 0.75), MAX_ORDER),
+    "sqrt": (lambda f, g: jet_sqrt(f), MAX_ORDER),
+    "compose": (lambda f, g: jet_compose(g, f - f.value() + g.basepoint), MAX_ORDER),
+    "invert": (lambda f, g: jet_invert(f), MAX_ORDER),
+}
+
+
+@pytest.mark.parametrize("kernel, kind", [(k, "real") for k in RESULT_KERNELS]
+                         + [(k, "complex") for k in RESULT_KERNELS if k != "abs_pow"])
+@pytest.mark.parametrize("n", [None, 7])
+def test_kernel_results_keep_the_jet_invariants(kernel, kind, n):
+    # results are built without Jet1's coercion: each is still a float64 or complex128 array
+    fn, order = RESULT_KERNELS[kernel]
+    x0, f, g = _kernel_operands(n)
+    if kind == "complex":
+        f, g = f + 0.25j * f.derivative().antiderivative(), g + 0.1j
+    out = fn(f, g)
+    assert isinstance(out, Jet1)
+    assert out.coeffs.dtype == (np.complex128 if kind == "complex" else np.float64)
+    assert out.coeffs.shape == np.shape(x0) + (order + 1,)
+    assert out.order == order
+    assert np.shape(out.basepoint) == np.shape(x0)
+
+
+def test_caller_supplied_jets_are_still_checked():
+    with pytest.raises(ValueError):
+        Jet1(0.0, [])
+    with pytest.raises(ValueError):
+        jet_var(0.3, 4).truncate(-1)
+    assert Jet1(0.0, [1, 2]).coeffs.dtype == np.float64
+    assert Jet1(0.0, [Fraction(1, 3), 2]).coeffs.tolist() == [1.0 / 3.0, 2.0]
