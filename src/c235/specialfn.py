@@ -7,8 +7,8 @@ between solution families.
 
 Each HyperTriple is built once, as a module constant or with its catalog
 case, and what depends on a triple and an order alone (series
-coefficients, the term-count rule, the pair's second triple) is cached
-on it: a call spends its time on the points.
+coefficients, the term-count rule, the pair's second triple) is computed
+on first use and cached, so a call spends its time on its points.
 """
 
 from __future__ import annotations
@@ -342,7 +342,8 @@ CLOSED_FORM_HYPER: dict[str, HyperTriple] = {
 CLOSED_FORM_FAMILIES = tuple(CLOSED_FORM_HYPER) + ("elementary_r",)
 # the triples of the 2F1 factors of the displayed bases that have them
 _BASIS_FACTORS = {
-    "table2_row1": (CLOSED_FORM_HYPER["table2_row1"], HyperTriple(Frac(7, 6), Frac(-1, 3), Frac(4, 3))),
+    "table2_row1": (CLOSED_FORM_HYPER["table2_row1"],
+                    HyperTriple(Frac(7, 6), Frac(-1, 3), Frac(4, 3))),
     "table2_row3": (HyperTriple(Frac(13, 6), Frac(11, 3), Frac(4, 3)),
                     HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3))),
     "table3_row2": (HyperTriple(Frac(5, 3), Frac(7, 3), Frac(5, 2)),
@@ -581,7 +582,8 @@ def transform_identity_check(kind: str, s0):
     if kind == "degree6":
         lo, hi = DEGREE6_EXCLUDED
         SingularPointError.raise_where(
-            (s0 > lo) & (s0 < hi), lambda: f"degree6 is not checked on ({lo}, {hi}), around t(1/2) = 1")
+            (s0 > lo) & (s0 < hi),
+            lambda: f"degree6 is not checked on ({lo}, {hi}), around t(1/2) = 1")
         s = jet_var(s0, order)
         z = hyp2f1_jet(p, s0, order)
         t = 27.0 * (s * (s - 1.0)) ** 2 / (4.0 * (s * s - s + 1.0) ** 3)
