@@ -22,6 +22,8 @@ from .errors import (
 )
 from .jets import (
     Jet1,
+    _jet,
+    _shape,
     _toeplitz,
     jet_compose,
     jet_const,
@@ -32,6 +34,19 @@ from .jets import (
     solve_lower,
 )
 from .specialfn import relative_residual, schwarz_potential
+
+
+def _pow(x, e: int):
+    """x**e as numpy's power of a stack rounds it, also for a Python float.
+
+    On an array, ** squares for e = 2 and calls the power ufunc otherwise,
+    whose vectorised pow can differ from the C library's in the last bit;
+    a float gets the same two operations, so a residual at one point is
+    the one its row of a stack gets.
+    """
+    if type(x) is not float:
+        return x**e
+    return x * x if e == 2 else float(np.power(x, e))
 
 
 @dataclass(frozen=True)
@@ -74,7 +89,7 @@ class SchwarzTriple:
 
 def residual_chazy(y: Jet1) -> float:
     """Relative residual of y''' - 2 y y'' + 3 (y')^2."""
-    y0, y1, y2, y3 = (y.deriv(i) for i in range(4))
+    y0, y1, y2, y3 = y.derivs(4)
     return relative_residual([y3, -2.0 * y0 * y2, 3.0 * y1 * y1])
 
 
@@ -82,22 +97,22 @@ def residual_gen_chazy(y: Jet1, k: ChazyParam | Fraction | float) -> float:
     """Relative residual of y''' - 2 y'' y + 3 (y')^2 - c (6y' - y^2)^2."""
     if not isinstance(k, ChazyParam):
         k = ChazyParam(Fraction(k).limit_denominator(10**6))
-    y0, y1, y2, y3 = (y.deriv(i) for i in range(4))
+    y0, y1, y2, y3 = y.derivs(4)
     return relative_residual(
-        [y3, -2.0 * y2 * y0, 3.0 * y1 * y1, -k.coeff * (6.0 * y1 - y0 * y0) ** 2]
+        [y3, -2.0 * y2 * y0, 3.0 * y1 * y1, -k.coeff * _pow(6.0 * y1 - y0 * y0, 2)]
     )
 
 
 def residual_6th(F: Jet1) -> float:
     """Relative residual of the 6th-order equation satisfied by F(q)."""
-    d = [F.deriv(i) for i in range(7)]
+    d = F.derivs(7)
     return relative_residual(
         [
-            10.0 * d[6] * d[2] ** 3,
-            -80.0 * d[2] ** 2 * d[3] * d[5],
-            -51.0 * d[2] ** 2 * d[4] ** 2,
-            336.0 * d[2] * d[3] ** 2 * d[4],
-            -224.0 * d[3] ** 4,
+            10.0 * d[6] * _pow(d[2], 3),
+            -80.0 * _pow(d[2], 2) * d[3] * d[5],
+            -51.0 * _pow(d[2], 2) * _pow(d[4], 2),
+            336.0 * d[2] * _pow(d[3], 2) * d[4],
+            -224.0 * _pow(d[3], 4),
         ]
     )
 
@@ -105,17 +120,17 @@ def residual_6th(F: Jet1) -> float:
 def ds6_monomials(d) -> list:
     """The monomials of the dual 6th-order LHS, from d[i] = H^(i) at a point."""
     return [
-        10.0 * d[2] ** 3 * d[6],
-        -70.0 * d[2] ** 2 * d[3] * d[5],
-        -49.0 * d[2] ** 2 * d[4] ** 2,
-        280.0 * d[2] * d[3] ** 2 * d[4],
-        -175.0 * d[3] ** 4,
+        10.0 * _pow(d[2], 3) * d[6],
+        -70.0 * _pow(d[2], 2) * d[3] * d[5],
+        -49.0 * _pow(d[2], 2) * _pow(d[4], 2),
+        280.0 * d[2] * _pow(d[3], 2) * d[4],
+        -175.0 * _pow(d[3], 4),
     ]
 
 
 def residual_ds6(H: Jet1) -> float:
     """Relative residual of the dual 6th-order equation satisfied by H(t)."""
-    return relative_residual(ds6_monomials([H.deriv(i) for i in range(7)]))
+    return relative_residual(ds6_monomials(H.derivs(7)))
 
 
 def _schwarzian_derivative(s: Jet1) -> Tuple[complex, complex]:
@@ -196,14 +211,14 @@ def schwarz_solution(tr: SchwarzTriple, s0, order: int = 8) -> Jet1:
     # L u = (u_0, u_1, 0, ...), row k + 2 the coefficient of s^k in u'' + V u / 4:
     # (k+2)(k+1) u_{k+2} + sum_{m <= k} V_m u_{k-m} / 4 = 0
     k = np.arange(n + 1)
-    L = np.zeros(np.shape(s0) + (n + 1, n + 1))
+    L = np.zeros(_shape(s0) + (n + 1, n + 1))
     L[..., 2:, :-2] = 0.25 * _toeplitz(V[..., :-2])
     L[..., k, k] = np.maximum(k * (k - 1), 1)
     # both solutions in one solve, along an axis before the coefficients
     r = np.zeros((2, n + 1))
     r[:, :2] = ((1.0, 0.0), (0.3, 1.0))
     u = solve_lower(L[..., None, :, :], r)
-    ua, ub = Jet1(s0, u[..., 0, :]), Jet1(s0, u[..., 1, :])
+    ua, ub = _jet(s0, u[..., 0, :]), _jet(s0, u[..., 1, :])
     return jet_invert((ub / ua).truncate(order))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BranchError, DegenerateError, DomainError, UnknownCaseId
 from .jets import (
     Jet1,
-    jet_abs_pow,
+    jet_abs_pow_product,
     jet_compose,
     jet_const,
     jet_invert,
@@ -235,9 +235,10 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
     A test that fails at some points of an array raises with `rows` set
     to the mask of those points.
     """
-    point = np.asarray(point, dtype=float)
-    if point.ndim == 0:
-        point = float(point)
+    if type(point) is not float:
+        point = np.asarray(point, dtype=float)
+        if point.ndim == 0:
+            point = float(point)
     lo, hi = spec.domain
     inside = (lo <= point) & (point <= hi)
     DomainError.raise_where(np.logical_not(inside),
@@ -265,7 +266,7 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         num = _rp(sdot, pw)
         # s in (0,1) makes s-1 negative; |.| powers rescale by a constant,
         # which the degree-4 homogeneous sixth-order equations ignore
-        den = jet_abs_pow(s, float(e1)) * jet_abs_pow(s - 1.0, float(e2))
+        den = jet_abs_pow_product(s, e1, s - 1.0, e2)
         return _double_antiderivative(num / den)
     if fam == "two_pole":
         if spec.picture == "F_of_q":

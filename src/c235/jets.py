@@ -10,7 +10,11 @@ product is a lower-triangular Toeplitz matmul; a quotient, exp, power or
 series inverse a triangular solve of its recurrence (Taylor-mode
 propagation vectorised over base points). A test that depends on values
 raises its error where it holds, with the mask of those rows as the
-error's `rows`, and formats its message only then.
+error's `rows`, and formats its message only then. It reads the leading
+coefficients as coeffs.T[0]: a row on a stack, a numpy scalar at one
+point, where coeffs[..., 0] would be a 0-d array and each test a ufunc
+call. Jet1.derivs reads the derivatives a residual needs at once, as
+Python floats at one real point.
 
 What a caller supplies is coerced and checked: the coefficients given to
 Jet1(...), jet_const and jet_var, the order given to truncate, and a
@@ -56,6 +60,11 @@ def _as_coeffs(values: Sequence[Scalar]) -> np.ndarray:
     return arr.astype(complex if arr.dtype.kind == "c" else float, copy=False)
 
 
+def _shape(x) -> tuple:
+    """np.shape(x), without its array conversion for a Python float (one point)."""
+    return () if type(x) is float else np.shape(x)
+
+
 def _operand(x):
     """A scalar or per-row operand of +, -, * or / as a Python number, or as float64 or complex128.
 
@@ -89,6 +98,14 @@ def _naturals(n: int) -> np.ndarray:
     k = np.arange(1.0, n + 1)
     k.flags.writeable = False
     return k
+
+
+@functools.cache
+def _factorials(n: int) -> np.ndarray:
+    """The read-only vector 0!, 1!, ..., (n - 1)!."""
+    f = np.array([math.factorial(k) for k in range(n)], dtype=float)
+    f.flags.writeable = False
+    return f
 
 
 @functools.cache
@@ -173,10 +190,20 @@ class Jet1:
             raise IndexError(f"jet of order {self.order} has no derivative {k}")
         return self.coeffs.T[k] * math.factorial(k)
 
+    def derivs(self, n: int) -> list:
+        """deriv(0), ..., deriv(n - 1), read at once: Python floats at one real basepoint."""
+        if self.coeffs.ndim > 1 or self.is_complex:
+            return [self.deriv(k) for k in range(n)]
+        if n > self.order + 1:
+            raise IndexError(f"jet of order {self.order} has no derivative {n - 1}")
+        return (self.coeffs[:n] * _factorials(n)).tolist()
+
     def truncate(self, order: int) -> "Jet1":
         if order >= self.order:
             return self
-        return Jet1(self.basepoint, self.coeffs[..., : order + 1])
+        if order < 0:
+            raise ValueError("jet needs at least the constant coefficient")
+        return _jet(self.basepoint, self.coeffs[..., : order + 1])
 
     def derivative(self) -> "Jet1":
         """Formal derivative; drops one order."""
@@ -191,7 +218,7 @@ class Jet1:
         """
         n = min(self.order + 1, MAX_ORDER)
         constant = _operand(constant)
-        out = np.empty(self.coeffs.shape[:-1] + (n + 1,), np.result_type(self.coeffs, constant))
+        out = np.empty(self.coeffs.shape[:-1] + (n + 1,), _result_type(self.coeffs, constant))
         out[..., 0] = constant
         out[..., 1:] = self.coeffs[..., :n] / _naturals(n)
         return _jet(self.basepoint, out)
@@ -212,7 +239,7 @@ class Jet1:
     def __add__(self, other) -> "Jet1":
         if not isinstance(other, Jet1):
             other = _operand(other)
-            out = self.coeffs.astype(np.result_type(self.coeffs, other))
+            out = self.coeffs.astype(_result_type(self.coeffs, other))
             out[..., 0] += other
             return _jet(self.basepoint, out)
         o = self._coerce(other)
@@ -243,7 +270,7 @@ class Jet1:
         if not isinstance(other, Jet1):
             return _jet(self.basepoint, self.coeffs / _per_row(_operand(other)))
         o = self._coerce(other)
-        DivisionByZeroJet.raise_where(o.coeffs[..., 0] == 0, "division by a jet with zero value")
+        DivisionByZeroJet.raise_where(o.coeffs.T[0] == 0, "division by a jet with zero value")
         n = min(self.order, o.order)
         T = _toeplitz(o.coeffs[..., : n + 1])
         return _jet(self.basepoint, solve_lower(T, self.coeffs[..., : n + 1]))
@@ -267,19 +294,32 @@ def _jet(basepoint, coeffs: np.ndarray) -> Jet1:
     return jet
 
 
+def _result_type(coeffs: np.ndarray, x):
+    """The dtype of coeffs combined with the operand x; coeffs' own for a Python float."""
+    return coeffs.dtype if type(x) is float else np.result_type(coeffs, x)
+
+
+def _zeros(basepoint, order: int, value) -> np.ndarray:
+    """Zero coefficients for jets of `order` at basepoint, complex where value is."""
+    if order < 0:
+        raise ValueError("jet needs at least the constant coefficient")
+    real = type(value) is float or not np.iscomplexobj(value)
+    return np.zeros(_shape(basepoint) + (order + 1,), float if real else complex)
+
+
 def jet_const(value: Scalar | np.ndarray, basepoint: Scalar | np.ndarray, order: int) -> Jet1:
-    c = np.zeros(np.shape(basepoint) + (order + 1,), complex if np.iscomplexobj(value) else float)
+    c = _zeros(basepoint, order, value)
     c[..., 0] = value
-    return Jet1(basepoint, c)
+    return _jet(basepoint, c)
 
 
 def jet_var(basepoint: Scalar | np.ndarray, order: int = MAX_ORDER) -> Jet1:
     """Jet of the identity function x at ``basepoint`` (one or a stack of points)."""
-    c = np.zeros(np.shape(basepoint) + (order + 1,), complex if np.iscomplexobj(basepoint) else float)
+    c = _zeros(basepoint, order, basepoint)
     c[..., 0] = basepoint
     if order >= 1:
         c[..., 1] = 1.0
-    return Jet1(basepoint, c)
+    return _jet(basepoint, c)
 
 
 def jet_pow_int(f: Jet1, e: int) -> Jet1:
@@ -311,13 +351,13 @@ def jet_exp(f: Jet1) -> Jet1:
 
 def jet_log(f: Jet1) -> Jet1:
     """log f; the principal branch for complex jets."""
-    c0 = f.coeffs[..., 0]
+    c0 = f.coeffs.T[0]
     DivisionByZeroJet.raise_where(c0 == 0, "log of a jet with zero value")
     if not f.is_complex:
         BranchError.raise_where(c0 < 0, "log of a negative real jet")
     n = f.order
     g = np.empty_like(f.coeffs)
-    g[..., 0] = np.log(c0)
+    g[..., 0] = np.log(f.coeffs[..., 0])
     g[..., 1:] = (f.derivative() / f).coeffs[..., :n] / _naturals(n)
     return _jet(f.basepoint, g)
 
@@ -352,13 +392,15 @@ def jet_pow(f: Jet1, e) -> Jet1:
     """
     if isinstance(e, Fraction) and e.denominator == 1:
         return jet_pow_int(f, int(e))
-    c0 = f.coeffs[..., 0]
-    DivisionByZeroJet.raise_where(c0 == 0, "fractional power of a jet with zero value")
+    # the tests read a numpy scalar at one point; the value c0 stays an array, 0-d at one
+    # point, so that its power is the ufunc's, as on a stack, not the C library's pow
+    lead, c0 = f.coeffs.T[0], f.coeffs[..., 0]
+    DivisionByZeroJet.raise_where(lead == 0, "fractional power of a jet with zero value")
     if f.is_complex:
         return _power_series(f, float(e), c0 ** float(e))
     odd_root = isinstance(e, Fraction) and e.denominator % 2 == 1
     if not odd_root:
-        BranchError.raise_where(c0 < 0, lambda: f"negative base with exponent {e} has no real branch")
+        BranchError.raise_where(lead < 0, lambda: f"negative base with exponent {e} has no real branch")
     g0 = np.abs(c0) ** float(e)
     return _power_series(f, float(e), g0 * np.sign(c0) if odd_root and e.numerator % 2 else g0)
 
@@ -371,15 +413,32 @@ def jet_abs_pow(f: Jet1, e) -> Jet1:
     """
     if f.is_complex:
         raise BranchError("abs-power is a real-jet operation")
-    c0 = f.coeffs[..., 0]
-    DivisionByZeroJet.raise_where(c0 == 0, "fractional power of a jet with zero value")
-    return _power_series(f, float(e), np.abs(c0) ** float(e))
+    DivisionByZeroJet.raise_where(f.coeffs.T[0] == 0, "fractional power of a jet with zero value")
+    return _power_series(f, float(e), np.abs(f.coeffs[..., 0]) ** float(e))
+
+
+def jet_abs_pow_product(f: Jet1, a, g: Jet1, b) -> Jet1:
+    """jet_abs_pow(f, a) * jet_abs_pow(g, b) for jets of one order, with both power series in one solve."""
+    if f.is_complex or g.is_complex:
+        raise BranchError("abs-power is a real-jet operation")
+    n = f.order + 1
+    for h in (f, g):
+        DivisionByZeroJet.raise_where(h.coeffs.T[0] == 0, "fractional power of a jet with zero value")
+    a, b = float(a), float(b)
+    # the two systems of _power_series, stacked on an axis before their rows
+    L = np.empty(f.coeffs.shape[:-1] + (2, n, n))
+    np.multiply(_toeplitz(f.coeffs), _power_weights(a, n), out=L[..., 0, :, :])
+    np.multiply(_toeplitz(g.coeffs), _power_weights(b, n), out=L[..., 1, :, :])
+    L[..., 0, 0] = 1.0
+    x = solve_lower(L, _unit(n))
+    pf = _jet(f.basepoint, _per_row(np.abs(f.coeffs[..., 0]) ** a) * x[..., 0, :])
+    return pf * _jet(g.basepoint, _per_row(np.abs(g.coeffs[..., 0]) ** b) * x[..., 1, :])
 
 
 def jet_sqrt(f: Jet1) -> Jet1:
     if f.is_complex:
         return jet_pow(f, 0.5)
-    c0 = f.coeffs[..., 0]
+    c0 = f.coeffs.T[0]
     BranchError.raise_where(c0 <= 0, "sqrt of a non-positive real jet")
     return _power_series(f, 0.5, np.sqrt(c0))
 
@@ -391,7 +450,7 @@ def jet_compose(outer: Jet1, inner: Jet1) -> Jet1:
     """
     x0 = outer.basepoint
     BasepointMismatch.raise_where(
-        abs(inner.coeffs[..., 0] - x0) > 1e-9 * np.maximum(1.0, abs(x0)),
+        abs(inner.coeffs.T[0] - x0) > 1e-9 * np.maximum(1.0, abs(x0)),
         "inner value differs from the outer basepoint",
     )
     n = min(outer.order, inner.order)
@@ -404,7 +463,7 @@ def jet_invert(f: Jet1) -> Jet1:
     """Functional inverse series: g with g(f(x)) = x to truncation order."""
     if f.order < 1:
         raise NonInvertibleJet("jet has vanishing first derivative")
-    NonInvertibleJet.raise_where(f.coeffs[..., 1] == 0, "jet has vanishing first derivative")
+    NonInvertibleJet.raise_where(f.coeffs.T[1] == 0, "jet has vanishing first derivative")
     n = f.order
     F = f.coeffs.copy()
     F[..., 0] = 0.0

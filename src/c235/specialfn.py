@@ -32,6 +32,8 @@ from .errors import (
 )
 from .jets import (
     Jet1,
+    _jet,
+    _shape,
     jet_abs_pow,
     jet_compose,
     jet_invert,
@@ -48,7 +50,16 @@ def relative_residual(monomials):
     The monomials stack on axis 0. Dividing by the largest of them, with
     no floor, makes the residual invariant under rescaling the solution.
     DegenerateError marks the points where a monomial is not finite.
+
+    Real monomials at one point are summed in Python floats, left to right
+    as numpy sums the rows of a stack, so a point's residual is the same
+    number alone or in a stack.
     """
+    if all(isinstance(x, float) for x in monomials):
+        scale = max(map(abs, monomials))
+        if not all(map(math.isfinite, monomials)):
+            raise DegenerateError("residual is not finite at this point")
+        return float(abs(sum(monomials)) / scale) if scale > 0 else 0.0
     m = np.asarray(monomials, dtype=complex)
     scale = np.max(np.abs(m), axis=0)  # NaN or inf wherever a monomial is
     DegenerateError.raise_where(~np.isfinite(scale), "residual is not finite at this point")
@@ -165,19 +176,17 @@ def _term_count_rule(p: HyperTriple, order: int) -> Tuple[float, float]:
     return e, x
 
 
-def _weights_and_powers(s: np.ndarray, c: np.ndarray, counts: np.ndarray, order: int):
-    """(W, powers) with W[m, k] = c_{m+k} C(m+k, k) and each point's s^m for m < its count, else 0.
+def _weights_and_powers(s: np.ndarray, c: np.ndarray, nterms: int, order: int):
+    """(W, powers) with W[m, k] = c_{m+k} C(m+k, k) and powers[i, m] = s[i]^m, for m < nterms.
 
-    Coefficient k of the jet at each point is then sum_m powers[m] W[m, k].
+    Coefficient k of the jet at point i is then sum_m powers[i, m] W[m, k].
     The powers are formed as s^(32 j) s^i, at most two roundings from pow,
     where a running product would add one rounding per power.
     """
-    nterms = int(counts.max())
     m = np.arange(nterms)
     binom = _binomials(1 << (nterms - 1).bit_length(), order)[:nterms]
     j = 32 * np.arange(-(-nterms // 32))[:, None]
     powers = (s[:, None, None] ** j * s[:, None, None] ** m[:32]).reshape(len(s), -1)[:, :nterms]
-    powers[m >= counts[:, None]] = 0.0
     return c[m[:, None] + np.arange(order + 1)] * binom, powers
 
 
@@ -189,13 +198,65 @@ def _series_sums(s, L, counts, c, e: float, order: int):
     coefficient `order` is not SERIES_DIGITS digits below the one at m*,
     or the next term is larger.
     """
-    W, powers = _weights_and_powers(s, c, counts, order)
+    W, powers = _weights_and_powers(s, c, int(counts.max()), order)
     rows, last = np.arange(len(s)), counts - 1
+    powers[np.arange(powers.shape[1]) > last[:, None]] = 0.0
     peak = np.rint(np.minimum(e / L, last)).astype(int)
     term = lambda i: np.abs(W[i, order] * powers[rows, i])
     ratio = np.abs(s * c[last + order + 1] / c[last + order]) * (last + order + 1) / (last + 1)
     short = (term(last) > 10.0**-SERIES_DIGITS * term(peak)) | (ratio > 1)
     return (powers[:, None, :] @ W)[:, 0, :], short
+
+
+def _too_long(p: HyperTriple) -> str:
+    return f"series for {p.label()} does not fall {SERIES_DIGITS} digits in {SERIES_MAX_TERMS} terms"
+
+
+def _series_on_stack(p: HyperTriple, s: np.ndarray, s0, e: float, x: float, order: int):
+    """hyp2f1_jet's coefficients (len(s), order + 1) for a series that does not terminate."""
+    L = -np.log(np.maximum(np.abs(s), 1e-300))
+    # `order` + 32 terms past x m*, rounded up to a multiple of 32 (just those at s0 = 0)
+    counts = 32 * np.ceil((x * e / L + order + 32) / 32).astype(int)
+    while True:
+        SeriesDomainError.raise_where(np.reshape(counts > SERIES_MAX_TERMS, np.shape(s0)),
+                                      lambda: _too_long(p))
+        top = int(counts.max())
+        # a prefix of a cached power-of-two run, so the cache keeps few lengths per triple
+        c = _series_coeffs(p, 1 << (top + order).bit_length())
+        if len(s) * top <= SERIES_TABLE_ENTRIES:
+            coeffs, short = _series_sums(s, L, counts, c, e, order)
+        else:
+            # the points of each count apart, so a point near |s0| = 1
+            # does not size the table of the others
+            coeffs = np.empty((len(s), order + 1), dtype=np.result_type(s, float))
+            short = np.empty(len(s), dtype=bool)
+            for k in np.unique(counts):
+                rows = counts == k
+                coeffs[rows], short[rows] = _series_sums(
+                    s[rows], L[rows], counts[rows], c, e, order)
+        if not short.any():
+            return coeffs
+        counts = np.where(short, 2 * counts, counts)
+
+
+def _series_at_point(p: HyperTriple, s: np.ndarray, e: float, x: float, order: int):
+    """_series_on_stack at the one point of s, with the count and the shortfall test on Python numbers.
+
+    The same operations on the same doubles give the same count, and the
+    same coefficients; None where the count passes SERIES_MAX_TERMS.
+    """
+    L = float(-np.log(max(np.abs(s[0]), 1e-300)))
+    count = 32 * math.ceil((x * e / L + order + 32) / 32)
+    while count <= SERIES_MAX_TERMS:
+        c = _series_coeffs(p, 1 << (count + order).bit_length())
+        W, powers = _weights_and_powers(s, c, count, order)
+        last, peak = count - 1, round(min(e / L, count - 1))
+        term = lambda i: abs(W[i, order] * powers[0, i])
+        ratio = abs(s[0] * c[last + order + 1] / c[last + order]) * (last + order + 1) / (last + 1)
+        if not (term(last) > 10.0**-SERIES_DIGITS * term(peak) or ratio > 1):
+            return (powers[:, None, :] @ W)[:, 0, :]
+        count *= 2
+    return None
 
 
 def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
@@ -208,13 +269,14 @@ def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
     s0, real or complex. Otherwise each point sums its own number of
     terms, enough for them to fall SERIES_DIGITS digits below their peak;
     SeriesDomainError marks the points with |s0| >= 1 and those where that
-    takes more than SERIES_MAX_TERMS terms.
+    takes more than SERIES_MAX_TERMS terms. A single point counts its
+    terms on Python numbers, to the same count.
     """
-    s = np.reshape(s0, -1)
+    s = np.array([s0]) if type(s0) is float else np.reshape(s0, -1)
     length = _terminating_length(p)
     if length is not None:
         c = _poly_coeffs(p, length, order)
-        W, powers = _weights_and_powers(s, c, np.full(len(s), length), order)
+        W, powers = _weights_and_powers(s, c, length, order)
         coeffs = (powers[:, None, :] @ W)[:, 0, :]
     else:
         if _nonpositive_int(p.c):
@@ -224,41 +286,21 @@ def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
         SeriesDomainError.raise_where(
             abs(s0) >= 1, lambda: f"series for {p.label()} diverges at |s| >= 1")
         e, x = _term_count_rule(p, order)
-        L = -np.log(np.maximum(np.abs(s), 1e-300))
-        # `order` + 32 terms past x m*, rounded up to a multiple of 32 (just those at s0 = 0)
-        counts = 32 * np.ceil((x * e / L + order + 32) / 32).astype(int)
-        while True:
-            SeriesDomainError.raise_where(
-                np.reshape(counts > SERIES_MAX_TERMS, np.shape(s0)),
-                lambda: f"series for {p.label()} does not fall {SERIES_DIGITS} digits "
-                        f"in {SERIES_MAX_TERMS} terms")
-            top = int(counts.max())
-            # a prefix of a cached power-of-two run, so the cache keeps few lengths per triple
-            c = _series_coeffs(p, 1 << (top + order).bit_length())
-            if len(s) * top <= SERIES_TABLE_ENTRIES:
-                coeffs, short = _series_sums(s, L, counts, c, e, order)
-            else:
-                # the points of each count apart, so a point near |s0| = 1
-                # does not size the table of the others
-                coeffs = np.empty((len(s), order + 1), dtype=np.result_type(s, float))
-                short = np.empty(len(s), dtype=bool)
-                for k in np.unique(counts):
-                    rows = counts == k
-                    coeffs[rows], short[rows] = _series_sums(
-                        s[rows], L[rows], counts[rows], c, e, order)
-            if not short.any():
-                break
-            counts = np.where(short, 2 * counts, counts)
-    return Jet1(s0, coeffs.reshape(np.shape(s0) + (order + 1,)))
+        if len(s) != 1:
+            coeffs = _series_on_stack(p, s, s0, e, x, order)
+        else:
+            coeffs = _series_at_point(p, s, e, x, order)
+            if coeffs is None:
+                SeriesDomainError.raise_where(np.full(np.shape(s0), True), _too_long(p))
+    return _jet(s0, coeffs.reshape(_shape(s0) + (order + 1,)))
 
 
 def hypergeom_residual(z: Jet1, p: HyperTriple):
     """Relative residual of the hypergeometric equation on the jet z, at each of its basepoints."""
     s0 = z.basepoint
     a, b, c = float(p.a), float(p.b), float(p.c)
-    return relative_residual(
-        [s0 * (1 - s0) * z.deriv(2), (c - (a + b + 1) * s0) * z.deriv(1), -a * b * z.value()]
-    )
+    z0, z1, z2 = z.derivs(3)
+    return relative_residual([s0 * (1 - s0) * z2, (c - (a + b + 1) * s0) * z1, -a * b * z0])
 
 
 def hypergeom_pair(p: HyperTriple, s0, order: int = 8) -> Tuple[Jet1, Jet1]:
@@ -289,16 +331,17 @@ def schwarz_potential(alpha: float, beta: float, gamma: float, s0, order: int) -
 
     s0 is one point or a stack. With x = 1/s0, the Taylor coefficients of
     1/s are x (-x)^k and those of 1/s^2 are (k+1) x^2 (-x)^k; likewise
-    for s - 1, and 1/(s(s-1)) = 1/(s-1) - 1/s.
+    for s - 1, and 1/(s(s-1)) = 1/(s-1) - 1/s. At one real point x and
+    1/(s0 - 1) are Python floats.
     """
     DivisionByZeroJet.raise_where((s0 == 0) | (s0 == 1), "V has double poles at s = 0 and s = 1")
     k = np.arange(order + 1)
-    s = np.asarray(s0)[..., None]
+    s = s0 if isinstance(s0, float) else np.asarray(s0)[..., None]
     x, y = 1.0 / s, 1.0 / (s - 1.0)
     inv_s, inv_sm1 = x * (-x) ** k, y * (-y) ** k
     a2, b2, g2 = alpha**2, beta**2, gamma**2
     double_poles = (k + 1) * ((1 - b2) * x * inv_s + (1 - g2) * y * inv_sm1)
-    return Jet1(s0, double_poles + (b2 + g2 - a2 - 1) * (inv_sm1 - inv_s))
+    return _jet(s0, double_poles + (b2 + g2 - a2 - 1) * (inv_sm1 - inv_s))
 
 
 def u_ode_residual(u: Jet1, tr: Tuple[float, float, float]):

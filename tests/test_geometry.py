@@ -1,12 +1,13 @@
 """Tests for the 5D coframe, metric, and curvature machinery."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from c235.chazy import residual_ds6
-from c235.dist import F_jet, catalog, get_spec, legendre_transform
+from c235.dist import F_jet, catalog, dual_residual, get_spec, legendre_transform
 from c235.chazy import residual_6th
 from c235.cli import DEFAULT_TOL
 from c235.errors import (
@@ -889,6 +890,20 @@ def test_batched_jets_match_single_point(spec):
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (spec.id, i)
 
 
+@pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
+def test_one_point_residuals_are_their_rows_of_a_stack(spec):
+    # row i of a stacked jet, fed back as a one-point jet, takes the scalar
+    # branch of the residuals and must give row i of the stacked residual exactly
+    pts = np.array(sample_points(spec, 6, seed=7))[:, 4]
+    jet = F_jet(spec, pts)
+    stacked = {f: f(jet) for f in (residual_6th, residual_ds6, partial(dual_residual, spec))}
+    for i in range(len(pts)):
+        one = Jet1(jet.basepoint[i], jet.coeffs[i])
+        for f, rows in stacked.items():
+            got = f(one)
+            assert type(got) is float and got == rows[i], (spec.id, i, f)
+
+
 def test_a_bad_row_gets_its_error_and_the_others_their_values(monkeypatch):
     spec = get_spec("F-schwarz-(3,3,3)")
     pts = np.array(sample_points(spec, 6, seed=3))
@@ -906,13 +921,13 @@ def test_a_bad_row_gets_its_error_and_the_others_their_values(monkeypatch):
     # |s|**e1 of the Schwarz family sees the s of each point as its value
     from c235 import dist
 
-    abs_pow = dist.jet_abs_pow
+    abs_pow = dist.jet_abs_pow_product
 
-    def flaky(f, e):
+    def flaky(f, a, g, b):
         BranchError.raise_where(np.isin(f.value(), pts[[0, 4], 4]), "made to fail here")
-        return abs_pow(f, e)
+        return abs_pow(f, a, g, b)
 
-    monkeypatch.setattr(dist, "jet_abs_pow", flaky)
+    monkeypatch.setattr(dist, "jet_abs_pow_product", flaky)
     found = [None] * 6
     _, live = on_regular_rows(lambda p: F_jet(spec, p), pts[:, 4], np.arange(6), found)
     assert live.tolist() == [1, 2, 3, 5]

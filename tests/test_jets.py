@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c235.errors import BranchError, DivisionByZeroJet, NonInvertibleJet
+from c235.errors import BasepointMismatch, BranchError, DivisionByZeroJet, NonInvertibleJet
 from c235.jets import (
     MAX_ORDER,
     MJet2,
     Jet1,
     derivative_oracle,
     jet_abs_pow,
+    jet_abs_pow_product,
     jet_compose,
     jet_const,
     jet_exp,
@@ -306,6 +307,7 @@ STACK_KERNELS = {
     "pow": (lambda a, b: jet_pow(a, 2.5), positive, True, 0),
     "pow_odd_root": (lambda a, b: jet_pow(a, Fraction(-2, 3)), nonzero, False, 0),
     "abs_pow": (lambda a, b: jet_abs_pow(a, 0.75), nonzero, False, 0),
+    "abs_pow_product": (lambda a, b: jet_abs_pow_product(a, 0.75, b, -1.5), nonzero, False, 0),
     "sqrt": (lambda a, b: jet_sqrt(a), positive, True, 0),
     "compose": (lambda a, b: jet_compose(b, a - a.value() + b.basepoint), nonzero, True, 0),
     "invert": (lambda a, b: jet_invert(a), nonzero, True, 1),
@@ -335,6 +337,20 @@ def test_stacked_kernels_match_row_by_row(kernel, data):
         assert stacked.value()[i] == stacked.coeffs[i, 0]
 
 
+def test_abs_pow_product_is_its_two_powers_times_each_other():
+    # the two power series in one solve give the bits of two solves and a product
+    for x0 in (0.3, np.array([0.2, 0.3, 0.7])):
+        s = jet_var(x0, MAX_ORDER) * 1.3 + 0.1
+        got = jet_abs_pow_product(s, 0.75, s - 2.0, Fraction(5, 4))
+        want = jet_abs_pow(s, 0.75) * jet_abs_pow(s - 2.0, 1.25)
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+    with pytest.raises(DivisionByZeroJet) as exc:
+        jet_abs_pow_product(s, 0.75, Jet1(s.basepoint, s.coeffs * [[1.0], [0.0], [1.0]]), 1.25)
+    assert exc.value.rows.tolist() == [False, True, False]
+    with pytest.raises(BranchError):
+        jet_abs_pow_product(s, 0.75, s + 1j, 1.25)
+
+
 def test_stacked_kernels_raise_with_the_bad_rows():
     bp = np.array([0.1, 0.2, 0.3])
     f = Jet1(bp, [[1.0, 0.5, 0.1], [-2.0, 0.3, 0.0], [0.0, 1.0, 0.2]])
@@ -349,10 +365,20 @@ def test_stacked_kernels_raise_with_the_bad_rows():
         with pytest.raises(error) as exc:
             call()
         assert exc.value.rows.tolist() == rows
-    # at a single point the same test raises with no rows
-    with pytest.raises(DivisionByZeroJet) as exc:
-        jet_log(Jet1(0.3, f.coeffs[2]))
-    assert exc.value.rows is None
+    # at a single point, where the tests read a numpy scalar, each raises with no rows
+    at = lambda c: Jet1(0.3, c)
+    for call, error in (
+        (lambda: jet_log(at(f.coeffs[2])), DivisionByZeroJet),
+        (lambda: at(f.coeffs[0]) / at(f.coeffs[2]), DivisionByZeroJet),
+        (lambda: jet_log(at(f.coeffs[1])), BranchError),
+        (lambda: jet_pow(at(f.coeffs[1]), Fraction(1, 2)), BranchError),
+        (lambda: jet_pow(at(f.coeffs[1]), 0.25), BranchError),
+        (lambda: jet_invert(at([0.0, 0.0, 1.0])), NonInvertibleJet),
+        (lambda: jet_compose(Jet1(0.5, [1.0, 2.0, 3.0]), at([0.7, 1.0, 0.0])), BasepointMismatch),
+    ):
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.value.rows is None
     # the real odd root of a negative row keeps its sign
     cube = jet_pow(f + 1.0, Fraction(1, 3))
     assert cube.value()[1] == pytest.approx(-1.0)
@@ -427,6 +453,7 @@ RESULT_KERNELS = {
     "pow_frac": (lambda f, g: jet_pow(f, Fraction(1, 3)), MAX_ORDER),
     "pow_float": (lambda f, g: jet_pow(f, 2.5), MAX_ORDER),
     "abs_pow": (lambda f, g: jet_abs_pow(f, 0.75), MAX_ORDER),
+    "abs_pow_product": (lambda f, g: jet_abs_pow_product(f, 0.75, g, -1.5), MAX_ORDER),
     "sqrt": (lambda f, g: jet_sqrt(f), MAX_ORDER),
     "compose": (lambda f, g: jet_compose(g, f - f.value() + g.basepoint), MAX_ORDER),
     "invert": (lambda f, g: jet_invert(f), MAX_ORDER),
@@ -434,7 +461,7 @@ RESULT_KERNELS = {
 
 
 @pytest.mark.parametrize("kernel, kind", [(k, "real") for k in RESULT_KERNELS]
-                         + [(k, "complex") for k in RESULT_KERNELS if k != "abs_pow"])
+                         + [(k, "complex") for k in RESULT_KERNELS if not k.startswith("abs_pow")])
 @pytest.mark.parametrize("n", [None, 7])
 def test_kernel_results_keep_the_jet_invariants(kernel, kind, n):
     # results are built without Jet1's coercion: each is still a float64 or complex128 array

@@ -162,6 +162,23 @@ def test_stacked_jets_equal_single_point_jets(p, order, monkeypatch):
     np.testing.assert_array_equal(hyp2f1_jet(p, s0, order).coeffs, stacked)
 
 
+@pytest.mark.parametrize("p", SERIES_TRIPLES, ids=HyperTriple.label)
+def test_one_row_residuals_are_their_rows_of_a_stack(p):
+    # a single point and a 1-row stack take the one-point series branch; each
+    # must give its row of a 3-row stack, and the hypergeometric residual of that row,
+    # exactly: on a solution and on a control that fails
+    s0 = np.array([0.2, 0.45, 0.8])
+    for jet in (lambda s: hyp2f1_jet(p, s, 6), lambda s: jet_var(s, 6) ** 2):
+        stack = jet(s0)
+        stacked = hypergeom_residual(stack, p)
+        for i, s in enumerate(s0):
+            row, one = jet(s0[i:i + 1]), jet(float(s))
+            np.testing.assert_array_equal(row.coeffs, stack.coeffs[i:i + 1])
+            np.testing.assert_array_equal(one.coeffs, stack.coeffs[i])
+            assert hypergeom_residual(row, p).tolist() == [stacked[i]]
+            assert hypergeom_residual(one, p) == stacked[i]
+
+
 @pytest.mark.parametrize("s0", [0.3 + 0.4j, -11.5, 2.5, complex(-0.5, 0.5 * np.sqrt(3.0)), 1.0])
 def test_terminating_series_accept_any_point(s0):
     # the cubic identity sums (-4, -1; -2) at complex s, and frac_linear_s_over_sm1
@@ -188,6 +205,10 @@ def test_series_refuses_a_point_it_cannot_sum():
     with pytest.raises(SeriesDomainError) as exc:
         hyp2f1_jet(p, np.array([0.5, 1 - 1e-12, 0.98]), 8)
     assert exc.value.rows.tolist() == [False, True, False]
+    # a 1-row stack counts its terms as a single point does, and keeps its mask
+    with pytest.raises(SeriesDomainError) as exc:
+        hyp2f1_jet(p, np.array([1 - 1e-12]), 8)
+    assert exc.value.rows.tolist() == [True]
 
 
 def test_series_refuses_a_pole():
