@@ -193,7 +193,7 @@ class Jet1:
     def derivs(self, n: int) -> list:
         """deriv(0), ..., deriv(n - 1), read at once: Python floats at one real basepoint."""
         if self.coeffs.ndim > 1 or self.is_complex:
-            return [self.deriv(k) for k in range(n)]
+            return [self.value()] + [self.deriv(k) for k in range(1, n)]
         if n > self.order + 1:
             raise IndexError(f"jet of order {self.order} has no derivative {n - 1}")
         return (self.coeffs[:n] * _factorials(n)).tolist()

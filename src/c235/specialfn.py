@@ -55,7 +55,7 @@ def relative_residual(monomials):
     as numpy sums the rows of a stack, so a point's residual is the same
     number alone or in a stack.
     """
-    if all(isinstance(x, float) for x in monomials):
+    if isinstance(monomials[0], float) and all(isinstance(x, float) for x in monomials):
         scale = max(map(abs, monomials))
         if not all(map(math.isfinite, monomials)):
             raise DegenerateError("residual is not finite at this point")
