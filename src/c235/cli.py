@@ -64,15 +64,106 @@ def _tolerance(flag, default: float, env: str | None = None) -> float:
     return tol
 
 
+# an array's place in a report: json writes this string as _ARRAY_TEXT
+_ARRAY = "\0"
+_ARRAY_TEXT = json.dumps(_ARRAY)
+# json.dumps options of every report: one line, sorted keys; every payload is
+# a fresh tree, so the circular-reference check is skipped
+_ONE_LINE = {"sort_keys": True, "separators": (",", ":"), "check_circular": False}
+
+
+@functools.cache
+def _zero_tokens(shapes: tuple) -> tuple:
+    """The JSON of float zero arrays of `shapes`, cut into tokens at their entries.
+
+    Returns (tokens, slots, glue, before). Flat entry i of the arrays, taken
+    in turn, is tokens[slots[i]] == before[i] + "0.0", where before[i] is
+    the brackets and comma json writes ahead of it; before[n + i], for n
+    entries in all, is before[i] + "-". tokens[glue[k]] is an empty token
+    ahead of array k, and tokens[glue[-1]] one after the last.
+    """
+    tokens, slots, glue, before = [], [], [], []
+    for shape in shapes:
+        glue.append(len(tokens))
+        tokens.append("")
+        *seps, close = json.dumps(np.zeros(shape).tolist(), separators=(",", ":")).split("0.0")
+        slots.extend(range(len(tokens), len(tokens) + len(seps)))
+        tokens.extend(sep + "0.0" for sep in seps)
+        tokens.append(close)
+        before.extend(seps)
+    glue.append(len(tokens))
+    tokens.append("")
+    slots = np.array(slots)
+    before = np.array(before + [sep + "-" for sep in before], dtype=object)
+    slots.flags.writeable = before.flags.writeable = False
+    return tuple(tokens), slots, tuple(glue), before
+
+
+def _json_arrays(texts, arrays) -> str:
+    """texts[0], then each float64 array's JSON followed by the next text, as one string.
+
+    An array's JSON is the text json.dumps(a.tolist(), separators=(",", ":"))
+    gives, written by value: the arrays' zero text comes from _zero_tokens,
+    and each distinct non-zero magnitude is repr'd once, as json's encoder
+    does, with "-" ahead of a negative entry (-0.0 included). Arrays that
+    hold a NaN or an inf go through json.dumps itself, which writes them NaN,
+    Infinity and -Infinity.
+    """
+    tokens, slots, glue, before = _zero_tokens(tuple(a.shape for a in arrays))
+    flat = np.concatenate(arrays, axis=None)
+    nz = np.flatnonzero(flat.view(np.int64))  # every entry but +0.0
+    v = flat[nz]
+    mags, which = np.unique(np.abs(v), return_inverse=True)
+    if mags.size and not math.isfinite(mags[-1]):  # NaN and inf sort last
+        return texts[0] + "".join(json.dumps(a.tolist(), separators=(",", ":")) + t
+                                  for a, t in zip(arrays, texts[1:]))
+    text = list(map(float.__repr__, mags.tolist()))
+    out = list(tokens)
+    for k, t in zip(glue, texts):
+        out[k] = t
+    signed = before[nz + flat.size * np.signbit(v)].tolist()
+    for i, sep, k in zip(slots[nz].tolist(), signed, which.tolist()):
+        out[i] = sep + text[k]
+    return "".join(out)
+
+
+def _report_text(payload: dict) -> str:
+    """`payload` as one line of JSON with sorted keys, each ndarray in it as the JSON of its .tolist().
+
+    json.dumps leaves _ARRAY in each float64 array's place, in the order of
+    the sorted keys, and _json_arrays writes the arrays into those places
+    by value. A string of the payload that reads as the placeholder sends
+    the whole payload through .tolist().
+    """
+    arrays = []
+
+    def by_value(a):
+        if not isinstance(a, np.ndarray):
+            raise TypeError(f"{type(a).__name__} is not JSON serializable")
+        if a.dtype != np.float64:
+            return a.tolist()
+        arrays.append(a)
+        return _ARRAY
+
+    text = json.dumps(payload, default=by_value, **_ONE_LINE) + "\n"
+    if not arrays:
+        return text
+    pieces = text.split(_ARRAY_TEXT)
+    if len(pieces) != len(arrays) + 1:
+        return json.dumps(payload, default=np.ndarray.tolist, **_ONE_LINE) + "\n"
+    return _json_arrays(pieces, arrays)
+
+
 def _emit(payload: dict, args) -> None:
-    """Write a report as one line of JSON with sorted keys.
+    """Write a report, the one text of _report_text, to --out, stdout or both.
 
     Without `indent`, json.dumps uses CPython's C encoder; pretty-printing
     goes through the pure-Python one, which costs more than a curvature
     report takes to compute. Pipe through `python -m json.tool` to read it.
-    Every payload is a fresh tree, so the circular-reference check is skipped.
+    The arrays of a curvature report are written by value (_json_arrays),
+    without the nested lists of .tolist(), to the same text.
     """
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    text = _report_text(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -272,8 +363,8 @@ def cmd_curvature(args) -> int:
         "case": spec.id,
         "point": point,
         "coords": list(geometry.coframe_coords(spec)),
-        "report": {**{k: np.asarray(v).tolist() for k, v in vars(rep).items()},
-                   "signature": list(geometry.metric_signature(g))},
+        # the tensors stay arrays, which _emit writes by value
+        "report": {**vars(rep), "signature": list(geometry.metric_signature(g))},
     }
     _emit(payload, args)
     return 0
@@ -291,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"c235 {__version__}")
     sub = parser.add_subparsers(dest="command")
+    parser.commands = sub.choices  # each subcommand's own parser, by name
     # flags shared by subcommands: how a report is written, and how a run samples
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true")
@@ -325,8 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser of the subcommand argv[0] names reads the rest, once; the top-level
+    # parser reads --version, --help, a bare c235 and an argv that names no subcommand
+    command = parser.commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()
         return 2

@@ -268,9 +268,9 @@ def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
     series (a or b a non-positive integer) is a finite sum, valid at any
     s0, real or complex. Otherwise each point sums its own number of
     terms, enough for them to fall SERIES_DIGITS digits below their peak;
-    SeriesDomainError marks the points with |s0| >= 1 and those where that
-    takes more than SERIES_MAX_TERMS terms. A single point counts its
-    terms on Python numbers, to the same count.
+    SeriesDomainError marks the points where |s0| >= 1 or s0 is not
+    finite, and those where that takes more than SERIES_MAX_TERMS terms. A
+    single point counts its terms on Python numbers, to the same count.
     """
     s = np.array([s0]) if type(s0) is float else np.reshape(s0, -1)
     length = _terminating_length(p)
@@ -283,8 +283,9 @@ def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
             raise PoleError(f"c = {p.c} is a non-positive integer and the series does not terminate")
         SingularPointError.raise_where(
             s0 == 1, "s = 1 is a singular point of the hypergeometric equation")
+        # not |s0| < 1 refuses a NaN or infinite basepoint too
         SeriesDomainError.raise_where(
-            abs(s0) >= 1, lambda: f"series for {p.label()} diverges at |s| >= 1")
+            np.logical_not(abs(s0) < 1), lambda: f"series for {p.label()} diverges at |s| >= 1")
         e, x = _term_count_rule(p, order)
         if len(s) != 1:
             coeffs = _series_on_stack(p, s, s0, e, x, order)

@@ -3,12 +3,14 @@
 import argparse
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import c235
 from c235 import cli, dist, errors, geometry
 from c235.cli import main
 
@@ -288,6 +290,92 @@ def test_curvature_of_h_two_pole_keeps_x_apart_from_t(capsys):
     assert len(set(payload["coords"])) == 5
 
 
+def _head_curvature_text(case: str, point: str) -> str:
+    """The curvature report as json.dumps writes its .tolist() payload: the oracle of the writer."""
+    spec = dist.get_spec(case)
+    coords = cli._parse_point(point, spec)
+    g = geometry.metric_at(geometry.coframe_for_spec(spec, tuple(coords.values())))
+    rep = geometry.curvature(g)
+    payload = {
+        "version": cli.REPORT_VERSION,
+        "case": spec.id,
+        "point": coords,
+        "coords": list(geometry.coframe_coords(spec)),
+        "report": {**{k: np.asarray(v).tolist() for k, v in vars(rep).items()},
+                   "signature": list(geometry.metric_signature(g))},
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("spec", dist.catalog(), ids=lambda s: s.id)
+def test_curvature_report_is_the_json_of_its_lists(capsys, spec):
+    # F-power-3, the control, included: every case at 3 seeded points
+    for pt in geometry.sample_points(spec, 3, 23):
+        point = ",".join(f"{k}={v!r}" for k, v in zip(("x", "y", "z", "p", spec.param_name), pt))
+        code, out, _ = run(capsys, "curvature", "--case", spec.id, "--point", point, "--json")
+        assert code == 0
+        assert out == _head_curvature_text(spec.id, point)
+
+
+# --- the tensors' writer ---------------------------------------------------------
+
+
+def _dumps(a: np.ndarray) -> str:
+    return json.dumps(a.tolist(), separators=(",", ":"))
+
+
+SHAPES = [(), (1,), (4,), (1, 1), (2, 3), (3, 1), (1, 4, 1), (2, 1, 3), (5, 5, 5),
+          (1, 1, 1, 1), (2, 3, 1, 2), (5, 5, 5, 5)]
+# exact zeros, -0.0, a value and its negative, subnormals, the largest double, NaN and inf
+SPECIAL = [0.0, -0.0, 0.1, -0.1, 1 / 3, -1 / 3, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+           1.7976931348623157e308, -1.7976931348623157e308, 1e16, 123456789.0, math.nan,
+           math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_the_writer_writes_each_array_as_json_writes_its_list(shape):
+    rng = np.random.default_rng(len(shape) + math.prod(shape))
+    size = math.prod(shape)
+    finite = [v for v in SPECIAL if math.isfinite(v)]
+    # a few magnitudes, each with either sign, among zeros: as in a Riemann tensor
+    pool = rng.standard_normal(3) * 10.0 ** rng.integers(-300, 300, 3)
+    cases = [
+        np.zeros(shape),
+        np.full(shape, -0.0),
+        rng.choice(finite, size).reshape(shape),
+        (rng.choice(pool, size) * rng.choice([-1.0, 0.0, 0.0, 1.0], size)).reshape(shape),
+        rng.standard_normal(size).reshape(shape),
+    ]
+    for v in SPECIAL:
+        a = rng.choice(pool, size) * rng.choice([-1.0, 0.0, 1.0], size)
+        a[rng.integers(size)] = v
+        cases.append(a.reshape(shape))
+    for a in cases:
+        assert cli._json_arrays(["", ""], [a]) == _dumps(a)
+
+
+def test_the_writer_joins_arrays_and_texts_in_turn():
+    rng = np.random.default_rng(7)
+    arrays = [rng.choice([0.0, 0.5, -0.5, 1e-310], (5,) * k) for k in (3, 4, 2, 4)]
+    texts = ["{", ",", ",x,", "", "}\n"]
+    want = texts[0] + "".join(_dumps(a) + t for a, t in zip(arrays, texts[1:]))
+    assert cli._json_arrays(texts, arrays) == want
+    arrays[2][1, 1] = math.nan  # through json.dumps, with NaN
+    want = texts[0] + "".join(_dumps(a) + t for a, t in zip(arrays, texts[1:]))
+    assert cli._json_arrays(texts, arrays) == want and "NaN" in want
+
+
+@pytest.mark.parametrize("text", ["m", "\0"], ids=["text", "placeholder-text"])
+def test_emit_writes_the_arrays_of_a_payload_by_value(capsys, text):
+    # arrays anywhere in the payload, in the order of the sorted keys; a string that
+    # reads as the writer's placeholder is written as itself
+    a, k = np.array([[0.0, -0.0], [-2.5, 2.5]]), np.arange(3)
+    payload = {"z": a, "a": {"n": 1.5, "t": [a[0], np.float64(0.1), k]}, "m": text}
+    cli._emit(payload, argparse.Namespace(out=None, json=True))
+    lists = {"z": a.tolist(), "a": {"n": 1.5, "t": [a[0].tolist(), 0.1, [0, 1, 2]]}, "m": text}
+    assert capsys.readouterr().out == json.dumps(lists, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 # --- refused input -------------------------------------------------------------
 
 VERIFY_ONE = ("verify", "--case", "F-power-2", "--points", "2", "--json")
@@ -357,6 +445,47 @@ def test_no_subcommand_prints_the_usage_and_exits_2(capsys):
     code, out, err = run(capsys)
     assert code == 2
     assert out.startswith("usage: c235") and err == ""
+
+
+def _exits(capsys, *argv):
+    """main's exit code, with argparse's SystemExit read as one, and its stdout and stderr."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_the_top_level_parser_keeps_its_own_arguments(capsys):
+    parser = cli.build_parser()
+    assert _exits(capsys, "--version") == (0, f"c235 {c235.__version__}\n", "")
+    assert _exits(capsys, "--help") == (0, parser.format_help(), "")
+    code, out, err = _exits(capsys, "nope")
+    assert (code, out) == (2, "") and "invalid choice: 'nope'" in err
+    code, out, err = _exits(capsys, "--json", "list")
+    assert (code, out) == (2, "") and "unrecognized arguments" in err
+
+
+def test_a_subcommand_parses_its_own_arguments_once(capsys, monkeypatch):
+    verify = cli.build_parser().commands["verify"]
+    assert _exits(capsys, "verify", "--help") == (0, verify.format_help(), "")
+    assert verify.format_help().startswith("usage: c235 verify")
+    # argparse refuses an argument the subcommand does not take, and names the subcommand
+    for flag in ("--version", "--bogus"):
+        code, out, err = _exits(capsys, "verify", flag)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"c235 verify: error: unrecognized arguments: {flag}"
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    code, _, _ = _exits(capsys, "verify", "--case", "F-power-2", "--points", "1", "--json")
+    assert code == 0 and calls == ["c235 verify"]
 
 
 def test_unwritable_out_is_refused_before_any_case_runs(capsys, monkeypatch, tmp_path):

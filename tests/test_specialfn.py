@@ -211,6 +211,20 @@ def test_series_refuses_a_point_it_cannot_sum():
     assert exc.value.rows.tolist() == [True]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_series_refuses_a_basepoint_that_is_not_finite(bad):
+    # |s0| >= 1 is False at NaN: the domain test reads not |s0| < 1
+    p = HyperTriple(Fraction(-1, 4), Fraction(5, 12), Fraction(1, 2))
+    for s0 in (bad, np.float64(bad)):
+        with pytest.raises(SeriesDomainError) as exc:
+            hyp2f1_jet(p, s0, 8)
+        assert exc.value.rows is None
+    with pytest.raises(SeriesDomainError) as exc:
+        hyp2f1_jet(p, np.array([0.3, bad]), 8)
+    assert exc.value.rows.tolist() == [False, True]
+
+
 def test_series_refuses_a_pole():
     # (c)_n vanishes at n = 2, before the series of a = -4 ends at n = 4
     with pytest.raises(PoleError, match="before the series"):
