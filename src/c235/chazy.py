@@ -13,19 +13,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateError,
-    InvalidParam,
-    PoleError,
-    ZeroDenominatorError,
-    ZeroWronskianError,
-)
+from .errors import DegenerateError, InvalidParam, PoleError
 from .jets import (
     Jet1,
     _jet,
     _shape,
     _toeplitz,
-    jet_compose,
     jet_const,
     jet_exp,
     jet_invert,
@@ -87,12 +80,6 @@ class SchwarzTriple:
         return self._floats
 
 
-def residual_chazy(y: Jet1) -> float:
-    """Relative residual of y''' - 2 y y'' + 3 (y')^2."""
-    y0, y1, y2, y3 = y.derivs(4)
-    return relative_residual([y3, -2.0 * y0 * y2, 3.0 * y1 * y1])
-
-
 def residual_gen_chazy(y: Jet1, k: ChazyParam | Fraction | float) -> float:
     """Relative residual of y''' - 2 y'' y + 3 (y')^2 - c (6y' - y^2)^2."""
     if not isinstance(k, ChazyParam):
@@ -133,70 +120,6 @@ def residual_ds6(H: Jet1) -> float:
     return relative_residual(ds6_monomials(H.derivs(7)))
 
 
-def _schwarzian_derivative(s: Jet1) -> Tuple[complex, complex]:
-    """({s, q}, s_dot) at the basepoint."""
-    s1, s2, s3 = s.deriv(1), s.deriv(2), s.deriv(3)
-    if s1 == 0:
-        raise DegenerateError("s_dot = 0: the Schwarzian derivative is undefined")
-    return s3 / s1 - 1.5 * (s2 / s1) ** 2, s1
-
-
-def residual_schwarzian(s: Jet1, tr: SchwarzTriple) -> float:
-    """Relative residual of {s, q} + (s_dot^2 / 2) V(s)."""
-    sch, s1 = _schwarzian_derivative(s)
-    V = schwarz_potential(*tr.as_floats(), s.value(), 0).value()
-    return relative_residual([sch, 0.5 * s1 * s1 * V])
-
-
-def omegas_from_s(s: Jet1) -> Tuple[Jet1, Jet1, Jet1]:
-    """The three log-derivative combinations built from an s-jet in q.
-
-    Omega_1 = -1/2 d/dq log(s_dot/(s(s-1))), Omega_2 uses s-1, Omega_3 uses s.
-    """
-    if s.deriv(1) == 0:
-        raise DegenerateError("s_dot = 0")
-    if s.value() in (0.0, 1.0):
-        raise DegenerateError("s in {0,1}: the log arguments vanish")
-    sdot = s.derivative()
-    # d/dq log g = g'/g, insensitive to the sign of g
-    def dlog(g: Jet1) -> Jet1:
-        return g.derivative() / g
-    o1 = (-0.5) * dlog(sdot / (s * (s - 1.0)))
-    o2 = (-0.5) * dlog(sdot / (s - 1.0))
-    o3 = (-0.5) * dlog(sdot / s)
-    return o1, o2, o3
-
-
-def omega_residuals(s: Jet1, tr: SchwarzTriple) -> Tuple[Jet1, Jet1, Jet1, float]:
-    """(Omega_1, Omega_2, Omega_3, max relative residual of the system)."""
-    o1, o2, o3 = omegas_from_s(s)
-    a2, b2, g2 = (float(x) ** 2 for x in tr.as_floats())
-    v1, v2, v3 = o1.value(), o2.value(), o3.value()
-    tau2 = a2 * (v1 - v2) * (v3 - v1) + b2 * (v2 - v3) * (v1 - v2) + g2 * (v3 - v1) * (v2 - v3)
-    res = []
-    for oa, ob, oc in ((o1, o2, o3), (o2, o3, o1), (o3, o1, o2)):
-        va, vb, vc = oa.value(), ob.value(), oc.value()
-        res.append(relative_residual([oa.deriv(1), -(vb * vc), va * (vb + vc), -tau2]))
-    return o1, o2, o3, float(max(res))
-
-
-PARAM_WEIGHTS = {
-    "sum222": (2.0, 2.0, 2.0),
-    "w123": (1.0, 2.0, 3.0),
-    "w132": (1.0, 3.0, 2.0),
-    "w411": (4.0, 1.0, 1.0),
-}
-
-
-def parametrized_y(s: Jet1, weights: str) -> Jet1:
-    """y = -(a Omega_1 + b Omega_2 + c Omega_3) for the named weighting."""
-    if weights not in PARAM_WEIGHTS:
-        raise ValueError(f"unknown weighting {weights!r}")
-    a, b, c = PARAM_WEIGHTS[weights]
-    o1, o2, o3 = omegas_from_s(s)
-    return (-a) * o1 + (-b) * o2 + (-c) * o3
-
-
 def schwarz_solution(tr: SchwarzTriple, s0, order: int = 8) -> Jet1:
     """An s(q) jet solving the Schwarzian equation for the triple tr.
 
@@ -220,31 +143,6 @@ def schwarz_solution(tr: SchwarzTriple, s0, order: int = 8) -> Jet1:
     u = solve_lower(L[..., None, :, :], r)
     ua, ub = _jet(s0, u[..., 0, :]), _jet(s0, u[..., 1, :])
     return jet_invert((ub / ua).truncate(order))
-
-
-def chazy_log_solution(z1: Jet1, z2: Jet1) -> Tuple[float, Jet1]:
-    """(q0, y) with q = z2/z1 and y = 6 d/dq log z1, both as data in q; y to order 6.
-
-    z1, z2 are jets in s at a common basepoint; y comes back as a jet in q
-    at q0 via ds/dq = z1^2 / W(z1, z2) and composition.
-    """
-    if z1.value() == 0:
-        raise ZeroDenominatorError("z1 vanishes at the basepoint")
-    q_of_s = z2 / z1
-    W0 = z1.value() * z2.deriv(1) - z2.value() * z1.deriv(1)
-    # <=, not <: a pair whose two products are both 0 is dependent too
-    scale = max(abs(z1.value() * z2.deriv(1)), abs(z2.value() * z1.deriv(1)))
-    if abs(W0) <= 1e-12 * scale:
-        raise ZeroWronskianError("z1, z2 are linearly dependent")
-    if np.allclose(z1.coeffs[1:], 0.0):
-        q0 = q_of_s.value()
-        return float(np.real(q0)), jet_const(0.0, float(np.real(q0)), 6)
-    # y = 6 d/dq log z1 = 6 z1 (dz1/ds) / W via ds/dq = z1^2 / W
-    W = z1 * z2.derivative() - z2 * z1.derivative()
-    y_of_s = 6.0 * z1.derivative() * z1 / W
-    s_of_q = jet_invert(q_of_s)
-    y = jet_compose(y_of_s, s_of_q)
-    return y.basepoint, y.truncate(6)
 
 
 def two_pole_solution(k: Fraction | float, B: float, C: float, x0, order: int = 6) -> Jet1:

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .chazy import residual_6th
 from .dist import F_jet, catalog, dual_residual, get_spec
-from .errors import C235Error, InvalidParam
+from .errors import C235Error, InvalidParam, SingularMetricError
 from .specialfn import (
     CLOSED_FORM_HYPER,
     DEGREE6_EXCLUDED,
@@ -356,15 +356,22 @@ def _parse_point(text: str, spec) -> dict:
 def cmd_curvature(args) -> int:
     spec = get_spec(args.case)
     point = _parse_point(args.point, spec)
-    g = geometry.metric_at(geometry.coframe_for_spec(spec, tuple(point.values())))
-    rep = geometry.curvature(g)
+    # a finite point far out (p = 1e308) can overflow the metric or its curvature:
+    # that is refused as one error, not a RuntimeWarning and a report of NaN and inf
+    with np.errstate(all="ignore"):
+        g = geometry.metric_at(geometry.coframe_for_spec(spec, tuple(point.values())))
+        rep = geometry.curvature(g)
+        SingularMetricError.raise_where(
+            not np.isfinite(np.concatenate(list(vars(rep).values()), axis=None)).all(),
+            "the metric's curvature is not finite at this point")
+        signature = list(geometry.metric_signature(g))
     payload = {
         "version": REPORT_VERSION,
         "case": spec.id,
         "point": point,
         "coords": list(geometry.coframe_coords(spec)),
         # the tensors stay arrays, which _emit writes by value
-        "report": {**vars(rep), "signature": list(geometry.metric_signature(g))},
+        "report": {**vars(rep), "signature": signature},
     }
     _emit(payload, args)
     return 0

@@ -298,13 +298,6 @@ def ds_curve_solution(
     return jet_sqrt(radicand) - (f0 + f1 * t + f2 * t * t)
 
 
-def ds_curve_u(a: float, b: float, t0: float, order: int = 6) -> Jet1:
-    """u(t) = (3/2) d/dt log y''' for the curve branch with f = 0."""
-    y = ds_curve_solution(a, b, (0.0, 0.0, 0.0), t0, order + 4)
-    y3 = y.derivative().derivative().derivative()
-    return (1.5 * y3.derivative() / y3).truncate(order)
-
-
 def legendre_transform(F: Jet1) -> Tuple[float, Jet1]:
     """(t0, H) with H the Legendre transform of F: t = F', H(t) = q t - F.
 
@@ -322,23 +315,3 @@ def legendre_transform(F: Jet1) -> Tuple[float, Jet1]:
 def dual_residual(spec: SolutionSpec, jet: Jet1) -> float:
     """The dual sixth-order residual of jet = F_jet(spec, ...): of H itself, or of F's Legendre transform."""
     return residual_ds6(jet if spec.picture == "H_of_t" else legendre_transform(jet)[1])
-
-
-def legendre_pair_map(z1: Jet1, z2: Jet1, direction: str) -> Tuple[Jet1, Jet1]:
-    """Map a solution pair between the two pictures, in the s variable.
-
-    F_to_H: w1 = z1^(-3/4), w2 = w1 * int z1 (z2' z1 - z1' z2) ds.
-    H_to_F: z1 = w1^(-4/3), z2 = z1 * int w1^2 (w2' w1 - w1' w2) ds.
-    Antiderivative constants vanish at the basepoint (the catalog gauge).
-    """
-    if direction not in ("F_to_H", "H_to_F"):
-        raise ValueError(f"unknown direction {direction!r}")
-    BranchError.raise_where(np.real(z1.value()) <= 0, "leading solution must be positive at the basepoint")
-    wronsk = z2.derivative() * z1 - z1.derivative() * z2
-    if direction == "F_to_H":
-        w1 = jet_pow(z1, Fraction(-3, 4))
-        K = (z1 * wronsk).antiderivative(0.0)
-    else:
-        w1 = jet_pow(z1, Fraction(-4, 3))
-        K = (z1 * z1 * wronsk).antiderivative(0.0)
-    return w1, w1 * K

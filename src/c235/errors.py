@@ -41,10 +41,6 @@ class NonInvertibleJet(C235Error):
     pass
 
 
-class StencilEvaluationError(C235Error):
-    pass
-
-
 class SeriesDomainError(C235Error):
     pass
 
@@ -62,10 +58,6 @@ class LinearDependenceError(C235Error):
 
 
 class ZeroWronskianError(C235Error):
-    pass
-
-
-class ZeroDenominatorError(C235Error):
     pass
 
 

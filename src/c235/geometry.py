@@ -15,12 +15,11 @@ Ricci_bd = R^a_bad.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import C235Error, DegenerateError, SingularCoframeError, SingularMetricError
-from .chazy import ds6_monomials
 from .jets import Jet1, MJet2, _unit, jet_var
 from .dist import SolutionSpec, F_jet
 from .specialfn import ClosedFormId, closed_form_solution
@@ -317,50 +316,6 @@ def curvature(g: MatrixJet) -> CurvatureReport:
     )
 
 
-def _per_point(x: np.ndarray):
-    """A float at one point, else the array of one value per point."""
-    return x if x.ndim else float(x)
-
-
-def _max_abs(*tensors: np.ndarray, rank: int) -> np.ndarray:
-    """The largest |entry| over the last `rank` axes of all the tensors, per point."""
-    return np.max([np.max(np.abs(t), axis=tuple(range(-rank, 0))) for t in tensors], axis=0)
-
-
-def riemann_symmetry_error(rep: CurvatureReport):
-    """Max relative violation of the algebraic Riemann identities, per point.
-
-    Relative to max(max |R|, 1) at the point.
-    """
-    R = rep.riemann
-    e = _max_abs(
-        R + np.einsum("...bacd->...abcd", R),
-        R + np.einsum("...abdc->...abcd", R),
-        R - np.einsum("...cdab->...abcd", R),
-        R + np.einsum("...acdb->...abcd", R) + np.einsum("...adbc->...abcd", R),  # Bianchi
-        rank=4)
-    return _per_point(e / np.maximum(_max_abs(R, rank=4), 1.0))
-
-
-def weyl_trace_error(rep: CurvatureReport, g: MatrixJet):
-    """Max contraction of the Weyl tensor with the inverse metric, relative, per point.
-
-    Relative to |G^-1| (|d2g| + |G^-1| |dg|^2), with |.| the max-abs at
-    the point: the size of the terms that R^a_bcd is built from, so the
-    ratio does not change under g -> c g (0 where g has no partials). The
-    Weyl tensor itself is no scale: on a flat metric it is round-off.
-    """
-    ginv = np.linalg.inv(0.5 * (g.value + g.value.swapaxes(-1, -2)))
-    ginv_size = _max_abs(ginv, rank=2)
-    scale = ginv_size * (_max_abs(g.hess, rank=4) + ginv_size * _max_abs(g.grad, rank=3) ** 2)
-    err = _max_abs(
-        np.einsum("...ac,...abcd->...bd", ginv, rep.weyl),
-        np.einsum("...bd,...abcd->...ac", ginv, rep.weyl),
-        np.einsum("...ad,...abcd->...bc", ginv, rep.weyl),
-        rank=2)
-    return _per_point(np.divide(err, scale, out=np.zeros_like(err), where=scale > 0))
-
-
 def metric_signature(g: MatrixJet):
     """The sorted (negative, positive) eigenvalue counts: a tuple at one point, else (..., 2).
 
@@ -519,17 +474,6 @@ def _frame_ricci(cf: MatrixJet, W):
     return Rf[3, 3], np.max(np.abs(off)), rep
 
 
-def ricci_identity_check(q_of: Jet1, F_of: Jet1, point4) -> float:
-    """Relative error of Ricci against (9/120)(6I' - I^2) on wt4 x wt4."""
-    th, W, I, Ip = _reduced_frame(q_of, F_of, point4)
-    R44, off, rep = _frame_ricci(th, W)
-    expected = (9.0 / 120.0) * (6.0 * Ip - I * I)
-    scale = max(abs(expected), rep.metricScale * 1e-8, 1e-12)
-    err_off = off / max(abs(expected), 1.0)
-    err_44 = abs(R44 - expected) / scale
-    return float(max(err_44, err_off))
-
-
 def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4):
     """Ricci of nu^{-2} g against (3/(40 nu))(40 nu'' + (6I'-I^2) nu).
 
@@ -559,35 +503,3 @@ def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4):
         "offComponentMax": float(off),
         "ricciMax": float(rep.maxAbsRicci),
     }
-
-
-def weyl_equals_residual_check(H_jets: Sequence[Jet1]):
-    """The single frame Weyl component against the sixth-order ODE LHS.
-
-    The Weyl tensor of the dual-picture metric has one independent frame
-    component in the (theta^2, theta^5) slot; empirically it satisfies
-    C * (H'')^8 = LHS / 100 at every point for every H. Returns the
-    per-basepoint data and the relative spread of the normalised ratio.
-    """
-    rows = []
-    for H in H_jets:
-        cf = build_coframe(*_legendre_data(H), (0.1, -0.2, 0.3, 0.4))
-        rep = curvature(metric_at(cf))
-        Winv = np.linalg.inv(cf.value)  # the Weyl tensor's components against the frame
-        Cf = np.einsum("ai,bj,ck,dl,abcd->ijkl", Winv, Winv, Winv, Winv, rep.weyl)
-        comp = Cf[1, 4, 1, 4]  # the single independent slot (theta^2, theta^5)
-        d = [H.deriv(i) for i in range(7)]
-        lhs = sum(ds6_monomials(d))
-        ratio = comp * d[2] ** 8 / lhs if lhs != 0.0 else None
-        rows.append(
-            {"t0": float(H.basepoint), "weyl": float(comp), "ode": float(lhs),
-             "ratio": None if ratio is None else float(ratio)}
-        )
-    ratios = np.array([r["ratio"] for r in rows if r["ratio"] is not None])
-    if ratios.size == 0:
-        spread = 0.0
-        mean = 0.0
-    else:
-        mean = float(np.mean(ratios))
-        spread = float(np.max(np.abs(ratios - mean)) / abs(mean)) if mean != 0 else float("inf")
-    return {"rows": rows, "ratioMean": mean, "ratioSpread": spread}

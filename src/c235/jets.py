@@ -38,7 +38,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .errors import (
     BranchError,
     DivisionByZeroJet,
     NonInvertibleJet,
-    StencilEvaluationError,
 )
 
 MAX_ORDER = 8
@@ -472,70 +471,6 @@ def jet_invert(f: Jet1) -> Jet1:
     g[..., 0] = f.basepoint
     g[..., 1:] = solve_lower(_powers(F)[..., 1:, 1:], _unit(n))
     return _jet(f.value(), g)
-
-
-# --- finite-difference oracle (tests only) --------------------------
-
-
-def _fd_weights(m: int, order: int) -> list:
-    """Exact central-difference weights: sum w_j j^k = k! delta_{k,order}."""
-    from fractions import Fraction
-
-    n = 2 * m + 1
-    js = list(range(-m, m + 1))
-    M = [
-        [Fraction(j) ** k for j in js]
-        + [Fraction(math.factorial(order)) if k == order else Fraction(0)]
-        for k in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if M[r][col] != 0)
-        M[col], M[piv] = M[piv], M[col]
-        pivot = M[col][col]
-        M[col] = [x / pivot for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                factor = M[r][col]
-                M[r] = [a - factor * b for a, b in zip(M[r], M[col])]
-    return [float(M[i][n]) for i in range(n)]
-
-
-def _fd_apply(f, x0: float, order: int, m: int, h: float) -> float:
-    w = _fd_weights(m, order)
-    try:
-        vals = [f(x0 + j * h) for j in range(-m, m + 1)]
-    except Exception as exc:
-        raise StencilEvaluationError(str(exc)) from exc
-    if not np.all(np.isfinite(vals)):
-        raise StencilEvaluationError("stencil hit a non-finite function value")
-    return float(np.dot(w, vals)) / h**order
-
-
-def derivative_oracle(f: Callable[[float], float], x0: float, order: int) -> float:
-    """Central finite-difference estimate of f^(order)(x0).
-
-    Independent of the jet arithmetic; used as the brute-force oracle.
-    The stencil spans at most 0.75 * max(|x0|, 1) on each side, and three
-    step sizes are combined by Richardson extrapolation.
-    """
-    if order == 0:
-        return f(x0)
-    if order > 6:
-        raise ValueError("oracle supports derivative orders <= 6")
-    m = order // 2 + 2  # stencil half-width; extra points raise the FD order
-    h0 = 0.01 * 1.3 ** (order - 1) * max(abs(x0), 1.0)
-    estimates = [_fd_apply(f, x0, order, m, h0 * 2**i) for i in range(3)]
-    # symmetric stencils have an even error series starting at h^p
-    p = 2 * ((2 * m + 2 - order) // 2)
-    level = 0
-    while len(estimates) > 1:
-        q = 2.0 ** (p + 2 * level)
-        estimates = [
-            (q * estimates[i] - estimates[i + 1]) / (q - 1)
-            for i in range(len(estimates) - 1)
-        ]
-        level += 1
-    return estimates[0]
 
 
 # --- multivariate order-2 jets ---------------------------------------

@@ -345,27 +345,8 @@ def schwarz_potential(alpha: float, beta: float, gamma: float, s0, order: int) -
     return _jet(s0, double_poles + (b2 + g2 - a2 - 1) * (inv_sm1 - inv_s))
 
 
-def u_ode_residual(u: Jet1, tr: Tuple[float, float, float]):
-    """Relative residual of u'' + V(s) u / 4 = 0, at each of u's basepoints."""
-    V = schwarz_potential(*tr, u.basepoint, 0).value()
-    return relative_residual([u.deriv(2), 0.25 * V * u.value()])
-
-
 # --- closed-form catalogue --------------------------------------------
 
-# (alpha, beta, gamma) for the u''+Vu/4 rows; None for hypergeometric-ODE entries
-CLOSED_FORM_TRIPLES: dict[str, tuple] = {
-    "table1_row1": (3, 3, 3),
-    "table1_row2": (3, Frac(1, 3), Frac(1, 3)),
-    "table1_row3": (Frac(1, 3), 3, Frac(1, 3)),
-    "table1_row4": (Frac(1, 3), Frac(1, 3), 3),
-    "table2_row1": (Frac(3, 2), Frac(1, 3), Frac(1, 2)),
-    "table2_row2": (Frac(3, 2), 3, Frac(1, 2)),
-    "table2_row3": (Frac(3, 2), Frac(1, 3), Frac(9, 2)),
-    "table3_row1": (6, Frac(3, 2), Frac(3, 2)),
-    "table3_row2": (Frac(2, 3), Frac(3, 2), Frac(3, 2)),
-    "table3_row3": (Frac(2, 3), Frac(1, 6), Frac(1, 6)),
-}
 
 CLOSED_FORM_HYPER: dict[str, HyperTriple] = {
     "table1_row1": HyperTriple(-4, -1, -2),
@@ -492,25 +473,6 @@ def closed_form_solution(cid: ClosedFormId, s0, order: int = 8) -> Tuple[Jet1, J
         SingularPointError.raise_where((s0 == 0) | (s0 == 1), "s in {0,1}")
     e1, e2 = _closed_form_basis(cid.family, s0, order)
     return c1 * e1 + c2 * e2, c3 * e1 + c4 * e2
-
-
-def closed_form_ode_residual(cid: ClosedFormId, s0: float) -> float:
-    """Residual of the entry's own defining ODE on both returned jets, of order 6."""
-    z1, z2 = closed_form_solution(cid, s0, 6)
-    fam = cid.family
-    if fam in CLOSED_FORM_TRIPLES:
-        tr = tuple(float(x) for x in CLOSED_FORM_TRIPLES[fam])
-        return max(u_ode_residual(z1, tr), u_ode_residual(z2, tr))
-    if fam == "elementary_r":
-        r = s0
-        return max(
-            relative_residual(
-                [0.25 * (1 - r * r) * z.deriv(2), -(r / 3.0) * z.deriv(1), (5.0 / 9.0) * z.value()]
-            )
-            for z in (z1, z2)
-        )
-    p = CLOSED_FORM_HYPER[fam]
-    return max(hypergeom_residual(z1, p), hypergeom_residual(z2, p))
 
 
 # --- Wronskian law ----------------------------------------------------

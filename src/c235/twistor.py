@@ -18,7 +18,6 @@ import numpy as np
 from .dist import SolutionSpec, F_jet, dual_residual, get_spec
 from .errors import InvalidParam
 from .jets import Jet1
-from . import geometry
 
 
 @dataclass(frozen=True)
@@ -47,88 +46,6 @@ class PlebanskiData:
         if spec.picture != "H_of_t":
             raise InvalidParam("the 4-metric potential needs a dual-picture entry")
         return PlebanskiData(F_jet(spec, param_point), point4, xi)
-
-
-def plebanski_metric(d: PlebanskiData) -> geometry.MatrixJet:
-    """g = dw dx + dz dy + H(x) dz^2 as an order-2 jet in (w, x, y, z)."""
-    dim = 4
-    value = np.zeros((dim, dim))
-    grad = np.zeros((dim, dim, dim))
-    hess = np.zeros((dim, dim, dim, dim))
-    value[0, 1] = value[1, 0] = value[2, 3] = value[3, 2] = 0.5
-    c = d.H.coeffs  # H depends on x alone, the coordinate of index 1
-    value[3, 3], grad[1, 3, 3], hess[1, 1, 3, 3] = c[0], c[1], 2.0 * c[2]
-    return geometry.MatrixJet(value, grad, hess)
-
-
-def connection_forms(d: PlebanskiData) -> dict:
-    """The four displayed connection 1-forms as coefficient rows.
-
-    Rows are coefficients against (dw, dx, dy, dz), each a jet in x.
-    With an x-only potential all y-partials vanish, so only the dz
-    coefficient of Gamma^3_1 survives: -Theta_xxx = H'.
-    """
-    H1 = d.H.derivative()
-    zero = Jet1(H1.basepoint, np.zeros_like(H1.coeffs))
-    return {
-        "Gamma^1_1": (zero, zero, zero, zero),
-        "Gamma^1_3": (zero, zero, zero, zero),
-        "Gamma^3_1": (zero, zero, zero, H1),
-        "Gamma^3_3": (zero, zero, zero, zero),
-    }
-
-
-def frame_connection_check(d: PlebanskiData) -> float:
-    """Levi-Civita oracle for the displayed connection forms.
-
-    Builds the null frame e_1 = dx-dual, ..., computes
-    Gamma^i_j(e_c) = theta^i(nabla_{e_c} e_j) from coordinate
-    Christoffel symbols, and returns the max mismatch against
-    `connection_forms` evaluated on the same frame.
-    """
-    Gam = geometry.curvature(plebanski_metric(d)).christoffel
-    H0 = d.H.value()
-    # frame vectors in coordinates (w, x, y, z)
-    e = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],  # e_1, dual to theta^1 = dx
-            [1.0, 0.0, 0.0, 0.0],  # e_2, dual to theta^2 = dw
-            [0.0, 0.0, 1.0, 0.0],  # e_3, dual to theta^3 = dy + H dz
-            [0.0, 0.0, -H0, 1.0],  # e_4, dual to theta^4 = dz
-        ]
-    )
-    # coframe rows theta^i_a
-    th = np.array(
-        [
-            [0.0, 1.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, H0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-    # d_b e_j^a: only e_4^y = -H(x) varies, in x (coordinate index 1)
-    de = np.zeros((4, 4, 4))  # [b, j, a]
-    de[1, 3, 2] = -d.H.deriv(1)
-    # Gamma^i_j(e_c) = theta^i_a e_c^b (d_b e_j^a + Gam[a,b,d] e_j^d)
-    nabla = np.einsum("cb,bja->cja", e, de) + np.einsum(
-        "cb,abd,jd->cja", e, Gam, e
-    )
-    conn = np.einsum("ia,cja->ijc", th, nabla)  # Gamma^i_j on e_c
-    forms = connection_forms(d)
-    slots = {"Gamma^1_1": (0, 0), "Gamma^1_3": (0, 2), "Gamma^3_1": (2, 0), "Gamma^3_3": (2, 2)}
-    return max(
-        float(np.max(np.abs(conn[i, j] - e @ [c.value() for c in forms[name]])))
-        for name, (i, j) in slots.items()
-    )
-
-
-def metric_compatibility_error(g: geometry.MatrixJet) -> float:
-    """Max |nabla g| for the Levi-Civita connection computed from g."""
-    Gam = geometry.curvature(g).christoffel
-    G = g.value
-    nabla = (geometry.padded_grad(g) - np.einsum("dca,db->cab", Gam, G)
-             - np.einsum("dcb,ad->cab", Gam, G))
-    return float(np.max(np.abs(nabla)))
 
 
 def twistor_annihilators(d: PlebanskiData):

@@ -1,0 +1,465 @@
+"""Oracles and identity checks that only the tests call.
+
+Each one checks the package by an independent route, or against one of the
+paper's displays, and no command, demo or benchmark calls it: the
+finite-difference derivative oracle, the Chazy, Schwarzian, Omega-system
+and closed-form residuals, the Legendre map of solution pairs, the Riemann,
+Weyl and Ricci identity checks, and the Plebanski connection checks. The
+package keeps the certificate path they check.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Callable, Sequence, Tuple
+
+import numpy as np
+
+from c235 import geometry
+from c235.chazy import SchwarzTriple, ds6_monomials
+from c235.dist import ds_curve_solution
+from c235.errors import BranchError, C235Error, DegenerateError, ZeroWronskianError
+from c235.geometry import (
+    CurvatureReport,
+    MatrixJet,
+    _frame_ricci,
+    _legendre_data,
+    _reduced_frame,
+    build_coframe,
+    curvature,
+    metric_at,
+)
+from c235.jets import Jet1, jet_compose, jet_const, jet_invert, jet_pow
+from c235.specialfn import (
+    CLOSED_FORM_HYPER,
+    ClosedFormId,
+    closed_form_solution,
+    hypergeom_residual,
+    relative_residual,
+    schwarz_potential,
+)
+from c235.twistor import PlebanskiData
+
+Frac = Fraction
+
+
+# --- errors raised only here ------------------------------------------
+
+
+class StencilEvaluationError(C235Error):
+    pass
+
+
+class ZeroDenominatorError(C235Error):
+    pass
+
+
+# --- finite-difference derivative oracle ------------------------------
+
+
+def _fd_weights(m: int, order: int) -> list:
+    """Exact central-difference weights: sum w_j j^k = k! delta_{k,order}."""
+    from fractions import Fraction
+
+    n = 2 * m + 1
+    js = list(range(-m, m + 1))
+    M = [
+        [Fraction(j) ** k for j in js]
+        + [Fraction(math.factorial(order)) if k == order else Fraction(0)]
+        for k in range(n)
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if M[r][col] != 0)
+        M[col], M[piv] = M[piv], M[col]
+        pivot = M[col][col]
+        M[col] = [x / pivot for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                factor = M[r][col]
+                M[r] = [a - factor * b for a, b in zip(M[r], M[col])]
+    return [float(M[i][n]) for i in range(n)]
+
+
+def _fd_apply(f, x0: float, order: int, m: int, h: float) -> float:
+    w = _fd_weights(m, order)
+    try:
+        vals = [f(x0 + j * h) for j in range(-m, m + 1)]
+    except Exception as exc:
+        raise StencilEvaluationError(str(exc)) from exc
+    if not np.all(np.isfinite(vals)):
+        raise StencilEvaluationError("stencil hit a non-finite function value")
+    return float(np.dot(w, vals)) / h**order
+
+
+def derivative_oracle(f: Callable[[float], float], x0: float, order: int) -> float:
+    """Central finite-difference estimate of f^(order)(x0).
+
+    Independent of the jet arithmetic; used as the brute-force oracle.
+    The stencil spans at most 0.75 * max(|x0|, 1) on each side, and three
+    step sizes are combined by Richardson extrapolation.
+    """
+    if order == 0:
+        return f(x0)
+    if order > 6:
+        raise ValueError("oracle supports derivative orders <= 6")
+    m = order // 2 + 2  # stencil half-width; extra points raise the FD order
+    h0 = 0.01 * 1.3 ** (order - 1) * max(abs(x0), 1.0)
+    estimates = [_fd_apply(f, x0, order, m, h0 * 2**i) for i in range(3)]
+    # symmetric stencils have an even error series starting at h^p
+    p = 2 * ((2 * m + 2 - order) // 2)
+    level = 0
+    while len(estimates) > 1:
+        q = 2.0 ** (p + 2 * level)
+        estimates = [
+            (q * estimates[i] - estimates[i + 1]) / (q - 1)
+            for i in range(len(estimates) - 1)
+        ]
+        level += 1
+    return estimates[0]
+
+
+# --- closed-form ODE residuals ----------------------------------------
+
+
+def u_ode_residual(u: Jet1, tr: Tuple[float, float, float]):
+    """Relative residual of u'' + V(s) u / 4 = 0, at each of u's basepoints."""
+    V = schwarz_potential(*tr, u.basepoint, 0).value()
+    return relative_residual([u.deriv(2), 0.25 * V * u.value()])
+
+
+# (alpha, beta, gamma) for the u''+Vu/4 rows; None for hypergeometric-ODE entries
+CLOSED_FORM_TRIPLES: dict[str, tuple] = {
+    "table1_row1": (3, 3, 3),
+    "table1_row2": (3, Frac(1, 3), Frac(1, 3)),
+    "table1_row3": (Frac(1, 3), 3, Frac(1, 3)),
+    "table1_row4": (Frac(1, 3), Frac(1, 3), 3),
+    "table2_row1": (Frac(3, 2), Frac(1, 3), Frac(1, 2)),
+    "table2_row2": (Frac(3, 2), 3, Frac(1, 2)),
+    "table2_row3": (Frac(3, 2), Frac(1, 3), Frac(9, 2)),
+    "table3_row1": (6, Frac(3, 2), Frac(3, 2)),
+    "table3_row2": (Frac(2, 3), Frac(3, 2), Frac(3, 2)),
+    "table3_row3": (Frac(2, 3), Frac(1, 6), Frac(1, 6)),
+}
+
+
+def closed_form_ode_residual(cid: ClosedFormId, s0: float) -> float:
+    """Residual of the entry's own defining ODE on both returned jets, of order 6."""
+    z1, z2 = closed_form_solution(cid, s0, 6)
+    fam = cid.family
+    if fam in CLOSED_FORM_TRIPLES:
+        tr = tuple(float(x) for x in CLOSED_FORM_TRIPLES[fam])
+        return max(u_ode_residual(z1, tr), u_ode_residual(z2, tr))
+    if fam == "elementary_r":
+        r = s0
+        return max(
+            relative_residual(
+                [0.25 * (1 - r * r) * z.deriv(2), -(r / 3.0) * z.deriv(1), (5.0 / 9.0) * z.value()]
+            )
+            for z in (z1, z2)
+        )
+    p = CLOSED_FORM_HYPER[fam]
+    return max(hypergeom_residual(z1, p), hypergeom_residual(z2, p))
+
+
+# --- Chazy, Schwarzian and Omega-system residuals ---------------------
+
+
+def residual_chazy(y: Jet1) -> float:
+    """Relative residual of y''' - 2 y y'' + 3 (y')^2."""
+    y0, y1, y2, y3 = y.derivs(4)
+    return relative_residual([y3, -2.0 * y0 * y2, 3.0 * y1 * y1])
+
+
+def _schwarzian_derivative(s: Jet1) -> Tuple[complex, complex]:
+    """({s, q}, s_dot) at the basepoint."""
+    s1, s2, s3 = s.deriv(1), s.deriv(2), s.deriv(3)
+    if s1 == 0:
+        raise DegenerateError("s_dot = 0: the Schwarzian derivative is undefined")
+    return s3 / s1 - 1.5 * (s2 / s1) ** 2, s1
+
+
+def residual_schwarzian(s: Jet1, tr: SchwarzTriple) -> float:
+    """Relative residual of {s, q} + (s_dot^2 / 2) V(s)."""
+    sch, s1 = _schwarzian_derivative(s)
+    V = schwarz_potential(*tr.as_floats(), s.value(), 0).value()
+    return relative_residual([sch, 0.5 * s1 * s1 * V])
+
+
+def omegas_from_s(s: Jet1) -> Tuple[Jet1, Jet1, Jet1]:
+    """The three log-derivative combinations built from an s-jet in q.
+
+    Omega_1 = -1/2 d/dq log(s_dot/(s(s-1))), Omega_2 uses s-1, Omega_3 uses s.
+    """
+    if s.deriv(1) == 0:
+        raise DegenerateError("s_dot = 0")
+    if s.value() in (0.0, 1.0):
+        raise DegenerateError("s in {0,1}: the log arguments vanish")
+    sdot = s.derivative()
+    # d/dq log g = g'/g, insensitive to the sign of g
+    def dlog(g: Jet1) -> Jet1:
+        return g.derivative() / g
+    o1 = (-0.5) * dlog(sdot / (s * (s - 1.0)))
+    o2 = (-0.5) * dlog(sdot / (s - 1.0))
+    o3 = (-0.5) * dlog(sdot / s)
+    return o1, o2, o3
+
+
+def omega_residuals(s: Jet1, tr: SchwarzTriple) -> Tuple[Jet1, Jet1, Jet1, float]:
+    """(Omega_1, Omega_2, Omega_3, max relative residual of the system)."""
+    o1, o2, o3 = omegas_from_s(s)
+    a2, b2, g2 = (float(x) ** 2 for x in tr.as_floats())
+    v1, v2, v3 = o1.value(), o2.value(), o3.value()
+    tau2 = a2 * (v1 - v2) * (v3 - v1) + b2 * (v2 - v3) * (v1 - v2) + g2 * (v3 - v1) * (v2 - v3)
+    res = []
+    for oa, ob, oc in ((o1, o2, o3), (o2, o3, o1), (o3, o1, o2)):
+        va, vb, vc = oa.value(), ob.value(), oc.value()
+        res.append(relative_residual([oa.deriv(1), -(vb * vc), va * (vb + vc), -tau2]))
+    return o1, o2, o3, float(max(res))
+
+
+PARAM_WEIGHTS = {
+    "sum222": (2.0, 2.0, 2.0),
+    "w123": (1.0, 2.0, 3.0),
+    "w132": (1.0, 3.0, 2.0),
+    "w411": (4.0, 1.0, 1.0),
+}
+
+
+def parametrized_y(s: Jet1, weights: str) -> Jet1:
+    """y = -(a Omega_1 + b Omega_2 + c Omega_3) for the named weighting."""
+    if weights not in PARAM_WEIGHTS:
+        raise ValueError(f"unknown weighting {weights!r}")
+    a, b, c = PARAM_WEIGHTS[weights]
+    o1, o2, o3 = omegas_from_s(s)
+    return (-a) * o1 + (-b) * o2 + (-c) * o3
+
+
+def chazy_log_solution(z1: Jet1, z2: Jet1) -> Tuple[float, Jet1]:
+    """(q0, y) with q = z2/z1 and y = 6 d/dq log z1, both as data in q; y to order 6.
+
+    z1, z2 are jets in s at a common basepoint; y comes back as a jet in q
+    at q0 via ds/dq = z1^2 / W(z1, z2) and composition.
+    """
+    if z1.value() == 0:
+        raise ZeroDenominatorError("z1 vanishes at the basepoint")
+    q_of_s = z2 / z1
+    W0 = z1.value() * z2.deriv(1) - z2.value() * z1.deriv(1)
+    # <=, not <: a pair whose two products are both 0 is dependent too
+    scale = max(abs(z1.value() * z2.deriv(1)), abs(z2.value() * z1.deriv(1)))
+    if abs(W0) <= 1e-12 * scale:
+        raise ZeroWronskianError("z1, z2 are linearly dependent")
+    if np.allclose(z1.coeffs[1:], 0.0):
+        q0 = q_of_s.value()
+        return float(np.real(q0)), jet_const(0.0, float(np.real(q0)), 6)
+    # y = 6 d/dq log z1 = 6 z1 (dz1/ds) / W via ds/dq = z1^2 / W
+    W = z1 * z2.derivative() - z2 * z1.derivative()
+    y_of_s = 6.0 * z1.derivative() * z1 / W
+    s_of_q = jet_invert(q_of_s)
+    y = jet_compose(y_of_s, s_of_q)
+    return y.basepoint, y.truncate(6)
+
+
+# --- the curve branch's u and the Legendre map of solution pairs ------
+
+
+def ds_curve_u(a: float, b: float, t0: float, order: int = 6) -> Jet1:
+    """u(t) = (3/2) d/dt log y''' for the curve branch with f = 0."""
+    y = ds_curve_solution(a, b, (0.0, 0.0, 0.0), t0, order + 4)
+    y3 = y.derivative().derivative().derivative()
+    return (1.5 * y3.derivative() / y3).truncate(order)
+
+
+def legendre_pair_map(z1: Jet1, z2: Jet1, direction: str) -> Tuple[Jet1, Jet1]:
+    """Map a solution pair between the two pictures, in the s variable.
+
+    F_to_H: w1 = z1^(-3/4), w2 = w1 * int z1 (z2' z1 - z1' z2) ds.
+    H_to_F: z1 = w1^(-4/3), z2 = z1 * int w1^2 (w2' w1 - w1' w2) ds.
+    Antiderivative constants vanish at the basepoint (the catalog gauge).
+    """
+    if direction not in ("F_to_H", "H_to_F"):
+        raise ValueError(f"unknown direction {direction!r}")
+    BranchError.raise_where(np.real(z1.value()) <= 0, "leading solution must be positive at the basepoint")
+    wronsk = z2.derivative() * z1 - z1.derivative() * z2
+    if direction == "F_to_H":
+        w1 = jet_pow(z1, Fraction(-3, 4))
+        K = (z1 * wronsk).antiderivative(0.0)
+    else:
+        w1 = jet_pow(z1, Fraction(-4, 3))
+        K = (z1 * z1 * wronsk).antiderivative(0.0)
+    return w1, w1 * K
+
+
+# --- Riemann, Weyl and Ricci identity checks --------------------------
+
+
+def _per_point(x: np.ndarray):
+    """A float at one point, else the array of one value per point."""
+    return x if x.ndim else float(x)
+
+
+def _max_abs(*tensors: np.ndarray, rank: int) -> np.ndarray:
+    """The largest |entry| over the last `rank` axes of all the tensors, per point."""
+    return np.max([np.max(np.abs(t), axis=tuple(range(-rank, 0))) for t in tensors], axis=0)
+
+
+def riemann_symmetry_error(rep: CurvatureReport):
+    """Max relative violation of the algebraic Riemann identities, per point.
+
+    Relative to max(max |R|, 1) at the point.
+    """
+    R = rep.riemann
+    e = _max_abs(
+        R + np.einsum("...bacd->...abcd", R),
+        R + np.einsum("...abdc->...abcd", R),
+        R - np.einsum("...cdab->...abcd", R),
+        R + np.einsum("...acdb->...abcd", R) + np.einsum("...adbc->...abcd", R),  # Bianchi
+        rank=4)
+    return _per_point(e / np.maximum(_max_abs(R, rank=4), 1.0))
+
+
+def weyl_trace_error(rep: CurvatureReport, g: MatrixJet):
+    """Max contraction of the Weyl tensor with the inverse metric, relative, per point.
+
+    Relative to |G^-1| (|d2g| + |G^-1| |dg|^2), with |.| the max-abs at
+    the point: the size of the terms that R^a_bcd is built from, so the
+    ratio does not change under g -> c g (0 where g has no partials). The
+    Weyl tensor itself is no scale: on a flat metric it is round-off.
+    """
+    ginv = np.linalg.inv(0.5 * (g.value + g.value.swapaxes(-1, -2)))
+    ginv_size = _max_abs(ginv, rank=2)
+    scale = ginv_size * (_max_abs(g.hess, rank=4) + ginv_size * _max_abs(g.grad, rank=3) ** 2)
+    err = _max_abs(
+        np.einsum("...ac,...abcd->...bd", ginv, rep.weyl),
+        np.einsum("...bd,...abcd->...ac", ginv, rep.weyl),
+        np.einsum("...ad,...abcd->...bc", ginv, rep.weyl),
+        rank=2)
+    return _per_point(np.divide(err, scale, out=np.zeros_like(err), where=scale > 0))
+
+
+def ricci_identity_check(q_of: Jet1, F_of: Jet1, point4) -> float:
+    """Relative error of Ricci against (9/120)(6I' - I^2) on wt4 x wt4."""
+    th, W, I, Ip = _reduced_frame(q_of, F_of, point4)
+    R44, off, rep = _frame_ricci(th, W)
+    expected = (9.0 / 120.0) * (6.0 * Ip - I * I)
+    scale = max(abs(expected), rep.metricScale * 1e-8, 1e-12)
+    err_off = off / max(abs(expected), 1.0)
+    err_44 = abs(R44 - expected) / scale
+    return float(max(err_44, err_off))
+
+
+def weyl_equals_residual_check(H_jets: Sequence[Jet1]):
+    """The single frame Weyl component against the sixth-order ODE LHS.
+
+    The Weyl tensor of the dual-picture metric has one independent frame
+    component in the (theta^2, theta^5) slot; empirically it satisfies
+    C * (H'')^8 = LHS / 100 at every point for every H. Returns the
+    per-basepoint data and the relative spread of the normalised ratio.
+    """
+    rows = []
+    for H in H_jets:
+        cf = build_coframe(*_legendre_data(H), (0.1, -0.2, 0.3, 0.4))
+        rep = curvature(metric_at(cf))
+        Winv = np.linalg.inv(cf.value)  # the Weyl tensor's components against the frame
+        Cf = np.einsum("ai,bj,ck,dl,abcd->ijkl", Winv, Winv, Winv, Winv, rep.weyl)
+        comp = Cf[1, 4, 1, 4]  # the single independent slot (theta^2, theta^5)
+        d = [H.deriv(i) for i in range(7)]
+        lhs = sum(ds6_monomials(d))
+        ratio = comp * d[2] ** 8 / lhs if lhs != 0.0 else None
+        rows.append(
+            {"t0": float(H.basepoint), "weyl": float(comp), "ode": float(lhs),
+             "ratio": None if ratio is None else float(ratio)}
+        )
+    ratios = np.array([r["ratio"] for r in rows if r["ratio"] is not None])
+    if ratios.size == 0:
+        spread = 0.0
+        mean = 0.0
+    else:
+        mean = float(np.mean(ratios))
+        spread = float(np.max(np.abs(ratios - mean)) / abs(mean)) if mean != 0 else float("inf")
+    return {"rows": rows, "ratioMean": mean, "ratioSpread": spread}
+
+
+# --- the Plebanski metric and its connection forms --------------------
+
+
+def plebanski_metric(d: PlebanskiData) -> geometry.MatrixJet:
+    """g = dw dx + dz dy + H(x) dz^2 as an order-2 jet in (w, x, y, z)."""
+    dim = 4
+    value = np.zeros((dim, dim))
+    grad = np.zeros((dim, dim, dim))
+    hess = np.zeros((dim, dim, dim, dim))
+    value[0, 1] = value[1, 0] = value[2, 3] = value[3, 2] = 0.5
+    c = d.H.coeffs  # H depends on x alone, the coordinate of index 1
+    value[3, 3], grad[1, 3, 3], hess[1, 1, 3, 3] = c[0], c[1], 2.0 * c[2]
+    return geometry.MatrixJet(value, grad, hess)
+
+
+def connection_forms(d: PlebanskiData) -> dict:
+    """The four displayed connection 1-forms as coefficient rows.
+
+    Rows are coefficients against (dw, dx, dy, dz), each a jet in x.
+    With an x-only potential all y-partials vanish, so only the dz
+    coefficient of Gamma^3_1 survives: -Theta_xxx = H'.
+    """
+    H1 = d.H.derivative()
+    zero = Jet1(H1.basepoint, np.zeros_like(H1.coeffs))
+    return {
+        "Gamma^1_1": (zero, zero, zero, zero),
+        "Gamma^1_3": (zero, zero, zero, zero),
+        "Gamma^3_1": (zero, zero, zero, H1),
+        "Gamma^3_3": (zero, zero, zero, zero),
+    }
+
+
+def frame_connection_check(d: PlebanskiData) -> float:
+    """Levi-Civita oracle for the displayed connection forms.
+
+    Builds the null frame e_1 = dx-dual, ..., computes
+    Gamma^i_j(e_c) = theta^i(nabla_{e_c} e_j) from coordinate
+    Christoffel symbols, and returns the max mismatch against
+    `connection_forms` evaluated on the same frame.
+    """
+    Gam = geometry.curvature(plebanski_metric(d)).christoffel
+    H0 = d.H.value()
+    # frame vectors in coordinates (w, x, y, z)
+    e = np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],  # e_1, dual to theta^1 = dx
+            [1.0, 0.0, 0.0, 0.0],  # e_2, dual to theta^2 = dw
+            [0.0, 0.0, 1.0, 0.0],  # e_3, dual to theta^3 = dy + H dz
+            [0.0, 0.0, -H0, 1.0],  # e_4, dual to theta^4 = dz
+        ]
+    )
+    # coframe rows theta^i_a
+    th = np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, H0],
+            [0.0, 0.0, 0.0, 1.0],
+        ]
+    )
+    # d_b e_j^a: only e_4^y = -H(x) varies, in x (coordinate index 1)
+    de = np.zeros((4, 4, 4))  # [b, j, a]
+    de[1, 3, 2] = -d.H.deriv(1)
+    # Gamma^i_j(e_c) = theta^i_a e_c^b (d_b e_j^a + Gam[a,b,d] e_j^d)
+    nabla = np.einsum("cb,bja->cja", e, de) + np.einsum(
+        "cb,abd,jd->cja", e, Gam, e
+    )
+    conn = np.einsum("ia,cja->ijc", th, nabla)  # Gamma^i_j on e_c
+    forms = connection_forms(d)
+    slots = {"Gamma^1_1": (0, 0), "Gamma^1_3": (0, 2), "Gamma^3_1": (2, 0), "Gamma^3_3": (2, 2)}
+    return max(
+        float(np.max(np.abs(conn[i, j] - e @ [c.value() for c in forms[name]])))
+        for name, (i, j) in slots.items()
+    )
+
+
+def metric_compatibility_error(g: geometry.MatrixJet) -> float:
+    """Max |nabla g| for the Levi-Civita connection computed from g."""
+    Gam = geometry.curvature(g).christoffel
+    G = g.value
+    nabla = (geometry.padded_grad(g) - np.einsum("dca,db->cab", Gam, G)
+             - np.einsum("dcb,ad->cab", Gam, G))
+    return float(np.max(np.abs(nabla)))

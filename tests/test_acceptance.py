@@ -13,24 +13,14 @@ import pytest
 
 from c235.chazy import (
     SchwarzTriple,
-    chazy_log_solution,
-    parametrized_y,
     residual_6th,
-    residual_chazy,
     residual_ds6,
     residual_gen_chazy,
     schwarz_solution,
     two_pole_solution,
 )
 from c235.cli import main as cli_main
-from c235.dist import (
-    F_jet,
-    catalog,
-    ds_curve_u,
-    get_spec,
-    legendre_pair_map,
-    legendre_transform,
-)
+from c235.dist import F_jet, catalog, get_spec, legendre_transform
 from c235.errors import C235Error
 from c235.geometry import (
     _legendre_data,
@@ -39,19 +29,14 @@ from c235.geometry import (
     curvature,
     flatness_suite,
     metric_at,
-    ricci_identity_check,
-    riemann_symmetry_error,
     sample_points,
-    weyl_equals_residual_check,
-    weyl_trace_error,
 )
-from c235.jets import derivative_oracle, jet_abs_pow, jet_const, jet_exp, jet_log, jet_var
+from c235.jets import jet_abs_pow, jet_const, jet_exp, jet_log, jet_var
 from c235.specialfn import (
     CLOSED_FORM_FAMILIES,
     CLOSED_FORM_HYPER,
     ClosedFormId,
     HyperTriple,
-    closed_form_ode_residual,
     closed_form_solution,
     hyp2f1_jet,
     hypergeom_pair,
@@ -59,6 +44,19 @@ from c235.specialfn import (
     wronskian_check,
 )
 from c235.twistor import PlebanskiData, g2_certificate, twistor_coordinate_check
+
+from oracles import (
+    chazy_log_solution,
+    closed_form_ode_residual,
+    derivative_oracle,
+    legendre_pair_map,
+    parametrized_y,
+    residual_chazy,
+    ricci_identity_check,
+    riemann_symmetry_error,
+    weyl_equals_residual_check,
+    weyl_trace_error,
+)
 
 K23 = Fraction(2, 3)
 K32 = Fraction(3, 2)

@@ -8,28 +8,25 @@ from c235.chazy import (
     ChazyParam,
     SchwarzTriple,
     build_F_from_I,
-    chazy_log_solution,
-    omega_residuals,
-    omegas_from_s,
-    parametrized_y,
     reduce_F_to_I,
     residual_6th,
-    residual_chazy,
     residual_ds6,
     residual_gen_chazy,
-    residual_schwarzian,
     schwarz_solution,
     two_pole_solution,
 )
-from c235.errors import (
-    DegenerateError,
-    InvalidParam,
-    PoleError,
-    ZeroDenominatorError,
-    ZeroWronskianError,
-)
+from c235.errors import DegenerateError, InvalidParam, PoleError, ZeroWronskianError
 from c235.jets import Jet1, jet_abs_pow, jet_const, jet_exp, jet_var
 from c235.specialfn import HyperTriple, hypergeom_pair
+
+from oracles import (
+    ZeroDenominatorError,
+    chazy_log_solution,
+    omega_residuals,
+    parametrized_y,
+    residual_chazy,
+    residual_schwarzian,
+)
 
 K23 = Fraction(2, 3)
 K32 = Fraction(3, 2)

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -288,6 +289,30 @@ def test_curvature_of_h_two_pole_keeps_x_apart_from_t(capsys):
     assert code == 0
     assert payload["point"]["x"] == 0.2 and payload["point"]["t"] == 0.3
     assert len(set(payload["coords"])) == 5
+
+
+@pytest.mark.parametrize("case, point", [
+    ("F-power-2", "x=0.1,y=0.2,z=0.3,p=1e308,q=1.5"),  # the metric overflows
+    ("F-power--1", "x=0.1,y=0.2,z=0.3,p=1e200,q=5.025"),  # its curvature does
+])
+def test_curvature_that_overflows_is_refused_in_one_line(capsys, case, point):
+    # as CI runs the CLI: an overflow's RuntimeWarning would end in a traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "curvature", "--case", case, "--point", point, "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("SingularMetricError: ") and err.count("\n") == 1
+
+
+def test_curvature_overflow_prints_no_warning():
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "c235.cli", "curvature", "--case", "F-power-2",
+         "--point", "x=0.1,y=0.2,z=0.3,p=1e308,q=1.5", "--json"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "SingularMetricError: metric is singular at this point\n"
 
 
 def _head_curvature_text(case: str, point: str) -> str:

@@ -4,18 +4,12 @@ import numpy as np
 import pytest
 
 from c235.chazy import residual_6th, residual_ds6, residual_gen_chazy, two_pole_solution
-from c235.dist import (
-    F_jet,
-    catalog,
-    ds_curve_solution,
-    ds_curve_u,
-    get_spec,
-    legendre_pair_map,
-    legendre_transform,
-)
+from c235.dist import F_jet, catalog, ds_curve_solution, get_spec, legendre_transform
 from c235.errors import BranchError, DegenerateError, DomainError, SeriesDomainError, UnknownCaseId
 from c235.jets import jet_abs_pow, jet_invert, jet_pow, jet_var
 from c235.specialfn import ClosedFormId, HyperTriple, closed_form_solution, hyp2f1_jet, hypergeom_pair
+
+from oracles import ds_curve_u, legendre_pair_map
 
 
 # --- catalog integrity -----------------------------------------------------

@@ -40,16 +40,21 @@ from c235.geometry import (
     metric_at,
     metric_signature,
     on_regular_rows,
-    ricci_identity_check,
-    riemann_symmetry_error,
     sample_points,
-    weyl_equals_residual_check,
     weyl_ratio,
-    weyl_trace_error,
 )
 from c235.jets import Jet1, MJet2, jet_abs_pow, jet_const, jet_var
 from c235.specialfn import ClosedFormId, closed_form_solution
-from c235.twistor import PlebanskiData, metric_compatibility_error, plebanski_metric
+from c235.twistor import PlebanskiData
+
+from oracles import (
+    metric_compatibility_error,
+    plebanski_metric,
+    ricci_identity_check,
+    riemann_symmetry_error,
+    weyl_equals_residual_check,
+    weyl_trace_error,
+)
 
 POINT4 = (0.3, -0.2, 0.5, 0.7)
 

@@ -11,7 +11,6 @@ from c235.jets import (
     MAX_ORDER,
     MJet2,
     Jet1,
-    derivative_oracle,
     jet_abs_pow,
     jet_abs_pow_product,
     jet_compose,
@@ -23,6 +22,8 @@ from c235.jets import (
     jet_sqrt,
     jet_var,
 )
+
+from oracles import derivative_oracle
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 coeff_lists = st.lists(finite, min_size=1, max_size=9)

@@ -17,7 +17,6 @@ from c235.errors import DivisionByZeroJet, SeriesDomainError, SingularPointError
 from c235.jets import Jet1, jet_invert, jet_var
 from c235.specialfn import (
     CLOSED_FORM_HYPER,
-    CLOSED_FORM_TRIPLES,
     DEGREE6_EXCLUDED,
     TRANSFORM_KINDS,
     HyperTriple,
@@ -27,6 +26,8 @@ from c235.specialfn import (
     transform_identity_check,
     wronskian_check,
 )
+
+from oracles import CLOSED_FORM_TRIPLES
 
 # --- the former code -------------------------------------------------------
 

@@ -18,12 +18,10 @@ from c235.jets import Jet1, jet_abs_pow, jet_var
 from c235.specialfn import (
     CLOSED_FORM_FAMILIES,
     CLOSED_FORM_HYPER,
-    CLOSED_FORM_TRIPLES,
     ClosedFormId,
     HyperTriple,
     TRANSFORM_KINDS,
     _terminating_length,
-    closed_form_ode_residual,
     closed_form_solution,
     hyp2f1_jet,
     hypergeom_pair,
@@ -31,9 +29,10 @@ from c235.specialfn import (
     relative_residual,
     schwarz_potential,
     transform_identity_check,
-    u_ode_residual,
     wronskian_check,
 )
+
+from oracles import CLOSED_FORM_TRIPLES, closed_form_ode_residual, u_ode_residual
 
 S_POINTS = [0.11, 0.23, 0.37, 0.52, 0.68, 0.81]
 
