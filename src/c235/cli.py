@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import C235Error, InvalidParam, SingularMetricError
 from .specialfn import (
     CLOSED_FORM_HYPER,
     DEGREE6_EXCLUDED,
-    HyperTriple,
     TRANSFORM_KINDS,
     hypergeom_pair,
     transform_identity_check,

@@ -10,7 +10,7 @@ homogeneous, so this gauge choice never affects a residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -21,7 +21,6 @@ from .jets import (
     Jet1,
     jet_abs_pow_product,
     jet_compose,
-    jet_const,
     jet_invert,
     jet_pow,
     jet_sqrt,
