@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .chazy import residual_6th
 from .dist import F_jet, catalog, dual_residual, get_spec
-from .errors import C235Error, InvalidParam, SingularMetricError
+from .errors import C235Error, InvalidParam
 from .specialfn import (
     CLOSED_FORM_HYPER,
     DEGREE6_EXCLUDED,
@@ -103,9 +103,9 @@ def _json_arrays(texts, arrays) -> str:
     An array's JSON is the text json.dumps(a.tolist(), separators=(",", ":"))
     gives, written by value: the arrays' zero text comes from _zero_tokens,
     and each distinct non-zero magnitude is repr'd once, as json's encoder
-    does, with "-" ahead of a negative entry (-0.0 included). Arrays that
-    hold a NaN or an inf go through json.dumps itself, which writes them NaN,
-    Infinity and -Infinity.
+    does, with "-" ahead of a negative entry (-0.0 included). A NaN or an
+    inf raises ValueError, as json.dumps(allow_nan=False) does: a report is
+    strict JSON.
     """
     tokens, slots, glue, before = _zero_tokens(tuple(a.shape for a in arrays))
     flat = np.concatenate(arrays, axis=None)
@@ -113,8 +113,7 @@ def _json_arrays(texts, arrays) -> str:
     v = flat[nz]
     mags, which = np.unique(np.abs(v), return_inverse=True)
     if mags.size and not math.isfinite(mags[-1]):  # NaN and inf sort last
-        return texts[0] + "".join(json.dumps(a.tolist(), separators=(",", ":")) + t
-                                  for a, t in zip(arrays, texts[1:]))
+        raise ValueError("Out of range float values are not JSON compliant")
     text = list(map(float.__repr__, mags.tolist()))
     out = list(tokens)
     for k, t in zip(glue, texts):
@@ -354,23 +353,16 @@ def _parse_point(text: str, spec) -> dict:
 def cmd_curvature(args) -> int:
     spec = get_spec(args.case)
     point = _parse_point(args.point, spec)
-    # a finite point far out (p = 1e308) can overflow the metric or its curvature:
-    # that is refused as one error, not a RuntimeWarning and a report of NaN and inf
-    with np.errstate(all="ignore"):
-        g = geometry.metric_at(geometry.coframe_for_spec(spec, tuple(point.values())))
-        rep = geometry.curvature(g)
-        # a NaN or an inf in any of the tensors reaches the Weyl tensor's max-abs
-        summary = (rep.maxAbsWeyl, rep.maxAbsRicci, rep.metricScale, rep.scalar)
-        SingularMetricError.raise_where(not all(map(math.isfinite, summary)),
-                                        "the metric's curvature is not finite at this point")
-        signature = list(geometry.metric_signature(g))
+    # curvature refuses a point far out (p = 1e308) whose metric or curvature overflows
+    g = geometry.metric_at(geometry.coframe_for_spec(spec, tuple(point.values())))
+    rep = geometry.curvature(g)
     payload = {
         "version": REPORT_VERSION,
         "case": spec.id,
         "point": point,
         "coords": list(geometry.coframe_coords(spec)),
         # the tensors stay arrays, which _emit writes by value
-        "report": {**vars(rep), "signature": signature},
+        "report": {**vars(rep), "signature": list(geometry.metric_signature(g))},
     }
     _emit(payload, args)
     return 0

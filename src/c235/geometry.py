@@ -240,6 +240,10 @@ def _inverse(G: np.ndarray) -> np.ndarray:
         raise
 
 
+# metric_at and curvature compute under np.errstate(all="ignore"): at a point far
+# out (p = 1e308) an overflow or 0 * inf ends in a value that is not finite, and
+# curvature refuses it at that point, where a RuntimeWarning would stop the stack
+@np.errstate(all="ignore")
 def metric_at(cf: MatrixJet) -> MatrixJet:
     """g_ab = eta_ij theta^i_a theta^j_b and its first two partials.
 
@@ -272,12 +276,16 @@ def padded_grad(g: MatrixJet) -> np.ndarray:
     return dG
 
 
+@np.errstate(all="ignore")
 def curvature(g: MatrixJet) -> CurvatureReport:
     """Full curvature data of a metric given as an order-2 jet.
 
     Every index contraction is a matmul over reshaped stacks, so one point
     and a stack of points take the same path. The Christoffel symbols are
     differentiated only along the coordinates that g has partials in.
+    SingularMetricError, with `rows` on a stack, marks the points where g
+    is not finite, is singular, or has a curvature that is not finite:
+    every report it returns is finite.
     """
     n, A = g.value.shape[-1], g.grad.shape[-3]
     batch = g.value.shape[:-2]
@@ -304,16 +312,17 @@ def curvature(g: MatrixJet) -> CurvatureReport:
     T = G[..., :, None, :, None] * A[..., None, :, None, :]  # G_ac A_bd
     T = T + T.swapaxes(-4, -3).swapaxes(-2, -1)
     weyl = Rlow - (T - T.swapaxes(-2, -1))
-    return CurvatureReport(
-        christoffel=Gam.reshape(batch + (n,) * 3),
-        riemann=Rlow,
-        ricci=ricci,
-        scalar=scalar,
-        weyl=weyl,
-        maxAbsWeyl=np.max(np.abs(weyl), axis=(-4, -3, -2, -1)),
-        maxAbsRicci=np.max(np.abs(ricci), axis=(-2, -1)),
-        metricScale=np.max(np.abs(G), axis=(-2, -1)),
-    )
+    summary = {
+        "maxAbsWeyl": np.max(np.abs(weyl), axis=(-4, -3, -2, -1)),
+        "maxAbsRicci": np.max(np.abs(ricci), axis=(-2, -1)),
+        "metricScale": np.max(np.abs(G), axis=(-2, -1)),
+        "scalar": scalar,
+    }
+    # a NaN or an inf in any tensor of the report reaches one of these four numbers
+    SingularMetricError.raise_where(~np.isfinite(list(summary.values())).all(axis=0),
+                                    "the metric's curvature is not finite at this point")
+    return CurvatureReport(christoffel=Gam.reshape(batch + (n,) * 3), riemann=Rlow,
+                           ricci=ricci, weyl=weyl, **summary)
 
 
 def metric_signature(g: MatrixJet):
@@ -436,12 +445,10 @@ def per_point(stages, x, live, found) -> list:
 def weyl_ratio(g: MatrixJet) -> np.ndarray:
     """maxAbsWeyl / metricScale of g at each point: the flatness certificate.
 
-    SingularMetricError marks the points where it is not finite.
+    curvature refuses, as a SingularMetricError, the points where either is not finite.
     """
     rep = curvature(g)
-    ratio = rep.maxAbsWeyl / rep.metricScale
-    SingularMetricError.raise_where(~np.isfinite(ratio), "Weyl ratio is not finite at this point")
-    return ratio
+    return rep.maxAbsWeyl / rep.metricScale
 
 
 def flatness_suite(spec: SolutionSpec, points, jet: Jet1 | None = None) -> list:

@@ -315,6 +315,39 @@ def test_curvature_overflow_prints_no_warning():
     assert proc.stderr == "SingularMetricError: metric is singular at this point\n"
 
 
+# one of x, y, z, p is moved to a finite value far out: 6 values at 4 coordinates of 34 cases
+EXTREMES = (1e154, 1e200, 1e300, 1e308, -1e308, sys.float_info.max)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} in the report")
+
+
+def test_curvature_at_extreme_points_reports_or_refuses_in_one_line(capsys):
+    # as CI runs the CLI, with RuntimeWarnings as errors: each probe gives the canonical
+    # strict JSON of a finite report, or exit 2 with one SingularMetricError line
+    codes = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for spec in dist.catalog():
+            for coord in ("x", "y", "z", "p"):
+                for value in EXTREMES:
+                    coords = {"x": 0.1, "y": 0.2, "z": 0.3, "p": 0.4,
+                              spec.param_name: sum(spec.domain) / 2, coord: value}
+                    point = ",".join(f"{k}={v!r}" for k, v in coords.items())
+                    code, out, err = run(capsys, "curvature", "--case", spec.id, "--point", point,
+                                         "--json")
+                    if code == 0:
+                        doc = json.loads(out, parse_constant=_refuse_constant)
+                        assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+                        assert err == ""
+                    else:
+                        assert (code, out) == (2, ""), (spec.id, point)
+                        assert err.startswith("SingularMetricError: ") and err.count("\n") == 1
+                    codes.append(code)
+    assert (codes.count(0), codes.count(2)) == (633, 183)
+
+
 def _head_curvature_text(case: str, point: str) -> str:
     """The curvature report as json.dumps writes its .tolist() payload: the oracle of the writer."""
     spec = dist.get_spec(case)
@@ -376,7 +409,11 @@ def test_the_writer_writes_each_array_as_json_writes_its_list(shape):
         a[rng.integers(size)] = v
         cases.append(a.reshape(shape))
     for a in cases:
-        assert cli._json_arrays(["", ""], [a]) == _dumps(a)
+        if np.isfinite(a).all():
+            assert cli._json_arrays(["", ""], [a]) == _dumps(a)
+        else:  # as json.dumps(allow_nan=False) does
+            with pytest.raises(ValueError):
+                cli._json_arrays(["", ""], [a])
 
 
 def test_the_writer_joins_arrays_and_texts_in_turn():
@@ -385,9 +422,10 @@ def test_the_writer_joins_arrays_and_texts_in_turn():
     texts = ["{", ",", ",x,", "", "}\n"]
     want = texts[0] + "".join(_dumps(a) + t for a, t in zip(arrays, texts[1:]))
     assert cli._json_arrays(texts, arrays) == want
-    arrays[2][1, 1] = math.nan  # through json.dumps, with NaN
-    want = texts[0] + "".join(_dumps(a) + t for a, t in zip(arrays, texts[1:]))
-    assert cli._json_arrays(texts, arrays) == want and "NaN" in want
+    for bad in (math.nan, math.inf, -math.inf):  # a report is strict JSON
+        arrays[2][1, 1] = bad
+        with pytest.raises(ValueError):
+            cli._json_arrays(texts, arrays)
 
 
 @pytest.mark.parametrize("text", ["m", "\0"], ids=["text", "placeholder-text"])

@@ -338,15 +338,26 @@ def test_flatness_suite_reports_singular_rows():
 
 
 def test_weyl_ratio_marks_points_where_it_is_not_finite():
-    # finite metric arrays whose curvature overflows at the middle point
+    # finite metric arrays whose curvature overflows at the middle point: curvature
+    # refuses that point, with no RuntimeWarning
     spec = get_spec("F-power-2")
     g = metric_at(coframe_for_spec(spec, sample_points(spec, 3, seed=0)))
     g = MatrixJet(g.value * [[[1.0]], [[1e-20]], [[1.0]]], g.grad,
                   g.hess * np.array([1.0, 1e300, 1.0])[:, None, None, None, None])
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SingularMetricError) as exc:
+    with pytest.raises(SingularMetricError) as exc:
         weyl_ratio(g)
-    assert str(exc.value) == "Weyl ratio is not finite at this point"
+    assert str(exc.value) == "the metric's curvature is not finite at this point"
     assert exc.value.rows.tolist() == [False, True, False]
+
+
+def test_flatness_suite_keeps_the_points_around_one_whose_curvature_overflows():
+    # at p = 1e200 the metric is finite and its curvature is not; the stack's
+    # other two points still get their ratios, with RuntimeWarnings as errors
+    pts = [(0.1, 0.2, 0.3, 0.4, 1.5), (0.1, 0.2, 0.3, 1e200, 1.5), (0.1, 0.2, 0.3, 0.5, 2.0)]
+    out = flatness_suite(get_spec("F-power--1"), pts)
+    assert isinstance(out[1], SingularMetricError)
+    assert str(out[1]) == "the metric's curvature is not finite at this point"
+    assert all(isinstance(out[i], float) and out[i] < DEFAULT_TOL for i in (0, 2))
 
 
 def reference_coframe_H(H: Jet1, point4):
