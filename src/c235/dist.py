@@ -100,9 +100,9 @@ _S_DOMAIN = (0.05, 0.95)
 # through infinity and F'' = z1^3 vanishes, so the domain stops short of it
 _Z1_ROOT_FREE_DOMAINS = {
     (Frac(-4, 3), Frac(5, 3), Frac(2, 3)): (0.40, 0.95),  # z1(1/3) = 0
-    (Frac(-2, 3), Frac(5, 6), Frac(1, 2)): (0.05, 0.67),  # z1(0.7178) = 0
-    (Frac(-2, 3), Frac(5, 6), Frac(2, 3)): (0.05, 0.84),  # z1(0.8888) = 0
-    (Frac(-1, 2), Frac(5, 6), Frac(2, 3)): (0.05, 0.89),  # z1(0.9329) = 0
+    (Frac(-2, 3), Frac(5, 6), Frac(1, 2)): (0.05, 0.67),  # z1(0.7182335) = 0
+    (Frac(-2, 3), Frac(5, 6), Frac(2, 3)): (0.05, 0.84),  # z1(8/9) = 0
+    (Frac(-1, 2), Frac(5, 6), Frac(2, 3)): (0.05, 0.89),  # z1((2 + sqrt 3)/4) = 0
 }
 
 

@@ -167,8 +167,8 @@ def test_verify_and_flatness_suite_share_the_runner(capsys, monkeypatch):
 
 
 def test_verify_passes_by_a_zero_of_z1(capsys, monkeypatch):
-    # the case's former domain holds the zero of z1 at s = 0.9329; at the
-    # point s = 0.93308 next to it the coframe's cond is 1.6e18, and the
+    # the case's former domain holds the zero of z1 at s = (2 + sqrt 3)/4 = 0.933013;
+    # at the point s = 0.93308 next to it the coframe's cond is 1.6e18, and the
     # metric is still flat there
     spec = dataclasses.replace(dist.get_spec("H-triple-(-1/2,5/6,2/3)"), domain=(0.05, 0.95))
     monkeypatch.setattr(cli, "get_spec", lambda case_id: spec)
