@@ -3,7 +3,7 @@
 Every top-level `def`, `class` and module constant in `src/c235/*.py` must be
 reachable by name from `c235.cli`, `bench/*.py` or `demos/*.py`, through the
 definitions that reference it. Code that only tests reach belongs in
-`tests/oracles.py`.
+`tests/oracles.py`. Every name a module imports must be used in that module.
 """
 
 import ast
@@ -83,3 +83,21 @@ def test_every_src_definition_is_reached_by_the_program():
         f"only tests reach these; move them to tests/oracles.py: {sorted(unreached - ALLOWED_UNREACHED)}")
     assert unreached == ALLOWED_UNREACHED, (
         f"reached now; drop them from ALLOWED_UNREACHED: {sorted(ALLOWED_UNREACHED - unreached)}")
+
+
+def _unused_imports(tree) -> list:
+    """The names that the imports of a module bind and that no name in it reads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_every_name_a_src_module_imports_is_used():
+    unused = [f"{path.stem}: {name}" for path in sorted(SRC.glob("*.py"))
+              if path.name != "__init__.py"  # its imports re-export the package's names
+              for name in _unused_imports(ast.parse(path.read_text()))]
+    assert not unused, f"imported and never used: {unused}"
