@@ -7,6 +7,7 @@ check is scale-free.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
@@ -29,34 +30,71 @@ from .jets import (
 from .specialfn import relative_residual, schwarz_potential
 
 
-def _pow(x, e: int):
-    """x**e as numpy's power of a stack rounds it, also for a Python float.
+# Each ODE's left-hand side, rows (coefficient, ((i, e), ...)) for coefficient * (y^(i))**e * ...
+SIXTH_ORDER = (
+    (10.0, ((6, 1), (2, 3))),
+    (-80.0, ((2, 2), (3, 1), (5, 1))),
+    (-51.0, ((2, 2), (4, 2))),
+    (336.0, ((2, 1), (3, 2), (4, 1))),
+    (-224.0, ((3, 4),)),
+)
+DUAL_SIXTH_ORDER = (
+    (10.0, ((2, 3), (6, 1))),
+    (-70.0, ((2, 2), (3, 1), (5, 1))),
+    (-49.0, ((2, 2), (4, 2))),
+    (280.0, ((2, 1), (3, 2), (4, 1))),
+    (-175.0, ((3, 4),)),
+)
 
-    On an array, ** squares for e = 2 and calls the power ufunc otherwise,
-    whose vectorised pow can differ from the C library's in the last bit;
-    a float gets the same two operations, so a residual at one point is
-    the one its row of a stack gets.
+
+@functools.cache
+def _chazy_table(k: Fraction | float) -> tuple:
+    """y''' - 2 y'' y + 3 (y')^2 - c (6y' - y^2)^2 with c = 4/(36 - k^2), its last term expanded."""
+    k = Fraction(k).limit_denominator(10**6)
+    InvalidParam.raise_where(k in (6, -6), "k = +-6 makes the coefficient 4/(36 - k^2) blow up")
+    c = Fraction(4) / (36 - k * k)
+    return (
+        (1.0, ((3, 1),)),
+        (-2.0, ((2, 1), (0, 1))),
+        (3.0, ((1, 2),)),
+        (float(-36 * c), ((1, 2),)),
+        (float(12 * c), ((1, 1), (0, 2))),
+        (float(-c), ((0, 4),)),
+    )
+
+
+def _monomials(table, d) -> list:
+    """Each row's coefficient times its factors d[i]**e, left to right; d[i] = y^(i) at a point or a stack.
+
+    A power of a Python float (one point) rounds as numpy's power of a stack
+    does: ** squares an array for e = 2 and calls the power ufunc otherwise,
+    whose vectorised pow can differ from the C library's in the last bit. So
+    a residual at one point is the one its row of a stack gets.
     """
-    if type(x) is not float:
-        return x**e
-    return x * x if e == 2 else float(np.power(x, e))
+    out = []
+    for m, factors in table:
+        for i, e in factors:
+            x = d[i]
+            if e > 1:
+                x = x**e if type(x) is not float else (x * x if e == 2 else float(np.power(x, e)))
+            m = m * x
+        out.append(m)
+    return out
 
 
-@dataclass(frozen=True)
-class ChazyParam:
-    """The parameter k of the generalised Chazy equation, k != +-6."""
+def residual_gen_chazy(y: Jet1, k: Fraction | float) -> float:
+    """Relative residual of the generalised Chazy equation with parameter k (see _chazy_table)."""
+    return relative_residual(_monomials(_chazy_table(k), y.derivs(4)))
 
-    k: Fraction
 
-    def __post_init__(self):
-        k = Fraction(self.k)
-        if k in (6, -6):
-            raise InvalidParam("k = +-6 makes the coefficient 4/(36 - k^2) blow up")
-        object.__setattr__(self, "k", k)
+def residual_6th(F: Jet1) -> float:
+    """Relative residual of the 6th-order equation satisfied by F(q)."""
+    return relative_residual(_monomials(SIXTH_ORDER, F.derivs(7)))
 
-    @property
-    def coeff(self) -> float:
-        return float(Fraction(4, 1) / (36 - self.k * self.k))
+
+def residual_ds6(H: Jet1) -> float:
+    """Relative residual of the dual 6th-order equation satisfied by H(t)."""
+    return relative_residual(_monomials(DUAL_SIXTH_ORDER, H.derivs(7)))
 
 
 @dataclass(frozen=True)
@@ -78,46 +116,6 @@ class SchwarzTriple:
 
     def as_floats(self) -> Tuple[float, float, float]:
         return self._floats
-
-
-def residual_gen_chazy(y: Jet1, k: ChazyParam | Fraction | float) -> float:
-    """Relative residual of y''' - 2 y'' y + 3 (y')^2 - c (6y' - y^2)^2."""
-    if not isinstance(k, ChazyParam):
-        k = ChazyParam(Fraction(k).limit_denominator(10**6))
-    y0, y1, y2, y3 = y.derivs(4)
-    return relative_residual(
-        [y3, -2.0 * y2 * y0, 3.0 * y1 * y1, -k.coeff * _pow(6.0 * y1 - y0 * y0, 2)]
-    )
-
-
-def residual_6th(F: Jet1) -> float:
-    """Relative residual of the 6th-order equation satisfied by F(q)."""
-    d = F.derivs(7)
-    return relative_residual(
-        [
-            10.0 * d[6] * _pow(d[2], 3),
-            -80.0 * _pow(d[2], 2) * d[3] * d[5],
-            -51.0 * _pow(d[2], 2) * _pow(d[4], 2),
-            336.0 * d[2] * _pow(d[3], 2) * d[4],
-            -224.0 * _pow(d[3], 4),
-        ]
-    )
-
-
-def ds6_monomials(d) -> list:
-    """The monomials of the dual 6th-order LHS, from d[i] = H^(i) at a point."""
-    return [
-        10.0 * _pow(d[2], 3) * d[6],
-        -70.0 * _pow(d[2], 2) * d[3] * d[5],
-        -49.0 * _pow(d[2], 2) * _pow(d[4], 2),
-        280.0 * d[2] * _pow(d[3], 2) * d[4],
-        -175.0 * _pow(d[3], 4),
-    ]
-
-
-def residual_ds6(H: Jet1) -> float:
-    """Relative residual of the dual 6th-order equation satisfied by H(t)."""
-    return relative_residual(ds6_monomials(H.derivs(7)))
 
 
 def schwarz_solution(tr: SchwarzTriple, s0, order: int = 8) -> Jet1:
@@ -157,9 +155,8 @@ def two_pole_solution(k: Fraction | float, B: float, C: float, x0, order: int = 
 def reduce_F_to_I(F: Jet1) -> Jet1:
     """I = 2 d/dq log|F''| as a jet (one order lower than F'')."""
     Fpp = F.derivative().derivative()
-    if Fpp.value() == 0:
-        raise DegenerateError("F'' = 0 at the basepoint")
-    sign = 1.0 if np.real(Fpp.value()) > 0 else -1.0
+    DegenerateError.raise_where(Fpp.value() == 0, "F'' = 0 at the basepoint")
+    sign = np.where(np.real(Fpp.value()) > 0, 1.0, -1.0)
     return 2.0 * jet_log(sign * Fpp).derivative()
 
 

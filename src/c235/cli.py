@@ -65,9 +65,9 @@ def _tolerance(flag, default: float, env: str | None = None) -> float:
 # an array's place in a report: json writes this string as _ARRAY_TEXT
 _ARRAY = "\0"
 _ARRAY_TEXT = json.dumps(_ARRAY)
-# json.dumps options of every report: one line, sorted keys; every payload is
-# a fresh tree, so the circular-reference check is skipped
-_ONE_LINE = {"sort_keys": True, "separators": (",", ":"), "check_circular": False}
+# json.dumps options of every report: one line, sorted keys, strict JSON (NaN and
+# inf raise ValueError); each payload is a fresh tree, so no circular-reference check
+_ONE_LINE = {"sort_keys": True, "separators": (",", ":"), "check_circular": False, "allow_nan": False}
 
 
 @functools.cache

@@ -17,7 +17,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from c235 import geometry
-from c235.chazy import SchwarzTriple, ds6_monomials
+from c235.chazy import DUAL_SIXTH_ORDER, SchwarzTriple, _monomials
 from c235.dist import ds_curve_solution
 from c235.errors import BranchError, C235Error, DegenerateError, ZeroWronskianError
 from c235.geometry import (
@@ -364,7 +364,7 @@ def weyl_equals_residual_check(H_jets: Sequence[Jet1]):
         Cf = np.einsum("ai,bj,ck,dl,abcd->ijkl", Winv, Winv, Winv, Winv, rep.weyl)
         comp = Cf[1, 4, 1, 4]  # the single independent slot (theta^2, theta^5)
         d = [H.deriv(i) for i in range(7)]
-        lhs = sum(ds6_monomials(d))
+        lhs = sum(_monomials(DUAL_SIXTH_ORDER, d))
         ratio = comp * d[2] ** 8 / lhs if lhs != 0.0 else None
         rows.append(
             {"t0": float(H.basepoint), "weyl": float(comp), "ode": float(lhs),

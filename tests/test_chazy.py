@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from c235.chazy import (
-    ChazyParam,
+    DUAL_SIXTH_ORDER,
+    SIXTH_ORDER,
     SchwarzTriple,
+    _chazy_table,
     build_F_from_I,
     reduce_F_to_I,
     residual_6th,
@@ -36,9 +38,29 @@ K32 = Fraction(3, 2)
 
 
 def test_chazy_param_excludes_six():
+    for k in (6, -6, 6.0):
+        with pytest.raises(InvalidParam):
+            _chazy_table(k)
     with pytest.raises(InvalidParam):
-        ChazyParam(6)
-    assert float(ChazyParam(K23).coeff) == pytest.approx(4.0 / (36.0 - 4.0 / 9.0))
+        residual_gen_chazy(jet_var(0.4, 6), 6)
+    # -c (6y' - y^2)^2, expanded, with c = 4/(36 - k^2)
+    c = 4.0 / (36.0 - 4.0 / 9.0)
+    k_rows = _chazy_table(K23)[3:]
+    assert [coeff for coeff, _ in k_rows] == pytest.approx([-36.0 * c, 12.0 * c, -c])
+    assert [factors for _, factors in k_rows] == [((1, 2),), ((1, 1), (0, 2)), ((0, 4),)]
+
+
+@pytest.mark.parametrize("k", [K23, K32])
+def test_every_ode_table_is_homogeneous(k):
+    # F -> c F(a q) scales each sixth-order monomial by c^degree a^weight, and
+    # y -> a y(a x) each Chazy monomial by a^weight, y^(i) weighing i + 1: one
+    # degree and one weight per table make each relative residual scale-free
+    for table in (SIXTH_ORDER, DUAL_SIXTH_ORDER):
+        for _, factors in table:
+            assert sum(e for _, e in factors) == 4, factors
+            assert sum(i * e for i, e in factors) == 12, factors
+    for _, factors in _chazy_table(k):
+        assert sum((i + 1) * e for i, e in factors) == 4, factors
 
 
 def test_classical_chazy_pole_solution():

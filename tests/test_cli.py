@@ -439,6 +439,13 @@ def test_emit_writes_the_arrays_of_a_payload_by_value(capsys, text):
     assert capsys.readouterr().out == json.dumps(lists, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def test_the_placeholder_path_is_strict_json_too():
+    # a string that reads as the placeholder sends the payload through json.dumps,
+    # which refuses NaN and inf as _json_arrays does
+    with pytest.raises(ValueError):
+        cli._report_text({"a": np.array([np.nan, 1.0]), "m": "\0"})
+
+
 # --- refused input -------------------------------------------------------------
 
 VERIFY_ONE = ("verify", "--case", "F-power-2", "--points", "2", "--json")

@@ -1,14 +1,14 @@
 """Tests for the 5D coframe, metric, and curvature machinery."""
 
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 
-from c235.chazy import residual_ds6
+from c235.chazy import reduce_F_to_I, residual_6th, residual_ds6, residual_gen_chazy
 from c235.dist import F_jet, catalog, dual_residual, get_spec, legendre_transform
-from c235.chazy import residual_6th
 from c235.cli import DEFAULT_TOL
 from c235.errors import (
     BranchError,
@@ -912,12 +912,22 @@ def test_one_point_residuals_are_their_rows_of_a_stack(spec):
     # branch of the residuals and must give row i of the stacked residual exactly
     pts = np.array(sample_points(spec, 6, seed=7))[:, 4]
     jet = F_jet(spec, pts)
-    stacked = {f: f(jet) for f in (residual_6th, residual_ds6, partial(dual_residual, spec))}
+    residuals = [residual_6th, residual_ds6, partial(dual_residual, spec)]
+    if spec.picture == "F_of_q":  # F's reduction to the generalised Chazy equation, k = 2/3
+        residuals.append(lambda F: residual_gen_chazy(reduce_F_to_I(F), Fraction(2, 3)))
+    stacked = {f: f(jet) for f in residuals}
     for i in range(len(pts)):
         one = Jet1(jet.basepoint[i], jet.coeffs[i])
         for f, rows in stacked.items():
             got = f(one)
             assert type(got) is float and got == rows[i], (spec.id, i, f)
+
+
+def test_the_reduction_refuses_the_rows_where_F2_vanishes():
+    # F = q^3 has F'' = 6q, 0 at q = 0 only
+    with pytest.raises(DegenerateError) as exc:
+        reduce_F_to_I(jet_var(np.array([0.0, 1.0]), 8) ** 3)
+    assert exc.value.rows.tolist() == [True, False]
 
 
 def test_a_bad_row_gets_its_error_and_the_others_their_values(monkeypatch):
