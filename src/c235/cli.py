@@ -33,7 +33,7 @@ from .specialfn import (
 )
 from . import geometry
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 # the certificate tolerance: a Weyl ratio or a residual in c235 verify passes below it
 DEFAULT_TOL = 1e-7
 DEFAULT_POINTS = 10
@@ -62,105 +62,19 @@ def _tolerance(flag, default: float, env: str | None = None) -> float:
     return tol
 
 
-# an array's place in a report: json writes this string as _ARRAY_TEXT
-_ARRAY = "\0"
-_ARRAY_TEXT = json.dumps(_ARRAY)
 # json.dumps options of every report: one line, sorted keys, strict JSON (NaN and
 # inf raise ValueError); each payload is a fresh tree, so no circular-reference check
 _ONE_LINE = {"sort_keys": True, "separators": (",", ":"), "check_circular": False, "allow_nan": False}
 
 
-@functools.cache
-def _zero_tokens(shapes: tuple) -> tuple:
-    """The JSON of float zero arrays of `shapes`, cut into tokens at their entries.
-
-    Returns (tokens, slots, glue, before). Flat entry i of the arrays, taken
-    in turn, is tokens[slots[i]] == before[i] + "0.0", where before[i] is
-    the brackets and comma json writes ahead of it; before[n + i], for n
-    entries in all, is before[i] + "-". tokens[glue[k]] is an empty token
-    ahead of array k, and tokens[glue[-1]] one after the last.
-    """
-    tokens, slots, glue, before = [], [], [], []
-    for shape in shapes:
-        glue.append(len(tokens))
-        tokens.append("")
-        *seps, close = json.dumps(np.zeros(shape).tolist(), separators=(",", ":")).split("0.0")
-        slots.extend(range(len(tokens), len(tokens) + len(seps)))
-        tokens.extend(sep + "0.0" for sep in seps)
-        tokens.append(close)
-        before.extend(seps)
-    glue.append(len(tokens))
-    tokens.append("")
-    slots = np.array(slots)
-    before = np.array(before + [sep + "-" for sep in before], dtype=object)
-    slots.flags.writeable = before.flags.writeable = False
-    return tuple(tokens), slots, tuple(glue), before
-
-
-def _json_arrays(texts, arrays) -> str:
-    """texts[0], then each float64 array's JSON followed by the next text, as one string.
-
-    An array's JSON is the text json.dumps(a.tolist(), separators=(",", ":"))
-    gives, written by value: the arrays' zero text comes from _zero_tokens,
-    and each distinct non-zero magnitude is repr'd once, as json's encoder
-    does, with "-" ahead of a negative entry (-0.0 included). A NaN or an
-    inf raises ValueError, as json.dumps(allow_nan=False) does: a report is
-    strict JSON.
-    """
-    tokens, slots, glue, before = _zero_tokens(tuple(a.shape for a in arrays))
-    flat = np.concatenate(arrays, axis=None)
-    nz = np.flatnonzero(flat.view(np.int64))  # every entry but +0.0
-    v = flat[nz]
-    mags, which = np.unique(np.abs(v), return_inverse=True)
-    if mags.size and not math.isfinite(mags[-1]):  # NaN and inf sort last
-        raise ValueError("Out of range float values are not JSON compliant")
-    text = list(map(float.__repr__, mags.tolist()))
-    out = list(tokens)
-    for k, t in zip(glue, texts):
-        out[k] = t
-    signed = before[nz + flat.size * np.signbit(v)].tolist()
-    for i, sep, k in zip(slots[nz].tolist(), signed, which.tolist()):
-        out[i] = sep + text[k]
-    return "".join(out)
-
-
-def _report_text(payload: dict) -> str:
-    """`payload` as one line of JSON with sorted keys, each ndarray in it as the JSON of its .tolist().
-
-    json.dumps leaves _ARRAY in each float64 array's place, in the order of
-    the sorted keys, and _json_arrays writes the arrays into those places
-    by value. A string of the payload that reads as the placeholder sends
-    the whole payload through .tolist().
-    """
-    arrays = []
-
-    def by_value(a):
-        if not isinstance(a, np.ndarray):
-            raise TypeError(f"{type(a).__name__} is not JSON serializable")
-        if a.dtype != np.float64:
-            return a.tolist()
-        arrays.append(a)
-        return _ARRAY
-
-    text = json.dumps(payload, default=by_value, **_ONE_LINE) + "\n"
-    if not arrays:
-        return text
-    pieces = text.split(_ARRAY_TEXT)
-    if len(pieces) != len(arrays) + 1:
-        return json.dumps(payload, default=np.ndarray.tolist, **_ONE_LINE) + "\n"
-    return _json_arrays(pieces, arrays)
-
-
 def _emit(payload: dict, args) -> None:
-    """Write a report, the one text of _report_text, to --out, stdout or both.
+    """Write a report, json.dumps(payload, **_ONE_LINE) and a newline, to --out, stdout or both.
 
     Without `indent`, json.dumps uses CPython's C encoder; pretty-printing
     goes through the pure-Python one, which costs more than a curvature
     report takes to compute. Pipe through `python -m json.tool` to read it.
-    The arrays of a curvature report are written by value (_json_arrays),
-    without the nested lists of .tolist(), to the same text.
     """
-    text = _report_text(payload)
+    text = json.dumps(payload, **_ONE_LINE) + "\n"
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -353,16 +267,25 @@ def _parse_point(text: str, spec) -> dict:
 def cmd_curvature(args) -> int:
     spec = get_spec(args.case)
     point = _parse_point(args.point, spec)
+    lam = point[spec.param_name]
+    # elementary_r's frame is built in r itself, every other one from F_jet at its basepoint
+    jet = None if spec.family == "elementary_r" else F_jet(spec, lam)
     # curvature refuses a point far out (p = 1e308) whose metric or curvature overflows
-    g = geometry.metric_at(geometry.coframe_for_spec(spec, tuple(point.values())))
+    g = geometry.metric_at(geometry.coframe_for_spec(spec, tuple(point.values()), jet))
     rep = geometry.curvature(g)
+    coords = geometry.coframe_coords(spec)
+    fields = {**vars(rep), **geometry.independent_components(rep)}
     payload = {
         "version": REPORT_VERSION,
         "case": spec.id,
         "point": point,
-        "coords": list(geometry.coframe_coords(spec)),
-        # the tensors stay arrays, which _emit writes by value
-        "report": {**vars(rep), "signature": list(geometry.metric_signature(g))},
+        "coords": list(coords),
+        # the value of coords[4] at which the tensors are computed
+        "at": {coords[4]: lam if jet is None else float(jet.basepoint)},
+        "report": {**{k: np.asarray(v).tolist() for k, v in fields.items()},
+                   "signature": list(geometry.metric_signature(g)),
+                   "layout": {"pairs": geometry.PAIRS, "bivectors": geometry.BIVECTORS,
+                              "pairForm": geometry.PAIR_FORM}},
     }
     _emit(payload, args)
     return 0

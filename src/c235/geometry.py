@@ -60,6 +60,28 @@ class CurvatureReport:
     metricScale: float | np.ndarray
 
 
+# the independent components of a report's tensors, each slot list as np.triu_indices
+# gives it, a list of first and a list of second indices: Christoffel Gamma^a_(bc) and
+# Ricci on the PAIRS b <= c; Riemann and Weyl as their 10 x 10 forms on the BIVECTORS
+# a < b, on the upper triangle PAIR_FORM of (bivector i, bivector j), i <= j
+PAIRS = tuple(k.tolist() for k in np.triu_indices(DIM))
+BIVECTORS = tuple(k.tolist() for k in np.triu_indices(DIM, 1))
+PAIR_FORM = tuple(k.tolist() for k in np.triu_indices(len(BIVECTORS[0])))
+# the slots (a, b, c, d) of Riemann and Weyl that PAIR_FORM lists
+_PAIR_FORM_SLOTS = tuple(np.concatenate([np.array(BIVECTORS)[:, k] for k in PAIR_FORM]))
+
+
+def independent_components(rep: CurvatureReport) -> dict:
+    """rep's Christoffel, Ricci, Riemann and Weyl on the slots PAIRS and PAIR_FORM list.
+
+    Their shapes are (..., 5, 15), (..., 15), (..., 55) and (..., 55). curvature's
+    Christoffel and Ricci are exactly symmetric, so their components lose nothing.
+    """
+    return {"christoffel": rep.christoffel[(..., *PAIRS)], "ricci": rep.ricci[(..., *PAIRS)],
+            "riemann": rep.riemann[(..., *_PAIR_FORM_SLOTS)],
+            "weyl": rep.weyl[(..., *_PAIR_FORM_SLOTS)]}
+
+
 def _of_lam(jet) -> MJet2:
     """A jet in lam, or its coefficients, as an MJet2 of dimension 1."""
     return MJet2.from_jet1(jet, 0, 1)

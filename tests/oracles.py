@@ -337,6 +337,31 @@ def weyl_trace_error(rep: CurvatureReport, g: MatrixJet):
     return _per_point(np.divide(err, scale, out=np.zeros_like(err), where=scale > 0))
 
 
+def expand_report(report: dict) -> dict:
+    """The full tensors of a `c235 curvature` report, from its components and its index lists.
+
+    Christoffel (5, 5, 5) and Ricci (5, 5) are symmetric in their last two
+    indices; Riemann and Weyl (5, 5, 5, 5) are their pair forms P_ij = P_ji on
+    bivectors (a, b), a < b, with R_bacd = -R_abcd and R_abdc = -R_abcd.
+    """
+    layout = report["layout"]
+    b, c = layout["pairs"]
+    out = {"christoffel": np.zeros((5, 5, 5)), "ricci": np.zeros((5, 5))}
+    out["christoffel"][:, b, c] = out["christoffel"][:, c, b] = report["christoffel"]
+    out["ricci"][b, c] = out["ricci"][c, b] = report["ricci"]
+    lo, hi = (np.array(k) for k in layout["bivectors"])
+    i, j = layout["pairForm"]
+    for name in ("riemann", "weyl"):
+        P = np.zeros((lo.size, lo.size))
+        P[i, j] = P[j, i] = report[name]
+        R = np.zeros((5,) * 4)
+        for first, second, sign in ((lo, hi, 1.0), (hi, lo, -1.0)):
+            R[first[:, None], second[:, None], lo, hi] = sign * P
+            R[first[:, None], second[:, None], hi, lo] = -sign * P
+        out[name] = R
+    return out
+
+
 def ricci_identity_check(q_of: Jet1, F_of: Jet1, point4) -> float:
     """Relative error of Ricci against (9/120)(6I' - I^2) on wt4 x wt4."""
     th, W, I, Ip = _reduced_frame(q_of, F_of, point4)

@@ -14,6 +14,7 @@ import pytest
 import c235
 from c235 import cli, dist, errors, geometry
 from c235.cli import main
+from oracles import expand_report
 
 
 def run(capsys, *argv):
@@ -267,8 +268,8 @@ def test_curvature_elementary_ricci(capsys):
         "--point", "x=0.1,y=0.2,z=0.3,p=0.4,r=2.0", "--json",
     )
     assert code == 0
-    ricci = payload["report"]["ricci"]
-    assert ricci[4][4] == pytest.approx(2.0, rel=1e-8)
+    ricci = expand_report(payload["report"])["ricci"]
+    assert ricci[4, 4] == pytest.approx(2.0, rel=1e-8)
     assert payload["report"]["signature"] == [2, 3]
 
 
@@ -348,102 +349,58 @@ def test_curvature_at_extreme_points_reports_or_refuses_in_one_line(capsys):
     assert (codes.count(0), codes.count(2)) == (633, 183)
 
 
-def _head_curvature_text(case: str, point: str) -> str:
-    """The curvature report as json.dumps writes its .tolist() payload: the oracle of the writer."""
-    spec = dist.get_spec(case)
-    coords = cli._parse_point(point, spec)
-    g = geometry.metric_at(geometry.coframe_for_spec(spec, tuple(coords.values())))
-    rep = geometry.curvature(g)
-    payload = {
-        "version": cli.REPORT_VERSION,
-        "case": spec.id,
-        "point": coords,
-        "coords": list(geometry.coframe_coords(spec)),
-        "report": {**{k: np.asarray(v).tolist() for k, v in vars(rep).items()},
-                   "signature": list(geometry.metric_signature(g))},
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+@pytest.mark.parametrize("case, param, at, jets", [
+    ("F-triple-(-2/3,5/6,1/2)", "s=0.5", {"q": 1.7466998789056822}, 1),
+    ("H-schwarz-(2/3,2/3,2/3)", "s=0.6", {"t": 0.3}, 1),
+    ("F-elementary-r", "r=2.0", {"r": 2.0}, 0),  # its frame is built in r, not from F_jet
+    ("F-power-2", "q=1.5", {"q": 1.5}, 1),
+])
+def test_curvature_says_where_its_tensors_are(capsys, monkeypatch, case, param, at, jets):
+    # the value of the frame's fifth coordinate, read from the one F_jet the query builds
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dist.F_jet(*args, **kwargs)
+
+    for mod in (cli, geometry):
+        monkeypatch.setattr(mod, "F_jet", counted)
+    code, payload, _ = run_json(capsys, "curvature", "--case", case,
+                                "--point", f"x=0.1,y=0.2,z=0.3,p=0.4,{param}", "--json")
+    assert code == 0
+    assert payload["at"] == at
+    assert list(at) == payload["coords"][4:]
+    assert len(calls) == jets
 
 
 @pytest.mark.parametrize("spec", dist.catalog(), ids=lambda s: s.id)
 def test_curvature_report_is_the_json_of_its_lists(capsys, spec):
-    # F-power-3, the control, included: every case at 3 seeded points
+    # F-power-3, the control, included: every case at 3 seeded points. Christoffel and
+    # Ricci are written whole; Riemann and Weyl, antisymmetric only to round-off, are
+    # rebuilt from one slot of each class
     for pt in geometry.sample_points(spec, 3, 23):
         point = ",".join(f"{k}={v!r}" for k, v in zip(("x", "y", "z", "p", spec.param_name), pt))
         code, out, _ = run(capsys, "curvature", "--case", spec.id, "--point", point, "--json")
         assert code == 0
-        assert out == _head_curvature_text(spec.id, point)
+        doc = json.loads(out, parse_constant=_refuse_constant)
+        assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        rep = geometry.curvature(geometry.metric_at(geometry.coframe_for_spec(spec, pt)))
+        full = expand_report(doc["report"])
+        assert np.array_equal(full["christoffel"], rep.christoffel)
+        assert np.array_equal(full["ricci"], rep.ricci)
+        for name in ("riemann", "weyl"):
+            assert np.max(np.abs(full[name] - getattr(rep, name))) <= 1e-13 * rep.metricScale
+        for name in ("scalar", "maxAbsWeyl", "maxAbsRicci", "metricScale"):
+            assert doc["report"][name] == getattr(rep, name)
 
 
-# --- the tensors' writer ---------------------------------------------------------
-
-
-def _dumps(a: np.ndarray) -> str:
-    return json.dumps(a.tolist(), separators=(",", ":"))
-
-
-SHAPES = [(), (1,), (4,), (1, 1), (2, 3), (3, 1), (1, 4, 1), (2, 1, 3), (5, 5, 5),
-          (1, 1, 1, 1), (2, 3, 1, 2), (5, 5, 5, 5)]
-# exact zeros, -0.0, a value and its negative, subnormals, the largest double, NaN and inf
-SPECIAL = [0.0, -0.0, 0.1, -0.1, 1 / 3, -1 / 3, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
-           1.7976931348623157e308, -1.7976931348623157e308, 1e16, 123456789.0, math.nan,
-           math.inf, -math.inf]
-
-
-@pytest.mark.parametrize("shape", SHAPES, ids=str)
-def test_the_writer_writes_each_array_as_json_writes_its_list(shape):
-    rng = np.random.default_rng(len(shape) + math.prod(shape))
-    size = math.prod(shape)
-    finite = [v for v in SPECIAL if math.isfinite(v)]
-    # a few magnitudes, each with either sign, among zeros: as in a Riemann tensor
-    pool = rng.standard_normal(3) * 10.0 ** rng.integers(-300, 300, 3)
-    cases = [
-        np.zeros(shape),
-        np.full(shape, -0.0),
-        rng.choice(finite, size).reshape(shape),
-        (rng.choice(pool, size) * rng.choice([-1.0, 0.0, 0.0, 1.0], size)).reshape(shape),
-        rng.standard_normal(size).reshape(shape),
-    ]
-    for v in SPECIAL:
-        a = rng.choice(pool, size) * rng.choice([-1.0, 0.0, 1.0], size)
-        a[rng.integers(size)] = v
-        cases.append(a.reshape(shape))
-    for a in cases:
-        if np.isfinite(a).all():
-            assert cli._json_arrays(["", ""], [a]) == _dumps(a)
-        else:  # as json.dumps(allow_nan=False) does
-            with pytest.raises(ValueError):
-                cli._json_arrays(["", ""], [a])
-
-
-def test_the_writer_joins_arrays_and_texts_in_turn():
-    rng = np.random.default_rng(7)
-    arrays = [rng.choice([0.0, 0.5, -0.5, 1e-310], (5,) * k) for k in (3, 4, 2, 4)]
-    texts = ["{", ",", ",x,", "", "}\n"]
-    want = texts[0] + "".join(_dumps(a) + t for a, t in zip(arrays, texts[1:]))
-    assert cli._json_arrays(texts, arrays) == want
-    for bad in (math.nan, math.inf, -math.inf):  # a report is strict JSON
-        arrays[2][1, 1] = bad
-        with pytest.raises(ValueError):
-            cli._json_arrays(texts, arrays)
-
-
-@pytest.mark.parametrize("text", ["m", "\0"], ids=["text", "placeholder-text"])
-def test_emit_writes_the_arrays_of_a_payload_by_value(capsys, text):
-    # arrays anywhere in the payload, in the order of the sorted keys; a string that
-    # reads as the writer's placeholder is written as itself
-    a, k = np.array([[0.0, -0.0], [-2.5, 2.5]]), np.arange(3)
-    payload = {"z": a, "a": {"n": 1.5, "t": [a[0], np.float64(0.1), k]}, "m": text}
-    cli._emit(payload, argparse.Namespace(out=None, json=True))
-    lists = {"z": a.tolist(), "a": {"n": 1.5, "t": [a[0].tolist(), 0.1, [0, 1, 2]]}, "m": text}
-    assert capsys.readouterr().out == json.dumps(lists, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def test_the_placeholder_path_is_strict_json_too():
-    # a string that reads as the placeholder sends the payload through json.dumps,
-    # which refuses NaN and inf as _json_arrays does
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)
+def test_emit_refuses_what_is_not_strict_json_and_writes_nothing(capsys, tmp_path, bad):
+    target = tmp_path / "report.json"
     with pytest.raises(ValueError):
-        cli._report_text({"a": np.array([np.nan, 1.0]), "m": "\0"})
+        cli._emit({"report": {"weyl": [0.0, bad]}}, argparse.Namespace(out=str(target), json=True))
+    assert capsys.readouterr().out == ""
+    assert not target.exists()
 
 
 # --- refused input -------------------------------------------------------------
