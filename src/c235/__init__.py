@@ -3,8 +3,8 @@ dimension five, their sixth-order ODE characterisations, and the
 associated split-signature geometry.
 
 Submodules:
-    jets       truncated univariate Taylor arithmetic and order-2
-               multivariate jets
+    jets       truncated univariate Taylor arithmetic and order-2 jets
+               in the frame variable lam
     specialfn  hypergeometric series, closed-form solution pairs, and
                classical transformation identities
     chazy      ODE residual evaluators and solution builders for the

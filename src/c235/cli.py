@@ -133,7 +133,10 @@ def _check(name: str, i: int, tol: float, outcome) -> dict:
 
 
 def _verify_case(spec, points: int, tol: float, seed: int) -> dict:
-    pts = np.array(geometry.sample_points(spec, points, seed))
+    try:
+        pts = np.array(geometry.sample_points(spec, points, seed))
+    except (MemoryError, ValueError):  # numpy refuses an array this large, allocating nothing
+        raise InvalidParam(f"--points {points} is more points than can be sampled at once") from None
     # one F_jet call builds every point's solution jet, shared by every check
     failed = [None] * len(pts)  # the C235Error that stopped a point's jet
     jet, live = geometry.on_regular_rows(lambda p: F_jet(spec, p), pts[:, 4],
@@ -219,7 +222,10 @@ def cmd_identities(args) -> int:
     rng = np.random.default_rng(args.seed)
     results = []
     for kind in kinds:
-        s0 = _identity_samples(kind, rng, args.samples)
+        try:
+            s0 = _identity_samples(kind, rng, args.samples)
+        except (MemoryError, ValueError):  # numpy refuses an array this large, allocating nothing
+            raise InvalidParam(f"--samples {args.samples} is more samples than can be drawn at once") from None
         values = np.concatenate([_identity_values(kind, s0[i:i + IDENTITY_CHUNK])
                                  for i in range(0, args.samples, IDENTITY_CHUNK)])
         results.extend(

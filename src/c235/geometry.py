@@ -82,11 +82,6 @@ def independent_components(rep: CurvatureReport) -> dict:
             "weyl": rep.weyl[(..., *_PAIR_FORM_SLOTS)]}
 
 
-def _of_lam(jet) -> MJet2:
-    """A jet in lam, or its coefficients, as an MJet2 of dimension 1."""
-    return MJet2.from_jet1(jet, 0, 1)
-
-
 def _in_lam(D: np.ndarray) -> MatrixJet:
     """The (..., 3, m, n) stack of D, dD/dlam and d2D/dlam2 as a MatrixJet over (p, lam)."""
     batch, mn = D.shape[:-3], D.shape[-2:]
@@ -184,7 +179,7 @@ def _frame_rows(c) -> MatrixJet:
     th2 = s comb, th3 = (1 - u B) w2 + B w3, th4 = coef4 comb + w4 - w5,
     th5 = -w4. The entries are jets in lam alone: C's partials along p are zero.
     """
-    u, Fpp, F3, F4 = (_of_lam(c[..., k, :]) for k in range(3, 7))
+    u, Fpp, F3, F4 = (MJet2.from_jet1(c[..., k, :]) for k in range(3, 7))
     s = Fpp.reciprocal()
     s2 = s * s
     B = F3 * s2 * 0.25
@@ -516,7 +511,7 @@ def conformal_rescale_check(q_of: Jet1, F_of: Jet1, nu: Jet1, point4):
         raise DegenerateError("nu must be positive")
     # nu^{-2} g is the metric of the rows theta / nu; wt4 is unscaled in W,
     # so its component compares with the prediction directly
-    inv_nu = _in_lam(_of_lam(nu).reciprocal().derivatives()[..., None, None] * np.eye(DIM))
+    inv_nu = _in_lam(MJet2.from_jet1(nu).reciprocal().derivatives()[..., None, None] * np.eye(DIM))
     computed, off, rep = _frame_ricci(_product(inv_nu, th), W)
     d_dq = _d_dq(q_of.derivative())
     nupp = d_dq(d_dq(nu)).value()

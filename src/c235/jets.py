@@ -24,12 +24,12 @@ the kernel has just computed from such values, so `_jet` makes it a Jet1
 without coercing and checking it again. The constant tables the kernels
 read (Toeplitz indices, 1..n, power weights) are built once per order.
 
-MJet2 is a multivariate order-2 jet (value, gradient, symmetric hessian)
-used for the metric/curvature pipeline, packed in one array (..., 1 + d +
-d**2) whose value, gradient and hessian are views. A product is one outer
-product of the packed operands times a constant table, _product_table(d),
-with one 1 per term of the product rule; the reciprocal is a power series
-on that product.
+MJet2 is an order-2 jet in the frame variable lam, packed in one array
+(..., 3) as (value, d/dlam, d2/dlam2): the coframe coefficients of the
+metric/curvature pipeline depend on lam alone. A product is one outer
+product of the packed operands times the constant table _PRODUCT, with one
+entry per term of the product rule; the reciprocal is a power series on
+that product.
 """
 
 from __future__ import annotations
@@ -473,61 +473,31 @@ def jet_invert(f: Jet1) -> Jet1:
     return _jet(f.value(), g)
 
 
-# --- multivariate order-2 jets ---------------------------------------
+# --- order-2 jets in lam ---------------------------------------------
 
 
-@functools.cache
-def _product_table(d: int) -> np.ndarray:
-    """T (n * n, n), n = 1 + d + d**2: the packed a b is the flattened outer(a, b) times T.
-
-    One 1 per term of the product rule c = a b, c_i = a b_i + a_i b,
-    c_ij = a b_ij + a_ij b + a_i b_j + a_j b_i.
-    """
-    n = 1 + d + d * d
-    grad = 1 + np.arange(d)
-    hess = 1 + d + np.arange(d * d).reshape(d, d)
-    T = np.zeros((n, n, n))
-    T[0, np.arange(n), np.arange(n)] = T[np.arange(n), 0, np.arange(n)] = 1.0
-    T[grad[:, None], grad, hess] += 1.0
-    T[grad[:, None], grad, hess.T] += 1.0
-    T = T.reshape(n * n, n)
-    T.flags.writeable = False
-    return T
+# the packed a b is the flattened outer(a, b) times _PRODUCT, one entry per term of
+# the product rule c = a b, c' = a b' + a' b, c'' = a b'' + a'' b + 2 a' b'
+_PRODUCT = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                     [0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0],
+                     [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+_PRODUCT.flags.writeable = False
+# the first three Taylor coefficients times _TO_DERIVATIVES are the value, d/dlam and d2/dlam2
+_TO_DERIVATIVES = np.array([1.0, 1.0, 2.0])
+_TO_DERIVATIVES.flags.writeable = False
 
 
-@functools.cache
-def _embedding(axis: int, d: int) -> np.ndarray:
-    """E (3, 1 + d + d**2): the first three Taylor coefficients of a univariate jet
-    times E are the packed jet on the axis, value, d/dx_axis and d2/dx_axis2."""
-    axis = range(d)[axis]
-    E = np.zeros((3, 1 + d + d * d))
-    E[(0, 1, 2), (0, 1 + axis, 1 + d + axis * (d + 1))] = 1.0, 1.0, 2.0
-    E.flags.writeable = False
-    return E
-
-
-def _packed_product(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+def _packed_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     outer = a[..., None] * b[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (-1,)).dot(_product_table(d))
+    return outer.reshape(outer.shape[:-2] + (-1,)).dot(_PRODUCT)
 
 
 class MJet2:
-    """Order-2 multivariate jet, packed: `packed[..., :]` is the value, the
-    gradient and the row-major hessian, 1 + dim + dim**2 numbers. `value`,
-    `gradient` and `hessian` are views of it. Jets at N points stack on a
-    leading axis: value (N,), gradient (N, dim), hessian (N, dim, dim).
+    """Order-2 jet in lam, packed: `packed[..., :]` is the value, d/dlam and
+    d2/dlam2. Jets at N points stack on a leading axis, packed (N, 3).
     """
 
     __slots__ = ("packed",)
-
-    def __init__(self, value, gradient, hessian):
-        g = np.asarray(gradient, dtype=float)
-        d = g.shape[-1]
-        packed = np.empty(g.shape[:-1] + (1 + d + d * d,))
-        packed[..., 0] = value
-        packed[..., 1 : 1 + d] = g
-        packed[..., 1 + d :] = np.reshape(hessian, np.shape(hessian)[:-2] + (d * d,))
-        self.packed = packed
 
     @staticmethod
     def from_packed(packed: np.ndarray) -> "MJet2":
@@ -535,95 +505,39 @@ class MJet2:
         jet.packed = packed
         return jet
 
-    def __repr__(self) -> str:
-        return f"MJet2(value={self.value!r}, gradient={self.gradient!r}, hessian={self.hessian!r})"
-
-    @property
-    def dim(self) -> int:
-        return (math.isqrt(4 * self.packed.shape[-1] - 3) - 1) // 2
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.packed[..., 0]
-
-    @property
-    def gradient(self) -> np.ndarray:
-        return self.packed[..., 1 : 1 + self.dim]
-
-    @property
-    def hessian(self) -> np.ndarray:
-        d = self.dim
-        return self.packed[..., 1 + d :].reshape(self.packed.shape[:-1] + (d, d))
-
     @staticmethod
-    def constant(value: float, dim: int) -> "MJet2":
-        packed = np.zeros(1 + dim + dim * dim)
-        packed[0] = value
-        return MJet2.from_packed(packed)
-
-    @staticmethod
-    def coordinate(value: float, axis: int, dim: int) -> "MJet2":
-        packed = MJet2.constant(value, dim).packed
-        packed[1 + axis] = 1.0
-        return MJet2.from_packed(packed)
-
-    @staticmethod
-    def from_jet1(jet, axis: int, dim: int) -> "MJet2":
-        """Embed a univariate jet (order >= 2), or its coefficients (..., order + 1), on an axis."""
+    def from_jet1(jet) -> "MJet2":
+        """A univariate jet in lam (order >= 2), or its coefficients (..., order + 1)."""
         c = jet.coeffs if isinstance(jet, Jet1) else np.asarray(jet)
         if c.shape[-1] < 3:
             raise ValueError("need a univariate jet of order >= 2")
         if c.dtype.kind == "c":
             raise ValueError("metric coefficients must be real jets")
-        return MJet2.from_packed(c[..., :3] @ _embedding(axis, dim))
+        return MJet2.from_packed(c[..., :3] * _TO_DERIVATIVES)
 
     def derivatives(self) -> np.ndarray:
-        """(..., 3): the value, first and second derivative of a jet of dimension 1."""
-        if self.packed.shape[-1] != 3:
-            raise ValueError("derivatives() needs a jet of dimension 1")
+        """(..., 3): the value, first and second derivative."""
         return self.packed
 
-    def __add__(self, other) -> "MJet2":
-        if isinstance(other, MJet2):
-            return MJet2.from_packed(self.packed + other.packed)
-        packed = self.packed.copy()
-        packed[..., 0] += other
-        return MJet2.from_packed(packed)
+    def __add__(self, other: "MJet2") -> "MJet2":
+        return MJet2.from_packed(self.packed + other.packed)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "MJet2":
-        return MJet2.from_packed(-self.packed)
-
-    def __sub__(self, other) -> "MJet2":
-        return self + (-other)
-
-    def __rsub__(self, other) -> "MJet2":
-        return (-self) + other
+    def __sub__(self, other: "MJet2") -> "MJet2":
+        return MJet2.from_packed(self.packed - other.packed)
 
     def __mul__(self, other) -> "MJet2":
+        """The product with a jet, or with a number."""
         if not isinstance(other, MJet2):
-            return MJet2.from_packed(self.packed * _per_row(other))
-        return MJet2.from_packed(_packed_product(self.packed, other.packed, self.dim))
-
-    __rmul__ = __mul__
+            return MJet2.from_packed(self.packed * other)
+        return MJet2.from_packed(_packed_product(self.packed, other.packed))
 
     def reciprocal(self) -> "MJet2":
         """r (1 - e + e**2), with r = 1 / f(x0) and e = f r - 1: e has value 0, so
         e**3 has no terms of order <= 2, and the 1 only sets the value r."""
-        DivisionByZeroJet.raise_where(self.packed[..., 0] == 0, "reciprocal of a zero-valued multivariate jet")
+        DivisionByZeroJet.raise_where(self.packed[..., 0] == 0, "reciprocal of a zero-valued jet in lam")
         r = 1.0 / self.packed[..., :1]
         e = self.packed * r
         e[..., 0] = 0.0
-        out = (_packed_product(e, e, self.dim) - e) * r
+        out = (_packed_product(e, e) - e) * r
         out[..., 0] = r[..., 0]
         return MJet2.from_packed(out)
-
-    def __truediv__(self, other) -> "MJet2":
-        if not isinstance(other, MJet2):
-            DivisionByZeroJet.raise_where(np.equal(other, 0), "division of a multivariate jet by zero")
-            return MJet2.from_packed(self.packed / _per_row(other))
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other) -> "MJet2":
-        return self.reciprocal() * other

@@ -2,7 +2,8 @@
 
 Each one checks the package by an independent route, or against one of the
 paper's displays, and no command, demo or benchmark calls it: the
-finite-difference derivative oracle, the Chazy, Schwarzian, Omega-system
+finite-difference derivative oracle, the multivariate order-2 reference
+jet, the Chazy, Schwarzian, Omega-system
 and closed-form residuals, the Legendre map of solution pairs, the Riemann,
 Weyl and Ricci identity checks, and the Plebanski connection checks. The
 package keeps the certificate path they check.
@@ -11,6 +12,7 @@ package keeps the certificate path they check.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
@@ -288,6 +290,116 @@ def legendre_pair_map(z1: Jet1, z2: Jet1, direction: str) -> Tuple[Jet1, Jet1]:
         w1 = jet_pow(z1, Fraction(-4, 3))
         K = (z1 * z1 * wronsk).antiderivative(0.0)
     return w1, w1 * K
+
+
+# --- the multivariate order-2 reference jet ------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceJet2:
+    """An order-2 jet in `dim` variables, unpacked: value (...,), gradient
+    (..., dim) and symmetric hessian (..., dim, dim), with a leading point axis
+    or none. Products and reciprocals follow the product and quotient rules
+    term by term, with no packed layout and no table: the reference that
+    geometry's MJet2 and MatrixJet arithmetic is checked against.
+    """
+
+    value: np.ndarray
+    gradient: np.ndarray
+    hessian: np.ndarray
+
+    @classmethod
+    def constant(cls, value, dim: int) -> "ReferenceJet2":
+        return cls(np.asarray(value, dtype=float), np.zeros(dim), np.zeros((dim, dim)))
+
+    @classmethod
+    def coordinate(cls, value, axis: int, dim: int) -> "ReferenceJet2":
+        jet = cls.constant(value, dim)
+        jet.gradient[axis] = 1.0
+        return jet
+
+    @classmethod
+    def of_jet1(cls, jet, axis: int, dim: int) -> "ReferenceJet2":
+        """A univariate jet, or its Taylor coefficients (..., order + 1), in coordinate `axis`."""
+        c = jet.coeffs if isinstance(jet, Jet1) else np.asarray(jet)
+        gradient, hessian = np.zeros(c.shape[:-1] + (dim,)), np.zeros(c.shape[:-1] + (dim, dim))
+        gradient[..., axis] = c[..., 1]
+        hessian[..., axis, axis] = 2.0 * c[..., 2]
+        return cls(c[..., 0], gradient, hessian)
+
+    def along(self, axis: int) -> np.ndarray:
+        """(..., 3): the value, and the first and second partial along `axis`."""
+        return np.stack([self.value, self.gradient[..., axis], self.hessian[..., axis, axis]], axis=-1)
+
+    def __add__(self, other) -> "ReferenceJet2":
+        if not isinstance(other, ReferenceJet2):
+            return type(self)(self.value + other, self.gradient, self.hessian)
+        return type(self)(self.value + other.value, self.gradient + other.gradient,
+                          self.hessian + other.hessian)
+
+    def __neg__(self) -> "ReferenceJet2":
+        return type(self)(-self.value, -self.gradient, -self.hessian)
+
+    def __sub__(self, other) -> "ReferenceJet2":
+        return self + (-other)
+
+    def __rsub__(self, other) -> "ReferenceJet2":
+        return (-self) + other
+
+    def __mul__(self, other) -> "ReferenceJet2":
+        """The product with a jet, a number, or one number per point."""
+        if not isinstance(other, ReferenceJet2):
+            x = np.asarray(other, dtype=float)
+            return type(self)(self.value * x, self.gradient * x[..., None], self.hessian * x[..., None, None])
+        va, vb = np.asarray(self.value)[..., None], np.asarray(other.value)[..., None]
+        outer = self.gradient[..., :, None] * other.gradient[..., None, :]
+        return type(self)(self.value * other.value, va * other.gradient + vb * self.gradient,
+                          va[..., None] * other.hessian + vb[..., None] * self.hessian
+                          + outer + np.swapaxes(outer, -1, -2))
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "ReferenceJet2":
+        """1/v, -g/v**2 and -h/v**2 + 2 g g^T/v**3."""
+        v, g = np.asarray(self.value)[..., None], self.gradient
+        return type(self)(1.0 / self.value, -g / v ** 2,
+                          -self.hessian / v[..., None] ** 2
+                          + 2.0 * g[..., :, None] * g[..., None, :] / v[..., None] ** 3)
+
+    def __truediv__(self, other: "ReferenceJet2") -> "ReferenceJet2":
+        return self * other.reciprocal()
+
+
+class RoundoffScale(ReferenceJet2):
+    """ReferenceJet2's arithmetic with every term taken in absolute value.
+
+    An expression evaluated on RoundoffScale jets of the absolute values of
+    its inputs (of_jet1 takes them) bounds each part of its ReferenceJet2
+    result term by term, so the round-off of any evaluation order is a few
+    units in the last place of it per operation, however much the terms
+    cancel.
+    """
+
+    @classmethod
+    def of_jet1(cls, jet, axis: int, dim: int) -> "RoundoffScale":
+        return super().of_jet1(np.abs(jet.coeffs if isinstance(jet, Jet1) else jet), axis, dim)
+
+    def __add__(self, other) -> "RoundoffScale":  # a sum or a difference
+        return super().__add__(other if isinstance(other, ReferenceJet2) else abs(other))
+
+    def __neg__(self) -> "RoundoffScale":
+        return self
+
+    def __mul__(self, other) -> "RoundoffScale":
+        return super().__mul__(other if isinstance(other, ReferenceJet2) else np.abs(other))
+
+    __rmul__ = __mul__
+
+    def reciprocal(self) -> "RoundoffScale":
+        v, g = np.asarray(self.value)[..., None], self.gradient
+        return RoundoffScale(1.0 / self.value, g / v ** 2,
+                             self.hessian / v[..., None] ** 2
+                             + 2.0 * g[..., :, None] * g[..., None, :] / v[..., None] ** 3)
 
 
 # --- Riemann, Weyl and Ricci identity checks --------------------------

@@ -419,6 +419,11 @@ REFUSED = [
     pytest.param(("verify", "--points", "0"), None, "InvalidParam", "--points", id="points-0"),
     pytest.param(("identities", "--samples", "0"), None, "InvalidParam", "--samples",
                  id="samples-0"),
+    # counts whose samples numpy refuses to allocate (35.5 PiB and more), at once
+    *(pytest.param((*argv, str(n)), None, "InvalidParam", argv[-1], id=f"{argv[-1][2:]}-{n}")
+      for argv in (("verify", "--case", "F-power-2", "--points"),
+                   ("identities", "--kind", "wronskian", "--samples"))
+      for n in (10 ** 15, 2 ** 62)),
     pytest.param(("identities", "--kind", "nonsense"), None, "InvalidParam", "nonsense",
                  id="unknown-kind"),
     pytest.param(("list", "--filter", "planet=mars"), None, "InvalidParam", "planet",

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from c235.jets import (
     jet_var,
 )
 
-from oracles import derivative_oracle
+from oracles import ReferenceJet2, RoundoffScale, derivative_oracle
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 coeff_lists = st.lists(finite, min_size=1, max_size=9)
@@ -140,67 +141,68 @@ def _reciprocal_rule(a):
             -h / v[..., None, None] ** 2 + 2.0 * g[..., :, None] * g[..., None, :] / v[..., None, None] ** 3)
 
 
+def _lam_parts(packed):
+    """A packed jet in lam as the (value, gradient, hessian) of dimension 1 the rules take."""
+    return packed[..., 0], packed[..., 1:2], packed[..., 2:3, None]
+
+
 def test_mjet2_product_rule():
     rng = np.random.default_rng(0)
-    for dim in (1, 2, 5):
-        for batch in ((), (7,)):
-            A, B = _random_mjet2_parts(rng, batch, dim), _random_mjet2_parts(rng, batch, dim)
-            a, b = MJet2(*A), MJet2(*B)
-            assert a.dim == dim
-            assert a.packed.shape == batch + (1 + dim + dim * dim,)
-            assert a.value.shape == batch
-            assert a.gradient.shape == batch + (dim,) and a.hessian.shape == batch + (dim, dim)
-            assert all(np.shares_memory(view, a.packed) for view in (a.value, a.gradient, a.hessian))
-            x = rng.uniform(0.5, 2.0, batch)  # one number per row, or one number
-            cases = (
-                (a * b, _product_rule(A, B)),
-                (a.reciprocal(), _reciprocal_rule(A)),
-                (a / b, _product_rule(A, _reciprocal_rule(B))),
-                (2.5 / a, [2.5 * p for p in _reciprocal_rule(A)]),
-                (a + b, [p + q for p, q in zip(A, B)]),
-                (a - b, [p - q for p, q in zip(A, B)]),
-                (-a, [-p for p in A]),
-                (a + 1.5, (A[0] + 1.5, A[1], A[2])),
-                (1.5 - a, (1.5 - A[0], -A[1], -A[2])),
-                (a + x, (A[0] + x, A[1], A[2])),
-                (a * 2.5, [2.5 * p for p in A]),
-                (a * x, (A[0] * x, A[1] * x[..., None], A[2] * x[..., None, None])),
-                (a / x, (A[0] / x, A[1] / x[..., None], A[2] / x[..., None, None])),
-            )
-            for k, (got, want) in enumerate(cases):
-                for part, w in zip((got.value, got.gradient, got.hessian), want):
-                    np.testing.assert_allclose(part, w, rtol=1e-13, atol=1e-13, err_msg=f"{dim} {batch} {k}")
-                h = got.hessian
-                assert np.max(np.abs(h - np.swapaxes(h, -1, -2))) <= 1e-15 * max(np.max(np.abs(h)), 1.0)
-            ident = a * a.reciprocal()
-            assert np.allclose(ident.value, 1.0, atol=1e-12)
-            assert np.allclose(ident.gradient, 0.0, atol=1e-12)
-            assert np.allclose(ident.hessian, 0.0, atol=1e-11)
-            with pytest.raises(DivisionByZeroJet) as err:
-                a / 0
-            assert err.value.rows is None
-            if batch:  # a per-row number zero at row 3 only
-                zero_at_3 = np.where(np.arange(7) == 3, 0.0, x)
-                with pytest.raises(DivisionByZeroJet) as err:
-                    a / zero_at_3
-                assert err.value.rows.tolist() == (zero_at_3 == 0).tolist()
+    for batch in ((), (7,)):
+        A, B = _random_mjet2_parts(rng, batch, 1), _random_mjet2_parts(rng, batch, 1)
+        a, b = (MJet2.from_packed(np.concatenate([v[..., None], g, h[..., 0]], axis=-1)) for v, g, h in (A, B))
+        cases = (
+            (a * b, _product_rule(A, B)),
+            (a.reciprocal(), _reciprocal_rule(A)),
+            (a + b, [p + q for p, q in zip(A, B)]),
+            (a - b, [p - q for p, q in zip(A, B)]),
+            (a * 2.5, [2.5 * p for p in A]),
+        )
+        for k, (got, want) in enumerate(cases):
+            assert got.derivatives().shape == batch + (3,)
+            for part, w in zip(_lam_parts(got.derivatives()), want):
+                np.testing.assert_allclose(part, w, rtol=1e-13, atol=1e-13, err_msg=f"{batch} {k}")
+        ident = (a * a.reciprocal()).derivatives()
+        np.testing.assert_allclose(ident, np.broadcast_to([1.0, 0.0, 0.0], ident.shape), atol=1e-12)
 
 
-def test_mjet2_from_jet1_embedding():
+def test_mjet2_from_jet1_reads_the_value_and_two_derivatives():
     j = jet_exp(jet_var(0.3, 4))
-    m = MJet2.from_jet1(j, 2, 5)
-    assert m.value == j.value()
-    assert m.gradient[2] == j.deriv(1)
-    assert m.hessian[2, 2] == pytest.approx(j.deriv(2))
-    assert np.count_nonzero(m.gradient) == 1
-    line = MJet2.from_jet1(j, 0, 1)
-    assert np.array_equal(line.derivatives(), [j.deriv(0), j.deriv(1), j.deriv(2)])
-    assert np.array_equal(line.derivatives(), np.concatenate([line.value[None], line.gradient, line.hessian[0]]))
-    with pytest.raises(ValueError):
-        m.derivatives()
-    for axis, dim in ((1, 1), (5, 5)):
-        with pytest.raises(IndexError):
-            MJet2.from_jet1(j, axis, dim)
+    assert np.array_equal(MJet2.from_jet1(j).derivatives(), [j.deriv(0), j.deriv(1), j.deriv(2)])
+    stack = MJet2.from_jet1(np.stack([j.coeffs, 2.0 * j.coeffs]))
+    assert np.array_equal(stack.derivatives()[1], MJet2.from_jet1(2.0 * j).derivatives())
+    for short_or_complex in (jet_var(0.3, 1), jet_var(0.3 + 0.1j, 4)):
+        with pytest.raises(ValueError):
+            MJet2.from_jet1(short_or_complex)
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_reference_jet_follows_the_product_rule(dim):
+    # the tests' multivariate reference, and its round-off scale: each part of a
+    # result is at most that of the same expression in absolute values
+    rng = np.random.default_rng(dim)
+    for batch in ((), (7,)):
+        A, B = _random_mjet2_parts(rng, batch, dim), _random_mjet2_parts(rng, batch, dim)
+        a, b = ReferenceJet2(*A), ReferenceJet2(*B)
+        x = rng.uniform(0.5, 2.0, batch)  # one number per row, or one number
+        cases = (
+            (lambda a, b: a * b, _product_rule(A, B)),
+            (lambda a, b: a.reciprocal(), _reciprocal_rule(A)),
+            (lambda a, b: a / b, _product_rule(A, _reciprocal_rule(B))),
+            (lambda a, b: a + b, [p + q for p, q in zip(A, B)]),
+            (lambda a, b: a - b, [p - q for p, q in zip(A, B)]),
+            (lambda a, b: -a, [-p for p in A]),
+            (lambda a, b: 1.5 - a, (1.5 - A[0], -A[1], -A[2])),
+            (lambda a, b: a + x, (A[0] + x, A[1], A[2])),
+            (lambda a, b: 2.5 * a, [2.5 * p for p in A]),
+            (lambda a, b: a * x, (A[0] * x, A[1] * x[..., None], A[2] * x[..., None, None])),
+        )
+        scales = [RoundoffScale(*map(np.abs, parts)) for parts in (A, B)]
+        for k, (op, want) in enumerate(cases):
+            got, scale = op(a, b), op(*scales)
+            for part, bound, w in zip(astuple(got), astuple(scale), want):
+                np.testing.assert_allclose(part, w, rtol=1e-13, atol=1e-13, err_msg=f"{dim} {batch} {k}")
+                assert np.all(np.abs(part) <= bound * (1.0 + 1e-12)), (dim, batch, k)
 
 
 def test_jet_pow_negative_base_odd_denominator():
@@ -246,29 +248,16 @@ def test_complex_jet_pow_takes_the_principal_branch():
 
 def test_mjet2_stacked_rows_match_single_jets():
     rng = np.random.default_rng(1)
-    n, dim = 7, 5
-    va, vb = rng.normal(size=(2, n))
-    ga, gb = rng.normal(size=(2, n, dim))
-    ha, hb = rng.normal(size=(2, n, dim, dim))
-    a, b = MJet2(va, ga, ha + np.swapaxes(ha, -1, -2)), MJet2(vb, gb, hb + np.swapaxes(hb, -1, -2))
-    assert a.dim == dim
-    w = rng.uniform(0.5, 2.0, n)  # one number per row
-    for stacked, single in ((a * b, lambda x, y, wi: x * y),
-                            (a.reciprocal(), lambda x, y, wi: x.reciprocal()),
-                            (1.0 - a * 2.5, lambda x, y, wi: 1.0 - x * 2.5),
-                            (a * w + w, lambda x, y, wi: x * wi + wi),
-                            (b / w - w, lambda x, y, wi: y / wi - wi)):
-        for i in range(n):
-            row = single(*(MJet2(float(m.value[i]), m.gradient[i], m.hessian[i]) for m in (a, b)), w[i])
-            assert stacked.value[i] == row.value
-            assert np.array_equal(stacked.gradient[i], row.gradient)
-            assert np.array_equal(stacked.hessian[i], row.hessian)
-    j = jet_exp(jet_var(0.3, 4))
-    m = MJet2.from_jet1(np.stack([j.coeffs, 2.0 * j.coeffs]), 2, dim)
-    assert np.array_equal(m.value, [j.value(), 2.0 * j.value()])
-    assert np.array_equal(m.gradient[1], MJet2.from_jet1(2.0 * j, 2, dim).gradient)
+    a, b = (MJet2.from_packed(rng.normal(size=(7, 3))) for _ in range(2))
+    for stacked, single in ((a * b, lambda x, y: x * y),
+                            (a.reciprocal(), lambda x, y: x.reciprocal()),
+                            (a + b, lambda x, y: x + y),
+                            (a - b * 2.5, lambda x, y: x - y * 2.5)):
+        for i in range(7):
+            row = single(*(MJet2.from_packed(m.derivatives()[i]) for m in (a, b)))
+            assert np.array_equal(stacked.derivatives()[i], row.derivatives())
     with pytest.raises(DivisionByZeroJet) as err:
-        MJet2(np.array([1.0, 0.0, 2.0]), np.zeros((3, dim)), np.zeros((3, dim, dim))).reciprocal()
+        MJet2.from_packed(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 2.0], [2.0, 0.0, 1.0]])).reciprocal()
     assert err.value.rows.tolist() == [False, True, False]
 
 
