@@ -24,9 +24,9 @@ from .chazy import residual_6th
 from .dist import F_jet, catalog, dual_residual, get_spec
 from .errors import C235Error, InvalidParam
 from .specialfn import (
-    CLOSED_FORM_HYPER,
     DEGREE6_EXCLUDED,
     TRANSFORM_KINDS,
+    HyperTriple,
     hypergeom_pair,
     transform_identity_check,
     wronskian_check,
@@ -186,6 +186,9 @@ def cmd_verify(args) -> int:
 # --- identities ----------------------------------------------------------
 
 IDENTITY_KINDS = TRANSFORM_KINDS + ("wronskian",)
+# the wronskian kind checks the law on the standard pair of this triple, the
+# paper's Table 1 row 1, whose 2F1 is the polynomial 1 - 2s
+WRONSKIAN_TRIPLE = HyperTriple(-4, -1, -2)
 # samples per stacked call, so memory stays flat for any --samples
 IDENTITY_CHUNK = 256
 
@@ -206,8 +209,8 @@ def _identity_samples(kind: str, rng, n: int) -> np.ndarray:
 def _identity_values(kind: str, s0: np.ndarray) -> np.ndarray:
     """The named identity's relative error at each point of s0, in one stacked call."""
     if kind == "wronskian":
-        p = CLOSED_FORM_HYPER["table1_row1"]
-        return wronskian_check(lambda s: hypergeom_pair(p, s), p, 0.5, s0)
+        pair = lambda s: hypergeom_pair(WRONSKIAN_TRIPLE, s)
+        return wronskian_check(pair, WRONSKIAN_TRIPLE, 0.5, s0)
     return transform_identity_check(kind, s0)
 
 

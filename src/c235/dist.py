@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BranchError, DegenerateError, DomainError, UnknownCaseId
 from .jets import (
     Jet1,
+    jet_abs_pow,
     jet_abs_pow_product,
     jet_compose,
     jet_invert,
@@ -27,7 +28,7 @@ from .jets import (
     jet_var,
 )
 from .chazy import SchwarzTriple, build_F_from_I, residual_ds6, schwarz_solution, two_pole_solution
-from .specialfn import ClosedFormId, HyperTriple, _rp, closed_form_solution, hypergeom_pair
+from .specialfn import HyperTriple, closed_form_solution, hypergeom_pair
 
 Frac = Fraction
 
@@ -225,14 +226,23 @@ def _second_derivative_chain(pair, power: int) -> Jet1:
     return jet_compose(z1 ** power, s_of_q)
 
 
-def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
-    """Jet of F(q) (F-picture) or H(t) (H-picture) for a catalog entry.
+def _rp(jet: Jet1, e: Fraction) -> Jet1:
+    """Real power with odd-denominator branch rule, |.|-branch otherwise.
 
-    `point` is a basepoint for spec.param_name, or an array of them; the
-    jets of an array stack on a leading point axis. For the s- and
-    r-parametrised families the returned jet sits at the induced q0 (t0).
-    A test that fails at some points of an array raises with `rows` set
-    to the mask of those points.
+    The |.| fallback rescales the function by a constant, which the
+    degree-4 homogeneous sixth-order equations ignore.
+    """
+    if e.denominator % 2 == 1:
+        return jet_pow(jet, e)
+    return jet_abs_pow(jet, float(e))
+
+
+def admissible(spec: SolutionSpec, point):
+    """`point`, a float or a float array, once every basepoint in it lies in spec.domain.
+
+    DomainError marks the basepoints outside the closed interval, NaN
+    among them. F_jet starts here, and so does the elementary pair's
+    frame in r, which geometry builds without F_jet.
     """
     if type(point) is not float:
         point = np.asarray(point, dtype=float)
@@ -242,6 +252,19 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
     inside = (lo <= point) & (point <= hi)
     DomainError.raise_where(np.logical_not(inside),
                             lambda: f"{spec.id}: basepoint outside admissible [{lo}, {hi}]")
+    return point
+
+
+def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
+    """Jet of F(q) (F-picture) or H(t) (H-picture) for a catalog entry.
+
+    `point` is a basepoint for spec.param_name, or an array of them; the
+    jets of an array stack on a leading point axis. For the s- and
+    r-parametrised families the returned jet sits at the induced q0 (t0).
+    A test that fails at some points of an array raises with `rows` set
+    to the mask of those points.
+    """
+    point = admissible(spec, point)
     fam = spec.family
     if fam == "power_m":
         m = spec.params["m"]
@@ -253,8 +276,7 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         power = 3 if spec.picture == "F_of_q" else 4
         return _double_antiderivative(_second_derivative_chain(pair, power))
     if fam == "elementary_r":
-        cid = ClosedFormId("elementary_r", tuple(spec.params["constants"]))
-        pair = closed_form_solution(cid, point, order)
+        pair = closed_form_solution(spec.params["constants"], point, order)
         return _double_antiderivative(_second_derivative_chain(pair, 3))
     if fam == "schwarz_triple_param":
         e1, e2 = spec.params["exponents"]

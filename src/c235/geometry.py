@@ -20,9 +20,9 @@ from typing import Tuple
 import numpy as np
 
 from .errors import C235Error, DegenerateError, SingularCoframeError, SingularMetricError
-from .jets import Jet1, MJet2, _unit, jet_var
-from .dist import SolutionSpec, F_jet
-from .specialfn import ClosedFormId, closed_form_solution
+from .jets import _TO_DERIVATIVES, Jet1, MJet2, _unit, jet_var
+from .dist import SolutionSpec, F_jet, admissible
+from .specialfn import closed_form_solution
 
 DIM = 5
 
@@ -146,7 +146,7 @@ def _omegas(c, point4) -> MatrixJet:
     D[..., 0, 0, 0] = -p
     D[..., 0, 0, 1] = D[..., 0, 1, 3] = D[..., 0, 2, 2] = D[..., 0, 4, 0] = 1.0
     for i, a, k, sign in ((1, 0, 0, -1.0), (2, 0, 1, -1.0), (3, 4, 2, 1.0)):
-        D[..., :, i, a] = sign * c[..., k, :] * (1.0, 1.0, 2.0)  # Taylor coefficients to derivatives
+        D[..., :, i, a] = sign * c[..., k, :] * _TO_DERIVATIVES
     om = _in_lam(D)
     om.grad[..., 0, 0, 0] = -1.0  # d(-p)/dp
     return om
@@ -371,11 +371,11 @@ def frame_jets_for_spec(spec: SolutionSpec, param_point, jet: Jet1 | None = None
     q = H'(t), F = t H'(t) - H(t). `param_point` is one parameter or an
     array of them. `jet` is F_jet(spec, param_point) when the
     caller already holds it; elementary_r builds its frame from the
-    closed-form pair in r and does not use it.
+    closed-form pair in r and does not use it. Either way the basepoints
+    pass dist.admissible, F_jet's domain test, first.
     """
     if spec.family == "elementary_r":
-        cid = ClosedFormId("elementary_r", tuple(spec.params["constants"]))
-        z1, z2 = closed_form_solution(cid, param_point)
+        z1, z2 = closed_form_solution(spec.params["constants"], admissible(spec, param_point))
         q_of = z2 / z1
         Fpp_of_r = z1 ** 3
         Fp_of_r = (Fpp_of_r * q_of.derivative()).antiderivative(0.0)

@@ -1,9 +1,11 @@
 """Hypergeometric machinery.
 
-Gauss 2F1 evaluated as a jet, the catalogued closed-form solution pairs
-of the second-order equations u'' + V(s) u / 4 = 0 and the hypergeometric
-equation, the Wronskian law, and the algebraic transformation identities
-between solution families.
+Gauss 2F1 evaluated as a jet, the standard solution pair of the
+hypergeometric equation, the Schwarzian potential V(s), the elementary
+closed-form pair in r that a catalog case is built from, the Wronskian
+law, and the algebraic transformation identities between solution
+families. The paper's other closed-form pairs are test oracles, in
+tests/oracles.py.
 
 Each HyperTriple is built once, as a module constant or with its catalog
 case, and what depends on a triple and an order alone (series
@@ -345,133 +347,25 @@ def schwarz_potential(alpha: float, beta: float, gamma: float, s0, order: int) -
     return _jet(s0, double_poles + (b2 + g2 - a2 - 1) * (inv_sm1 - inv_s))
 
 
-# --- closed-form catalogue --------------------------------------------
+# --- the elementary pair in r -----------------------------------------
 
 
-CLOSED_FORM_HYPER: dict[str, HyperTriple] = {
-    "table1_row1": HyperTriple(-4, -1, -2),
-    "table1_row2": HyperTriple(Frac(-4, 3), Frac(5, 3), Frac(2, 3)),
-    "table1_row3": HyperTriple(Frac(-4, 3), -1, -2),
-    "table1_row4": HyperTriple(Frac(-4, 3), -1, Frac(2, 3)),
-    "table2_row1": HyperTriple(Frac(5, 6), Frac(-2, 3), Frac(2, 3)),
-    "table2_row2": HyperTriple(Frac(-1, 2), -2, -2),
-    "table2_row3": HyperTriple(Frac(-7, 6), Frac(-8, 3), Frac(2, 3)),
-    "table3_row1": HyperTriple(-4, 2, Frac(-1, 2)),
-    "table3_row2": HyperTriple(Frac(-4, 3), Frac(-2, 3), Frac(-1, 2)),
-    "table3_row3": HyperTriple(0, Frac(2, 3), Frac(5, 6)),
-    "dual_k32_row1": HyperTriple(Frac(-1, 4), Frac(5, 12), Frac(1, 2)),
-    "dual_k32_row2": HyperTriple(Frac(-1, 4), Frac(5, 12), Frac(2, 3)),
-    "dual_k32_row3": HyperTriple(Frac(-1, 2), Frac(5, 6), Frac(2, 3)),
-}
-# the hypergeometric entries and the elementary pair in r
-CLOSED_FORM_FAMILIES = tuple(CLOSED_FORM_HYPER) + ("elementary_r",)
-# the triples of the 2F1 factors of the displayed bases that have them
-_BASIS_FACTORS = {
-    "table2_row1": (CLOSED_FORM_HYPER["table2_row1"],
-                    HyperTriple(Frac(7, 6), Frac(-1, 3), Frac(4, 3))),
-    "table2_row3": (HyperTriple(Frac(13, 6), Frac(11, 3), Frac(4, 3)),
-                    HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3))),
-    "table3_row2": (HyperTriple(Frac(5, 3), Frac(7, 3), Frac(5, 2)),
-                    HyperTriple(Frac(1, 6), Frac(5, 6), Frac(-1, 2))),
-    "table3_row3": (HyperTriple(Frac(1, 3), 1, Frac(7, 6)),),
-}
+def closed_form_solution(constants, r0, order: int = 8) -> Tuple[Jet1, Jet1]:
+    """(c1 e1 + c2 e2, c3 e1 + c4 e2) at r0 (one point, or a stack), for constants (c1, c2, c3, c4).
 
-
-@dataclass(frozen=True)
-class ClosedFormId:
-    """Names a closed-form solution pair plus basis-mixing constants.
-
-    The returned pair is (c1 e1 + c2 e2, c3 e1 + c4 e2) over the entry's
-    displayed basis (e1, e2); linear independence needs c1 c4 != c2 c3.
+    e1 = (r-1)^(1/3) (3r+1) and e2 = (r+1)^(1/3) (3r-1) solve
+    (1 - r^2) z'' / 4 - r z' / 3 + 5 z / 9 = 0, the one closed-form pair a
+    catalog case is built from; the pair is independent where c1 c4 != c2 c3.
     """
-
-    family: str
-    constants: Tuple[float, float, float, float] = (1.0, 0.0, 0.0, 1.0)
-
-    def __post_init__(self):
-        if self.family not in CLOSED_FORM_FAMILIES:
-            raise ValueError(f"unknown closed-form family {self.family!r}")
-
-
-def _rp(jet: Jet1, e: Fraction) -> Jet1:
-    """Real power with odd-denominator branch rule, |.|-branch otherwise.
-
-    The |.| fallback rescales the function by a constant, which is harmless
-    for solutions of the linear second-order equations catalogued here.
-    """
-    if e.denominator % 2 == 1:
-        return jet_pow(jet, e)
-    return jet_abs_pow(jet, float(e))
-
-
-def _closed_form_basis(family: str, s0, order: int) -> Tuple[Jet1, Jet1]:
-    s = jet_var(s0, order)
-    sm1 = s - 1.0
-    if family == "table1_row1":
-        SingularPointError.raise_where((s0 == 0) | (s0 == 1), "s in {0,1}")
-        return (2.0 * s - 1.0) / (s * sm1), s * s * (s - 2.0) / sm1
-    if family == "table1_row2":
-        e1 = (3.0 * s - 2.0) * _rp(s, Frac(2, 3)) * _rp(sm1, Frac(1, 3))
-        e2 = (3.0 * s - 1.0) * _rp(s, Frac(1, 3)) * _rp(sm1, Frac(2, 3))
-        return e1, e2
-    if family == "table1_row3":
-        e1 = (2.0 * s - 3.0) / s * _rp(sm1, Frac(1, 3))
-        e2 = (s - 3.0) / s * _rp(sm1, Frac(2, 3))
-        return e1, e2
-    if family == "table1_row4":
-        e1 = (2.0 * s + 1.0) / sm1 * _rp(s, Frac(1, 3))
-        e2 = (s + 2.0) / sm1 * _rp(s, Frac(2, 3))
-        return e1, e2
-    if family == "table2_row1":
-        # 2F1 form of the displayed associated-Legendre pair
-        f1, f2 = (hyp2f1_jet(p, s0, order) for p in _BASIS_FACTORS[family])
-        w = _rp(sm1, Frac(1, 4))
-        return _rp(s, Frac(1, 3)) * w * f1, _rp(s, Frac(2, 3)) * w * f2
-    if family == "table2_row2":
-        e1 = _rp(sm1, Frac(3, 4)) / s
-        e2 = _rp(sm1, Frac(1, 4)) * (s * s + 4.0 * s - 8.0) / s
-        return e1, e2
-    if family == "table2_row3":
-        w = _rp(sm1, Frac(11, 4))
-        f1, f2 = (hyp2f1_jet(p, s0, order) for p in _BASIS_FACTORS[family])
-        return _rp(s, Frac(2, 3)) * w * f1, _rp(s, Frac(1, 3)) * w * f2
-    if family == "table3_row1":
-        w = s * sm1
-        e1 = (2.0 * s - 1.0) * _rp(w, Frac(5, 4))
-        poly = ((128.0 * s - 256.0) * s + 144.0) * s * s - 16.0 * s - 1.0
-        e2 = poly / _rp(w, Frac(1, 4))
-        return e1, e2
-    if family == "table3_row2":
-        f1, f2 = (hyp2f1_jet(p, s0, order) for p in _BASIS_FACTORS[family])
-        e1 = _rp(s * sm1, Frac(5, 4)) * f1
-        e2 = _rp(sm1, Frac(5, 4)) / _rp(s, Frac(1, 4)) * f2
-        return e1, e2
-    if family == "table3_row3":
-        f1 = hyp2f1_jet(_BASIS_FACTORS[family][0], s0, order)
-        e1 = _rp(s * sm1, Frac(7, 12)) * f1
-        e2 = _rp(s, Frac(5, 12)) * _rp(1.0 - s, Frac(5, 12))
-        return e1, e2
-    if family == "elementary_r":
-        r = jet_var(s0, order)
-        SingularPointError.raise_where(
-            (s0 == 1) | (s0 == -1) | (abs(s0 + 1.0 / 3.0) < 1e-12), "r in {1, -1, -1/3}"
-        )
-        e1 = jet_pow(r - 1.0, Frac(1, 3)) * (3.0 * r + 1.0)
-        e2 = jet_pow(r + 1.0, Frac(1, 3)) * (3.0 * r - 1.0)
-        return e1, e2
-    if family.startswith("dual_k32_row"):
-        return hypergeom_pair(CLOSED_FORM_HYPER[family], s0, order)
-    raise ValueError(family)
-
-
-def closed_form_solution(cid: ClosedFormId, s0, order: int = 8) -> Tuple[Jet1, Jet1]:
-    """Jets of the two catalogued independent solutions at s0 (one point, or a stack)."""
-    c1, c2, c3, c4 = cid.constants
+    c1, c2, c3, c4 = constants
     if abs(c1 * c4 - c2 * c3) < 1e-14:
         raise LinearDependenceError("constants give a dependent pair")
-    if cid.family != "elementary_r":
-        SingularPointError.raise_where((s0 == 0) | (s0 == 1), "s in {0,1}")
-    e1, e2 = _closed_form_basis(cid.family, s0, order)
+    SingularPointError.raise_where(
+        (r0 == 1) | (r0 == -1) | (abs(r0 + 1.0 / 3.0) < 1e-12), "r in {1, -1, -1/3}"
+    )
+    r = jet_var(r0, order)
+    e1 = jet_pow(r - 1.0, Frac(1, 3)) * (3.0 * r + 1.0)
+    e2 = jet_pow(r + 1.0, Frac(1, 3)) * (3.0 * r - 1.0)
     return c1 * e1 + c2 * e2, c3 * e1 + c4 * e2
 
 

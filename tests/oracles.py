@@ -3,7 +3,8 @@
 Each one checks the package by an independent route, or against one of the
 paper's displays, and no command, demo or benchmark calls it: the
 finite-difference derivative oracle, the multivariate order-2 reference
-jet, the Chazy, Schwarzian, Omega-system
+jet, the paper's closed-form pairs (`CLOSED_FORMS`, each row's basis and
+the equation it solves), the Chazy, Schwarzian, Omega-system
 and closed-form residuals, the Legendre map of solution pairs, the Riemann,
 Weyl and Ricci identity checks, and the Plebanski connection checks. The
 package keeps the certificate path they check.
@@ -20,8 +21,8 @@ import numpy as np
 
 from c235 import geometry
 from c235.chazy import DUAL_SIXTH_ORDER, SchwarzTriple, _monomials
-from c235.dist import ds_curve_solution
-from c235.errors import BranchError, C235Error, DegenerateError, ZeroWronskianError
+from c235.dist import _rp, ds_curve_solution
+from c235.errors import BranchError, C235Error, DegenerateError, SingularPointError, ZeroWronskianError
 from c235.geometry import (
     CurvatureReport,
     MatrixJet,
@@ -32,11 +33,11 @@ from c235.geometry import (
     curvature,
     metric_at,
 )
-from c235.jets import Jet1, jet_compose, jet_const, jet_invert, jet_pow
+from c235.jets import Jet1, jet_compose, jet_const, jet_invert, jet_pow, jet_var
 from c235.specialfn import (
-    CLOSED_FORM_HYPER,
-    ClosedFormId,
-    closed_form_solution,
+    HyperTriple,
+    hyp2f1_jet,
+    hypergeom_pair,
     hypergeom_residual,
     relative_residual,
     schwarz_potential,
@@ -130,38 +131,133 @@ def u_ode_residual(u: Jet1, tr: Tuple[float, float, float]):
     return relative_residual([u.deriv(2), 0.25 * V * u.value()])
 
 
-# (alpha, beta, gamma) for the u''+Vu/4 rows; None for hypergeometric-ODE entries
-CLOSED_FORM_TRIPLES: dict[str, tuple] = {
-    "table1_row1": (3, 3, 3),
-    "table1_row2": (3, Frac(1, 3), Frac(1, 3)),
-    "table1_row3": (Frac(1, 3), 3, Frac(1, 3)),
-    "table1_row4": (Frac(1, 3), Frac(1, 3), 3),
-    "table2_row1": (Frac(3, 2), Frac(1, 3), Frac(1, 2)),
-    "table2_row2": (Frac(3, 2), 3, Frac(1, 2)),
-    "table2_row3": (Frac(3, 2), Frac(1, 3), Frac(9, 2)),
-    "table3_row1": (6, Frac(3, 2), Frac(3, 2)),
-    "table3_row2": (Frac(2, 3), Frac(3, 2), Frac(3, 2)),
-    "table3_row3": (Frac(2, 3), Frac(1, 6), Frac(1, 6)),
+def elementary_residual(z: Jet1):
+    """Relative residual of (1 - r^2) z'' / 4 - r z' / 3 + 5 z / 9 = 0, at each of z's basepoints."""
+    r = z.basepoint
+    return relative_residual(
+        [0.25 * (1 - r * r) * z.deriv(2), -(r / 3.0) * z.deriv(1), (5.0 / 9.0) * z.value()]
+    )
+
+
+# --- the paper's closed-form pairs ------------------------------------
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """One of the paper's closed-form solution pairs: its basis and the equation it solves.
+
+    basis(s) is the displayed pair (e1, e2) as jets in s, a jet_var (r
+    for the elementary pair). A row with a Schwarz triple (alpha, beta,
+    gamma) solves u'' + V(s) u / 4 = 0; one without solves the
+    hypergeometric equation of its triple (a, b, c), and the elementary
+    pair, with neither, the equation of `elementary_residual`.
+    """
+
+    basis: Callable[[Jet1], Tuple[Jet1, Jet1]]
+    hyper: HyperTriple | None = None
+    schwarz: tuple | None = None
+
+    def residual(self, z: Jet1):
+        """Relative residual of the row's equation on z, at each of its basepoints."""
+        if self.schwarz is not None:
+            return u_ode_residual(z, tuple(float(x) for x in self.schwarz))
+        if self.hyper is not None:
+            return hypergeom_residual(z, self.hyper)
+        return elementary_residual(z)
+
+
+def _f(s: Jet1, a, b, c) -> Jet1:
+    """2F1(a, b; c; s) as a jet at s's basepoint."""
+    return hyp2f1_jet(HyperTriple(a, b, c), s.basepoint, s.order)
+
+
+def _table2_row1(s: Jet1):
+    # 2F1 form of the displayed associated-Legendre pair
+    w = _rp(s - 1.0, Frac(1, 4))
+    return (_rp(s, Frac(1, 3)) * w * _f(s, Frac(5, 6), Frac(-2, 3), Frac(2, 3)),
+            _rp(s, Frac(2, 3)) * w * _f(s, Frac(7, 6), Frac(-1, 3), Frac(4, 3)))
+
+
+def _table2_row3(s: Jet1):
+    w = _rp(s - 1.0, Frac(11, 4))
+    return (_rp(s, Frac(2, 3)) * w * _f(s, Frac(13, 6), Frac(11, 3), Frac(4, 3)),
+            _rp(s, Frac(1, 3)) * w * _f(s, Frac(11, 6), Frac(10, 3), Frac(2, 3)))
+
+
+def _table3_row1(s: Jet1):
+    w = s * (s - 1.0)
+    poly = ((128.0 * s - 256.0) * s + 144.0) * s * s - 16.0 * s - 1.0
+    return (2.0 * s - 1.0) * _rp(w, Frac(5, 4)), poly / _rp(w, Frac(1, 4))
+
+
+def _elementary(r: Jet1):
+    return (jet_pow(r - 1.0, Frac(1, 3)) * (3.0 * r + 1.0),
+            jet_pow(r + 1.0, Frac(1, 3)) * (3.0 * r - 1.0))
+
+
+def _dual(p: HyperTriple) -> ClosedForm:
+    return ClosedForm(lambda s: hypergeom_pair(p, s.basepoint, s.order), p)
+
+
+CLOSED_FORMS: dict[str, ClosedForm] = {
+    "table1_row1": ClosedForm(
+        lambda s: ((2.0 * s - 1.0) / (s * (s - 1.0)), s * s * (s - 2.0) / (s - 1.0)),
+        HyperTriple(-4, -1, -2), (3, 3, 3)),
+    "table1_row2": ClosedForm(
+        lambda s: ((3.0 * s - 2.0) * _rp(s, Frac(2, 3)) * _rp(s - 1.0, Frac(1, 3)),
+                   (3.0 * s - 1.0) * _rp(s, Frac(1, 3)) * _rp(s - 1.0, Frac(2, 3))),
+        HyperTriple(Frac(-4, 3), Frac(5, 3), Frac(2, 3)), (3, Frac(1, 3), Frac(1, 3))),
+    "table1_row3": ClosedForm(
+        lambda s: ((2.0 * s - 3.0) / s * _rp(s - 1.0, Frac(1, 3)),
+                   (s - 3.0) / s * _rp(s - 1.0, Frac(2, 3))),
+        HyperTriple(Frac(-4, 3), -1, -2), (Frac(1, 3), 3, Frac(1, 3))),
+    "table1_row4": ClosedForm(
+        lambda s: ((2.0 * s + 1.0) / (s - 1.0) * _rp(s, Frac(1, 3)),
+                   (s + 2.0) / (s - 1.0) * _rp(s, Frac(2, 3))),
+        HyperTriple(Frac(-4, 3), -1, Frac(2, 3)), (Frac(1, 3), Frac(1, 3), 3)),
+    "table2_row1": ClosedForm(
+        _table2_row1,
+        HyperTriple(Frac(5, 6), Frac(-2, 3), Frac(2, 3)), (Frac(3, 2), Frac(1, 3), Frac(1, 2))),
+    "table2_row2": ClosedForm(
+        lambda s: (_rp(s - 1.0, Frac(3, 4)) / s,
+                   _rp(s - 1.0, Frac(1, 4)) * (s * s + 4.0 * s - 8.0) / s),
+        HyperTriple(Frac(-1, 2), -2, -2), (Frac(3, 2), 3, Frac(1, 2))),
+    "table2_row3": ClosedForm(
+        _table2_row3,
+        HyperTriple(Frac(-7, 6), Frac(-8, 3), Frac(2, 3)), (Frac(3, 2), Frac(1, 3), Frac(9, 2))),
+    "table3_row1": ClosedForm(
+        _table3_row1, HyperTriple(-4, 2, Frac(-1, 2)), (6, Frac(3, 2), Frac(3, 2))),
+    "table3_row2": ClosedForm(
+        lambda s: (_rp(s * (s - 1.0), Frac(5, 4)) * _f(s, Frac(5, 3), Frac(7, 3), Frac(5, 2)),
+                   _rp(s - 1.0, Frac(5, 4)) / _rp(s, Frac(1, 4))
+                   * _f(s, Frac(1, 6), Frac(5, 6), Frac(-1, 2))),
+        HyperTriple(Frac(-4, 3), Frac(-2, 3), Frac(-1, 2)), (Frac(2, 3), Frac(3, 2), Frac(3, 2))),
+    "table3_row3": ClosedForm(
+        lambda s: (_rp(s * (s - 1.0), Frac(7, 12)) * _f(s, Frac(1, 3), 1, Frac(7, 6)),
+                   _rp(s, Frac(5, 12)) * _rp(1.0 - s, Frac(5, 12))),
+        HyperTriple(0, Frac(2, 3), Frac(5, 6)), (Frac(2, 3), Frac(1, 6), Frac(1, 6))),
+    "dual_k32_row1": _dual(HyperTriple(Frac(-1, 4), Frac(5, 12), Frac(1, 2))),
+    "dual_k32_row2": _dual(HyperTriple(Frac(-1, 4), Frac(5, 12), Frac(2, 3))),
+    "dual_k32_row3": _dual(HyperTriple(Frac(-1, 2), Frac(5, 6), Frac(2, 3))),
+    "elementary_r": ClosedForm(_elementary),
 }
 
 
-def closed_form_ode_residual(cid: ClosedFormId, s0: float) -> float:
-    """Residual of the entry's own defining ODE on both returned jets, of order 6."""
-    z1, z2 = closed_form_solution(cid, s0, 6)
-    fam = cid.family
-    if fam in CLOSED_FORM_TRIPLES:
-        tr = tuple(float(x) for x in CLOSED_FORM_TRIPLES[fam])
-        return max(u_ode_residual(z1, tr), u_ode_residual(z2, tr))
-    if fam == "elementary_r":
-        r = s0
-        return max(
-            relative_residual(
-                [0.25 * (1 - r * r) * z.deriv(2), -(r / 3.0) * z.deriv(1), (5.0 / 9.0) * z.value()]
-            )
-            for z in (z1, z2)
-        )
-    p = CLOSED_FORM_HYPER[fam]
-    return max(hypergeom_residual(z1, p), hypergeom_residual(z2, p))
+def closed_form_pair(family: str, s0, order: int = 8, constants=(1.0, 0.0, 0.0, 1.0)):
+    """(c1 e1 + c2 e2, c3 e1 + c4 e2) over the row's basis at s0 (one point, or a stack)."""
+    if family not in CLOSED_FORMS:
+        raise ValueError(f"unknown closed-form family {family!r}")
+    if family != "elementary_r":
+        SingularPointError.raise_where((s0 == 0) | (s0 == 1), "s in {0,1}")
+    c1, c2, c3, c4 = constants
+    e1, e2 = CLOSED_FORMS[family].basis(jet_var(s0, order))
+    return c1 * e1 + c2 * e2, c3 * e1 + c4 * e2
+
+
+def closed_form_ode_residual(family: str, s0: float) -> float:
+    """Residual of the row's own equation on both jets of its pair, of order 6."""
+    row = CLOSED_FORMS[family]
+    return max(row.residual(z) for z in closed_form_pair(family, s0, 6))
 
 
 # --- Chazy, Schwarzian and Omega-system residuals ---------------------

@@ -33,9 +33,6 @@ from c235.geometry import (
 )
 from c235.jets import jet_abs_pow, jet_const, jet_exp, jet_log, jet_var
 from c235.specialfn import (
-    CLOSED_FORM_FAMILIES,
-    CLOSED_FORM_HYPER,
-    ClosedFormId,
     HyperTriple,
     closed_form_solution,
     hyp2f1_jet,
@@ -46,8 +43,10 @@ from c235.specialfn import (
 from c235.twistor import PlebanskiData, g2_certificate, twistor_coordinate_check
 
 from oracles import (
+    CLOSED_FORMS,
     chazy_log_solution,
     closed_form_ode_residual,
+    closed_form_pair,
     derivative_oracle,
     legendre_pair_map,
     parametrized_y,
@@ -177,7 +176,7 @@ def test_criterion_3_legendre_duality():
             if not np.allclose(F_back.coeffs[:7], F.coeffs[:7], atol=1e-10):
                 failures.append(("involution", spec.id, float(lam)))
     for s0 in (0.2, 0.3, 0.45):
-        z1, z2 = closed_form_solution(ClosedFormId("table1_row1"), s0)
+        z1, z2 = closed_form_pair("table1_row1", s0)
         w1, _ = legendre_pair_map(z1, z2, "F_to_H")
         lhs = (z1 ** 3).value()
         rhs = 1.0 / (w1 ** 4).value()
@@ -191,9 +190,9 @@ def test_criterion_3_legendre_duality():
 
 def test_criterion_4_hypergeometric_layer():
     failures = []
-    for family in CLOSED_FORM_FAMILIES:
+    for family in CLOSED_FORMS:
         s0 = 1.4 if family == "elementary_r" else 0.35
-        r = closed_form_ode_residual(ClosedFormId(family), s0)
+        r = closed_form_ode_residual(family, s0)
         if not r < 1e-10:
             failures.append(("closed-form", family, r))
     truncations = [
@@ -210,7 +209,7 @@ def test_criterion_4_hypergeometric_layer():
             got = hyp2f1_jet(triple, s0, 4).value()
             if abs(got - closed(s0)) > 1e-12 * max(1.0, abs(closed(s0))):
                 failures.append(("truncation", triple, s0, got))
-    p = CLOSED_FORM_HYPER["table1_row1"]
+    p = CLOSED_FORMS["table1_row1"].hyper
     pair = lambda s: hypergeom_pair(p, s)
     for s0 in (0.2, 0.35, 0.6, 0.8):
         w = wronskian_check(pair, p, 0.5, s0)
@@ -237,7 +236,7 @@ def identity_q(q0, order=8):
 
 
 def elementary_frame(r0, constants=(1, 0, 0, 1)):
-    z1, z2 = closed_form_solution(ClosedFormId("elementary_r", constants), r0, 8)
+    z1, z2 = closed_form_solution(constants, r0, 8)
     q_of = z2 / z1
     Fpp = z1 ** 3
     Fp = (Fpp * q_of.derivative()).antiderivative(0.0)

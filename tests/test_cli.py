@@ -14,7 +14,7 @@ import pytest
 import c235
 from c235 import cli, dist, errors, geometry
 from c235.cli import main
-from oracles import expand_report
+from oracles import CLOSED_FORMS, expand_report
 
 
 def run(capsys, *argv):
@@ -253,6 +253,10 @@ def test_identities_all(capsys):
     assert all(row["pass"] for row in payload["results"])
 
 
+def test_wronskian_triple_is_table1_row1():
+    assert cli.WRONSKIAN_TRIPLE == CLOSED_FORMS["table1_row1"].hyper
+
+
 def test_identities_single_kind(capsys):
     code, payload, _ = run_json(capsys, "identities", "--kind", "quadratic", "--json")
     assert code == 0
@@ -436,6 +440,13 @@ REFUSED = [
                  "InvalidParam", "missing coordinates: z, p, q", id="point-missing-coordinates"),
     pytest.param(("curvature", "--case", "F-power-2", "--point", "x=0,y=0,z=0,p=0,q=-5"), None,
                  "DomainError", "outside admissible", id="point-outside-domain"),
+    # every case past either end of its domain; F-elementary-r builds its frame without F_jet
+    *(pytest.param(("curvature", "--case", spec.id, "--point",
+                    f"x=0.1,y=0.2,z=0.3,p=0.4,{spec.param_name}={value!r}", "--json"), None,
+                   "DomainError", f"{spec.id}: basepoint outside admissible [{lo}, {hi}]\n",
+                   id=f"{spec.id}-{end}")
+      for spec in dist.catalog() for lo, hi in [spec.domain]
+      for end, value in (("hi+1", hi + 1), ("lo-0.01", lo - 0.01))),
     # a coordinate that is not finite, not one of the five names, or given twice
     pytest.param(("curvature", "--case", "F-power-2", "--point", "x=nan,y=0,z=0,p=0.1,q=1"),
                  None, "InvalidParam", "x=nan is not finite", id="point-nan"),

@@ -7,9 +7,9 @@ from c235.chazy import residual_6th, residual_ds6, residual_gen_chazy, two_pole_
 from c235.dist import F_jet, catalog, ds_curve_solution, get_spec, legendre_transform
 from c235.errors import BranchError, DegenerateError, DomainError, SeriesDomainError, UnknownCaseId
 from c235.jets import jet_abs_pow, jet_invert, jet_pow, jet_var
-from c235.specialfn import ClosedFormId, HyperTriple, closed_form_solution, hyp2f1_jet, hypergeom_pair
+from c235.specialfn import HyperTriple, hyp2f1_jet, hypergeom_pair
 
-from oracles import ds_curve_u, legendre_pair_map
+from oracles import closed_form_pair, ds_curve_u, legendre_pair_map
 
 
 # --- catalog integrity -----------------------------------------------------
@@ -116,7 +116,7 @@ def test_legendre_degenerate_rejected():
 
 def test_pair_map_cubic_quartic_relation():
     # (z1)^3 = (w1)^(-4) as jets in s
-    z1, z2 = closed_form_solution(ClosedFormId("table1_row1"), 0.3)
+    z1, z2 = closed_form_pair("table1_row1", 0.3)
     w1, w2 = legendre_pair_map(z1, z2, "F_to_H")
     lhs = z1**3
     rhs = 1.0 / w1**4
@@ -124,7 +124,7 @@ def test_pair_map_cubic_quartic_relation():
 
 
 def test_pair_map_roundtrip():
-    z1, z2 = closed_form_solution(ClosedFormId("table1_row1"), 0.3)
+    z1, z2 = closed_form_pair("table1_row1", 0.3)
     w1, w2 = legendre_pair_map(z1, z2, "F_to_H")
     z1b, z2b = legendre_pair_map(w1, w2, "H_to_F")
     # the roundtrip preserves the second-derivative data: compare the
@@ -135,7 +135,7 @@ def test_pair_map_roundtrip():
 
 
 def test_pair_map_branch_guard():
-    z1, z2 = closed_form_solution(ClosedFormId("table1_row1"), 0.3)
+    z1, z2 = closed_form_pair("table1_row1", 0.3)
     with pytest.raises(BranchError):
         legendre_pair_map(-z1, z2, "F_to_H")
 

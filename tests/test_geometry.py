@@ -43,7 +43,7 @@ from c235.geometry import (
     weyl_ratio,
 )
 from c235.jets import Jet1, jet_abs_pow, jet_const, jet_var
-from c235.specialfn import ClosedFormId, closed_form_solution
+from c235.specialfn import closed_form_solution
 from c235.twistor import PlebanskiData
 
 from oracles import (
@@ -113,8 +113,7 @@ def test_cubic_F_control_is_not_flat():
 
 
 def elementary_frame(r0: float, constants=(1, 0, 0, 1)):
-    cid = ClosedFormId("elementary_r", constants)
-    z1, z2 = closed_form_solution(cid, r0, 8)
+    z1, z2 = closed_form_solution(constants, r0, 8)
     q_of = z2 / z1
     Fpp = z1 ** 3
     Fp = (Fpp * q_of.derivative()).antiderivative(0.0)

@@ -16,7 +16,6 @@ from c235.dist import catalog
 from c235.errors import DivisionByZeroJet, SeriesDomainError, SingularPointError
 from c235.jets import Jet1, jet_invert, jet_var
 from c235.specialfn import (
-    CLOSED_FORM_HYPER,
     DEGREE6_EXCLUDED,
     TRANSFORM_KINDS,
     HyperTriple,
@@ -27,7 +26,7 @@ from c235.specialfn import (
     wronskian_check,
 )
 
-from oracles import CLOSED_FORM_TRIPLES
+from oracles import CLOSED_FORMS
 
 # --- the former code -------------------------------------------------------
 
@@ -60,7 +59,7 @@ def former_schwarz_solution(tr, s0, order=8, ics=(1.0, 0.0, 0.3, 1.0)) -> Jet1:
 # --- the Schwarzian potential and solution --------------------------------
 
 SCHWARZ_TRIPLES = sorted(
-    {tuple(Fraction(x) for x in tr) for tr in CLOSED_FORM_TRIPLES.values()}
+    {tuple(Fraction(x) for x in row.schwarz) for row in CLOSED_FORMS.values() if row.schwarz}
     | {tuple(Fraction(x) for x in s.params["triple"])
        for s in catalog() if s.family == "schwarz_triple_param"}
 )
@@ -179,7 +178,7 @@ def test_stacked_identity_matches_a_per_sample_loop(kind, n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_stacked_wronskian_matches_a_per_sample_loop(n):
-    p = CLOSED_FORM_HYPER["table1_row1"]
+    p = CLOSED_FORMS["table1_row1"].hyper
     pair = lambda s: hypergeom_pair(p, s)
     s0 = np.random.default_rng(n).uniform(0.08, 0.92, n)
     stacked = wronskian_check(pair, p, 0.5, s0)

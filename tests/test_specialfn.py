@@ -12,13 +12,11 @@ from c235.errors import (
     LinearDependenceError,
     PoleError,
     SeriesDomainError,
+    SingularPointError,
     ZeroWronskianError,
 )
 from c235.jets import Jet1, jet_abs_pow, jet_var
 from c235.specialfn import (
-    CLOSED_FORM_FAMILIES,
-    CLOSED_FORM_HYPER,
-    ClosedFormId,
     HyperTriple,
     TRANSFORM_KINDS,
     _terminating_length,
@@ -32,7 +30,11 @@ from c235.specialfn import (
     wronskian_check,
 )
 
-from oracles import CLOSED_FORM_TRIPLES, closed_form_ode_residual, u_ode_residual
+from oracles import CLOSED_FORMS, closed_form_ode_residual, closed_form_pair, u_ode_residual
+
+# the paper's hypergeometric triples, and the rows that solve u'' + V u / 4 = 0
+CLOSED_FORM_HYPER = {f: row.hyper for f, row in CLOSED_FORMS.items() if row.hyper is not None}
+SCHWARZ_ROWS = sorted(f for f, row in CLOSED_FORMS.items() if row.schwarz is not None)
 
 S_POINTS = [0.11, 0.23, 0.37, 0.52, 0.68, 0.81]
 
@@ -280,28 +282,27 @@ def test_second_solution_of_pair():
 # --- closed forms --------------------------------------------------------
 
 
-@pytest.mark.parametrize("family", CLOSED_FORM_FAMILIES)
+@pytest.mark.parametrize("family", list(CLOSED_FORMS))
 @pytest.mark.parametrize("s0", [0.15, 0.45, 0.85])
 def test_closed_forms_satisfy_their_ode(family, s0):
     if family == "elementary_r":
         s0 = 1.0 + s0  # r-domain
-    cid = ClosedFormId(family)
-    assert closed_form_ode_residual(cid, s0) < 1e-10
+    assert closed_form_ode_residual(family, s0) < 1e-10
 
 
-@pytest.mark.parametrize("family", sorted(CLOSED_FORM_TRIPLES))
+@pytest.mark.parametrize("family", SCHWARZ_ROWS)
 def test_second_order_potential_form(family):
     # u'' + V u / 4 = 0 with the weighted potential of the entry's triple
-    tr = tuple(float(x) for x in CLOSED_FORM_TRIPLES[family])
-    z1, z2 = closed_form_solution(ClosedFormId(family), 0.3, 8)
+    tr = tuple(float(x) for x in CLOSED_FORMS[family].schwarz)
+    z1, z2 = closed_form_pair(family, 0.3, 8)
     for u in (z1, z2):
         assert u_ode_residual(u, tr) < 1e-10
 
 
-@given(SCALES, st.sampled_from(sorted(CLOSED_FORM_TRIPLES)))
+@given(SCALES, st.sampled_from(SCHWARZ_ROWS))
 def test_u_ode_residual_passes_a_true_solution_at_every_scale(c, family):
-    tr = tuple(float(x) for x in CLOSED_FORM_TRIPLES[family])
-    z1, z2 = closed_form_solution(ClosedFormId(family), 0.3, 8)
+    tr = tuple(float(x) for x in CLOSED_FORMS[family].schwarz)
+    z1, z2 = closed_form_pair(family, 0.3, 8)
     assert max(u_ode_residual(c * z1, tr), u_ode_residual(c * z2, tr)) < 1e-12
 
 
@@ -315,9 +316,8 @@ def test_u_ode_residual_control_fails_at_every_scale(c):
 
 
 def test_basis_mixing_constants():
-    cid = ClosedFormId("table1_row1", (2.0, -1.0, 0.5, 3.0))
-    z1, z2 = closed_form_solution(cid, 0.4, 6)
-    e1, e2 = closed_form_solution(ClosedFormId("table1_row1"), 0.4, 6)
+    z1, z2 = closed_form_pair("table1_row1", 0.4, 6, (2.0, -1.0, 0.5, 3.0))
+    e1, e2 = closed_form_pair("table1_row1", 0.4, 6)
     mixed1 = 2.0 * e1 + (-1.0) * e2
     mixed2 = 0.5 * e1 + 3.0 * e2
     assert np.allclose(z1.coeffs, mixed1.coeffs)
@@ -326,12 +326,30 @@ def test_basis_mixing_constants():
 
 def test_dependent_constants_rejected():
     with pytest.raises(LinearDependenceError):
-        closed_form_solution(ClosedFormId("table1_row1", (1, 1, 1, 1)), 0.3)
+        closed_form_solution((1, 1, 1, 1), 2.0)
 
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
-        ClosedFormId("table9_row9")
+        closed_form_pair("table9_row9", 0.3)
+
+
+@pytest.mark.parametrize("constants", [(1.0, 1.0, 1.0, -1.0), (1.0, 0.0, 0.0, 1.0)], ids=str)
+@pytest.mark.parametrize("r0", [1.05, 1.5, 2.0, 3.0, 4.0, np.linspace(1.05, 4.0, 7)],
+                         ids=["1.05", "1.5", "2", "3", "4", "stack"])
+def test_elementary_pair_is_the_oracle_row(constants, r0):
+    # the same operations on the same doubles: the package's pair is the table's, bit for bit
+    for ours, row in zip(closed_form_solution(constants, r0),
+                         closed_form_pair("elementary_r", r0, 8, constants)):
+        assert np.array_equal(ours.coeffs, row.coeffs)
+
+
+def test_elementary_pair_refuses_its_singular_points():
+    with pytest.raises(SingularPointError) as exc:
+        closed_form_solution((1, 0, 0, 1), np.array([2.0, 1.0, -1.0, -1.0 / 3.0, 0.5]))
+    assert exc.value.rows.tolist() == [False, True, True, True, False]
+    with pytest.raises(SingularPointError):
+        closed_form_solution((1, 0, 0, 1), 1.0)
 
 
 def test_schwarz_potential_pole_structure():
