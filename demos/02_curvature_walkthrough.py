@@ -8,6 +8,7 @@ entry and one control.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 from c235.cli import DEFAULT_TOL
 from c235.dist import get_spec
@@ -20,7 +21,7 @@ from c235.geometry import (
     metric_at,
     sample_points,
 )
-from c235.jets import jet_abs_pow, jet_var
+from c235.jets import jet_pow, jet_var
 
 POINT4 = (0.3, -0.2, 0.5, 0.7)
 ELEMENTARY = get_spec("F-elementary-r")
@@ -29,8 +30,8 @@ UNMIXED = replace(ELEMENTARY, params={"constants": (1, 0, 0, 1)})
 
 def omega_factor(r0):
     r = jet_var(r0, 8)
-    num = (r * 3.0 + 1.0) * jet_abs_pow(r - 1.0, 1.0 / 3.0) * (4.0 / 3.0)
-    den = jet_abs_pow(r - 1.0, 1.0 / 3.0) - jet_abs_pow(r + 1.0, 1.0 / 3.0)
+    num = (r * 3.0 + 1.0) * jet_pow(r - 1.0, Fraction(1, 3)) * (4.0 / 3.0)
+    den = jet_pow(r - 1.0, Fraction(1, 3)) - jet_pow(r + 1.0, Fraction(1, 3))
     return num / den
 
 def main():

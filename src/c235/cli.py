@@ -24,7 +24,7 @@ from .chazy import residual_6th
 from .dist import F_jet, catalog, dual_residual, get_spec
 from .errors import C235Error, InvalidParam
 from .specialfn import (
-    DEGREE6_EXCLUDED,
+    DEGREE6_GAP,
     TRANSFORM_KINDS,
     HyperTriple,
     hypergeom_pair,
@@ -199,9 +199,10 @@ def _identity_samples(kind: str, rng, n: int) -> np.ndarray:
         # the identity only holds on the s < 1/2 branch of the symmetric argument 4s(1-s)
         return rng.uniform(0.08, 0.45, n)
     if kind == "degree6":
-        # (0.08, 0.92) less DEGREE6_EXCLUDED: draws at or above 0.49 move up by its width
-        s0 = rng.uniform(0.08, 0.90, n)
-        s0[s0 >= DEGREE6_EXCLUDED[0]] += 0.02
+        # (0.08, 0.92) less DEGREE6_GAP: draws at or above its start move up by its width
+        start, width = DEGREE6_GAP
+        s0 = rng.uniform(0.08, 0.92 - width, n)
+        s0[s0 >= start] += width
         return s0
     return rng.uniform(0.08, 0.92, n)
 

@@ -17,16 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BranchError, DegenerateError, DomainError, UnknownCaseId
-from .jets import (
-    Jet1,
-    jet_abs_pow,
-    jet_abs_pow_product,
-    jet_compose,
-    jet_invert,
-    jet_pow,
-    jet_sqrt,
-    jet_var,
-)
+from .jets import Jet1, jet_abs_pow_product, jet_compose, jet_invert, jet_pow, jet_var
 from .chazy import SchwarzTriple, build_F_from_I, residual_ds6, schwarz_solution, two_pole_solution
 from .specialfn import HyperTriple, closed_form_solution, hypergeom_pair
 
@@ -226,17 +217,6 @@ def _second_derivative_chain(pair, power: int) -> Jet1:
     return jet_compose(z1 ** power, s_of_q)
 
 
-def _rp(jet: Jet1, e: Fraction) -> Jet1:
-    """Real power with odd-denominator branch rule, |.|-branch otherwise.
-
-    The |.| fallback rescales the function by a constant, which the
-    degree-4 homogeneous sixth-order equations ignore.
-    """
-    if e.denominator % 2 == 1:
-        return jet_pow(jet, e)
-    return jet_abs_pow(jet, float(e))
-
-
 def admissible(spec: SolutionSpec, point):
     """`point`, a float or a float array, once every basepoint in it lies in spec.domain.
 
@@ -284,7 +264,7 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         s = schwarz_solution(spec.params["triple"], point, order)
         sdot = s.derivative()
         BranchError.raise_where(sdot.value() <= 0, "sdot <= 0: outside the restricted real branch")
-        num = _rp(sdot, pw)
+        num = jet_pow(sdot, pw)
         # s in (0,1) makes s-1 negative; |.| powers rescale by a constant,
         # which the degree-4 homogeneous sixth-order equations ignore
         den = jet_abs_pow_product(s, e1, s - 1.0, e2)
@@ -297,8 +277,8 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         B, C = spec.params["B"], spec.params["C"]
         DomainError.raise_where(point <= max(-B, -C), "t must exceed both poles for the real branch")
         t = jet_var(point, order)
-        num = jet_sqrt(t + C) * (4.0 * t + 3.0 * B + C)
-        return (-1.0 / (192.0 * (B - C) ** 3)) * num / jet_sqrt(t + B)
+        num = jet_pow(t + C, Frac(1, 2)) * (4.0 * t + 3.0 * B + C)
+        return (-1.0 / (192.0 * (B - C) ** 3)) * num / jet_pow(t + B, Frac(1, 2))
     if fam == "ds_curve":
         a, b = spec.params["a"], spec.params["b"]
         y = ds_curve_solution(a, b, spec.params["f"], point, order)
@@ -316,7 +296,7 @@ def ds_curve_solution(
     radicand = (t - a) * (t - b) ** 3
     BranchError.raise_where(radicand.value() <= 0, "(t0-a)(t0-b)^3 <= 0: no real branch here")
     f0, f1, f2 = f
-    return jet_sqrt(radicand) - (f0 + f1 * t + f2 * t * t)
+    return jet_pow(radicand, Frac(1, 2)) - (f0 + f1 * t + f2 * t * t)
 
 
 def legendre_transform(F: Jet1) -> Tuple[float, Jet1]:

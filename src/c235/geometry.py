@@ -33,7 +33,8 @@ ETA[1, 3] = ETA[3, 1] = -1.0
 ETA[2, 2] = 4.0 / 3.0
 
 
-@dataclass(frozen=True)
+# MatrixJet and CurvatureReport hold arrays, so they compare and hash by identity
+@dataclass(frozen=True, eq=False)
 class MatrixJet:
     """An (m, n) matrix of order-2 jets: value[..., i, a], grad[..., k, i, a], hess[..., k, l, i, a].
 
@@ -48,7 +49,7 @@ class MatrixJet:
     hess: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureReport:
     christoffel: np.ndarray
     riemann: np.ndarray  # fully lowered R_abcd

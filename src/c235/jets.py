@@ -154,7 +154,8 @@ def _powers(u: np.ndarray) -> np.ndarray:
     return P
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity: == of its arrays would have no truth value
+@dataclass(frozen=True, eq=False)
 class Jet1:
     """Truncated Taylor expansion of a scalar function at ``basepoint``.
 
@@ -382,12 +383,12 @@ def _power_series(f: Jet1, e: float, g0) -> Jet1:
 
 
 def jet_pow(f: Jet1, e) -> Jet1:
-    """f**e for a real (or Fraction) exponent.
+    """f**e for a real (or Fraction) exponent, the package's one real-power kernel.
 
-    Real branch rule: a negative base is accepted only for Fraction
-    exponents p/q with q odd, where the real q-th root is used; other
-    negative-base cases raise BranchError.  Complex jets use the
-    principal branch.
+    Real branch rule: a positive base takes the real power; a negative
+    base is accepted only for Fraction exponents p/q with q odd, where the
+    real q-th root is used; other negative-base cases raise BranchError.
+    Complex jets use the principal branch.
     """
     if isinstance(e, Fraction) and e.denominator == 1:
         return jet_pow_int(f, int(e))
@@ -404,20 +405,11 @@ def jet_pow(f: Jet1, e) -> Jet1:
     return _power_series(f, float(e), g0 * np.sign(c0) if odd_root and e.numerator % 2 else g0)
 
 
-def jet_abs_pow(f: Jet1, e) -> Jet1:
-    """|f|**e, real: equals f**e up to a constant factor for f < 0.
-
-    Legitimate only where a constant rescaling is harmless (solutions of
-    linear homogeneous ODEs, arguments of degree-homogeneous residuals).
-    """
-    if f.is_complex:
-        raise BranchError("abs-power is a real-jet operation")
-    DivisionByZeroJet.raise_where(f.coeffs.T[0] == 0, "fractional power of a jet with zero value")
-    return _power_series(f, float(e), np.abs(f.coeffs[..., 0]) ** float(e))
-
-
 def jet_abs_pow_product(f: Jet1, a, g: Jet1, b) -> Jet1:
-    """jet_abs_pow(f, a) * jet_abs_pow(g, b) for jets of one order, with both power series in one solve."""
+    """|f|**a |g|**b for real jets of one order, with both power series in one solve.
+
+    Where f or g is negative this is f**a g**b up to a constant factor.
+    """
     if f.is_complex or g.is_complex:
         raise BranchError("abs-power is a real-jet operation")
     n = f.order + 1
@@ -432,14 +424,6 @@ def jet_abs_pow_product(f: Jet1, a, g: Jet1, b) -> Jet1:
     x = solve_lower(L, _unit(n))
     pf = _jet(f.basepoint, _per_row(np.abs(f.coeffs[..., 0]) ** a) * x[..., 0, :])
     return pf * _jet(g.basepoint, _per_row(np.abs(g.coeffs[..., 0]) ** b) * x[..., 1, :])
-
-
-def jet_sqrt(f: Jet1) -> Jet1:
-    if f.is_complex:
-        return jet_pow(f, 0.5)
-    c0 = f.coeffs.T[0]
-    BranchError.raise_where(c0 <= 0, "sqrt of a non-positive real jet")
-    return _power_series(f, 0.5, np.sqrt(c0))
 
 
 def jet_compose(outer: Jet1, inner: Jet1) -> Jet1:

@@ -36,7 +36,6 @@ from .jets import (
     Jet1,
     _jet,
     _shape,
-    jet_abs_pow,
     jet_compose,
     jet_invert,
     jet_pow,
@@ -309,14 +308,15 @@ def hypergeom_residual(z: Jet1, p: HyperTriple):
 def hypergeom_pair(p: HyperTriple, s0, order: int = 8) -> Tuple[Jet1, Jet1]:
     """The standard fundamental pair (2F1, s^(1-c) 2F1(a-c+1, b-c+1; 2-c)).
 
-    For s0 in (0, 1), one point or a stack; the s^(1-c) factor uses the
-    positive real branch.
+    For s0 in (0, 1), one point or a stack; the s^(1-c) factor is the
+    real power of a positive base, so a non-positive s0 raises (BranchError
+    below 0, DivisionByZeroJet at 0), with `rows` on a stack.
     """
     z1 = hyp2f1_jet(p, s0, order)
     p2, power = _second_factor(p)
     f2 = hyp2f1_jet(p2, s0, order)
     s = jet_var(s0, order)
-    z2 = jet_abs_pow(s, power) * f2
+    z2 = jet_pow(s, power) * f2
     return z1, z2
 
 
@@ -417,8 +417,9 @@ TRANSFORM_KINDS = (
 )
 # At s = 1/2 the degree6 map t(s) reaches t = 1, a singular point of the
 # target equation, with dt/ds = 0, so inverting t(s) loses every digit
-# there. The check rejects the open interval around it.
-DEGREE6_EXCLUDED = (0.49, 0.51)
+# there. The check rejects the open interval (start, start + width) around it,
+# and the CLI's sampler steps over it.
+DEGREE6_GAP = (0.49, 0.02)
 # each kind's two triples: the two sides of a function identity, or the
 # summed 2F1 and the target equation of an algebraic map
 _IDENTITY_TRIPLES = {
@@ -477,10 +478,11 @@ def transform_identity_check(kind: str, s0):
         s = jet_var(s0, order)
         z = hyp2f1_jet(p, s0, order)
         t = -s * (s + 8.0) ** 3 / (64.0 * (1.0 - s) ** 3)
-        pref = jet_abs_pow(1.0 - s, 2.5)
+        pref = jet_pow(1.0 - s, 2.5)
         return _mapped_solution_residual(z, t, pref, target)
     if kind == "degree6":
-        lo, hi = DEGREE6_EXCLUDED
+        lo, width = DEGREE6_GAP
+        hi = lo + width
         SingularPointError.raise_where(
             (s0 > lo) & (s0 < hi),
             lambda: f"degree6 is not checked on ({lo}, {hi}), around t(1/2) = 1")

@@ -20,7 +20,8 @@ from .errors import InvalidParam
 from .jets import Jet1
 
 
-@dataclass(frozen=True)
+# holds a Jet1, so it compares and hashes by identity
+@dataclass(frozen=True, eq=False)
 class PlebanskiData:
     """Data for the 4-metric and its circle bundle.
 

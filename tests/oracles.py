@@ -3,7 +3,8 @@
 Each one checks the package by an independent route, or against one of the
 paper's displays, and no command, demo or benchmark calls it: the
 finite-difference derivative oracle, the multivariate order-2 reference
-jet, the paper's closed-form pairs (`CLOSED_FORMS`, each row's basis and
+jet, the |.| powers of a negative base that the closed-form tables take,
+the paper's closed-form pairs (`CLOSED_FORMS`, each row's basis and
 the equation it solves), the Chazy, Schwarzian, Omega-system
 and closed-form residuals, the Legendre map of solution pairs, the Riemann,
 Weyl and Ricci identity checks, and the Plebanski connection checks. The
@@ -21,8 +22,15 @@ import numpy as np
 
 from c235 import geometry
 from c235.chazy import DUAL_SIXTH_ORDER, SchwarzTriple, _monomials
-from c235.dist import _rp, ds_curve_solution
-from c235.errors import BranchError, C235Error, DegenerateError, SingularPointError, ZeroWronskianError
+from c235.dist import ds_curve_solution
+from c235.errors import (
+    BranchError,
+    C235Error,
+    DegenerateError,
+    DivisionByZeroJet,
+    SingularPointError,
+    ZeroWronskianError,
+)
 from c235.geometry import (
     CurvatureReport,
     MatrixJet,
@@ -33,7 +41,7 @@ from c235.geometry import (
     curvature,
     metric_at,
 )
-from c235.jets import Jet1, jet_compose, jet_const, jet_invert, jet_pow, jet_var
+from c235.jets import Jet1, _power_series, jet_compose, jet_const, jet_invert, jet_pow, jet_var
 from c235.specialfn import (
     HyperTriple,
     hyp2f1_jet,
@@ -120,6 +128,32 @@ def derivative_oracle(f: Callable[[float], float], x0: float, order: int) -> flo
         ]
         level += 1
     return estimates[0]
+
+
+# --- |.| powers ---------------------------------------------------------
+
+
+def jet_abs_pow(f: Jet1, e) -> Jet1:
+    """|f|**e, real: equals f**e up to a constant factor for f < 0.
+
+    Legitimate only where a constant rescaling is harmless (solutions of
+    linear homogeneous ODEs, arguments of degree-homogeneous residuals).
+    """
+    if f.is_complex:
+        raise BranchError("abs-power is a real-jet operation")
+    DivisionByZeroJet.raise_where(f.coeffs.T[0] == 0, "fractional power of a jet with zero value")
+    return _power_series(f, float(e), np.abs(f.coeffs[..., 0]) ** float(e))
+
+
+def _rp(jet: Jet1, e: Fraction) -> Jet1:
+    """Real power with odd-denominator branch rule, |.|-branch otherwise.
+
+    The |.| fallback rescales the function by a constant, which the
+    linear equations the closed-form pairs solve ignore.
+    """
+    if e.denominator % 2 == 1:
+        return jet_pow(jet, e)
+    return jet_abs_pow(jet, float(e))
 
 
 # --- closed-form ODE residuals ----------------------------------------

@@ -31,7 +31,7 @@ from c235.geometry import (
     metric_at,
     sample_points,
 )
-from c235.jets import jet_abs_pow, jet_const, jet_exp, jet_log, jet_var
+from c235.jets import jet_const, jet_exp, jet_log, jet_var
 from c235.specialfn import (
     HyperTriple,
     closed_form_solution,
@@ -48,6 +48,7 @@ from oracles import (
     closed_form_ode_residual,
     closed_form_pair,
     derivative_oracle,
+    jet_abs_pow,
     legendre_pair_map,
     parametrized_y,
     residual_chazy,

@@ -18,12 +18,13 @@ from c235.chazy import (
     two_pole_solution,
 )
 from c235.errors import DegenerateError, InvalidParam, PoleError, ZeroWronskianError
-from c235.jets import Jet1, jet_abs_pow, jet_const, jet_exp, jet_var
+from c235.jets import Jet1, jet_const, jet_exp, jet_var
 from c235.specialfn import HyperTriple, hypergeom_pair
 
 from oracles import (
     ZeroDenominatorError,
     chazy_log_solution,
+    jet_abs_pow,
     omega_residuals,
     parametrized_y,
     residual_chazy,

@@ -6,7 +6,7 @@ import pytest
 from c235.chazy import residual_6th, residual_ds6, residual_gen_chazy, two_pole_solution
 from c235.dist import F_jet, catalog, ds_curve_solution, get_spec, legendre_transform
 from c235.errors import BranchError, DegenerateError, DomainError, SeriesDomainError, UnknownCaseId
-from c235.jets import jet_abs_pow, jet_invert, jet_pow, jet_var
+from c235.jets import jet_invert, jet_pow, jet_var
 from c235.specialfn import HyperTriple, hyp2f1_jet, hypergeom_pair
 
 from oracles import closed_form_pair, ds_curve_u, legendre_pair_map

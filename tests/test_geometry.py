@@ -42,13 +42,14 @@ from c235.geometry import (
     sample_points,
     weyl_ratio,
 )
-from c235.jets import Jet1, jet_abs_pow, jet_const, jet_var
+from c235.jets import Jet1, jet_const, jet_var
 from c235.specialfn import closed_form_solution
 from c235.twistor import PlebanskiData
 
 from oracles import (
     ReferenceJet2,
     RoundoffScale,
+    jet_abs_pow,
     metric_compatibility_error,
     plebanski_metric,
     ricci_identity_check,
@@ -69,6 +70,16 @@ def identity_q(q0: float, order: int = 8) -> Jet1:
 
 
 # --- coframe and metric basics -------------------------------------------
+
+
+def test_matrix_jets_and_reports_compare_by_identity():
+    # they hold arrays, whose == has no truth value: each equals only itself
+    g = metric_at(build_coframe(identity_q(1.2), power_F(1.2, 2.0), POINT4))
+    rep = curvature(g)
+    for a, b in ((g, MatrixJet(g.value.copy(), g.grad.copy(), g.hess.copy())), (rep, replace(rep))):
+        assert a != b and not a == b
+        assert a == a
+        assert hash(a) == hash(a)
 
 
 def test_eta_matrix():

@@ -12,7 +12,7 @@ from c235.jets import (
     MAX_ORDER,
     MJet2,
     Jet1,
-    jet_abs_pow,
+    _power_series,
     jet_abs_pow_product,
     jet_compose,
     jet_const,
@@ -20,11 +20,10 @@ from c235.jets import (
     jet_invert,
     jet_log,
     jet_pow,
-    jet_sqrt,
     jet_var,
 )
 
-from oracles import ReferenceJet2, RoundoffScale, derivative_oracle
+from oracles import ReferenceJet2, RoundoffScale, derivative_oracle, jet_abs_pow
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 coeff_lists = st.lists(finite, min_size=1, max_size=9)
@@ -90,7 +89,7 @@ def test_division_by_zero_jet_raises():
 ORACLE_FUNCS = [
     (lambda x: math.exp(x), lambda j: jet_exp(j), 0.3),
     (lambda x: math.log(x), lambda j: jet_log(j), 1.7),
-    (lambda x: math.sqrt(x), lambda j: jet_sqrt(j), 2.1),
+    (lambda x: math.sqrt(x), lambda j: jet_pow(j, Fraction(1, 2)), 2.1),
     (lambda x: x ** 2.5, lambda j: jet_pow(j, 2.5), 1.4),
     (lambda x: 1.0 / (1.0 + x * x), lambda j: 1.0 / (1.0 + j * j), 0.6),
     (lambda x: x ** 3 - 2 * x, lambda j: j ** 3 - 2.0 * j, -0.8),
@@ -298,7 +297,7 @@ STACK_KERNELS = {
     "pow_odd_root": (lambda a, b: jet_pow(a, Fraction(-2, 3)), nonzero, False, 0),
     "abs_pow": (lambda a, b: jet_abs_pow(a, 0.75), nonzero, False, 0),
     "abs_pow_product": (lambda a, b: jet_abs_pow_product(a, 0.75, b, -1.5), nonzero, False, 0),
-    "sqrt": (lambda a, b: jet_sqrt(a), positive, True, 0),
+    "sqrt": (lambda a, b: jet_pow(a, Fraction(1, 2)), positive, True, 0),
     "compose": (lambda a, b: jet_compose(b, a - a.value() + b.basepoint), nonzero, True, 0),
     "invert": (lambda a, b: jet_invert(a), nonzero, True, 1),
 }
@@ -327,6 +326,22 @@ def test_stacked_kernels_match_row_by_row(kernel, data):
         assert stacked.value()[i] == stacked.coeffs[i, 0]
 
 
+def test_half_power_is_the_square_root_series():
+    # jet_pow(f, 1/2) gives the bits of the square-root recurrence started at np.sqrt(f(x0))
+    for x0 in (2.1, np.array([0.3, 1.7, 4.2, 9.5])):
+        f = jet_exp(jet_var(x0, MAX_ORDER) * 0.4) + 0.2 * jet_var(x0, MAX_ORDER)
+        want = _power_series(f, 0.5, np.sqrt(f.coeffs.T[0]))
+        np.testing.assert_array_equal(jet_pow(f, Fraction(1, 2)).coeffs, want.coeffs)
+
+
+def test_jets_compare_and_hash_by_identity():
+    # == of the coefficient arrays has no truth value, so a jet equals only itself
+    a, b = jet_var(0.5), jet_var(0.5)
+    assert a != b and not a == b
+    assert a == a
+    assert hash(a) == hash(a) and {a: 1}[a] == 1
+
+
 def test_abs_pow_product_is_its_two_powers_times_each_other():
     # the two power series in one solve give the bits of two solves and a product
     for x0 in (0.3, np.array([0.2, 0.3, 0.7])):
@@ -346,7 +361,7 @@ def test_stacked_kernels_raise_with_the_bad_rows():
     f = Jet1(bp, [[1.0, 0.5, 0.1], [-2.0, 0.3, 0.0], [0.0, 1.0, 0.2]])
     for call, error, rows in (
         (lambda: jet_log(f), DivisionByZeroJet, [False, False, True]),
-        (lambda: jet_sqrt(f + 1.0), BranchError, [False, True, False]),
+        (lambda: jet_pow(f + 1.0, Fraction(1, 2)), BranchError, [False, True, False]),
         (lambda: jet_pow(f + 1.0, 0.5), BranchError, [False, True, False]),
         (lambda: 1.0 / f, DivisionByZeroJet, [False, False, True]),
         (lambda: jet_invert(Jet1(bp, [[0.0, 1.0, 0.5], [0.0, 0.0, 1.0], [1.0, 2.0, 0.0]])),
@@ -444,7 +459,7 @@ RESULT_KERNELS = {
     "pow_float": (lambda f, g: jet_pow(f, 2.5), MAX_ORDER),
     "abs_pow": (lambda f, g: jet_abs_pow(f, 0.75), MAX_ORDER),
     "abs_pow_product": (lambda f, g: jet_abs_pow_product(f, 0.75, g, -1.5), MAX_ORDER),
-    "sqrt": (lambda f, g: jet_sqrt(f), MAX_ORDER),
+    "sqrt": (lambda f, g: jet_pow(f, Fraction(1, 2)), MAX_ORDER),
     "compose": (lambda f, g: jet_compose(g, f - f.value() + g.basepoint), MAX_ORDER),
     "invert": (lambda f, g: jet_invert(f), MAX_ORDER),
 }

@@ -16,7 +16,7 @@ from c235.dist import catalog
 from c235.errors import DivisionByZeroJet, SeriesDomainError, SingularPointError
 from c235.jets import Jet1, jet_invert, jet_var
 from c235.specialfn import (
-    DEGREE6_EXCLUDED,
+    DEGREE6_GAP,
     TRANSFORM_KINDS,
     HyperTriple,
     hyp2f1_jet,
@@ -207,7 +207,7 @@ def test_identity_draws_match_one_draw_per_sample(samples, capsys, monkeypatch):
         former = []
         for kind in cli.IDENTITY_KINDS:
             if kind == "degree6":
-                # as many doubles, from (0.08, 0.90), stepped over DEGREE6_EXCLUDED
+                # as many doubles, from (0.08, 0.90), stepped over DEGREE6_GAP
                 former += [s + 0.02 if s >= 0.49 else s
                            for s in rng.uniform(0.08, 0.90, samples).tolist()]
             else:
@@ -224,7 +224,8 @@ def test_identity_draws_match_one_draw_per_sample(samples, capsys, monkeypatch):
 
 
 def test_degree6_rejects_its_excluded_interval():
-    lo, hi = DEGREE6_EXCLUDED
+    lo, width = DEGREE6_GAP
+    hi = lo + width
     s0 = np.array([0.3, 0.4995, 0.5, 0.5099, 0.7])
     with pytest.raises(SingularPointError) as exc:
         transform_identity_check("degree6", s0)
@@ -237,8 +238,20 @@ def test_degree6_rejects_its_excluded_interval():
 
 def test_degree6_holds_on_a_grid_outside_the_excluded_interval():
     s0 = np.linspace(0.08, 0.92, 4001)
-    s0 = s0[(s0 <= DEGREE6_EXCLUDED[0]) | (s0 >= DEGREE6_EXCLUDED[1])]
+    lo, width = DEGREE6_GAP
+    s0 = s0[(s0 <= lo) | (s0 >= lo + width)]
     assert transform_identity_check("degree6", s0).max() < 1e-10
+
+
+@pytest.mark.parametrize("gap", [DEGREE6_GAP, (0.3, 0.05)])
+def test_degree6_samples_stay_off_the_gap(gap, monkeypatch):
+    # the sampler reads its gap from the one constant, so a moved gap moves the samples too
+    monkeypatch.setattr(cli, "DEGREE6_GAP", gap)
+    lo, width = gap
+    for seed in range(100):
+        s0 = cli._identity_samples("degree6", np.random.default_rng(seed), 2000)
+        assert not np.any((s0 >= lo) & (s0 <= lo + width)), seed
+        assert np.all((s0 >= 0.08) & (s0 < 0.92)), seed
 
 
 def test_degree6_seed_that_drew_near_one_half_passes(capsys):

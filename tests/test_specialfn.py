@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from c235 import specialfn
 from c235.dist import catalog
 from c235.errors import (
+    BranchError,
     DegenerateError,
     LinearDependenceError,
     PoleError,
@@ -15,7 +16,7 @@ from c235.errors import (
     SingularPointError,
     ZeroWronskianError,
 )
-from c235.jets import Jet1, jet_abs_pow, jet_var
+from c235.jets import Jet1, jet_var
 from c235.specialfn import (
     HyperTriple,
     TRANSFORM_KINDS,
@@ -263,6 +264,17 @@ def test_hyp2f1_against_scipy():
             ours = hyp2f1_jet(triple, s0, 2).value()
             ref = float(scipy_hyp2f1(a, b, c, s0))
             assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+def test_pair_refuses_a_negative_base():
+    # s^(1-c) is a real power of a positive base: s0 < 0 has none
+    p = HyperTriple(Fraction(-1, 4), Fraction(5, 12), Fraction(1, 2))
+    with pytest.raises(BranchError) as exc:
+        hypergeom_pair(p, -0.3)
+    assert exc.value.rows is None
+    with pytest.raises(BranchError) as exc:
+        hypergeom_pair(p, np.array([0.3, -0.3, 0.5]))
+    assert exc.value.rows.tolist() == [False, True, False]
 
 
 def test_second_solution_of_pair():

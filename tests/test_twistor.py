@@ -31,6 +31,14 @@ def quadratic_data(x0: float = 0.7, xi: float = 0.3) -> PlebanskiData:
 # --- metric and connection --------------------------------------------------
 
 
+def test_plebanski_data_compares_by_identity():
+    # it holds a jet, whose arrays' == has no truth value: each equals only itself
+    d = quadratic_data()
+    assert d != quadratic_data() and not d == quadratic_data()
+    assert d == d
+    assert hash(d) == hash(d)
+
+
 def test_metric_components_are_exact():
     d = quadratic_data()
     g = plebanski_metric(d)
