@@ -2,34 +2,25 @@
 
 For any H(x) the split-signature metric g = dw dx + dz dy + H(x) dz^2
 carries a circle bundle of null 2-planes whose horizontal lifts form a
-rank-2 distribution. The annihilator 1-forms transform, under an
-explicit coordinate change, into exactly the dual-picture coframe data,
-and maximal symmetry reduces to the sixth-order ODE residual of H.
+rank-2 distribution. Its annihilator 1-forms become, under an explicit
+coordinate change, exactly the dual-picture coframe data of H; that change
+is an identity for every H, proved once and exactly by
+`coordinate_change_mismatch` in tests/oracles.py. So maximal symmetry
+reduces to the sixth-order ODE residual of H, which this demo prints for
+every catalog case.
 """
 
 from c235.dist import catalog
-from c235.twistor import PlebanskiData, g2_certificate, twistor_coordinate_check
+from c235.twistor import g2_certificate
 
 def main():
-    print("coordinate-change mismatch (dual-picture entries):")
-    for spec in catalog():
-        if spec.picture != "H_of_t" or spec.expect_fail:
-            continue
+    print("symmetry certificates (residual of the sixth-order ODE on H):")
+    for spec in sorted(catalog(), key=lambda s: s.id):
         lo, hi = spec.domain
         t0 = 0.5 * (lo + hi) if hi < 2 else lo + 0.4
-        d = PlebanskiData.from_spec(spec, t0, xi=0.3)
-        print(f"  {spec.id:30s} {twistor_coordinate_check(d):.3e}")
-    print()
-    print("symmetry certificates (residual of the sixth-order ODE on H):")
-    for case in ("H-power-2", "H-two-pole", "F-power-2", "F-two-pole", "H-power-3"):
-        for spec in catalog():
-            if spec.id != case:
-                continue
-            lo, hi = spec.domain
-            t0 = 0.5 * (lo + hi) if hi < 2 else lo + 0.4
-            out = g2_certificate(case, t0)
-            tag = " (control, expected to fail)" if out["expectFail"] else ""
-            print(f"  {case:14s} via {out['route']:8s} residual = {out['residual']:.3e}{tag}")
+        out = g2_certificate(spec.id, t0)
+        tag = " (control, expected to fail)" if out["expectFail"] else ""
+        print(f"  {spec.id:30s} via {out['route']:8s} residual = {out['residual']:.3e}{tag}")
 
 if __name__ == "__main__":
     main()

@@ -12,8 +12,8 @@ Submodules:
     dist       the solution catalog and the Legendre duality between
                the two pictures
     geometry   coframes, metric assembly, curvature certification
-    twistor    the circle-twistor construction over split-signature
-               4-metrics
+    twistor    the split G2 symmetry certificates of the circle-twistor
+               construction over split-signature 4-metrics
     cli        the ``c235`` command-line driver
 """
 

@@ -10,7 +10,7 @@ homogeneous, so this gauge choice never affects a residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Tuple
 
@@ -30,13 +30,14 @@ class SolutionSpec:
 
     param_name is the variable the builder takes a basepoint in (q, t, s
     or r); domain is the open interval of admissible basepoints, already
-    shrunk away from singular endpoints.
+    shrunk away from singular endpoints. params, a dict, is compared but not
+    hashed, so an entry can be a dict key.
     """
 
     id: str
     picture: str  # "F_of_q" | "H_of_t"
     family: str  # power_m | two_pole | hyper_triple | schwarz_triple_param | ds_curve | elementary_r
-    params: dict
+    params: dict = field(hash=False)
     param_name: str
     domain: Tuple[float, float]
     note: str = ""

@@ -6,8 +6,10 @@ finite-difference derivative oracle, the multivariate order-2 reference
 jet, the |.| powers of a negative base that the closed-form tables take,
 the paper's closed-form pairs (`CLOSED_FORMS`, each row's basis and
 the equation it solves), the Chazy, Schwarzian, Omega-system
-and closed-form residuals, the Legendre map of solution pairs, the Riemann,
-Weyl and Ricci identity checks, and the Plebanski connection checks. The
+and closed-form residuals, the Legendre map of solution pairs, the exact
+polynomial identities (the Legendre duality of the two sixth-order tables,
+and the twistor coordinate change), the Riemann, Weyl and Ricci identity
+checks, and the 4-metric potential data with its connection checks. The
 package keeps the certificate path they check.
 """
 
@@ -22,12 +24,13 @@ import numpy as np
 
 from c235 import geometry
 from c235.chazy import DUAL_SIXTH_ORDER, SchwarzTriple, _monomials
-from c235.dist import ds_curve_solution
+from c235.dist import F_jet, SolutionSpec, ds_curve_solution
 from c235.errors import (
     BranchError,
     C235Error,
     DegenerateError,
     DivisionByZeroJet,
+    InvalidParam,
     SingularPointError,
     ZeroWronskianError,
 )
@@ -50,7 +53,6 @@ from c235.specialfn import (
     relative_residual,
     schwarz_potential,
 )
-from c235.twistor import PlebanskiData
 
 Frac = Fraction
 
@@ -422,6 +424,99 @@ def legendre_pair_map(z1: Jet1, z2: Jet1, direction: str) -> Tuple[Jet1, Jet1]:
     return w1, w1 * K
 
 
+# --- exact polynomial identities ----------------------------------------
+
+
+class Poly:
+    """A polynomial in n variables with Fraction coefficients, {exponents: coefficient}.
+
+    Numbers mix in as constants, so 2 * p - 1 is a Poly; == compares exactly.
+    """
+
+    def __init__(self, n: int, terms=None):
+        self.n = n
+        self.terms = {e: Fraction(c) for e, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def var(cls, n: int, i: int) -> "Poly":
+        return cls(n, {tuple(int(j == i) for j in range(n)): 1})
+
+    def _lift(self, other) -> "Poly":
+        return other if isinstance(other, Poly) else Poly(self.n, {(0,) * self.n: other})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for e, c in self._lift(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return Poly(self.n, terms)
+
+    def __mul__(self, other):
+        other, terms = self._lift(other), {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return Poly(self.n, terms)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __pow__(self, k: int):
+        out = self._lift(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        return self.terms == self._lift(other).terms
+
+    __hash__ = None
+
+    def partial(self, i: int) -> "Poly":
+        return Poly(self.n, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                             for e, c in self.terms.items() if e[i]})
+
+
+# y, y', ..., y^(7): the derivatives a sixth-order table and its total derivative reach
+JET_VARS = [Poly.var(8, i) for i in range(8)]
+
+
+def total_derivative(p: Poly) -> Poly:
+    """D p = sum_i (dp/dy^(i)) y^(i+1), for p free of y^(7)."""
+    assert p.partial(7) == 0, "y^(7) has no derivative here"
+    return sum((p.partial(i) * JET_VARS[i + 1] for i in range(7)), Poly(8))
+
+
+def table_poly(table, subs=JET_VARS) -> Poly:
+    """A table's left-hand side, the sum of coefficient * prod subs[i]**e, exactly."""
+    return sum((Fraction(c) * math.prod((subs[i] ** e for i, e in factors), start=1)
+                for c, factors in table), Poly(8))
+
+
+def legendre_image(table) -> Tuple[int, Poly]:
+    """(W, P): a sixth-order table in F'', ..., F^(6), rewritten in the derivatives of H.
+
+    Along the Legendre transform t = F'(q), H(t) = q t - F, one has
+    F'' = 1/H'' and d/dq = (1/H'') d/dt, so F^(k) = N_k / (H'')^(2k-3) with
+    N_2 = 1 and N_(k+1) = H'' D(N_k) - (2k-3) H''' N_k. P is the left-hand
+    side times (H'')^W, W the largest weight sum e (2i-3) of a monomial: a
+    polynomial in H'', ..., H^(6).
+    """
+    h = JET_VARS
+    N = {2: h[2] ** 0}
+    for k in range(2, 6):
+        N[k + 1] = h[2] * total_derivative(N[k]) - (2 * k - 3) * h[3] * N[k]
+    weights = [sum(e * (2 * i - 3) for i, e in factors) for _, factors in table]
+    W = max(weights)
+    P = sum((h[2] ** (W - w) * table_poly([row], N) for row, w in zip(table, weights)), Poly(8))
+    return W, P
+
+
 # --- the multivariate order-2 reference jet ------------------------------
 
 
@@ -647,7 +742,72 @@ def weyl_equals_residual_check(H_jets: Sequence[Jet1]):
     return {"rows": rows, "ratioMean": mean, "ratioSpread": spread}
 
 
-# --- the Plebanski metric and its connection forms --------------------
+# --- the 4-metric potential, its connection forms and the twistor coordinate change ---
+
+
+# holds a Jet1, so it compares and hashes by identity
+@dataclass(frozen=True, eq=False)
+class PlebanskiData:
+    """Data for the 4-metric and its circle bundle.
+
+    H: H(x) = -Theta_xx as a jet in x (every other partial of the potential
+    vanishes). point4 = (w, x, y, z), by default (0, x0, 0, 0), with x equal
+    to the basepoint x0 of H; xi is the fibre coordinate.
+    """
+
+    H: Jet1
+    point4: tuple | None = None
+    xi: float = 0.0
+
+    def __post_init__(self):
+        x0 = float(self.H.basepoint)
+        point4 = (0.0, x0, 0.0, 0.0) if self.point4 is None else tuple(float(v) for v in self.point4)
+        if abs(point4[1] - x0) > 1e-12:
+            raise InvalidParam("point4 x-coordinate must equal the basepoint of H")
+        object.__setattr__(self, "point4", point4)
+        object.__setattr__(self, "xi", float(self.xi))
+
+    @staticmethod
+    def from_spec(spec: SolutionSpec, param_point: float, point4=None, xi: float = 0.0) -> "PlebanskiData":
+        if spec.picture != "H_of_t":
+            raise InvalidParam("the 4-metric potential needs a dual-picture entry")
+        return PlebanskiData(F_jet(spec, param_point), point4, xi)
+
+
+def twistor_annihilators() -> list:
+    """The three annihilator 1-forms over (w, x, y, z, xi), as rows of polynomials in (A, B, xi, t).
+
+    They are dxi - A dz, xi dz + dw and dy - xi dx - B dz, with A and B
+    polynomials in xi: A = Theta_xxx + 3 Theta_yxx xi + 3 Theta_yyx xi^2 +
+    Theta_yyy xi^3 and B = Theta_xx + 2 Theta_xy xi + Theta_yy xi^2. An
+    x-only potential leaves their constant terms, A = -H'(x) and B = -H(x),
+    which stand here as the free variables A and B.
+    """
+    A, B, xi, _ = (Poly.var(4, i) for i in range(4))
+    return [[0, 0, 0, -A, 1], [1, 0, 0, xi, 0], [0, -xi, 1, -B, 0]]
+
+
+def coordinate_change_mismatch(forms) -> list:
+    """The (row, column) entries where the changed forms differ from the dual-picture ones.
+
+    Substitutes x -> t, w -> y', z -> x', xi -> -p' and y -> z' - p' t into
+    `forms`, rows over d(w, x, y, z, xi), giving rows over
+    d(x', y', z', p', t); reduces the third form modulo the first; and
+    compares against -dp' - A dx', -p' dx' + dy' and dz' + (t A - B) dx'.
+    Every entry is a polynomial in (A, B, xi, t), so [] proves the change
+    for every H at once.
+    """
+    A, B, xi, t = (Poly.var(4, i) for i in range(4))
+    p = -xi
+    jac = [[0, 1, 0, 0, 0],  # dw = dy'
+           [0, 0, 0, 0, 1],  # dx = dt
+           [0, 0, 1, -t, -p],  # dy = dz' - t dp' - p' dt
+           [1, 0, 0, 0, 0],  # dz = dx'
+           [0, 0, 0, -1, 0]]  # dxi = -dp'
+    f = [[sum((row[a] * jac[a][b] for a in range(5)), Poly(4)) for b in range(5)] for row in forms]
+    f[2] = [u - t * v for u, v in zip(f[2], f[0])]  # eliminate the dp' term using the first form
+    target = [[-A, 0, 0, -1, 0], [-p, 1, 0, 0, 0], [t * A - B, 0, 1, 0, 0]]
+    return [(r, c) for r in range(3) for c in range(5) if f[r][c] != target[r][c]]
 
 
 def plebanski_metric(d: PlebanskiData) -> geometry.MatrixJet:

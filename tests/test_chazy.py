@@ -25,10 +25,12 @@ from oracles import (
     ZeroDenominatorError,
     chazy_log_solution,
     jet_abs_pow,
+    legendre_image,
     omega_residuals,
     parametrized_y,
     residual_chazy,
     residual_schwarzian,
+    table_poly,
 )
 
 K23 = Fraction(2, 3)
@@ -119,6 +121,19 @@ def test_dual_sixth_order_on_powers(m):
 
 def test_dual_control_cubic():
     assert residual_ds6(jet_var(0.7, 8) ** 3) == pytest.approx(1.0)
+
+
+def test_sixth_order_tables_are_legendre_duals():
+    # F^(k) = N_k / (H'')^(2k-3) turns SIXTH_ORDER, times (H'')^12, into
+    # -DUAL_SIXTH_ORDER exactly, and the same rule takes the dual table back
+    assert legendre_image(SIXTH_ORDER) == (12, -table_poly(DUAL_SIXTH_ORDER))
+    assert legendre_image(DUAL_SIXTH_ORDER) == (12, -table_poly(SIXTH_ORDER))
+
+
+def test_legendre_identity_sees_a_wrong_coefficient():
+    table = tuple((-50.0 if c == -51.0 else c, factors) for c, factors in SIXTH_ORDER)
+    assert table != SIXTH_ORDER
+    assert legendre_image(table) != (12, -table_poly(DUAL_SIXTH_ORDER))
 
 
 def test_schwarzian_residual_nonzero_off_solution():

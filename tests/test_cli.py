@@ -85,6 +85,22 @@ def test_verify_all_honours_expect_fail(capsys):
     assert by_id["F-power-3"]["pass"] is False
 
 
+def test_verify_reports_one_ode_residual_per_picture(capsys):
+    # each point of a case has its picture's own ODE residual and the Weyl
+    # check: the dual residual of an F-picture jet is, by the Legendre
+    # duality, the same polynomial as its own, and is not reported again
+    code, payload, _ = run_json(capsys, "verify", "--points", "3", "--json")
+    assert code == 0
+    assert payload["version"] == cli.REPORT_VERSION == 3
+    names = {"F_of_q": ("ode_residual_F", "weyl_flatness"),
+             "H_of_t": ("ode_residual_H", "weyl_flatness")}
+    assert len(payload["cases"]) == len(dist.catalog())
+    for case in payload["cases"]:
+        picture = dist.get_spec(case["id"]).picture
+        assert sorted((c["point"], c["name"]) for c in case["checks"]) == [
+            (i, name) for i in range(3) for name in names[picture]], case["id"]
+
+
 def test_verify_deterministic(capsys):
     argv = ("verify", "--case", "H-power-2", "--points", "4", "--seed", "7", "--json")
     _, out1, _ = run(capsys, *argv)
@@ -110,7 +126,7 @@ def test_verify_builds_each_jet_once(capsys, monkeypatch):
         monkeypatch.setattr(mod, "F_jet", counted)
     code, payload, _ = run_json(capsys, "verify", "--case", "F-power-1/3", "--points", "10", "--json")
     assert code == 0
-    assert len(payload["cases"][0]["checks"]) == 30
+    assert len(payload["cases"][0]["checks"]) == 20
     # one call covers the 10 points
     assert len(calls) == 1
     assert np.shape(calls[0][1]) == (10,)
@@ -138,8 +154,7 @@ def test_verify_reports_a_singular_coframe(capsys, monkeypatch):
         {"name": name, "point": 3, "value": None, "tol": cli.DEFAULT_TOL, "pass": False,
          "error": error}
         for name, error in (("ode_residual_F", residual),
-                            ("weyl_flatness", "SingularCoframeError: coframe is not finite at this point"),
-                            ("duality_residual", residual))]
+                            ("weyl_flatness", "SingularCoframeError: coframe is not finite at this point"))]
 
 
 def test_verify_and_flatness_suite_share_the_runner(capsys, monkeypatch):
@@ -211,7 +226,7 @@ def test_verify_reports_a_failing_jet(capsys, monkeypatch, failing):
     errors = [c for c in checks if "error" in c]
     assert sorted((c["name"], c["point"]) for c in errors) == sorted(
         (name, i) for i in failing
-        for name in ("ode_residual_F", "weyl_flatness", "duality_residual"))
+        for name in ("ode_residual_F", "weyl_flatness"))
     for c in errors:
         assert c["value"] is None and c["pass"] is False
         assert c["error"].startswith("DomainError: no jet at ")

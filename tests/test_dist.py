@@ -37,6 +37,16 @@ def test_get_spec_alias_and_unknown():
         get_spec("F-power-7")
 
 
+def test_specs_hash_and_key_dicts():
+    # params, a dict, is left out of the hash; equality still compares it
+    specs = catalog()
+    by_spec = {spec: spec.id for spec in specs}
+    assert len(by_spec) == len(specs)
+    assert all(by_spec[spec] == spec.id for spec in specs)
+    assert hash(get_spec("twistor-case-5")) == hash(get_spec("H-two-pole"))
+    assert by_spec[get_spec("twistor-case-5")] == "H-two-pole"
+
+
 def test_domain_enforced():
     spec = get_spec("F-power-2")
     with pytest.raises(DomainError):

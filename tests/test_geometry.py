@@ -44,9 +44,9 @@ from c235.geometry import (
 )
 from c235.jets import Jet1, jet_const, jet_var
 from c235.specialfn import closed_form_solution
-from c235.twistor import PlebanskiData
 
 from oracles import (
+    PlebanskiData,
     ReferenceJet2,
     RoundoffScale,
     jet_abs_pow,

@@ -1,25 +1,25 @@
-"""Tests for the 4-metric potential data and its annihilator system."""
+"""Tests for the 4-metric potential data, its twistor coordinate change and the certificates."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from c235 import cli, geometry, twistor
+from c235 import cli, dist, geometry
 from c235.dist import catalog, get_spec
 from c235.errors import InvalidParam
 from c235.jets import jet_const, jet_var
-from c235.twistor import (
-    PlebanskiData,
-    g2_certificate,
-    twistor_annihilators,
-    twistor_coordinate_check,
-)
+from c235.twistor import g2_certificate
 
 import oracles
 from oracles import (
+    PlebanskiData,
     connection_forms,
+    coordinate_change_mismatch,
     frame_connection_check,
     metric_compatibility_error,
     plebanski_metric,
+    twistor_annihilators,
 )
 
 
@@ -116,46 +116,16 @@ def test_frame_connection_oracle_sees_a_wrong_display(monkeypatch):
 # --- annihilators and the coordinate change ---------------------------------
 
 
-def test_twistor_annihilator_rows():
-    # an x-only potential leaves the constant terms of A and B in xi alone:
-    # A = Theta_xxx = -H' and B = Theta_xx = -H, here with H = x^2 at 0.7
-    d = quadratic_data(xi=0.25)
-    w3, w4, w5 = twistor_annihilators(d)
-    A, B = -d.H.deriv(1), -d.H.value()
-    assert (A, B) == pytest.approx((-1.4, -0.49))
-    assert w3 == (0.0, 0.0, 0.0, -A, 1.0)
-    assert w4 == (1.0, 0.0, 0.0, 0.25, 0.0)
-    assert w5 == (0.0, -0.25, 1.0, -B, 0.0)
+def test_coordinate_change_is_an_exact_identity():
+    # the annihilators become the dual-picture ones as polynomials in
+    # (A, B, xi, t): for every H, every basepoint and every fibre point
+    assert coordinate_change_mismatch(twistor_annihilators()) == []
 
 
-def test_coordinate_check_quadratic():
-    for xi in (-0.5, 0.0, 0.8):
-        d = quadratic_data(xi=xi)
-        assert twistor_coordinate_check(d) < 1e-12
-
-
-def test_coordinate_check_sees_a_wrong_annihilator(monkeypatch):
-    def shifted(d):
-        w3, w4, w5 = twistor_annihilators(d)
-        return (*w3[:3], w3[3] - 1e-3, w3[4]), w4, w5  # A shifted by 1e-3
-
-    monkeypatch.setattr(twistor, "twistor_annihilators", shifted)
-    assert twistor_coordinate_check(quadratic_data()) >= 5e-4
-
-
-def test_coordinate_check_catalog_H():
-    for spec in catalog():
-        if spec.picture != "H_of_t":
-            continue
-        lo, hi = spec.domain
-        t0 = 0.5 * (lo + hi) if hi < 2 else lo + 0.4
-        d = PlebanskiData.from_spec(spec, t0, xi=0.3)
-        assert twistor_coordinate_check(d) < 1e-10, spec.id
-
-
-def test_coordinate_check_alias():
-    d = PlebanskiData.from_spec(get_spec("twistor-case-5"), 2.0, xi=-0.2)
-    assert twistor_coordinate_check(d) < 1e-10
+def test_coordinate_check_sees_a_wrong_annihilator():
+    forms = twistor_annihilators()
+    forms[0][3] += Fraction(1, 1000)  # the dz coefficient of dxi - A dz, off by 1/1000
+    assert coordinate_change_mismatch(forms) != []
 
 
 # --- certificates ------------------------------------------------------------
@@ -177,17 +147,20 @@ def test_g2_certificates_over_catalog():
 @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
 def test_g2_certificate_is_verify_dual_residual(spec):
     # one route for the dual residual: the certificate at each point's lambda
-    # reads what verify reports there, up to the round-off that separates a
-    # stacked jet from a single-point one
-    name = "ode_residual_H" if spec.picture == "H_of_t" else "duality_residual"
-    case = cli._verify_case(spec, 20, cli.DEFAULT_TOL, 5)
-    entries = [c for c in case["checks"] if c["name"] == name]
-    pts = geometry.sample_points(spec, 20, 5)
-    assert [c["point"] for c in entries] == list(range(20))
-    for c in entries:
-        out = g2_certificate(spec.id, pts[c["point"]][4])
+    # reads what verify reports there (direct) or the dual residual of the
+    # stacked F jet (legendre), up to the round-off that separates a stacked
+    # jet from a single-point one
+    lams = np.array([p[4] for p in geometry.sample_points(spec, 20, 5)])
+    if spec.picture == "H_of_t":
+        case = cli._verify_case(spec, 20, cli.DEFAULT_TOL, 5)
+        expected = [c["value"] for c in case["checks"] if c["name"] == "ode_residual_H"]
+    else:
+        expected = dist.dual_residual(spec, dist.F_jet(spec, lams)).tolist()
+    assert len(expected) == 20
+    for lam, value in zip(lams, expected):
+        out = g2_certificate(spec.id, lam)
         assert out["route"] == ("direct" if spec.picture == "H_of_t" else "legendre")
-        assert abs(out["residual"] - c["value"]) <= 1e-14, (spec.id, c["point"])
+        assert abs(out["residual"] - value) <= 1e-14, (spec.id, lam)
 
 
 # --- guards -------------------------------------------------------------------
