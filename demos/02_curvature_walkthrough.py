@@ -16,8 +16,8 @@ from c235.geometry import (
     build_coframe,
     conformal_rescale_check,
     curvature,
+    elementary_frame_jets,
     flatness_suite,
-    frame_jets_for_spec,
     metric_at,
     sample_points,
 )
@@ -37,13 +37,13 @@ def omega_factor(r0):
 def main():
     for r0 in (1.5, 2.0, 3.0):
         # the Ricci law holds for any basis mixing, the catalog's among them
-        rep = curvature(metric_at(build_coframe(*frame_jets_for_spec(ELEMENTARY, r0), POINT4)))
+        rep = curvature(metric_at(build_coframe(*elementary_frame_jets(ELEMENTARY, r0), POINT4)))
         print(f"r = {r0}: Ricci_rr = {rep.ricci[4, 4]:.12f}   "
               f"6/(r^2-1) = {6.0 / (r0 * r0 - 1.0):.12f}")
         nu = 1.0 / omega_factor(r0)
         if nu.value() < 0:
             nu = -nu
-        out = conformal_rescale_check(*frame_jets_for_spec(UNMIXED, r0), nu, POINT4)
+        out = conformal_rescale_check(*elementary_frame_jets(UNMIXED, r0), nu, POINT4)
         print(f"         rescaled |Ricci| = {out['ricciMax']:.3e}")
     print()
     for case in ("F-power-1/3", "F-power-3"):

@@ -134,12 +134,12 @@ def _check(name: str, i: int, tol: float, outcome) -> dict:
 
 def _verify_case(spec, points: int, tol: float, seed: int) -> dict:
     try:
-        pts = np.array(geometry.sample_points(spec, points, seed))
+        pts = geometry.sample_points(spec, points, seed)
     except (MemoryError, ValueError):  # numpy refuses an array this large, allocating nothing
         raise InvalidParam(f"--points {points} is more points than can be sampled at once") from None
     # one F_jet call builds every point's solution jet, shared by every check
     failed = [None] * len(pts)  # the C235Error that stopped a point's jet
-    jet, live = geometry.on_regular_rows(lambda p: F_jet(spec, p), pts[:, 4],
+    jet, live = geometry.on_regular_rows(lambda p: F_jet(spec, p, geometry.FRAME_ORDER), pts[:, 4],
                                          np.arange(len(pts)), failed)
     weyl = list(failed)  # flatness_suite runs on the points whose jet was built
     for i, outcome in zip(live, geometry.flatness_suite(spec, pts[live], jet)):
@@ -278,7 +278,7 @@ def cmd_curvature(args) -> int:
     point = _parse_point(args.point, spec)
     lam = point[spec.param_name]
     # elementary_r's frame is built in r itself, every other one from F_jet at its basepoint
-    jet = None if spec.family == "elementary_r" else F_jet(spec, lam)
+    jet = None if spec.family == "elementary_r" else F_jet(spec, lam, geometry.FRAME_ORDER)
     # curvature refuses a point far out (p = 1e308) whose metric or curvature overflows
     g = geometry.metric_at(geometry.coframe_for_spec(spec, tuple(point.values()), jet))
     rep = geometry.curvature(g)

@@ -240,8 +240,9 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
     """Jet of F(q) (F-picture) or H(t) (H-picture) for a catalog entry.
 
     `point` is a basepoint for spec.param_name, or an array of them; the
-    jets of an array stack on a leading point axis. For the s- and
-    r-parametrised families the returned jet sits at the induced q0 (t0).
+    jets of an array stack on a leading point axis. The jet has at least
+    the order asked for; the families that integrate twice return more.
+    For the s- and r-parametrised families it sits at the induced q0 (t0).
     A test that fails at some points of an array raises with `rows` set
     to the mask of those points.
     """
@@ -281,8 +282,9 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         num = jet_pow(t + C, Frac(1, 2)) * (4.0 * t + 3.0 * B + C)
         return (-1.0 / (192.0 * (B - C) ** 3)) * num / jet_pow(t + B, Frac(1, 2))
     if fam == "ds_curve":
+        # H = y' drops an order, so the branch y is built one order higher
         a, b = spec.params["a"], spec.params["b"]
-        y = ds_curve_solution(a, b, spec.params["f"], point, order)
+        y = ds_curve_solution(a, b, spec.params["f"], point, order + 1)
         return y.derivative()
     raise UnknownCaseId(f"unhandled family {fam!r}")
 

@@ -2,10 +2,14 @@
 
 The five coordinates are (x, y, z, p, lam) where lam is the jet variable
 of the supplied data: q itself in the F-picture, t in the dual picture, r
-or s for the parametrised families. Coframe rows, their coefficients and
-metric components are exact order-2 jets in one layout, MatrixJet, with
-one product rule, so the curvature arrays need no finite differences. The
-same functions serve one point or, along a leading axis of every array, many.
+for the elementary pair. A catalog coframe reads F, F', ..., F^(6) (or H's)
+of one order-6 jet; the dual picture takes its frame terms from the exact
+Legendre forms, and only the elementary pair goes through the chain rule
+in q. Coframe rows, their coefficients and metric components are exact
+order-2 jets in one layout, MatrixJet, with one product rule, so the
+curvature arrays need no finite differences; Riemann and Weyl are computed
+on their pair-form slots alone. The same functions serve one point or,
+along a leading axis of every array, many.
 
 Conventions: Gamma^a_bc = (1/2) g^{ad}(d_b g_dc + d_c g_bd - d_d g_bc);
 R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma Gamma terms;
@@ -14,13 +18,14 @@ Ricci_bd = R^a_bad.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, replace
 from typing import Tuple
 
 import numpy as np
 
 from .errors import C235Error, DegenerateError, SingularCoframeError, SingularMetricError
-from .jets import _TO_DERIVATIVES, Jet1, MJet2, _unit, jet_var
+from .jets import _TO_DERIVATIVES, Jet1, MJet2, _factorials
 from .dist import SolutionSpec, F_jet, admissible
 from .specialfn import closed_form_solution
 
@@ -52,10 +57,10 @@ class MatrixJet:
 @dataclass(frozen=True, eq=False)
 class CurvatureReport:
     christoffel: np.ndarray
-    riemann: np.ndarray  # fully lowered R_abcd
+    riemann: np.ndarray  # fully lowered R_abcd on the pair-form slots
     ricci: np.ndarray
     scalar: float | np.ndarray
-    weyl: np.ndarray  # fully lowered C_abcd
+    weyl: np.ndarray  # fully lowered C_abcd on the pair-form slots
     maxAbsWeyl: float | np.ndarray
     maxAbsRicci: float | np.ndarray
     metricScale: float | np.ndarray
@@ -68,19 +73,15 @@ class CurvatureReport:
 PAIRS = tuple(k.tolist() for k in np.triu_indices(DIM))
 BIVECTORS = tuple(k.tolist() for k in np.triu_indices(DIM, 1))
 PAIR_FORM = tuple(k.tolist() for k in np.triu_indices(len(BIVECTORS[0])))
-# the slots (a, b, c, d) of Riemann and Weyl that PAIR_FORM lists
-_PAIR_FORM_SLOTS = tuple(np.concatenate([np.array(BIVECTORS)[:, k] for k in PAIR_FORM]))
 
 
 def independent_components(rep: CurvatureReport) -> dict:
-    """rep's Christoffel, Ricci, Riemann and Weyl on the slots PAIRS and PAIR_FORM list.
+    """rep's Christoffel and Ricci on the slots PAIRS lists: (..., 5, 15) and (..., 15).
 
-    Their shapes are (..., 5, 15), (..., 15), (..., 55) and (..., 55). curvature's
-    Christoffel and Ricci are exactly symmetric, so their components lose nothing.
+    curvature's are exactly symmetric, so their components lose nothing; its
+    Riemann and Weyl are already the (..., 55) components on PAIR_FORM's slots.
     """
-    return {"christoffel": rep.christoffel[(..., *PAIRS)], "ricci": rep.ricci[(..., *PAIRS)],
-            "riemann": rep.riemann[(..., *_PAIR_FORM_SLOTS)],
-            "weyl": rep.weyl[(..., *_PAIR_FORM_SLOTS)]}
+    return {"christoffel": rep.christoffel[(..., *PAIRS)], "ricci": rep.ricci[(..., *PAIRS)]}
 
 
 def _in_lam(D: np.ndarray) -> MatrixJet:
@@ -105,14 +106,7 @@ def _product(a: MatrixJet, b: MatrixJet) -> MatrixJet:
 
 
 def _d_dq(dq: Jet1):
-    """The map f -> df/dq = f'(lam)/q'(lam) on jets f in lam, for dq = dq/dlam.
-
-    Where dq is exactly the unit jet at every row, lam is q (the F-picture)
-    and the map is the plain derivative: dividing by the unit jet would
-    return its operand unchanged.
-    """
-    if (dq.coeffs == _unit(dq.order + 1)).all():
-        return Jet1.derivative
+    """The map f -> df/dq = f'(lam)/q'(lam) on jets f in lam, for dq = dq/dlam."""
     DegenerateError.raise_where(dq.value() == 0, "dq/dlam = 0")
     return lambda f: f.derivative() / dq
 
@@ -122,23 +116,74 @@ def _derivs_in_q(dq: Jet1, F_of: Jet1):
     step = _d_dq(dq)
     Fp = step(F_of)
     Fpp = step(Fp)
-    DegenerateError.raise_where(Fpp.value() == 0, "F'' = 0 at the basepoint")
     F3 = step(Fpp)
     return Fp, Fpp, F3, step(F3)
 
 
 def _frame_coeffs(q_of: Jet1, F_of: Jet1) -> np.ndarray:
-    """The first three Taylor coefficients in lam of q, F, q' and of F' to F'''' (in q).
+    """q, F, q' and F' to F'''' (in q), each as its value, d/dlam and d2/dlam2: (..., 7, 3).
 
-    One row per jet: (..., 7, 3).
+    The general chain, for any frame variable lam: the elementary pair's r,
+    and the reduced frame of F-in-q data.
     """
     dq = q_of.derivative()
     jets = (q_of, F_of, dq, *_derivs_in_q(dq, F_of))
-    return np.stack([j.coeffs[..., :3] for j in jets], axis=-2)
+    return np.stack([j.coeffs[..., :3] for j in jets], axis=-2) * _TO_DERIVATIVES
 
 
-def _omegas(c, point4) -> MatrixJet:
-    """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx; c is the _frame_coeffs.
+# the rows F' to F'''' of _frame_coeffs in the F picture: F^(k), F^(k+1), F^(k+2) for k = 1..4
+_IN_Q_ROWS = np.arange(1, 5)[:, None] + np.arange(3)
+
+
+def _F_coeffs(q0, d: np.ndarray) -> np.ndarray:
+    """_frame_coeffs of F(q) itself, lam = q, read from d = F, F', ..., F^(6) at q0."""
+    c = np.zeros(d.shape[:-1] + (7, 3))
+    c[..., 0, 0] = q0
+    c[..., 0, 1] = c[..., 2, 0] = 1.0
+    c[..., 1, :] = d[..., :3]
+    c[..., 3:, :] = d[..., _IN_Q_ROWS]
+    return c
+
+
+def _in_q_frame(c: np.ndarray):
+    """(w, (u, s, B, coef4)) from the _frame_coeffs c.
+
+    w holds the rows q, F and q' of _omegas. The terms of _frame_rows are
+    jets in lam: u = F', s = 1/F'', B = F''' s^2/4 and
+    coef4 = (7 F'''^2 - 4 F'' F'''') s^3/40.
+    """
+    DegenerateError.raise_where(c[..., 4, 0] == 0, "F'' = 0 at the basepoint")
+    u, Fpp, F3, F4 = (MJet2.from_packed(c[..., k, :]) for k in range(3, 7))
+    s = Fpp.reciprocal()
+    s2 = s * s
+    return c[..., :3, :], (u, s, F3 * s2 * 0.25, (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s2 * s * 0.025)
+
+
+def _legendre_frame(t, d: np.ndarray):
+    """_in_q_frame's (w, terms) for H(t), lam = t, from d = H, H', ..., H^(6) at t.
+
+    By the Legendre duality q = H', F = t H' - H and q' = H'', while in q
+    F' = t and F'' = 1/H'' exactly. So u = t, s = H'', B = -H'''/(4 H'')
+    and coef4 = (4 H'' H'''' - 5 H'''^2)/(40 H''^3): one reciprocal, and
+    no division of jets.
+    """
+    DegenerateError.raise_where(d[..., 2] == 0, "H'' = 0 at the basepoint")
+    w = np.empty(d.shape[:-1] + (3, 3))
+    w[..., 0, :] = d[..., 1:4]
+    w[..., 1, 0] = t * d[..., 1] - d[..., 0]
+    w[..., 1, 1] = t * d[..., 2]
+    w[..., 1, 2] = d[..., 2] + t * d[..., 3]
+    w[..., 2, :] = d[..., 2:5]
+    u = np.zeros(d.shape[:-1] + (3,))
+    u[..., 0], u[..., 1] = t, 1.0
+    h2, h3, h4 = (MJet2.from_packed(d[..., k:k + 3]) for k in (2, 3, 4))
+    r = h2.reciprocal()
+    return w, (MJet2.from_packed(u), h2, h3 * r * -0.25,
+               (h2 * h4 * 4.0 - h3 * h3 * 5.0) * r * r * r * 0.025)
+
+
+def _omegas(w, point4) -> MatrixJet:
+    """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx; w holds q, F and q'.
 
     Their partials are along (p, lam) alone, the last two coordinates.
     """
@@ -147,7 +192,7 @@ def _omegas(c, point4) -> MatrixJet:
     D[..., 0, 0, 0] = -p
     D[..., 0, 0, 1] = D[..., 0, 1, 3] = D[..., 0, 2, 2] = D[..., 0, 4, 0] = 1.0
     for i, a, k, sign in ((1, 0, 0, -1.0), (2, 0, 1, -1.0), (3, 4, 2, 1.0)):
-        D[..., :, i, a] = sign * c[..., k, :] * _TO_DERIVATIVES
+        D[..., :, i, a] = sign * w[..., k, :]
     om = _in_lam(D)
     om.grad[..., 0, 0, 0] = -1.0  # d(-p)/dp
     return om
@@ -173,41 +218,33 @@ _C_SLOTS = np.stack([
 ]).reshape(6, DIM * DIM)
 
 
-def _frame_rows(c) -> MatrixJet:
-    """The coefficients C of the theta rows against the omegas, from the _frame_coeffs c.
+def _frame_rows(u: MJet2, s: MJet2, B: MJet2, coef4: MJet2) -> MatrixJet:
+    """The coefficients C of the theta rows against the omegas, from the terms of _in_q_frame.
 
-    With u = F', s = 1/F'' and comb = u w2 - w3: th1 = w1 - s comb,
-    th2 = s comb, th3 = (1 - u B) w2 + B w3, th4 = coef4 comb + w4 - w5,
-    th5 = -w4. The entries are jets in lam alone: C's partials along p are zero.
+    With comb = u w2 - w3: th1 = w1 - s comb, th2 = s comb,
+    th3 = (1 - u B) w2 + B w3, th4 = coef4 comb + w4 - w5, th5 = -w4.
+    The entries are jets in lam alone: C's partials along p are zero.
     """
-    u, Fpp, F3, F4 = (MJet2.from_jet1(c[..., k, :]) for k in range(3, 7))
-    s = Fpp.reciprocal()
-    s2 = s * s
-    B = F3 * s2 * 0.25
-    coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s2 * s * 0.025
     terms = np.stack([t.derivatives() for t in (s * u, s, u * B, B, coef4 * u, coef4)], axis=-1)
     C = (terms @ _C_SLOTS).reshape(terms.shape[:-1] + (DIM, DIM))
     C[..., 0, :, :] += _C_ONES
     return _in_lam(C)
 
 
+def _coframe(w, terms, point4) -> MatrixJet:
+    """The five theta rows C omega, from the (w, terms) of _in_q_frame or _legendre_frame."""
+    return _product(_frame_rows(*terms), _omegas(w, point4))
+
+
 def build_coframe(q_of: Jet1, F_of: Jet1, point4) -> MatrixJet:
-    """The five theta rows of the full coframe from F-in-q data.
+    """The five theta rows of the full coframe from F-in-q data, by the general chain.
 
     q_of and F_of are jets in the fifth coordinate lam; in the plain
-    F-picture q_of is the identity jet. The dual picture of H(t) is
-    build_coframe(*_legendre_data(H), point4), which reproduces the
-    displayed dual coframe exactly; where H'' = 0 it raises the
-    DegenerateError of dq/dlam = 0.
+    F-picture q_of is the identity jet. Where dq/dlam = 0 it raises the
+    DegenerateError of _d_dq. Catalog entries other than the elementary
+    pair in r build their coframe from F_jet alone (coframe_for_spec).
     """
-    c = _frame_coeffs(q_of, F_of)
-    return _product(_frame_rows(c), _omegas(c, point4))
-
-
-def _legendre_data(H: Jet1):
-    """The F-in-q data of a dual-picture H(t), as jets in t: q = H', F = t H' - H."""
-    Hp = H.derivative()
-    return Hp, jet_var(H.basepoint, H.order) * Hp - H
+    return _coframe(*_in_q_frame(_frame_coeffs(q_of, F_of)), point4)
 
 
 def _reduced_frame(q_of: Jet1, F_of: Jet1, point4):
@@ -219,8 +256,9 @@ def _reduced_frame(q_of: Jet1, F_of: Jet1, point4):
     W holds the values of wt1..wt5; I = 2F'''/F'' and I' = dI/dq are values.
     """
     c = _frame_coeffs(q_of, F_of)
-    om = _omegas(c, point4)
-    th = _product(_frame_rows(c), om)
+    w, terms = _in_q_frame(c)
+    om = _omegas(w, point4)
+    th = _product(_frame_rows(*terms), om)
     W = om.value[..., (0, 1, 1, 3, 4), :]
     W[..., 1, :] = th.value[..., 1, :]
     Fpp, F3, F4 = (c[..., k, 0] for k in (4, 5, 6))
@@ -230,9 +268,9 @@ def _reduced_frame(q_of: Jet1, F_of: Jet1, point4):
 def _require_finite(x, error: type, what: str) -> None:
     """Raise error at the points where the MatrixJet x has a non-finite value or partial.
 
-    No conditioning test is made: det theta = q'/F'' exactly, and
-    _derivs_in_q already raises where q' or F'' vanishes, while a cond
-    bound would depend on the units of the coordinates.
+    No conditioning test is made: det theta = q'/F'' exactly, and the frame
+    builders already raise where q' or F'' vanishes (H'' in the dual
+    picture), while a cond bound would depend on the units of the coordinates.
     """
     batch = x.value.shape[:-2]
     parts = np.concatenate([a.reshape(batch + (-1,)) for a in (x.value, x.grad, x.hess)], axis=-1)
@@ -294,12 +332,28 @@ def padded_grad(g: MatrixJet) -> np.ndarray:
     return dG
 
 
+@functools.cache
+def _pair_form_slots(n: int):
+    """The flat indices of Riemann's (a, b, c, d) slots on the upper triangle of its pair
+    form in dimension n: into the (..., n, n^3) rows [a, (c, d, b)] of curvature's
+    G @ Racdb, and the pairs (ac, bd, ad, bc) and (bd, ac, bc, ad) into a flattened
+    (n, n) matrix for the Kulkarni-Nomizu product."""
+    a, b = np.triu_indices(n, 1)
+    i, j = np.triu_indices(a.size)
+    a, b, c, d = a[i], b[i], a[j], b[j]
+    ac, bd, ad, bc = a * n + c, b * n + d, a * n + d, b * n + c
+    return a, (c * n + d) * n + b, np.stack([ac, bd, ad, bc]), np.stack([bd, ac, bc, ad])
+
+
 @np.errstate(all="ignore")
 def curvature(g: MatrixJet) -> CurvatureReport:
-    """Full curvature data of a metric given as an order-2 jet.
+    """Curvature data of a metric given as an order-2 jet.
 
-    Every index contraction is a matmul over reshaped stacks, so one point
-    and a stack of points take the same path. The Christoffel symbols are
+    Christoffel symbols and Ricci are whole; Riemann and Weyl are their
+    components on the upper triangle of the pair form, the slots that
+    PAIR_FORM lists in five dimensions: (..., 55) there. Every index
+    contraction is a matmul over reshaped stacks, so one point and a stack
+    of points take the same path. The Christoffel symbols are
     differentiated only along the coordinates that g has partials in.
     SingularMetricError, with `rows` on a stack, marks the points where g
     is not finite, is singular, or has a curvature that is not finite:
@@ -324,14 +378,16 @@ def curvature(g: MatrixJet) -> CurvatureReport:
     ricci = np.trace(Racdb, axis1=-4, axis2=-3)
     ricci = 0.5 * (ricci + ricci.swapaxes(-1, -2))
     scalar = np.sum(ginv * ricci, axis=(-2, -1))
-    Rlow = np.moveaxis((G @ Racdb.reshape(batch + (n, n**3))).reshape(batch + (n,) * 4), -1, -3)
-    # Weyl = R - G (Kulkarni-Nomizu) A, with A the Schouten tensor
+    # R_abcd = G_ae R^e_bcd on the pair-form slots
+    rows, cols, first, second = _pair_form_slots(n)
+    riemann = (G @ Racdb.reshape(batch + (n, n**3)))[..., rows, cols]
+    # Weyl = R - G (Kulkarni-Nomizu) A, with A the Schouten tensor: slot by slot,
+    # (G_ac A_bd + G_bd A_ac) - (G_ad A_bc + G_bc A_ad)
     A = ricci / (n - 2) - (np.asarray(scalar) / (2 * (n - 1) * (n - 2)))[..., None, None] * G
-    T = G[..., :, None, :, None] * A[..., None, :, None, :]  # G_ac A_bd
-    T = T + T.swapaxes(-4, -3).swapaxes(-2, -1)
-    weyl = Rlow - (T - T.swapaxes(-2, -1))
+    T = G.reshape(batch + (n * n,))[..., first] * A.reshape(batch + (n * n,))[..., second]
+    weyl = riemann - ((T[..., 0, :] + T[..., 1, :]) - (T[..., 2, :] + T[..., 3, :]))
     summary = {
-        "maxAbsWeyl": np.max(np.abs(weyl), axis=(-4, -3, -2, -1)),
+        "maxAbsWeyl": np.max(np.abs(weyl), axis=-1),
         "maxAbsRicci": np.max(np.abs(ricci), axis=(-2, -1)),
         "metricScale": np.max(np.abs(G), axis=(-2, -1)),
         "scalar": scalar,
@@ -339,7 +395,7 @@ def curvature(g: MatrixJet) -> CurvatureReport:
     # a NaN or an inf in any tensor of the report reaches one of these four numbers
     SingularMetricError.raise_where(~np.isfinite(list(summary.values())).all(axis=0),
                                     "the metric's curvature is not finite at this point")
-    return CurvatureReport(christoffel=Gam.reshape(batch + (n,) * 3), riemann=Rlow,
+    return CurvatureReport(christoffel=Gam.reshape(batch + (n,) * 3), riemann=riemann,
                            ricci=ricci, weyl=weyl, **summary)
 
 
@@ -362,31 +418,47 @@ def metric_signature(g: MatrixJet):
 
 # --- catalog plumbing ---------------------------------------------------
 
+# the order of the F_jet a coframe is built from: the sixth-order equation and
+# the frame's F' to F'''' (to second order in lam) read F, F', ..., F^(6)
+FRAME_ORDER = 6
 
-def frame_jets_for_spec(spec: SolutionSpec, param_point, jet: Jet1 | None = None):
-    """(q_of, F_of) jets in the fifth coordinate for a catalog entry.
 
-    F-picture entries use lam = q directly except elementary_r, which
-    keeps lam = r so the displayed Ricci statement can be checked in the
-    r coordinate. H-picture entries use lam = t with the Legendre data
-    q = H'(t), F = t H'(t) - H(t). `param_point` is one parameter or an
-    array of them. `jet` is F_jet(spec, param_point) when the
-    caller already holds it; elementary_r builds its frame from the
-    closed-form pair in r and does not use it. Either way the basepoints
-    pass dist.admissible, F_jet's domain test, first.
+def elementary_frame_jets(spec: SolutionSpec, r):
+    """(q_of, F_of), jets in r, of the elementary pair at r (one value or an array).
+
+    Its frame keeps lam = r, so that the displayed Ricci statement can be
+    checked in the r coordinate: the one catalog frame built by the general
+    chain. The basepoints pass dist.admissible, F_jet's domain test, first.
+    """
+    z1, z2 = closed_form_solution(spec.params["constants"], admissible(spec, r))
+    q_of = z2 / z1
+    Fpp_of_r = z1 ** 3
+    Fp_of_r = (Fpp_of_r * q_of.derivative()).antiderivative(0.0)
+    F_of_r = (Fp_of_r * q_of.derivative()).antiderivative(0.0)
+    return q_of, F_of_r
+
+
+def frame_for_spec(spec: SolutionSpec, lam, jet: Jet1 | None = None):
+    """The (w, terms) of _in_q_frame for a catalog entry at lam, one value or an array.
+
+    F-picture entries use lam = q and H-picture entries lam = t, each
+    reading F, F', ..., F^(6) (H, ..., H^(6)) of one jet: `jet`, of order
+    FRAME_ORDER or more, when the caller already holds F_jet(spec, lam),
+    else F_jet(spec, lam, FRAME_ORDER). elementary_r keeps lam = r and
+    does not use it.
     """
     if spec.family == "elementary_r":
-        z1, z2 = closed_form_solution(spec.params["constants"], admissible(spec, param_point))
-        q_of = z2 / z1
-        Fpp_of_r = z1 ** 3
-        Fp_of_r = (Fpp_of_r * q_of.derivative()).antiderivative(0.0)
-        F_of_r = (Fp_of_r * q_of.derivative()).antiderivative(0.0)
-        return q_of, F_of_r
-    if jet is None:
-        jet = F_jet(spec, param_point)
-    if spec.picture == "H_of_t":
-        return _legendre_data(jet)
-    return jet_var(jet.basepoint, jet.order), jet
+        return _in_q_frame(_frame_coeffs(*elementary_frame_jets(spec, lam)))
+    return _jet_frame(spec.picture, F_jet(spec, lam, FRAME_ORDER) if jet is None else jet)
+
+
+def _jet_frame(picture: str, jet: Jet1):
+    """The (w, terms) of F(q) (picture "F_of_q", lam = q) or of H(t) ("H_of_t", lam = t)
+    from one jet of order FRAME_ORDER or more: its F, F', ..., F^(6) as one array."""
+    d = jet.coeffs[..., :FRAME_ORDER + 1] * _factorials(FRAME_ORDER + 1)
+    if picture == "H_of_t":
+        return _legendre_frame(jet.basepoint, d)
+    return _in_q_frame(_F_coeffs(jet.basepoint, d))
 
 
 def coframe_coords(spec: SolutionSpec) -> Tuple[str, ...]:
@@ -400,22 +472,21 @@ def coframe_coords(spec: SolutionSpec) -> Tuple[str, ...]:
 def coframe_for_spec(spec: SolutionSpec, point5, jet: Jet1 | None = None) -> MatrixJet:
     """Full coframe for a catalog entry at (x, y, z, p, param), or at each row of a stack.
 
-    `jet` is passed on to frame_jets_for_spec.
+    `jet` is passed on to frame_for_spec.
     """
     point5 = np.asarray(point5, dtype=float)
-    q_of, F_of = frame_jets_for_spec(spec, point5[..., 4], jet)
-    return build_coframe(q_of, F_of, point5[..., :4])
+    return _coframe(*frame_for_spec(spec, point5[..., 4], jet), point5[..., :4])
 
 
-def sample_points(spec: SolutionSpec, n: int, seed: int):
-    """n points (x,y,z,p in [-1,1], param in the admissible domain)."""
+def sample_points(spec: SolutionSpec, n: int, seed: int) -> np.ndarray:
+    """n points (x,y,z,p in [-1,1], param in the admissible domain), as an (n, 5) array."""
     u = np.random.default_rng(seed).random((n, 5))
     lo, hi = spec.domain
     # the same doubles, in the same order, as rng.uniform(-1, 1, 4) then
     # rng.uniform(lo, hi) point by point: uniform is low + (high - low) * u
     u[:, :4] = -1.0 + 2.0 * u[:, :4]
     u[:, 4] = lo + (hi - lo) * u[:, 4]
-    return list(map(tuple, u.tolist()))
+    return u
 
 
 def _rows(x, keep):
@@ -474,12 +545,14 @@ def flatness_suite(spec: SolutionSpec, points, jet: Jet1 | None = None) -> list:
 
     One coframe, metric and curvature report covers all the points. `jet`,
     when given, is F_jet of the entry at the points' parameters, row for
-    row, so that it is not built again.
+    row, of order FRAME_ORDER or more, so that it is not built again.
     """
     pts = np.reshape(np.asarray(points, dtype=float), (-1, 5))
     at = np.arange(len(pts))
 
     def coframes(at):
+        if at.size == len(pts):  # every point is live: no rows to take
+            return coframe_for_spec(spec, pts, jet)
         return coframe_for_spec(spec, pts[at], jet=None if jet is None else _rows(jet, at))
 
     return per_point((coframes, metric_at, weyl_ratio), at, at, [None] * len(pts))

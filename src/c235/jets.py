@@ -191,12 +191,12 @@ class Jet1:
         return self.coeffs.T[k] * math.factorial(k)
 
     def derivs(self, n: int) -> list:
-        """deriv(0), ..., deriv(n - 1), read at once: Python floats at one real basepoint."""
-        if self.coeffs.ndim > 1 or self.is_complex:
-            return [self.value()] + [self.deriv(k) for k in range(1, n)]
+        """deriv(0), ..., deriv(n - 1), read at once as coeffs[..., :n] * k!: Python floats
+        at one real basepoint, one row of values per derivative on a stack."""
         if n > self.order + 1:
             raise IndexError(f"jet of order {self.order} has no derivative {n - 1}")
-        return (self.coeffs[:n] * _factorials(n)).tolist()
+        d = self.coeffs[..., :n] * _factorials(n)
+        return d.tolist() if d.ndim == 1 and not self.is_complex else list(d.T)
 
     def truncate(self, order: int) -> "Jet1":
         if order >= self.order:
@@ -382,6 +382,16 @@ def _power_series(f: Jet1, e: float, g0) -> Jet1:
     return _jet(f.basepoint, _per_row(g0) * solve_lower(L, _unit(n)))
 
 
+def _lead_power(lead, x: float):
+    """|lead|**x by the power ufunc, for the leading coefficients coeffs.T[0]: a numpy
+    float at one point, an array on a stack.
+
+    ** of a float or of a numpy scalar calls the C library's pow, which can round
+    differently from the ufunc that a stack takes.
+    """
+    return np.power(abs(lead), x)
+
+
 def jet_pow(f: Jet1, e) -> Jet1:
     """f**e for a real (or Fraction) exponent, the package's one real-power kernel.
 
@@ -392,17 +402,17 @@ def jet_pow(f: Jet1, e) -> Jet1:
     """
     if isinstance(e, Fraction) and e.denominator == 1:
         return jet_pow_int(f, int(e))
-    # the tests read a numpy scalar at one point; the value c0 stays an array, 0-d at one
-    # point, so that its power is the ufunc's, as on a stack, not the C library's pow
-    lead, c0 = f.coeffs.T[0], f.coeffs[..., 0]
+    lead = f.coeffs.T[0]
     DivisionByZeroJet.raise_where(lead == 0, "fractional power of a jet with zero value")
     if f.is_complex:
-        return _power_series(f, float(e), c0 ** float(e))
+        return _power_series(f, float(e), np.power(lead, float(e)))
     odd_root = isinstance(e, Fraction) and e.denominator % 2 == 1
     if not odd_root:
         BranchError.raise_where(lead < 0, lambda: f"negative base with exponent {e} has no real branch")
-    g0 = np.abs(c0) ** float(e)
-    return _power_series(f, float(e), g0 * np.sign(c0) if odd_root and e.numerator % 2 else g0)
+    g0 = _lead_power(lead, float(e))
+    if odd_root and e.numerator % 2:  # the real odd root keeps the sign of the base
+        g0 = g0 * np.sign(lead) if isinstance(lead, np.ndarray) else (-g0 if lead < 0 else g0)
+    return _power_series(f, float(e), g0)
 
 
 def jet_abs_pow_product(f: Jet1, a, g: Jet1, b) -> Jet1:
@@ -422,8 +432,8 @@ def jet_abs_pow_product(f: Jet1, a, g: Jet1, b) -> Jet1:
     np.multiply(_toeplitz(g.coeffs), _power_weights(b, n), out=L[..., 1, :, :])
     L[..., 0, 0] = 1.0
     x = solve_lower(L, _unit(n))
-    pf = _jet(f.basepoint, _per_row(np.abs(f.coeffs[..., 0]) ** a) * x[..., 0, :])
-    return pf * _jet(g.basepoint, _per_row(np.abs(g.coeffs[..., 0]) ** b) * x[..., 1, :])
+    pf = _jet(f.basepoint, _per_row(_lead_power(f.coeffs.T[0], a)) * x[..., 0, :])
+    return pf * _jet(g.basepoint, _per_row(_lead_power(g.coeffs.T[0], b)) * x[..., 1, :])
 
 
 def jet_compose(outer: Jet1, inner: Jet1) -> Jet1:

@@ -6,7 +6,8 @@ finite-difference derivative oracle, the multivariate order-2 reference
 jet, the |.| powers of a negative base that the closed-form tables take,
 the paper's closed-form pairs (`CLOSED_FORMS`, each row's basis and
 the equation it solves), the Chazy, Schwarzian, Omega-system
-and closed-form residuals, the Legendre map of solution pairs, the exact
+and closed-form residuals, the dual frame by the chain rule in q and the
+curvature kernel on all n^4 slots, the Legendre map of solution pairs, the exact
 polynomial identities (the Legendre duality of the two sixth-order tables,
 and the twistor coordinate change), the Riemann, Weyl and Ricci identity
 checks, and the 4-metric potential data with its connection checks. The
@@ -38,10 +39,7 @@ from c235.geometry import (
     CurvatureReport,
     MatrixJet,
     _frame_ricci,
-    _legendre_data,
     _reduced_frame,
-    build_coframe,
-    curvature,
     metric_at,
 )
 from c235.jets import Jet1, _power_series, jet_compose, jet_const, jet_invert, jet_pow, jet_var
@@ -144,7 +142,8 @@ def jet_abs_pow(f: Jet1, e) -> Jet1:
     if f.is_complex:
         raise BranchError("abs-power is a real-jet operation")
     DivisionByZeroJet.raise_where(f.coeffs.T[0] == 0, "fractional power of a jet with zero value")
-    return _power_series(f, float(e), np.abs(f.coeffs[..., 0]) ** float(e))
+    # the power ufunc at one point too, as jets._lead_power takes it
+    return _power_series(f, float(e), np.power(np.abs(f.coeffs[..., 0]), float(e)))
 
 
 def _rp(jet: Jet1, e: Fraction) -> Jet1:
@@ -627,6 +626,116 @@ class RoundoffScale(ReferenceJet2):
                              + 2.0 * g[..., :, None] * g[..., None, :] / v[..., None] ** 3)
 
 
+# --- the frame by the chain rule in q, and the whole curvature tensors ---------
+
+
+def legendre_data(H: Jet1):
+    """The F-in-q data of a dual-picture H(t), as jets in t: q = H', F = t H' - H."""
+    Hp = H.derivative()
+    return Hp, jet_var(H.basepoint, H.order) * Hp - H
+
+
+def frame_jets(spec: SolutionSpec, lam, jet: Jet1 | None = None):
+    """(q_of, F_of), jets in the frame variable, for any catalog entry: the inputs of
+    geometry's general chain. F-picture entries take q itself, H-picture entries
+    the Legendre data of H, from `jet` or the order-8 F_jet; the elementary pair
+    its jets in r."""
+    if spec.family == "elementary_r":
+        return geometry.elementary_frame_jets(spec, lam)
+    if jet is None:
+        jet = F_jet(spec, lam)
+    if spec.picture == "H_of_t":
+        return legendre_data(jet)
+    return jet_var(jet.basepoint, jet.order), jet
+
+
+def _exact_legendre_chain(h: list, t: Fraction) -> list:
+    """The rows q, F, q', F', F'', F''', F'''' of the Legendre data of the Taylor
+    coefficients h of H at t, each as its value, d/dt and d2/dt2, by the chain rule in
+    q: four truncated divisions by dq/dt = H'', in exact rational arithmetic."""
+    def derivative(a):
+        return [a[k + 1] * (k + 1) for k in range(len(a) - 1)]
+
+    def divide(a, b):
+        out = []
+        for k in range(min(len(a), len(b))):
+            out.append((a[k] - sum(b[j] * out[k - j] for j in range(1, k + 1))) / b[0])
+        return out
+
+    hp = derivative(h)
+    F = [t * hp[k] + (hp[k - 1] if k else 0) - h[k] for k in range(len(hp))]
+    dq = derivative(hp)
+    rows, f = [hp, F, dq], F
+    for _ in range(4):
+        f = divide(derivative(f), dq)
+        rows.append(f)
+    return [[float(r[0]), float(r[1]), float(2 * r[2])] for r in rows]
+
+
+def legendre_chain_coeffs(H: Jet1) -> np.ndarray:
+    """geometry._frame_coeffs of the Legendre data of an order-8 H by the chain rule in
+    q, four divisions by H'', in exact arithmetic: (..., 7, 3).
+
+    In floating point those divisions lose up to about 1e-12 of F'' on
+    H-two-pole and H-ds-curve at t near 10 (against mpmath), more than the
+    round-off of the frame rows built from them. On the jet's coefficients, as
+    rationals, the chain is exact, and it is the same function of them as the
+    exact Legendre forms, so only one rounding, at the end, is left.
+    """
+    coeffs = np.reshape(H.coeffs, (-1, H.order + 1))
+    t0 = np.reshape(H.basepoint, -1)
+    rows = [_exact_legendre_chain([Fraction(float(x)) for x in c], Fraction(float(t)))
+            for c, t in zip(coeffs, t0)]
+    return np.reshape(rows, H.coeffs.shape[:-1] + (7, 3))
+
+
+def dual_coframe(H: Jet1, point4) -> MatrixJet:
+    """The catalog's dual-picture coframe of any H(t) jet of order 6 or more."""
+    return geometry._coframe(*geometry._jet_frame("H_of_t", H), point4)
+
+
+def pair_form(T: np.ndarray) -> np.ndarray:
+    """A (..., n, n, n, n) tensor on the slots (a, b, c, d) of its pair form's upper
+    triangle, as curvature gives Riemann and Weyl: a < b, c < d, (a, b) <= (c, d)."""
+    a, b = np.triu_indices(T.shape[-1], 1)
+    i, j = np.triu_indices(a.size)
+    return T[..., a[i], b[i], a[j], b[j]]
+
+
+@np.errstate(all="ignore")
+def full_curvature(g: MatrixJet) -> CurvatureReport:
+    """geometry.curvature with Riemann and Weyl on all n^4 slots, by the same matmuls.
+
+    The Kulkarni-Nomizu product is one outer product with two transposes;
+    the summary reads the whole Weyl tensor. No slot is gathered.
+    """
+    n, A = g.value.shape[-1], g.grad.shape[-3]
+    batch = g.value.shape[:-2]
+    G = 0.5 * (g.value + g.value.swapaxes(-1, -2))
+    ginv = np.linalg.inv(G)
+    Glow = geometry._lower_christoffel(geometry.padded_grad(g)).reshape(batch + (n, n * n))
+    Gam = ginv @ Glow
+    d2G = np.zeros(batch + (A, n, n, n))
+    d2G[..., n - A:, :, :] = g.hess
+    dGam = ginv[..., None, :, :] @ (
+        geometry._lower_christoffel(d2G).reshape(batch + (A, n, n * n)) - g.grad @ Gam[..., None, :, :])
+    X = (Gam.reshape(batch + (n * n, n)) @ Gam).reshape(batch + (n,) * 4)
+    X[..., n - A:, :, :] += dGam.reshape(batch + (A,) + (n,) * 3).swapaxes(-4, -3)
+    Racdb = X - X.swapaxes(-3, -2)
+    ricci = np.trace(Racdb, axis1=-4, axis2=-3)
+    ricci = 0.5 * (ricci + ricci.swapaxes(-1, -2))
+    scalar = np.sum(ginv * ricci, axis=(-2, -1))
+    Rlow = np.moveaxis((G @ Racdb.reshape(batch + (n, n**3))).reshape(batch + (n,) * 4), -1, -3)
+    A = ricci / (n - 2) - (np.asarray(scalar) / (2 * (n - 1) * (n - 2)))[..., None, None] * G
+    T = G[..., :, None, :, None] * A[..., None, :, None, :]  # G_ac A_bd
+    T = T + T.swapaxes(-4, -3).swapaxes(-2, -1)
+    weyl = Rlow - (T - T.swapaxes(-2, -1))
+    return CurvatureReport(
+        christoffel=Gam.reshape(batch + (n,) * 3), riemann=Rlow, ricci=ricci, scalar=scalar,
+        weyl=weyl, maxAbsWeyl=np.max(np.abs(weyl), axis=(-4, -3, -2, -1)),
+        maxAbsRicci=np.max(np.abs(ricci), axis=(-2, -1)), metricScale=np.max(np.abs(G), axis=(-2, -1)))
+
+
 # --- Riemann, Weyl and Ricci identity checks --------------------------
 
 
@@ -720,8 +829,8 @@ def weyl_equals_residual_check(H_jets: Sequence[Jet1]):
     """
     rows = []
     for H in H_jets:
-        cf = build_coframe(*_legendre_data(H), (0.1, -0.2, 0.3, 0.4))
-        rep = curvature(metric_at(cf))
+        cf = dual_coframe(H, (0.1, -0.2, 0.3, 0.4))
+        rep = full_curvature(metric_at(cf))
         Winv = np.linalg.inv(cf.value)  # the Weyl tensor's components against the frame
         Cf = np.einsum("ai,bj,ck,dl,abcd->ijkl", Winv, Winv, Winv, Winv, rep.weyl)
         comp = Cf[1, 4, 1, 4]  # the single independent slot (theta^2, theta^5)

@@ -23,7 +23,6 @@ from c235.cli import main as cli_main
 from c235.dist import F_jet, catalog, get_spec, legendre_transform
 from c235.errors import C235Error
 from c235.geometry import (
-    _legendre_data,
     build_coframe,
     conformal_rescale_check,
     curvature,
@@ -49,6 +48,8 @@ from oracles import (
     closed_form_pair,
     coordinate_change_mismatch,
     derivative_oracle,
+    dual_coframe,
+    full_curvature,
     jet_abs_pow,
     legendre_pair_map,
     parametrized_y,
@@ -312,7 +313,7 @@ def test_criterion_6_dual_weyl_correspondence():
             failures.append(("constant", out["ratioMean"]))
     spec = get_spec("H-triple-(-1/4,5/12,1/2)")
     H = F_jet(spec, 0.35)
-    rep = curvature(metric_at(build_coframe(*_legendre_data(H), POINT4)))
+    rep = curvature(metric_at(dual_coframe(H, POINT4)))
     if not (residual_ds6(H) < 1e-9 and rep.maxAbsWeyl / rep.metricScale < 1e-9):
         failures.append(("flat", residual_ds6(H), rep.maxAbsWeyl / rep.metricScale))
     report(6, "single Weyl component tracks the ODE residual", failures)
@@ -391,8 +392,8 @@ def test_criterion_8_infrastructure(capsys):
                 failures.append(("oracle", x0, k, got, want))
     # curvature report internal identities
     q_of = jet_var(1.3, 8)
-    g = metric_at(build_coframe(*_legendre_data(jet_var(1.3, 8) ** 3), POINT4))
-    rep = curvature(g)
+    g = metric_at(dual_coframe(jet_var(1.3, 8) ** 3, POINT4))
+    rep = full_curvature(g)
     if not riemann_symmetry_error(rep) < 1e-9:
         failures.append(("riemann-symmetry", riemann_symmetry_error(rep)))
     if not weyl_trace_error(rep, g) < 1e-9:

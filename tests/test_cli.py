@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import c235
 from c235 import cli, dist, errors, geometry
 from c235.cli import main
-from oracles import CLOSED_FORMS, expand_report
+from oracles import CLOSED_FORMS, expand_report, full_curvature, pair_form
 
 
 def run(capsys, *argv):
@@ -296,7 +297,7 @@ def test_curvature_elementary_ricci(capsys):
 def test_curvature_names_the_coordinates(capsys, spec):
     # lam is q in the F picture and t in the H picture, except for F-elementary-r
     lam = {"F-elementary-r": "r"}.get(spec.id, "q" if spec.picture == "F_of_q" else "t")
-    pt = geometry.sample_points(spec, 1, 400)[0]
+    pt = geometry.sample_points(spec, 1, 400)[0].tolist()
     point = ",".join(f"{k}={v!r}" for k, v in zip(("x", "y", "z", "p", spec.param_name), pt))
     code, payload, _ = run_json(capsys, "curvature", "--case", spec.id, "--point", point, "--json")
     assert code == 0
@@ -365,7 +366,11 @@ def test_curvature_at_extreme_points_reports_or_refuses_in_one_line(capsys):
                         assert (code, out) == (2, ""), (spec.id, point)
                         assert err.startswith("SingularMetricError: ") and err.count("\n") == 1
                     codes.append(code)
-    assert (codes.count(0), codes.count(2)) == (633, 183)
+    # six more report than with whole Riemann and Weyl tensors: at p = 1e154 four
+    # H-schwarz cases overflowed only in slots off the pair form, which curvature no
+    # longer computes; at p = 1e200 and 1e300 H-power--2's exact Legendre frame
+    # gives a metric whose curvature is finite
+    assert (codes.count(0), codes.count(2)) == (639, 177)
 
 
 @pytest.mark.parametrize("case, param, at, jets", [
@@ -397,20 +402,44 @@ def test_curvature_report_is_the_json_of_its_lists(capsys, spec):
     # F-power-3, the control, included: every case at 3 seeded points. Christoffel and
     # Ricci are written whole; Riemann and Weyl, antisymmetric only to round-off, are
     # rebuilt from one slot of each class
-    for pt in geometry.sample_points(spec, 3, 23):
+    for pt in geometry.sample_points(spec, 3, 23).tolist():
         point = ",".join(f"{k}={v!r}" for k, v in zip(("x", "y", "z", "p", spec.param_name), pt))
         code, out, _ = run(capsys, "curvature", "--case", spec.id, "--point", point, "--json")
         assert code == 0
         doc = json.loads(out, parse_constant=_refuse_constant)
         assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        rep = geometry.curvature(geometry.metric_at(geometry.coframe_for_spec(spec, pt)))
+        g = geometry.metric_at(geometry.coframe_for_spec(spec, pt))
+        rep, whole = geometry.curvature(g), full_curvature(g)
         full = expand_report(doc["report"])
         assert np.array_equal(full["christoffel"], rep.christoffel)
         assert np.array_equal(full["ricci"], rep.ricci)
         for name in ("riemann", "weyl"):
-            assert np.max(np.abs(full[name] - getattr(rep, name))) <= 1e-13 * rep.metricScale
+            assert doc["report"][name] == getattr(rep, name).tolist()
+            assert np.max(np.abs(full[name] - getattr(whole, name))) <= 1e-13 * rep.metricScale
         for name in ("scalar", "maxAbsWeyl", "maxAbsRicci", "metricScale"):
             assert doc["report"][name] == getattr(rep, name)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_curvature_report_slots_are_the_whole_tensor_kernels(capsys, monkeypatch, seed):
+    # the benchmark's point-queries inputs: each report's Riemann and Weyl are the
+    # whole-tensor kernel's on the pair-form slots, bit for bit, from the same metric
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    for op in workloads.operations("point-queries", seed, blocks=1):
+        code, payload, _ = run_json(capsys, *op.argv)
+        assert code == 0
+        spec = dist.get_spec(op.case)
+        pt = [payload["point"][k] for k in ("x", "y", "z", "p", spec.param_name)]
+        g = geometry.metric_at(geometry.coframe_for_spec(spec, pt))
+        whole = full_curvature(g)
+        report = payload["report"]
+        for name in ("riemann", "weyl"):
+            assert report[name] == pair_form(getattr(whole, name)).tolist(), (op.case, name)
+        assert report["christoffel"] == whole.christoffel[(..., *geometry.PAIRS)].tolist()
+        assert report["ricci"] == whole.ricci[geometry.PAIRS].tolist()
+        assert report["maxAbsWeyl"] == np.max(np.abs(pair_form(whole.weyl)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=str)

@@ -26,7 +26,7 @@ from c235.geometry import (
     _frame_coeffs,
     _frame_rows,
     _in_lam,
-    _legendre_data,
+    _in_q_frame,
     _omegas,
     _product,
     _reduced_frame,
@@ -35,22 +35,28 @@ from c235.geometry import (
     conformal_rescale_check,
     curvature,
     flatness_suite,
-    frame_jets_for_spec,
+    frame_for_spec,
     metric_at,
     metric_signature,
     on_regular_rows,
     sample_points,
     weyl_ratio,
 )
-from c235.jets import Jet1, jet_const, jet_var
+from c235.jets import _TO_DERIVATIVES, Jet1, jet_const, jet_var
 from c235.specialfn import closed_form_solution
 
 from oracles import (
     PlebanskiData,
     ReferenceJet2,
     RoundoffScale,
+    dual_coframe,
+    frame_jets,
+    full_curvature,
     jet_abs_pow,
+    legendre_chain_coeffs,
+    legendre_data,
     metric_compatibility_error,
+    pair_form,
     plebanski_metric,
     ricci_identity_check,
     riemann_symmetry_error,
@@ -136,8 +142,8 @@ def elementary_frame(r0: float, constants=(1, 0, 0, 1)):
 # dq/dlam is not 1: the dual Legendre data of two H entries, and the r frame
 REDUCED_FRAMES = {
     "F": lambda: (identity_q(1.25), power_F(1.25, 2.5)),
-    "H-power-3": lambda: _legendre_data(F_jet(get_spec("H-power-3"), 1.1)),
-    "H-triple-(-1/4,5/12,1/2)": lambda: _legendre_data(
+    "H-power-3": lambda: legendre_data(F_jet(get_spec("H-power-3"), 1.1)),
+    "H-triple-(-1/4,5/12,1/2)": lambda: legendre_data(
         F_jet(get_spec("H-triple-(-1/4,5/12,1/2)"), 0.35)),
     "elementary-r": lambda: elementary_frame(2.0, (1, 1, 1, -1)),
 }
@@ -169,7 +175,7 @@ def test_reduced_form_is_the_metric_in_the_reduced_frame(frame):
 @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
 def test_reduced_form_holds_on_every_case(spec):
     pts = np.array(sample_points(spec, 50, seed=3))
-    th, W, I, Ip = _reduced_frame(*frame_jets_for_spec(spec, pts[:, 4]), pts[:, :4])
+    th, W, I, Ip = _reduced_frame(*frame_jets(spec, pts[:, 4]), pts[:, :4])
     g = metric_at(th).value
     err = np.max(np.abs(reduced_form(W, I, Ip) - g), axis=(-2, -1))
     assert np.all(err < 1e-11 * np.max(np.abs(g), axis=(-2, -1))), (spec.id, err.max())
@@ -239,9 +245,11 @@ def reference_metric(theta):
 @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
 def test_dense_metric_matches_mjet2_reference(spec):
     # summation order differs, so allow round-off amplified by the coframe's condition
+    # the reference takes F' to F'''' by the chain rule in q, from order-8 jets;
+    # in the dual picture that divides by H'' four times
     for pt in sample_points(spec, 3, seed=2):
-        q_of, F_of = frame_jets_for_spec(spec, pt[4])
-        cf = build_coframe(q_of, F_of, pt[:4])
+        q_of, F_of = frame_jets(spec, pt[4])
+        cf = coframe_for_spec(spec, pt)
         g = metric_at(cf)
         bound = 1e-13 * max(np.linalg.cond(cf.value), 10.0)
         G, dG, d2G = reference_metric(reference_coframe(q_of, F_of, pt[:4]))
@@ -252,13 +260,24 @@ def test_dense_metric_matches_mjet2_reference(spec):
             assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref)), (spec.id, pt)
 
 
+def in_lam(jet, packed):
+    """A `jet` in lam from its value, d/dlam and d2/dlam2 (..., 3)."""
+    return jet.of_jet1(packed / _TO_DERIVATIVES, 0, 1)
+
+
 def reference_frame_rows(c, jet=ReferenceJet2):
     """C of _frame_rows as five rows of five entries, each a `jet` in lam or a
-    plain number: the tuple form C had before it became one dense array."""
-    u, Fpp, F3, F4 = (jet.of_jet1(c[..., k, :], 0, 1) for k in range(3, 7))
+    plain number: the tuple form C had before it became one dense array, from
+    the _frame_coeffs c (F' to F'''' in q)."""
+    u, Fpp, F3, F4 = (in_lam(jet, c[..., k, :]) for k in range(3, 7))
     s = Fpp.reciprocal()
     B = F3 * s * s * 0.25
     coef4 = (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s * s * s * 0.025
+    return reference_rows(u, s, B, coef4)
+
+
+def reference_rows(u, s, B, coef4):
+    """The tuple form of C from the terms of _frame_rows, each a reference jet in lam."""
     su = s * u
     return (
         (1.0, -su, s, 0.0, 0.0),
@@ -283,20 +302,51 @@ def dense_rows(C, batch) -> np.ndarray:
 
 @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
 def test_dense_frame_rows_match_the_tuple_reference(spec):
-    stack = np.array(sample_points(spec, 10, seed=11))
+    stack = sample_points(spec, 10, seed=11)
     for pts in (stack[0], stack):
-        c = _frame_coeffs(*frame_jets_for_spec(spec, pts[..., 4]))
-        th = _frame_rows(c)
+        terms = frame_for_spec(spec, pts[..., 4])[1]
+        th = _frame_rows(*terms)
         # the entries are jets in lam alone: every partial along p is exactly zero
         assert not th.grad[..., 0, :, :].any(), spec.id
         assert not th.hess[..., 0, :, :, :].any() and not th.hess[..., :, 0, :, :].any(), spec.id
-        C = np.stack([th.value, th.grad[..., 1, :, :], th.hess[..., 1, 1, :, :]], axis=-3)
-        want = dense_rows(reference_frame_rows(c), pts.shape[:-1])
+        C = lam_parts(th)
+        want = dense_rows(reference_rows(*(in_lam(ReferenceJet2, t.derivatives()) for t in terms)),
+                          pts.shape[:-1])
         assert C.shape == want.shape
-        # each part within a few ulps of the terms it sums, the same rows in absolute
-        # values: the d2/dlam2 of coef4's entries cancels, by up to 8e8 at H-two-pole
-        scale = np.abs(dense_rows(reference_frame_rows(c, RoundoffScale), pts.shape[:-1]))
+        # each part within a few ulps of the terms it sums, the same rows in absolute values
+        scale = np.abs(dense_rows(reference_rows(*(in_lam(RoundoffScale, t.derivatives())
+                                                   for t in terms)), pts.shape[:-1]))
         assert np.all(np.abs(C - want) <= 1e-14 * scale), (spec.id, pts.ndim)
+
+
+def lam_parts(C: MatrixJet) -> np.ndarray:
+    """(..., 3, 5, 5): C, dC/dlam and d2C/dlam2 of a MatrixJet over (p, lam)."""
+    return np.stack([C.value, C.grad[..., 1, :, :], C.hess[..., 1, 1, :, :]], axis=-3)
+
+
+def chain_rule_coeffs(spec, lam) -> np.ndarray:
+    """_frame_coeffs by the chain rule in q from the order-8 F_jet: in the dual picture
+    four divisions by H'', made exactly; with lam = q the divisions are by the unit
+    jet, which leaves the plain derivatives; the elementary pair's own chain in r."""
+    if spec.picture == "H_of_t":
+        return legendre_chain_coeffs(F_jet(spec, lam))
+    return _frame_coeffs(*frame_jets(spec, lam))
+
+
+@pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
+def test_frame_terms_match_the_chain_rule_in_q(spec):
+    # the frame terms from the order-6 jet: slices of F's derivatives in the F
+    # picture, and in the dual picture the exact forms s = H'', B = -H'''/(4 H'') and
+    # coef4 = (4 H'' H'''' - 5 H'''^2)/(40 H''^3). The bound is the tuple reference's
+    # above: 1e-14 of the rows in absolute values, in which the d2/dlam2 of coef4's
+    # entries cancels by up to 5e8 at H-two-pole
+    stack = sample_points(spec, 10, seed=11)
+    for pts in (stack[0], stack):
+        terms = frame_for_spec(spec, pts[..., 4])[1]
+        c = chain_rule_coeffs(spec, pts[..., 4])
+        want = dense_rows(reference_frame_rows(c), pts.shape[:-1])
+        scale = np.abs(dense_rows(reference_frame_rows(c, RoundoffScale), pts.shape[:-1]))
+        assert np.all(np.abs(lam_parts(_frame_rows(*terms)) - want) <= 1e-14 * scale), (spec.id, pts.ndim)
 
 
 @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
@@ -304,8 +354,7 @@ def test_batched_geometry_matches_single_point(spec):
     # row i of the coframe and metric built along a point axis against the
     # build at point i alone, within the bound of the scalar reference above
     pts = sample_points(spec, 6, seed=7)
-    coeffs = np.stack([_frame_coeffs(*frame_jets_for_spec(spec, pt[4])) for pt in pts])
-    cf = _product(_frame_rows(coeffs), _omegas(coeffs, np.array(pts)[:, :4]))
+    cf = coframe_for_spec(spec, pts)
     g = metric_at(cf)
     # dg is exactly symmetric in (a, b), at one point and on the stack; near
     # the domain end of H-power--2 the flat certificate depends on it
@@ -339,8 +388,7 @@ def test_flatness_suite_reports_singular_rows():
     with pytest.raises(SingularCoframeError):
         metric_at(coframe_for_spec(spec, pts[1], jet=Jet1(jet.basepoint[1], jet.coeffs[1])))
     # a stack raises with the mask of its singular rows
-    coeffs = np.stack([_frame_coeffs(*frame_jets_for_spec(spec, pt[4])) for pt in pts])
-    g = metric_at(_product(_frame_rows(coeffs), _omegas(coeffs, np.array(pts)[:, :4])))
+    g = metric_at(coframe_for_spec(spec, pts))
     g = MatrixJet(g.value * [[[1.0]], [[0.0]], [[1.0]]], g.grad, g.hess)
     with pytest.raises(SingularMetricError) as exc:
         curvature(g)
@@ -402,12 +450,12 @@ def reference_coframe_H(H: Jet1, point4):
 
 
 def test_dual_picture_coframe_matches_legendre_build():
-    # the dual coframe is build_coframe of the Legendre data, whose chain rule in q
-    # divides by H'' four times; the H displays are the oracle. The partials
-    # get the cond-scaled bound of the scalar reference above.
+    # the dual coframe reads the exact Legendre forms of its frame terms from the
+    # 6-jet of H; the H displays are the oracle. The partials get the cond-scaled
+    # bound of the scalar reference above.
     for spec_id, t0 in (("H-power-3", 1.2), ("H-power--2", 0.4), ("H-two-pole", 0.3)):
         H = F_jet(get_spec(spec_id), t0)
-        cf = build_coframe(*_legendre_data(H), POINT4)
+        cf = coframe_for_spec(get_spec(spec_id), (*POINT4, t0))
         ref = reference_coframe_H(H, POINT4)
         bound = 1e-13 * max(np.linalg.cond(cf.value), 10.0)
         # the partial axes last, as the reference jet holds them
@@ -424,8 +472,16 @@ def test_dual_picture_coframe_matches_legendre_build():
 
 def test_coframe_H_rejects_degenerate_H():
     H = jet_var(0.5, 8)  # H'' = 0
-    with pytest.raises(DegenerateError):
-        build_coframe(*_legendre_data(H), POINT4)
+    with pytest.raises(DegenerateError, match="H'' = 0 at the basepoint"):
+        dual_coframe(H, POINT4)
+    # the chain rule in q raises where dq/dt = H'' vanishes
+    with pytest.raises(DegenerateError, match="dq/dlam = 0"):
+        build_coframe(*legendre_data(H), POINT4)
+    # on a stack, at the rows where H'' = 0
+    H = jet_var(np.array([0.5, 1.5]), 8) ** 2 * np.array([0.0, 1.0])
+    with pytest.raises(DegenerateError) as exc:
+        dual_coframe(H, POINT4)
+    assert exc.value.rows.tolist() == [True, False]
 
 
 def test_singular_coframe_raises():
@@ -513,7 +569,8 @@ def reference_curvature(g: MatrixJet) -> dict:
 def assert_curvature_matches_reference(g: MatrixJet, ref: dict | None = None):
     """Each tensor within 1e-13 |G| |G^-1| times its own scale, point by point.
 
-    ref defaults to reference_curvature(g).
+    ref defaults to reference_curvature(g); its Riemann and Weyl are whole
+    tensors, compared on the pair-form slots that curvature gives.
 
     |.| is the max-abs of an array at one point. R_abcd and C_abcd scale as
     L = |d2g| + |G^-1| |dg|^2, so they are bounded by 1e-13 |G| |G^-1| L; each
@@ -522,14 +579,16 @@ def assert_curvature_matches_reference(g: MatrixJet, ref: dict | None = None):
     """
     rep = curvature(g)
     ref = reference_curvature(g) if ref is None else ref
+    # curvature gives Riemann and Weyl on the pair-form slots
+    ref = {**ref, "riemann": pair_form(ref["riemann"]), "weyl": pair_form(ref["weyl"])}
 
     def size(x, rank):
         return np.max(np.abs(x), axis=tuple(range(-rank, 0))) if rank else np.abs(x)
 
     G, ginv = size(g.value, 2), size(np.linalg.inv(g.value), 2)
     L = size(g.hess, 4) + ginv * size(g.grad, 3) ** 2
-    scales = {"christoffel": (3, ginv * size(g.grad, 3)), "riemann": (4, L),
-              "ricci": (2, ginv * L), "scalar": (0, ginv * ginv * L), "weyl": (4, L)}
+    scales = {"christoffel": (3, ginv * size(g.grad, 3)), "riemann": (1, L),
+              "ricci": (2, ginv * L), "scalar": (0, ginv * ginv * L), "weyl": (1, L)}
     for name, (rank, scale) in scales.items():
         err = size(np.asarray(getattr(rep, name)) - ref[name], rank)
         assert np.all(err <= 1e-13 * G * ginv * scale), name
@@ -593,9 +652,9 @@ def assert_metric_close(got: MatrixJet, want: MatrixJet, W):
 
 
 def assert_curvature_close(got: MatrixJet, want: MatrixJet):
-    """curvature(got) against curvature(want), where want carries every partial: equal,
+    """curvature(got) against full_curvature(want), where want carries every partial: equal,
     or within 1e-13 |G| |G^-1| times each tensor's scale, as against the einsum reference."""
-    ref = curvature(want)
+    ref = full_curvature(want)
     assert_curvature_matches_reference(
         got, {f: np.asarray(getattr(ref, f)) for f in ("christoffel", "riemann", "ricci",
                                                        "scalar", "weyl")})
@@ -605,11 +664,11 @@ def assert_curvature_close(got: MatrixJet, want: MatrixJet):
 def test_partials_along_xyz_vanish_and_the_rest_match_the_full_build(spec):
     stack = np.array(sample_points(spec, 10, seed=5))
     for pts in (stack[0], stack):
-        c = _frame_coeffs(*frame_jets_for_spec(spec, pts[..., 4]))
-        om = _omegas(c, pts[..., :4])
-        cf = _product(_frame_rows(c), om)
+        w, terms = frame_for_spec(spec, pts[..., 4])
+        om = _omegas(w, pts[..., :4])
+        cf = _product(_frame_rows(*terms), om)
         assert cf.grad.shape[-3] == 2 and cf.hess.shape[-4:-2] == (2, 2)
-        full = full_combine(_frame_rows(c), full_coframe(om))
+        full = full_combine(_frame_rows(*terms), full_coframe(om))
         assert_zero_along_xyz((full.grad, (-3,)), (full.hess, (-4, -3)))
         bound = 1e-13 * max(np.max(np.linalg.cond(cf.value)), 10.0)
         for got, want in ((cf.grad, full.grad[..., 3:, :, :]),
@@ -630,8 +689,8 @@ def test_reduced_and_conformal_paths_match_the_full_build(picture):
     else:
         H = F_jet(get_spec("H-power-3"), 1.1)
         q_of, F_of = H.derivative(), jet_var(1.1, 8) * H.derivative() - H
-    c = _frame_coeffs(q_of, F_of)
-    C, om = _frame_rows(c), _omegas(c, POINT4)
+    w, terms = _in_q_frame(_frame_coeffs(q_of, F_of))
+    C, om = _frame_rows(*terms), _omegas(w, POINT4)
     th = _reduced_frame(q_of, F_of, POINT4)[0]
     for part in ("value", "grad", "hess"):
         assert np.array_equal(getattr(th, part), getattr(_product(C, om), part)), part
@@ -666,7 +725,7 @@ def test_plebanski_metric_keeps_every_partial_and_a_trailing_slice_agrees():
 def test_riemann_symmetries_and_weyl_trace():
     cf = build_coframe(identity_q(1.3), power_F(1.3, 3.0), POINT4)
     g = metric_at(cf)
-    rep = curvature(g)
+    rep = full_curvature(g)
     assert riemann_symmetry_error(rep) < 1e-9
     assert weyl_trace_error(rep, g) < 1e-9
 
@@ -676,12 +735,12 @@ def test_diagnostics_on_a_stack_match_a_per_point_loop(spec_id):
     spec = get_spec(spec_id)
     pts = sample_points(spec, 3, seed=0)
     g = metric_at(coframe_for_spec(spec, pts))
-    rep = curvature(g)
+    rep = full_curvature(g)
     sig, sym, trace = metric_signature(g), riemann_symmetry_error(rep), weyl_trace_error(rep, g)
     assert sig.shape == (3, 2) and sym.shape == trace.shape == (3,)
     for i, pt in enumerate(pts):
         g1 = metric_at(coframe_for_spec(spec, pt))
-        rep1 = curvature(g1)
+        rep1 = full_curvature(g1)
         assert tuple(sig[i]) == metric_signature(g1) == (2, 3)
         assert sym[i] == riemann_symmetry_error(rep1) and sym[i] < 1e-9
         # the stack and the loop round alike, so the ratios agree bit for bit
@@ -692,7 +751,7 @@ def test_diagnostics_on_a_stack_match_a_per_point_loop(spec_id):
 def test_weyl_trace_error_is_round_off_on_every_case(spec):
     # the Weyl tensor is trace-free whether or not the metric is flat
     g = metric_at(coframe_for_spec(spec, sample_points(spec, 3, 0)))
-    assert np.all(weyl_trace_error(curvature(g), g) < 1e-12), spec.id
+    assert np.all(weyl_trace_error(full_curvature(g), g) < 1e-12), spec.id
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
@@ -700,13 +759,13 @@ def test_weyl_trace_error_is_scale_free(c):
     spec = get_spec("F-power-3")
     g = metric_at(coframe_for_spec(spec, sample_points(spec, 3, 0)))
     g = MatrixJet(c * g.value, c * g.grad, c * g.hess)
-    assert np.all(weyl_trace_error(curvature(g), g) < 1e-12)
+    assert np.all(weyl_trace_error(full_curvature(g), g) < 1e-12)
 
 
 def test_riemann_symmetry_error_floors_its_scale_at_one_per_point():
     # a stack of one zero and one large Riemann tensor: the zero row divides
     # by 1, the large row by its own largest entry
-    rep = curvature(metric_at(build_coframe(identity_q(1.3), power_F(1.3, 3.0), POINT4)))
+    rep = full_curvature(metric_at(build_coframe(identity_q(1.3), power_F(1.3, 3.0), POINT4)))
     R = rep.riemann
     bad = R + 1e-3 * np.einsum("bacd->abcd", R)  # breaks antisymmetry in (a, b)
     stack = replace(rep, riemann=np.stack([1e-12 * bad, 1e6 * bad]))
@@ -813,7 +872,7 @@ def test_weyl_residual_both_vanish_for_flat_H():
     spec = get_spec("H-triple-(-1/4,5/12,1/2)")
     H = F_jet(spec, 0.35)
     assert residual_ds6(H) < 1e-9
-    cf = build_coframe(*_legendre_data(H), POINT4)
+    cf = dual_coframe(H, POINT4)
     rep = curvature(metric_at(cf))
     assert rep.maxAbsWeyl / rep.metricScale < 1e-9
 
@@ -861,7 +920,7 @@ def test_sample_points_respect_domain_and_seed():
     spec = get_spec("F-power-1/3")
     pts1 = sample_points(spec, 5, seed=3)
     pts2 = sample_points(spec, 5, seed=3)
-    assert pts1 == pts2
+    assert pts1.shape == (5, 5) and np.array_equal(pts1, pts2)
     lo, hi = spec.domain
     for p in pts1:
         assert len(p) == 5
@@ -886,11 +945,19 @@ def test_sample_points_match_the_per_point_draws():
     for spec in specs:
         for seed in range(21):
             for n in (1, 7, 10, 200):
-                assert sample_points(spec, n, seed) == _sample_points_per_point(spec, n, seed), \
+                # the drawn (n, 5) array itself, bit for bit
+                pts = sample_points(spec, n, seed)
+                assert pts.dtype == float and pts.shape == (n, 5), (spec.id, seed, n)
+                assert pts.tolist() == [list(p) for p in _sample_points_per_point(spec, n, seed)], \
                     (spec.id, seed, n)
 
 
 # --- the Jet1 work along the point axis --------------------------------------
+
+
+def frame_array(w, terms) -> np.ndarray:
+    """(..., 7, 3): the rows q, F, q' of w and the frame terms u, s, B, coef4 of frame_for_spec."""
+    return np.concatenate([w, np.stack([t.derivatives() for t in terms], axis=-2)], axis=-2)
 
 
 @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
@@ -899,14 +966,14 @@ def test_batched_jets_match_single_point(spec):
     # 1e-14 of the largest coefficient (the residuals are already relative)
     pts = np.array(sample_points(spec, 6, seed=7))
     jet = F_jet(spec, pts[:, 4])
-    coeffs = _frame_coeffs(*frame_jets_for_spec(spec, pts[:, 4], jet=jet))
+    coeffs = frame_array(*frame_for_spec(spec, pts[:, 4], jet=jet))
     residual = residual_6th if spec.picture == "F_of_q" else residual_ds6
     res = residual(jet)
     legendre = legendre_transform(jet) if spec.picture == "F_of_q" else None
     for i, lam in enumerate(pts[:, 4]):
         jet1 = F_jet(spec, float(lam))
         assert np.max(np.abs(jet.coeffs[i] - jet1.coeffs)) <= 1e-14 * np.max(np.abs(jet1.coeffs))
-        c1 = _frame_coeffs(*frame_jets_for_spec(spec, float(lam)))
+        c1 = frame_array(*frame_for_spec(spec, float(lam), jet=jet1))
         assert np.max(np.abs(coeffs[i] - c1)) <= 1e-14 * np.max(np.abs(c1)), (spec.id, i)
         assert abs(res[i] - residual(jet1)) <= 1e-14, (spec.id, i)
         if legendre is not None:
@@ -1003,9 +1070,11 @@ def _divided_derivs(dq: Jet1, F_of: Jet1):
 def test_derivs_in_q_divide_unless_dq_is_the_unit_jet():
     F = jet_abs_pow(jet_var(np.array([1.3, 0.7]), 8), 2.5)
     unit = jet_var(np.array([1.3, 0.7]), 8).derivative()
-    # in the F-picture the plain derivatives are the quotients, bit for bit
-    for got, want in zip(_derivs_in_q(unit, F), _divided_derivs(unit, F)):
-        assert np.array_equal(got.coeffs, want.coeffs)
+    # with lam = q, dividing by the unit jet leaves the plain derivatives, bit for bit
+    f = F
+    for got in _derivs_in_q(unit, F):
+        f = f.derivative()
+        assert np.array_equal(got.coeffs, f.coeffs)
     # value 1 and a slope, in one row of a stack: every row divides
     dq = Jet1(unit.basepoint, unit.coeffs + [[0.0] * 8, [0.0, 0.5] + [0.0] * 6])
     for got, want in zip(_derivs_in_q(dq, F), _divided_derivs(dq, F)):
