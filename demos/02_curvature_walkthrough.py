@@ -48,7 +48,7 @@ def main():
     print()
     for case in ("F-power-1/3", "F-power-3"):
         spec = get_spec(case)
-        worst = max(flatness_suite(spec, sample_points(spec, 5, seed=0)))
+        worst = max(flatness_suite(spec, sample_points(spec, 5, seed=0))["weyl_flatness"])
         print(f"{case}: worst Weyl ratio over 5 points = {worst:.3e} "
               f"({'flat' if worst < DEFAULT_TOL else 'NOT flat'})")
 

@@ -20,7 +20,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chazy import residual_6th, residual_ds6
 from .dist import F_jet, catalog, get_spec
 from .errors import C235Error, InvalidParam
 from .specialfn import (
@@ -137,19 +136,8 @@ def _verify_case(spec, points: int, tol: float, seed: int) -> dict:
         pts = geometry.sample_points(spec, points, seed)
     except (MemoryError, ValueError):  # numpy refuses an array this large, allocating nothing
         raise InvalidParam(f"--points {points} is more points than can be sampled at once") from None
-    # one F_jet call builds every point's solution jet, shared by every check
-    failed = [None] * len(pts)  # the C235Error that stopped a point's jet
-    jet, live = geometry.on_regular_rows(lambda p: F_jet(spec, p, geometry.FRAME_ORDER), pts[:, 4],
-                                         np.arange(len(pts)), failed)
-    weyl = list(failed)  # flatness_suite runs on the points whose jet was built
-    for i, outcome in zip(live, geometry.flatness_suite(spec, pts[live], jet)):
-        weyl[i] = outcome
-    # one ODE residual per picture: by the Legendre duality, the dual residual of
-    # an F-picture jet is the same polynomial as its own, so it is not reported
-    name, residual = (("ode_residual_F", residual_6th) if spec.picture == "F_of_q"
-                      else ("ode_residual_H", residual_ds6))
-    checks = [(name, geometry.per_point((residual,), jet, live, failed)), ("weyl_flatness", weyl)]
-    entries = [_check(name, i, tol, outcome) for name, outcomes in checks
+    entries = [_check(name, i, tol, outcome)
+               for name, outcomes in geometry.flatness_suite(spec, pts).items()
                for i, outcome in enumerate(outcomes)]
     return {"id": spec.id, "expectFail": spec.expect_fail, "checks": entries,
             "pass": all(c["pass"] for c in entries)}
@@ -283,7 +271,10 @@ def cmd_curvature(args) -> int:
     g = geometry.metric_at(geometry.coframe_for_spec(spec, tuple(point.values()), jet))
     rep = geometry.curvature(g)
     coords = geometry.coframe_coords(spec)
-    fields = {**vars(rep), **geometry.independent_components(rep)}
+    # the independent components: curvature's Christoffel and Ricci are exactly symmetric,
+    # so they lose nothing on the slots PAIRS lists; Riemann and Weyl are already on PAIR_FORM's
+    fields = {**vars(rep), "christoffel": rep.christoffel[(..., *geometry.PAIRS)],
+              "ricci": rep.ricci[(..., *geometry.PAIRS)]}
     payload = {
         "version": REPORT_VERSION,
         "case": spec.id,

@@ -17,7 +17,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BranchError, DegenerateError, DomainError, UnknownCaseId
-from .jets import Jet1, jet_abs_pow_product, jet_compose, jet_invert, jet_pow, jet_var
+from .jets import Jet1, jet_compose, jet_invert, jet_pow, jet_var
 from .chazy import SchwarzTriple, build_F_from_I, residual_ds6, schwarz_solution, two_pole_solution
 from .specialfn import HyperTriple, closed_form_solution, hypergeom_pair
 
@@ -267,9 +267,9 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         sdot = s.derivative()
         BranchError.raise_where(sdot.value() <= 0, "sdot <= 0: outside the restricted real branch")
         num = jet_pow(sdot, pw)
-        # s in (0,1) makes s-1 negative; |.| powers rescale by a constant,
-        # which the degree-4 homogeneous sixth-order equations ignore
-        den = jet_abs_pow_product(s, e1, s - 1.0, e2)
+        # (s - 1)^e2 = (-1)^e2 (1 - s)^e2, a constant factor, which the degree-4
+        # homogeneous sixth-order equations ignore; 1 - s > 0 on the s-domain
+        den = jet_pow(s, e1) * jet_pow(1.0 - s, e2)
         return _double_antiderivative(num / den)
     if fam == "two_pole":
         if spec.picture == "F_of_q":

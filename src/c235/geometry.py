@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import C235Error, DegenerateError, SingularCoframeError, SingularMetricError
 from .jets import _TO_DERIVATIVES, Jet1, MJet2, _factorials
+from .chazy import residual_6th, residual_ds6
 from .dist import SolutionSpec, F_jet, admissible
 from .specialfn import closed_form_solution
 
@@ -73,15 +74,6 @@ class CurvatureReport:
 PAIRS = tuple(k.tolist() for k in np.triu_indices(DIM))
 BIVECTORS = tuple(k.tolist() for k in np.triu_indices(DIM, 1))
 PAIR_FORM = tuple(k.tolist() for k in np.triu_indices(len(BIVECTORS[0])))
-
-
-def independent_components(rep: CurvatureReport) -> dict:
-    """rep's Christoffel and Ricci on the slots PAIRS lists: (..., 5, 15) and (..., 15).
-
-    curvature's are exactly symmetric, so their components lose nothing; its
-    Riemann and Weyl are already the (..., 55) components on PAIR_FORM's slots.
-    """
-    return {"christoffel": rep.christoffel[(..., *PAIRS)], "ricci": rep.ricci[(..., *PAIRS)]}
 
 
 def _in_lam(D: np.ndarray) -> MatrixJet:
@@ -442,21 +434,16 @@ def frame_for_spec(spec: SolutionSpec, lam, jet: Jet1 | None = None):
     """The (w, terms) of _in_q_frame for a catalog entry at lam, one value or an array.
 
     F-picture entries use lam = q and H-picture entries lam = t, each
-    reading F, F', ..., F^(6) (H, ..., H^(6)) of one jet: `jet`, of order
-    FRAME_ORDER or more, when the caller already holds F_jet(spec, lam),
-    else F_jet(spec, lam, FRAME_ORDER). elementary_r keeps lam = r and
-    does not use it.
+    reading F, F', ..., F^(6) (H, ..., H^(6)) of one jet as one array:
+    `jet`, of order FRAME_ORDER or more, when the caller already holds
+    F_jet(spec, lam), else F_jet(spec, lam, FRAME_ORDER). elementary_r
+    keeps lam = r and does not use it.
     """
     if spec.family == "elementary_r":
         return _in_q_frame(_frame_coeffs(*elementary_frame_jets(spec, lam)))
-    return _jet_frame(spec.picture, F_jet(spec, lam, FRAME_ORDER) if jet is None else jet)
-
-
-def _jet_frame(picture: str, jet: Jet1):
-    """The (w, terms) of F(q) (picture "F_of_q", lam = q) or of H(t) ("H_of_t", lam = t)
-    from one jet of order FRAME_ORDER or more: its F, F', ..., F^(6) as one array."""
+    jet = F_jet(spec, lam, FRAME_ORDER) if jet is None else jet
     d = jet.coeffs[..., :FRAME_ORDER + 1] * _factorials(FRAME_ORDER + 1)
-    if picture == "H_of_t":
+    if spec.picture == "H_of_t":
         return _legendre_frame(jet.basepoint, d)
     return _in_q_frame(_F_coeffs(jet.basepoint, d))
 
@@ -540,22 +527,29 @@ def weyl_ratio(g: MatrixJet) -> np.ndarray:
     return rep.maxAbsWeyl / rep.metricScale
 
 
-def flatness_suite(spec: SolutionSpec, points, jet: Jet1 | None = None) -> list:
-    """Each point's Weyl ratio for a catalog entry, or the C235Error that stopped it.
+def flatness_suite(spec: SolutionSpec, points) -> dict:
+    """Each point's two certificates for a catalog entry: its values, or the C235Error that
+    stopped each, as {"ode_residual_F" or "ode_residual_H": [...], "weyl_flatness": [...]}.
 
-    One coframe, metric and curvature report covers all the points. `jet`,
-    when given, is F_jet of the entry at the points' parameters, row for
-    row, of order FRAME_ORDER or more, so that it is not built again.
+    One F_jet(spec, lam, FRAME_ORDER) stack feeds the residual of the
+    entry's own sixth-order equation (by the Legendre duality the dual
+    residual of an F-picture jet is the same polynomial) and one coframe,
+    metric and curvature report. A point whose jet fails gets that error in both.
     """
     pts = np.reshape(np.asarray(points, dtype=float), (-1, 5))
-    at = np.arange(len(pts))
+    failed = [None] * len(pts)
+    jet, live = on_regular_rows(lambda lam: F_jet(spec, lam, FRAME_ORDER), pts[:, 4],
+                                np.arange(len(pts)), failed)
 
     def coframes(at):
-        if at.size == len(pts):  # every point is live: no rows to take
-            return coframe_for_spec(spec, pts, jet)
-        return coframe_for_spec(spec, pts[at], jet=None if jet is None else _rows(jet, at))
+        if at.size == live.size:  # no point has dropped out: no rows to take
+            return coframe_for_spec(spec, pts[at], jet)
+        return coframe_for_spec(spec, pts[at], _rows(jet, np.searchsorted(live, at)))
 
-    return per_point((coframes, metric_at, weyl_ratio), at, at, [None] * len(pts))
+    name, residual = (("ode_residual_F", residual_6th) if spec.picture == "F_of_q"
+                      else ("ode_residual_H", residual_ds6))
+    return {name: per_point((residual,), jet, live, failed),
+            "weyl_flatness": per_point((coframes, metric_at, weyl_ratio), live, live, failed)}
 
 
 def _frame_ricci(cf: MatrixJet, W):

@@ -223,10 +223,6 @@ class Jet1:
         out[..., 1:] = self.coeffs[..., :n] / _naturals(n)
         return _jet(self.basepoint, out)
 
-    def __call__(self, x: Scalar) -> Scalar:
-        """Evaluate the truncated polynomial at ``x``."""
-        return np.polynomial.polynomial.polyval(x - self.basepoint, self.coeffs.T, tensor=False)
-
     # --- arithmetic -------------------------------------------------
 
     def _coerce(self, other) -> "Jet1":
@@ -382,16 +378,6 @@ def _power_series(f: Jet1, e: float, g0) -> Jet1:
     return _jet(f.basepoint, _per_row(g0) * solve_lower(L, _unit(n)))
 
 
-def _lead_power(lead, x: float):
-    """|lead|**x by the power ufunc, for the leading coefficients coeffs.T[0]: a numpy
-    float at one point, an array on a stack.
-
-    ** of a float or of a numpy scalar calls the C library's pow, which can round
-    differently from the ufunc that a stack takes.
-    """
-    return np.power(abs(lead), x)
-
-
 def jet_pow(f: Jet1, e) -> Jet1:
     """f**e for a real (or Fraction) exponent, the package's one real-power kernel.
 
@@ -409,31 +395,12 @@ def jet_pow(f: Jet1, e) -> Jet1:
     odd_root = isinstance(e, Fraction) and e.denominator % 2 == 1
     if not odd_root:
         BranchError.raise_where(lead < 0, lambda: f"negative base with exponent {e} has no real branch")
-    g0 = _lead_power(lead, float(e))
+    # |lead|**e by the power ufunc at one point too: ** of a float or of a numpy
+    # scalar calls the C library's pow, which can round differently from a stack's
+    g0 = np.power(abs(lead), float(e))
     if odd_root and e.numerator % 2:  # the real odd root keeps the sign of the base
         g0 = g0 * np.sign(lead) if isinstance(lead, np.ndarray) else (-g0 if lead < 0 else g0)
     return _power_series(f, float(e), g0)
-
-
-def jet_abs_pow_product(f: Jet1, a, g: Jet1, b) -> Jet1:
-    """|f|**a |g|**b for real jets of one order, with both power series in one solve.
-
-    Where f or g is negative this is f**a g**b up to a constant factor.
-    """
-    if f.is_complex or g.is_complex:
-        raise BranchError("abs-power is a real-jet operation")
-    n = f.order + 1
-    for h in (f, g):
-        DivisionByZeroJet.raise_where(h.coeffs.T[0] == 0, "fractional power of a jet with zero value")
-    a, b = float(a), float(b)
-    # the two systems of _power_series, stacked on an axis before their rows
-    L = np.empty(f.coeffs.shape[:-1] + (2, n, n))
-    np.multiply(_toeplitz(f.coeffs), _power_weights(a, n), out=L[..., 0, :, :])
-    np.multiply(_toeplitz(g.coeffs), _power_weights(b, n), out=L[..., 1, :, :])
-    L[..., 0, 0] = 1.0
-    x = solve_lower(L, _unit(n))
-    pf = _jet(f.basepoint, _per_row(_lead_power(f.coeffs.T[0], a)) * x[..., 0, :])
-    return pf * _jet(g.basepoint, _per_row(_lead_power(g.coeffs.T[0], b)) * x[..., 1, :])
 
 
 def jet_compose(outer: Jet1, inner: Jet1) -> Jet1:
@@ -512,9 +479,6 @@ class MJet2:
     def derivatives(self) -> np.ndarray:
         """(..., 3): the value, first and second derivative."""
         return self.packed
-
-    def __add__(self, other: "MJet2") -> "MJet2":
-        return MJet2.from_packed(self.packed + other.packed)
 
     def __sub__(self, other: "MJet2") -> "MJet2":
         return MJet2.from_packed(self.packed - other.packed)

@@ -10,14 +10,16 @@ and closed-form residuals, the dual frame by the chain rule in q and the
 curvature kernel on all n^4 slots, the Legendre map of solution pairs, the exact
 polynomial identities (the Legendre duality of the two sixth-order tables,
 and the twistor coordinate change), the Riemann, Weyl and Ricci identity
-checks, and the 4-metric potential data with its connection checks. The
-package keeps the certificate path they check.
+checks, and the 4-metric potential data with its connection checks; also the
+frame inputs the geometry tests share (`identity_q`, `elementary_frame` and the
+elementary pair's flattening factor `omega_factor`). The package keeps the
+certificate path they check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence, Tuple
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from c235 import geometry
 from c235.chazy import DUAL_SIXTH_ORDER, SchwarzTriple, _monomials
-from c235.dist import F_jet, SolutionSpec, ds_curve_solution
+from c235.dist import F_jet, SolutionSpec, ds_curve_solution, get_spec
 from c235.errors import (
     BranchError,
     C235Error,
@@ -42,7 +44,7 @@ from c235.geometry import (
     _reduced_frame,
     metric_at,
 )
-from c235.jets import Jet1, _power_series, jet_compose, jet_const, jet_invert, jet_pow, jet_var
+from c235.jets import Jet1, _factorials, _power_series, jet_compose, jet_const, jet_invert, jet_pow, jet_var
 from c235.specialfn import (
     HyperTriple,
     hyp2f1_jet,
@@ -142,7 +144,7 @@ def jet_abs_pow(f: Jet1, e) -> Jet1:
     if f.is_complex:
         raise BranchError("abs-power is a real-jet operation")
     DivisionByZeroJet.raise_where(f.coeffs.T[0] == 0, "fractional power of a jet with zero value")
-    # the power ufunc at one point too, as jets._lead_power takes it
+    # the power ufunc at one point too, as jets.jet_pow takes it
     return _power_series(f, float(e), np.power(np.abs(f.coeffs[..., 0]), float(e)))
 
 
@@ -635,6 +637,26 @@ def legendre_data(H: Jet1):
     return Hp, jet_var(H.basepoint, H.order) * Hp - H
 
 
+def identity_q(q0, order: int = 8) -> Jet1:
+    """q as a jet in itself: the q_of of an F-picture frame, lam = q."""
+    return jet_var(q0, order)
+
+
+def elementary_frame(r0, constants=(1, 0, 0, 1)):
+    """(q_of, F_of), jets in r, of the elementary pair with these constants, at r0."""
+    spec = replace(get_spec("F-elementary-r"), params={"constants": constants})
+    return geometry.elementary_frame_jets(spec, r0)
+
+
+def omega_factor(r0, order: int = 8) -> Jet1:
+    """Omega = (4/3)(3r + 1)|r - 1|^(1/3) / (|r - 1|^(1/3) - |r + 1|^(1/3)), a jet in r:
+    the metric of the unmixed elementary pair times Omega^2 is Ricci-flat."""
+    r = jet_var(r0, order)
+    num = (r * 3.0 + 1.0) * jet_abs_pow(r - 1.0, 1.0 / 3.0) * (4.0 / 3.0)
+    den = jet_abs_pow(r - 1.0, 1.0 / 3.0) - jet_abs_pow(r + 1.0, 1.0 / 3.0)
+    return num / den
+
+
 def frame_jets(spec: SolutionSpec, lam, jet: Jet1 | None = None):
     """(q_of, F_of), jets in the frame variable, for any catalog entry: the inputs of
     geometry's general chain. F-picture entries take q itself, H-picture entries
@@ -691,7 +713,8 @@ def legendre_chain_coeffs(H: Jet1) -> np.ndarray:
 
 def dual_coframe(H: Jet1, point4) -> MatrixJet:
     """The catalog's dual-picture coframe of any H(t) jet of order 6 or more."""
-    return geometry._coframe(*geometry._jet_frame("H_of_t", H), point4)
+    d = H.coeffs[..., :geometry.FRAME_ORDER + 1] * _factorials(geometry.FRAME_ORDER + 1)
+    return geometry._coframe(*geometry._legendre_frame(H.basepoint, d), point4)
 
 
 def pair_form(T: np.ndarray) -> np.ndarray:

@@ -159,7 +159,7 @@ def test_verify_reports_a_singular_coframe(capsys, monkeypatch):
 
 
 def test_verify_and_flatness_suite_share_the_runner(capsys, monkeypatch):
-    # verify's weyl_flatness entries are flatness_suite's results, point by
+    # verify's entries are flatness_suite's results, check by check and point by
     # point, from one call of it per case
     for mod in (cli, geometry):
         monkeypatch.setattr(mod, "F_jet", _one_nan_row)
@@ -175,12 +175,13 @@ def test_verify_and_flatness_suite_share_the_runner(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "verify", "--case", spec.id, "--points", "10", "--json")
     assert code == 1
     assert calls == [spec.id]
-    flat = [c for c in payload["cases"][0]["checks"] if c["name"] == "weyl_flatness"]
     suite = suite_of(spec, geometry.sample_points(spec, 10, 0))
-    assert [c["point"] for c in flat] == list(range(10))
-    assert isinstance(suite[3], errors.SingularCoframeError)
-    for i, (c, r) in enumerate(zip(flat, suite)):
-        assert c == cli._check("weyl_flatness", i, cli.DEFAULT_TOL, r)
+    assert list(suite) == ["ode_residual_F", "weyl_flatness"]
+    assert isinstance(suite["ode_residual_F"][3], errors.DegenerateError)
+    assert isinstance(suite["weyl_flatness"][3], errors.SingularCoframeError)
+    assert payload["cases"][0]["checks"] == [
+        cli._check(name, i, cli.DEFAULT_TOL, r)
+        for name, outcomes in suite.items() for i, r in enumerate(outcomes)]
 
 
 def test_verify_passes_by_a_zero_of_z1(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,23 @@ def test_pair_map_branch_guard():
     z1, z2 = closed_form_pair("table1_row1", 0.3)
     with pytest.raises(BranchError):
         legendre_pair_map(-z1, z2, "F_to_H")
+
+
+def test_schwarz_family_refuses_a_negative_base_past_s_1():
+    # F'' = sdot^(3/2) / (s^e1 (s - 1)^e2) takes (1 - s)^e2 for (s - 1)^e2, a
+    # constant factor; past s = 1 its base is negative, and e2 = 5/4 has no real branch
+    spec = get_spec("F-schwarz-(6,3/2,3/2)")
+    assert spec.params["exponents"] == (Fraction(5, 4), Fraction(5, 4))
+    wide = replace(spec, domain=(0.05, 1.5))
+    text = "negative base with exponent 5/4 has no real branch"
+    with pytest.raises(BranchError) as exc:
+        F_jet(wide, np.array([0.5, 1.2, 0.7]))
+    assert str(exc.value) == text and exc.value.rows.tolist() == [False, True, False]
+    with pytest.raises(BranchError) as exc:
+        F_jet(wide, 1.2)
+    assert str(exc.value) == text
+    # below s = 1 the widened entry is the catalog's own
+    assert np.array_equal(F_jet(wide, 0.7).coeffs, F_jet(spec, 0.7).coeffs)
 
 
 # --- curve solutions ---------------------------------------------------------

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from c235 import dist, geometry
 from c235.chazy import reduce_F_to_I, residual_6th, residual_ds6, residual_gen_chazy
 from c235.dist import F_jet, catalog, dual_residual, get_spec, legendre_transform
 from c235.cli import DEFAULT_TOL
@@ -43,19 +44,21 @@ from c235.geometry import (
     weyl_ratio,
 )
 from c235.jets import _TO_DERIVATIVES, Jet1, jet_const, jet_var
-from c235.specialfn import closed_form_solution
 
 from oracles import (
     PlebanskiData,
     ReferenceJet2,
     RoundoffScale,
     dual_coframe,
+    elementary_frame,
     frame_jets,
     full_curvature,
+    identity_q,
     jet_abs_pow,
     legendre_chain_coeffs,
     legendre_data,
     metric_compatibility_error,
+    omega_factor,
     pair_form,
     plebanski_metric,
     ricci_identity_check,
@@ -69,10 +72,6 @@ POINT4 = (0.3, -0.2, 0.5, 0.7)
 
 def power_F(q0: float, a: float, order: int = 8) -> Jet1:
     return jet_abs_pow(jet_var(q0, order), a)
-
-
-def identity_q(q0: float, order: int = 8) -> Jet1:
-    return jet_var(q0, order)
 
 
 # --- coframe and metric basics -------------------------------------------
@@ -127,15 +126,6 @@ def test_cubic_F_control_is_not_flat():
     cf = build_coframe(identity_q(1.3), power_F(1.3, 3.0), POINT4)
     rep = curvature(metric_at(cf))
     assert rep.maxAbsWeyl / rep.metricScale > 1e-3
-
-
-def elementary_frame(r0: float, constants=(1, 0, 0, 1)):
-    z1, z2 = closed_form_solution(constants, r0, 8)
-    q_of = z2 / z1
-    Fpp = z1 ** 3
-    Fp = (Fpp * q_of.derivative()).antiderivative(0.0)
-    F_of = (Fp * q_of.derivative()).antiderivative(0.0)
-    return q_of, F_of
 
 
 # (q_of, F_of) in the F picture, where lam is q, and in three pictures where
@@ -360,7 +350,7 @@ def test_batched_geometry_matches_single_point(spec):
     # the domain end of H-power--2 the flat certificate depends on it
     assert np.array_equal(g.grad, g.grad.swapaxes(-1, -2)), spec.id
     rep = curvature(g)
-    suite = flatness_suite(spec, pts)
+    suite = flatness_suite(spec, pts)["weyl_flatness"]
     for i, pt in enumerate(pts):
         cf1 = coframe_for_spec(spec, pt)
         g1 = metric_at(cf1)
@@ -375,16 +365,19 @@ def test_batched_geometry_matches_single_point(spec):
         assert abs(suite[i] - ratio1) <= 1e-9, (spec.id, i)
 
 
-def test_flatness_suite_reports_singular_rows():
-    # a non-finite jet at one point makes that coframe fail; the others still count
+def test_flatness_suite_reports_singular_rows(monkeypatch):
+    # a non-finite jet at one point makes that residual and coframe fail; the others still count
     spec = get_spec("F-power-2")
     pts = sample_points(spec, 3, seed=0)
-    jet = F_jet(spec, np.array(pts)[:, 4])
+    jet = F_jet(spec, pts[:, 4])
     jet = Jet1(jet.basepoint, jet.coeffs * [[1.0], [np.nan], [1.0]])
-    out = flatness_suite(spec, pts, jet=jet)
-    assert isinstance(out[1], SingularCoframeError)
-    assert str(out[1]) == "coframe is not finite at this point"
-    assert all(r < DEFAULT_TOL for i, r in enumerate(out) if i != 1)
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "F_jet", lambda *args: jet)
+        out = flatness_suite(spec, pts)
+    for name, error, text in (("ode_residual_F", DegenerateError, "residual is not finite at this point"),
+                              ("weyl_flatness", SingularCoframeError, "coframe is not finite at this point")):
+        assert isinstance(out[name][1], error) and str(out[name][1]) == text
+        assert all(r < DEFAULT_TOL for i, r in enumerate(out[name]) if i != 1)
     with pytest.raises(SingularCoframeError):
         metric_at(coframe_for_spec(spec, pts[1], jet=Jet1(jet.basepoint[1], jet.coeffs[1])))
     # a stack raises with the mask of its singular rows
@@ -412,7 +405,7 @@ def test_flatness_suite_keeps_the_points_around_one_whose_curvature_overflows():
     # at p = 1e200 the metric is finite and its curvature is not; the stack's
     # other two points still get their ratios, with RuntimeWarnings as errors
     pts = [(0.1, 0.2, 0.3, 0.4, 1.5), (0.1, 0.2, 0.3, 1e200, 1.5), (0.1, 0.2, 0.3, 0.5, 2.0)]
-    out = flatness_suite(get_spec("F-power--1"), pts)
+    out = flatness_suite(get_spec("F-power--1"), pts)["weyl_flatness"]
     assert isinstance(out[1], SingularMetricError)
     assert str(out[1]) == "the metric's curvature is not finite at this point"
     assert all(isinstance(out[i], float) and out[i] < DEFAULT_TOL for i in (0, 2))
@@ -807,13 +800,6 @@ def test_elementary_coordinate_ricci(constants):
         assert np.max(np.abs(off)) < 1e-8 * abs(expected)
 
 
-def omega_factor(r0: float, order: int = 8) -> Jet1:
-    r = jet_var(r0, order)
-    num = (r * 3.0 + 1.0) * jet_abs_pow(r - 1.0, 1.0 / 3.0) * (4.0 / 3.0)
-    den = jet_abs_pow(r - 1.0, 1.0 / 3.0) - jet_abs_pow(r + 1.0, 1.0 / 3.0)
-    return num / den
-
-
 def test_elementary_rescale_flattens_ricci():
     # nu = 1/Omega (sign-normalised) satisfies the second-order equation
     # 40 nu'' + (6I' - I^2) nu = 0 and kills the Ricci of nu^{-2} g.
@@ -884,11 +870,13 @@ def test_flatness_suite_over_catalog():
     for spec in catalog():
         pts = sample_points(spec, 3, seed=11)
         out = flatness_suite(spec, pts)
-        assert not any(isinstance(r, C235Error) for r in out), (spec.id, out)
-        if spec.expect_fail:
-            assert all(r > 1e-3 for r in out), spec.id
-        else:
-            assert all(r < 1e-7 for r in out), (spec.id, out)
+        assert list(out) == [f"ode_residual_{spec.picture[0]}", "weyl_flatness"], spec.id
+        for name, values in out.items():
+            assert not any(isinstance(r, C235Error) for r in values), (spec.id, name, values)
+            if spec.expect_fail:
+                assert all(r > 1e-3 for r in values), (spec.id, name)
+            else:
+                assert all(r < 1e-7 for r in values), (spec.id, name, values)
 
 
 def sweep_points(spec):
@@ -903,17 +891,17 @@ def sweep_points(spec):
 @pytest.mark.parametrize("spec", catalog(), ids=lambda s: s.id)
 def test_dense_sweep_certifies_every_case(spec):
     # no conditioning test guards the certificate, so this is the evidence that
-    # none is needed: no point of the grid fails, every flat case reads well
-    # below the tolerance, and each negative control far above it
+    # none is needed: no point of the grid fails, both checks of every flat case
+    # read well below the tolerance, and each negative control's far above it
     pts = sweep_points(spec)
-    out = flatness_suite(spec, pts)
-    errors = [r for r in out if isinstance(r, C235Error)]
-    assert not errors, errors[0]
-    ratios = np.array(out)
-    if spec.expect_fail:
-        assert ratios.min() > 1e-3, pts[np.argmin(ratios), 4]
-    else:
-        assert ratios.max() < DEFAULT_TOL / 3, pts[np.argmax(ratios), 4]
+    for name, out in flatness_suite(spec, pts).items():
+        errors = [r for r in out if isinstance(r, C235Error)]
+        assert not errors, (name, errors[0])
+        values = np.array(out)
+        if spec.expect_fail:
+            assert values.min() > 1e-3, (name, pts[np.argmin(values), 4])
+        else:
+            assert values.max() < DEFAULT_TOL / 3, (name, pts[np.argmax(values), 4])
 
 
 def test_sample_points_respect_domain_and_seed():
@@ -1010,38 +998,39 @@ def test_the_reduction_refuses_the_rows_where_F2_vanishes():
 def test_a_bad_row_gets_its_error_and_the_others_their_values(monkeypatch):
     spec = get_spec("F-schwarz-(3,3,3)")
     pts = np.array(sample_points(spec, 6, seed=3))
-    alone = [flatness_suite(spec, pts[i:i + 1])[0] for i in range(6)]
+    alone = [flatness_suite(spec, pts[i:i + 1]) for i in range(6)]
+    # a residual is already relative: a stack's rounding moves it by a few 1e-16
+    bounds = {"ode_residual_F": {"abs": 1e-14}, "weyl_flatness": {"rel": 1e-9, "abs": 1e-20}}
+
+    def check(results, bad, error, text=None):
+        for name, outcomes in results.items():
+            for i, r in enumerate(outcomes):
+                if i in bad:
+                    assert isinstance(r, error) and text in (None, str(r)), (name, i)
+                else:
+                    assert r == pytest.approx(alone[i][name][0], **bounds[name]), (name, i)
+
     outside = pts.copy()
     outside[2, 4] = 0.99  # out of the declared domain
     with pytest.raises(DomainError) as exc:
         F_jet(spec, outside[:, 4])
     assert exc.value.rows.tolist() == [i == 2 for i in range(6)]
-    results = flatness_suite(spec, outside)
-    assert isinstance(results[2], DomainError)
-    for i in (0, 1, 3, 4, 5):
-        assert results[i] == pytest.approx(alone[i], rel=1e-9, abs=1e-20)
-    # a per-row BranchError deep inside F_jet, at points 0 and 4: the first
-    # |s|**e1 of the Schwarz family sees the s of each point as its value
-    from c235 import dist
+    check(flatness_suite(spec, outside), {2}, DomainError)
+    # a per-row BranchError deep inside F_jet, at points 0 and 4: the Schwarz
+    # denominator's first power, jet_pow(s, e1), sees the s of each point as its value
+    power = dist.jet_pow
 
-    abs_pow = dist.jet_abs_pow_product
-
-    def flaky(f, a, g, b):
+    def flaky(f, e):
         BranchError.raise_where(np.isin(f.value(), pts[[0, 4], 4]), "made to fail here")
-        return abs_pow(f, a, g, b)
+        return power(f, e)
 
-    monkeypatch.setattr(dist, "jet_abs_pow_product", flaky)
+    monkeypatch.setattr(dist, "jet_pow", flaky)
     found = [None] * 6
     _, live = on_regular_rows(lambda p: F_jet(spec, p), pts[:, 4], np.arange(6), found)
     assert live.tolist() == [1, 2, 3, 5]
     assert [type(e).__name__ for e in found] == [
         "BranchError", "NoneType", "NoneType", "NoneType", "BranchError", "NoneType"]
-    results = flatness_suite(spec, pts)
-    for i, r in enumerate(results):
-        if i in (0, 4):
-            assert isinstance(r, BranchError) and str(r) == "made to fail here"
-        else:
-            assert r == pytest.approx(alone[i], rel=1e-9, abs=1e-20)
+    check(flatness_suite(spec, pts), {0, 4}, BranchError, "made to fail here")
 
 
 def test_frame_coeffs_builds_dq_once(monkeypatch):

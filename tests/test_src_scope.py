@@ -12,9 +12,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "c235"
 
-# The generalised Chazy reduction is the paper's main theorem; `verify` is to
-# certify it per case (ROADMAP item 2), so these stay in the package unreached,
-# with the table and the jet kernel that only they read.
+# The generalised Chazy reduction is the paper's main theorem, which ROADMAP
+# item 13 is to certify as exact identities on the ODE tables, so these stay in
+# the package unreached, with the table and the jet kernel that only they read.
 ALLOWED_UNREACHED = {
     ("chazy", "reduce_F_to_I"),
     ("chazy", "residual_gen_chazy"),
