@@ -2,8 +2,9 @@
 
 Each catalog entry names one family of flat solutions, carries the data
 needed to build its F(q) (or H(t)) jet, and records the admissible domain
-of its construction parameter. Integration constants follow one gauge:
-every jet antiderivative vanishes at the basepoint. The sixth-order
+of its construction parameter. Integration constants follow one gauge: every
+jet antiderivative vanishes at the basepoint, but the dual two-pole pair's H
+and H' there (H-two-pole, H-ds-curve) are its closed form's. The sixth-order
 equations depend only on second and higher derivatives and are degree-4
 homogeneous, so this gauge choice never affects a residual.
 """
@@ -272,34 +273,31 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         den = jet_pow(s, e1) * jet_pow(1.0 - s, e2)
         return _double_antiderivative(num / den)
     if fam == "two_pole":
-        if spec.picture == "F_of_q":
-            B, C, k = spec.params["B"], spec.params["C"], spec.params["k"]
-            I = two_pole_solution(k, B, C, point, order)
-            return build_F_from_I(I)
         B, C = spec.params["B"], spec.params["C"]
+        if spec.picture == "F_of_q":
+            return build_F_from_I(two_pole_solution(spec.params["k"], B, C, point, order))
         DomainError.raise_where(point <= max(-B, -C), "t must exceed both poles for the real branch")
-        t = jet_var(point, order)
-        num = jet_pow(t + C, Frac(1, 2)) * (4.0 * t + 3.0 * B + C)
-        return (-1.0 / (192.0 * (B - C) ** 3)) * num / jet_pow(t + B, Frac(1, 2))
-    if fam == "ds_curve":
-        # H = y' drops an order, so the branch y is built one order higher
-        a, b = spec.params["a"], spec.params["b"]
-        y = ds_curve_solution(a, b, spec.params["f"], point, order + 1)
-        return y.derivative()
+        return dual_two_pole(-B, -C, point, order) * (-1.0 / (192.0 * (B - C) ** 3))
+    if fam == "ds_curve":  # H = y' of the branch y = sqrt((t-a)(t-b)^3) - f(t)
+        _, f1, f2 = spec.params["f"]
+        H = 0.5 * dual_two_pole(spec.params["a"], spec.params["b"], point, order)
+        return H - (f1 + 2.0 * f2 * jet_var(point, H.order))
     raise UnknownCaseId(f"unhandled family {fam!r}")
 
 
-def ds_curve_solution(
-    a: float, b: float, f: Tuple[float, float, float], t0, order: int = 8
-) -> Jet1:
-    """Jet of the curve branch y = +sqrt((t-a)(t-b)^3) - f(t) at t0 (one point, or a stack)."""
-    if a == b:
-        raise DegenerateError("a = b collapses the curve")
+def dual_two_pole(t1: float, t2: float, t0, order: int = 8) -> Jet1:
+    """Jet of f(t) = (4t - 3 t1 - t2) sqrt((t - t2)/(t - t1)) at t0 (one point, or a stack): f''
+    = (3/4) d^3 a^(-5/2) b^(-3/2), with a = t - t1, b = t - t2, d = t1 - t2, a product that cancels
+    nowhere, integrated twice from f = (4a + d) sqrt(ab)/a and f' = (4a^2 + 2ad - d^2/2)/(a sqrt(ab))."""
+    if t1 == t2:
+        raise DegenerateError("t1 = t2: f'' vanishes identically")
+    a, b, d = t0 - t1, t0 - t2, t1 - t2
+    BranchError.raise_where((a <= 0) | (b <= 0), "t must exceed t1 and t2 for the real branch")
     t = jet_var(t0, order)
-    radicand = (t - a) * (t - b) ** 3
-    BranchError.raise_where(radicand.value() <= 0, "(t0-a)(t0-b)^3 <= 0: no real branch here")
-    f0, f1, f2 = f
-    return jet_pow(radicand, Frac(1, 2)) - (f0 + f1 * t + f2 * t * t)
+    f2 = (0.75 * d**3) * jet_pow(t - t1, Frac(-5, 2)) * jet_pow(t - t2, Frac(-3, 2))
+    root = np.sqrt(a * b)
+    return f2.antiderivative((4.0 * a * a + 2.0 * a * d - 0.5 * d * d) / (a * root)).antiderivative(
+        (4.0 * a + d) * root / a)
 
 
 def legendre_transform(F: Jet1) -> Tuple[float, Jet1]:

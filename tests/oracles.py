@@ -7,8 +7,9 @@ jet, the |.| powers of a negative base that the closed-form tables take,
 the paper's closed-form pairs (`CLOSED_FORMS`, each row's basis and
 the equation it solves), the Chazy, Schwarzian, Omega-system
 and closed-form residuals, the dual frame by the chain rule in q and the
-curvature kernel on all n^4 slots, the Legendre map of solution pairs, the exact
-polynomial identities (the Legendre duality of the two sixth-order tables,
+curvature kernel on all n^4 slots, the curve branch y of H-ds-curve and its u,
+the Legendre map of solution pairs, the exact polynomial identities (the
+Legendre duality of the two sixth-order tables,
 and the twistor coordinate change), the Riemann, Weyl and Ricci identity
 checks, and the 4-metric potential data with its connection checks; also the
 frame inputs the geometry tests share (`identity_q`, `elementary_frame` and the
@@ -27,7 +28,7 @@ import numpy as np
 
 from c235 import geometry
 from c235.chazy import DUAL_SIXTH_ORDER, SchwarzTriple, _monomials
-from c235.dist import F_jet, SolutionSpec, ds_curve_solution, get_spec
+from c235.dist import F_jet, SolutionSpec, get_spec
 from c235.errors import (
     BranchError,
     C235Error,
@@ -395,7 +396,20 @@ def chazy_log_solution(z1: Jet1, z2: Jet1) -> Tuple[float, Jet1]:
     return y.basepoint, y.truncate(6)
 
 
-# --- the curve branch's u and the Legendre map of solution pairs ------
+# --- the curve branch, its u and the Legendre map of solution pairs ------
+
+
+def ds_curve_solution(
+    a: float, b: float, f: Tuple[float, float, float], t0, order: int = 8
+) -> Jet1:
+    """Jet of the curve branch y = +sqrt((t-a)(t-b)^3) - f(t) at t0 (one point, or a stack)."""
+    if a == b:
+        raise DegenerateError("a = b collapses the curve")
+    t = jet_var(t0, order)
+    radicand = (t - a) * (t - b) ** 3
+    BranchError.raise_where(radicand.value() <= 0, "(t0-a)(t0-b)^3 <= 0: no real branch here")
+    f0, f1, f2 = f
+    return jet_pow(radicand, Frac(1, 2)) - (f0 + f1 * t + f2 * t * t)
 
 
 def ds_curve_u(a: float, b: float, t0: float, order: int = 6) -> Jet1:
@@ -698,11 +712,13 @@ def legendre_chain_coeffs(H: Jet1) -> np.ndarray:
     """geometry._frame_coeffs of the Legendre data of an order-8 H by the chain rule in
     q, four divisions by H'', in exact arithmetic: (..., 7, 3).
 
-    In floating point those divisions lose up to about 1e-12 of F'' on
-    H-two-pole and H-ds-curve at t near 10 (against mpmath), more than the
-    round-off of the frame rows built from them. On the jet's coefficients, as
-    rationals, the chain is exact, and it is the same function of them as the
-    exact Legendre forms, so only one rounding, at the end, is left.
+    In floating point this chain loses up to about 2e-12 of F'' ... F'''' on
+    H-two-pole and 5e-12 on H-ds-curve (against mpmath, at 12 basepoints across
+    each domain), more than the round-off of the frame rows built from them:
+    F's Taylor terms t H'_k + H'_(k-1) - H_k cancel, and the divisions carry
+    that on. On the jet's coefficients, as rationals, the chain is exact, and it
+    is the same function of them as the exact Legendre forms, so only one
+    rounding, at the end, is left; there it is within 5e-15 of mpmath.
     """
     coeffs = np.reshape(H.coeffs, (-1, H.order + 1))
     t0 = np.reshape(H.basepoint, -1)

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from c235.chazy import residual_6th, residual_ds6, residual_gen_chazy, two_pole_solution
-from c235.dist import F_jet, catalog, ds_curve_solution, get_spec, legendre_transform
+from c235.dist import F_jet, catalog, get_spec, legendre_transform
 from c235.errors import BranchError, DegenerateError, DomainError, SeriesDomainError, UnknownCaseId
+from c235.geometry import flatness_suite, sample_points
 from c235.jets import jet_invert, jet_pow, jet_var
 from c235.specialfn import HyperTriple, hyp2f1_jet, hypergeom_pair
 
-from oracles import closed_form_pair, ds_curve_u, legendre_pair_map
+from oracles import closed_form_pair, ds_curve_solution, ds_curve_u, legendre_pair_map
 
 
 # --- catalog integrity -----------------------------------------------------
@@ -168,20 +169,75 @@ def test_schwarz_family_refuses_a_negative_base_past_s_1():
     assert np.array_equal(F_jet(wide, 0.7).coeffs, F_jet(spec, 0.7).coeffs)
 
 
-# --- curve solutions ---------------------------------------------------------
+# --- the dual two-pole class: H-two-pole and H-ds-curve ----------------------
 
 
-def test_ds_curve_branch_guard():
+def _dual_two_pole_closed_form(spec, mp):
+    """H(t) of the entry in closed form, an mpmath function."""
+    if spec.family == "two_pole":
+        B, C = (mp.mpf(spec.params[k]) for k in "BC")
+        return lambda t: -mp.sqrt(t + C) * (4 * t + 3 * B + C) / (mp.sqrt(t + B) * 192 * (B - C) ** 3)
+    a, b = (mp.mpf(spec.params[k]) for k in "ab")
+    _, f1, f2 = spec.params["f"]
+    # y' for the branch y = sqrt((t-a)(t-b)^3) - f(t)
+    return lambda t: (4 * t - 3 * a - b) * mp.sqrt((t - b) / (t - a)) / 2 - f1 - 2 * f2 * t
+
+
+@pytest.mark.parametrize("case_id", ["H-two-pole", "H-ds-curve"])
+def test_dual_two_pole_jets_match_their_closed_forms(case_id):
+    # H ... H^(6) at 12 basepoints across the domain, both ends included, at
+    # one point and as one stack, within 1e-14 relative of mpmath's 40 digits
+    mp = pytest.importorskip("mpmath")
+    spec = get_spec(case_id)
+    H = _dual_two_pole_closed_form(spec, mp)
+    pts = np.linspace(*spec.domain, 12)
+    stack = np.array(F_jet(spec, pts, 6).derivs(7))
+    for i, t in enumerate(pts):
+        with mp.workdps(40):
+            exact = np.array([float(c * mp.factorial(k)) for k, c in enumerate(mp.taylor(H, mp.mpf(t), 6))])
+        for got in (np.array(F_jet(spec, float(t), 6).derivs(7)), stack[:, i]):
+            assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(exact)), (case_id, t, got, exact)
+
+
+@pytest.mark.parametrize("case_id", ["H-two-pole", "H-ds-curve"])
+def test_dual_two_pole_residuals_are_round_off(case_id):
+    spec = get_spec(case_id)
+    residuals = flatness_suite(spec, sample_points(spec, 200, 0))["ode_residual_H"]
+    assert max(residuals) <= 2e-15
+
+
+def test_dual_two_pole_refusals():
+    two_pole, curve = get_spec("H-two-pole"), get_spec("H-ds-curve")
+    # equal poles make H'' vanish identically, and every residual a vacuous 0
+    for spec, params in ((two_pole, {"B": 1.0, "C": 1.0}),
+                         (curve, {"a": 1.0, "b": 1.0, "f": (0.0, 0.0, 0.0)})):
+        for t in (2.0, np.array([2.0, 3.0])):
+            with pytest.raises(DegenerateError):
+                F_jet(replace(spec, params=params), t)
+    # the curve branch is real only past its branch point t = b
+    wide = replace(curve, domain=(0.05, 10.0))
+    with pytest.raises(BranchError) as exc:
+        F_jet(wide, np.array([2.0, 0.5, 1.0, 3.0]))
+    assert exc.value.rows.tolist() == [False, True, True, False]
     with pytest.raises(BranchError):
-        ds_curve_solution(2.0, 3.0, (0.0, 0.0, 0.0), 2.5)
-    with pytest.raises(DegenerateError):
-        ds_curve_solution(1.0, 1.0, (0.0, 0.0, 0.0), 2.0)
+        F_jet(wide, 0.5)
+    # the two-pole H keeps its refusal at a pole
+    wide = replace(two_pole, domain=(-2.0, 10.0))
+    with pytest.raises(DomainError) as exc:
+        F_jet(wide, np.array([0.3, 0.0, -0.5]))
+    assert exc.value.rows.tolist() == [False, True, True]
+    with pytest.raises(DomainError):
+        F_jet(wide, 0.0)
 
 
 def test_ds_curve_solves_dual_equation():
-    # the seventh-order equation in y is the dual sixth-order one in y'
+    # the seventh-order equation in y is the dual sixth-order one in H = y';
+    # the curve branch's own jet, whose top terms cancel, agrees to about 1e-12
+    spec = replace(get_spec("H-ds-curve"), params={"a": 0.0, "b": 1.0, "f": (1.0, -2.0, 0.5)})
+    H = F_jet(spec, 3.0)
+    assert residual_ds6(H) < 1e-10
     y = ds_curve_solution(0.0, 1.0, (1.0, -2.0, 0.5), 3.0)
-    assert residual_ds6(y.derivative()) < 1e-10
+    assert np.allclose(H.coeffs[:8], y.derivative().coeffs, rtol=1e-11, atol=0.0)
 
 
 def test_ds_curve_u_is_two_pole():

@@ -329,7 +329,7 @@ def test_frame_terms_match_the_chain_rule_in_q(spec):
     # picture, and in the dual picture the exact forms s = H'', B = -H'''/(4 H'') and
     # coef4 = (4 H'' H'''' - 5 H'''^2)/(40 H''^3). The bound is the tuple reference's
     # above: 1e-14 of the rows in absolute values, in which the d2/dlam2 of coef4's
-    # entries cancels by up to 5e8 at H-two-pole
+    # entries cancels by up to 8e8 at H-two-pole and 5e8 at H-ds-curve
     stack = sample_points(spec, 10, seed=11)
     for pts in (stack[0], stack):
         terms = frame_for_spec(spec, pts[..., 4])[1]
