@@ -21,7 +21,6 @@ from .jets import (
     _shape,
     _toeplitz,
     jet_const,
-    jet_exp,
     jet_invert,
     jet_log,
     jet_var,
@@ -159,21 +158,3 @@ def reduce_F_to_I(F: Jet1) -> Jet1:
     sign = np.where(np.real(Fpp.value()) > 0, 1.0, -1.0)
     return 2.0 * jet_log(sign * Fpp).derivative()
 
-
-def build_F_from_I(
-    I: Jet1,
-    constants: Tuple[float, float, float] = (0.0, 0.0, 0.0),
-    negative: bool = False,
-) -> Jet1:
-    """Rebuild F from I at I's basepoint: F'' = (+-) exp(logE0 + int I/2), integrated twice.
-
-    constants = (F0, F1, logE0); negative selects the E < 0 branch.
-    """
-    F0, F1, logE0 = constants
-    half = 0.5 * I
-    G = half.antiderivative(constant=logE0)
-    E = jet_exp(G)
-    if negative:
-        E = -E
-    Fp = E.antiderivative(constant=F1)
-    return Fp.antiderivative(constant=F0)

@@ -3,10 +3,10 @@
 Each catalog entry names one family of flat solutions, carries the data
 needed to build its F(q) (or H(t)) jet, and records the admissible domain
 of its construction parameter. Integration constants follow one gauge: every
-jet antiderivative vanishes at the basepoint, but the dual two-pole pair's H
-and H' there (H-two-pole, H-ds-curve) are its closed form's. The sixth-order
-equations depend only on second and higher derivatives and are degree-4
-homogeneous, so this gauge choice never affects a residual.
+jet antiderivative vanishes at the basepoint (F-two-pole's F'' is 1 there), but
+the dual two-pole pair's H and H' there (H-two-pole, H-ds-curve) are its closed
+form's. The sixth-order equations depend only on second and higher derivatives
+and are degree-4 homogeneous, so this gauge choice never affects a residual.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BranchError, DegenerateError, DomainError, UnknownCaseId
 from .jets import Jet1, jet_compose, jet_invert, jet_pow, jet_var
-from .chazy import SchwarzTriple, build_F_from_I, residual_ds6, schwarz_solution, two_pole_solution
+from .chazy import SchwarzTriple, residual_ds6, schwarz_solution
 from .specialfn import HyperTriple, closed_form_solution, hypergeom_pair
 
 Frac = Fraction
@@ -274,30 +274,41 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         return _double_antiderivative(num / den)
     if fam == "two_pole":
         B, C = spec.params["B"], spec.params["C"]
-        if spec.picture == "F_of_q":
-            return build_F_from_I(two_pole_solution(spec.params["k"], B, C, point, order))
-        DomainError.raise_where(point <= max(-B, -C), "t must exceed both poles for the real branch")
-        return dual_two_pole(-B, -C, point, order) * (-1.0 / (192.0 * (B - C) ** 3))
-    if fam == "ds_curve":  # H = y' of the branch y = sqrt((t-a)(t-b)^3) - f(t)
+        DomainError.raise_where(point <= max(-B, -C), "the real branch starts past both poles")
+        if spec.picture == "F_of_q":  # the lift of I = 2 (log F'')': F'' = (q+C)^((k-6)/4) (q+B)^(-(k+6)/4)
+            k = spec.params["k"]
+            W = two_pole_jet(point, order, (-C, -B), ((k - 6) / 4, -(k + 6) / 4), 1.0, (0.0, 0.0))
+            return W / W.deriv(2)
+        return two_pole_jet(point, order, *dual_two_pole(-B, -C, point)) * (-1.0 / (192.0 * (B - C) ** 3))
+    if fam == "ds_curve":  # H = y' of the branch y = sqrt((t-a)(t-b)^3) - f(t): f(t; a, b)/2 - f1 - 2 f2 t
+        a, b = spec.params["a"], spec.params["b"]
         _, f1, f2 = spec.params["f"]
-        H = 0.5 * dual_two_pole(spec.params["a"], spec.params["b"], point, order)
-        return H - (f1 + 2.0 * f2 * jet_var(point, H.order))
+        poles, exponents, scale, (slope, value) = dual_two_pole(a, b, point)
+        return two_pole_jet(point, order, poles, exponents, 0.5 * scale,
+                            (0.5 * slope - 2.0 * f2, 0.5 * value - (f1 + 2.0 * f2 * point)))
     raise UnknownCaseId(f"unhandled family {fam!r}")
 
 
-def dual_two_pole(t1: float, t2: float, t0, order: int = 8) -> Jet1:
-    """Jet of f(t) = (4t - 3 t1 - t2) sqrt((t - t2)/(t - t1)) at t0 (one point, or a stack): f''
-    = (3/4) d^3 a^(-5/2) b^(-3/2), with a = t - t1, b = t - t2, d = t1 - t2, a product that cancels
-    nowhere, integrated twice from f = (4a + d) sqrt(ab)/a and f' = (4a^2 + 2ad - d^2/2)/(a sqrt(ab))."""
+def two_pole_jet(x0, order: int, poles, exponents, scale, ends) -> Jet1:
+    """Jet at x0 (one point, or a stack) of the W with W'' = scale (x - p1)^e1 (x - p2)^e2, a product
+    that cancels nowhere, and (W', W) = ends at x0: the two-pole class of either picture."""
+    (p1, p2), (e1, e2) = poles, exponents
+    x = jet_var(x0, order)
+    W2 = scale * jet_pow(x - p1, e1) * jet_pow(x - p2, e2)
+    return W2.antiderivative(ends[0]).antiderivative(ends[1])
+
+
+def dual_two_pole(t1: float, t2: float, t0):
+    """two_pole_jet's (poles, exponents, scale, ends) for f(t) = (4t - 3 t1 - t2) sqrt((t - t2)/(t - t1))
+    at t0 (one point, or a stack): f'' = (3/4) d^3 a^(-5/2) b^(-3/2), f' = (4a^2 + 2ad - d^2/2)/(a sqrt(ab))
+    and f = (4a + d) sqrt(ab)/a, with a = t - t1, b = t - t2 and d = t1 - t2."""
     if t1 == t2:
         raise DegenerateError("t1 = t2: f'' vanishes identically")
     a, b, d = t0 - t1, t0 - t2, t1 - t2
     BranchError.raise_where((a <= 0) | (b <= 0), "t must exceed t1 and t2 for the real branch")
-    t = jet_var(t0, order)
-    f2 = (0.75 * d**3) * jet_pow(t - t1, Frac(-5, 2)) * jet_pow(t - t2, Frac(-3, 2))
     root = np.sqrt(a * b)
-    return f2.antiderivative((4.0 * a * a + 2.0 * a * d - 0.5 * d * d) / (a * root)).antiderivative(
-        (4.0 * a + d) * root / a)
+    ends = ((4.0 * a * a + 2.0 * a * d - 0.5 * d * d) / (a * root), (4.0 * a + d) * root / a)
+    return (t1, t2), (Frac(-5, 2), Frac(-3, 2)), 0.75 * d**3, ends
 
 
 def legendre_transform(F: Jet1) -> Tuple[float, Jet1]:

@@ -6,9 +6,9 @@ arithmetic propagates derivatives exactly to the truncation order; results
 of binary operations are truncated to the shorter operand. Jets at N
 basepoints stack on a leading point axis (basepoint (N,), coeffs
 (N, order + 1)), and every kernel acts on either shape row by row: a
-product is a lower-triangular Toeplitz matmul; a quotient, exp, power or
-series inverse a triangular solve of its recurrence (Taylor-mode
-propagation vectorised over base points). A test that depends on values
+product is a lower-triangular Toeplitz matmul; a quotient, power or series
+inverse a triangular solve of its recurrence (Taylor-mode propagation
+vectorised over base points). A test that depends on values
 raises its error where it holds, with the mask of those rows as the
 error's `rows`, and formats its message only then. It reads the leading
 coefficients as coeffs.T[0]: a row on a stack, a numpy scalar at one
@@ -327,22 +327,6 @@ def jet_pow_int(f: Jet1, e: int) -> Jet1:
     for _ in range(e - 1):
         out = out * f
     return out
-
-
-@functools.cache
-def _exp_tables(n: int):
-    """(k, D), read-only: k = 0, 1, ..., n - 1 and D = diag(max(k, 1))."""
-    k = np.arange(float(n))
-    D = np.diag(np.maximum(k, 1.0))
-    k.flags.writeable = D.flags.writeable = False
-    return k, D
-
-
-def jet_exp(f: Jet1) -> Jet1:
-    k, D = _exp_tables(f.order + 1)
-    # g = exp(f - f_0) solves g' = f' g: k g_k = sum_{m<k} (k - m) f_{k-m} g_m, g_0 = 1
-    g = solve_lower(D - _toeplitz(f.coeffs * k), _unit(f.order + 1))
-    return _jet(f.basepoint, np.exp(f.coeffs[..., :1]) * g)
 
 
 def jet_log(f: Jet1) -> Jet1:

@@ -4,8 +4,10 @@ Each one checks the package by an independent route, or against one of the
 paper's displays, and no command, demo or benchmark calls it: the
 finite-difference derivative oracle, the multivariate order-2 reference
 jet, the |.| powers of a negative base that the closed-form tables take,
-the paper's closed-form pairs (`CLOSED_FORMS`, each row's basis and
-the equation it solves), the Chazy, Schwarzian, Omega-system
+the exp kernel and the lift of I = 2(log|F''|)' back to F (the reference
+F-two-pole is checked against), the paper's closed-form pairs
+(`CLOSED_FORMS`, each row's basis and the equation it solves), the Chazy,
+Schwarzian, Omega-system
 and closed-form residuals, the dual frame by the chain rule in q and the
 curvature kernel on all n^4 slots, the curve branch y of H-ds-curve and its u,
 the Legendre map of solution pairs, the exact polynomial identities (the
@@ -19,6 +21,7 @@ certificate path they check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -45,7 +48,20 @@ from c235.geometry import (
     _reduced_frame,
     metric_at,
 )
-from c235.jets import Jet1, _factorials, _power_series, jet_compose, jet_const, jet_invert, jet_pow, jet_var
+from c235.jets import (
+    Jet1,
+    _factorials,
+    _jet,
+    _power_series,
+    _toeplitz,
+    _unit,
+    jet_compose,
+    jet_const,
+    jet_invert,
+    jet_pow,
+    jet_var,
+    solve_lower,
+)
 from c235.specialfn import (
     HyperTriple,
     hyp2f1_jet,
@@ -158,6 +174,44 @@ def _rp(jet: Jet1, e: Fraction) -> Jet1:
     if e.denominator % 2 == 1:
         return jet_pow(jet, e)
     return jet_abs_pow(jet, float(e))
+
+
+# --- exp, and the lift of I back to F ------------------------------------
+
+
+@functools.cache
+def _exp_tables(n: int):
+    """(k, D), read-only: k = 0, 1, ..., n - 1 and D = diag(max(k, 1))."""
+    k = np.arange(float(n))
+    D = np.diag(np.maximum(k, 1.0))
+    k.flags.writeable = D.flags.writeable = False
+    return k, D
+
+
+def jet_exp(f: Jet1) -> Jet1:
+    k, D = _exp_tables(f.order + 1)
+    # g = exp(f - f_0) solves g' = f' g: k g_k = sum_{m<k} (k - m) f_{k-m} g_m, g_0 = 1
+    g = solve_lower(D - _toeplitz(f.coeffs * k), _unit(f.order + 1))
+    return _jet(f.basepoint, np.exp(f.coeffs[..., :1]) * g)
+
+
+def build_F_from_I(
+    I: Jet1,
+    constants: Tuple[float, float, float] = (0.0, 0.0, 0.0),
+    negative: bool = False,
+) -> Jet1:
+    """Rebuild F from I at I's basepoint: F'' = (+-) exp(logE0 + int I/2), integrated twice.
+
+    constants = (F0, F1, logE0); negative selects the E < 0 branch.
+    """
+    F0, F1, logE0 = constants
+    half = 0.5 * I
+    G = half.antiderivative(constant=logE0)
+    E = jet_exp(G)
+    if negative:
+        E = -E
+    Fp = E.antiderivative(constant=F1)
+    return Fp.antiderivative(constant=F0)
 
 
 # --- closed-form ODE residuals ----------------------------------------

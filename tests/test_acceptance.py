@@ -30,7 +30,7 @@ from c235.geometry import (
     metric_at,
     sample_points,
 )
-from c235.jets import jet_const, jet_exp, jet_log, jet_var
+from c235.jets import jet_const, jet_log, jet_var
 from c235.specialfn import (
     HyperTriple,
     hyp2f1_jet,
@@ -52,6 +52,7 @@ from oracles import (
     full_curvature,
     identity_q,
     jet_abs_pow,
+    jet_exp,
     legendre_pair_map,
     omega_factor,
     parametrized_y,

@@ -9,7 +9,6 @@ from c235.chazy import (
     SIXTH_ORDER,
     SchwarzTriple,
     _chazy_table,
-    build_F_from_I,
     reduce_F_to_I,
     residual_6th,
     residual_ds6,
@@ -18,13 +17,15 @@ from c235.chazy import (
     two_pole_solution,
 )
 from c235.errors import DegenerateError, InvalidParam, PoleError, ZeroWronskianError
-from c235.jets import Jet1, jet_const, jet_exp, jet_var
+from c235.jets import Jet1, jet_const, jet_var
 from c235.specialfn import HyperTriple, hypergeom_pair
 
 from oracles import (
     ZeroDenominatorError,
+    build_F_from_I,
     chazy_log_solution,
     jet_abs_pow,
+    jet_exp,
     legendre_image,
     omega_residuals,
     parametrized_y,

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from c235.chazy import residual_6th, residual_ds6, residual_gen_chazy, two_pole_solution
+from c235.chazy import reduce_F_to_I, residual_6th, residual_ds6, residual_gen_chazy, two_pole_solution
+from c235.cli import DEFAULT_TOL
 from c235.dist import F_jet, catalog, get_spec, legendre_transform
 from c235.errors import BranchError, DegenerateError, DomainError, SeriesDomainError, UnknownCaseId
 from c235.geometry import flatness_suite, sample_points
@@ -169,51 +170,68 @@ def test_schwarz_family_refuses_a_negative_base_past_s_1():
     assert np.array_equal(F_jet(wide, 0.7).coeffs, F_jet(spec, 0.7).coeffs)
 
 
-# --- the dual two-pole class: H-two-pole and H-ds-curve ----------------------
+# --- the two-pole class: F-two-pole, H-two-pole and H-ds-curve ----------------
+
+TWO_POLE_CASES = ["F-two-pole", "H-two-pole", "H-ds-curve"]
 
 
-def _dual_two_pole_closed_form(spec, mp):
-    """H(t) of the entry in closed form, an mpmath function."""
+def _two_pole_closed_form(spec, mp, x0):
+    """(w, j): the entry's j-th derivative in closed form, an mpmath function. F-two-pole's
+    F and F' are gauge zeros, so its w is F'' = (q+C)^((k-6)/4) (q+B)^(-(k+6)/4), 1 at x0."""
+    if spec.picture == "F_of_q":
+        B, C, x0 = (mp.mpf(v) for v in (spec.params["B"], spec.params["C"], x0))
+        k = mp.mpf(spec.params["k"].numerator) / spec.params["k"].denominator
+        return lambda q: ((q + C) / (x0 + C)) ** ((k - 6) / 4) * ((q + B) / (x0 + B)) ** (-(k + 6) / 4), 2
     if spec.family == "two_pole":
         B, C = (mp.mpf(spec.params[k]) for k in "BC")
-        return lambda t: -mp.sqrt(t + C) * (4 * t + 3 * B + C) / (mp.sqrt(t + B) * 192 * (B - C) ** 3)
+        return lambda t: -mp.sqrt(t + C) * (4 * t + 3 * B + C) / (mp.sqrt(t + B) * 192 * (B - C) ** 3), 0
     a, b = (mp.mpf(spec.params[k]) for k in "ab")
     _, f1, f2 = spec.params["f"]
     # y' for the branch y = sqrt((t-a)(t-b)^3) - f(t)
-    return lambda t: (4 * t - 3 * a - b) * mp.sqrt((t - b) / (t - a)) / 2 - f1 - 2 * f2 * t
+    return lambda t: (4 * t - 3 * a - b) * mp.sqrt((t - b) / (t - a)) / 2 - f1 - 2 * f2 * t, 0
 
 
-@pytest.mark.parametrize("case_id", ["H-two-pole", "H-ds-curve"])
+@pytest.mark.parametrize("case_id", TWO_POLE_CASES)
 def test_dual_two_pole_jets_match_their_closed_forms(case_id):
-    # H ... H^(6) at 12 basepoints across the domain, both ends included, at
-    # one point and as one stack, within 1e-14 relative of mpmath's 40 digits
+    # H ... H^(6), or F'' ... F^(6), at 12 basepoints across the domain, both ends
+    # included, at one point and as one stack, within 1e-14 relative of mpmath's 40 digits
     mp = pytest.importorskip("mpmath")
     spec = get_spec(case_id)
-    H = _dual_two_pole_closed_form(spec, mp)
     pts = np.linspace(*spec.domain, 12)
     stack = np.array(F_jet(spec, pts, 6).derivs(7))
-    for i, t in enumerate(pts):
+    for i, x0 in enumerate(pts):
+        w, j = _two_pole_closed_form(spec, mp, x0)
         with mp.workdps(40):
-            exact = np.array([float(c * mp.factorial(k)) for k, c in enumerate(mp.taylor(H, mp.mpf(t), 6))])
-        for got in (np.array(F_jet(spec, float(t), 6).derivs(7)), stack[:, i]):
-            assert np.all(np.abs(got - exact) <= 1e-14 * np.abs(exact)), (case_id, t, got, exact)
+            exact = np.array([float(c * mp.factorial(k)) for k, c in enumerate(mp.taylor(w, mp.mpf(x0), 6 - j))])
+        for got in (np.array(F_jet(spec, float(x0), 6).derivs(7)), stack[:, i]):
+            assert np.all(np.abs(got[j:] - exact) <= 1e-14 * np.abs(exact)), (case_id, x0, got, exact)
+            if j:  # F-two-pole's gauge, as the lift exp(int I/2) from 0 gave it: F = F' = 0, F'' = 1
+                assert np.array_equal(got[:3], [0.0, 0.0, 1.0]), (x0, got)
 
 
-@pytest.mark.parametrize("case_id", ["H-two-pole", "H-ds-curve"])
+@pytest.mark.parametrize("case_id", TWO_POLE_CASES)
 def test_dual_two_pole_residuals_are_round_off(case_id):
     spec = get_spec(case_id)
-    residuals = flatness_suite(spec, sample_points(spec, 200, 0))["ode_residual_H"]
+    residuals = flatness_suite(spec, sample_points(spec, 200, 0))["ode_residual_" + case_id[0]]
     assert max(residuals) <= 2e-15
 
 
 def test_dual_two_pole_refusals():
-    two_pole, curve = get_spec("H-two-pole"), get_spec("H-ds-curve")
+    fpole, two_pole, curve = (get_spec(c) for c in TWO_POLE_CASES)
     # equal poles make H'' vanish identically, and every residual a vacuous 0
     for spec, params in ((two_pole, {"B": 1.0, "C": 1.0}),
                          (curve, {"a": 1.0, "b": 1.0, "f": (0.0, 0.0, 0.0)})):
         for t in (2.0, np.array([2.0, 3.0])):
             with pytest.raises(DegenerateError):
                 F_jet(replace(spec, params=params), t)
+    # in the F picture equal poles give F'' = (q + B)^(-3), the flat q^(-1) class
+    merged = replace(fpole, params={**fpole.params, "C": fpole.params["B"]})
+    pts = sample_points(merged, 50, 0)
+    out = flatness_suite(merged, pts)
+    assert max(out["ode_residual_F"]) <= 2e-15 and max(out["weyl_flatness"]) < DEFAULT_TOL
+    q, B = pts[:, 4], merged.params["B"]
+    want = [np.ones_like(q), -3.0 / (q + B), 12.0 / (q + B) ** 2]
+    np.testing.assert_allclose(F_jet(merged, q).derivs(5)[2:], want, rtol=1e-14)
     # the curve branch is real only past its branch point t = b
     wide = replace(curve, domain=(0.05, 10.0))
     with pytest.raises(BranchError) as exc:
@@ -221,13 +239,16 @@ def test_dual_two_pole_refusals():
     assert exc.value.rows.tolist() == [False, True, True, False]
     with pytest.raises(BranchError):
         F_jet(wide, 0.5)
-    # the two-pole H keeps its refusal at a pole
-    wide = replace(two_pole, domain=(-2.0, 10.0))
-    with pytest.raises(DomainError) as exc:
-        F_jet(wide, np.array([0.3, 0.0, -0.5]))
-    assert exc.value.rows.tolist() == [False, True, True]
-    with pytest.raises(DomainError):
-        F_jet(wide, 0.0)
+    # both two-pole entries refuse a basepoint at or before a pole: the F picture's
+    # q = -1, which its domain (-0.95, 5) stops short of, and the H picture's t = 0
+    for spec, pts in ((fpole, [0.3, -1.0, -1.5]), (two_pole, [0.3, 0.0, -0.5])):
+        wide = replace(spec, domain=(-2.0, 10.0))
+        with pytest.raises(DomainError) as exc:
+            F_jet(wide, np.array(pts))
+        assert exc.value.rows.tolist() == [False, True, True]
+        for x0 in pts[1:]:
+            with pytest.raises(DomainError):
+                F_jet(wide, x0)
 
 
 def test_ds_curve_solves_dual_equation():
@@ -238,6 +259,20 @@ def test_ds_curve_solves_dual_equation():
     assert residual_ds6(H) < 1e-10
     y = ds_curve_solution(0.0, 1.0, (1.0, -2.0, 0.5), 3.0)
     assert np.allclose(H.coeffs[:8], y.derivative().coeffs, rtol=1e-11, atol=0.0)
+
+
+def test_F_two_pole_I_is_two_pole():
+    # I = 2 (log F'')' of the catalog entry is the two-pole generalised-Chazy
+    # solution with k = 2/3, at 12 basepoints, both domain ends included, at
+    # one point and as one stack, within 1e-13 of each row's largest coefficient
+    spec = get_spec("F-two-pole")
+    k, B, C = (spec.params[name] for name in "kBC")
+    pts = np.linspace(*spec.domain, 12)
+    for q in [float(q) for q in pts] + [pts]:
+        I = reduce_F_to_I(F_jet(spec, q))
+        y = two_pole_solution(k, B, C, q, I.order)
+        scale = np.max(np.abs(y.coeffs), axis=-1, keepdims=True)
+        assert np.all(np.abs(I.coeffs - y.coeffs) <= 1e-13 * scale), q
 
 
 def test_ds_curve_u_is_two_pole():

@@ -15,14 +15,13 @@ from c235.jets import (
     _power_series,
     jet_compose,
     jet_const,
-    jet_exp,
     jet_invert,
     jet_log,
     jet_pow,
     jet_var,
 )
 
-from oracles import ReferenceJet2, RoundoffScale, derivative_oracle, jet_abs_pow
+from oracles import ReferenceJet2, RoundoffScale, derivative_oracle, jet_abs_pow, jet_exp
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 coeff_lists = st.lists(finite, min_size=1, max_size=9)
