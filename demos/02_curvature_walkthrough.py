@@ -4,26 +4,30 @@ Builds the signature-(2,3) metric for the elementary closed-form family,
 shows that its Ricci tensor in the r coordinate is 6/(r^2 - 1) on the
 dr x dr slot, and that the displayed conformal rescaling makes the
 metric Ricci-flat. Also sweeps the Weyl-flatness ratio for one flat
-entry and one control.
+entry and one control: `c235 verify` certifies flatness by the ODE
+residual alone, since the one frame Weyl component is exactly the
+sixth-order left side over -100 F''^4, but the ratio shows it in the metric.
 """
 
 from dataclasses import replace
 from fractions import Fraction
 
-from c235.cli import DEFAULT_TOL
 from c235.dist import get_spec
 from c235.geometry import (
     build_coframe,
     conformal_rescale_check,
+    coframe_for_spec,
     curvature,
     elementary_frame_jets,
-    flatness_suite,
     metric_at,
     sample_points,
+    weyl_ratio,
 )
 from c235.jets import jet_pow, jet_var
 
 POINT4 = (0.3, -0.2, 0.5, 0.7)
+# the Weyl ratio's tolerance: it has units of 1/lam^2, and flat cases read up to 4e-9
+WEYL_TOL = 1e-7
 ELEMENTARY = get_spec("F-elementary-r")
 # the displayed rescaling belongs to the unmixed pair (z1, z2), constants (1, 0, 0, 1)
 UNMIXED = replace(ELEMENTARY, params={"constants": (1, 0, 0, 1)})
@@ -48,9 +52,9 @@ def main():
     print()
     for case in ("F-power-1/3", "F-power-3"):
         spec = get_spec(case)
-        worst = max(flatness_suite(spec, sample_points(spec, 5, seed=0))["weyl_flatness"])
+        worst = max(weyl_ratio(metric_at(coframe_for_spec(spec, sample_points(spec, 5, seed=0)))))
         print(f"{case}: worst Weyl ratio over 5 points = {worst:.3e} "
-              f"({'flat' if worst < DEFAULT_TOL else 'NOT flat'})")
+              f"({'flat' if worst < WEYL_TOL else 'NOT flat'})")
 
 if __name__ == "__main__":
     main()

@@ -11,6 +11,15 @@ curvature arrays need no finite differences; Riemann and Weyl are computed
 on their pair-form slots alone. The same functions serve one point or,
 along a leading axis of every array, many.
 
+The frame builders _F_coeffs and _legendre_frame, _coframe, metric_at and
+curvature run on float64 arrays and on object arrays of Fractions alike:
+arrays are allocated in the input's dtype, every constant is written once
+in exact numbers and multiplies an object array as such (a float copy
+serves the float path, with the same bits as ever), an object metric is
+inverted by exact elimination, and the finiteness guards apply to floating
+dtypes only. On Fractions the pipeline is exact, which is how the tests
+prove that the Weyl tensor is the sixth-order equation's left side.
+
 Conventions: Gamma^a_bc = (1/2) g^{ad}(d_b g_dc + d_c g_bd - d_d g_bc);
 R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + Gamma Gamma terms;
 Ricci_bd = R^a_bad.
@@ -20,23 +29,33 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 from typing import Tuple
 
 import numpy as np
 
 from .errors import C235Error, DegenerateError, SingularCoframeError, SingularMetricError
-from .jets import _TO_DERIVATIVES, Jet1, MJet2, _factorials
+from .jets import Jet1, MJet2, _factorials, _float_copy, _to_derivatives
 from .chazy import residual_6th, residual_ds6
 from .dist import SolutionSpec, F_jet, admissible
 from .specialfn import closed_form_solution
 
 DIM = 5
 
-# eta for g = 2 th1 th5 - 2 th2 th4 + (4/3) th3 th3
-ETA = np.zeros((5, 5))
-ETA[0, 4] = ETA[4, 0] = 1.0
-ETA[1, 3] = ETA[3, 1] = -1.0
-ETA[2, 2] = 4.0 / 3.0
+# eta for g = 2 th1 th5 - 2 th2 th4 + (4/3) th3 th3, exactly; ETA is its float copy
+ETA_EXACT = np.zeros((DIM, DIM), dtype=object)
+ETA_EXACT[0, 4] = ETA_EXACT[4, 0] = 1
+ETA_EXACT[1, 3] = ETA_EXACT[3, 1] = -1
+ETA_EXACT[2, 2] = Fraction(4, 3)
+ETA = _float_copy(ETA_EXACT)
+# the rational constants of the frame terms and of the Christoffel symbols, each as
+# (exact, double): float(Fraction(1, 40)) is the double 0.025
+_QUARTER, _FORTIETH, _HALF = ((f, float(f)) for f in (Fraction(1, 4), Fraction(1, 40), Fraction(1, 2)))
+
+
+def _constant(x: np.ndarray, constant: tuple):
+    """One of the rational constants in the number type of the array x: exact when x holds objects."""
+    return constant[0] if x.dtype == object else constant[1]
 
 
 # MatrixJet and CurvatureReport hold arrays, so they compare and hash by identity
@@ -79,8 +98,8 @@ PAIR_FORM = tuple(k.tolist() for k in np.triu_indices(len(BIVECTORS[0])))
 def _in_lam(D: np.ndarray) -> MatrixJet:
     """The (..., 3, m, n) stack of D, dD/dlam and d2D/dlam2 as a MatrixJet over (p, lam)."""
     batch, mn = D.shape[:-3], D.shape[-2:]
-    grad = np.zeros(batch + (2,) + mn)
-    hess = np.zeros(batch + (2, 2) + mn)
+    grad = np.zeros(batch + (2,) + mn, D.dtype)
+    hess = np.zeros(batch + (2, 2) + mn, D.dtype)
     grad[..., 1, :, :] = D[..., 1, :, :]
     hess[..., 1, 1, :, :] = D[..., 2, :, :]
     return MatrixJet(D[..., 0, :, :], grad, hess)
@@ -120,7 +139,7 @@ def _frame_coeffs(q_of: Jet1, F_of: Jet1) -> np.ndarray:
     """
     dq = q_of.derivative()
     jets = (q_of, F_of, dq, *_derivs_in_q(dq, F_of))
-    return np.stack([j.coeffs[..., :3] for j in jets], axis=-2) * _TO_DERIVATIVES
+    return _to_derivatives(np.stack([j.coeffs[..., :3] for j in jets], axis=-2))
 
 
 # the rows F' to F'''' of _frame_coeffs in the F picture: F^(k), F^(k+1), F^(k+2) for k = 1..4
@@ -129,9 +148,9 @@ _IN_Q_ROWS = np.arange(1, 5)[:, None] + np.arange(3)
 
 def _F_coeffs(q0, d: np.ndarray) -> np.ndarray:
     """_frame_coeffs of F(q) itself, lam = q, read from d = F, F', ..., F^(6) at q0."""
-    c = np.zeros(d.shape[:-1] + (7, 3))
+    c = np.zeros(d.shape[:-1] + (7, 3), d.dtype)
     c[..., 0, 0] = q0
-    c[..., 0, 1] = c[..., 2, 0] = 1.0
+    c[..., 0, 1] = c[..., 2, 0] = 1
     c[..., 1, :] = d[..., :3]
     c[..., 3:, :] = d[..., _IN_Q_ROWS]
     return c
@@ -148,7 +167,8 @@ def _in_q_frame(c: np.ndarray):
     u, Fpp, F3, F4 = (MJet2.from_packed(c[..., k, :]) for k in range(3, 7))
     s = Fpp.reciprocal()
     s2 = s * s
-    return c[..., :3, :], (u, s, F3 * s2 * 0.25, (F3 * F3 * 7.0 - Fpp * F4 * 4.0) * s2 * s * 0.025)
+    return c[..., :3, :], (u, s, F3 * s2 * _constant(c, _QUARTER),
+                           (F3 * F3 * 7 - Fpp * F4 * 4) * s2 * s * _constant(c, _FORTIETH))
 
 
 def _legendre_frame(t, d: np.ndarray):
@@ -160,47 +180,49 @@ def _legendre_frame(t, d: np.ndarray):
     no division of jets.
     """
     DegenerateError.raise_where(d[..., 2] == 0, "H'' = 0 at the basepoint")
-    w = np.empty(d.shape[:-1] + (3, 3))
+    w = np.empty(d.shape[:-1] + (3, 3), d.dtype)
     w[..., 0, :] = d[..., 1:4]
     w[..., 1, 0] = t * d[..., 1] - d[..., 0]
     w[..., 1, 1] = t * d[..., 2]
     w[..., 1, 2] = d[..., 2] + t * d[..., 3]
     w[..., 2, :] = d[..., 2:5]
-    u = np.zeros(d.shape[:-1] + (3,))
-    u[..., 0], u[..., 1] = t, 1.0
+    u = np.zeros(d.shape[:-1] + (3,), d.dtype)
+    u[..., 0], u[..., 1] = t, 1
     h2, h3, h4 = (MJet2.from_packed(d[..., k:k + 3]) for k in (2, 3, 4))
     r = h2.reciprocal()
-    return w, (MJet2.from_packed(u), h2, h3 * r * -0.25,
-               (h2 * h4 * 4.0 - h3 * h3 * 5.0) * r * r * r * 0.025)
+    return w, (MJet2.from_packed(u), h2, h3 * r * -_constant(d, _QUARTER),
+               (h2 * h4 * 4 - h3 * h3 * 5) * r * r * r * _constant(d, _FORTIETH))
 
 
 def _omegas(w, point4) -> MatrixJet:
     """The base 1-forms dy - p dx, dp - q dx, dz - F dx, q' dlam, dx; w holds q, F and q'.
 
-    Their partials are along (p, lam) alone, the last two coordinates.
+    Their partials are along (p, lam) alone, the last two coordinates. They
+    are in the number type of w, which point4 shares.
     """
-    p = np.asarray(point4, dtype=float)[..., 3]
-    D = np.zeros(p.shape + (3, DIM, DIM))
+    p = np.asarray(point4)[..., 3]
+    D = np.zeros(p.shape + (3, DIM, DIM), w.dtype)
     D[..., 0, 0, 0] = -p
-    D[..., 0, 0, 1] = D[..., 0, 1, 3] = D[..., 0, 2, 2] = D[..., 0, 4, 0] = 1.0
-    for i, a, k, sign in ((1, 0, 0, -1.0), (2, 0, 1, -1.0), (3, 4, 2, 1.0)):
+    D[..., 0, 0, 1] = D[..., 0, 1, 3] = D[..., 0, 2, 2] = D[..., 0, 4, 0] = 1
+    for i, a, k, sign in ((1, 0, 0, -1), (2, 0, 1, -1), (3, 4, 2, 1)):
         D[..., :, i, a] = sign * w[..., k, :]
     om = _in_lam(D)
-    om.grad[..., 0, 0, 0] = -1.0  # d(-p)/dp
+    om.grad[..., 0, 0, 0] = -1  # d(-p)/dp
     return om
 
 
 def _signed_slots(*placements) -> np.ndarray:
-    """The 5x5 table with `sign` at (i, j) for each (i, j, sign) placement, zero elsewhere."""
-    table = np.zeros((DIM, DIM))
+    """The 5x5 table of ints with `sign` at (i, j) for each (i, j, sign) placement, 0 elsewhere."""
+    table = np.zeros((DIM, DIM), dtype=object)
     for i, j, sign in placements:
         table[i, j] = sign
     return table
 
 
-# C of _frame_rows is _C_ONES plus each lam-term times its row of _C_SLOTS
-_C_ONES = _signed_slots((0, 0, 1), (2, 1, 1), (3, 3, 1), (3, 4, -1), (4, 3, -1))
-_C_SLOTS = np.stack([
+# C of _frame_rows is _C_ONES plus each lam-term times its row of _C_SLOTS: exact
+# tables of ints, and their float copies
+_C_ONES_EXACT = _signed_slots((0, 0, 1), (2, 1, 1), (3, 3, 1), (3, 4, -1), (4, 3, -1))
+_C_SLOTS_EXACT = np.stack([
     _signed_slots((0, 1, -1), (1, 1, 1)),  # s u
     _signed_slots((0, 2, 1), (1, 2, -1)),  # s
     _signed_slots((2, 1, -1)),  # u B
@@ -208,6 +230,7 @@ _C_SLOTS = np.stack([
     _signed_slots((3, 1, 1)),  # coef4 u
     _signed_slots((3, 2, -1)),  # coef4
 ]).reshape(6, DIM * DIM)
+_C_ONES, _C_SLOTS = _float_copy(_C_ONES_EXACT), _float_copy(_C_SLOTS_EXACT)
 
 
 def _frame_rows(u: MJet2, s: MJet2, B: MJet2, coef4: MJet2) -> MatrixJet:
@@ -218,8 +241,9 @@ def _frame_rows(u: MJet2, s: MJet2, B: MJet2, coef4: MJet2) -> MatrixJet:
     The entries are jets in lam alone: C's partials along p are zero.
     """
     terms = np.stack([t.derivatives() for t in (s * u, s, u * B, B, coef4 * u, coef4)], axis=-1)
-    C = (terms @ _C_SLOTS).reshape(terms.shape[:-1] + (DIM, DIM))
-    C[..., 0, :, :] += _C_ONES
+    exact = terms.dtype == object
+    C = (terms @ (_C_SLOTS_EXACT if exact else _C_SLOTS)).reshape(terms.shape[:-1] + (DIM, DIM))
+    C[..., 0, :, :] += _C_ONES_EXACT if exact else _C_ONES
     return _in_lam(C)
 
 
@@ -263,18 +287,47 @@ def _require_finite(x, error: type, what: str) -> None:
     No conditioning test is made: det theta = q'/F'' exactly, and the frame
     builders already raise where q' or F'' vanishes (H'' in the dual
     picture), while a cond bound would depend on the units of the coordinates.
+    Exact numbers (an object array) are always finite.
     """
+    if x.value.dtype.kind != "f":
+        return
     batch = x.value.shape[:-2]
     parts = np.concatenate([a.reshape(batch + (-1,)) for a in (x.value, x.grad, x.hess)], axis=-1)
     error.raise_where(~np.isfinite(parts).all(axis=-1), f"{what} is not finite at this point")
 
 
-def _inverse(G: np.ndarray) -> np.ndarray:
-    """np.linalg.inv of G, one matrix or a stack.
+def _exact_inverse(G: np.ndarray) -> np.ndarray:
+    """G^-1 of an object array of exact numbers, one matrix or a stack, by Gauss-Jordan
+    elimination with the first non-zero pivot: exact where the number type's / is, as a
+    Fraction's is. SingularMetricError marks the singular matrices."""
+    n = G.shape[-1]
+    out = np.empty_like(G)
+    singular = np.zeros(G.shape[:-2], dtype=bool)
+    for i in np.ndindex(singular.shape):
+        rows = [row + [int(j == k) for k in range(n)] for j, row in enumerate(G[i].tolist())]
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+            if pivot is None:
+                singular[i] = True
+                break
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            head = [x / rows[col][col] for x in rows[col]]
+            rows = [head if r == col else [x - row[col] * y for x, y in zip(row, head)]
+                    for r, row in enumerate(rows)]
+        else:
+            out[i] = np.array([row[n:] for row in rows], dtype=object)
+    SingularMetricError.raise_where(singular, "metric is singular at this point")
+    return out
 
-    Where it fails, SingularMetricError marks the exactly singular
+
+def _inverse(G: np.ndarray) -> np.ndarray:
+    """G^-1, one matrix or a stack: np.linalg.inv on floats, _exact_inverse on objects.
+
+    Where np.linalg.inv fails, SingularMetricError marks the exactly singular
     matrices, where LinAlgError would stop the whole stack.
     """
+    if G.dtype == object:
+        return _exact_inverse(G)
     try:
         return np.linalg.inv(G)
     except np.linalg.LinAlgError:
@@ -299,11 +352,12 @@ def metric_at(cf: MatrixJet) -> MatrixJet:
     written as a term plus its transpose, so dg is exactly symmetric.
     """
     _require_finite(cf, SingularCoframeError, "coframe")
-    EW = ETA @ cf.value
+    eta = ETA_EXACT if cf.value.dtype == object else ETA
+    EW = eta @ cf.value
     gT = cf.grad.swapaxes(-1, -2)  # [k, a, i]
     Y = gT @ EW[..., None, :, :]  # [k, a, b]
     Z = cf.hess.swapaxes(-1, -2) @ EW[..., None, None, :, :]  # [k, l, a, b]
-    X = gT[..., :, None, :, :] @ (ETA @ cf.grad)[..., None, :, :, :]  # [k, l, a, b]
+    X = gT[..., :, None, :, :] @ (eta @ cf.grad)[..., None, :, :, :]  # [k, l, a, b]
     return MatrixJet(
         cf.value.swapaxes(-1, -2) @ EW,
         Y + Y.swapaxes(-1, -2),
@@ -313,13 +367,13 @@ def metric_at(cf: MatrixJet) -> MatrixJet:
 
 def _lower_christoffel(dG):
     """Gamma_dbc = (d_b g_dc + d_c g_bd - d_d g_bc) / 2 from dG[..., k, a, b] = d_k g_ab."""
-    return 0.5 * (dG.swapaxes(-3, -2) + dG.swapaxes(-3, -1) - dG)
+    return _constant(dG, _HALF) * (dG.swapaxes(-3, -2) + dG.swapaxes(-3, -1) - dG)
 
 
 def padded_grad(g: MatrixJet) -> np.ndarray:
     """d_k g_ab along every coordinate k: g.grad in the last slots, zero in the others."""
     n = g.value.shape[-1]
-    dG = np.zeros(g.value.shape[:-2] + (n, n, n))
+    dG = np.zeros(g.value.shape[:-2] + (n, n, n), g.value.dtype)
     dG[..., n - g.grad.shape[-3]:, :, :] = g.grad
     return dG
 
@@ -349,17 +403,19 @@ def curvature(g: MatrixJet) -> CurvatureReport:
     differentiated only along the coordinates that g has partials in.
     SingularMetricError, with `rows` on a stack, marks the points where g
     is not finite, is singular, or has a curvature that is not finite:
-    every report it returns is finite.
+    every report it returns is finite. On an object array of Fractions
+    every tensor of the report is exact.
     """
     n, A = g.value.shape[-1], g.grad.shape[-3]
     batch = g.value.shape[:-2]
-    G = 0.5 * (g.value + g.value.swapaxes(-1, -2))
+    half = _constant(g.value, _HALF)
+    G = half * (g.value + g.value.swapaxes(-1, -2))
     _require_finite(g, SingularMetricError, "metric")
     ginv = _inverse(G)
     Glow = _lower_christoffel(padded_grad(g)).reshape(batch + (n, n * n))
     Gam = ginv @ Glow  # Gamma^a_(bc)
     # d_e Gamma^a_bc = g^ad (d_e Gamma_dbc - d_e g_df Gamma^f_bc), for the last A coordinates e
-    d2G = np.zeros(batch + (A, n, n, n))  # [e, l, a, b]: d_e d_l g_ab
+    d2G = np.zeros(batch + (A, n, n, n), g.hess.dtype)  # [e, l, a, b]: d_e d_l g_ab
     d2G[..., n - A:, :, :] = g.hess
     dGam = ginv[..., None, :, :] @ (
         _lower_christoffel(d2G).reshape(batch + (A, n, n * n)) - g.grad @ Gam[..., None, :, :])
@@ -368,14 +424,14 @@ def curvature(g: MatrixJet) -> CurvatureReport:
     X[..., n - A:, :, :] += dGam.reshape(batch + (A,) + (n,) * 3).swapaxes(-4, -3)
     Racdb = X - X.swapaxes(-3, -2)
     ricci = np.trace(Racdb, axis1=-4, axis2=-3)
-    ricci = 0.5 * (ricci + ricci.swapaxes(-1, -2))
+    ricci = half * (ricci + ricci.swapaxes(-1, -2))
     scalar = np.sum(ginv * ricci, axis=(-2, -1))
     # R_abcd = G_ae R^e_bcd on the pair-form slots
     rows, cols, first, second = _pair_form_slots(n)
     riemann = (G @ Racdb.reshape(batch + (n, n**3)))[..., rows, cols]
     # Weyl = R - G (Kulkarni-Nomizu) A, with A the Schouten tensor: slot by slot,
     # (G_ac A_bd + G_bd A_ac) - (G_ad A_bc + G_bc A_ad)
-    A = ricci / (n - 2) - (np.asarray(scalar) / (2 * (n - 1) * (n - 2)))[..., None, None] * G
+    A = ricci / (n - 2) - np.asarray(scalar)[..., None, None] / (2 * (n - 1) * (n - 2)) * G
     T = G.reshape(batch + (n * n,))[..., first] * A.reshape(batch + (n * n,))[..., second]
     weyl = riemann - ((T[..., 0, :] + T[..., 1, :]) - (T[..., 2, :] + T[..., 3, :]))
     summary = {
@@ -385,8 +441,9 @@ def curvature(g: MatrixJet) -> CurvatureReport:
         "scalar": scalar,
     }
     # a NaN or an inf in any tensor of the report reaches one of these four numbers
-    SingularMetricError.raise_where(~np.isfinite(list(summary.values())).all(axis=0),
-                                    "the metric's curvature is not finite at this point")
+    if G.dtype.kind == "f":
+        SingularMetricError.raise_where(~np.isfinite(list(summary.values())).all(axis=0),
+                                        "the metric's curvature is not finite at this point")
     return CurvatureReport(christoffel=Gam.reshape(batch + (n,) * 3), riemann=riemann,
                            ricci=ricci, weyl=weyl, **summary)
 
@@ -441,9 +498,14 @@ def frame_for_spec(spec: SolutionSpec, lam, jet: Jet1 | None = None):
     """
     if spec.family == "elementary_r":
         return _in_q_frame(_frame_coeffs(*elementary_frame_jets(spec, lam)))
-    jet = F_jet(spec, lam, FRAME_ORDER) if jet is None else jet
+    return jet_frame(spec.picture, F_jet(spec, lam, FRAME_ORDER) if jet is None else jet)
+
+
+def jet_frame(picture: str, jet: Jet1):
+    """The (w, terms) of _in_q_frame from a jet of F(q), lam = q, or in the
+    H picture of H(t), lam = t, of order FRAME_ORDER or more."""
     d = jet.coeffs[..., :FRAME_ORDER + 1] * _factorials(FRAME_ORDER + 1)
-    if spec.picture == "H_of_t":
+    if picture == "H_of_t":
         return _legendre_frame(jet.basepoint, d)
     return _in_q_frame(_F_coeffs(jet.basepoint, d))
 
@@ -527,29 +589,42 @@ def weyl_ratio(g: MatrixJet) -> np.ndarray:
     return rep.maxAbsWeyl / rep.metricScale
 
 
-def flatness_suite(spec: SolutionSpec, points) -> dict:
-    """Each point's two certificates for a catalog entry: its values, or the C235Error that
-    stopped each, as {"ode_residual_F" or "ode_residual_H": [...], "weyl_flatness": [...]}.
+def _on_frame(picture: str):
+    """A per_point stage that passes a jet stack on where its jet_frame is built and finite.
 
-    One F_jet(spec, lam, FRAME_ORDER) stack feeds the residual of the
-    entry's own sixth-order equation (by the Legendre duality the dual
-    residual of an F-picture jet is the same polynomial) and one coframe,
-    metric and curvature report. A point whose jet fails gets that error in both.
+    A jet that is itself not finite is passed on, for the residual to refuse.
+    The terms compute under np.errstate(all="ignore"), as in metric_at, so
+    that an overflow is refused at its point.
+    """
+    @np.errstate(all="ignore")
+    def stage(jet: Jet1) -> Jet1:
+        _, terms = jet_frame(picture, jet)
+        packed = np.concatenate([t.packed for t in terms], axis=-1)
+        overflow = np.isfinite(jet.coeffs).all(axis=-1) & ~np.isfinite(packed).all(axis=-1)
+        SingularCoframeError.raise_where(overflow, "frame is not finite at this point")
+        return jet
+    return stage
+
+
+def flatness_suite(spec: SolutionSpec, points) -> dict:
+    """Each point's flatness certificate for a catalog entry: its value, or the C235Error
+    that stopped it, as {"ode_residual_F" or "ode_residual_H": [...]}.
+
+    One F_jet(spec, lam, FRAME_ORDER) stack feeds the relative residual of
+    the entry's own sixth-order equation. By the Legendre duality the dual
+    residual of an F-picture jet is the same polynomial. No Weyl ratio is
+    computed: the metric's one frame Weyl component is exactly that
+    equation's left side over -100 F''^4 (+100 H''^8 in the dual picture),
+    an identity the tests prove in exact arithmetic, so the residual is the
+    scale-free form of the conformal-flatness certificate too. The identity
+    holds where that frame is defined, so a point whose jet_frame raises
+    (F'' or H'' is 0) or is not finite gets that error, not a residual.
     """
     pts = np.reshape(np.asarray(points, dtype=float), (-1, 5))
-    failed = [None] * len(pts)
-    jet, live = on_regular_rows(lambda lam: F_jet(spec, lam, FRAME_ORDER), pts[:, 4],
-                                np.arange(len(pts)), failed)
-
-    def coframes(at):
-        if at.size == live.size:  # no point has dropped out: no rows to take
-            return coframe_for_spec(spec, pts[at], jet)
-        return coframe_for_spec(spec, pts[at], _rows(jet, np.searchsorted(live, at)))
-
     name, residual = (("ode_residual_F", residual_6th) if spec.picture == "F_of_q"
                       else ("ode_residual_H", residual_ds6))
-    return {name: per_point((residual,), jet, live, failed),
-            "weyl_flatness": per_point((coframes, metric_at, weyl_ratio), live, live, failed)}
+    stages = (lambda lam: F_jet(spec, lam, FRAME_ORDER), _on_frame(spec.picture), residual)
+    return {name: per_point(stages, pts[:, 4], np.arange(len(pts)), [None] * len(pts))}
 
 
 def _frame_ricci(cf: MatrixJet, W):

@@ -29,7 +29,9 @@ MJet2 is an order-2 jet in the frame variable lam, packed in one array
 metric/curvature pipeline depend on lam alone. A product is one outer
 product of the packed operands times the constant table _PRODUCT, with one
 entry per term of the product rule; the reciprocal is a power series on
-that product.
+that product. MJet2 runs on float64 arrays and on object arrays of exact
+numbers (Fractions) alike: each constant table has an exact copy, which an
+object array is multiplied by, so a Fraction never meets a float.
 """
 
 from __future__ import annotations
@@ -421,20 +423,38 @@ def jet_invert(f: Jet1) -> Jet1:
 # --- order-2 jets in lam ---------------------------------------------
 
 
+def _float_copy(exact: np.ndarray) -> np.ndarray:
+    """The float64 copy of a table of exact numbers, read-only: each entry correctly rounded.
+
+    A constant table is written once in exact numbers (ints, Fractions), as an
+    object array that multiplies object arrays of exact numbers; a Fraction
+    times a float is a float, even where the float is 1.0. Float arrays are
+    multiplied by this copy.
+    """
+    floats = exact.astype(float)
+    floats.flags.writeable = False
+    return floats
+
+
 # the packed a b is the flattened outer(a, b) times _PRODUCT, one entry per term of
 # the product rule c = a b, c' = a b' + a' b, c'' = a b'' + a'' b + 2 a' b'
-_PRODUCT = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-                     [0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0],
-                     [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-_PRODUCT.flags.writeable = False
+_PRODUCT_EXACT = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                           [0, 1, 0], [0, 0, 2], [0, 0, 0],
+                           [0, 0, 1], [0, 0, 0], [0, 0, 0]], dtype=object)
+_PRODUCT = _float_copy(_PRODUCT_EXACT)
 # the first three Taylor coefficients times _TO_DERIVATIVES are the value, d/dlam and d2/dlam2
-_TO_DERIVATIVES = np.array([1.0, 1.0, 2.0])
-_TO_DERIVATIVES.flags.writeable = False
+_TO_DERIVATIVES_EXACT = np.array([1, 1, 2], dtype=object)
+_TO_DERIVATIVES = _float_copy(_TO_DERIVATIVES_EXACT)
+
+
+def _to_derivatives(c: np.ndarray) -> np.ndarray:
+    """The value, d/dlam and d2/dlam2 (..., 3) from Taylor coefficients c (..., >= 3), in c's number type."""
+    return c[..., :3] * (_TO_DERIVATIVES_EXACT if c.dtype == object else _TO_DERIVATIVES)
 
 
 def _packed_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     outer = a[..., None] * b[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (-1,)).dot(_PRODUCT)
+    return outer.reshape(outer.shape[:-2] + (-1,)).dot(_PRODUCT_EXACT if outer.dtype == object else _PRODUCT)
 
 
 class MJet2:
@@ -458,7 +478,7 @@ class MJet2:
             raise ValueError("need a univariate jet of order >= 2")
         if c.dtype.kind == "c":
             raise ValueError("metric coefficients must be real jets")
-        return MJet2.from_packed(c[..., :3] * _TO_DERIVATIVES)
+        return MJet2.from_packed(_to_derivatives(c))
 
     def derivatives(self) -> np.ndarray:
         """(..., 3): the value, first and second derivative."""
@@ -475,11 +495,14 @@ class MJet2:
 
     def reciprocal(self) -> "MJet2":
         """r (1 - e + e**2), with r = 1 / f(x0) and e = f r - 1: e has value 0, so
-        e**3 has no terms of order <= 2, and the 1 only sets the value r."""
+        e**3 has no terms of order <= 2, and the 1 only sets the value r.
+
+        The one is the dtype's own, so float64 stays float64 and a Fraction
+        stays exact."""
         DivisionByZeroJet.raise_where(self.packed[..., 0] == 0, "reciprocal of a zero-valued jet in lam")
-        r = 1.0 / self.packed[..., :1]
+        r = self.packed.dtype.type(1) / self.packed[..., :1]
         e = self.packed * r
-        e[..., 0] = 0.0
+        e[..., 0] = 0
         out = (_packed_product(e, e) - e) * r
         out[..., 0] = r[..., 0]
         return MJet2.from_packed(out)

@@ -12,25 +12,28 @@ and closed-form residuals, the dual frame by the chain rule in q and the
 curvature kernel on all n^4 slots, the curve branch y of H-ds-curve and its u,
 the Legendre map of solution pairs, the exact polynomial identities (the
 Legendre duality of the two sixth-order tables,
-and the twistor coordinate change), the Riemann, Weyl and Ricci identity
-checks, and the 4-metric potential data with its connection checks; also the
-frame inputs the geometry tests share (`identity_q`, `elementary_frame` and the
-elementary pair's flattening factor `omega_factor`). The package keeps the
-certificate path they check.
+and the twistor coordinate change), the exact identity between the frame
+Weyl tensor and the sixth-order left side at random rational points, the
+Weyl chain per catalog point (`weyl_flatness`), the Riemann, Weyl and Ricci
+identity checks, and the 4-metric potential data with its connection checks;
+also the frame inputs the geometry tests share (`identity_q`,
+`elementary_frame` and the elementary pair's flattening factor
+`omega_factor`). The package keeps the certificate path they check.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from c235 import geometry
-from c235.chazy import DUAL_SIXTH_ORDER, SchwarzTriple, _monomials
+from c235.chazy import SchwarzTriple
 from c235.dist import F_jet, SolutionSpec, get_spec
 from c235.errors import (
     BranchError,
@@ -912,36 +915,117 @@ def ricci_identity_check(q_of: Jet1, F_of: Jet1, point4) -> float:
     return float(max(err_44, err_off))
 
 
-def weyl_equals_residual_check(H_jets: Sequence[Jet1]):
-    """The single frame Weyl component against the sixth-order ODE LHS.
+def weyl_flatness(spec: SolutionSpec, points) -> list:
+    """Each point's weyl_ratio(metric_at(coframe_for_spec(spec, point))), or the C235Error
+    that stopped it: the Weyl chain on catalog points, one stack through per_point."""
+    pts = np.reshape(np.asarray(points, dtype=float), (-1, 5))
+    stages = (lambda p: geometry.coframe_for_spec(spec, p), metric_at, geometry.weyl_ratio)
+    return geometry.per_point(stages, pts, np.arange(len(pts)), [None] * len(pts))
 
-    The Weyl tensor of the dual-picture metric has one independent frame
-    component in the (theta^2, theta^5) slot; empirically it satisfies
-    C * (H'')^8 = LHS / 100 at every point for every H. Returns the
-    per-basepoint data and the relative spread of the normalised ratio.
+
+# --- the frame Weyl tensor is the sixth-order left side, exactly ---------------
+
+# The Schwartz-Zippel sample set S = {k / 2^16 : k an integer, |k| <= 2^31}, from which
+# each of the 12 inputs (the frame variable, the jet d[0..6] and point4) is drawn, E = d[2]
+# (F'' or H'') from S less 0: |S| - 1 = 2^32
+SZ_SCALE = 2 ** 16
+SZ_HALF_WIDTH = 2 ** 31
+SZ_DRAWS = 2 * SZ_HALF_WIDTH
+# d, the total degree of the polynomial each identity reduces to, per picture.
+#
+# Each quantity X of the exact pipeline is P / E^k with P a polynomial in the 12 inputs
+# of total degree <= n; write X ~ (n, k). A product adds both; a sum takes the larger k
+# and raises the other n by the difference; constants are (0, 0). The divisions are 1/E
+# (MJet2.reciprocal) and the two inverses, adj / det: C of _frame_rows is block
+# triangular with det -s, and the omegas have det +-q', so det theta = -+q'/F'', which
+# is -+1/E in the F picture (s = 1/F'', q' = 1) and -+E^2 in the H picture (s = q' = H''),
+# and det g = (4/3) det theta^2. Stage by stage, F picture | H picture:
+#   frame terms   s (2, 3), B (5, 6), coef4 (8, 9) | 1/H'' (2, 3), B (3, 3), coef4 (8, 9)
+#   C, omegas     (9, 9), (1, 0) | (11, 9), (2, 0)
+#   theta, g      (10, 9), (20, 18) | (13, 9), (26, 18)
+#   g^-1          (80, 70) | (104, 76)
+#   Gamma         (100, 88) | (130, 94)
+#   dGamma, R^a_bcd, Ricci   (200, 176) | (260, 188)
+#   scalar, Weyl  (280, 246), (320, 282) | (364, 264), (416, 300)
+#   theta^-1, M   (40, 35), (80, 70) | (52, 38), (104, 76)
+#   M P M^T       (480, 422) | (624, 452)
+# and the claimed values -LHS / (100 E^4) ~ (4, 4), LHS_dual / (100 E^8) ~ (4, 8), the
+# tables being homogeneous of degree 4. So each frame entry minus its claimed value, times
+# E^422 (E^452), is a polynomial of degree <= 480 (624). If it is not the zero polynomial,
+# a point drawn from S^12 is a zero of it with probability <= d / (|S| - 1) (Schwartz,
+# J. ACM 27 (1980); Zippel, EUROSAM 1979), and n independent points all are with
+# probability <= (d / (|S| - 1))^n.
+WEYL_IDENTITY_DEGREE = {"F_of_q": 480, "H_of_t": 624}
+# the slot of (theta^2, theta^5) among the bivectors, 0-based (1, 4)
+THETA25 = list(zip(*geometry.BIVECTORS)).index((1, 4))
+
+
+def sz_draw(rng: random.Random, nonzero: bool = False) -> Fraction:
+    """A uniform draw from the sample set S, or from S less 0."""
+    while True:
+        k = rng.randint(-SZ_HALF_WIDTH, SZ_HALF_WIDTH)
+        if k or not nonzero:
+            return Fraction(k, SZ_SCALE)
+
+
+def exact_table_value(table, d) -> Fraction:
+    """A sixth-order table's left side at the exact derivatives d[i] = y^(i)."""
+    return sum(Fraction(c) * math.prod(d[i] ** e for i, e in factors) for c, factors in table)
+
+
+def frame_pair_form(theta: np.ndarray, weyl: np.ndarray) -> np.ndarray:
+    """The 10 x 10 pair form of a Weyl tensor against the frame theta^i = theta[i, a] dx^a.
+
+    `weyl` holds C_abcd on curvature's PAIR_FORM slots. With e_i^a = (theta^-1)[a, i] the
+    frame vectors, C(e_i, e_j, e_k, e_l) on the bivectors is M P M^T, P the coordinate pair
+    form and M[(ij), (ab)] = e_i^a e_j^b - e_i^b e_j^a the Lambda^2 change of basis: three
+    10 x 10 products, not a sum over 5^8 terms. Exact on object arrays of Fractions.
     """
-    rows = []
-    for H in H_jets:
-        cf = dual_coframe(H, (0.1, -0.2, 0.3, 0.4))
-        rep = full_curvature(metric_at(cf))
-        Winv = np.linalg.inv(cf.value)  # the Weyl tensor's components against the frame
-        Cf = np.einsum("ai,bj,ck,dl,abcd->ijkl", Winv, Winv, Winv, Winv, rep.weyl)
-        comp = Cf[1, 4, 1, 4]  # the single independent slot (theta^2, theta^5)
-        d = [H.deriv(i) for i in range(7)]
-        lhs = sum(_monomials(DUAL_SIXTH_ORDER, d))
-        ratio = comp * d[2] ** 8 / lhs if lhs != 0.0 else None
-        rows.append(
-            {"t0": float(H.basepoint), "weyl": float(comp), "ode": float(lhs),
-             "ratio": None if ratio is None else float(ratio)}
-        )
-    ratios = np.array([r["ratio"] for r in rows if r["ratio"] is not None])
-    if ratios.size == 0:
-        spread = 0.0
-        mean = 0.0
-    else:
-        mean = float(np.mean(ratios))
-        spread = float(np.max(np.abs(ratios - mean)) / abs(mean)) if mean != 0 else float("inf")
-    return {"rows": rows, "ratioMean": mean, "ratioSpread": spread}
+    E = geometry._inverse(theta).T
+    a, b = (np.array(k) for k in geometry.BIVECTORS)
+    M = E[np.ix_(a, a)] * E[np.ix_(b, b)] - E[np.ix_(a, b)] * E[np.ix_(b, a)]
+    P = np.empty((a.size, a.size), dtype=weyl.dtype)
+    i, j = geometry.PAIR_FORM
+    P[i, j] = P[j, i] = weyl
+    return M @ P @ M.T
+
+
+def exact_frame_weyl(picture: str, rng: random.Random):
+    """(pair form, d): the frame Weyl pair form of the catalog coframe at a random point of
+    S^12, built in exact arithmetic by geometry's own frame, coframe, metric and curvature,
+    and the jet d = F, ..., F^(6) (H, ..., H^(6)) it was built from."""
+    d = np.array([sz_draw(rng, nonzero=k == 2) for k in range(7)], dtype=object)
+    lam0 = sz_draw(rng)
+    point4 = np.array([sz_draw(rng) for _ in range(4)], dtype=object)
+    frame = (geometry._in_q_frame(geometry._F_coeffs(lam0, d)) if picture == "F_of_q"
+             else geometry._legendre_frame(lam0, d))
+    cf = geometry._coframe(*frame, point4)
+    rep = geometry.curvature(metric_at(cf))
+    assert all(type(x) is Fraction for x in rep.weyl), "the exact pipeline met a float"
+    return frame_pair_form(cf.value, rep.weyl), d
+
+
+def claimed_weyl(picture: str, table, d) -> Fraction:
+    """C(theta^2, theta^5, theta^2, theta^5) as the table's left side gives it:
+    -LHS / (100 F''^4) in the F picture, +LHS_dual / (100 H''^8) in the H picture."""
+    lhs = exact_table_value(table, d)
+    return -lhs / (100 * d[2] ** 4) if picture == "F_of_q" else lhs / (100 * d[2] ** 8)
+
+
+def weyl_identity_misses(picture: str, table, points: int, seed: int) -> list:
+    """The points, of `points` random ones, where the frame Weyl tensor is not exactly the
+    claimed value on the (theta^2, theta^5) slot and 0 on every other slot: [] proves the
+    identity for `table` but with probability <= (d / (|S| - 1))^points (see
+    WEYL_IDENTITY_DEGREE)."""
+    rng = random.Random(seed)
+    misses = []
+    for k in range(points):
+        C, d = exact_frame_weyl(picture, rng)
+        want = np.zeros_like(C)
+        want[THETA25, THETA25] = claimed_weyl(picture, table, d)
+        if not (C == want).all():
+            misses.append(k)
+    return misses
 
 
 # --- the 4-metric potential, its connection forms and the twistor coordinate change ---

@@ -15,7 +15,7 @@ import pytest
 import c235
 from c235 import cli, dist, errors, geometry
 from c235.cli import main
-from oracles import CLOSED_FORMS, expand_report, full_curvature, pair_form
+from oracles import CLOSED_FORMS, expand_report, full_curvature, pair_form, weyl_flatness
 
 
 def run(capsys, *argv):
@@ -87,14 +87,14 @@ def test_verify_all_honours_expect_fail(capsys):
 
 
 def test_verify_reports_one_ode_residual_per_picture(capsys):
-    # each point of a case has its picture's own ODE residual and the Weyl
-    # check: the dual residual of an F-picture jet is, by the Legendre
-    # duality, the same polynomial as its own, and is not reported again
+    # each point of a case has its picture's own ODE residual and nothing
+    # else: the dual residual of an F-picture jet is, by the Legendre
+    # duality, the same polynomial as its own, and the frame Weyl tensor is,
+    # by the exact identity test_geometry proves, that polynomial too
     code, payload, _ = run_json(capsys, "verify", "--points", "3", "--json")
     assert code == 0
-    assert payload["version"] == cli.REPORT_VERSION == 3
-    names = {"F_of_q": ("ode_residual_F", "weyl_flatness"),
-             "H_of_t": ("ode_residual_H", "weyl_flatness")}
+    assert payload["version"] == cli.REPORT_VERSION == 4
+    names = {"F_of_q": ("ode_residual_F",), "H_of_t": ("ode_residual_H",)}
     assert len(payload["cases"]) == len(dist.catalog())
     for case in payload["cases"]:
         picture = dist.get_spec(case["id"]).picture
@@ -111,7 +111,9 @@ def test_verify_deterministic(capsys):
 
 def test_verify_tol_env(capsys, monkeypatch):
     monkeypatch.setenv("C235_TOL", "1e-20")
-    code, payload, _ = run_json(capsys, "verify", "--case", "F-power-2", "--points", "2", "--json")
+    # q^(1/3) reads round-off, which nothing gets below 1e-20; F-power-2 reads exactly 0,
+    # since F''' = 0 zeroes every monomial of the sixth-order equation
+    code, payload, _ = run_json(capsys, "verify", "--case", "F-power-1/3", "--points", "2", "--json")
     assert payload["config"]["tol"] == 1e-20
     assert code == 1  # nothing is flat to 1e-20
 
@@ -127,7 +129,7 @@ def test_verify_builds_each_jet_once(capsys, monkeypatch):
         monkeypatch.setattr(mod, "F_jet", counted)
     code, payload, _ = run_json(capsys, "verify", "--case", "F-power-1/3", "--points", "10", "--json")
     assert code == 0
-    assert len(payload["cases"][0]["checks"]) == 20
+    assert len(payload["cases"][0]["checks"]) == 10
     # one call covers the 10 points
     assert len(calls) == 1
     assert np.shape(calls[0][1]) == (10,)
@@ -142,20 +144,49 @@ def _one_nan_row(spec, param, *args, **kwargs):
 
 
 def test_verify_reports_a_singular_coframe(capsys, monkeypatch):
-    # a jet that is not finite at one point stops each of that point's checks
-    # alone, as an error entry: the report is still written
+    # a jet that is not finite at one point stops that point's check alone, as
+    # an error entry: the report is still written. The Weyl chain refuses the
+    # same point's coframe, and no other
     for mod in (cli, geometry):
         monkeypatch.setattr(mod, "F_jet", _one_nan_row)
     code, payload, _ = run_json(capsys, "verify", "--case", "F-power-1/3", "--points", "10", "--json")
     assert code == 1
     assert payload["summary"] == {"passed": 0, "failed": 1}
     errors = [c for c in payload["cases"][0]["checks"] if "error" in c]
-    residual = "DegenerateError: residual is not finite at this point"
     assert errors == [
-        {"name": name, "point": 3, "value": None, "tol": cli.DEFAULT_TOL, "pass": False,
-         "error": error}
-        for name, error in (("ode_residual_F", residual),
-                            ("weyl_flatness", "SingularCoframeError: coframe is not finite at this point"))]
+        {"name": "ode_residual_F", "point": 3, "value": None, "tol": cli.DEFAULT_TOL, "pass": False,
+         "error": "DegenerateError: residual is not finite at this point"}]
+    spec = dist.get_spec("F-power-1/3")
+    weyl = weyl_flatness(spec, geometry.sample_points(spec, 10, 0))
+    assert [(i, f"{type(r).__name__}: {r}") for i, r in enumerate(weyl) if isinstance(r, geometry.C235Error)] == [
+        (3, "SingularCoframeError: coframe is not finite at this point")]
+    assert all(r < 1e-7 for r in weyl if not isinstance(r, geometry.C235Error))
+
+
+@pytest.mark.parametrize("case_id", ["F-power-1/3", "H-power-2"])
+@pytest.mark.parametrize("second, error", [
+    (0.0, "DegenerateError: {}'' = 0 at the basepoint"),
+    (1e-320, "SingularCoframeError: frame is not finite at this point")])
+def test_verify_refuses_a_point_off_the_frame(capsys, monkeypatch, case_id, second, error):
+    # the residual certifies flatness only where the frame of the Weyl identity is
+    # built: F'' = 0 (H'' = 0) at point 3, or a frame that overflows there, gives
+    # that point an error entry, and every other point its residual
+    def second_derivative_at_3(spec, param, *args, **kwargs):
+        jet = dist.F_jet(spec, param, *args, **kwargs)
+        coeffs = jet.coeffs.copy()
+        coeffs[3, 2] = second
+        return dataclasses.replace(jet, coeffs=coeffs)
+
+    for mod in (cli, geometry):
+        monkeypatch.setattr(mod, "F_jet", second_derivative_at_3)
+    code, payload, _ = run_json(capsys, "verify", "--case", case_id, "--points", "10", "--json")
+    assert code == 1
+    checks = payload["cases"][0]["checks"]
+    assert [c["point"] for c in checks] == list(range(10))
+    assert [c for c in checks if "error" in c] == [
+        {"name": "ode_residual_" + case_id[0], "point": 3, "value": None, "tol": cli.DEFAULT_TOL,
+         "pass": False, "error": error.format(case_id[0])}]
+    assert all(c["pass"] for c in checks if c["point"] != 3)
 
 
 def test_verify_and_flatness_suite_share_the_runner(capsys, monkeypatch):
@@ -175,10 +206,11 @@ def test_verify_and_flatness_suite_share_the_runner(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, "verify", "--case", spec.id, "--points", "10", "--json")
     assert code == 1
     assert calls == [spec.id]
-    suite = suite_of(spec, geometry.sample_points(spec, 10, 0))
-    assert list(suite) == ["ode_residual_F", "weyl_flatness"]
+    pts = geometry.sample_points(spec, 10, 0)
+    suite = suite_of(spec, pts)
+    assert list(suite) == ["ode_residual_F"]
     assert isinstance(suite["ode_residual_F"][3], errors.DegenerateError)
-    assert isinstance(suite["weyl_flatness"][3], errors.SingularCoframeError)
+    assert isinstance(weyl_flatness(spec, pts)[3], errors.SingularCoframeError)
     assert payload["cases"][0]["checks"] == [
         cli._check(name, i, cli.DEFAULT_TOL, r)
         for name, outcomes in suite.items() for i, r in enumerate(outcomes)]
@@ -195,9 +227,24 @@ def test_verify_passes_by_a_zero_of_z1(capsys, monkeypatch):
     assert code == 0
     assert payload["summary"] == {"passed": 1, "failed": 0}
     checks = payload["cases"][0]["checks"]
-    # an H-picture case has an ODE residual and a flatness check per point
-    assert len(checks) == 2 * 40
+    # an H-picture case has one ODE residual per point
+    assert len(checks) == 40
     assert all(c["pass"] and "error" not in c for c in checks)
+    # and the Weyl chain reads the metric flat at every one of those points
+    ratios = weyl_flatness(spec, geometry.sample_points(spec, 40, 0))
+    assert all(isinstance(r, float) and r < 1e-7 for r in ratios)
+
+
+def test_verify_builds_no_coframe_metric_or_curvature(capsys, monkeypatch):
+    # the frame Weyl tensor is the residual's left side (test_geometry proves it
+    # exactly), so verify certifies each point once, by the residual alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify reached the coframe, metric or curvature")
+
+    for name in ("coframe_for_spec", "metric_at", "curvature", "weyl_ratio"):
+        monkeypatch.setattr(geometry, name, refuse)
+    code, payload, _ = run_json(capsys, "verify", "--points", "3", "--json")
+    assert code == 0 and payload["summary"]["failed"] == 0
 
 
 def test_verify_makes_no_svd(capsys, monkeypatch):
@@ -209,6 +256,32 @@ def test_verify_makes_no_svd(capsys, monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     code, _, _ = run(capsys, "verify", "--case", "H-power--2", "--points", "50", "--json")
     assert code == 0
+
+
+# near-flat members, each a flat catalog member with one parameter moved by 1e-8: the
+# residual grows like eps times a family's sensitivity (3.6e-3 for the power laws), which
+# puts each far above DEFAULT_TOL's 1e-11 and far below the 1e-7 that it used to be
+EPS = 1e-8
+NEAR_FLAT = {
+    "F-power-2/3": lambda p: {"m": p["m"] + EPS},
+    "H-power-1/2": lambda p: {"m": p["m"] + EPS},
+    "F-schwarz-(3,3,3)": lambda p: {**p, "exponents": (p["exponents"][0] + EPS, p["exponents"][1])},
+    "H-schwarz-(4/3,4/3,4/3)": lambda p: {**p, "exponents": (p["exponents"][0] + EPS, p["exponents"][1])},
+    "F-triple-(-4/3,5/3,2/3)": lambda p: {**p, "abc": dist.HyperTriple(p["abc"].a + EPS, p["abc"].b, p["abc"].c)},
+}
+
+
+@pytest.mark.parametrize("case_id", NEAR_FLAT)
+def test_verify_fails_near_flat_members(case_id):
+    # on verify's own path, at 10 points for each of seeds 0-9: the member fails on its
+    # residual alone, with no error entry, where the flat member itself passes
+    flat = dist.get_spec(case_id)
+    near = dataclasses.replace(flat, params=NEAR_FLAT[case_id](flat.params))
+    for seed in range(10):
+        case = cli._verify_case(near, 10, cli.DEFAULT_TOL, seed)
+        assert case["pass"] is False, (case_id, seed)
+        assert {(c["name"], "error" in c) for c in case["checks"]} == {("ode_residual_" + case_id[0], False)}
+        assert cli._verify_case(flat, 10, cli.DEFAULT_TOL, seed)["pass"], (case_id, seed)
 
 
 @pytest.mark.parametrize("failing", [{3}, set(range(10))], ids=["one-point", "every-point"])
@@ -226,13 +299,15 @@ def test_verify_reports_a_failing_jet(capsys, monkeypatch, failing):
     assert code == 1
     checks = payload["cases"][0]["checks"]
     errors = [c for c in checks if "error" in c]
-    assert sorted((c["name"], c["point"]) for c in errors) == sorted(
-        (name, i) for i in failing
-        for name in ("ode_residual_F", "weyl_flatness"))
+    assert sorted((c["name"], c["point"]) for c in errors) == [("ode_residual_F", i) for i in sorted(failing)]
     for c in errors:
         assert c["value"] is None and c["pass"] is False
         assert c["error"].startswith("DomainError: no jet at ")
     assert all(c["pass"] for c in checks if "error" not in c)
+    # the Weyl chain meets the same failing jets, at the same points alone
+    weyl = weyl_flatness(dist.get_spec("F-power-1/3"), pts)
+    assert {i for i, r in enumerate(weyl) if isinstance(r, dist.DomainError)} == failing
+    assert all(r < 1e-7 for r in weyl if not isinstance(r, geometry.C235Error))
 
 
 def test_main_builds_the_parser_once(capsys):

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from c235 import dist, geometry
-from c235.chazy import reduce_F_to_I, residual_6th, residual_ds6, residual_gen_chazy
+from c235.chazy import (
+    DUAL_SIXTH_ORDER,
+    SIXTH_ORDER,
+    reduce_F_to_I,
+    residual_6th,
+    residual_ds6,
+    residual_gen_chazy,
+)
 from c235.dist import F_jet, catalog, dual_residual, get_spec, legendre_transform
 from c235.cli import DEFAULT_TOL
 from c235.errors import (
@@ -46,6 +53,8 @@ from c235.geometry import (
 from c235.jets import _TO_DERIVATIVES, Jet1, jet_const, jet_var
 
 from oracles import (
+    SZ_DRAWS,
+    WEYL_IDENTITY_DEGREE,
     PlebanskiData,
     ReferenceJet2,
     RoundoffScale,
@@ -63,11 +72,19 @@ from oracles import (
     plebanski_metric,
     ricci_identity_check,
     riemann_symmetry_error,
-    weyl_equals_residual_check,
+    weyl_flatness,
+    weyl_identity_misses,
     weyl_trace_error,
 )
 
 POINT4 = (0.3, -0.2, 0.5, 0.7)
+# the bound on the Weyl ratio, which has units; DEFAULT_TOL (1e-11) bounds the residual
+WEYL_TOL = 1e-7
+
+
+def both_certificates(spec, pts) -> dict:
+    """flatness_suite's residual and the Weyl chain's ratio at each point, by check name."""
+    return {**flatness_suite(spec, pts), "weyl_flatness": weyl_flatness(spec, pts)}
 
 
 def power_F(q0: float, a: float, order: int = 8) -> Jet1:
@@ -350,7 +367,7 @@ def test_batched_geometry_matches_single_point(spec):
     # the domain end of H-power--2 the flat certificate depends on it
     assert np.array_equal(g.grad, g.grad.swapaxes(-1, -2)), spec.id
     rep = curvature(g)
-    suite = flatness_suite(spec, pts)["weyl_flatness"]
+    suite = weyl_flatness(spec, pts)
     for i, pt in enumerate(pts):
         cf1 = coframe_for_spec(spec, pt)
         g1 = metric_at(cf1)
@@ -373,11 +390,12 @@ def test_flatness_suite_reports_singular_rows(monkeypatch):
     jet = Jet1(jet.basepoint, jet.coeffs * [[1.0], [np.nan], [1.0]])
     with monkeypatch.context() as m:
         m.setattr(geometry, "F_jet", lambda *args: jet)
-        out = flatness_suite(spec, pts)
-    for name, error, text in (("ode_residual_F", DegenerateError, "residual is not finite at this point"),
-                              ("weyl_flatness", SingularCoframeError, "coframe is not finite at this point")):
+        out = both_certificates(spec, pts)
+    for name, error, text, tol in (
+            ("ode_residual_F", DegenerateError, "residual is not finite at this point", DEFAULT_TOL),
+            ("weyl_flatness", SingularCoframeError, "coframe is not finite at this point", WEYL_TOL)):
         assert isinstance(out[name][1], error) and str(out[name][1]) == text
-        assert all(r < DEFAULT_TOL for i, r in enumerate(out[name]) if i != 1)
+        assert all(r < tol for i, r in enumerate(out[name]) if i != 1)
     with pytest.raises(SingularCoframeError):
         metric_at(coframe_for_spec(spec, pts[1], jet=Jet1(jet.basepoint[1], jet.coeffs[1])))
     # a stack raises with the mask of its singular rows
@@ -405,10 +423,10 @@ def test_flatness_suite_keeps_the_points_around_one_whose_curvature_overflows():
     # at p = 1e200 the metric is finite and its curvature is not; the stack's
     # other two points still get their ratios, with RuntimeWarnings as errors
     pts = [(0.1, 0.2, 0.3, 0.4, 1.5), (0.1, 0.2, 0.3, 1e200, 1.5), (0.1, 0.2, 0.3, 0.5, 2.0)]
-    out = flatness_suite(get_spec("F-power--1"), pts)["weyl_flatness"]
+    out = weyl_flatness(get_spec("F-power--1"), pts)
     assert isinstance(out[1], SingularMetricError)
     assert str(out[1]) == "the metric's curvature is not finite at this point"
-    assert all(isinstance(out[i], float) and out[i] < DEFAULT_TOL for i in (0, 2))
+    assert all(isinstance(out[i], float) and out[i] < WEYL_TOL for i in (0, 2))
 
 
 def reference_coframe_H(H: Jet1, point4):
@@ -846,12 +864,33 @@ def test_conformal_rescale_rejects_nonpositive_nu():
 # --- the single Weyl component law -----------------------------------------
 
 
-def test_weyl_residual_ratio_is_point_stable():
-    # C (H'')^8 = LHS / 100 exactly, so the ratio is 1/100 up to round-off
-    for make_H in (lambda t: t ** 3, lambda t: t ** 5 - t ** 3, lambda t: t ** 4 + t):
-        out = weyl_equals_residual_check([make_H(jet_var(t0, 8)) for t0 in (0.8, 1.3, 2.1)])
-        assert out["ratioSpread"] < 1e-12
-        assert abs(out["ratioMean"] - 0.01) < 1e-12 * 0.01
+# random rational points per picture at which the identity is proved
+WEYL_IDENTITY_POINTS = 3
+PICTURE_TABLES = (("F_of_q", SIXTH_ORDER), ("H_of_t", DUAL_SIXTH_ORDER))
+
+
+def test_weyl_tensor_is_the_ode_left_side_exactly():
+    # geometry's own frame, coframe, metric and curvature on Fractions, at random points
+    # of S^12 (oracles.WEYL_IDENTITY_DEGREE): the frame Weyl tensor is 0 but on the
+    # orbit of (theta^2, theta^5, theta^2, theta^5), where it is -LHS/(100 F''^4) in the
+    # F picture and +LHS_dual/(100 H''^8) in the H picture, with no tolerance
+    n = WEYL_IDENTITY_POINTS
+    for picture, table in PICTURE_TABLES:
+        assert weyl_identity_misses(picture, table, n, seed=0) == [], picture
+        p = WEYL_IDENTITY_DEGREE[picture] / SZ_DRAWS
+        print(f"[weyl identity] {picture}: degree d <= {WEYL_IDENTITY_DEGREE[picture]}, "
+              f"|S| - 1 = 2^32: a false identity passes one point with probability "
+              f"<= d/(|S| - 1) = {p:.2e}, all {n} points <= {p ** n:.1e}")
+
+
+def test_weyl_identity_sees_a_wrong_coefficient():
+    # the (y'')^2 (y'''')^2 coefficient one more, -51 -> -50 and -49 -> -48: every point misses
+    for picture, table in PICTURE_TABLES:
+        old = next(c for c, factors in table if factors == ((2, 2), (4, 2)))
+        wrong = tuple((c + 1 if c == old else c, factors) for c, factors in table)
+        assert wrong != table
+        misses = weyl_identity_misses(picture, wrong, WEYL_IDENTITY_POINTS, seed=0)
+        assert misses == list(range(WEYL_IDENTITY_POINTS)), picture
 
 
 def test_weyl_residual_both_vanish_for_flat_H():
@@ -869,8 +908,8 @@ def test_weyl_residual_both_vanish_for_flat_H():
 def test_flatness_suite_over_catalog():
     for spec in catalog():
         pts = sample_points(spec, 3, seed=11)
-        out = flatness_suite(spec, pts)
-        assert list(out) == [f"ode_residual_{spec.picture[0]}", "weyl_flatness"], spec.id
+        assert list(flatness_suite(spec, pts)) == [f"ode_residual_{spec.picture[0]}"], spec.id
+        out = both_certificates(spec, pts)
         for name, values in out.items():
             assert not any(isinstance(r, C235Error) for r in values), (spec.id, name, values)
             if spec.expect_fail:
@@ -894,14 +933,15 @@ def test_dense_sweep_certifies_every_case(spec):
     # none is needed: no point of the grid fails, both checks of every flat case
     # read well below the tolerance, and each negative control's far above it
     pts = sweep_points(spec)
-    for name, out in flatness_suite(spec, pts).items():
+    tols = {"weyl_flatness": WEYL_TOL}
+    for name, out in both_certificates(spec, pts).items():
         errors = [r for r in out if isinstance(r, C235Error)]
         assert not errors, (name, errors[0])
         values = np.array(out)
         if spec.expect_fail:
             assert values.min() > 1e-3, (name, pts[np.argmin(values), 4])
         else:
-            assert values.max() < DEFAULT_TOL / 3, (name, pts[np.argmax(values), 4])
+            assert values.max() < tols.get(name, DEFAULT_TOL) / 3, (name, pts[np.argmax(values), 4])
 
 
 def test_sample_points_respect_domain_and_seed():
@@ -998,7 +1038,7 @@ def test_the_reduction_refuses_the_rows_where_F2_vanishes():
 def test_a_bad_row_gets_its_error_and_the_others_their_values(monkeypatch):
     spec = get_spec("F-schwarz-(3,3,3)")
     pts = np.array(sample_points(spec, 6, seed=3))
-    alone = [flatness_suite(spec, pts[i:i + 1]) for i in range(6)]
+    alone = [both_certificates(spec, pts[i:i + 1]) for i in range(6)]
     # a residual is already relative: a stack's rounding moves it by a few 1e-16
     bounds = {"ode_residual_F": {"abs": 1e-14}, "weyl_flatness": {"rel": 1e-9, "abs": 1e-20}}
 
@@ -1015,7 +1055,7 @@ def test_a_bad_row_gets_its_error_and_the_others_their_values(monkeypatch):
     with pytest.raises(DomainError) as exc:
         F_jet(spec, outside[:, 4])
     assert exc.value.rows.tolist() == [i == 2 for i in range(6)]
-    check(flatness_suite(spec, outside), {2}, DomainError)
+    check(both_certificates(spec, outside), {2}, DomainError)
     # a per-row BranchError deep inside F_jet, at points 0 and 4: the Schwarz
     # denominator's first power, jet_pow(s, e1), sees the s of each point as its value
     power = dist.jet_pow
@@ -1030,7 +1070,7 @@ def test_a_bad_row_gets_its_error_and_the_others_their_values(monkeypatch):
     assert live.tolist() == [1, 2, 3, 5]
     assert [type(e).__name__ for e in found] == [
         "BranchError", "NoneType", "NoneType", "NoneType", "BranchError", "NoneType"]
-    check(flatness_suite(spec, pts), {0, 4}, BranchError, "made to fail here")
+    check(both_certificates(spec, pts), {0, 4}, BranchError, "made to fail here")
 
 
 def test_frame_coeffs_builds_dq_once(monkeypatch):
