@@ -17,11 +17,14 @@ import numpy as np
 from .errors import DegenerateError, InvalidParam, PoleError
 from .jets import (
     Jet1,
+    _factorials,
     _jet,
+    _matvec,
+    _naturals,
     _shape,
     _toeplitz,
+    _unit,
     jet_const,
-    jet_invert,
     jet_log,
     jet_var,
     solve_lower,
@@ -120,26 +123,50 @@ class SchwarzTriple:
 def schwarz_solution(tr: SchwarzTriple, s0, order: int = 8) -> Jet1:
     """An s(q) jet solving the Schwarzian equation for the triple tr.
 
-    Solves u'' + V(s) u / 4 = 0 twice, as jets in s with the initial data
-    (u1, u1', u2, u2') = (1, 0, 0.3, 1) at s0 (one point, or a stack), a
-    pair of Wronskian 1, forms q(s) = u2/u1 and inverts. Works uniformly
-    in the triple, including (0, 0, 0).
+    Solves u'' + V(s) u / 4 = 0 once, as a jet in s with (u1, u1') = (1, 0)
+    at s0 (one point, or a stack). The solution u2 with data (0.3, 1) has
+    Wronskian 1 against u1, so q = u2/u1 sits at q0 = 0.3 and dq/ds = 1/u1^2:
+    s(q) solves ds/dq = w(s) with w = u1^2, and by the chain rule
+    s^(k+1)(q0) = (w d/ds)^k w at s0: A^k w for the fixed matrix
+    A = T(w) diag(1..n) (after a shift), whose powers come by squaring.
+    Works uniformly in the triple, including (0, 0, 0).
     """
     DegenerateError.raise_where((s0 == 0) | (s0 == 1), "s0 in {0,1}")
-    n = order + 2
-    V = schwarz_potential(*tr.as_floats(), s0, n).coeffs
-    # L u = (u_0, u_1, 0, ...), row k + 2 the coefficient of s^k in u'' + V u / 4:
+    n = max(order, 3)  # w to order n - 1 needs u1 to order n - 1 and V to order n - 3
+    V = schwarz_potential(*tr.as_floats(), s0, n - 3).coeffs
+    # L u = (1, 0, 0, ...), row k + 2 the coefficient of s^k in u'' + V u / 4:
     # (k+2)(k+1) u_{k+2} + sum_{m <= k} V_m u_{k-m} / 4 = 0
-    k = np.arange(n + 1)
-    L = np.zeros(_shape(s0) + (n + 1, n + 1))
-    L[..., 2:, :-2] = 0.25 * _toeplitz(V[..., :-2])
-    L[..., k, k] = np.maximum(k * (k - 1), 1)
-    # both solutions in one solve, along an axis before the coefficients
-    r = np.zeros((2, n + 1))
-    r[:, :2] = ((1.0, 0.0), (0.3, 1.0))
-    u = solve_lower(L[..., None, :, :], r)
-    ua, ub = _jet(s0, u[..., 0, :]), _jet(s0, u[..., 1, :])
-    return jet_invert((ub / ua).truncate(order))
+    L = np.zeros(_shape(s0) + (n, n))
+    L[..., 2:, :-2] = 0.25 * _toeplitz(V)
+    L += _recurrence_diagonal(n)
+    u = solve_lower(L, _unit(n))
+    w = _matvec(_toeplitz(u), u)
+    # A h is w h' truncated to n terms, so column j of H, A^j w, holds (w d/ds)^j w
+    # up to s^(n-1-j); columns m..2m-1 are A^m times columns 0..m-1, A^m by squaring
+    A = np.zeros_like(L)
+    A[..., 1:] = _toeplitz(w)[..., :-1] * _naturals(n - 1)
+    H = np.empty(_shape(s0) + (n, order))
+    H[..., 0] = w
+    m = 1
+    while m < order:
+        k = min(m, order - m)
+        H[..., m : m + k] = A @ H[..., :k]
+        m *= 2
+        if m < order:
+            A = A @ A
+    c = np.empty(_shape(s0) + (order + 1,))
+    c[..., 0] = s0
+    c[..., 1:] = H[..., 0, :] / _factorials(order + 1)[1:]
+    return _jet(np.full(_shape(s0), 0.3)[()], c)
+
+
+@functools.cache
+def _recurrence_diagonal(n: int) -> np.ndarray:
+    """The read-only diagonal matrix of schwarz_solution's recurrence: max(k (k - 1), 1) at (k, k)."""
+    k = np.arange(n)
+    D = np.diag(np.maximum(k * (k - 1), 1.0))
+    D.flags.writeable = False
+    return D
 
 
 def two_pole_solution(k: Fraction | float, B: float, C: float, x0, order: int = 6) -> Jet1:

@@ -18,7 +18,21 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BranchError, DegenerateError, DomainError, UnknownCaseId
-from .jets import Jet1, jet_compose, jet_invert, jet_pow, jet_var
+from .jets import (
+    Jet1,
+    _jet,
+    _matvec,
+    _naturals,
+    _per_row,
+    _toeplitz,
+    _unit,
+    jet_compose,
+    jet_invert,
+    jet_pow,
+    jet_var,
+    real_branch_power,
+    solve_lower,
+)
 from .chazy import SchwarzTriple, residual_ds6, schwarz_solution
 from .specialfn import HyperTriple, closed_form_solution, hypergeom_pair
 
@@ -219,6 +233,32 @@ def _second_derivative_chain(pair, power: int) -> Jet1:
     return jet_compose(z1 ** power, s_of_q)
 
 
+def _schwarz_second_derivative(s: Jet1, p, e1, e2, f0) -> Jet1:
+    """F'' (H'') = sdot^p / (s^e1 (1 - s)^e2) over the jet s(q), valued f0 at q0.
+
+    Its logarithmic derivative gives M f' = R f with M = sdot s (1 - s) and
+    R = p sddot s (1 - s) + sdot^2 (e2 s - e1 (1 - s)): one triangular
+    solve, whose row k + 1 is sum_j (j M_{k+1-j} - R_{k-j}) f_j = 0. M and R
+    are known to the order of sddot, so f is to the order of sdot.
+    """
+    n = s.order
+    m = n - 1
+    c = s.coeffs
+    sd = c[..., 1:] * _naturals(n)
+    x, sdd, sd = c[..., :m], sd[..., 1:] * _naturals(m), sd[..., :m]
+    P = x - _matvec(_toeplitz(x), x)
+    fe1 = float(e1)
+    lin = (fe1 + float(e2)) * x
+    lin[..., 0] -= fe1
+    T = _toeplitz(sd)
+    R = float(p) * _matvec(_toeplitz(sdd), P) + _matvec(T, _matvec(T, lin))
+    L = np.zeros(c.shape[:-1] + (n, n))
+    L[..., 1:, 1:] = _toeplitz(_matvec(T, P)) * _naturals(m)
+    L[..., 1:, :-1] -= _toeplitz(R)
+    L[..., 0, 0] = 1.0
+    return _jet(s.basepoint, _per_row(f0) * solve_lower(L, _unit(n)))
+
+
 def admissible(spec: SolutionSpec, point):
     """`point`, a float or a float array, once every basepoint in it lies in spec.domain.
 
@@ -263,15 +303,12 @@ def F_jet(spec: SolutionSpec, point, order: int = 8) -> Jet1:
         return _double_antiderivative(_second_derivative_chain(pair, 3))
     if fam == "schwarz_triple_param":
         e1, e2 = spec.params["exponents"]
-        pw = spec.params["power"]
         s = schwarz_solution(spec.params["triple"], point, order)
-        sdot = s.derivative()
-        BranchError.raise_where(sdot.value() <= 0, "sdot <= 0: outside the restricted real branch")
-        num = jet_pow(sdot, pw)
         # (s - 1)^e2 = (-1)^e2 (1 - s)^e2, a constant factor, which the degree-4
-        # homogeneous sixth-order equations ignore; 1 - s > 0 on the s-domain
-        den = jet_pow(s, e1) * jet_pow(1.0 - s, e2)
-        return _double_antiderivative(num / den)
+        # homogeneous sixth-order equations ignore; 1 - s > 0 on the s-domain.
+        # sdot is 1 at q0, so F''(q0) = 1 / (s^e1 (1 - s)^e2)
+        den = real_branch_power(point, e1) * real_branch_power(1.0 - point, e2)
+        return _double_antiderivative(_schwarz_second_derivative(s, spec.params["power"], e1, e2, 1.0 / den))
     if fam == "two_pole":
         B, C = spec.params["B"], spec.params["C"]
         DomainError.raise_where(point <= max(-B, -C), "the real branch starts past both poles")

@@ -49,8 +49,10 @@ ETA_EXACT[1, 3] = ETA_EXACT[3, 1] = -1
 ETA_EXACT[2, 2] = Fraction(4, 3)
 ETA = _float_copy(ETA_EXACT)
 # the rational constants of the frame terms and of the Christoffel symbols, each as
-# (exact, double): float(Fraction(1, 40)) is the double 0.025
+# (exact, double): float(Fraction(1, 40)) is the double 0.025. A Python int on a
+# float array costs more than a float under numpy, so the integers have doubles too
 _QUARTER, _FORTIETH, _HALF = ((f, float(f)) for f in (Fraction(1, 4), Fraction(1, 40), Fraction(1, 2)))
+_FOUR, _FIVE, _SEVEN = ((k, float(k)) for k in (4, 5, 7))
 
 
 def _constant(x: np.ndarray, constant: tuple):
@@ -167,8 +169,8 @@ def _in_q_frame(c: np.ndarray):
     u, Fpp, F3, F4 = (MJet2.from_packed(c[..., k, :]) for k in range(3, 7))
     s = Fpp.reciprocal()
     s2 = s * s
-    return c[..., :3, :], (u, s, F3 * s2 * _constant(c, _QUARTER),
-                           (F3 * F3 * 7 - Fpp * F4 * 4) * s2 * s * _constant(c, _FORTIETH))
+    four, seven, quarter, fortieth = (_constant(c, k) for k in (_FOUR, _SEVEN, _QUARTER, _FORTIETH))
+    return c[..., :3, :], (u, s, F3 * s2 * quarter, (F3 * F3 * seven - Fpp * F4 * four) * s2 * s * fortieth)
 
 
 def _legendre_frame(t, d: np.ndarray):
@@ -190,8 +192,8 @@ def _legendre_frame(t, d: np.ndarray):
     u[..., 0], u[..., 1] = t, 1
     h2, h3, h4 = (MJet2.from_packed(d[..., k:k + 3]) for k in (2, 3, 4))
     r = h2.reciprocal()
-    return w, (MJet2.from_packed(u), h2, h3 * r * -_constant(d, _QUARTER),
-               (h2 * h4 * 4 - h3 * h3 * 5) * r * r * r * _constant(d, _FORTIETH))
+    four, five, quarter, fortieth = (_constant(d, k) for k in (_FOUR, _FIVE, _QUARTER, _FORTIETH))
+    return w, (MJet2.from_packed(u), h2, h3 * r * -quarter, (h2 * h4 * four - h3 * h3 * five) * r * r * r * fortieth)
 
 
 def _omegas(w, point4) -> MatrixJet:
@@ -204,8 +206,9 @@ def _omegas(w, point4) -> MatrixJet:
     D = np.zeros(p.shape + (3, DIM, DIM), w.dtype)
     D[..., 0, 0, 0] = -p
     D[..., 0, 0, 1] = D[..., 0, 1, 3] = D[..., 0, 2, 2] = D[..., 0, 4, 0] = 1
-    for i, a, k, sign in ((1, 0, 0, -1), (2, 0, 1, -1), (3, 4, 2, 1)):
-        D[..., :, i, a] = sign * w[..., k, :]
+    D[..., :, 1, 0] = -w[..., 0, :]
+    D[..., :, 2, 0] = -w[..., 1, :]
+    D[..., :, 3, 4] = w[..., 2, :]
     om = _in_lam(D)
     om.grad[..., 0, 0, 0] = -1  # d(-p)/dp
     return om

@@ -364,20 +364,13 @@ def _power_series(f: Jet1, e: float, g0) -> Jet1:
     return _jet(f.basepoint, _per_row(g0) * solve_lower(L, _unit(n)))
 
 
-def jet_pow(f: Jet1, e) -> Jet1:
-    """f**e for a real (or Fraction) exponent, the package's one real-power kernel.
+def real_branch_power(lead, e):
+    """lead**e for the leading coefficients lead of a real jet (one point, or a row per point).
 
     Real branch rule: a positive base takes the real power; a negative
     base is accepted only for Fraction exponents p/q with q odd, where the
     real q-th root is used; other negative-base cases raise BranchError.
-    Complex jets use the principal branch.
     """
-    if isinstance(e, Fraction) and e.denominator == 1:
-        return jet_pow_int(f, int(e))
-    lead = f.coeffs.T[0]
-    DivisionByZeroJet.raise_where(lead == 0, "fractional power of a jet with zero value")
-    if f.is_complex:
-        return _power_series(f, float(e), np.power(lead, float(e)))
     odd_root = isinstance(e, Fraction) and e.denominator % 2 == 1
     if not odd_root:
         BranchError.raise_where(lead < 0, lambda: f"negative base with exponent {e} has no real branch")
@@ -386,7 +379,22 @@ def jet_pow(f: Jet1, e) -> Jet1:
     g0 = np.power(abs(lead), float(e))
     if odd_root and e.numerator % 2:  # the real odd root keeps the sign of the base
         g0 = g0 * np.sign(lead) if isinstance(lead, np.ndarray) else (-g0 if lead < 0 else g0)
-    return _power_series(f, float(e), g0)
+    return g0
+
+
+def jet_pow(f: Jet1, e) -> Jet1:
+    """f**e for a real (or Fraction) exponent, the package's one real-power kernel.
+
+    A real jet starts on the branch real_branch_power picks; complex jets
+    use the principal branch.
+    """
+    if isinstance(e, Fraction) and e.denominator == 1:
+        return jet_pow_int(f, int(e))
+    lead = f.coeffs.T[0]
+    DivisionByZeroJet.raise_where(lead == 0, "fractional power of a jet with zero value")
+    if f.is_complex:
+        return _power_series(f, float(e), np.power(lead, float(e)))
+    return _power_series(f, float(e), real_branch_power(lead, e))
 
 
 def jet_compose(outer: Jet1, inner: Jet1) -> Jet1:

@@ -16,6 +16,7 @@ from c235.chazy import (
     schwarz_solution,
     two_pole_solution,
 )
+from c235.dist import catalog
 from c235.errors import DegenerateError, InvalidParam, PoleError, ZeroWronskianError
 from c235.jets import Jet1, jet_const, jet_var
 from c235.specialfn import HyperTriple, hypergeom_pair
@@ -165,6 +166,25 @@ def test_schwarz_solution_satisfies_schwarzian(trip):
     tr = SchwarzTriple(*trip)
     s = schwarz_solution(tr, 0.35)
     assert residual_schwarzian(s, tr) < 1e-10
+
+
+@pytest.mark.parametrize("spec", [s for s in catalog() if s.family == "schwarz_triple_param"], ids=lambda s: s.id)
+def test_schwarz_solution_starts_with_unit_speed(spec):
+    # ds/dq = u1^2 and u1(s0) = 1: sdot(q0) is exactly 1, so F'' needs no branch test on it
+    tr = spec.params["triple"]
+    assert schwarz_solution(tr, 0.35).coeffs[1] == 1.0
+    stack = schwarz_solution(tr, np.linspace(0.05, 0.95, 7)).coeffs
+    assert np.all(stack[..., 1] == 1.0)
+
+
+def test_schwarz_solution_refuses_the_poles_of_V():
+    tr = SchwarzTriple(3, 3, 3)
+    for s0 in (0.0, 1.0):
+        with pytest.raises(DegenerateError):
+            schwarz_solution(tr, s0)
+    with pytest.raises(DegenerateError) as exc:
+        schwarz_solution(tr, np.array([0.5, 1.0, 0.0, 0.2]))
+    assert exc.value.rows.tolist() == [False, True, True, False]
 
 
 def test_omega_system_residual():

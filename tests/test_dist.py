@@ -12,6 +12,7 @@ from c235.jets import jet_invert, jet_pow, jet_var
 from c235.specialfn import HyperTriple, hyp2f1_jet, hypergeom_pair
 
 from oracles import closed_form_pair, ds_curve_solution, ds_curve_u, legendre_pair_map, weyl_flatness
+from test_parity import F_JET_REL, former_schwarz_F_jet
 
 
 # --- catalog integrity -----------------------------------------------------
@@ -167,6 +168,21 @@ def test_schwarz_family_refuses_a_negative_base_past_s_1():
     assert str(exc.value) == text
     # below s = 1 the widened entry is the catalog's own
     assert np.array_equal(F_jet(wide, 0.7).coeffs, F_jet(spec, 0.7).coeffs)
+
+
+def test_schwarz_family_takes_an_odd_root_past_s_1():
+    # e2 = 4/3 has the real cube root: past s = 1 the base 1 - s is negative and
+    # (1 - s)^(4/3) positive, as jet_pow takes it in the former construction
+    spec = get_spec("H-schwarz-(2/3,1/2,1/3)")
+    assert spec.params["exponents"] == (Fraction(1), Fraction(4, 3))
+    wide = replace(spec, domain=(0.05, 1.5))
+    pts = np.array([0.5, 1.2, 0.7, 1.45])
+    stack = F_jet(wide, pts).coeffs
+    for i, s0 in enumerate(pts):
+        one = F_jet(wide, float(s0)).coeffs
+        former = former_schwarz_F_jet(wide, float(s0)).coeffs
+        assert np.all(np.abs(one - former) <= F_JET_REL * np.max(np.abs(former)))
+        assert np.allclose(stack[i], one, rtol=1e-13, atol=0)
 
 
 # --- the two-pole class: F-two-pole, H-two-pole and H-ds-curve ----------------

@@ -1056,15 +1056,15 @@ def test_a_bad_row_gets_its_error_and_the_others_their_values(monkeypatch):
         F_jet(spec, outside[:, 4])
     assert exc.value.rows.tolist() == [i == 2 for i in range(6)]
     check(both_certificates(spec, outside), {2}, DomainError)
-    # a per-row BranchError deep inside F_jet, at points 0 and 4: the Schwarz
-    # denominator's first power, jet_pow(s, e1), sees the s of each point as its value
-    power = dist.jet_pow
+    # a per-row BranchError deep inside F_jet, at points 0 and 4: the branch rule of
+    # the Schwarz denominator's first power, s^e1, sees the s of each point as its base
+    power = dist.real_branch_power
 
-    def flaky(f, e):
-        BranchError.raise_where(np.isin(f.value(), pts[[0, 4], 4]), "made to fail here")
-        return power(f, e)
+    def flaky(lead, e):
+        BranchError.raise_where(np.isin(lead, pts[[0, 4], 4]), "made to fail here")
+        return power(lead, e)
 
-    monkeypatch.setattr(dist, "jet_pow", flaky)
+    monkeypatch.setattr(dist, "real_branch_power", flaky)
     found = [None] * 6
     _, live = on_regular_rows(lambda p: F_jet(spec, p), pts[:, 4], np.arange(6), found)
     assert live.tolist() == [1, 2, 3, 5]
