@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DegenerateError, InvalidParam, PoleError
 from .jets import (
     Jet1,
+    _doubling,
     _factorials,
     _jet,
     _matvec,
@@ -128,7 +129,8 @@ def schwarz_solution(tr: SchwarzTriple, s0, order: int = 8) -> Jet1:
     Wronskian 1 against u1, so q = u2/u1 sits at q0 = 0.3 and dq/ds = 1/u1^2:
     s(q) solves ds/dq = w(s) with w = u1^2, and by the chain rule
     s^(k+1)(q0) = (w d/ds)^k w at s0: A^k w for the fixed matrix
-    A = T(w) diag(1..n) (after a shift), whose powers come by squaring.
+    A = T(w) diag(1..n) (after a shift), whose powers come by squaring in
+    jets._doubling, the loop under jet_compose and jet_invert too.
     Works uniformly in the triple, including (0, 0, 0).
     """
     DegenerateError.raise_where((s0 == 0) | (s0 == 1), "s0 in {0,1}")
@@ -142,18 +144,12 @@ def schwarz_solution(tr: SchwarzTriple, s0, order: int = 8) -> Jet1:
     u = solve_lower(L, _unit(n))
     w = _matvec(_toeplitz(u), u)
     # A h is w h' truncated to n terms, so column j of H, A^j w, holds (w d/ds)^j w
-    # up to s^(n-1-j); columns m..2m-1 are A^m times columns 0..m-1, A^m by squaring
+    # up to s^(n-1-j)
     A = np.zeros_like(L)
     A[..., 1:] = _toeplitz(w)[..., :-1] * _naturals(n - 1)
     H = np.empty(_shape(s0) + (n, order))
     H[..., 0] = w
-    m = 1
-    while m < order:
-        k = min(m, order - m)
-        H[..., m : m + k] = A @ H[..., :k]
-        m *= 2
-        if m < order:
-            A = A @ A
+    _doubling(A, H)
     c = np.empty(_shape(s0) + (order + 1,))
     c[..., 0] = s0
     c[..., 1:] = H[..., 0, :] / _factorials(order + 1)[1:]

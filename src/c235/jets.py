@@ -137,23 +137,29 @@ def solve_lower(L: np.ndarray, r: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L[..., ::-1, ::-1], r[..., ::-1, None])[..., ::-1, 0]
 
 
-def _powers(u: np.ndarray) -> np.ndarray:
-    """(..., n, n) matrices whose column j holds the coefficients of u**j, for u (..., n).
+def _doubling(M: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out's columns 1..k-1 with M v, ..., M**(k-1) v, v its column 0, in place; return out.
 
-    Columns m..2m-1 are T(u)**m times columns 0..m-1, with T(u)**m by squaring.
+    Columns m..2m-1 are M**m times columns 0..m-1, with M**m by squaring.
+    The caller allocates out (..., n, k), in the dtype it wants.
     """
+    k = out.shape[-1]
+    m = 1
+    while m < k:
+        j = min(m, k - m)
+        out[..., m : m + j] = M @ out[..., :j]
+        m *= 2
+        if m < k:
+            M = M @ M
+    return out
+
+
+def _powers(u: np.ndarray) -> np.ndarray:
+    """(..., n, n) matrices whose column j holds the coefficients of u**j, for u (..., n)."""
     n = u.shape[-1]
-    T = _toeplitz(u)
     P = np.zeros(u.shape + (n,), u.dtype)
     P[..., 0, 0] = 1.0
-    m = 1
-    while m < n:
-        k = min(m, n - m)
-        P[..., m : m + k] = T @ P[..., :k]
-        m *= 2
-        if m < n:
-            T = T @ T
-    return P
+    return _doubling(_toeplitz(u), P)
 
 
 # compared and hashed by identity: == of its arrays would have no truth value

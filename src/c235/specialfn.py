@@ -341,13 +341,22 @@ def schwarz_potential(alpha: float, beta: float, gamma: float, s0, order: int) -
     1/(s0 - 1) are Python floats.
     """
     DivisionByZeroJet.raise_where((s0 == 0) | (s0 == 1), "V has double poles at s = 0 and s = 1")
-    k = np.arange(order + 1)
+    k, k1 = _indices(order)
     s = s0 if isinstance(s0, float) else np.asarray(s0)[..., None]
     x, y = 1.0 / s, 1.0 / (s - 1.0)
     inv_s, inv_sm1 = x * (-x) ** k, y * (-y) ** k
     a2, b2, g2 = alpha**2, beta**2, gamma**2
-    double_poles = (k + 1) * ((1 - b2) * x * inv_s + (1 - g2) * y * inv_sm1)
+    double_poles = k1 * ((1 - b2) * x * inv_s + (1 - g2) * y * inv_sm1)
     return _jet(s0, double_poles + (b2 + g2 - a2 - 1) * (inv_sm1 - inv_s))
+
+
+@functools.cache
+def _indices(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The read-only float vectors k = 0..order and k + 1 of schwarz_potential's series."""
+    k = np.arange(order + 1.0)
+    k1 = k + 1
+    k.flags.writeable = k1.flags.writeable = False
+    return k, k1
 
 
 # --- the elementary pair in r -----------------------------------------
@@ -409,36 +418,46 @@ def wronskian_check(
 
 # --- transformation identities -----------------------------------------
 
-TRANSFORM_KINDS = (
-    "euler",
-    "quadratic",
-    "cubic",
-    "degree4",
-    "degree6",
-    "frac_linear_1ms",
-    "frac_linear_s_over_sm1",
-)
 # At s = 1/2 the degree6 map t(s) reaches t = 1, a singular point of the
 # target equation, with dt/ds = 0, so inverting t(s) loses every digit
 # there. The check rejects the open interval (start, start + width) around it,
 # and the CLI's sampler steps over it.
 DEGREE6_GAP = (0.49, 0.02)
-# each kind's two triples: the two sides of a function identity, or the
-# summed 2F1 and the target equation of an algebraic map
-_IDENTITY_TRIPLES = {
+_W = complex(-0.5, 0.5 * math.sqrt(3.0))  # a cube root of unity
+# Each kind: the summed triple p, the target triple, where a sample s0 sits in s,
+# t(s), and the prefactor b(s)**e as (b, e). Each identity says that
+# b(s)**e 2F1(p; s), as a function of t, solves the target hypergeometric
+# equation; euler and quadratic say that 2F1(p; s) = b(s)**e 2F1(target; t(s))
+# as values.
+_IDENTITIES = {
     "euler": (HyperTriple(Frac(-7, 6), Frac(-8, 3), Frac(2, 3)),
-              HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3))),
+              HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)),
+              lambda s0: s0, lambda s: s, lambda s: 1.0 - s, 4.5),
     "quadratic": (HyperTriple(Frac(1, 6), Frac(1, 6), Frac(2, 3)),
-                  HyperTriple(Frac(1, 12), Frac(1, 12), Frac(2, 3))),
-    "cubic": (HyperTriple(-4, -1, -2), HyperTriple(Frac(-4, 3), -1, -2)),
+                  HyperTriple(Frac(1, 12), Frac(1, 12), Frac(2, 3)),
+                  lambda s0: s0, lambda s: 4.0 * s * (1.0 - s), lambda s: 1.0 - s, 0),
+    # the prefactor carries the conjugate root: (1 + conj(w) s) is proportional
+    # to (s + w), and constants drop out of the linear ODE
+    "cubic": (HyperTriple(-4, -1, -2), HyperTriple(Frac(-4, 3), -1, -2), lambda s0: s0 + 0j,
+              lambda s: 3.0 * (2.0 * _W + 1.0) * s * (s - 1.0) / ((s + _W) * (s + _W) * (s + _W)),
+              lambda s: s + _W, -4),
     "degree4": (HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)),
-                HyperTriple(Frac(5, 6), Frac(-2, 3), Frac(2, 3))),
-    "degree6": (HyperTriple(-4, -1, -2), HyperTriple(Frac(-1, 3), Frac(-2, 3), Frac(-1, 2))),
+                HyperTriple(Frac(5, 6), Frac(-2, 3), Frac(2, 3)),
+                lambda s0: s0, lambda s: -s * (s + 8.0) ** 3 / (64.0 * (1.0 - s) ** 3),
+                lambda s: 1.0 - s, 2.5),
+    "degree6": (HyperTriple(-4, -1, -2), HyperTriple(Frac(-1, 3), Frac(-2, 3), Frac(-1, 2)),
+                lambda s0: s0, lambda s: 27.0 * (s * (s - 1.0)) ** 2 / (4.0 * (s * s - s + 1.0) ** 3),
+                lambda s: 1.0 - s + s * s, -2),
+    # t = 1 - s and t = s/(s - 1) are involutions: a sample s0 of t sits at s = t(s0)
     "frac_linear_1ms": (HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(1, 2)),
-                        HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(2, 3))),
+                        HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(2, 3)),
+                        lambda s0: 1.0 - s0, lambda s: 1.0 - s, lambda s: 1.0 - s, Frac(0)),
     "frac_linear_s_over_sm1": (HyperTriple(Frac(-4, 3), -1, Frac(2, 3)),
-                               HyperTriple(Frac(-4, 3), Frac(5, 3), Frac(2, 3))),
+                               HyperTriple(Frac(-4, 3), Frac(5, 3), Frac(2, 3)),
+                               lambda s0: s0 / (s0 - 1.0), lambda s: s / (s - 1.0),
+                               lambda s: 1.0 - s, Frac(-4, 3)),
 }
+TRANSFORM_KINDS = tuple(_IDENTITIES)
 
 
 def _mapped_solution_residual(z: Jet1, t_of_s: Jet1, prefactor: Jet1, target: HyperTriple):
@@ -450,59 +469,23 @@ def _mapped_solution_residual(z: Jet1, t_of_s: Jet1, prefactor: Jet1, target: Hy
 def transform_identity_check(kind: str, s0):
     """Relative mismatch of the named transformation identity at s0.
 
-    s0 is one point, giving a float, or a stack, giving one value per point. Function
-    identities (euler, quadratic) compare both displayed sides; the algebraic-map identities
-    check that the mapped solution, a jet of order 6, satisfies the target hypergeometric ODE.
+    s0 is one point, giving a float, or a stack, giving one value per point.
+    The value identities (euler, quadratic) compare both sides' values, jets
+    of order 0. Every other kind maps its solution into t by composing with
+    the inverse of t(s), at order 2, all the target equation reads.
     """
-    if kind not in _IDENTITY_TRIPLES:
+    if kind not in _IDENTITIES:
         raise ValueError(f"unknown transformation kind {kind!r}")
-    p, target = _IDENTITY_TRIPLES[kind]
+    p, target, at, t_of, base, e = _IDENTITIES[kind]
     s0 = np.asarray(s0, dtype=float) if np.ndim(s0) else float(s0)
-    order = 6
-    if kind == "euler":
-        lhs = hyp2f1_jet(p, s0, 2).value()
-        rhs = (1 - s0) ** 4.5 * hyp2f1_jet(target, s0, 2).value()
-        return relative_residual([lhs, -rhs])
-    if kind == "quadratic":
-        lhs = hyp2f1_jet(p, s0, 2).value()
-        rhs = hyp2f1_jet(target, 4 * s0 * (1 - s0), 2).value()
-        return relative_residual([lhs, -rhs])
-    if kind == "cubic":
-        w = complex(-0.5, 0.5 * np.sqrt(3.0))  # cube root of unity
-        sc = s0 + 0j
-        s = jet_var(sc, order)
-        z = hyp2f1_jet(p, sc, order)
-        t = 3.0 * (2.0 * w + 1.0) * s * (s - 1.0) / ((s + w) * (s + w) * (s + w))
-        # the prefactor carries the conjugate root: (1 + conj(w) s) is
-        # proportional to (s + w), and constants drop out of the linear ODE
-        pref = jet_pow(s + w, -4)
-        return _mapped_solution_residual(z, t, pref, target)
-    if kind == "degree4":
-        s = jet_var(s0, order)
-        z = hyp2f1_jet(p, s0, order)
-        t = -s * (s + 8.0) ** 3 / (64.0 * (1.0 - s) ** 3)
-        pref = jet_pow(1.0 - s, 2.5)
-        return _mapped_solution_residual(z, t, pref, target)
     if kind == "degree6":
         lo, width = DEGREE6_GAP
-        hi = lo + width
         SingularPointError.raise_where(
-            (s0 > lo) & (s0 < hi),
-            lambda: f"degree6 is not checked on ({lo}, {hi}), around t(1/2) = 1")
-        s = jet_var(s0, order)
-        z = hyp2f1_jet(p, s0, order)
-        t = 27.0 * (s * (s - 1.0)) ** 2 / (4.0 * (s * s - s + 1.0) ** 3)
-        pref = jet_pow(1.0 - s + s * s, -2)
-        return _mapped_solution_residual(z, t, pref, target)
-    if kind == "frac_linear_1ms":
-        z = hyp2f1_jet(p, 1.0 - s0, order)
-        flipped = Jet1(s0, z.coeffs * (-1.0) ** np.arange(z.order + 1))
-        return hypergeom_residual(flipped, target)
-    # frac_linear_s_over_sm1
-    t = jet_var(s0, order)
-    s = t / (t - 1.0)
-    z_in_s = hyp2f1_jet(p, s.value(), order)
-    z = jet_compose(z_in_s, s)
-    pref = jet_pow(1.0 - s, Frac(-4, 3))
-    zt = pref * z
-    return hypergeom_residual(zt, target)
+            (s0 > lo) & (s0 < lo + width),
+            lambda: f"degree6 is not checked on ({lo}, {lo + width}), around t(1/2) = 1")
+    s = at(s0)
+    if kind in ("euler", "quadratic"):
+        rhs = base(s) ** e * hyp2f1_jet(target, t_of(s), 0).value()
+        return relative_residual([hyp2f1_jet(p, s, 0).value(), -rhs])
+    x = jet_var(s, 2)
+    return _mapped_solution_residual(hyp2f1_jet(p, s, 2), t_of(x), jet_pow(base(x), e), target)

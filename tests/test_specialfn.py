@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from c235 import specialfn
+from c235 import cli, specialfn
 from c235.dist import catalog
 from c235.errors import (
     BranchError,
@@ -152,7 +152,7 @@ def test_a_series_far_from_its_asymptotics_sums_more_terms(p):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (order, s0)
 
 
-@pytest.mark.parametrize("order", [2, 6, 8])
+@pytest.mark.parametrize("order", [0, 2, 6, 8])
 @pytest.mark.parametrize("p", SERIES_TRIPLES, ids=HyperTriple.label)
 def test_stacked_jets_equal_single_point_jets(p, order, monkeypatch):
     s0 = np.concatenate([np.linspace(-0.99, 0.99, 23), JET_POINTS])
@@ -407,6 +407,16 @@ def test_transformation_identities(kind):
 def test_quadratic_identity_branch():
     # beyond the branch point the two sides genuinely differ
     assert transform_identity_check("quadratic", 0.8) > 1e-3
+
+
+@pytest.mark.parametrize("kind", [k for k in TRANSFORM_KINDS if k != "quadratic"])
+def test_identity_fails_with_its_prefactor_exponent_moved(kind, monkeypatch):
+    # through the table both recipes read: euler's 4.5 becomes 4.6, and each mapped
+    # kind's b(s)**e gets e + 0.1 (frac_linear_1ms, with e = 0, a (1 - s)**0.1)
+    row = specialfn._IDENTITIES[kind]
+    monkeypatch.setitem(specialfn._IDENTITIES, kind, row[:-1] + (row[-1] + 0.1,))
+    s0 = cli._identity_samples(kind, np.random.default_rng(0), 200)
+    assert transform_identity_check(kind, s0).min() > 1e-6
 
 
 def test_unknown_transform_kind():
