@@ -27,6 +27,7 @@ from .errors import (
     DegenerateError,
     DivisionByZeroJet,
     LinearDependenceError,
+    NonInvertibleJet,
     PoleError,
     SeriesDomainError,
     SingularPointError,
@@ -36,8 +37,6 @@ from .jets import (
     Jet1,
     _jet,
     _shape,
-    jet_compose,
-    jet_invert,
     jet_pow,
     jet_var,
 )
@@ -54,17 +53,19 @@ def relative_residual(monomials):
 
     Real monomials at one point are summed in Python floats, left to right
     as numpy sums the rows of a stack, so a point's residual is the same
-    number alone or in a stack.
+    number alone or in a stack. A real stack stays in float64.
     """
     if isinstance(monomials[0], float) and all(isinstance(x, float) for x in monomials):
         scale = max(map(abs, monomials))
         if not all(map(math.isfinite, monomials)):
             raise DegenerateError("residual is not finite at this point")
         return float(abs(sum(monomials)) / scale) if scale > 0 else 0.0
-    m = np.asarray(monomials, dtype=complex)
-    scale = np.max(np.abs(m), axis=0)  # NaN or inf wherever a monomial is
+    m = np.asarray(monomials)
+    # complex only where a monomial is: |x + 0j| and sums of x + 0j are those of x, bit for bit
+    m = m.astype(complex if m.dtype.kind == "c" else float, copy=False)
+    scale = np.abs(m).max(axis=0)  # NaN or inf wherever a monomial is
     DegenerateError.raise_where(~np.isfinite(scale), "residual is not finite at this point")
-    rel = np.divide(np.abs(np.sum(m, axis=0)), scale, out=np.zeros_like(scale), where=scale > 0)
+    rel = np.divide(np.abs(m.sum(axis=0)), scale, out=np.zeros_like(scale), where=scale > 0)
     return rel if rel.ndim else float(rel)
 
 
@@ -300,14 +301,6 @@ def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
     return _jet(s0, coeffs.reshape(_shape(s0) + (order + 1,)))
 
 
-def hypergeom_residual(z: Jet1, p: HyperTriple):
-    """Relative residual of the hypergeometric equation on the jet z, at each of its basepoints."""
-    s0 = z.basepoint
-    a, b, c = float(p.a), float(p.b), float(p.c)
-    z0, z1, z2 = z.derivs(3)
-    return relative_residual([s0 * (1 - s0) * z2, (c - (a + b + 1) * s0) * z1, -a * b * z0])
-
-
 def hypergeom_pair(p: HyperTriple, s0, order: int = 8) -> Tuple[Jet1, Jet1]:
     """The standard fundamental pair (2F1, s^(1-c) 2F1(a-c+1, b-c+1; 2-c)).
 
@@ -419,51 +412,169 @@ def wronskian_check(
 # --- transformation identities -----------------------------------------
 
 # At s = 1/2 the degree6 map t(s) reaches t = 1, a singular point of the
-# target equation, with dt/ds = 0, so inverting t(s) loses every digit
+# target equation, with dt/ds = 0, so the chain rule loses every digit
 # there. The check rejects the open interval (start, start + width) around it,
 # and the CLI's sampler steps over it.
 DEGREE6_GAP = (0.49, 0.02)
 _W = complex(-0.5, 0.5 * math.sqrt(3.0))  # a cube root of unity
-# Each kind: the summed triple p, the target triple, where a sample s0 sits in s,
-# t(s), and the prefactor b(s)**e as (b, e). Each identity says that
-# b(s)**e 2F1(p; s), as a function of t, solves the target hypergeometric
-# equation; euler and quadratic say that 2F1(p; s) = b(s)**e 2F1(target; t(s))
-# as values.
+
+
+@dataclass(frozen=True)
+class _Identity:
+    """One transformation identity: b(s)**e 2F1(p; s), as a function of t = t(s),
+    solves the hypergeometric equation of `target`.
+
+    t(s) = scale prod f(s)**t_exp and b(s)**e = prod f(s)**b_exp over the
+    factor rows (coeffs, t_exp, b_exp), f(s) = coeffs[0] + coeffs[1] s +
+    coeffs[2] s**2. A sample s0 sits at s = s0, or at s = t(s0) for an
+    involution. A value identity says 2F1(p; s) = b(s)**e 2F1(target; t(s)).
+    """
+
+    p: HyperTriple
+    target: HyperTriple
+    scale: float | complex
+    factors: tuple
+    involution: bool = False
+    values: bool = False
+
+    @functools.cached_property
+    def equation(self) -> Tuple[float, float, float]:
+        """(c, a + b + 1, -a b) of the target equation t(1-t) Z'' + (c - (a+b+1) t) Z' - a b Z = 0."""
+        a, b, c = self.target
+        return float(c), float(a + b + 1), float(-a * b)
+
+
+def _factor(coeffs, s):
+    """f(s) = c0 + c1 s (+ c2 s^2) by Horner's rule; a zero c0 adds nothing."""
+    c0, c1 = coeffs[:2]
+    f = c1 * s if len(coeffs) == 2 else (c1 + coeffs[2] * s) * s
+    return f + c0 if c0 else f
+
+
+def _map_values(ident: _Identity, s):
+    """(t(s), b(s)**e), each multiplied in the order of the table; b**e is None without a prefactor."""
+    t, prefactor = ident.scale, None
+    for coeffs, m, n in ident.factors:
+        f = _factor(coeffs, s)
+        if m:
+            t = t * (f if m == 1 else f ** m)
+        if n:
+            prefactor = f ** n if prefactor is None else prefactor * f ** n
+    return t, prefactor
+
+
+def _power_jet(f, f1, f2, k):
+    """(g, g', g'') of g = f**k, k > 0, from (f, f', f''); f'' is None where it is 0, and so is g''.
+
+    g' = k f**(k-1) f' and g'' = k (k-1) f**(k-2) f'^2 + k f**(k-1) f''; no
+    power of f below 0 is formed for an integer k.
+    """
+    if k == 1:
+        return f, f1, f2
+    q = f ** (k - 2) if k != 2 else 1.0
+    fq = f * q
+    g2 = k * (k - 1) * f1 * f1 * q
+    return f * fq, k * f1 * fq, g2 if f2 is None else g2 + k * f2 * fq
+
+
+def _product_jet(u, g):
+    """(u g, (u g)', (u g)'') by the product rule, skipping the terms of a zero u'' or g''."""
+    (u0, u1, u2), (g0, g1, g2) = u, g
+    w2 = 2.0 * u1 * g1 if u2 is None else u2 * g0 + 2.0 * u1 * g1
+    return u0 * g0, u1 * g0 + u0 * g1, w2 if g2 is None else w2 + u0 * g2
+
+
+def _mapped_monomials(ident: _Identity, s) -> list:
+    """The target equation's three monomials on b(s)**-e Z, Z = b(s)**e 2F1(p; s) as a function of t.
+
+    s is one point or a stack. From the order-2 jet of z = 2F1(p; s), one
+    pass over the factor rows gives the jets (value, first and second
+    derivative) of the numerator and the denominator of t, the factors with
+    t_exp > 0 and those with t_exp < 0, by the product rule, and the
+    log-derivatives of the prefactor; t, t' and t'' are their quotient, which
+    divides by no factor of t's numerator. By the chain rule dZ/dt = Z'/t'
+    and d2Z/dt2 = (Z'' - t'' dZ/dt)/t'^2; the homogeneous equation drops the
+    common factor b**e, so with Y = Z/b**e, Y' = z' + beta z and
+    Y'' = z'' + 2 beta z' + (beta^2 + beta') z, where beta = (b**e)'/(b**e).
+    DivisionByZeroJet marks the points where a factor the pass divides by is
+    0, and NonInvertibleJet those where t' = 0.
+    """
+    z0, z1, z2 = hyp2f1_jet(ident.p, s, 2).derivs(3)
+    s = np.asarray(s)  # numpy's arithmetic at one point too: inf, not ZeroDivisionError
+    num = den = beta = None  # the jets of t's numerator and denominator, and beta and beta'
+    for coeffs, m, n in ident.factors:
+        f = _factor(coeffs, s)
+        # f' and f'', None where f'' = 0: a linear factor's f' is a number
+        if len(coeffs) == 2:
+            f1, f2 = coeffs[1], None
+        else:
+            f1, f2 = coeffs[1] + 2.0 * coeffs[2] * s, 2.0 * coeffs[2]
+        if m < 0 or n:
+            DivisionByZeroJet.raise_where(f == 0, "division by a jet with zero value")
+        if m > 0:
+            g = _power_jet(f, f1, f2, m)
+            num = g if num is None else _product_jet(num, g)
+        elif m < 0:
+            g = _power_jet(f, f1, f2, -m)
+            den = g if den is None else _product_jet(den, g)
+        if n:  # (b**e)'/b**e = sum n f'/f, and its derivative
+            r = f1 / f
+            b1 = n * r
+            db1 = -b1 * r if f2 is None else n * f2 / f - b1 * r
+            beta, dbeta = (b1, db1) if beta is None else (beta + b1, dbeta + db1)
+    t0, t1, t2 = (None if d is None else ident.scale * d for d in num)
+    if den is not None:  # the quotient rule, from t den = scale num
+        d0, d1, d2 = den
+        t0 = t0 / d0
+        t1 = (t1 - t0 * d1) / d0
+        t2 = -2.0 * t1 * d1 if t2 is None else t2 - 2.0 * t1 * d1
+        if d2 is not None:
+            t2 = t2 - t0 * d2
+        t2 = t2 / d0
+    NonInvertibleJet.raise_where(t1 == 0, "jet has vanishing first derivative")
+    if beta is not None:
+        z1, z2 = z1 + beta * z0, z2 + 2.0 * beta * z1 + (beta * beta + dbeta) * z0
+    dZ = z1 / t1
+    d2Z = (z2 if t2 is None else z2 - t2 * dZ) / (t1 * t1)
+    c, ab1, mab = ident.equation
+    return [t0 * (1.0 - t0) * d2Z, (c - ab1 * t0) * dZ, mab * z0]
+
+
+# each kind lists the factor of its prefactor b(s), where it has one, last
 _IDENTITIES = {
-    "euler": (HyperTriple(Frac(-7, 6), Frac(-8, 3), Frac(2, 3)),
-              HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)),
-              lambda s0: s0, lambda s: s, lambda s: 1.0 - s, 4.5),
-    "quadratic": (HyperTriple(Frac(1, 6), Frac(1, 6), Frac(2, 3)),
-                  HyperTriple(Frac(1, 12), Frac(1, 12), Frac(2, 3)),
-                  lambda s0: s0, lambda s: 4.0 * s * (1.0 - s), lambda s: 1.0 - s, 0),
-    # the prefactor carries the conjugate root: (1 + conj(w) s) is proportional
-    # to (s + w), and constants drop out of the linear ODE
-    "cubic": (HyperTriple(-4, -1, -2), HyperTriple(Frac(-4, 3), -1, -2), lambda s0: s0 + 0j,
-              lambda s: 3.0 * (2.0 * _W + 1.0) * s * (s - 1.0) / ((s + _W) * (s + _W) * (s + _W)),
-              lambda s: s + _W, -4),
-    "degree4": (HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)),
-                HyperTriple(Frac(5, 6), Frac(-2, 3), Frac(2, 3)),
-                lambda s0: s0, lambda s: -s * (s + 8.0) ** 3 / (64.0 * (1.0 - s) ** 3),
-                lambda s: 1.0 - s, 2.5),
-    "degree6": (HyperTriple(-4, -1, -2), HyperTriple(Frac(-1, 3), Frac(-2, 3), Frac(-1, 2)),
-                lambda s0: s0, lambda s: 27.0 * (s * (s - 1.0)) ** 2 / (4.0 * (s * s - s + 1.0) ** 3),
-                lambda s: 1.0 - s + s * s, -2),
+    # t = s and b = 1 - s
+    "euler": _Identity(HyperTriple(Frac(-7, 6), Frac(-8, 3), Frac(2, 3)),
+                       HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)),
+                       1.0, (((0.0, 1.0), 1, 0), ((1.0, -1.0), 0, 4.5)), values=True),
+    # t = 4 s (1 - s) and no prefactor
+    "quadratic": _Identity(HyperTriple(Frac(1, 6), Frac(1, 6), Frac(2, 3)),
+                           HyperTriple(Frac(1, 12), Frac(1, 12), Frac(2, 3)),
+                           4.0, (((0.0, 1.0), 1, 0), ((1.0, -1.0), 1, 0)), values=True),
+    # t = 3 (2w + 1) s (s - 1) / (s + w)^3 and b = s + w: the prefactor carries the
+    # conjugate root, as (1 + conj(w) s) is proportional to (s + w), and constants
+    # drop out of the linear ODE
+    "cubic": _Identity(HyperTriple(-4, -1, -2), HyperTriple(Frac(-4, 3), -1, -2),
+                       3.0 * (2.0 * _W + 1.0),
+                       (((0.0, 1.0), 1, 0), ((-1.0, 1.0), 1, 0), ((_W, 1.0), -3, -4.0))),
+    # t = -s (s + 8)^3 / (64 (1 - s)^3) and b = 1 - s
+    "degree4": _Identity(HyperTriple(Frac(11, 6), Frac(10, 3), Frac(2, 3)),
+                         HyperTriple(Frac(5, 6), Frac(-2, 3), Frac(2, 3)),
+                         -1.0 / 64.0,
+                         (((0.0, 1.0), 1, 0), ((8.0, 1.0), 3, 0), ((1.0, -1.0), -3, 2.5))),
+    # t = 27 (s^2 - s)^2 / (4 (s^2 - s + 1)^3) and b = s^2 - s + 1
+    "degree6": _Identity(HyperTriple(-4, -1, -2), HyperTriple(Frac(-1, 3), Frac(-2, 3), Frac(-1, 2)),
+                         27.0 / 4.0, (((0.0, -1.0, 1.0), 2, 0), ((1.0, -1.0, 1.0), -3, -2.0))),
     # t = 1 - s and t = s/(s - 1) are involutions: a sample s0 of t sits at s = t(s0)
-    "frac_linear_1ms": (HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(1, 2)),
-                        HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(2, 3)),
-                        lambda s0: 1.0 - s0, lambda s: 1.0 - s, lambda s: 1.0 - s, Frac(0)),
-    "frac_linear_s_over_sm1": (HyperTriple(Frac(-4, 3), -1, Frac(2, 3)),
-                               HyperTriple(Frac(-4, 3), Frac(5, 3), Frac(2, 3)),
-                               lambda s0: s0 / (s0 - 1.0), lambda s: s / (s - 1.0),
-                               lambda s: 1.0 - s, Frac(-4, 3)),
+    "frac_linear_1ms": _Identity(HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(1, 2)),
+                                 HyperTriple(Frac(-2, 3), Frac(5, 6), Frac(2, 3)),
+                                 1.0, (((1.0, -1.0), 1, 0),), involution=True),
+    # t = -s / (1 - s) and b = 1 - s
+    "frac_linear_s_over_sm1": _Identity(HyperTriple(Frac(-4, 3), -1, Frac(2, 3)),
+                                        HyperTriple(Frac(-4, 3), Frac(5, 3), Frac(2, 3)),
+                                        -1.0, (((0.0, 1.0), 1, 0), ((1.0, -1.0), -1, -4.0 / 3.0)),
+                                        involution=True),
 }
 TRANSFORM_KINDS = tuple(_IDENTITIES)
-
-
-def _mapped_solution_residual(z: Jet1, t_of_s: Jet1, prefactor: Jet1, target: HyperTriple):
-    """Residual of the target hypergeometric ODE on prefactor(s) z(s) in t."""
-    zt = jet_compose(prefactor * z, jet_invert(t_of_s))
-    return hypergeom_residual(zt, target)
 
 
 def transform_identity_check(kind: str, s0):
@@ -471,21 +582,24 @@ def transform_identity_check(kind: str, s0):
 
     s0 is one point, giving a float, or a stack, giving one value per point.
     The value identities (euler, quadratic) compare both sides' values, jets
-    of order 0. Every other kind maps its solution into t by composing with
-    the inverse of t(s), at order 2, all the target equation reads.
+    of order 0. Every other kind checks the target equation on its solution
+    mapped into t by the order-2 chain rule (`_mapped_monomials`), all the
+    target equation reads.
     """
     if kind not in _IDENTITIES:
         raise ValueError(f"unknown transformation kind {kind!r}")
-    p, target, at, t_of, base, e = _IDENTITIES[kind]
+    ident = _IDENTITIES[kind]
     s0 = np.asarray(s0, dtype=float) if np.ndim(s0) else float(s0)
     if kind == "degree6":
         lo, width = DEGREE6_GAP
         SingularPointError.raise_where(
             (s0 > lo) & (s0 < lo + width),
             lambda: f"degree6 is not checked on ({lo}, {lo + width}), around t(1/2) = 1")
-    s = at(s0)
-    if kind in ("euler", "quadratic"):
-        rhs = base(s) ** e * hyp2f1_jet(target, t_of(s), 0).value()
-        return relative_residual([hyp2f1_jet(p, s, 0).value(), -rhs])
-    x = jet_var(s, 2)
-    return _mapped_solution_residual(hyp2f1_jet(p, s, 2), t_of(x), jet_pow(base(x), e), target)
+    s = _map_values(ident, s0)[0] if ident.involution else s0
+    if ident.values:
+        t, prefactor = _map_values(ident, s)
+        rhs = hyp2f1_jet(ident.target, t, 0).value()
+        if prefactor is not None:
+            rhs = prefactor * rhs
+        return relative_residual([hyp2f1_jet(ident.p, s, 0).value(), -rhs])
+    return relative_residual(_mapped_monomials(ident, s))

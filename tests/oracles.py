@@ -6,10 +6,11 @@ finite-difference derivative oracle, the multivariate order-2 reference
 jet, the |.| powers of a negative base that the closed-form tables take,
 the exp kernel and the lift of I = 2(log|F''|)' back to F (the reference
 F-two-pole is checked against), the paper's closed-form pairs
-(`CLOSED_FORMS`, each row's basis and the equation it solves), the Chazy,
-Schwarzian, Omega-system
-and closed-form residuals, the dual frame by the chain rule in q and the
-curvature kernel on all n^4 slots, the curve branch y of H-ds-curve and its u,
+(`CLOSED_FORMS`, each row's basis and the equation it solves), the
+hypergeometric, Chazy, Schwarzian, Omega-system and closed-form residuals,
+the mapped transformation identities by composition with the inverse series
+of t(s) (`compose_invert_monomials`), the dual frame by the chain rule in q
+and the curvature kernel on all n^4 slots, the curve branch y of H-ds-curve and its u,
 the Legendre map of solution pairs, the exact polynomial identities (the
 Legendre duality of the two sixth-order tables,
 and the twistor coordinate change), the exact identity between the frame
@@ -66,10 +67,10 @@ from c235.jets import (
     solve_lower,
 )
 from c235.specialfn import (
+    _IDENTITIES,
     HyperTriple,
     hyp2f1_jet,
     hypergeom_pair,
-    hypergeom_residual,
     relative_residual,
     schwarz_potential,
 )
@@ -218,6 +219,19 @@ def build_F_from_I(
 
 
 # --- closed-form ODE residuals ----------------------------------------
+
+
+def hypergeom_monomials(z: Jet1, p: HyperTriple) -> list:
+    """The three monomials of the hypergeometric equation of p on the jet z, at each of its basepoints."""
+    s0 = z.basepoint
+    a, b, c = float(p.a), float(p.b), float(p.c)
+    z0, z1, z2 = z.derivs(3)
+    return [s0 * (1 - s0) * z2, (c - (a + b + 1) * s0) * z1, -a * b * z0]
+
+
+def hypergeom_residual(z: Jet1, p: HyperTriple):
+    """Relative residual of the hypergeometric equation on the jet z, at each of its basepoints."""
+    return relative_residual(hypergeom_monomials(z, p))
 
 
 def u_ode_residual(u: Jet1, tr: Tuple[float, float, float]):
@@ -451,6 +465,41 @@ def chazy_log_solution(z1: Jet1, z2: Jet1) -> Tuple[float, Jet1]:
     s_of_q = jet_invert(q_of_s)
     y = jet_compose(y_of_s, s_of_q)
     return y.basepoint, y.truncate(6)
+
+
+# --- the mapped identities by composition with the inverse series ------------
+
+_W = complex(-0.5, 0.5 * math.sqrt(3.0))  # a cube root of unity
+# each mapped identity kind's t(s) and prefactor b(s)**e as functions of a jet x = s,
+# written out as the package wrote them before its factor table: (t, b, e)
+COMPOSE_INVERT_MAPS = {
+    "cubic": (lambda x: 3.0 * (2.0 * _W + 1.0) * x * (x - 1.0) / ((x + _W) * (x + _W) * (x + _W)),
+              lambda x: x + _W, -4),
+    "degree4": (lambda x: -x * (x + 8.0) ** 3 / (64.0 * (1.0 - x) ** 3), lambda x: 1.0 - x, 2.5),
+    "degree6": (lambda x: 27.0 * (x * (x - 1.0)) ** 2 / (4.0 * (x * x - x + 1.0) ** 3),
+                lambda x: 1.0 - x + x * x, -2),
+    "frac_linear_1ms": (lambda x: 1.0 - x, lambda x: 1.0 - x, Frac(0)),
+    "frac_linear_s_over_sm1": (lambda x: x / (x - 1.0), lambda x: 1.0 - x, Frac(-4, 3)),
+}
+
+
+# the kinds that check the target equation by the order-2 chain rule, not by values
+MAPPED_KINDS = tuple(kind for kind, row in _IDENTITIES.items() if not row.values)
+
+
+def compose_invert_monomials(kind: str, s) -> list:
+    """The target equation's monomials on b(s)**e 2F1(p; s) mapped into t, at s (one point or a stack).
+
+    The solution's order-2 jet in s is composed with the inverse series of
+    the jet of t(s), and the target hypergeometric equation is read off the
+    result: the reference for the package's order-2 chain rule.
+    """
+    t_of, base, e = COMPOSE_INVERT_MAPS[kind]
+    ident = _IDENTITIES[kind]
+    z, x = hyp2f1_jet(ident.p, s, 2), jet_var(s, 2)
+    t = t_of(x)
+    zt = jet_compose(jet_pow(base(x), e) * z, jet_invert(t))
+    return hypergeom_monomials(zt, ident.target)
 
 
 # --- the curve branch, its u and the Legendre map of solution pairs ------

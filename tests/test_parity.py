@@ -12,10 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from c235 import cli
+from c235 import cli, specialfn
 from c235.chazy import SchwarzTriple, schwarz_solution
 from c235.dist import F_jet, catalog
-from c235.errors import DivisionByZeroJet, SeriesDomainError, SingularPointError
+from c235.errors import DegenerateError, DivisionByZeroJet, SeriesDomainError, SingularPointError
 from c235.jets import Jet1, jet_invert, jet_pow, jet_var
 from c235.specialfn import (
     DEGREE6_GAP,
@@ -28,7 +28,7 @@ from c235.specialfn import (
     wronskian_check,
 )
 
-from oracles import CLOSED_FORMS
+from oracles import CLOSED_FORMS, MAPPED_KINDS, compose_invert_monomials
 
 # --- the former code -------------------------------------------------------
 
@@ -199,6 +199,74 @@ def test_stacked_identity_matches_a_per_sample_loop(kind, n):
     loop = [transform_identity_check(kind, float(s)) for s in s0]
     assert all(isinstance(v, float) for v in loop)
     np.testing.assert_allclose(stacked, loop, rtol=0, atol=1e-14)
+
+
+# --- the mapped identities against composition with the inverse series ---------
+
+def _placed(kind, s0):
+    """Where the samples s0 of a kind sit in s: at t(s0) for an involution."""
+    row = specialfn._IDENTITIES[kind]
+    return specialfn._map_values(row, s0)[0] if row.involution else s0
+
+
+def _scaled(monomials, reference):
+    """The monomials (3, points) over the one that is largest, at each point, in the reference."""
+    m, ref = np.atleast_2d(np.transpose(monomials)), np.atleast_2d(np.transpose(reference))
+    largest = np.argmax(np.abs(ref), axis=1)
+    rows = np.arange(len(ref))
+    return m / m[rows, largest][:, None], ref / ref[rows, largest][:, None]
+
+
+@pytest.mark.parametrize("kind", MAPPED_KINDS)
+def test_mapped_identities_match_compose_invert(kind):
+    # the order-2 chain rule on the factor table against the former composition of the
+    # solution's jet with the inverse series of t(s): the monomials are those on
+    # b**-e Z, so they agree up to a factor per point, which the scaling divides out
+    stack = cli._identity_samples(kind, np.random.default_rng(0), 200)
+    singles = cli._identity_samples(kind, np.random.default_rng(1), 5).tolist()
+    if kind in ("cubic", "degree4"):
+        singles.append(0.0)  # a zero of t, where t' is not 0
+    for s0 in [stack, *singles]:
+        s = _placed(kind, s0)
+        got, want = _scaled(specialfn._mapped_monomials(specialfn._IDENTITIES[kind], s),
+                            compose_invert_monomials(kind, s))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{kind} at {s0}")
+
+
+# where each mapped kind's map or its series fails: t' = 0 (degree6 at 0, 1, -1 and 2),
+# a pole of t (s = 1), and points outside a series' domain or not finite
+EDGE_POINTS = [0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 0.999999, 1.0000001, 1e200, -1e200,
+               np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", MAPPED_KINDS)
+def test_mapped_identities_raise_as_compose_invert(kind):
+    # each edge point, alone and in a stack after a good sample, raises the error, with
+    # the rows, that the former composition raised, or both give a residual
+    def outcome(check, s0):
+        try:
+            return "value", np.shape(check(s0))
+        except Exception as exc:
+            rows = getattr(exc, "rows", None)
+            return type(exc), None if rows is None else rows.tolist()
+
+    former = lambda s0: specialfn.relative_residual(compose_invert_monomials(kind, _placed(kind, s0)))
+    for x in EDGE_POINTS:
+        if kind == "degree6" and DEGREE6_GAP[0] < x < sum(DEGREE6_GAP):
+            continue  # refused before either path runs
+        for s0 in (x, np.array([0.3, x])):
+            assert outcome(lambda v: transform_identity_check(kind, v), s0) == outcome(former, s0), (kind, s0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mapped_identities_refuse_a_point_where_t_prime_underflows():
+    # at s = 1e-300 degree6's t' = 27 s / 2 is 1.35e-299 and t'^2 underflows to 0: the
+    # chain rule's d2Z/dt2 is not finite (numpy warns of the division by 0), where the
+    # inverse series' solve raised numpy's LinAlgError (a singular matrix)
+    for s0 in (1e-300, np.array([0.3, -1e-300])):
+        with pytest.raises(DegenerateError):
+            transform_identity_check("degree6", s0)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

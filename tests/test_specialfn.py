@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,14 +25,20 @@ from c235.specialfn import (
     closed_form_solution,
     hyp2f1_jet,
     hypergeom_pair,
-    hypergeom_residual,
     relative_residual,
     schwarz_potential,
     transform_identity_check,
     wronskian_check,
 )
 
-from oracles import CLOSED_FORMS, closed_form_ode_residual, closed_form_pair, u_ode_residual
+from oracles import (
+    CLOSED_FORMS,
+    MAPPED_KINDS,
+    closed_form_ode_residual,
+    closed_form_pair,
+    hypergeom_residual,
+    u_ode_residual,
+)
 
 # the paper's hypergeometric triples, and the rows that solve u'' + V u / 4 = 0
 CLOSED_FORM_HYPER = {f: row.hyper for f, row in CLOSED_FORMS.items() if row.hyper is not None}
@@ -51,6 +58,36 @@ def test_relative_residual_refuses_a_point_that_is_not_finite():
     with pytest.raises(DegenerateError):
         relative_residual([np.nan, 1.0])
     assert relative_residual([2.0, -1.0]) == 0.5
+
+
+def _complex_relative_residual(monomials):
+    """relative_residual of a stack as it was computed before, in complex128 throughout."""
+    m = np.asarray(monomials, dtype=complex)
+    scale = np.max(np.abs(m), axis=0)
+    DegenerateError.raise_where(~np.isfinite(scale), "residual is not finite at this point")
+    return np.divide(np.abs(np.sum(m, axis=0)), scale, out=np.zeros_like(scale), where=scale > 0)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_real_stack_keeps_the_bits_of_the_complex_computation(seed):
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(2, 8)), int(rng.integers(1, 40))
+    m = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-300, 300, (k, n))
+    cancelled = rng.random(n) < 0.3  # the last monomial cancels the others' sum
+    m[-1, cancelled] = -m[:-1, cancelled].sum(axis=0)
+    m[:, rng.random(n) < 0.2] = 0.0  # points where every monomial is 0
+    m[rng.random((k, n)) < 0.1] *= -0.0
+    got, want = relative_residual(list(m)), _complex_relative_residual(list(m))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # a point where a monomial is not finite is refused, with the same rows
+    bad = rng.random(n) < 0.3
+    bad[0] = True
+    m[rng.integers(0, k, n)[bad], np.flatnonzero(bad)] = rng.choice([np.nan, np.inf, -np.inf], bad.sum())
+    with pytest.raises(DegenerateError) as got_exc:
+        relative_residual(list(m))
+    with pytest.raises(DegenerateError) as want_exc:
+        _complex_relative_residual(list(m))
+    assert got_exc.value.rows.tolist() == want_exc.value.rows.tolist() == bad.tolist()
 
 
 @pytest.mark.parametrize("s0", S_POINTS)
@@ -409,14 +446,58 @@ def test_quadratic_identity_branch():
     assert transform_identity_check("quadratic", 0.8) > 1e-3
 
 
-@pytest.mark.parametrize("kind", [k for k in TRANSFORM_KINDS if k != "quadratic"])
-def test_identity_fails_with_its_prefactor_exponent_moved(kind, monkeypatch):
-    # through the table both recipes read: euler's 4.5 becomes 4.6, and each mapped
-    # kind's b(s)**e gets e + 0.1 (frac_linear_1ms, with e = 0, a (1 - s)**0.1)
+def _moved_exponents(kind, t=0.0, b=0.0):
+    """The kind's table row with t and b added to the exponents, in t(s) and in b(s)**e, of its last
+    factor row: each kind lists the factor of its prefactor last."""
     row = specialfn._IDENTITIES[kind]
-    monkeypatch.setitem(specialfn._IDENTITIES, kind, row[:-1] + (row[-1] + 0.1,))
+    *rest, (coeffs, m, n) = row.factors
+    return replace(row, factors=(*rest, (coeffs, m + t, n + b)))
+
+
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+def test_identity_fails_with_its_prefactor_exponent_moved(kind, monkeypatch):
+    # moved in the factor table both recipes read: euler's (1 - s)**4.5 becomes (1 - s)**4.6,
+    # each mapped kind's b(s)**e gets e + 0.1, and quadratic and frac_linear_1ms, with
+    # no prefactor, get (1 - s)**0.1
+    monkeypatch.setitem(specialfn._IDENTITIES, kind, _moved_exponents(kind, b=0.1))
     s0 = cli._identity_samples(kind, np.random.default_rng(0), 200)
     assert transform_identity_check(kind, s0).min() > 1e-6
+
+
+@pytest.mark.parametrize("kind", MAPPED_KINDS)
+def test_identity_fails_with_its_map_moved(kind, monkeypatch):
+    # one factor of t(s) gets its exponent + 0.1: (s + w)**-2.9 for cubic, (1 - s)**-2.9 for
+    # degree4, (s^2 - s + 1)**-2.9 for degree6, (1 - s)**1.1 and (1 - s)**-0.9 for the involutions
+    monkeypatch.setitem(specialfn._IDENTITIES, kind, _moved_exponents(kind, t=0.1))
+    s0 = cli._identity_samples(kind, np.random.default_rng(0), 200)
+    assert transform_identity_check(kind, s0).min() > 1e-6
+
+
+def _exact_map(kind, s: Fraction) -> Fraction:
+    """t(s) from the kind's factor table in exact arithmetic (its exponents in t are integers)."""
+    row = specialfn._IDENTITIES[kind]
+    t = Fraction(row.scale)
+    for coeffs, m, _ in row.factors:
+        t *= sum(Fraction(c) * s**i for i, c in enumerate(coeffs)) ** int(m)
+    return t
+
+
+@pytest.mark.parametrize("kind", TRANSFORM_KINDS)
+def test_identity_table_sums_each_series_where_it_keeps_its_digits(kind):
+    # hyp2f1_jet loses digits at negative s0 with large parameters, so over the CLI
+    # sampler's ranges a non-terminating series is summed only in (0, 1): p at s, and
+    # a value kind's target at t(s); and an involution's sample s0 of t sits at s = t(s0)
+    row = specialfn._IDENTITIES[kind]
+    s0 = np.concatenate([cli._identity_samples(kind, np.random.default_rng(seed), 20000)
+                         for seed in range(3)])
+    s = specialfn._map_values(row, s0)[0] if row.involution else s0
+    if _terminating_length(row.p) is None:
+        assert np.all((s > 0) & (s < 1))
+    if row.values and _terminating_length(row.target) is None:
+        t = specialfn._map_values(row, s)[0]
+        assert np.all((t > 0) & (t < 1))
+    if row.involution:
+        assert all(_exact_map(kind, _exact_map(kind, Fraction(x))) == Fraction(x) for x in s0[:200])
 
 
 def test_unknown_transform_kind():
