@@ -198,31 +198,46 @@ def _series_sums(s, L, counts, c, e: float, order: int):
     Far from the asymptotic regime (large a, b or c) the estimate of the
     count can fall short. A point is short where the last term of
     coefficient `order` is not SERIES_DIGITS digits below the one at m*,
-    or the next term is larger.
+    or the next term is larger. Each point's test reads its row of the
+    table on Python numbers. The table is summed in one real product: BLAS
+    splits a long complex product between its threads along the table's
+    length, so a complex row's sum would depend on how far the table is
+    padded past its count.
     """
-    W, powers = _weights_and_powers(s, c, int(counts.max()), order)
-    rows, last = np.arange(len(s)), counts - 1
-    powers[np.arange(powers.shape[1]) > last[:, None]] = 0.0
-    peak = np.rint(np.minimum(e / L, last)).astype(int)
-    term = lambda i: np.abs(W[i, order] * powers[rows, i])
-    ratio = np.abs(s * c[last + order + 1] / c[last + order]) * (last + order + 1) / (last + 1)
-    short = (term(last) > 10.0**-SERIES_DIGITS * term(peak)) | (ratio > 1)
-    return (powers[:, None, :] @ W)[:, 0, :], short
-
-
-def _too_long(p: HyperTriple) -> str:
-    return f"series for {p.label()} does not fall {SERIES_DIGITS} digits in {SERIES_MAX_TERMS} terms"
+    top = max(counts)
+    W, powers = _weights_and_powers(s, c, top, order)
+    tiny, short = 10.0**-SERIES_DIGITS, []
+    for i, (v, count) in enumerate(zip(s.tolist(), counts)):
+        if count < top:
+            powers[i, count:] = 0.0
+        last = count - 1
+        peak = round(min(e / L[i], last))
+        ratio = abs(v * c.item(last + order + 1) / c.item(last + order)) * (last + order + 1) / (last + 1)
+        short.append(ratio > 1 or abs(W.item(last, order) * powers.item(i, last))
+                     > tiny * abs(W.item(peak, order) * powers.item(i, peak)))
+    if powers.dtype.kind != "c":
+        return (powers[:, None, :] @ W)[:, 0, :], short
+    sums = (np.concatenate([powers.real, powers.imag])[:, None, :] @ W)[:, 0, :]
+    coeffs = sums[:len(s)].astype(complex)
+    coeffs.imag = sums[len(s):]
+    return coeffs, short
 
 
 def _series_on_stack(p: HyperTriple, s: np.ndarray, s0, e: float, x: float, order: int):
-    """hyp2f1_jet's coefficients (len(s), order + 1) for a series that does not terminate."""
-    L = -np.log(np.maximum(np.abs(s), 1e-300))
+    """hyp2f1_jet's coefficients (len(s), order + 1) for a series that does not terminate.
+
+    Each point counts its terms on Python numbers, and a point whose count
+    falls short doubles it.
+    """
+    L = [-math.log(max(abs(v), 1e-300)) for v in s.tolist()]
     # `order` + 32 terms past x m*, rounded up to a multiple of 32 (just those at s0 = 0)
-    counts = 32 * np.ceil((x * e / L + order + 32) / 32).astype(int)
+    counts = [32 * math.ceil((x * e / l + order + 32) / 32) for l in L]
     while True:
-        SeriesDomainError.raise_where(np.reshape(counts > SERIES_MAX_TERMS, np.shape(s0)),
-                                      lambda: _too_long(p))
-        top = int(counts.max())
+        top = max(counts)
+        if top > SERIES_MAX_TERMS:
+            SeriesDomainError.raise_where(
+                np.reshape([k > SERIES_MAX_TERMS for k in counts], np.shape(s0)),
+                f"series for {p.label()} does not fall {SERIES_DIGITS} digits in {SERIES_MAX_TERMS} terms")
         # a prefix of a cached power-of-two run, so the cache keeps few lengths per triple
         c = _series_coeffs(p, 1 << (top + order).bit_length())
         if len(s) * top <= SERIES_TABLE_ENTRIES:
@@ -232,33 +247,15 @@ def _series_on_stack(p: HyperTriple, s: np.ndarray, s0, e: float, x: float, orde
             # does not size the table of the others
             coeffs = np.empty((len(s), order + 1), dtype=np.result_type(s, float))
             short = np.empty(len(s), dtype=bool)
-            for k in np.unique(counts):
-                rows = counts == k
+            groups = {}
+            for i, k in enumerate(counts):
+                groups.setdefault(k, []).append(i)
+            for k, rows in groups.items():
                 coeffs[rows], short[rows] = _series_sums(
-                    s[rows], L[rows], counts[rows], c, e, order)
-        if not short.any():
+                    s[rows], [L[i] for i in rows], [k] * len(rows), c, e, order)
+        if not any(short):
             return coeffs
-        counts = np.where(short, 2 * counts, counts)
-
-
-def _series_at_point(p: HyperTriple, s: np.ndarray, e: float, x: float, order: int):
-    """_series_on_stack at the one point of s, with the count and the shortfall test on Python numbers.
-
-    The same operations on the same doubles give the same count, and the
-    same coefficients; None where the count passes SERIES_MAX_TERMS.
-    """
-    L = float(-np.log(max(np.abs(s[0]), 1e-300)))
-    count = 32 * math.ceil((x * e / L + order + 32) / 32)
-    while count <= SERIES_MAX_TERMS:
-        c = _series_coeffs(p, 1 << (count + order).bit_length())
-        W, powers = _weights_and_powers(s, c, count, order)
-        last, peak = count - 1, round(min(e / L, count - 1))
-        term = lambda i: abs(W[i, order] * powers[0, i])
-        ratio = abs(s[0] * c[last + order + 1] / c[last + order]) * (last + order + 1) / (last + 1)
-        if not (term(last) > 10.0**-SERIES_DIGITS * term(peak) or ratio > 1):
-            return (powers[:, None, :] @ W)[:, 0, :]
-        count *= 2
-    return None
+        counts = [2 * k if flag else k for k, flag in zip(counts, short)]
 
 
 def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
@@ -271,11 +268,12 @@ def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
     s0, real or complex. Otherwise each point sums its own number of
     terms, enough for them to fall SERIES_DIGITS digits below their peak;
     SeriesDomainError marks the points where |s0| >= 1 or s0 is not
-    finite, and those where that takes more than SERIES_MAX_TERMS terms. A
-    single point counts its terms on Python numbers, to the same count. At
-    negative s0 with large parameters the alternating terms peak far above
-    their sum and digits are lost ((21/2, 21/2; 41/2) at -0.9 is 1.2e-12 off
-    in value); the package sums non-terminating series only at s0 in (0, 1).
+    finite, and those where that takes more than SERIES_MAX_TERMS terms.
+    A single point is summed as a stack of one, so a point's jet is its row
+    of any stack, bit for bit. At negative s0 with large parameters the
+    alternating terms peak far above their sum and digits are lost
+    ((21/2, 21/2; 41/2) at -0.9 is 1.2e-12 off in value); the package sums
+    non-terminating series only at s0 in (0, 1).
     """
     s = np.array([s0]) if type(s0) is float else np.reshape(s0, -1)
     length = _terminating_length(p)
@@ -292,12 +290,7 @@ def hyp2f1_jet(p: HyperTriple, s0, order: int = 8) -> Jet1:
         SeriesDomainError.raise_where(
             np.logical_not(abs(s0) < 1), lambda: f"series for {p.label()} diverges at |s| >= 1")
         e, x = _term_count_rule(p, order)
-        if len(s) != 1:
-            coeffs = _series_on_stack(p, s, s0, e, x, order)
-        else:
-            coeffs = _series_at_point(p, s, e, x, order)
-            if coeffs is None:
-                SeriesDomainError.raise_where(np.full(np.shape(s0), True), _too_long(p))
+        coeffs = _series_on_stack(p, s, s0, e, x, order)
     return _jet(s0, coeffs.reshape(_shape(s0) + (order + 1,)))
 
 
@@ -577,6 +570,7 @@ _IDENTITIES = {
 TRANSFORM_KINDS = tuple(_IDENTITIES)
 
 
+@np.errstate(all="ignore")
 def transform_identity_check(kind: str, s0):
     """Relative mismatch of the named transformation identity at s0.
 
@@ -584,12 +578,15 @@ def transform_identity_check(kind: str, s0):
     The value identities (euler, quadratic) compare both sides' values, jets
     of order 0. Every other kind checks the target equation on its solution
     mapped into t by the order-2 chain rule (`_mapped_monomials`), all the
-    target equation reads.
+    target equation reads. One point computes in numpy's arithmetic too,
+    and the whole check under np.errstate(all="ignore"), as in
+    geometry.metric_at: a division by 0 or an underflow ends in a value that
+    is not finite, which relative_residual refuses (DegenerateError).
     """
     if kind not in _IDENTITIES:
         raise ValueError(f"unknown transformation kind {kind!r}")
     ident = _IDENTITIES[kind]
-    s0 = np.asarray(s0, dtype=float) if np.ndim(s0) else float(s0)
+    s0 = np.asarray(s0, dtype=float) if np.ndim(s0) else np.float64(s0)
     if kind == "degree6":
         lo, width = DEGREE6_GAP
         SingularPointError.raise_where(

@@ -203,9 +203,12 @@ def test_stacked_identity_matches_a_per_sample_loop(kind, n):
 
 # --- the mapped identities against composition with the inverse series ---------
 
+@np.errstate(all="ignore")
 def _placed(kind, s0):
-    """Where the samples s0 of a kind sit in s: at t(s0) for an involution."""
+    """Where the samples s0 of a kind sit in s: at t(s0) for an involution, in numpy's
+    arithmetic at one point too, as transform_identity_check places them."""
     row = specialfn._IDENTITIES[kind]
+    s0 = np.asarray(s0, dtype=float) if np.ndim(s0) else np.float64(s0)
     return specialfn._map_values(row, s0)[0] if row.involution else s0
 
 
@@ -239,11 +242,11 @@ EDGE_POINTS = [0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 0.999999, 1.0000001, 1e200, -1e20
                np.nan, np.inf, -np.inf]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("kind", MAPPED_KINDS)
 def test_mapped_identities_raise_as_compose_invert(kind):
     # each edge point, alone and in a stack after a good sample, raises the error, with
-    # the rows, that the former composition raised, or both give a residual
+    # the rows, that the former composition raised, or both give a residual; the check
+    # runs with RuntimeWarnings as errors, the former composition without its warnings
     def outcome(check, s0):
         try:
             return "value", np.shape(check(s0))
@@ -251,7 +254,10 @@ def test_mapped_identities_raise_as_compose_invert(kind):
             rows = getattr(exc, "rows", None)
             return type(exc), None if rows is None else rows.tolist()
 
-    former = lambda s0: specialfn.relative_residual(compose_invert_monomials(kind, _placed(kind, s0)))
+    @np.errstate(all="ignore")
+    def former(s0):
+        return specialfn.relative_residual(compose_invert_monomials(kind, _placed(kind, s0)))
+
     for x in EDGE_POINTS:
         if kind == "degree6" and DEGREE6_GAP[0] < x < sum(DEGREE6_GAP):
             continue  # refused before either path runs
@@ -259,11 +265,10 @@ def test_mapped_identities_raise_as_compose_invert(kind):
             assert outcome(lambda v: transform_identity_check(kind, v), s0) == outcome(former, s0), (kind, s0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mapped_identities_refuse_a_point_where_t_prime_underflows():
     # at s = 1e-300 degree6's t' = 27 s / 2 is 1.35e-299 and t'^2 underflows to 0: the
-    # chain rule's d2Z/dt2 is not finite (numpy warns of the division by 0), where the
-    # inverse series' solve raised numpy's LinAlgError (a singular matrix)
+    # chain rule's d2Z/dt2 is not finite (a division by 0, which the check computes
+    # under np.errstate), where the inverse series' solve raised numpy's LinAlgError
     for s0 in (1e-300, np.array([0.3, -1e-300])):
         with pytest.raises(DegenerateError):
             transform_identity_check("degree6", s0)

@@ -154,13 +154,14 @@ SERIES_TRIPLES = sorted(
 JET_POINTS = [0.0, 0.01, 0.024, 0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.98]
 
 
-def _reference_jet(p: HyperTriple, s0: float, order: int) -> np.ndarray:
+def _reference_jet(p: HyperTriple, s0, order: int) -> np.ndarray:
     """Taylor coefficients (a)_k (b)_k / ((c)_k k!) 2F1(a+k, b+k; c+k; s0) at 40 digits."""
     mp = pytest.importorskip("mpmath")
+    number = complex if isinstance(s0, complex) else float
     with mp.workdps(40):
         a, b, c = (mp.mpf(x.numerator) / x.denominator for x in p)
         return np.array([
-            float(mp.rf(a, k) * mp.rf(b, k) / (mp.rf(c, k) * mp.factorial(k))
+            number(mp.rf(a, k) * mp.rf(b, k) / (mp.rf(c, k) * mp.factorial(k))
                   * mp.hyp2f1(a + k, b + k, c + k, s0))
             for k in range(order + 1)
         ])
@@ -175,10 +176,13 @@ def test_every_jet_coefficient_matches_mpmath(p):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), s0
 
 
-@pytest.mark.parametrize("p", [
+LARGE_PARAMETER_TRIPLES = [
     HyperTriple(Fraction(21, 2), Fraction(21, 2), Fraction(41, 2)),
     HyperTriple(Fraction(-21, 2), Fraction(-7, 3), Fraction(-41, 2)),
-], ids=HyperTriple.label)
+]
+
+
+@pytest.mark.parametrize("p", LARGE_PARAMETER_TRIPLES, ids=HyperTriple.label)
 def test_a_series_far_from_its_asymptotics_sums_more_terms(p):
     # with parameters this large the terms still grow where m^e |s0|^m has
     # peaked, so the first term count falls short and is doubled
@@ -187,6 +191,47 @@ def test_a_series_far_from_its_asymptotics_sums_more_terms(p):
             ref = _reference_jet(p, s0, order)
             got = hyp2f1_jet(p, s0, order).coeffs
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (order, s0)
+
+
+def _stack_matches_its_points_and_mpmath(p, s0, order):
+    stacked = hyp2f1_jet(p, s0, order).coeffs
+    for row, s in zip(stacked, s0.tolist()):
+        np.testing.assert_array_equal(row, hyp2f1_jet(p, s, order).coeffs)
+        ref = _reference_jet(p, s, order)
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), (order, s)
+
+
+@pytest.mark.parametrize("p", LARGE_PARAMETER_TRIPLES, ids=HyperTriple.label)
+def test_a_stack_doubles_the_count_of_its_short_points_alone(p, monkeypatch):
+    # at order 0 the first count falls short at some of these points and not at others:
+    # each row sums its own count, as the point does alone
+    counts, sums = [], specialfn._series_sums
+
+    def spy(s, L, point_counts, *args):
+        counts.append(list(point_counts))
+        return sums(s, L, point_counts, *args)
+
+    monkeypatch.setattr(specialfn, "_series_sums", spy)
+    s0 = np.array([0.5, 0.99, 0.7, 0.9])
+    hyp2f1_jet(p, s0, 0)
+    doubled = [last == 2 * first for first, last in zip(counts[0], counts[-1])]
+    assert any(doubled) and not all(doubled), counts
+    for order in (0, 8):
+        _stack_matches_its_points_and_mpmath(p, s0, order)
+
+
+@pytest.mark.parametrize("order", [0, 2, 8])
+def test_a_complex_stack_equals_its_points(order):
+    # a catalog triple whose series does not terminate, inside the unit disc off the real axis
+    p = HyperTriple(Fraction(-2, 3), Fraction(5, 6), Fraction(1, 2))
+    assert _terminating_length(p) is None
+    s0 = np.array([0.3 + 0.4j, -0.5 + 0.5j, 0.7j, 0.6 - 0.5j, 0.05 - 0.02j])
+    _stack_matches_its_points_and_mpmath(p, s0, order)
+    # 0.9j pads the others' rows to a table long enough for BLAS to split a complex
+    # product between threads; its own terms cancel (coefficient 8 is 2e-11 off mpmath)
+    stacked = hyp2f1_jet(p, np.append(s0, 0.9j), order).coeffs
+    np.testing.assert_array_equal(stacked[:-1], hyp2f1_jet(p, s0, order).coeffs)
+    np.testing.assert_array_equal(stacked[-1], hyp2f1_jet(p, 0.9j, order).coeffs)
 
 
 @pytest.mark.parametrize("order", [0, 2, 6, 8])
@@ -203,9 +248,8 @@ def test_stacked_jets_equal_single_point_jets(p, order, monkeypatch):
 
 @pytest.mark.parametrize("p", SERIES_TRIPLES, ids=HyperTriple.label)
 def test_one_row_residuals_are_their_rows_of_a_stack(p):
-    # a single point and a 1-row stack take the one-point series branch; each
-    # must give its row of a 3-row stack, and the hypergeometric residual of that row,
-    # exactly: on a solution and on a control that fails
+    # a single point and a 1-row stack must each give its row of a 3-row stack, and the
+    # hypergeometric residual of that row, exactly: on a solution and on a control that fails
     s0 = np.array([0.2, 0.45, 0.8])
     for jet in (lambda s: hyp2f1_jet(p, s, 6), lambda s: jet_var(s, 6) ** 2):
         stack = jet(s0)
@@ -244,7 +288,7 @@ def test_series_refuses_a_point_it_cannot_sum():
     with pytest.raises(SeriesDomainError) as exc:
         hyp2f1_jet(p, np.array([0.5, 1 - 1e-12, 0.98]), 8)
     assert exc.value.rows.tolist() == [False, True, False]
-    # a 1-row stack counts its terms as a single point does, and keeps its mask
+    # a 1-row stack keeps its mask
     with pytest.raises(SeriesDomainError) as exc:
         hyp2f1_jet(p, np.array([1 - 1e-12]), 8)
     assert exc.value.rows.tolist() == [True]
@@ -498,6 +542,20 @@ def test_identity_table_sums_each_series_where_it_keeps_its_digits(kind):
         assert np.all((t > 0) & (t < 1))
     if row.involution:
         assert all(_exact_map(kind, _exact_map(kind, Fraction(x))) == Fraction(x) for x in s0[:200])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, edge", [("frac_linear_s_over_sm1", 1.0), ("degree6", 1e-300)])
+def test_identity_edge_points_end_in_a_degenerate_error(kind, edge):
+    # s0 = 1 places the sample at s = 1/0, and at 1e-300 degree6's t'^2 underflows to 0:
+    # each ends in a residual that is not finite, with no ZeroDivisionError or RuntimeWarning
+    with pytest.raises(DegenerateError) as exc:
+        transform_identity_check(kind, edge)
+    assert exc.value.rows is None
+    for s0, rows in [([edge], [True]), ([0.3, edge], [False, True]), ([edge, 0.3], [True, False])]:
+        with pytest.raises(DegenerateError) as exc:
+            transform_identity_check(kind, np.array(s0))
+        assert exc.value.rows.tolist() == rows
 
 
 def test_unknown_transform_kind():
